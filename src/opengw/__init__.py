@@ -49,7 +49,6 @@ from .novikov import (
     gauss_valuation,
     in_positive_part,
     is_norm_one,
-    laurent_add,
     laurent_mul,
     scalar_inverse,
     scalar_pow,
@@ -62,7 +61,6 @@ from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
     from_records,
-    from_spec,
     monomial,
     multiply,
     power,

@@ -437,7 +437,10 @@ def _cmd_oracle(args) -> str:
         if args.branch is not None:
             params["branch"] = args.branch
         if args.k is not None:
-            ints = tuple(int(x) for x in _parse_rational_list(args.k, "--k"))
+            ks = _parse_rational_list(args.k, "--k")
+            if any(x.denominator != 1 for x in ks):
+                raise ParseError(f"bad --k {args.k!r}: entries must be integers")
+            ints = tuple(x.numerator for x in ks)
             params["k"] = ints[0] if family == "f1" and len(ints) == 1 else ints
     return f"{closed_form_invariant(family, params)}\n"
 

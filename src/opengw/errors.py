@@ -78,15 +78,6 @@ class UnknownFamily(DomainError):
     """Unrecognized closed-form family."""
 
 
-class TruncationUnsound(DomainError):
-    """Gluing result has retained terms inside the region that dropped
-    expansion tails could still reach.  Carries the partial series."""
-
-    def __init__(self, msg: str, partial=None):
-        super().__init__(msg)
-        self.partial = partial
-
-
 # fibration base
 
 class OutsideBase(DomainError):

@@ -254,15 +254,6 @@ class NovikovLaurent:
         )
 
 
-def laurent_add(f: NovikovLaurent, g: NovikovLaurent) -> NovikovLaurent:
-    if f.n != g.n:
-        raise DimensionMismatch("cannot add Laurent series in different dimensions")
-    out = dict(f.terms)
-    for nu, s in g.terms.items():
-        out[nu] = out[nu] + s if nu in out else s
-    return NovikovLaurent(f.n, out)
-
-
 def laurent_mul(f: NovikovLaurent, g: NovikovLaurent) -> NovikovLaurent:
     if f.n != g.n:
         raise DimensionMismatch("cannot multiply Laurent series in different dimensions")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, NotFiltered, NotInvertible, SchemaError
-from .fan import FanSpec, RelClass
+from .fan import RelClass
 
 DEFAULT_TRUNC = 16
 
@@ -129,10 +129,6 @@ def monomial(n: int, m: int, cls: RelClass, coeff=Fraction(1)) -> ClassSeries:
     return ClassSeries(n, m, {cls: Fraction(coeff)})
 
 
-def from_spec(spec: FanSpec, terms: Mapping[RelClass, Fraction]) -> ClassSeries:
-    return ClassSeries(spec.n, spec.m, terms)
-
-
 def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     """Exact convolution product; classes add, coefficients multiply."""
     f._check_context(g)
@@ -193,21 +189,71 @@ def power(f: ClassSeries, k: int, trunc: int | None = None) -> ClassSeries:
         return result
     if trunc is None:
         trunc = DEFAULT_TRUNC
-    u = f - one(f.n, f.m)
+    # every term of f**k sits in the orthant of f, where grade = gamma-degree
+    return divide_by_power(one(f.n, f.m), f, -k, trunc)
+
+
+def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> ClassSeries:
+    """p / f**k, exact on every class of gamma-degree at most trunc.
+
+    f = 1 + u must have constant term exactly 1 and u one closed sign
+    orthant sigma of gamma space, u free of gamma-degree 0.  Terms are
+    graded by L(c) = sum_k sigma_k g_k: L adds under products, L(t) >= 1
+    on u, and |g| >= L(g), so a class with L > trunc never has
+    gamma-degree <= trunc.  Each division by f solves
+
+        Q_l = P_l - sum_{t in u} u_t Q_{l - L(t)}
+
+    upward from the lowest grade of P to trunc, stopping early once P is
+    used up and the last max L(t) buckets of Q are empty; an exact
+    quotient therefore costs about its own size.  The result holds every
+    term of L-grade <= trunc and may hold some of gamma-degree above trunc.
+    """
+    f._check_context(p)
     if f.coeff(RelClass(0, (0,) * (f.n - 1), (0,) * f.m)) != 1:
         raise NotInvertible("inverse powers need constant term exactly 1")
-    _require_positive_filtration(u, "negative power")
-    # binomial series (1+u)^k = sum binom(k, j) u^j, truncated by gamma-degree
-    result = one(f.n, f.m)
-    coeff = Fraction(1)
-    upow = one(f.n, f.m)
-    for j in range(1, trunc + 1):
-        coeff *= Fraction(k - (j - 1), j)
-        upow = _multiply_bounded(upow, u, trunc)
-        if not upow:
-            break
-        result = result + upow.scaled(coeff)
-    return truncate_gamma(result, trunc)
+    u = {c: q for c, q in f._terms.items() if not c.is_zero()}
+    sigma = _require_positive_filtration(_raw(f.n, f.m, u), "negative power")
+
+    def grade(c: RelClass) -> int:
+        return sum(s * x for s, x in zip(sigma, c.g))
+
+    u_by_grade: dict[int, list[tuple[RelClass, Fraction]]] = {}
+    for c, q in u.items():
+        u_by_grade.setdefault(grade(c), []).append((c, q))
+    reach = max(u_by_grade, default=0)
+    zero_q = Fraction(0)
+    terms = p._terms
+    for _ in range(k):
+        rhs: dict[int, dict[RelClass, Fraction]] = {}
+        for c, q in terms.items():
+            d = grade(c)
+            if d <= trunc:
+                rhs.setdefault(d, {})[c] = q
+        if not rhs:
+            return _raw(p.n, p.m, {})
+        top = max(rhs)
+        quot: dict[int, dict[RelClass, Fraction]] = {}
+        for d in range(min(rhs), trunc + 1):
+            if d > top and all(d - j not in quot for j in range(1, reach + 1)):
+                break
+            acc = dict(rhs.get(d, ()))
+            for j, ut in u_by_grade.items():
+                prev = quot.get(d - j)
+                if not prev:
+                    continue
+                for c1, q1 in ut:
+                    for c2, q2 in prev.items():
+                        key = c1 + c2
+                        acc[key] = acc.get(key, zero_q) - q1 * q2
+            bucket = {c: q for c, q in acc.items() if q}
+            if bucket:
+                quot[d] = bucket
+        # a class appears only in the bucket of its own grade
+        terms = {}
+        for bucket in quot.values():
+            terms.update(bucket)
+    return _raw(p.n, p.m, terms)
 
 
 def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
@@ -267,10 +313,11 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
     return result
 
 
-def _require_positive_filtration(u: ClassSeries, what: str):
+def _require_positive_filtration(u: ClassSeries, what: str) -> tuple[int, ...]:
     # All terms must sit in gamma-degree >= 1 and in one closed sign orthant
     # of gamma space; otherwise products can fall back to low gamma-degree
     # and the truncated expansion would be wrong, not just incomplete.
+    # Returns the orthant's sign per gamma coordinate (+1 where unused).
     pos = [False] * (u.n - 1)
     neg = [False] * (u.n - 1)
     for c in u._terms:
@@ -287,6 +334,7 @@ def _require_positive_filtration(u: ClassSeries, what: str):
                 f"{what}: gamma_{k + 1} appears with both signs, "
                 "gamma-degree truncation would drop low-order terms"
             )
+    return tuple(-1 if neg[k] else 1 for k in range(u.n - 1))
 
 
 # canonical serialization
@@ -304,7 +352,22 @@ def to_records(f: ClassSeries) -> list[dict]:
     ]
 
 
+def _record_int(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"series record {what} must be an integer, got {v!r}")
+    return v
+
+
+def _record_int_vec(v, what: str) -> tuple[int, ...]:
+    if not isinstance(v, (list, tuple)):
+        raise SchemaError(f"series record {what} must be an array of integers, got {v!r}")
+    return tuple(_record_int(x, f"{what} entry") for x in v)
+
+
 def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
+    """Inverse of to_records.  Every field must be a genuine integer (no
+    bool, float or string) and the denominator nonzero; anything else is a
+    SchemaError, never a silent rounding."""
     terms: dict[RelClass, Fraction] = {}
     for rec in records:
         if not isinstance(rec, Mapping):
@@ -313,11 +376,18 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
         if extra:
             raise SchemaError(f"unknown series record keys {sorted(extra)}")
         try:
-            cls = RelClass(int(rec["b"]), tuple(int(x) for x in rec["g"]), tuple(int(x) for x in rec["h"]))
-            coeff = Fraction(int(rec["coeff_numerator"]), int(rec["coeff_denominator"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad series record {rec!r}: {exc}") from exc
+            cls = RelClass(
+                _record_int(rec["b"], "b"),
+                _record_int_vec(rec["g"], "g"),
+                _record_int_vec(rec["h"], "h"),
+            )
+            num = _record_int(rec["coeff_numerator"], "coeff_numerator")
+            den = _record_int(rec["coeff_denominator"], "coeff_denominator")
+        except KeyError as exc:
+            raise SchemaError(f"bad series record {rec!r}: missing key {exc}") from exc
+        if den == 0:
+            raise SchemaError(f"bad series record {rec!r}: coeff_denominator is 0")
         if len(cls.g) != n - 1 or len(cls.h) != m:
             raise SchemaError(f"series record shape does not match fan ({n}, {m})")
-        terms[cls] = terms.get(cls, Fraction(0)) + coeff
+        terms[cls] = terms.get(cls, Fraction(0)) + Fraction(num, den)
     return ClassSeries(n, m, terms)

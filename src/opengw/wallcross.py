@@ -45,6 +45,7 @@ from .fan import (
 from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
+    divide_by_power,
     monomial,
     multiply,
     one,
@@ -52,7 +53,6 @@ from .series import (
     series_exp,
     series_log,
     truncate_gamma,
-    zero,
 )
 
 
@@ -185,11 +185,15 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
 
     Each monomial of class c is multiplied by factor^e, e = -c.b for
     PlusToMinus and +c.b for MinusToPlus; gamma- and H-only monomials are
-    fixed.  Negative powers are infinite series, so those are expanded far
-    enough (degree trunc plus the monomial's own gamma-degree) that every
-    retained output coefficient is the exact coefficient of the full glued
-    series; the result is then truncated at gd.trunc.  Nonnegative powers
-    are exact, and a series needing none is returned untruncated.
+    fixed.  The source is grouped by e.  A group with e > 0 is multiplied
+    once by the exact power factor^e.  A group with e < 0 is divided
+    exactly by the factor |e| times (series.divide_by_power): terms are
+    graded by the linear form L of the factor's gamma orthant, which adds
+    under products and never exceeds gamma-degree, so solving grade by
+    grade up to gd.trunc gives every output coefficient of gamma-degree at
+    most gd.trunc exactly, and an exact quotient stops as soon as it is
+    found.  When some e < 0 the result is truncated at gd.trunc; a series
+    needing no negative power is returned untruncated.
     """
     if s.n != spec.n or s.m != spec.m:
         raise DimensionMismatch(
@@ -199,30 +203,21 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
     if f.n != spec.n or f.m != spec.m:
         raise DimensionMismatch("gluing factor does not match the fan")
     sign = -1 if gd.direction is Direction.PLUS_TO_MINUS else 1
-    # a source monomial at gamma-offset g0 can pull factor terms of degree
-    # up to trunc + |g0| back under the output bound, so expand that far
-    depth: dict[int, int] = {}
-    for cls, _ in s.items():
-        e = sign * cls.b
-        if e < 0:
-            need = gd.trunc + cls.gamma_degree
-            depth[e] = max(depth.get(e, 0), need)
-    powers: dict[int, ClassSeries] = {
-        e: power(f, e, depth[e]) for e in depth
-    }
-    out = zero(spec.n, spec.m)
+    groups: dict[int, dict[RelClass, Fraction]] = {}
     for cls, coeff in s.items():
-        e = sign * cls.b
-        term = monomial(spec.n, spec.m, cls, coeff)
-        if e == 0:
-            out = out + term
-        elif e > 0:
-            out = out + multiply(term, powers.setdefault(e, power(f, e)))
-        else:
-            out = out + truncate_gamma(multiply(term, powers[e]), gd.trunc)
-    if depth:
-        out = truncate_gamma(out, gd.trunc)
-    return out
+        groups.setdefault(sign * cls.b, {})[cls] = coeff
+    out: dict[RelClass, Fraction] = {}
+    for e, terms in groups.items():
+        part = ClassSeries(spec.n, spec.m, terms)
+        if e > 0:
+            part = multiply(part, power(f, e))
+        elif e < 0:
+            part = divide_by_power(part, f, -e, gd.trunc)
+        for cls, coeff in part.items():
+            out[cls] = out.get(cls, 0) + coeff
+    if min(groups, default=0) < 0:
+        out = {c: q for c, q in out.items() if c.gamma_degree <= gd.trunc}
+    return ClassSeries(spec.n, spec.m, out)
 
 
 def glue_superpotential(w: Superpotential, gd: GluingData) -> Superpotential:

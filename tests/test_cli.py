@@ -1,10 +1,15 @@
 """End-to-end command line tests: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import opengw
 from opengw import cli, novikov, series, wallcross
 from opengw.fan import EnergyValues, builtin_fan
 from opengw.wallcross import Ambient, chekanov_superpotential, clifford_superpotential
@@ -34,6 +39,19 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an escaping exception shows up as
+    a traceback on stderr instead of failing the test run itself."""
+    src = str(Path(opengw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opengw.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestParsing:
@@ -211,6 +229,25 @@ class TestGlue:
         assert code == 2
         assert "SchemaError" in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("b", 1.9), ("b", True), ("g", [0.5]), ("coeff_numerator", "1"), ("coeff_denominator", 0)],
+    )
+    def test_bad_record_value_is_schema_error(self, cp2_file, tmp_path, field, value):
+        # a float must not be rounded and a zero denominator must not crash
+        rec = {"b": 1, "g": [0], "h": [0], "coeff_numerator": 1, "coeff_denominator": 1}
+        rec[field] = value
+        src = tmp_path / "series.json"
+        src.write_text(json.dumps({"n": 2, "m": 1, "terms": [rec]}))
+        code, out, err = run_process(
+            "glue", cp2_file, "--input", str(src),
+            "--direction", "minus-to-plus", "--truncate", "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "SchemaError" in err
+        assert "Traceback" not in err
+
 
 class TestClassify:
     def test_wall_component(self, capsys):
@@ -317,6 +354,14 @@ class TestOracle:
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "oracle", "quadric", "--n", "3")
         assert code == 2
+
+    def test_fractional_k_rejected(self):
+        # 1/2 must not be rounded to 0, which would print the k = (0, 0) value 6
+        code, out, err = run_process("oracle", "cpn", "--n", "3", "--k", "1/2,0")
+        assert code == 2
+        assert out == ""
+        assert "ParseError" in err
+        assert "Traceback" not in err
 
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "oracle", "cpn", "--k", "0,0")

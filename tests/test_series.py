@@ -1,6 +1,7 @@
 """Group-ring series: products, powers, exp, log, truncation, serialization."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,47 @@ def test_negative_power_cancels(data):
     k = data.draw(st.integers(min_value=1, max_value=3), label="k")
     prod = series.multiply(series.power(f, -k, trunc), series.power(f, k))
     assert series.truncate_gamma(prod, trunc) == series.one(n, 1)
+
+
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=6),
+)
+@settings(max_examples=60)
+def test_negative_power_is_binomial_series(a, b, signs, k, trunc):
+    # f = 1 + a x + b y with x, y in any one gamma orthant (the negative one
+    # included) and carrying beta_hat/H parts: the coefficient of x^i y^j in
+    # f^-k is binom(-k, i+j) (i+j choose i) a^i b^j, with
+    # binom(-k, d) = (-1)^d binom(k+d-1, d)
+    n, m = 3, 1
+    x = RelClass(1, (signs[0], 0), (0,))
+    y = RelClass(0, (0, signs[1]), (1,))
+    f = series.one(n, m) + series.monomial(n, m, x, a) + series.monomial(n, m, y, b)
+    want = {}
+    for i in range(trunc + 1):
+        for j in range(trunc + 1 - i):
+            cls = x.scale(i) + y.scale(j)
+            d = i + j
+            want[cls] = (-1) ** d * math.comb(k + d - 1, d) * math.comb(d, i) * a**i * b**j
+    assert series.power(f, -k, trunc) == series.ClassSeries(n, m, want)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_division_recovers_exact_quotient(data):
+    # an exact quotient comes back whole on every class of gamma-degree
+    # <= trunc, also for sources with gamma coordinates of either sign
+    n = data.draw(st.integers(min_value=2, max_value=3), label="n")
+    trunc = data.draw(st.integers(min_value=0, max_value=6), label="trunc")
+    p = data.draw(series_strategy(n, 1), label="p")
+    body = data.draw(series_strategy(n, 1, signed=False), label="body")
+    f = series.one(n, 1) + body
+    k = data.draw(st.integers(min_value=1, max_value=3), label="k")
+    q = series.divide_by_power(series.multiply(p, series.power(f, k)), f, k, trunc)
+    assert series.truncate_gamma(q, trunc) == series.truncate_gamma(p, trunc)
 
 
 @given(st.data())

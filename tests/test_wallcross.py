@@ -1,6 +1,7 @@
 """Superpotentials, gluing, invariant tables, closed-form oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from opengw.wallcross import (
     Ambient,
     Chart,
     Direction,
+    GluingData,
     apply_gluing,
     chekanov_superpotential,
     clifford_superpotential,
@@ -203,11 +205,64 @@ class TestGluing:
             glue_superpotential(glued, wall_crossing_factor(spec, trunc=12))
 
 
-def signed_class_series(n, m, max_terms=4):
+    def test_bad_factor_raises_only_when_a_negative_power_is_needed(self):
+        spec = builtin_fan("cpn", n=2)
+        g1 = gamma_class(spec, 1)
+        needs_none = monomial(2, 1, beta_prime_class(spec, 1))  # e = +2 forward
+        needs_inverse = monomial(2, 1, beta_class(spec, 1))  # e = -1 forward
+        bad_factors = [
+            (errors.NotInvertible, series.one(2, 1).scaled(2) + monomial(2, 1, g1)),
+            (errors.NotFiltered, series.one(2, 1) + monomial(2, 1, RelClass(1, (0,), (0,)))),
+            (errors.NotFiltered, series.one(2, 1) + monomial(2, 1, g1) + monomial(2, 1, -g1)),
+        ]
+        for exc, f in bad_factors:
+            gd = GluingData(f, Direction.PLUS_TO_MINUS, 6)
+            with pytest.raises(exc):
+                apply_gluing(spec, needs_inverse, gd)
+            with pytest.raises(exc):
+                apply_gluing(spec, needs_none + needs_inverse, gd)
+            glued = apply_gluing(spec, needs_none, gd)
+            assert glued == series.multiply(needs_none, series.power(f, 2))
+
+
+def _binom(e, j):
+    """Generalized binomial coefficient e choose j, any integer e."""
+    out = Fraction(1)
+    for i in range(j):
+        out = out * (e - i) / (i + 1)
+    return out
+
+
+def reference_gluing(spec, s, direction, trunc):
+    """Independent oracle: f^e = sum_a binom(e, |a|) multinomial(a) gamma^a,
+    expanded term by term far enough (trunc + the source's own
+    gamma-degree) for every output class of gamma-degree <= trunc."""
+    sign = -1 if direction is Direction.PLUS_TO_MINUS else 1
+    out = {}
+    needs_inverse = False
+    for cls, q in s.items():
+        e = sign * cls.b
+        needs_inverse |= e < 0
+        depth = trunc + cls.gamma_degree if e < 0 else e
+        for a in itertools.product(range(depth + 1), repeat=spec.n - 1):
+            if sum(a) > depth:
+                continue
+            multinomial = math.factorial(sum(a)) // math.prod(math.factorial(x) for x in a)
+            coeff = q * _binom(e, sum(a)) * multinomial
+            key = cls
+            for k, ak in enumerate(a, start=1):
+                key = key + gamma_class(spec, k).scale(ak)
+            out[key] = out.get(key, 0) + coeff
+    if needs_inverse:
+        out = {c: q for c, q in out.items() if c.gamma_degree <= trunc}
+    return ClassSeries(spec.n, spec.m, out)
+
+
+def signed_class_series(n, m, max_terms=4, g_min=0):
     classes = st.builds(
         RelClass,
         st.integers(min_value=-3, max_value=3),
-        st.tuples(*[st.integers(min_value=0, max_value=3)] * (n - 1)),
+        st.tuples(*[st.integers(min_value=g_min, max_value=3)] * (n - 1)),
         st.tuples(*[st.integers(min_value=-1, max_value=2)] * m),
     )
     coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
@@ -225,6 +280,24 @@ def test_round_trip_is_identity(s, trunc):
     fwd = apply_gluing(spec, s, wall_crossing_factor(spec, Direction.PLUS_TO_MINUS, trunc))
     back = apply_gluing(spec, fwd, wall_crossing_factor(spec, Direction.MINUS_TO_PLUS, trunc))
     assert truncate_gamma(back, trunc) == truncate_gamma(s, trunc)
+
+
+GLUING_FANS = [builtin_fan("cpn", n=2), builtin_fan("cpn", n=3), builtin_fan("cp_product", n=3, r=1)]
+
+
+@given(
+    st.data(),
+    st.sampled_from(GLUING_FANS),
+    st.sampled_from(list(Direction)),
+    st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=80)
+def test_gluing_matches_binomial_reference(data, spec, direction, trunc):
+    # negative gamma-offsets included: those are where a source term pulls
+    # factor terms of degree above trunc back under the output bound
+    s = data.draw(signed_class_series(spec.n, spec.m, g_min=-2), label="s")
+    gd = wall_crossing_factor(spec, direction, trunc)
+    assert apply_gluing(spec, s, gd) == reference_gluing(spec, s, direction, trunc)
 
 
 class TestInvariantTables:
