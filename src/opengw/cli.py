@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .fan import EnergyValues, FanSpec, class_name, validate_fan
+from .fan import EnergyValues, FanSpec, class_name, require_int, validate_fan
 from .novikov import NovikovScalar, assign_energies, evaluate
 from .series import ClassSeries, from_records, to_records
 from .wallcross import (
@@ -81,9 +81,7 @@ def _require_keys(doc, allowed: set, required: set, what: str) -> dict:
 
 
 def _as_int(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{what} must be an integer, got {v!r}")
-    return v
+    return require_int(v, what, SchemaError)
 
 
 def _as_int_vec(v, length: int, what: str) -> tuple[int, ...]:

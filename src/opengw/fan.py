@@ -37,6 +37,14 @@ from .errors import (
 IntVec = tuple[int, ...]
 
 
+def require_int(v, what: str, error: type[Exception] = BadParams) -> int:
+    """v itself when it is a genuine integer; bool, float, str and every
+    other type raise error, never a silent rounding."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise error(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class RelClass:
     """A relative homotopy class b*beta_hat + sum g_k gamma_k + sum h_a H_a."""
@@ -104,14 +112,15 @@ class FanSpec:
     energies: EnergyValues | None = None
 
     def __post_init__(self):
-        if self.n < 1:
+        if require_int(self.n, "dimension") < 1:
             raise BadParams(f"dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "extra_rays", tuple(tuple(int(x) for x in r) for r in self.extra_rays))
+        rays = tuple(tuple(require_int(x, "extra ray entry") for x in r) for r in self.extra_rays)
+        object.__setattr__(self, "extra_rays", rays)
         for r in self.extra_rays:
             if len(r) != self.n:
                 raise DimensionMismatch(f"extra ray {r} does not have length {self.n}")
         if self.max_cones is not None:
-            cones = tuple(tuple(int(i) for i in c) for c in self.max_cones)
+            cones = tuple(tuple(require_int(i, "cone index") for i in c) for c in self.max_cones)
             object.__setattr__(self, "max_cones", cones)
             top = self.n + len(self.extra_rays)
             for c in cones:
@@ -468,7 +477,4 @@ def builtin_fan(name: str, **params) -> FanSpec:
 def _require_int_param(params: dict, key: str) -> int:
     if key not in params:
         raise BadParams(f"missing parameter {key!r}")
-    val = params.pop(key)
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise BadParams(f"parameter {key!r} must be an integer, got {val!r}")
-    return val
+    return require_int(params.pop(key), f"parameter {key!r}")

@@ -10,15 +10,30 @@ That grading is only multiplicative when the gamma supports being combined
 are sign-compatible coordinate by coordinate; exp, log, and negative powers
 check this and refuse otherwise, because a truncated expansion would then
 silently drop low-order terms.
+
+Every hot loop runs on one packed kernel.  At entry each class becomes an
+integer key with one signed radix-2^w digit per coordinate (b, g..., h...),
+w sized from a bound on every coordinate the operation can form, so adding
+keys adds classes; coefficients become int numerators over one common
+denominator per operand.  multiply is a plain convolution of packed terms.
+divide_by_power, series_exp and series_log are one triangular solve, graded
+by the linear form L of the gamma orthant,
+
+    X_l = (R_l +- sum_j A_j X_{l-j}) / (l or 1),
+
+with one denominator per grade bucket, buckets combined over the lcm and
+reduced by their gcd.  Fractions and RelClasses are rebuilt only on output,
+bucket by bucket.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, NotFiltered, NotInvertible, SchemaError
-from .fan import RelClass
+from .fan import RelClass, require_int
 
 DEFAULT_TRUNC = 16
 
@@ -132,37 +147,13 @@ def monomial(n: int, m: int, cls: RelClass, coeff=Fraction(1)) -> ClassSeries:
 def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     """Exact convolution product; classes add, coefficients multiply."""
     f._check_context(g)
-    out: dict[RelClass, Fraction] = {}
-    zero_q = Fraction(0)
-    for c1, q1 in f._terms.items():
-        for c2, q2 in g._terms.items():
-            key = c1 + c2
-            out[key] = out.get(key, zero_q) + q1 * q2
-    return _raw(f.n, f.m, {c: q for c, q in out.items() if q})
-
-
-def _multiply_bounded(f: ClassSeries, g: ClassSeries, trunc: int) -> ClassSeries:
-    # Convolution that discards pairs whose combined gamma-degree exceeds
-    # trunc BEFORE multiplying.  Valid only when both factors live in a
-    # single closed sign orthant of gamma space (then degrees add exactly);
-    # exp, log, and negative powers establish that before calling.
-    by_deg_f: dict[int, list[tuple[RelClass, Fraction]]] = {}
-    for c, q in f._terms.items():
-        by_deg_f.setdefault(c.gamma_degree, []).append((c, q))
-    by_deg_g: dict[int, list[tuple[RelClass, Fraction]]] = {}
-    for c, q in g._terms.items():
-        by_deg_g.setdefault(c.gamma_degree, []).append((c, q))
-    out: dict[RelClass, Fraction] = {}
-    zero_q = Fraction(0)
-    for d1, terms1 in by_deg_f.items():
-        for d2, terms2 in by_deg_g.items():
-            if d1 + d2 > trunc:
-                continue
-            for c1, q1 in terms1:
-                for c2, q2 in terms2:
-                    key = c1 + c2
-                    out[key] = out.get(key, zero_q) + q1 * q2
-    return _raw(f.n, f.m, {c: q for c, q in out.items() if q})
+    packer = _Packer(f.n, f.m, _coord_bound(f._terms) + _coord_bound(g._terms))
+    df, a = _ints(f._terms, packer.pack)
+    dg, b = _ints(g._terms, packer.pack)
+    acc: dict[int, int] = {}
+    _convolve(acc, a, b, 1)
+    del a, b  # freed before the output is built, which keeps the peak down
+    return _unpacked(f.n, f.m, packer, {0: (df * dg, acc)})
 
 
 def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
@@ -200,7 +191,7 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     orthant sigma of gamma space, u free of gamma-degree 0.  Terms are
     graded by L(c) = sum_k sigma_k g_k: L adds under products, L(t) >= 1
     on u, and |g| >= L(g), so a class with L > trunc never has
-    gamma-degree <= trunc.  Each division by f solves
+    gamma-degree <= trunc.  Each division by f is the graded solve
 
         Q_l = P_l - sum_{t in u} u_t Q_{l - L(t)}
 
@@ -210,107 +201,178 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     term of L-grade <= trunc and may hold some of gamma-degree above trunc.
     """
     f._check_context(p)
-    if f.coeff(RelClass(0, (0,) * (f.n - 1), (0,) * f.m)) != 1:
-        raise NotInvertible("inverse powers need constant term exactly 1")
-    u = {c: q for c, q in f._terms.items() if not c.is_zero()}
-    sigma = _require_positive_filtration(_raw(f.n, f.m, u), "negative power")
-
-    def grade(c: RelClass) -> int:
-        return sum(s * x for s, x in zip(sigma, c.g))
-
-    u_by_grade: dict[int, list[tuple[RelClass, Fraction]]] = {}
-    for c, q in u.items():
-        u_by_grade.setdefault(grade(c), []).append((c, q))
-    reach = max(u_by_grade, default=0)
-    zero_q = Fraction(0)
-    terms = p._terms
+    u, grade = _unit_tail(f, "negative power")
+    src = {c: q for c, q in p._terms.items() if grade(c) <= trunc}
+    # a term of Q is a term of P plus at most trunc - lo terms of u, each of grade >= 1
+    lo = min(map(grade, src), default=trunc)
+    packer = _Packer(p.n, p.m, _coord_bound(src) + (trunc - lo + 1) * _coord_bound(u))
+    u_by_grade = _graded(u, grade, packer.pack, None)
+    quot = _graded(src, grade, packer.pack, None)
     for _ in range(k):
-        rhs: dict[int, dict[RelClass, Fraction]] = {}
-        for c, q in terms.items():
-            d = grade(c)
-            if d <= trunc:
-                rhs.setdefault(d, {})[c] = q
-        if not rhs:
-            return _raw(p.n, p.m, {})
-        top = max(rhs)
-        quot: dict[int, dict[RelClass, Fraction]] = {}
-        for d in range(min(rhs), trunc + 1):
-            if d > top and all(d - j not in quot for j in range(1, reach + 1)):
-                break
-            acc = dict(rhs.get(d, ()))
-            for j, ut in u_by_grade.items():
-                prev = quot.get(d - j)
-                if not prev:
-                    continue
-                for c1, q1 in ut:
-                    for c2, q2 in prev.items():
-                        key = c1 + c2
-                        acc[key] = acc.get(key, zero_q) - q1 * q2
-            bucket = {c: q for c, q in acc.items() if q}
-            if bucket:
-                quot[d] = bucket
-        # a class appears only in the bucket of its own grade
-        terms = {}
-        for bucket in quot.values():
-            terms.update(bucket)
-    return _raw(p.n, p.m, terms)
+        quot = _graded_solve(quot, u_by_grade, -1, trunc, False)
+    return _unpacked(p.n, p.m, packer, quot)
 
 
 def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
     """exp(f), exact on gamma-degree <= trunc.
 
-    Solved degree by degree from theta(exp f) = theta(f) exp(f), where
-    theta rescales each monomial by its gamma-degree.  One graded
-    convolution instead of trunc Taylor passes over a dense series.
+    The graded solve of theta(exp f) = theta(f) exp(f), where theta
+    rescales each monomial by its gamma-degree:
+
+        l E_l = sum_j j f_j E_{l-j},   E_0 = 1.
     """
-    _require_positive_filtration(f, "exp")
-    # theta(f), bucketed by gamma-degree
-    df: dict[int, list[tuple[RelClass, Fraction]]] = {}
-    for c, q in f._terms.items():
-        d = c.gamma_degree
-        if d <= trunc:
-            df.setdefault(d, []).append((c, q * d))
-    # A class appears only in the bucket of its own gamma-degree, so the
-    # buckets partition the support of the result.
-    by_deg: dict[int, dict[RelClass, Fraction]] = {
-        0: {RelClass(0, (0,) * (f.n - 1), (0,) * f.m): Fraction(1)}
-    }
-    zero_q = Fraction(0)
-    for d in range(1, trunc + 1):
-        acc: dict[RelClass, Fraction] = {}
-        for j, terms in df.items():
-            prev = by_deg.get(d - j)
-            if j > d or not prev:
-                continue
-            for c1, q1 in terms:
-                for c2, q2 in prev.items():
-                    key = c1 + c2
-                    acc[key] = acc.get(key, zero_q) + q1 * q2
-        bucket = {c: q / d for c, q in acc.items() if q}
-        if bucket:
-            by_deg[d] = bucket
-    total: dict[RelClass, Fraction] = {}
-    for bucket in by_deg.values():
-        total.update(bucket)
-    return _raw(f.n, f.m, total)
+    sigma = _require_positive_filtration(f, "exp")
+    grade = _grader(sigma)
+    # a term of exp(f) of grade <= trunc is a sum of at most trunc terms of f
+    packer = _Packer(f.n, f.m, (trunc + 1) * _coord_bound(f._terms))
+    theta_f = _theta(_graded(f._terms, grade, packer.pack, trunc))
+    return _unpacked(f.n, f.m, packer, _graded_solve({0: (1, {0: 1})}, theta_f, 1, trunc, True))
 
 
 def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
-    """log(f) for f with constant term exactly 1, exact on gamma-degree <= trunc."""
+    """log(f) for f with constant term exactly 1, exact on gamma-degree <= trunc.
+
+    One division: theta(log f) = theta(f) / f, solved grade by grade as in
+    divide_by_power, then each grade-l bucket divided by l.
+    """
+    u, grade = _unit_tail(f, "log")
+    # a term of theta(f) / f of grade <= trunc is a sum of at most trunc terms of u
+    packer = _Packer(f.n, f.m, (trunc + 1) * _coord_bound(u))
+    theta_u = _theta(_graded(u, grade, packer.pack, trunc))
+    quot = _graded_solve(theta_u, _graded(u, grade, packer.pack, None), -1, trunc, False)
+    # undo theta: bucket l over l
+    return _unpacked(f.n, f.m, packer, {l: (d * l, nums) for l, (d, nums) in quot.items()})
+
+
+def _unit_tail(f: ClassSeries, what: str):
+    # f = 1 + u: checks the constant term and u's orthant, returns u and
+    # the orthant's linear grade L
     if f.coeff(RelClass(0, (0,) * (f.n - 1), (0,) * f.m)) != 1:
-        raise NotInvertible("log needs constant term exactly 1")
-    u = f - one(f.n, f.m)
-    if not u:
-        return zero(f.n, f.m)
-    _require_positive_filtration(u, "log")
-    result = zero(f.n, f.m)
-    upow = one(f.n, f.m)
-    for j in range(1, trunc + 1):
-        upow = _multiply_bounded(upow, u, trunc)
-        if not upow:
+        raise NotInvertible(f"{what} needs constant term exactly 1")
+    u = {c: q for c, q in f._terms.items() if not c.is_zero()}
+    return u, _grader(_require_positive_filtration(_raw(f.n, f.m, u), what))
+
+
+def _grader(sigma: tuple[int, ...]):
+    return lambda c: sum(s * x for s, x in zip(sigma, c.g))
+
+
+# the packed kernel
+
+class _Packer:
+    """Classes of shape (n, m) as integer keys, one signed radix-2^w digit
+    per coordinate (b, g..., h...).
+
+    Sound while every coordinate of every class formed lies in
+    [-bound, bound]: keys then add exactly like classes.
+    """
+
+    __slots__ = ("n", "w", "mask", "half", "bias", "shifts")
+
+    def __init__(self, n: int, m: int, bound: int):
+        self.n = n
+        self.w = bound.bit_length() + 1
+        self.mask = (1 << self.w) - 1
+        self.half = 1 << (self.w - 1)
+        self.shifts = tuple(self.w * i for i in range(n + m))
+        # adding half to every digit makes them all nonnegative
+        self.bias = sum(self.half << s for s in self.shifts)
+
+    def pack(self, c: RelClass) -> int:
+        key = 0
+        for x in reversed((c.b, *c.g, *c.h)):
+            key = (key << self.w) + x
+        return key
+
+    def unpack(self, key: int) -> RelClass:
+        u = key + self.bias
+        mask, half, n = self.mask, self.half, self.n
+        xs = [(u >> s & mask) - half for s in self.shifts]
+        return RelClass(xs[0], tuple(xs[1:n]), tuple(xs[n:]))
+
+
+def _coord_bound(terms: Iterable[RelClass]) -> int:
+    return max((abs(x) for c in terms for x in (c.b, *c.g, *c.h)), default=0)
+
+
+def _ints(terms: Mapping[RelClass, Fraction], pack) -> tuple[int, dict[int, int]]:
+    # packed keys with int numerators over one common denominator
+    den = math.lcm(*(q.denominator for q in terms.values()))
+    return den, {pack(c): q.numerator * (den // q.denominator) for c, q in terms.items()}
+
+
+def _graded(terms: Mapping[RelClass, Fraction], grade, pack, trunc: int | None):
+    # terms of grade <= trunc (all when trunc is None) as {grade: (den, nums)}
+    by_grade: dict[int, dict[RelClass, Fraction]] = {}
+    for c, q in terms.items():
+        d = grade(c)
+        if trunc is None or d <= trunc:
+            by_grade.setdefault(d, {})[c] = q
+    return {d: _ints(bucket, pack) for d, bucket in by_grade.items()}
+
+
+def _theta(buckets: dict) -> dict:
+    # theta scales the grade-j bucket by j
+    return {j: (d, {key: j * v for key, v in nums.items()}) for j, (d, nums) in buckets.items()}
+
+
+def _convolve(acc: dict[int, int], a: dict[int, int], b: dict[int, int], scale: int):
+    # acc += scale * a * b on packed keys
+    get = acc.get
+    b_items = list(b.items())
+    for k1, n1 in a.items():
+        n1 *= scale
+        for k2, n2 in b_items:
+            key = k1 + k2
+            acc[key] = get(key, 0) + n1 * n2
+
+
+def _graded_solve(rhs: dict, coef: dict, sign: int, trunc: int, divide_by_grade: bool) -> dict:
+    """X_l = (R_l + sign sum_j A_j X_{l-j}) / (l if divide_by_grade and l else 1).
+
+    Buckets are {grade: (den, {key: num})}, every A_j of grade j >= 1.
+    Solved from the lowest grade of R up to trunc, stopping once R is used
+    up and the last max j buckets of X are empty: every later one is empty
+    too.  Each bucket of X is kept over its own reduced denominator.
+    """
+    if not rhs:
+        return {}
+    reach = max(coef, default=0)
+    top = max(rhs)
+    sol: dict[int, tuple[int, dict[int, int]]] = {}
+    for l in range(min(rhs), trunc + 1):
+        if l > top and all(l - j not in sol for j in range(1, reach + 1)):
             break
-        result = result + upow.scaled(Fraction((-1) ** (j + 1), j))
-    return result
+        parts = [(coef[j], sol[l - j]) for j in coef if l - j in sol]
+        r_den, r = rhs.get(l, (1, {}))
+        den = math.lcm(r_den, *(da * dx for (da, _), (dx, _) in parts))
+        acc = {key: v * (den // r_den) for key, v in r.items()}
+        for (da, a), (dx, x) in parts:
+            _convolve(acc, a, x, sign * (den // (da * dx)))
+        if divide_by_grade and l:
+            den *= l
+        nums = {key: v for key, v in acc.items() if v}
+        if nums:
+            g = math.gcd(den, *nums.values())
+            if g > 1:
+                den //= g
+                nums = {key: v // g for key, v in nums.items()}
+            sol[l] = (den, nums)
+    return sol
+
+
+def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
+    # Fractions and RelClasses are built here only; buckets are emptied as
+    # they are read, so packed and unpacked terms barely coexist
+    terms: dict[RelClass, Fraction] = {}
+    unpack = packer.unpack
+    while buckets:
+        _, (den, nums) = buckets.popitem()
+        while nums:
+            key, v = nums.popitem()
+            if v:
+                terms[unpack(key)] = Fraction(v, den)
+    return _raw(n, m, terms)
 
 
 def _require_positive_filtration(u: ClassSeries, what: str) -> tuple[int, ...]:
@@ -352,16 +414,11 @@ def to_records(f: ClassSeries) -> list[dict]:
     ]
 
 
-def _record_int(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"series record {what} must be an integer, got {v!r}")
-    return v
-
-
 def _record_int_vec(v, what: str) -> tuple[int, ...]:
     if not isinstance(v, (list, tuple)):
         raise SchemaError(f"series record {what} must be an array of integers, got {v!r}")
-    return tuple(_record_int(x, f"{what} entry") for x in v)
+    entry = f"series record {what} entry"
+    return tuple(require_int(x, entry, SchemaError) for x in v)
 
 
 def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
@@ -377,12 +434,16 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
             raise SchemaError(f"unknown series record keys {sorted(extra)}")
         try:
             cls = RelClass(
-                _record_int(rec["b"], "b"),
+                require_int(rec["b"], "series record b", SchemaError),
                 _record_int_vec(rec["g"], "g"),
                 _record_int_vec(rec["h"], "h"),
             )
-            num = _record_int(rec["coeff_numerator"], "coeff_numerator")
-            den = _record_int(rec["coeff_denominator"], "coeff_denominator")
+            num = require_int(
+                rec["coeff_numerator"], "series record coeff_numerator", SchemaError
+            )
+            den = require_int(
+                rec["coeff_denominator"], "series record coeff_denominator", SchemaError
+            )
         except KeyError as exc:
             raise SchemaError(f"bad series record {rec!r}: missing key {exc}") from exc
         if den == 0:

@@ -41,6 +41,7 @@ from .fan import (
     class_name,
     gamma_class,
     ray_decomposition,
+    require_int,
 )
 from .series import (
     DEFAULT_TRUNC,
@@ -258,20 +259,16 @@ def invariant_table(w: Superpotential) -> InvariantTable:
 def _take_int(params: dict, key: str) -> int:
     if key not in params:
         raise BadParams(f"missing parameter {key!r}")
-    v = params.pop(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise BadParams(f"parameter {key!r} must be an integer, got {v!r}")
-    return v
+    return require_int(params.pop(key), f"parameter {key!r}")
 
 
 def _take_vec(params: dict, key: str, length: int) -> tuple[int, ...]:
     if key not in params:
         raise BadParams(f"missing parameter {key!r}")
     v = params.pop(key)
-    try:
-        vec = tuple(int(x) for x in v)
-    except TypeError as exc:
-        raise BadParams(f"parameter {key!r} must be a sequence of integers") from exc
+    if not isinstance(v, (list, tuple)):
+        raise BadParams(f"parameter {key!r} must be a sequence of integers, got {v!r}")
+    vec = tuple(require_int(x, f"parameter {key!r} entry") for x in v)
     if len(vec) != length:
         raise BadParams(f"parameter {key!r} must have length {length}, got {len(vec)}")
     return vec
@@ -383,11 +380,13 @@ def wall_cross_rhs(
     if len(n_factors) != spec.n:
         raise BadParams(f"need {spec.n} sphere-correction series")
     expf = series_exp(-solve_exp_G(spec, trunc), trunc)
-    rhs = multiply(n_factors[spec.n - 1], expf)
+    # one product of the bracket with exp(-log f), equal by distributivity
+    # to one product per slot
+    bracket = n_factors[spec.n - 1]
     for k in range(1, spec.n):
         slot = monomial(spec.n, spec.m, gamma_class(spec, k))
-        rhs = rhs + multiply(multiply(slot, n_factors[k - 1]), expf)
-    return truncate_gamma(rhs, trunc)
+        bracket = bracket + multiply(slot, n_factors[k - 1])
+    return truncate_gamma(multiply(bracket, expf), trunc)
 
 
 def verify_wall_cross_identity(

@@ -118,6 +118,29 @@ class TestValidation:
         with pytest.raises(errors.BadParams):
             fan.builtin_fan("cpn")
 
+    @pytest.mark.parametrize(
+        "n, rays, cones",
+        [
+            (2, ((1.9, 1),), None),
+            (2, ((1, 1),), ((0, 1.5),)),
+            (2, (("1", 1),), None),
+            (2, ((True, 1),), None),
+            (2.0, ((1, 1),), None),
+        ],
+    )
+    def test_non_integer_fan_data_rejected(self, n, rays, cones):
+        # never rounded: (1.9, 1) used to become the ray (1, 1)
+        with pytest.raises(errors.BadParams):
+            fan.FanSpec(n, rays, cones)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_require_int(self, bad):
+        assert fan.require_int(3, "x") == 3
+        with pytest.raises(errors.BadParams):
+            fan.require_int(bad, "x")
+        with pytest.raises(errors.SchemaError):
+            fan.require_int(bad, "x", errors.SchemaError)
+
 
 class TestClasses:
     def setup_method(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -302,3 +303,203 @@ class TestSerialization:
                     }
                 ],
             )
+
+
+# independent oracles for the packed kernel
+
+
+def _dict_mul(a, b, keep=lambda c: True):
+    # classes as (b, g, h) tuples; keep filters the product's classes
+    out = {}
+    for (b1, g1, h1), q1 in a.items():
+        for (b2, g2, h2), q2 in b.items():
+            c = (b1 + b2, tuple(map(sum, zip(g1, g2))), tuple(map(sum, zip(h1, h2))))
+            if keep(c):
+                out[c] = out.get(c, 0) + q1 * q2
+    return {c: q for c, q in out.items() if q}
+
+
+def _as_dict(f):
+    return {(c.b, c.g, c.h): q for c, q in f.items()}
+
+
+def _as_series(n, m, d):
+    return series.ClassSeries(n, m, {RelClass(*c): q for c, q in d.items()})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_multiply_and_power_match_sympy(seed):
+    # sympy's sparse polynomial rings see each class shifted into
+    # nonnegative exponents, one variable per coordinate (b, g..., h...)
+    rings = pytest.importorskip("sympy.polys.rings")
+    from sympy.polys.domains import QQ
+
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 4), rng.randint(0, 2)
+    R, *_ = rings.ring(f"x0:{n + m}", QQ)
+
+    def draw():
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            c = RelClass(
+                rng.randint(-3, 3),
+                tuple(rng.randint(-3, 3) for _ in range(n - 1)),
+                tuple(rng.randint(-2, 2) for _ in range(m)),
+            )
+            terms[c] = Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+        return series.ClassSeries(n, m, terms)
+
+    def to_poly(f):
+        coords = [(c.b, *c.g, *c.h) for c in f.support()]
+        shift = tuple(min(col) for col in zip(*coords)) if coords else (0,) * (n + m)
+        poly = R.from_dict(
+            {tuple(x - s for x, s in zip(v, shift)): QQ(q.numerator, q.denominator)
+             for v, (_, q) in zip(coords, f.items())}
+        )
+        return poly, shift
+
+    def from_poly(poly, shift):
+        terms = {}
+        for mon, q in poly.terms():
+            v = [x + s for x, s in zip(mon, shift)]
+            cls = RelClass(v[0], tuple(v[1:n]), tuple(v[n:]))
+            terms[cls] = Fraction(int(q.numerator), int(q.denominator))
+        return series.ClassSeries(n, m, terms)
+
+    f, g = draw(), draw()
+    (pf, sf), (pg, sg) = to_poly(f), to_poly(g)
+    assert series.multiply(f, g) == from_poly(pf * pg, tuple(a + b for a, b in zip(sf, sg)))
+    k = rng.randint(0, 4)
+    # sympy refuses 0**0; power takes f**0 = 1 for every f
+    want = R.one if k == 0 else pf**k
+    assert series.power(f, k) == from_poly(want, tuple(k * s for s in sf))
+
+
+def orthant_series(n, m, sign, max_terms=3):
+    """Series in one gamma orthant (sign per coordinate), every term of
+    gamma-degree >= 1, with beta_hat/H parts and non-unit rational coefficients."""
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    classes = st.builds(
+        lambda b, g, h: RelClass(b, tuple(s * x for s, x in zip(sign, g)), h),
+        st.integers(min_value=-2, max_value=2),
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * (n - 1)),
+        st.tuples(*[st.integers(min_value=-1, max_value=2)] * m),
+    ).filter(lambda c: c.gamma_degree >= 1)
+    return st.dictionaries(classes, coeffs, max_size=max_terms)
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_log_and_exp_match_taylor_sums(data):
+    # log(1 + u) = sum (-1)^{j+1} u^j / j and exp(u) = sum u^j / j!, both
+    # summed with plain dicts and cut at gamma-degree trunc
+    n = data.draw(st.integers(min_value=2, max_value=4), label="n")
+    m = data.draw(st.integers(min_value=0, max_value=2), label="m")
+    sign = data.draw(st.tuples(*[st.sampled_from((1, -1))] * (n - 1)), label="sign")
+    trunc = data.draw(st.integers(min_value=0, max_value=6), label="trunc")
+    u = _as_dict(series.ClassSeries(n, m, data.draw(orthant_series(n, m, sign), label="u")))
+
+    def keep(c):
+        return sum(abs(x) for x in c[1]) <= trunc
+
+    log_ref, exp_ref = {}, {(0, (0,) * (n - 1), (0,) * m): Fraction(1)}
+    upow = dict(exp_ref)
+    for j in range(1, trunc + 1):
+        upow = _dict_mul(upow, u, keep)
+        for c, q in upow.items():
+            log_ref[c] = log_ref.get(c, 0) + Fraction((-1) ** (j + 1), j) * q
+            exp_ref[c] = exp_ref.get(c, 0) + q / math.factorial(j)
+    f = _as_series(n, m, u) + series.one(n, m)
+    assert series.series_log(f, trunc) == _as_series(n, m, log_ref)
+    assert series.series_exp(_as_series(n, m, u), trunc) == _as_series(n, m, exp_ref)
+
+
+def _divide_reference(p, u, sign, k, trunc):
+    # p / (1 + u)^k on L-grade <= trunc, L = sum sign_k g_k: the geometric
+    # series of -u cut at the depth trunc - (lowest grade of p), k times
+    def grade(c):
+        return sum(s * x for s, x in zip(sign, c[1]))
+
+    src = {c: q for c, q in p.items() if grade(c) <= trunc}
+    if not src:
+        return {}
+    depth = trunc - min(grade(c) for c in src)
+    minus_u = {c: -q for c, q in u.items()}
+    inv = {(0, (0,) * len(sign), (0,) * len(next(iter(src))[2])): Fraction(1)}
+    term = dict(inv)
+    for _ in range(depth):
+        term = _dict_mul(term, minus_u, lambda c: grade(c) <= depth)
+        for c, q in term.items():
+            inv[c] = inv.get(c, 0) + q
+    out = src
+    for _ in range(k):
+        out = _dict_mul(out, inv, lambda c: grade(c) <= trunc)
+    return out
+
+
+class TestPackingEdges:
+    def test_no_gamma_and_huge_b_h(self):
+        # n = 1: keys carry b and h only, with coordinates near 10**6
+        big = 10**6
+        f = {(big, (), (-big, 3)): Fraction(2, 3), (-big, (), (big, -big)): Fraction(-5)}
+        g = {(big - 1, (), (big, big)): Fraction(7), (0, (), (0, 0)): Fraction(1, 2)}
+        fs, gs = _as_series(1, 2, f), _as_series(1, 2, g)
+        assert series.multiply(fs, gs) == _as_series(1, 2, _dict_mul(f, g))
+        cube = _dict_mul(_dict_mul(f, f), f)
+        assert series.power(fs, 3) == _as_series(1, 2, cube)
+        # n = 1 has no gamma coordinate: exp(0) = 1, log(1) = 0, p / 1 = p
+        assert series.series_exp(series.zero(1, 2), 5) == series.one(1, 2)
+        assert series.series_log(series.one(1, 2), 5) == series.zero(1, 2)
+        assert series.divide_by_power(fs, series.one(1, 2), 2, 0) == fs
+
+    def test_no_h_and_huge_b(self):
+        # m = 0 with b near +-10**6 through every kernel
+        big = 10**6
+        n, m, trunc = 3, 0, 5
+        u = {(big, (1, 0), ()): Fraction(3, 2), (-big, (0, 2), ()): Fraction(-1, 3)}
+        us = _as_series(n, m, u)
+        f = us + series.one(n, m)
+        assert series.multiply(us, us) == _as_series(n, m, _dict_mul(u, u))
+        p = {(-big, (-1, 0), ()): Fraction(4), (big, (2, 1), ()): Fraction(1, 7)}
+        got = series.divide_by_power(_as_series(n, m, p), f, 2, trunc)
+        assert got == _as_series(n, m, _divide_reference(p, u, (1, 1), 2, trunc))
+        back = series.series_exp(series.series_log(f, trunc), trunc)
+        assert back == series.truncate_gamma(f, trunc)
+
+    @pytest.mark.parametrize("sign", [(1, 1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_division_below_zero_and_factor_above_trunc(self, sign, k):
+        # a source term of grade -4 reaches grade <= trunc = 3 through a
+        # factor term of grade 5 > trunc; such terms must not be dropped
+        big = 10**6
+        n, m, trunc = 3, 1, 3
+
+        def g(a, b):
+            return (sign[0] * a, sign[1] * b)
+
+        u = {
+            (1, g(1, 0), (0,)): Fraction(2, 3),
+            (-big, g(3, 2), (big,)): Fraction(-5, 2),
+            (0, g(0, 1), (1,)): Fraction(1),
+        }
+        p = {
+            (0, g(-4, 0), (0,)): Fraction(3),
+            (big, g(-2, -1), (-big,)): Fraction(-1, 4),
+            (2, g(1, 1), (0,)): Fraction(1, 5),
+        }
+        f = _as_series(n, m, u) + series.one(n, m)
+        want = _divide_reference(p, u, sign, k, trunc)
+        assert (-big, g(-1, 2), (big,)) in want
+        assert series.divide_by_power(_as_series(n, m, p), f, k, trunc) == _as_series(n, m, want)
+
+    def test_division_depth_set_by_lowest_source_grade(self):
+        # trunc = 0 with a source term at grade -9: nine factor terms of
+        # b = 10**6 pile up, far beyond trunc times the factor's coordinates
+        big = 10**6
+        n, m, trunc = 2, 1, 0
+        u = {(big, (1,), (-big,)): Fraction(1, 3)}
+        p = {(0, (-9,), (0,)): Fraction(2), (1, (0,), (1,)): Fraction(-1)}
+        f = _as_series(n, m, u) + series.one(n, m)
+        want = _divide_reference(p, u, (1,), 2, trunc)
+        assert (9 * big, (0,), (-9 * big,)) in want
+        assert series.divide_by_power(_as_series(n, m, p), f, 2, trunc) == _as_series(n, m, want)

@@ -416,6 +416,12 @@ class TestClosedForms:
         with pytest.raises(errors.BadParams):
             closed_form_invariant("cp_product", {"n": 2, "r": 2, "branch": "H1", "k": (0,)})
 
+    @pytest.mark.parametrize("k", [(0.5, 0), ("1", 0), (True, 0), "10", 7])
+    def test_non_integer_k_rejected(self, k):
+        # (0.5, 0) used to be read as (0, 0) and ("1", 0) as (1, 0)
+        with pytest.raises(errors.BadParams):
+            closed_form_invariant("cpn", {"n": 3, "k": k})
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cpn_table_matches_closed_form(self, n):
         spec = builtin_fan("cpn", n=n)
