@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -450,7 +451,9 @@ def _add_format(p: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and kept for the process
     parser = argparse.ArgumentParser(
         prog="opengw",
         description="Superpotentials and open Gromov-Witten invariants of "
@@ -519,23 +522,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {
-    "--ambient", "--branch", "--chamber", "--direction", "--energies",
-    "--format", "--i", "--input", "--j", "--k", "--lambda", "--n", "--point",
-    "--q2", "--r", "--rays", "--truncate",
-}
+def _option_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Option strings of every action, subcommands included, that takes a value."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _option_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     # argparse mistakes values like "-1,2" for option strings; fold them
     # into --flag=value form so negative rationals work as flag values
+    value_flags = _option_flags(_build_parser())
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if (
-            tok in _VALUE_FLAGS
+            tok in value_flags
             and nxt is not None
             and nxt.startswith("-")
             and not nxt.startswith("--")

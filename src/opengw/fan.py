@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +43,13 @@ def require_int(v, what: str, error: type[Exception] = BadParams) -> int:
     other type raise error, never a silent rounding."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise error(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _require_seq(v, what: str) -> Sequence:
+    """v itself when it is a list, tuple or other non-string sequence."""
+    if isinstance(v, str) or not isinstance(v, Sequence):
+        raise BadParams(f"{what} must be a sequence, got {v!r}")
     return v
 
 
@@ -114,13 +122,19 @@ class FanSpec:
     def __post_init__(self):
         if require_int(self.n, "dimension") < 1:
             raise BadParams(f"dimension must be >= 1, got {self.n}")
-        rays = tuple(tuple(require_int(x, "extra ray entry") for x in r) for r in self.extra_rays)
+        rays = tuple(
+            tuple(require_int(x, "extra ray entry") for x in _require_seq(r, "extra ray"))
+            for r in _require_seq(self.extra_rays, "extra rays")
+        )
         object.__setattr__(self, "extra_rays", rays)
         for r in self.extra_rays:
             if len(r) != self.n:
                 raise DimensionMismatch(f"extra ray {r} does not have length {self.n}")
         if self.max_cones is not None:
-            cones = tuple(tuple(require_int(i, "cone index") for i in c) for c in self.max_cones)
+            cones = tuple(
+                tuple(require_int(i, "cone index") for i in _require_seq(c, "cone"))
+                for c in _require_seq(self.max_cones, "max cones")
+            )
             object.__setattr__(self, "max_cones", cones)
             top = self.n + len(self.extra_rays)
             for c in cones:

@@ -29,7 +29,7 @@ from .errors import (
     OutsidePolytope,
     ZeroCoordinate,
 )
-from .fan import EnergyValues, FanSpec, class_boundary, ray_decomposition
+from .fan import EnergyValues, FanSpec, class_boundary, ray_decomposition, require_int
 
 INF = math.inf
 
@@ -236,7 +236,7 @@ class NovikovLaurent:
     def __post_init__(self):
         clean = {}
         for nu, s in self.terms.items():
-            nu = tuple(int(x) for x in nu)
+            nu = tuple(require_int(x, "exponent entry") for x in nu)
             if len(nu) != self.n:
                 raise DimensionMismatch(f"exponent {nu} does not have length {self.n}")
             if not s.is_zero():
@@ -304,7 +304,7 @@ def toric_superpotential(normals, constants, q, corrections=None) -> NovikovLaur
     corrections, when given, supplies one scalar multiplier per facet (the
     sphere-bubbling factors); this function never invents them.
     """
-    normals = [tuple(int(x) for x in v) for v in normals]
+    normals = [tuple(require_int(x, "facet normal entry") for x in v) for v in normals]
     constants = [Fraction(c) for c in constants]
     q = tuple(Fraction(x) for x in q)
     if len(normals) != len(constants):
@@ -403,12 +403,22 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     for i, x in enumerate(point):
         if x.is_zero():
             raise ZeroCoordinate(f"coordinate {i} is zero")
-    total = ZERO
+    # one exponent-keyed sum, merged and sorted once at the end, and each
+    # distinct power x_i^w computed once.  The cutoff is the min over the
+    # terms' cutoffs, so dropping at or above it once keeps exactly what
+    # dropping after every addition would
+    powers: dict[tuple[int, int], NovikovScalar] = {}
+    sums: dict[Fraction, Fraction] = {}
+    cut = None
     for cls, coeff in s.items():
         term = t_monomial(ea.energy_of(cls), coeff)
-        w = class_boundary(spec, cls)
-        for xi, wi in zip(point, w):
+        for i, wi in enumerate(class_boundary(spec, cls)):
             if wi:
-                term = term * scalar_pow(xi, wi)
-        total = total + term
-    return total
+                xw = powers.get((i, wi))
+                if xw is None:
+                    xw = powers[(i, wi)] = scalar_pow(point[i], wi)
+                term = term * xw
+        for e, c in term.terms:
+            sums[e] = sums.get(e, 0) + c
+        cut = _min_cut(cut, term.cutoff)
+    return NovikovScalar.from_terms(sums.items(), cut)

@@ -369,5 +369,30 @@ class TestOracle:
         assert "BadParams" in err
 
 
+class TestParserCache:
+    def test_calls_in_a_row_match_fresh_interpreters(self, cp2_file, capsys, monkeypatch):
+        # the parser is built once per process; no call may see another's state.
+        # One width for argparse's usage text, in and out of process
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ("invariants", cp2_file, "--format", "json"),
+            ("classify", "--n", "3", "--lambda", "-1,2", "--q2", "0"),
+            ("superpotential", cp2_file, "--chamber", "plus"),
+            ("eval", cp2_file, "--point", "-2*T^1/2,T", "--format", "csv"),
+            ("validate", cp2_file),
+            ("invariants", cp2_file, "--format", "json"),
+        ]
+        for argv in calls:
+            assert run(capsys, *argv) == run_process(*argv)
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_value_flags_derived_from_parser(self):
+        assert cli._option_flags(cli._build_parser()) == {
+            "--ambient", "--branch", "--chamber", "--direction", "--energies",
+            "--format", "--i", "--input", "--j", "--k", "--lambda", "--n", "--point",
+            "--q2", "--r", "--rays", "--truncate",
+        }
+
+
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2

@@ -126,10 +126,15 @@ class TestValidation:
             (2, (("1", 1),), None),
             (2, ((True, 1),), None),
             (2.0, ((1, 1),), None),
+            (2, (5,), None),
+            (2, ((1, 1),), (5,)),
+            (2, 5, None),
+            (2, ((1, 1),), 5),
         ],
     )
     def test_non_integer_fan_data_rejected(self, n, rays, cones):
-        # never rounded: (1.9, 1) used to become the ray (1, 1)
+        # never rounded: (1.9, 1) used to become the ray (1, 1); a ray or
+        # cone that is not a sequence, like (5,), used to raise a raw TypeError
         with pytest.raises(errors.BadParams):
             fan.FanSpec(n, rays, cones)
 

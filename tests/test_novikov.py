@@ -285,3 +285,119 @@ class TestEvaluate:
         lhs = novikov.evaluate(series.multiply(f, g), ea, pt)
         rhs = novikov.evaluate(f, ea, pt) * novikov.evaluate(g, ea, pt)
         assert lhs == rhs
+
+
+class TestStrictExponents:
+    @pytest.mark.parametrize("nu", [(1.9, 0), (True, 0), ("1", 0), (F(1), 0)])
+    def test_laurent_exponent_never_rounded(self, nu):
+        # (1.9, 0) used to become the key (1, 0)
+        with pytest.raises(errors.BadParams):
+            novikov.NovikovLaurent(2, {nu: novikov.ONE})
+
+    @pytest.mark.parametrize("normal", [(1.5, 0), (True, 0), ("1", 0)])
+    def test_facet_normal_never_rounded(self, normal):
+        with pytest.raises(errors.BadParams):
+            novikov.toric_superpotential([normal, (0, 1)], [F(0), F(0)], (F(1), F(1)))
+
+
+def reference_evaluate(s, ea, point):
+    """The per-term algorithm: each term a NovikovScalar product, the terms
+    summed one at a time with +."""
+    total = novikov.ZERO
+    for cls, coeff in s.items():
+        term = t_monomial(ea.energy_of(cls), coeff)
+        for xi, wi in zip(point, fan.class_boundary(ea.fan, cls)):
+            if wi:
+                term = term * novikov.scalar_pow(xi, wi)
+        total = total + term
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        x = fn(*args)
+    except ValueError as exc:  # exact multi-term coordinate to a negative power
+        return ("raised", str(exc))
+    return (x.terms, x.cutoff)
+
+
+nonzero_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+exponents = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+monomial_coords = st.builds(t_monomial, exponents, nonzero_fracs)
+
+
+@st.composite
+def multi_term_coords(draw, with_cutoff):
+    e0 = draw(exponents)
+    rest = draw(
+        st.lists(
+            st.tuples(st.fractions(min_value=0, max_value=2, max_denominator=3).filter(bool),
+                      nonzero_fracs),
+            min_size=1, max_size=3,
+        )
+    )
+    cut = e0 + draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)) if with_cutoff else None
+    return NovikovScalar.from_terms([(e0, draw(nonzero_fracs))] + [(e0 + d, c) for d, c in rest], cut)
+
+
+@st.composite
+def fans_with_energies(draw):
+    spec = draw(st.sampled_from([
+        fan.builtin_fan("cpn", n=1), fan.builtin_fan("cpn", n=2), fan.builtin_fan("cpn", n=3),
+        fan.builtin_fan("hirzebruch_f1"),
+    ]))
+    pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+    beta = draw(pos)
+    gamma = [draw(pos) for _ in range(spec.n - 1)]
+    h = []
+    for a in range(1, spec.m + 1):
+        v, p = fan.ray_decomposition(spec, a)
+        # E(beta'_a) = E(H_a) - p_a E(beta_hat) - sum_k v_ak E(gamma_k) > 0
+        h.append(p * beta + sum(x * y for x, y in zip(v, gamma)) + draw(pos))
+    return novikov.assign_energies(spec, {"beta_hat": beta, "gamma": gamma, "H": h})
+
+
+def class_series_for(spec, max_terms=6):
+    classes = st.builds(
+        RelClass,
+        st.integers(min_value=-2, max_value=2),
+        st.tuples(*[st.integers(min_value=-2, max_value=2)] * (spec.n - 1)),
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * spec.m),
+    )
+    return st.dictionaries(classes, nonzero_fracs, max_size=max_terms).map(
+        lambda d: series.ClassSeries(spec.n, spec.m, d)
+    )
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_evaluate_matches_per_term_sum(data):
+    ea = data.draw(fans_with_energies(), label="ea")
+    s = data.draw(class_series_for(ea.fan), label="s")
+    coords = st.one_of(monomial_coords, multi_term_coords(True), multi_term_coords(False))
+    point = data.draw(st.lists(coords, min_size=ea.fan.n, max_size=ea.fan.n), label="point")
+    assert _outcome(novikov.evaluate, s, ea, point) == _outcome(reference_evaluate, s, ea, point)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_evaluate_cancels_to_zero(data):
+    # at x_1 = x_n T^E(gamma_1) the class gamma_1 evaluates to 1, so
+    # f * (1 - [gamma_1]) evaluates to 0 whatever f is
+    ea = data.draw(fans_with_energies().filter(lambda ea: ea.fan.n >= 2), label="ea")
+    spec = ea.fan
+    f = data.draw(class_series_for(spec).filter(len), label="f")
+    rest = data.draw(st.lists(monomial_coords, min_size=spec.n - 1, max_size=spec.n - 1))
+    x_n = rest[-1]
+    point = [x_n * t_monomial(ea.gamma[0])] + rest
+    s = series.multiply(
+        f, series.ClassSeries(spec.n, spec.m, {fan.zero_class(spec): 1, fan.gamma_class(spec, 1): -1})
+    )
+    got = novikov.evaluate(s, ea, point)
+    assert got == novikov.ZERO
+    assert _outcome(reference_evaluate, s, ea, point) == (got.terms, got.cutoff)
+
+
+def test_evaluate_empty_series_is_zero():
+    ea = novikov.assign_energies(fan.builtin_fan("cpn", n=2), {"beta_hat": 1, "gamma": [1]})
+    assert novikov.evaluate(series.zero(2, 1), ea, [novikov.ONE, novikov.ONE]) == novikov.ZERO
