@@ -23,7 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParams, DimensionMismatch, IndexOutOfRange, OutsideBase
-from .fan import FanSpec, RelClass, beta_class
+from .fan import (
+    FanSpec,
+    RelClass,
+    _require_rationals,
+    _require_seq,
+    beta_class,
+    require_ints,
+    require_rational,
+)
 
 IntVec = tuple[int, ...]
 
@@ -60,8 +68,8 @@ class ChamberPoint:
     q2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(Fraction(x) for x in self.lam))
-        object.__setattr__(self, "q2", Fraction(self.q2))
+        object.__setattr__(self, "lam", _require_rationals(self.lam, "lambda"))
+        object.__setattr__(self, "q2", require_rational(self.q2, "q2"))
 
 
 def classify_point(n: int, point: ChamberPoint) -> Chamber:
@@ -99,15 +107,14 @@ class CYFanRays:
     m0: IntVec | None = None
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
+        rays = tuple(require_ints(r, "ray") for r in _require_seq(self.rays, "rays"))
         object.__setattr__(self, "rays", rays)
         if not rays:
             raise BadParams("need at least one ray")
         n = len(rays[0])
         if any(len(r) != n for r in rays):
             raise DimensionMismatch("rays must all have the same length")
-        m0 = self.m0 if self.m0 is not None else tuple([0] * (n - 1) + [1])
-        m0 = tuple(int(x) for x in m0)
+        m0 = require_ints(self.m0, "m0") if self.m0 is not None else (0,) * (n - 1) + (1,)
         if len(m0) != n:
             raise DimensionMismatch("m0 must have the same length as the rays")
         object.__setattr__(self, "m0", m0)
@@ -117,7 +124,7 @@ class CYFanRays:
         if self.constants is None:
             consts = tuple(Fraction(0) for _ in rays)
         else:
-            consts = tuple(Fraction(c) for c in self.constants)
+            consts = _require_rationals(self.constants, "constants")
             if len(consts) != len(rays):
                 raise DimensionMismatch("need one constant per ray")
         object.__setattr__(self, "constants", consts)
@@ -149,7 +156,7 @@ def wall_component_tropical(rays: CYFanRays, xi) -> int | None:
     Evaluates max_k(-<v_k, xi> - c_k) over the first n-1 coordinates of
     each ray; a unique argmax names the wall component.
     """
-    xi = tuple(Fraction(x) for x in xi)
+    xi = _require_rationals(xi, "xi")
     if len(xi) != rays.dim - 1:
         raise DimensionMismatch(f"xi must have length {rays.dim - 1}, got {len(xi)}")
     values = []

@@ -26,7 +26,18 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .fan import EnergyValues, FanSpec, class_name, require_int, validate_fan
+from .fan import (
+    FanSpec,
+    _require_keys,
+    _require_rationals,
+    _require_seq,
+    class_name,
+    parse_energies,
+    require_int,
+    require_ints,
+    require_rational,
+    validate_fan,
+)
 from .novikov import NovikovScalar, assign_energies, evaluate
 from .series import ClassSeries, from_records, to_records
 from .wallcross import (
@@ -69,57 +80,6 @@ def _load_json(source: str):
         ) from exc
 
 
-def _require_keys(doc, allowed: set, required: set, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{what} must be a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"{what}: unknown keys {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise SchemaError(f"{what}: missing keys {sorted(missing)}")
-    return doc
-
-
-def _as_int(v, what: str) -> int:
-    return require_int(v, what, SchemaError)
-
-
-def _as_int_vec(v, length: int, what: str) -> tuple[int, ...]:
-    if not isinstance(v, list) or len(v) != length:
-        raise SchemaError(f"{what} must be an array of {length} integers, got {v!r}")
-    return tuple(_as_int(x, f"{what} entry") for x in v)
-
-
-def _as_rational(v, what: str) -> Fraction:
-    # exactness is the product: integers and "p/q" strings only, no floats
-    if isinstance(v, bool) or isinstance(v, float):
-        raise SchemaError(f"{what} must be an integer or 'p/q' string, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{what}: bad rational {v!r}: {exc}") from exc
-    raise SchemaError(f"{what} must be an integer or 'p/q' string, got {v!r}")
-
-
-def _energies_from_doc(doc) -> EnergyValues:
-    _require_keys(doc, {"beta_hat", "gamma", "H"}, {"beta_hat"}, "energies")
-    gamma = doc.get("gamma", [])
-    if not isinstance(gamma, list):
-        raise SchemaError("energies: gamma must be an array")
-    h = doc.get("H")
-    if h is not None and not isinstance(h, list):
-        raise SchemaError("energies: H must be an array")
-    return EnergyValues(
-        beta_hat=_as_rational(doc["beta_hat"], "energies: beta_hat"),
-        gamma=tuple(_as_rational(x, "energies: gamma entry") for x in gamma),
-        h=None if h is None else tuple(_as_rational(x, "energies: H entry") for x in h),
-    )
-
-
 def parse_fan_spec(source: str) -> FanSpec:
     """Read a fan document from a path (or '-' for stdin).
 
@@ -129,29 +89,28 @@ def parse_fan_spec(source: str) -> FanSpec:
     """
     doc = _load_json(source)
     _require_keys(
-        doc, {"n", "extra_rays", "max_cones", "energies"}, {"n", "extra_rays"}, "fan spec"
+        doc, {"n", "extra_rays", "max_cones", "energies"}, {"n", "extra_rays"}, "fan spec",
+        SchemaError,
     )
-    n = _as_int(doc["n"], "n")
+    n = require_int(doc["n"], "n", SchemaError)
     if n < 1:
         raise SchemaError(f"n must be >= 1, got {n}")
-    if not isinstance(doc["extra_rays"], list):
-        raise SchemaError("extra_rays must be an array of integer arrays")
     rays = tuple(
-        _as_int_vec(r, n, f"extra_rays[{i}]") for i, r in enumerate(doc["extra_rays"])
+        require_ints(r, f"extra_rays[{i}]", n, SchemaError)
+        for i, r in enumerate(_require_seq(doc["extra_rays"], "extra_rays", SchemaError))
     )
     for i, r in enumerate(rays):
         if math.gcd(*(abs(x) for x in r)) != 1:
             raise NonPrimitiveRay(f"extra ray {list(r)} is not primitive")
     cones = None
     if "max_cones" in doc:
-        if not isinstance(doc["max_cones"], list):
-            raise SchemaError("max_cones must be an array of integer arrays")
         cones = tuple(
-            _as_int_vec(c, n, f"max_cones[{i}]") for i, c in enumerate(doc["max_cones"])
+            require_ints(c, f"max_cones[{i}]", n, SchemaError)
+            for i, c in enumerate(_require_seq(doc["max_cones"], "max_cones", SchemaError))
         )
     energies = None
     if "energies" in doc:
-        energies = _energies_from_doc(doc["energies"])
+        energies = parse_energies(doc["energies"], SchemaError)
     return FanSpec(n, rays, cones, energies)
 
 
@@ -197,26 +156,20 @@ def parse_scalar_literal(text: str) -> NovikovScalar:
 
 
 def _parse_rational_list(text: str, what: str) -> tuple[Fraction, ...]:
-    s = text.strip()
-    if not s:
+    if not text.strip():
         return ()
-    try:
-        return tuple(Fraction(x.strip()) for x in s.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad {what} {text!r}: {exc}") from exc
+    return _require_rationals(text.split(","), what, ParseError)
 
 
 def _parse_series_doc(doc, spec: FanSpec) -> ClassSeries:
-    _require_keys(doc, {"n", "m", "terms"}, {"n", "m", "terms"}, "series")
-    n = _as_int(doc["n"], "series: n")
-    m = _as_int(doc["m"], "series: m")
+    _require_keys(doc, {"n", "m", "terms"}, {"n", "m", "terms"}, "series", SchemaError)
+    n = require_int(doc["n"], "series: n", SchemaError)
+    m = require_int(doc["m"], "series: m", SchemaError)
     if n != spec.n or m != spec.m:
         raise DimensionMismatch(
             f"series shape ({n},{m}) does not match fan ({spec.n},{spec.m})"
         )
-    if not isinstance(doc["terms"], list):
-        raise SchemaError("series: terms must be an array")
-    return from_records(n, m, doc["terms"])
+    return from_records(n, m, _require_seq(doc["terms"], "series: terms", SchemaError))
 
 
 # rendering
@@ -377,32 +330,23 @@ def _cmd_glue(args) -> str:
 
 def _cmd_classify(args) -> str:
     lam = _parse_rational_list(args.lam, "--lambda")
-    q2 = _as_cli_rational(args.q2, "--q2")
+    q2 = require_rational(args.q2, "--q2", ParseError)
     chamber = classify_point(args.n, ChamberPoint(lam, q2))
     return f"{chamber}\n"
 
 
-def _as_cli_rational(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad {what} {text!r}: {exc}") from exc
-
-
 def _cmd_monodromy(args) -> str:
     doc = _load_json(args.rays)
-    _require_keys(doc, {"rays", "constants", "m0"}, {"rays"}, "rays")
+    _require_keys(doc, {"rays", "constants", "m0"}, {"rays"}, "rays", SchemaError)
     if not isinstance(doc["rays"], list) or not doc["rays"]:
         raise SchemaError("rays must be a nonempty array of integer arrays")
     dim = len(doc["rays"][0]) if isinstance(doc["rays"][0], list) else 0
-    rays = [_as_int_vec(r, dim, f"rays[{i}]") for i, r in enumerate(doc["rays"])]
+    rays = [require_ints(r, f"rays[{i}]", dim, SchemaError) for i, r in enumerate(doc["rays"])]
     constants = None
     if "constants" in doc:
-        if not isinstance(doc["constants"], list):
-            raise SchemaError("constants must be an array")
-        constants = [_as_rational(c, "constants entry") for c in doc["constants"]]
-    m0 = _as_int_vec(doc["m0"], dim, "m0") if "m0" in doc else None
-    fan_rays = CYFanRays(tuple(rays), None if constants is None else tuple(constants), m0)
+        constants = _require_rationals(doc["constants"], "constants", SchemaError)
+    m0 = require_ints(doc["m0"], "m0", dim, SchemaError) if "m0" in doc else None
+    fan_rays = CYFanRays(tuple(rays), constants, m0)
     return render_matrix(monodromy_matrix(fan_rays, args.i, args.j), args.format)
 
 
@@ -416,7 +360,7 @@ def _cmd_eval(args) -> str:
             raise ParseError(
                 f"--energies: line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-        values = _energies_from_doc(doc)
+        values = parse_energies(doc, SchemaError)
     ea = assign_energies(spec, values)
     point = [parse_scalar_literal(t) for t in args.point.split(",")]
     w = _superpotential(spec, args.chamber, args.ambient)

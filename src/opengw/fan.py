@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,6 +38,9 @@ from .errors import (
 IntVec = tuple[int, ...]
 
 
+# The input boundary: every integer and rational from a caller or a document
+# goes through these; the library raises BadParams, the CLI its own errors.
+
 def require_int(v, what: str, error: type[Exception] = BadParams) -> int:
     """v itself when it is a genuine integer; bool, float, str and every
     other type raise error, never a silent rounding."""
@@ -46,11 +49,58 @@ def require_int(v, what: str, error: type[Exception] = BadParams) -> int:
     return v
 
 
-def _require_seq(v, what: str) -> Sequence:
+def require_ints(
+    v, what: str, length: int | None = None, error: type[Exception] = BadParams
+) -> IntVec:
+    """v as a tuple of genuine integers: v must be a non-string sequence,
+    of the given length when one is given."""
+    _require_seq(v, what, error)
+    if length is not None and len(v) != length:
+        raise error(f"{what} must have length {length}, got {v!r}")
+    entry = f"{what} entry"
+    return tuple(require_int(x, entry, error) for x in v)
+
+
+def require_rational(v, what: str, error: type[Exception] = BadParams) -> Fraction:
+    """v as an exact Fraction: an int (not bool), a Fraction, or a string
+    that Fraction parses exactly, like "1/2" or "0.1".  A float, bool, None
+    or anything else raises error."""
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return Fraction(v)
+    if not isinstance(v, str):
+        raise error(f"{what} must be an integer, a Fraction or a 'p/q' string, got {v!r}")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise error(f"{what}: bad rational {v!r}: {exc}") from exc
+
+
+def _require_seq(v, what: str, error: type[Exception] = BadParams) -> Sequence:
     """v itself when it is a list, tuple or other non-string sequence."""
     if isinstance(v, str) or not isinstance(v, Sequence):
-        raise BadParams(f"{what} must be a sequence, got {v!r}")
+        raise error(f"{what} must be a sequence, got {v!r}")
     return v
+
+
+def _require_rationals(v, what: str, error: type[Exception] = BadParams) -> tuple[Fraction, ...]:
+    """v, a non-string sequence, as a tuple of require_rational values."""
+    entry = f"{what} entry"
+    return tuple(require_rational(x, entry, error) for x in _require_seq(v, what, error))
+
+
+def _require_keys(
+    doc, allowed: set, required: set, what: str, error: type[Exception] = BadParams
+) -> Mapping:
+    """doc itself when it is a mapping with only allowed and all required keys."""
+    if not isinstance(doc, Mapping):
+        raise error(f"{what} must be a JSON object")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise error(f"{what}: unknown keys {sorted(unknown)}")
+    missing = required - set(doc)
+    if missing:
+        raise error(f"{what}: missing keys {sorted(missing)}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -105,6 +155,22 @@ class EnergyValues:
     h: tuple[Fraction, ...] | None = None
 
 
+def parse_energies(doc, error: type[Exception] = BadParams) -> EnergyValues:
+    """The energies document {"beta_hat", "gamma", "H"} as exact EnergyValues.
+
+    beta_hat is required; gamma (default empty) and H (absent or null: no
+    sphere energies) must be arrays.  Every value goes through
+    require_rational; unknown keys raise error.
+    """
+    _require_keys(doc, {"beta_hat", "gamma", "H"}, {"beta_hat"}, "energies", error)
+    h = doc.get("H")
+    return EnergyValues(
+        require_rational(doc["beta_hat"], "energies: beta_hat", error),
+        _require_rationals(doc.get("gamma", ()), "energies: gamma", error),
+        None if h is None else _require_rationals(h, "energies: H", error),
+    )
+
+
 @dataclass(frozen=True)
 class FanSpec:
     """Fan of a toric compactification of C^n.
@@ -123,8 +189,7 @@ class FanSpec:
         if require_int(self.n, "dimension") < 1:
             raise BadParams(f"dimension must be >= 1, got {self.n}")
         rays = tuple(
-            tuple(require_int(x, "extra ray entry") for x in _require_seq(r, "extra ray"))
-            for r in _require_seq(self.extra_rays, "extra rays")
+            require_ints(r, "extra ray") for r in _require_seq(self.extra_rays, "extra rays")
         )
         object.__setattr__(self, "extra_rays", rays)
         for r in self.extra_rays:
@@ -132,8 +197,7 @@ class FanSpec:
                 raise DimensionMismatch(f"extra ray {r} does not have length {self.n}")
         if self.max_cones is not None:
             cones = tuple(
-                tuple(require_int(i, "cone index") for i in _require_seq(c, "cone"))
-                for c in _require_seq(self.max_cones, "max cones")
+                require_ints(c, "cone") for c in _require_seq(self.max_cones, "max cones")
             )
             object.__setattr__(self, "max_cones", cones)
             top = self.n + len(self.extra_rays)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadParams,
@@ -29,7 +29,16 @@ from .errors import (
     OutsidePolytope,
     ZeroCoordinate,
 )
-from .fan import EnergyValues, FanSpec, class_boundary, ray_decomposition, require_int
+from .fan import (
+    EnergyValues,
+    FanSpec,
+    _require_rationals,
+    _require_seq,
+    class_boundary,
+    parse_energies,
+    ray_decomposition,
+    require_ints,
+)
 
 INF = math.inf
 
@@ -236,7 +245,7 @@ class NovikovLaurent:
     def __post_init__(self):
         clean = {}
         for nu, s in self.terms.items():
-            nu = tuple(require_int(x, "exponent entry") for x in nu)
+            nu = require_ints(nu, "exponent")
             if len(nu) != self.n:
                 raise DimensionMismatch(f"exponent {nu} does not have length {self.n}")
             if not s.is_zero():
@@ -269,10 +278,13 @@ def laurent_mul(f: NovikovLaurent, g: NovikovLaurent) -> NovikovLaurent:
 def gauss_valuation(f, vertices) -> Fraction | float:
     """Valuation of f over the affinoid domain with the given polytope
     vertices: min over monomials of val(coeff) + min over vertices <nu, u>."""
-    verts = [tuple(Fraction(x) for x in u) for u in vertices]
+    verts = [_require_rationals(u, "vertex") for u in _require_seq(vertices, "vertices")]
     if not verts:
         raise EmptyPolytope("need at least one vertex")
-    pairs = f.items() if isinstance(f, NovikovLaurent) else list(f)
+    if isinstance(f, NovikovLaurent):
+        pairs = f.items()
+    else:
+        pairs = [(require_ints(nu, "exponent"), s) for nu, s in f]
     best = INF
     for nu, s in pairs:
         v = s.val
@@ -280,14 +292,14 @@ def gauss_valuation(f, vertices) -> Fraction | float:
             continue
         if any(len(u) != len(nu) for u in verts):
             raise DimensionMismatch("vertex and exponent dimensions differ")
-        low = min(sum(Fraction(a) * b for a, b in zip(nu, u)) for u in verts)
+        low = min(sum(a * b for a, b in zip(nu, u)) for u in verts)
         best = min(best, v + low)
     return best
 
 
 def base_point_shift(f: NovikovLaurent, c) -> NovikovLaurent:
     """Recenter at a new base point: the coefficient of Y^nu gains T^<nu, c>."""
-    c = tuple(Fraction(x) for x in c)
+    c = _require_rationals(c, "shift vector")
     if len(c) != f.n:
         raise DimensionMismatch(f"shift vector must have length {f.n}")
     out = {}
@@ -304,9 +316,9 @@ def toric_superpotential(normals, constants, q, corrections=None) -> NovikovLaur
     corrections, when given, supplies one scalar multiplier per facet (the
     sphere-bubbling factors); this function never invents them.
     """
-    normals = [tuple(require_int(x, "facet normal entry") for x in v) for v in normals]
-    constants = [Fraction(c) for c in constants]
-    q = tuple(Fraction(x) for x in q)
+    normals = [require_ints(v, "facet normal") for v in _require_seq(normals, "facet normals")]
+    constants = _require_rationals(constants, "facet constants")
+    q = _require_rationals(q, "base point")
     if len(normals) != len(constants):
         raise DimensionMismatch("need one constant per facet normal")
     if any(len(v) != len(q) for v in normals):
@@ -315,7 +327,7 @@ def toric_superpotential(normals, constants, q, corrections=None) -> NovikovLaur
         raise DimensionMismatch("need one correction per facet")
     out: dict[tuple[int, ...], NovikovScalar] = {}
     for i, (v, c) in enumerate(zip(normals, constants)):
-        ell = sum(Fraction(a) * b for a, b in zip(v, q)) - c
+        ell = sum(a * b for a, b in zip(v, q)) - c
         if ell <= 0:
             raise OutsidePolytope(i, f"facet {i}: l_{i}(q) = {ell} is not positive")
         coeff = t_monomial(ell)
@@ -355,20 +367,16 @@ def assign_energies(spec: FanSpec, values=None) -> EnergyAssignment:
     Requires E(beta_hat) > 0 and every E(gamma_k) > 0, and, when sphere
     energies are present, that each derived disk class at infinity has
     E(beta'_a) = E(H_a) - p_a E(beta_hat) - sum_k v_{ak} E(gamma_k) > 0.
+    values is an EnergyValues or an energies mapping; both go through
+    fan.parse_energies, so a float area raises BadParams.
     """
     if values is None:
         values = spec.energies
     if values is None:
         raise BadParams("no energy values given and the fan spec carries none")
-    if isinstance(values, Mapping):
-        extra = set(values) - {"beta_hat", "gamma", "H"}
-        if extra:
-            raise BadParams(f"unknown energy keys {sorted(extra)}")
-        values = EnergyValues(
-            beta_hat=Fraction(values["beta_hat"]),
-            gamma=tuple(Fraction(x) for x in values.get("gamma", ())),
-            h=tuple(Fraction(x) for x in values["H"]) if "H" in values else None,
-        )
+    if isinstance(values, EnergyValues):
+        values = {"beta_hat": values.beta_hat, "gamma": values.gamma, "H": values.h}
+    values = parse_energies(values)
     if len(values.gamma) != spec.n - 1:
         raise DimensionMismatch(
             f"need {spec.n - 1} gamma energies, got {len(values.gamma)}"

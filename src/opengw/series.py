@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, NotFiltered, NotInvertible, SchemaError
-from .fan import RelClass, require_int
+from .fan import RelClass, require_int, require_ints
 
 DEFAULT_TRUNC = 16
 
@@ -107,9 +107,6 @@ class ClassSeries:
     def scaled(self, q) -> "ClassSeries":
         q = Fraction(q)
         return ClassSeries(self.n, self.m, {c: q * v for c, v in self._terms.items()})
-
-    def max_gamma_degree(self) -> int:
-        return max((c.gamma_degree for c in self._terms), default=0)
 
     def __repr__(self):
         body = " + ".join(f"{q}*[{c}]" for c, q in self.items()) or "0"
@@ -414,17 +411,11 @@ def to_records(f: ClassSeries) -> list[dict]:
     ]
 
 
-def _record_int_vec(v, what: str) -> tuple[int, ...]:
-    if not isinstance(v, (list, tuple)):
-        raise SchemaError(f"series record {what} must be an array of integers, got {v!r}")
-    entry = f"series record {what} entry"
-    return tuple(require_int(x, entry, SchemaError) for x in v)
-
-
 def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
     """Inverse of to_records.  Every field must be a genuine integer (no
-    bool, float or string) and the denominator nonzero; anything else is a
-    SchemaError, never a silent rounding."""
+    bool, float or string), g and h arrays of the fan's shape, and the
+    denominator nonzero; anything else is a SchemaError, never a silent
+    rounding."""
     terms: dict[RelClass, Fraction] = {}
     for rec in records:
         if not isinstance(rec, Mapping):
@@ -435,8 +426,8 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
         try:
             cls = RelClass(
                 require_int(rec["b"], "series record b", SchemaError),
-                _record_int_vec(rec["g"], "g"),
-                _record_int_vec(rec["h"], "h"),
+                require_ints(rec["g"], "series record g", n - 1, SchemaError),
+                require_ints(rec["h"], "series record h", m, SchemaError),
             )
             num = require_int(
                 rec["coeff_numerator"], "series record coeff_numerator", SchemaError
@@ -448,7 +439,5 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
             raise SchemaError(f"bad series record {rec!r}: missing key {exc}") from exc
         if den == 0:
             raise SchemaError(f"bad series record {rec!r}: coeff_denominator is 0")
-        if len(cls.g) != n - 1 or len(cls.h) != m:
-            raise SchemaError(f"series record shape does not match fan ({n}, {m})")
         terms[cls] = terms.get(cls, Fraction(0)) + Fraction(num, den)
     return ClassSeries(n, m, terms)

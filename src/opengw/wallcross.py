@@ -34,6 +34,7 @@ from .errors import (
 from .fan import (
     FanSpec,
     RelClass,
+    _require_int_param,
     beta_class,
     beta_hat_class,
     beta_prime_class,
@@ -41,7 +42,7 @@ from .fan import (
     class_name,
     gamma_class,
     ray_decomposition,
-    require_int,
+    require_ints,
 )
 from .series import (
     DEFAULT_TRUNC,
@@ -256,24 +257,6 @@ def invariant_table(w: Superpotential) -> InvariantTable:
     return InvariantTable(tuple(rows))
 
 
-def _take_int(params: dict, key: str) -> int:
-    if key not in params:
-        raise BadParams(f"missing parameter {key!r}")
-    return require_int(params.pop(key), f"parameter {key!r}")
-
-
-def _take_vec(params: dict, key: str, length: int) -> tuple[int, ...]:
-    if key not in params:
-        raise BadParams(f"missing parameter {key!r}")
-    v = params.pop(key)
-    if not isinstance(v, (list, tuple)):
-        raise BadParams(f"parameter {key!r} must be a sequence of integers, got {v!r}")
-    vec = tuple(require_int(x, f"parameter {key!r} entry") for x in v)
-    if len(vec) != length:
-        raise BadParams(f"parameter {key!r} must have length {length}, got {len(vec)}")
-    return vec
-
-
 def _no_extra(params: dict):
     if params:
         raise BadParams(f"unexpected parameters {sorted(params)}")
@@ -289,13 +272,13 @@ def closed_form_invariant(family: str, params: Mapping) -> Fraction:
     """
     params = dict(params)
     if family == "cpn":
-        n = _take_int(params, "n")
+        n = _require_int_param(params, "n")
         if n < 1:
             raise BadParams(f"need n >= 1, got {n}")
         if params.pop("beta_hat", False):
             _no_extra(params)
             return Fraction(1)
-        k = _take_vec(params, "k", n - 1)
+        k = require_ints(params.pop("k", None), "parameter 'k'", n - 1)
         _no_extra(params)
         if any(ki < -1 for ki in k) or sum(k) > 1:
             return Fraction(0)
@@ -303,15 +286,15 @@ def closed_form_invariant(family: str, params: Mapping) -> Fraction:
         denom *= math.factorial(1 - sum(k))
         return Fraction(math.factorial(n), denom)
     if family == "cp_product":
-        n = _take_int(params, "n")
-        r = _take_int(params, "r")
+        n = _require_int_param(params, "n")
+        r = _require_int_param(params, "r")
         if not 1 <= r < n:
             raise BadParams(f"need 1 <= r < n, got r={r}, n={n}")
         if params.pop("beta_hat", False):
             _no_extra(params)
             return Fraction(1)
         branch = params.pop("branch", None)
-        k = _take_vec(params, "k", n - 1)
+        k = require_ints(params.pop("k", None), "parameter 'k'", n - 1)
         _no_extra(params)
         if branch == "H1":
             # first factor's disk at infinity dressed by factor^r
@@ -342,7 +325,7 @@ def closed_form_invariant(family: str, params: Mapping) -> Fraction:
             _no_extra(params)
             return Fraction(1)
         branch = params.pop("branch", None)
-        kk = _take_int(params, "k")
+        kk = _require_int_param(params, "k")
         _no_extra(params)
         if branch == "H1":
             if -1 <= kk <= 1:

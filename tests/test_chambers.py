@@ -14,6 +14,16 @@ def pt(lam, q2):
 
 
 class TestClassify:
+    @pytest.mark.parametrize("lam, q2", [((), "x"), ((), 0.5), ((0.5,), 0), ("12", 0), (5, 0)])
+    def test_point_must_be_exact(self, lam, q2):
+        # "x" used to escape as a raw ValueError and 0.5 was kept as a float area
+        with pytest.raises(errors.BadParams):
+            chambers.ChamberPoint(lam, q2)
+
+    def test_exact_strings_accepted(self):
+        p = chambers.ChamberPoint(["1/2", 3], "0.1")
+        assert p.lam == (Fraction(1, 2), 3) and p.q2 == Fraction(1, 10)
+
     def test_sides(self):
         assert chambers.classify_point(3, pt([1, 2], Fraction(1, 2))) == chambers.B_PLUS
         assert chambers.classify_point(3, pt([1, 2], Fraction(-1, 2))) == chambers.B_MINUS
@@ -65,6 +75,32 @@ class TestTropical:
     def test_m0_pairing_enforced(self):
         with pytest.raises(errors.BadParams):
             chambers.CYFanRays(((1, 0), (2, 1)))
+
+    @pytest.mark.parametrize(
+        "rays, constants, m0",
+        [
+            ((5,), None, None),
+            (((1.9, 1), (0, 1)), None, None),
+            ((("1", 1), (0, 1)), None, None),
+            (((True, 1), (0, 1)), None, None),
+            (((1, 1), (0, 1)), (0.5, 0), None),
+            (((1, 1), (0, 1)), 5, None),
+            (((1, 1), (0, 1)), None, (0.0, 1)),
+        ],
+    )
+    def test_non_exact_ray_data_rejected(self, rays, constants, m0):
+        # (1.9, 1) used to be rounded to the ray (1, 1); (5,) raised a raw TypeError
+        with pytest.raises(errors.BadParams):
+            chambers.CYFanRays(rays, constants, m0)
+
+    def test_exact_ray_data_kept(self):
+        rays = chambers.CYFanRays(((1, 1), (0, 1)), ("1/2", 0), [0, 1])
+        assert rays.constants == (Fraction(1, 2), 0) and rays.m0 == (0, 1)
+
+    @pytest.mark.parametrize("xi", [[0.5, 0], ["x", 0], [None, 0], 5, "12"])
+    def test_tropical_point_must_be_exact(self, xi):
+        with pytest.raises(errors.BadParams):
+            chambers.wall_component_tropical(chambers.cn_rays(3), xi)
 
     def test_component_of_generic_point(self):
         rays = chambers.cn_rays(3)

@@ -146,6 +146,37 @@ class TestValidation:
         with pytest.raises(errors.SchemaError):
             fan.require_int(bad, "x", errors.SchemaError)
 
+    @pytest.mark.parametrize("bad", [(1.0, 2), [1, "2"], (True, 2), (1, 2, 3), 5, "12", None])
+    def test_require_ints(self, bad):
+        assert fan.require_ints([1, -2], "x", 2) == (1, -2)
+        assert fan.require_ints((), "x") == ()
+        with pytest.raises(errors.BadParams):
+            fan.require_ints(bad, "x", 2)
+        with pytest.raises(errors.SchemaError):
+            fan.require_ints(bad, "x", 2, errors.SchemaError)
+
+    @pytest.mark.parametrize(
+        "good, value",
+        [(3, 3), (-2, -2), (Fraction(1, 3), Fraction(1, 3)), ("1/2", Fraction(1, 2)),
+         ("0.1", Fraction(1, 10)), (" -3/4 ", Fraction(-3, 4))],
+    )
+    def test_require_rational_is_exact(self, good, value):
+        got = fan.require_rational(good, "x")
+        assert type(got) is Fraction and got == value
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, None, "x", "1/0", "", [1], (1, 2)])
+    def test_require_rational_rejects(self, bad):
+        # 0.1 would be 3602879701896397/2^55, never the area 1/10
+        with pytest.raises(errors.BadParams):
+            fan.require_rational(bad, "x")
+        with pytest.raises(errors.ParseError):
+            fan.require_rational(bad, "x", errors.ParseError)
+
+    def test_parse_energies(self):
+        got = fan.parse_energies({"beta_hat": "1/2", "gamma": [1, "0.1"], "H": None})
+        assert got == fan.EnergyValues(Fraction(1, 2), (Fraction(1), Fraction(1, 10)), None)
+        assert fan.parse_energies({"beta_hat": 2}) == fan.EnergyValues(Fraction(2), ())
+
 
 class TestClasses:
     def setup_method(self):

@@ -241,6 +241,40 @@ class TestEnergies:
         with pytest.raises(errors.BadParams):
             novikov.assign_energies(spec, {"beta_hat": 1, "gamma": [1], "area": [1]})
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"gamma": [1]},
+            {"beta_hat": 1, "gamma": 5},
+            {"beta_hat": 1, "gamma": "1"},
+            {"beta_hat": 0.1, "gamma": [1]},
+            {"beta_hat": 1, "gamma": [0.5], "H": [4]},
+            {"beta_hat": 1, "gamma": [1], "H": 4},
+            fan.EnergyValues(0.1, (F(1),)),
+            fan.EnergyValues(F(1), (0.5,), (F(4),)),
+            fan.EnergyValues(F(1), (F(1),), 4),
+            5,
+        ],
+    )
+    def test_energies_never_rounded(self, values):
+        # a missing beta_hat used to raise a raw KeyError, "gamma": 5 a raw
+        # TypeError, and EnergyValues(0.1, ...) kept the float 0.1
+        spec = fan.builtin_fan("cpn", n=2)
+        with pytest.raises(errors.BadParams):
+            novikov.assign_energies(spec, values)
+
+    def test_energies_from_spec_are_checked(self):
+        spec = fan.FanSpec(2, ((1, 1),), energies=fan.EnergyValues(0.1, (F(1),)))
+        with pytest.raises(errors.BadParams):
+            novikov.assign_energies(spec)
+
+    def test_exact_energies_accepted(self):
+        spec = fan.builtin_fan("cpn", n=2)
+        by_doc = novikov.assign_energies(spec, {"beta_hat": "1/2", "gamma": ["0.1"], "H": [4]})
+        by_values = novikov.assign_energies(spec, fan.EnergyValues(F(1, 2), ("0.1",), (4,)))
+        assert by_doc == by_values
+        assert (by_doc.beta_hat, by_doc.gamma, by_doc.h) == (F(1, 2), (F(1, 10),), (F(4),))
+
 
 class TestEvaluate:
     def test_single_disk_n1(self):
@@ -288,16 +322,45 @@ class TestEvaluate:
 
 
 class TestStrictExponents:
-    @pytest.mark.parametrize("nu", [(1.9, 0), (True, 0), ("1", 0), (F(1), 0)])
+    @pytest.mark.parametrize("nu", [(1.9, 0), (True, 0), ("1", 0), (F(1), 0), 5])
     def test_laurent_exponent_never_rounded(self, nu):
-        # (1.9, 0) used to become the key (1, 0)
+        # (1.9, 0) used to become the key (1, 0); 5 raised a raw TypeError
         with pytest.raises(errors.BadParams):
             novikov.NovikovLaurent(2, {nu: novikov.ONE})
 
-    @pytest.mark.parametrize("normal", [(1.5, 0), (True, 0), ("1", 0)])
+    @pytest.mark.parametrize("normal", [(1.5, 0), (True, 0), ("1", 0), 5])
     def test_facet_normal_never_rounded(self, normal):
         with pytest.raises(errors.BadParams):
             novikov.toric_superpotential([normal, (0, 1)], [F(0), F(0)], (F(1), F(1)))
+
+    @pytest.mark.parametrize(
+        "normals, constants, q",
+        [([5], [0], (1,)), ([(1,)], [0.5], (1,)), ([(1,)], [0], (0.1,)),
+         ([(1,)], [None], (1,)), ([(1,)], [0], 1), ([(1,)], 0, (1,))],
+    )
+    def test_toric_data_never_rounded(self, normals, constants, q):
+        with pytest.raises(errors.BadParams):
+            novikov.toric_superpotential(normals, constants, q)
+
+    @pytest.mark.parametrize("c", [(0.1,), (None,), ("x",), 5])
+    def test_shift_never_rounded(self, c):
+        # (0.1,) used to shift by the exponent 3602879701896397/2^55
+        f = novikov.NovikovLaurent(1, {(1,): novikov.ONE})
+        with pytest.raises(errors.BadParams):
+            novikov.base_point_shift(f, c)
+
+    @pytest.mark.parametrize("vertices", [[(0.5,)], [(True,)], [5], 5])
+    def test_gauss_vertices_never_rounded(self, vertices):
+        f = novikov.NovikovLaurent(1, {(1,): novikov.ONE})
+        with pytest.raises(errors.BadParams):
+            novikov.gauss_valuation(f, vertices)
+
+    def test_exact_strings_accepted(self):
+        f = novikov.NovikovLaurent(1, {(1,): novikov.ONE})
+        assert novikov.base_point_shift(f, ("1/2",)).terms[(1,)] == t_monomial(F(1, 2))
+        assert novikov.gauss_valuation(f, [("0.1",)]) == F(1, 10)
+        got = novikov.toric_superpotential([(1,)], ["-1/2"], ("0.1",))
+        assert got.terms == {(1,): t_monomial(F(3, 5))}
 
 
 def reference_evaluate(s, ea, point):
