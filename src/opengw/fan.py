@@ -293,10 +293,7 @@ def class_boundary(spec: FanSpec, c: RelClass) -> IntVec:
 
     Linear in c and zero on pure sphere classes.
     """
-    if len(c.g) != spec.n - 1 or len(c.h) != spec.m:
-        raise DimensionMismatch(
-            f"class shape ({len(c.g)}, {len(c.h)}) does not match fan ({spec.n - 1}, {spec.m})"
-        )
+    _check_class_shape(spec, c)
     out = [-gk for gk in c.g]
     out.append(-c.b + sum(c.g))
     return tuple(out)
@@ -304,15 +301,19 @@ def class_boundary(spec: FanSpec, c: RelClass) -> IntVec:
 
 def class_maslov(spec: FanSpec, c: RelClass) -> int:
     """Maslov index: 2b plus 2(1 + p_a) per sphere class H_a."""
-    if len(c.g) != spec.n - 1 or len(c.h) != spec.m:
-        raise DimensionMismatch(
-            f"class shape ({len(c.g)}, {len(c.h)}) does not match fan ({spec.n - 1}, {spec.m})"
-        )
+    _check_class_shape(spec, c)
     mu = 2 * c.b
     for a in range(spec.m):
         if c.h[a]:
             mu += 2 * c.h[a] * (1 + sum(spec.extra_rays[a]))
     return mu
+
+
+def _check_class_shape(spec: FanSpec, c: RelClass):
+    if len(c.g) != spec.n - 1 or len(c.h) != spec.m:
+        raise DimensionMismatch(
+            f"class shape ({len(c.g)}, {len(c.h)}) does not match fan ({spec.n - 1}, {spec.m})"
+        )
 
 
 def class_name(c: RelClass) -> str:
@@ -374,24 +375,6 @@ def _facet_normal(rows: list[IntVec], n: int) -> IntVec:
     )
 
 
-def _solve_unit_pairing(rows: list[IntVec]) -> tuple[Fraction, ...] | None:
-    # solve <row_i, m> = 1 for all i, exactly; None when singular
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1)] for row in rows]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
-
-
 def validate_fan(spec: FanSpec) -> ValidationReport:
     """Check primitivity, unimodular smoothness, completeness, and the
     reflexive-support Fano criterion.
@@ -405,9 +388,6 @@ def validate_fan(spec: FanSpec) -> ValidationReport:
     for c in spec.max_cones:
         if len(c) != spec.n or len(set(c)) != spec.n:
             raise MalformedCone(f"cone {c} must have exactly {spec.n} distinct ray indices")
-        for i in c:
-            if not 0 <= i < spec.n + spec.m:
-                raise IndexOutOfRange(f"cone {c}: ray index {i} out of range")
 
     diagnostics: list[str] = []
 
@@ -484,15 +464,18 @@ def validate_fan(spec: FanSpec) -> ValidationReport:
     else:
         fano_ok = True
         for ci, cone in enumerate(spec.max_cones):
-            msig = _solve_unit_pairing([spec.ray(i) for i in cone])
-            if msig is None or any(x.denominator != 1 for x in msig):
-                fano_ok = False
-                diagnostics.append(f"cone {ci} {cone}: no integral support point")
-                continue
+            # the support point m with <ray_i, m> = 1 on the cone, by Cramer's
+            # rule: the cone is unimodular, so 1/det = det and m is integral
+            rows = [spec.ray(i) for i in cone]
+            d = det_int(rows)
+            msig = [
+                d * det_int([row[:k] + (1,) + row[k + 1:] for row in rows])
+                for k in range(spec.n)
+            ]
             for j in range(spec.n + spec.m):
                 if j in cone:
                     continue
-                pairing = sum(Fraction(x) * y for x, y in zip(spec.ray(j), msig))
+                pairing = sum(x * y for x, y in zip(spec.ray(j), msig))
                 if pairing >= 1:
                     fano_ok = False
                     diagnostics.append(

@@ -38,6 +38,7 @@ from .fan import (
     parse_energies,
     ray_decomposition,
     require_ints,
+    require_rational,
 )
 
 INF = math.inf
@@ -60,18 +61,16 @@ class NovikovScalar:
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple], cutoff=None) -> "NovikovScalar":
+        """Sum of c * T^e over the (e, c) pairs, dropping e >= cutoff.
+
+        Every exponent, coefficient and the cutoff pass fan.require_rational,
+        so a float is rejected, never rounded.
+        """
         if cutoff is not None:
-            cutoff = Fraction(cutoff)
-        merged: dict[Fraction, Fraction] = {}
-        for e, c in pairs:
-            e, c = Fraction(e), Fraction(c)
-            merged[e] = merged.get(e, Fraction(0)) + c
-        kept = tuple(
-            (e, c)
-            for e, c in sorted(merged.items())
-            if c != 0 and (cutoff is None or e < cutoff)
-        )
-        return NovikovScalar(kept, cutoff)
+            cutoff = require_rational(cutoff, "cutoff")
+        exact = [(require_rational(e, "exponent"), require_rational(c, "coefficient"))
+                 for e, c in pairs]
+        return _merged(exact, cutoff)
 
     @property
     def val(self):
@@ -93,7 +92,7 @@ class NovikovScalar:
         return Fraction(0)
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
-        return NovikovScalar.from_terms(
+        return _merged(
             list(self.terms) + list(other.terms), _min_cut(self.cutoff, other.cutoff)
         )
 
@@ -114,13 +113,13 @@ class NovikovScalar:
         prods = [
             (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
         ]
-        return NovikovScalar.from_terms(prods, cut)
+        return _merged(prods, cut)
 
     def __pow__(self, k: int) -> "NovikovScalar":
         return scalar_pow(self, k)
 
     def truncated(self, cutoff) -> "NovikovScalar":
-        return NovikovScalar.from_terms(self.terms, _min_cut(self.cutoff, Fraction(cutoff)))
+        return _merged(self.terms, _min_cut(self.cutoff, require_rational(cutoff, "cutoff")))
 
     def __str__(self):
         if not self.terms:
@@ -148,8 +147,22 @@ class NovikovScalar:
         return body
 
 
+def _merged(pairs: Iterable[tuple], cutoff) -> NovikovScalar:
+    # from_terms without the boundary check, for exponents, coefficients
+    # and cutoffs that are already exact: arithmetic results and evaluate
+    merged: dict[Fraction, Fraction] = {}
+    for e, c in pairs:
+        merged[e] = merged.get(e, Fraction(0)) + c
+    kept = tuple(
+        (e, c)
+        for e, c in sorted(merged.items())
+        if c != 0 and (cutoff is None or e < cutoff)
+    )
+    return NovikovScalar(kept, cutoff)
+
+
 def t_monomial(e, c=1) -> NovikovScalar:
-    return NovikovScalar.from_terms([(Fraction(e), Fraction(c))])
+    return NovikovScalar.from_terms([(e, c)])
 
 
 def constant(c) -> NovikovScalar:
@@ -187,9 +200,9 @@ def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
     if x.cutoff is not None:
         result_cut = x.cutoff - 2 * e0
         if cutoff is not None:
-            result_cut = min(result_cut, Fraction(cutoff))
+            result_cut = min(result_cut, require_rational(cutoff, "cutoff"))
     elif cutoff is not None:
-        result_cut = Fraction(cutoff)
+        result_cut = require_rational(cutoff, "cutoff")
     else:
         if len(x.terms) > 1:
             raise ValueError("inverse of an exact multi-term scalar needs a cutoff")
@@ -248,6 +261,8 @@ class NovikovLaurent:
             nu = require_ints(nu, "exponent")
             if len(nu) != self.n:
                 raise DimensionMismatch(f"exponent {nu} does not have length {self.n}")
+            if not isinstance(s, NovikovScalar):
+                raise BadParams(f"coefficient of {nu} must be a NovikovScalar, got {s!r}")
             if not s.is_zero():
                 clean[nu] = s
         self.terms = clean
@@ -275,18 +290,17 @@ def laurent_mul(f: NovikovLaurent, g: NovikovLaurent) -> NovikovLaurent:
     return NovikovLaurent(f.n, out)
 
 
-def gauss_valuation(f, vertices) -> Fraction | float:
-    """Valuation of f over the affinoid domain with the given polytope
-    vertices: min over monomials of val(coeff) + min over vertices <nu, u>."""
+def gauss_valuation(f: NovikovLaurent, vertices) -> Fraction | float:
+    """Valuation of the Laurent polynomial f over the affinoid domain with
+    the given polytope vertices: min over monomials of val(coeff) + min over
+    vertices <nu, u>."""
     verts = [_require_rationals(u, "vertex") for u in _require_seq(vertices, "vertices")]
     if not verts:
         raise EmptyPolytope("need at least one vertex")
-    if isinstance(f, NovikovLaurent):
-        pairs = f.items()
-    else:
-        pairs = [(require_ints(nu, "exponent"), s) for nu, s in f]
+    if not isinstance(f, NovikovLaurent):
+        raise BadParams(f"gauss_valuation needs a NovikovLaurent, got {f!r}")
     best = INF
-    for nu, s in pairs:
+    for nu, s in f.items():
         v = s.val
         if v is INF:
             continue
@@ -408,9 +422,7 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     spec = ea.fan
     if len(point) != spec.n:
         raise DimensionMismatch(f"point must have {spec.n} coordinates")
-    for i, x in enumerate(point):
-        if x.is_zero():
-            raise ZeroCoordinate(f"coordinate {i} is zero")
+    trop(point)
     # one exponent-keyed sum, merged and sorted once at the end, and each
     # distinct power x_i^w computed once.  The cutoff is the min over the
     # terms' cutoffs, so dropping at or above it once keeps exactly what
@@ -419,7 +431,7 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     sums: dict[Fraction, Fraction] = {}
     cut = None
     for cls, coeff in s.items():
-        term = t_monomial(ea.energy_of(cls), coeff)
+        term = NovikovScalar(((ea.energy_of(cls), coeff),))
         for i, wi in enumerate(class_boundary(spec, cls)):
             if wi:
                 xw = powers.get((i, wi))
@@ -429,4 +441,4 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
         for e, c in term.terms:
             sums[e] = sums.get(e, 0) + c
         cut = _min_cut(cut, term.cutoff)
-    return NovikovScalar.from_terms(sums.items(), cut)
+    return _merged(sums.items(), cut)

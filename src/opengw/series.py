@@ -16,14 +16,22 @@ integer key with one signed radix-2^w digit per coordinate (b, g..., h...),
 w sized from a bound on every coordinate the operation can form, so adding
 keys adds classes; coefficients become int numerators over one common
 denominator per operand.  multiply is a plain convolution of packed terms.
-divide_by_power, series_exp and series_log are one triangular solve, graded
-by the linear form L of the gamma orthant,
+divide_by_power, series_exp, series_log and negative powers are one
+weighted triangular solve, graded by the linear form L of the gamma orthant,
 
-    X_l = (R_l +- sum_j A_j X_{l-j}) / (l or 1),
+    X_l = R_l + sum_j (p/q) A_j X_{l-j},   (p, q) = weight(j, l),
 
 with one denominator per grade bucket, buckets combined over the lcm and
-reduced by their gcd.  Fractions and RelClasses are rebuilt only on output,
-bucket by bucket.
+reduced by their gcd.  For f = 1 + u the callers supply
+
+    divide_by_power   R = the source   weight (-1, 1)
+    series_exp        R = 1            weight (j, l)
+    series_log        R = u            weight (j - l, l)
+    power(f, k < 0)   R = 1            weight ((k + 1) j - l, l)
+
+the last being J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2,
+4.7).  Fractions and RelClasses are rebuilt only on output, bucket by
+bucket.
 """
 
 from __future__ import annotations
@@ -32,14 +40,18 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatch, NotFiltered, NotInvertible, SchemaError
-from .fan import RelClass, require_int, require_ints
+from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
+from .fan import RelClass, require_int, require_ints, require_rational
 
 DEFAULT_TRUNC = 16
 
 
 class ClassSeries:
-    """Finitely supported map RelClass -> Fraction with ambient shape (n, m)."""
+    """Finitely supported map RelClass -> Fraction with ambient shape (n, m).
+
+    Every key must be a RelClass of the shape and every coefficient pass
+    fan.require_rational, so a float is rejected, never rounded.
+    """
 
     __slots__ = ("n", "m", "_terms")
 
@@ -49,9 +61,11 @@ class ClassSeries:
         clean: dict[RelClass, Fraction] = {}
         if terms:
             for cls, coeff in terms.items():
+                if not isinstance(cls, RelClass):
+                    raise BadParams(f"series key must be a RelClass, got {cls!r}")
                 if len(cls.g) != n - 1 or len(cls.h) != m:
                     raise DimensionMismatch(f"class {cls} does not fit shape ({n}, {m})")
-                q = Fraction(coeff)
+                q = require_rational(coeff, "series coefficient")
                 if q:
                     clean[cls] = q
         self._terms = clean
@@ -88,10 +102,10 @@ class ClassSeries:
         out = dict(self._terms)
         for cls, coeff in other._terms.items():
             out[cls] = out.get(cls, Fraction(0)) + coeff
-        return ClassSeries(self.n, self.m, out)
+        return _raw(self.n, self.m, {c: q for c, q in out.items() if q})
 
     def __neg__(self) -> "ClassSeries":
-        return ClassSeries(self.n, self.m, {c: -q for c, q in self._terms.items()})
+        return _raw(self.n, self.m, {c: -q for c, q in self._terms.items()})
 
     def __sub__(self, other: "ClassSeries") -> "ClassSeries":
         return self + (-other)
@@ -105,8 +119,8 @@ class ClassSeries:
         return self.scaled(other)
 
     def scaled(self, q) -> "ClassSeries":
-        q = Fraction(q)
-        return ClassSeries(self.n, self.m, {c: q * v for c, v in self._terms.items()})
+        q = require_rational(q, "scale factor")
+        return _raw(self.n, self.m, {c: q * v for c, v in self._terms.items()} if q else {})
 
     def __repr__(self):
         body = " + ".join(f"{q}*[{c}]" for c, q in self.items()) or "0"
@@ -138,7 +152,7 @@ def one(n: int, m: int) -> ClassSeries:
 
 
 def monomial(n: int, m: int, cls: RelClass, coeff=Fraction(1)) -> ClassSeries:
-    return ClassSeries(n, m, {cls: Fraction(coeff)})
+    return ClassSeries(n, m, {cls: coeff})
 
 
 def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
@@ -155,15 +169,18 @@ def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
 
 def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
     """Drop every term of gamma-degree above the given bound."""
-    return ClassSeries(
-        f.n, f.m, {c: q for c, q in f._terms.items() if c.gamma_degree <= degree}
-    )
+    return _raw(f.n, f.m, {c: q for c, q in f._terms.items() if c.gamma_degree <= degree})
 
 
 def power(f: ClassSeries, k: int, trunc: int | None = None) -> ClassSeries:
     """f**k.  Nonnegative k is exact and ignores trunc; negative k returns
     the inverse-power expansion with all retained terms of gamma-degree at
-    most trunc (default DEFAULT_TRUNC)."""
+    most trunc (default DEFAULT_TRUNC), in one pass of Miller's recurrence:
+    F = f**k with f = 1 + u solves theta(F) f = k theta(f) F, theta
+    rescaling each monomial by its grade, so
+
+        l F_l = sum_j ((k + 1) j - l) u_j F_{l-j},   F_0 = 1.
+    """
     if k >= 0:
         result = one(f.n, f.m)
         base = f
@@ -178,7 +195,9 @@ def power(f: ClassSeries, k: int, trunc: int | None = None) -> ClassSeries:
     if trunc is None:
         trunc = DEFAULT_TRUNC
     # every term of f**k sits in the orthant of f, where grade = gamma-degree
-    return divide_by_power(one(f.n, f.m), f, -k, trunc)
+    packer, u = _graded_tail(f, _unit_tail(f, "negative power"), "negative power", trunc)
+    sol = _graded_solve({0: (1, {0: 1})}, u, trunc, lambda j, l: ((k + 1) * j - l, l))
+    return _unpacked(f.n, f.m, packer, sol)
 
 
 def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> ClassSeries:
@@ -198,60 +217,58 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     term of L-grade <= trunc and may hold some of gamma-degree above trunc.
     """
     f._check_context(p)
-    u, grade = _unit_tail(f, "negative power")
+    u = _unit_tail(f, "negative power")
+    grade = _orthant_grade(f.n, u, "negative power")
     src = {c: q for c, q in p._terms.items() if grade(c) <= trunc}
     # a term of Q is a term of P plus at most trunc - lo terms of u, each of grade >= 1
     lo = min(map(grade, src), default=trunc)
     packer = _Packer(p.n, p.m, _coord_bound(src) + (trunc - lo + 1) * _coord_bound(u))
-    u_by_grade = _graded(u, grade, packer.pack, None)
-    quot = _graded(src, grade, packer.pack, None)
+    # a grade-l term of Q, l <= trunc, uses terms of u up to grade trunc - lo
+    u_by_grade = _graded(u, grade, packer.pack, trunc - lo)
+    quot = _graded(src, grade, packer.pack, trunc)
     for _ in range(k):
-        quot = _graded_solve(quot, u_by_grade, -1, trunc, False)
+        quot = _graded_solve(quot, u_by_grade, trunc, lambda j, l: (-1, 1))
     return _unpacked(p.n, p.m, packer, quot)
 
 
 def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
     """exp(f), exact on gamma-degree <= trunc.
 
-    The graded solve of theta(exp f) = theta(f) exp(f), where theta
-    rescales each monomial by its gamma-degree:
+    The graded solve of theta(exp f) = theta(f) exp(f):
 
         l E_l = sum_j j f_j E_{l-j},   E_0 = 1.
     """
-    sigma = _require_positive_filtration(f, "exp")
-    grade = _grader(sigma)
-    # a term of exp(f) of grade <= trunc is a sum of at most trunc terms of f
-    packer = _Packer(f.n, f.m, (trunc + 1) * _coord_bound(f._terms))
-    theta_f = _theta(_graded(f._terms, grade, packer.pack, trunc))
-    return _unpacked(f.n, f.m, packer, _graded_solve({0: (1, {0: 1})}, theta_f, 1, trunc, True))
+    packer, f_by_grade = _graded_tail(f, f._terms, "exp", trunc)
+    sol = _graded_solve({0: (1, {0: 1})}, f_by_grade, trunc, lambda j, l: (j, l))
+    return _unpacked(f.n, f.m, packer, sol)
 
 
 def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
-    """log(f) for f with constant term exactly 1, exact on gamma-degree <= trunc.
+    """log(f) for f = 1 + u with constant term exactly 1, exact on
+    gamma-degree <= trunc.
 
-    One division: theta(log f) = theta(f) / f, solved grade by grade as in
-    divide_by_power, then each grade-l bucket divided by l.
+    The graded solve of theta(log f) f = theta(u):
+
+        l L_l = l u_l + sum_j (j - l) u_j L_{l-j}.
     """
-    u, grade = _unit_tail(f, "log")
-    # a term of theta(f) / f of grade <= trunc is a sum of at most trunc terms of u
-    packer = _Packer(f.n, f.m, (trunc + 1) * _coord_bound(u))
-    theta_u = _theta(_graded(u, grade, packer.pack, trunc))
-    quot = _graded_solve(theta_u, _graded(u, grade, packer.pack, None), -1, trunc, False)
-    # undo theta: bucket l over l
-    return _unpacked(f.n, f.m, packer, {l: (d * l, nums) for l, (d, nums) in quot.items()})
+    packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
+    return _unpacked(f.n, f.m, packer, _graded_solve(u, u, trunc, lambda j, l: (j - l, l)))
 
 
-def _unit_tail(f: ClassSeries, what: str):
-    # f = 1 + u: checks the constant term and u's orthant, returns u and
-    # the orthant's linear grade L
+def _unit_tail(f: ClassSeries, what: str) -> dict[RelClass, Fraction]:
+    # u of f = 1 + u, after checking the constant term
     if f.coeff(RelClass(0, (0,) * (f.n - 1), (0,) * f.m)) != 1:
         raise NotInvertible(f"{what} needs constant term exactly 1")
-    u = {c: q for c, q in f._terms.items() if not c.is_zero()}
-    return u, _grader(_require_positive_filtration(_raw(f.n, f.m, u), what))
+    return {c: q for c, q in f._terms.items() if not c.is_zero()}
 
 
-def _grader(sigma: tuple[int, ...]):
-    return lambda c: sum(s * x for s, x in zip(sigma, c.g))
+def _graded_tail(f: ClassSeries, u: Mapping[RelClass, Fraction], what: str, trunc: int):
+    # the prelude of a solve from grade 0 up to trunc: u's orthant grading,
+    # a packer for every term of grade <= trunc, a sum of at most trunc
+    # terms of u, and u's grade buckets up to trunc
+    grade = _orthant_grade(f.n, u, what)
+    packer = _Packer(f.n, f.m, (trunc + 1) * _coord_bound(u))
+    return packer, _graded(u, grade, packer.pack, trunc)
 
 
 # the packed kernel
@@ -298,19 +315,14 @@ def _ints(terms: Mapping[RelClass, Fraction], pack) -> tuple[int, dict[int, int]
     return den, {pack(c): q.numerator * (den // q.denominator) for c, q in terms.items()}
 
 
-def _graded(terms: Mapping[RelClass, Fraction], grade, pack, trunc: int | None):
-    # terms of grade <= trunc (all when trunc is None) as {grade: (den, nums)}
+def _graded(terms: Mapping[RelClass, Fraction], grade, pack, trunc: int):
+    # terms of grade <= trunc as {grade: (den, nums)}
     by_grade: dict[int, dict[RelClass, Fraction]] = {}
     for c, q in terms.items():
         d = grade(c)
-        if trunc is None or d <= trunc:
+        if d <= trunc:
             by_grade.setdefault(d, {})[c] = q
     return {d: _ints(bucket, pack) for d, bucket in by_grade.items()}
-
-
-def _theta(buckets: dict) -> dict:
-    # theta scales the grade-j bucket by j
-    return {j: (d, {key: j * v for key, v in nums.items()}) for j, (d, nums) in buckets.items()}
 
 
 def _convolve(acc: dict[int, int], a: dict[int, int], b: dict[int, int], scale: int):
@@ -324,8 +336,8 @@ def _convolve(acc: dict[int, int], a: dict[int, int], b: dict[int, int], scale: 
             acc[key] = get(key, 0) + n1 * n2
 
 
-def _graded_solve(rhs: dict, coef: dict, sign: int, trunc: int, divide_by_grade: bool) -> dict:
-    """X_l = (R_l + sign sum_j A_j X_{l-j}) / (l if divide_by_grade and l else 1).
+def _graded_solve(rhs: dict, coef: dict, trunc: int, weight) -> dict:
+    """X_l = R_l + sum_j (p/q) A_j X_{l-j}, with (p, q) = weight(j, l), q > 0.
 
     Buckets are {grade: (den, {key: num})}, every A_j of grade j >= 1.
     Solved from the lowest grade of R up to trunc, stopping once R is used
@@ -340,14 +352,12 @@ def _graded_solve(rhs: dict, coef: dict, sign: int, trunc: int, divide_by_grade:
     for l in range(min(rhs), trunc + 1):
         if l > top and all(l - j not in sol for j in range(1, reach + 1)):
             break
-        parts = [(coef[j], sol[l - j]) for j in coef if l - j in sol]
+        parts = [(weight(j, l), coef[j], sol[l - j]) for j in coef if l - j in sol]
         r_den, r = rhs.get(l, (1, {}))
-        den = math.lcm(r_den, *(da * dx for (da, _), (dx, _) in parts))
+        den = math.lcm(r_den, *(q * da * dx for (_, q), (da, _), (dx, _) in parts))
         acc = {key: v * (den // r_den) for key, v in r.items()}
-        for (da, a), (dx, x) in parts:
-            _convolve(acc, a, x, sign * (den // (da * dx)))
-        if divide_by_grade and l:
-            den *= l
+        for (p, q), (da, a), (dx, x) in parts:
+            _convolve(acc, a, x, p * (den // (q * da * dx)))
         nums = {key: v for key, v in acc.items() if v}
         if nums:
             g = math.gcd(den, *nums.values())
@@ -372,14 +382,15 @@ def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
     return _raw(n, m, terms)
 
 
-def _require_positive_filtration(u: ClassSeries, what: str) -> tuple[int, ...]:
+def _orthant_grade(n: int, u: Iterable[RelClass], what: str):
     # All terms must sit in gamma-degree >= 1 and in one closed sign orthant
     # of gamma space; otherwise products can fall back to low gamma-degree
     # and the truncated expansion would be wrong, not just incomplete.
-    # Returns the orthant's sign per gamma coordinate (+1 where unused).
-    pos = [False] * (u.n - 1)
-    neg = [False] * (u.n - 1)
-    for c in u._terms:
+    # Returns the orthant's linear grade L(c) = sum_k sigma_k g_k, with
+    # sigma_k the sign of gamma_k on u (+1 where unused).
+    pos = [False] * (n - 1)
+    neg = [False] * (n - 1)
+    for c in u:
         if c.gamma_degree == 0:
             raise NotFiltered(f"{what}: term {c} has gamma-degree 0")
         for k, gk in enumerate(c.g):
@@ -387,13 +398,14 @@ def _require_positive_filtration(u: ClassSeries, what: str) -> tuple[int, ...]:
                 pos[k] = True
             elif gk < 0:
                 neg[k] = True
-    for k in range(u.n - 1):
+    for k in range(n - 1):
         if pos[k] and neg[k]:
             raise NotFiltered(
                 f"{what}: gamma_{k + 1} appears with both signs, "
                 "gamma-degree truncation would drop low-order terms"
             )
-    return tuple(-1 if neg[k] else 1 for k in range(u.n - 1))
+    sigma = tuple(-1 if neg[k] else 1 for k in range(n - 1))
+    return lambda c: sum(s * x for s, x in zip(sigma, c.g))
 
 
 # canonical serialization
@@ -440,4 +452,4 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
         if den == 0:
             raise SchemaError(f"bad series record {rec!r}: coeff_denominator is 0")
         terms[cls] = terms.get(cls, Fraction(0)) + Fraction(num, den)
-    return ClassSeries(n, m, terms)
+    return _raw(n, m, {c: q for c, q in terms.items() if q})

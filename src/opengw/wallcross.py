@@ -262,13 +262,25 @@ def _no_extra(params: dict):
         raise BadParams(f"unexpected parameters {sorted(params)}")
 
 
+def _multinomial(p: int, js: Sequence[int]) -> Fraction:
+    """Coefficient of prod_i gamma_i^{j_i} in (1 + sum_i gamma_i)^p; 0 off
+    the simplex j_i >= 0, sum_i j_i <= p."""
+    rest = p - sum(js)
+    if rest < 0 or any(j < 0 for j in js):
+        return Fraction(0)
+    denom = math.factorial(rest) * math.prod(math.factorial(j) for j in js)
+    return Fraction(math.factorial(p), denom)
+
+
 def closed_form_invariant(family: str, params: Mapping) -> Fraction:
     """Independent multinomial formulas for the stock families.
 
     Families: "cpn" (params n, and k of length n-1 or beta_hat), "cp_product"
     (params n, r, branch "H1"/"H2", k of length n-1 or beta_hat), "f1"
     (params branch "H1"/"H2", integer k, or beta_hat).  A class outside the
-    admissible range has invariant 0.
+    admissible range has invariant 0.  Each disk at infinity is dressed by
+    (1 + sum gamma)^p, so its count is a multinomial coefficient in k
+    shifted by the gammas its ray contributes.
     """
     params = dict(params)
     if family == "cpn":
@@ -280,11 +292,7 @@ def closed_form_invariant(family: str, params: Mapping) -> Fraction:
             return Fraction(1)
         k = require_ints(params.pop("k", None), "parameter 'k'", n - 1)
         _no_extra(params)
-        if any(ki < -1 for ki in k) or sum(k) > 1:
-            return Fraction(0)
-        denom = math.prod(math.factorial(ki + 1) for ki in k)
-        denom *= math.factorial(1 - sum(k))
-        return Fraction(math.factorial(n), denom)
+        return _multinomial(n, [ki + 1 for ki in k])
     if family == "cp_product":
         n = _require_int_param(params, "n")
         r = _require_int_param(params, "r")
@@ -298,27 +306,9 @@ def closed_form_invariant(family: str, params: Mapping) -> Fraction:
         _no_extra(params)
         if branch == "H1":
             # first factor's disk at infinity dressed by factor^r
-            if (
-                any(k[i] < -1 for i in range(r))
-                or any(k[i] < 0 for i in range(r, n - 1))
-                or sum(k) > 0
-            ):
-                return Fraction(0)
-            denom = math.prod(math.factorial(k[i] + 1) for i in range(r))
-            denom *= math.prod(math.factorial(k[i]) for i in range(r, n - 1))
-            denom *= math.factorial(-sum(k))
-            return Fraction(math.factorial(r), denom)
+            return _multinomial(r, [ki + (i < r) for i, ki in enumerate(k)])
         if branch == "H2":
-            if (
-                any(k[i] < 0 for i in range(r))
-                or any(k[i] < -1 for i in range(r, n - 1))
-                or sum(k) > 1
-            ):
-                return Fraction(0)
-            denom = math.prod(math.factorial(k[i]) for i in range(r))
-            denom *= math.prod(math.factorial(k[i] + 1) for i in range(r, n - 1))
-            denom *= math.factorial(1 - sum(k))
-            return Fraction(math.factorial(n - r), denom)
+            return _multinomial(n - r, [ki + (i >= r) for i, ki in enumerate(k)])
         raise BadParams(f"branch must be 'H1' or 'H2', got {branch!r}")
     if family == "f1":
         if params.pop("beta_hat", False):
@@ -328,11 +318,9 @@ def closed_form_invariant(family: str, params: Mapping) -> Fraction:
         kk = _require_int_param(params, "k")
         _no_extra(params)
         if branch == "H1":
-            if -1 <= kk <= 1:
-                return Fraction(math.factorial(2), math.factorial(kk + 1) * math.factorial(1 - kk))
-            return Fraction(0)
+            return _multinomial(2, [kk + 1])
         if branch == "H2":
-            return Fraction(1) if kk in (0, 1) else Fraction(0)
+            return _multinomial(1, [kk])
         raise BadParams(f"branch must be 'H1' or 'H2', got {branch!r}")
     raise UnknownFamily(f"no closed form for family {family!r}")
 

@@ -48,8 +48,11 @@ class TestValidation:
         report = fan.validate_fan(fan.builtin_fan("f2_nonfano"))
         assert report.primitive_ok and report.smooth_ok and report.complete_ok
         assert not report.fano_ok
-        # the offending cone is named
-        assert any("cone" in d and "needs < 1" in d for d in report.diagnostics)
+        # the offending cones are named, each with its integral pairing
+        assert report.diagnostics == (
+            "cone 2 (2, 3): ray 0 pairs to 1 (needs < 1)",
+            "cone 3 (0, 2): ray 3 pairs to 1 (needs < 1)",
+        )
 
     def test_missing_cone_breaks_completeness(self):
         spec = fan.FanSpec(n=2, extra_rays=((1, 1),), max_cones=((0, 1), (0, 2)))

@@ -328,6 +328,25 @@ class TestStrictExponents:
         with pytest.raises(errors.BadParams):
             novikov.NovikovLaurent(2, {nu: novikov.ONE})
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: t_monomial(0.1), lambda: t_monomial(1, 0.5), lambda: constant(0.1),
+         lambda: constant(True), lambda: NovikovScalar.from_terms([(0.5, 1)]),
+         lambda: NovikovScalar.from_terms([(F(1, 2), 1)], cutoff=0.1),
+         lambda: NovikovScalar.from_terms([(None, 1)]), lambda: novikov.ONE.truncated(0.1),
+         lambda: novikov.scalar_inverse(t_monomial(1), 0.1)],
+    )
+    def test_scalar_constructors_never_round(self, make):
+        # t_monomial(0.1) used to give T^3602879701896397/36028797018963968
+        with pytest.raises(errors.BadParams):
+            make()
+
+    @pytest.mark.parametrize("coeff", [5, F(1), None, "1"])
+    def test_laurent_coefficient_must_be_scalar(self, coeff):
+        # 5 used to raise a raw AttributeError
+        with pytest.raises(errors.BadParams):
+            novikov.NovikovLaurent(1, {(1,): coeff})
+
     @pytest.mark.parametrize("normal", [(1.5, 0), (True, 0), ("1", 0), 5])
     def test_facet_normal_never_rounded(self, normal):
         with pytest.raises(errors.BadParams):
@@ -355,7 +374,15 @@ class TestStrictExponents:
         with pytest.raises(errors.BadParams):
             novikov.gauss_valuation(f, vertices)
 
+    @pytest.mark.parametrize("f", [5, [((1,), novikov.ONE)], None])
+    def test_gauss_needs_laurent(self, f):
+        # 5 used to raise a raw TypeError
+        with pytest.raises(errors.BadParams):
+            novikov.gauss_valuation(f, [(F(0),)])
+
     def test_exact_strings_accepted(self):
+        assert t_monomial("1/2", "0.1") == NovikovScalar(((F(1, 2), F(1, 10)),))
+        assert NovikovScalar.from_terms([(1, 1)], cutoff="1/2") == NovikovScalar((), F(1, 2))
         f = novikov.NovikovLaurent(1, {(1,): novikov.ONE})
         assert novikov.base_point_shift(f, ("1/2",)).terms[(1,)] == t_monomial(F(1, 2))
         assert novikov.gauss_valuation(f, [("0.1",)]) == F(1, 10)

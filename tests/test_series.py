@@ -84,6 +84,28 @@ class TestRingOps:
         with pytest.raises(errors.DimensionMismatch):
             series.multiply(series.one(2, 0), series.one(3, 0))
 
+    @pytest.mark.parametrize(
+        "terms",
+        [{RelClass(0, (1,), ()): 0.1}, {RelClass(0, (1,), ()): True},
+         {RelClass(0, (1,), ()): None}, {(0, (1,), ()): 1}],
+    )
+    def test_constructor_is_strict(self, terms):
+        # 0.1 used to be kept as 3602879701896397/2^55, True as 1; a tuple
+        # key raised a raw AttributeError
+        with pytest.raises(errors.BadParams):
+            series.ClassSeries(2, 0, terms)
+
+    @pytest.mark.parametrize("q", [0.1, True, None, "x"])
+    def test_scaled_is_strict(self, q):
+        with pytest.raises(errors.BadParams):
+            gamma_mono(2, 0, 1).scaled(q)
+
+    def test_exact_strings_accepted(self):
+        c = RelClass(0, (1,), ())
+        assert series.ClassSeries(2, 0, {c: "1/2"}).coeff(c) == Fraction(1, 2)
+        assert gamma_mono(2, 0, 1).scaled("0.1").coeff(c) == Fraction(1, 10)
+        assert not gamma_mono(2, 0, 1).scaled(0)
+
 
 class TestExpLog:
     def test_exp_of_single_gamma(self):
@@ -412,6 +434,21 @@ def test_log_and_exp_match_taylor_sums(data):
     f = _as_series(n, m, u) + series.one(n, m)
     assert series.series_log(f, trunc) == _as_series(n, m, log_ref)
     assert series.series_exp(_as_series(n, m, u), trunc) == _as_series(n, m, exp_ref)
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_negative_power_equals_repeated_division(data):
+    # power(f, -k) runs Miller's recurrence in one pass; divide_by_power
+    # divides 1 by f k times with weight -1, an independent route
+    n = data.draw(st.integers(min_value=2, max_value=4), label="n")
+    m = data.draw(st.integers(min_value=0, max_value=2), label="m")
+    sign = data.draw(st.tuples(*[st.sampled_from((1, -1))] * (n - 1)), label="sign")
+    k = data.draw(st.integers(min_value=1, max_value=4), label="k")
+    trunc = data.draw(st.integers(min_value=0, max_value=6), label="trunc")
+    u = series.ClassSeries(n, m, data.draw(orthant_series(n, m, sign), label="u"))
+    f = series.one(n, m) + u
+    assert series.power(f, -k, trunc) == series.divide_by_power(series.one(n, m), f, k, trunc)
 
 
 def _divide_reference(p, u, sign, k, trunc):

@@ -457,6 +457,34 @@ class TestClosedForms:
             count += 1
         assert count == len(table)
 
+    @pytest.mark.parametrize(
+        "family, n, r",
+        [("cpn", n, None) for n in range(2, 6)]
+        + [("cp_product", n, r) for n in range(2, 6) for r in range(1, n)],
+    )
+    def test_closed_forms_equal_table_on_box(self, family, n, r):
+        # every k in [-2, n]^(n-1), on and off the table, for each disk at
+        # infinity H_a of class H_a - p_a beta_hat + k.gamma
+        if family == "cpn":
+            spec = builtin_fan("cpn", n=n)
+            branches = [("cpn", {"n": n}, (1,), n)]
+        else:
+            spec = builtin_fan("cp_product", n=n, r=r)
+            branches = [
+                ("cp_product", {"n": n, "r": r, "branch": "H1"}, (1, 0), r),
+                ("cp_product", {"n": n, "r": r, "branch": "H2"}, (0, 1), n - r),
+            ]
+        table = invariant_table(chekanov_superpotential(spec, Ambient.COMPACT))
+        got = {row.cls: row.value for row in table}
+        hit = 0
+        for fam, params, h, p in branches:
+            for k in itertools.product(range(-2, n + 1), repeat=n - 1):
+                want = closed_form_invariant(fam, {**params, "k": k})
+                assert want == got.get(RelClass(-p, k, h), 0)
+                hit += want != 0
+        # the box holds every row at infinity
+        assert hit == sum(1 for c in got if any(c.h))
+
     def test_f1_table_matches_closed_form(self):
         table = invariant_table(
             chekanov_superpotential(builtin_fan("hirzebruch_f1"), Ambient.COMPACT)
