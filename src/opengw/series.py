@@ -16,8 +16,8 @@ integer key with one signed radix-2^w digit per coordinate (b, g..., h...),
 w sized from a bound on every coordinate the operation can form, so adding
 keys adds classes; coefficients become int numerators over one common
 denominator per operand.  multiply is a plain convolution of packed terms.
-divide_by_power, series_exp, series_log and negative powers are one
-weighted triangular solve, graded by the linear form L of the gamma orthant,
+divide_by_power, series_exp and series_log are one weighted triangular
+solve, graded by the linear form L of the gamma orthant,
 
     X_l = R_l + sum_j (p/q) A_j X_{l-j},   (p, q) = weight(j, l),
 
@@ -27,11 +27,9 @@ reduced by their gcd.  For f = 1 + u the callers supply
     divide_by_power   R = the source   weight (-1, 1)
     series_exp        R = 1            weight (j, l)
     series_log        R = u            weight (j - l, l)
-    power(f, k < 0)   R = 1            weight ((k + 1) j - l, l)
 
-the last being J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2,
-4.7).  Fractions and RelClasses are rebuilt only on output, bucket by
-bucket.
+and a negative power is 1 divided by f**|k|.  Fractions and RelClasses
+are rebuilt only on output, bucket by bucket.
 """
 
 from __future__ import annotations
@@ -175,12 +173,7 @@ def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
 def power(f: ClassSeries, k: int, trunc: int | None = None) -> ClassSeries:
     """f**k.  Nonnegative k is exact and ignores trunc; negative k returns
     the inverse-power expansion with all retained terms of gamma-degree at
-    most trunc (default DEFAULT_TRUNC), in one pass of Miller's recurrence:
-    F = f**k with f = 1 + u solves theta(F) f = k theta(f) F, theta
-    rescaling each monomial by its grade, so
-
-        l F_l = sum_j ((k + 1) j - l) u_j F_{l-j},   F_0 = 1.
-    """
+    most trunc (default DEFAULT_TRUNC)."""
     if k >= 0:
         result = one(f.n, f.m)
         base = f
@@ -195,9 +188,7 @@ def power(f: ClassSeries, k: int, trunc: int | None = None) -> ClassSeries:
     if trunc is None:
         trunc = DEFAULT_TRUNC
     # every term of f**k sits in the orthant of f, where grade = gamma-degree
-    packer, u = _graded_tail(f, _unit_tail(f, "negative power"), "negative power", trunc)
-    sol = _graded_solve({0: (1, {0: 1})}, u, trunc, lambda j, l: ((k + 1) * j - l, l))
-    return _unpacked(f.n, f.m, packer, sol)
+    return divide_by_power(one(f.n, f.m), f, -k, trunc)
 
 
 def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> ClassSeries:

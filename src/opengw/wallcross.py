@@ -47,6 +47,7 @@ from .fan import (
 from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
+    _raw,
     divide_by_power,
     monomial,
     multiply,
@@ -210,7 +211,7 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
         groups.setdefault(sign * cls.b, {})[cls] = coeff
     out: dict[RelClass, Fraction] = {}
     for e, terms in groups.items():
-        part = ClassSeries(spec.n, spec.m, terms)
+        part = _raw(spec.n, spec.m, terms)
         if e > 0:
             part = multiply(part, power(f, e))
         elif e < 0:
@@ -219,7 +220,7 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
             out[cls] = out.get(cls, 0) + coeff
     if min(groups, default=0) < 0:
         out = {c: q for c, q in out.items() if c.gamma_degree <= gd.trunc}
-    return ClassSeries(spec.n, spec.m, out)
+    return _raw(spec.n, spec.m, {c: q for c, q in out.items() if q})
 
 
 def glue_superpotential(w: Superpotential, gd: GluingData) -> Superpotential:

@@ -436,21 +436,6 @@ def test_log_and_exp_match_taylor_sums(data):
     assert series.series_exp(_as_series(n, m, u), trunc) == _as_series(n, m, exp_ref)
 
 
-@given(st.data())
-@settings(max_examples=80)
-def test_negative_power_equals_repeated_division(data):
-    # power(f, -k) runs Miller's recurrence in one pass; divide_by_power
-    # divides 1 by f k times with weight -1, an independent route
-    n = data.draw(st.integers(min_value=2, max_value=4), label="n")
-    m = data.draw(st.integers(min_value=0, max_value=2), label="m")
-    sign = data.draw(st.tuples(*[st.sampled_from((1, -1))] * (n - 1)), label="sign")
-    k = data.draw(st.integers(min_value=1, max_value=4), label="k")
-    trunc = data.draw(st.integers(min_value=0, max_value=6), label="trunc")
-    u = series.ClassSeries(n, m, data.draw(orthant_series(n, m, sign), label="u"))
-    f = series.one(n, m) + u
-    assert series.power(f, -k, trunc) == series.divide_by_power(series.one(n, m), f, k, trunc)
-
-
 def _divide_reference(p, u, sign, k, trunc):
     # p / (1 + u)^k on L-grade <= trunc, L = sum sign_k g_k: the geometric
     # series of -u cut at the depth trunc - (lowest grade of p), k times
