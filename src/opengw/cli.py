@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .chambers import ChamberPoint, CYFanRays, classify_point, monodromy_matrix
 from .errors import (
@@ -178,6 +179,38 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+def _json_records(records: list[dict], depth: int) -> str:
+    """A list of flat records laid out exactly as _json_text lays it out
+    depth levels deep, without json's pure-Python indenting encoder.
+
+    Every record has the first one's keys, in its order, and each value the
+    kind of the first record's: a str goes through encode_basestring, an
+    int through int.__repr__, a list or tuple of ints one entry per line or
+    [] when empty.  One format template per record is filled column by
+    column.
+    """
+    if not records:
+        return "[]"
+    end_pad, rec_pad, field_pad, item_pad = ("\n" + "  " * (depth + i) for i in range(4))
+    item_sep, list_close = "," + item_pad, field_pad + "]"
+
+    def ints(v) -> str:
+        return f"[{item_pad}{item_sep.join(map(int.__repr__, v))}{list_close}" if v else "[]"
+
+    heads = (f"{field_pad}{encode_basestring(key)}: " for key in records[0])
+    fields = ",".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads)
+    # the record's own braces, escaped for str.format
+    template = rec_pad + "{{" + fields + rec_pad + "}}"
+    kinds = [
+        encode_basestring if isinstance(v, str)
+        else ints if isinstance(v, (list, tuple))
+        else int.__repr__
+        for v in records[0].values()
+    ]
+    columns = [map(kind, col) for kind, col in zip(kinds, zip(*map(dict.values, records)))]
+    return f"[{','.join(map(template.format, *columns))}{end_pad}]"
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -206,7 +239,7 @@ def _series_columns(n: int, m: int) -> list[str]:
 
 def render_series(s: ClassSeries, fmt: str) -> str:
     if fmt == "json":
-        return _json_text({"n": s.n, "m": s.m, "terms": to_records(s)})
+        return f'{{\n  "n": {s.n},\n  "m": {s.m},\n  "terms": {_json_records(to_records(s), 1)}\n}}\n'
     if fmt == "csv":
         header = _series_columns(s.n, s.m) + ["coeff"]
         rows = [[c.b, *c.g, *c.h, str(q)] for c, q in s.items()]
@@ -217,19 +250,18 @@ def render_series(s: ClassSeries, fmt: str) -> str:
 
 def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(
-            [
-                {
-                    "name": row.name,
-                    "b": row.cls.b,
-                    "g": list(row.cls.g),
-                    "h": list(row.cls.h),
-                    "maslov": row.maslov,
-                    "n_beta": int(row.value),
-                }
-                for row in table
-            ]
-        )
+        records = [
+            {
+                "name": row.name,
+                "b": row.cls.b,
+                "g": row.cls.g,
+                "h": row.cls.h,
+                "maslov": row.maslov,
+                "n_beta": int(row.value),
+            }
+            for row in table
+        ]
+        return _json_records(records, 0) + "\n"
     if fmt == "csv":
         header = _series_columns(spec.n, spec.m) + ["maslov", "n_beta"]
         rows = [[row.cls.b, *row.cls.g, *row.cls.h, row.maslov, int(row.value)] for row in table]

@@ -37,6 +37,7 @@ from .fan import (
     class_boundary,
     parse_energies,
     ray_decomposition,
+    require_int,
     require_ints,
     require_rational,
 )
@@ -224,6 +225,7 @@ def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
 
 
 def scalar_pow(x: NovikovScalar, k: int) -> NovikovScalar:
+    k = require_int(k, "exponent")
     if k < 0:
         return scalar_pow(scalar_inverse(x), -k)
     result = ONE

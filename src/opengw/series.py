@@ -24,12 +24,15 @@ solve, graded by the linear form L of the gamma orthant,
 with one denominator per grade bucket, buckets combined over the lcm and
 reduced by their gcd.  For f = 1 + u the callers supply
 
+    power (k >= 0)    R = 1            weight ((k + 1) j - l, l)
     divide_by_power   R = the source   weight (-1, 1)
     series_exp        R = 1            weight (j, l)
     series_log        R = u            weight (j - l, l)
 
-and a negative power is 1 divided by f**|k|.  Fractions and RelClasses
-are rebuilt only on output, bucket by bucket.
+and a negative power is 1 divided by f**|k|.  times_power convolves a
+series into the buckets of f**k in the same packed pass; an f without a
+graded unit tail is raised by square-and-multiply on packed ints instead.
+Fractions and RelClasses are rebuilt only on output, bucket by bucket.
 """
 
 from __future__ import annotations
@@ -47,15 +50,18 @@ DEFAULT_TRUNC = 16
 class ClassSeries:
     """Finitely supported map RelClass -> Fraction with ambient shape (n, m).
 
-    Every key must be a RelClass of the shape and every coefficient pass
-    fan.require_rational, so a float is rejected, never rounded.
+    n >= 1 and m >= 0 must be genuine integers, every key a RelClass of the
+    shape and every coefficient pass fan.require_rational, so a float is
+    rejected, never rounded.
     """
 
     __slots__ = ("n", "m", "_terms")
 
     def __init__(self, n: int, m: int, terms: Mapping[RelClass, Fraction] | None = None):
-        self.n = n
-        self.m = m
+        self.n = require_int(n, "series n")
+        self.m = require_int(m, "series m")
+        if n < 1 or m < 0:
+            raise BadParams(f"series shape needs n >= 1 and m >= 0, got ({n}, {m})")
         clean: dict[RelClass, Fraction] = {}
         if terms:
             for cls, coeff in terms.items():
@@ -157,16 +163,14 @@ def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     """Exact convolution product; classes add, coefficients multiply."""
     f._check_context(g)
     packer = _Packer(f.n, f.m, _coord_bound(f._terms) + _coord_bound(g._terms))
-    df, a = _ints(f._terms, packer.pack)
-    dg, b = _ints(g._terms, packer.pack)
-    acc: dict[int, int] = {}
-    _convolve(acc, a, b, 1)
-    del a, b  # freed before the output is built, which keeps the peak down
-    return _unpacked(f.n, f.m, packer, {0: (df * dg, acc)})
+    # the packed operands are freed before the output is built, which keeps the peak down
+    prod = _product(_ints(f._terms, packer.pack), _ints(g._terms, packer.pack))
+    return _unpacked(f.n, f.m, packer, {0: prod})
 
 
 def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
     """Drop every term of gamma-degree above the given bound."""
+    degree = require_int(degree, "gamma-degree bound")
     return _raw(f.n, f.m, {c: q for c, q in f._terms.items() if c.gamma_degree <= degree})
 
 
@@ -174,21 +178,49 @@ def power(f: ClassSeries, k: int, trunc: int | None = None) -> ClassSeries:
     """f**k.  Nonnegative k is exact and ignores trunc; negative k returns
     the inverse-power expansion with all retained terms of gamma-degree at
     most trunc (default DEFAULT_TRUNC)."""
+    k = require_int(k, "exponent")
+    trunc = DEFAULT_TRUNC if trunc is None else require_int(trunc, "truncation bound")
     if k >= 0:
-        result = one(f.n, f.m)
-        base = f
-        e = k
-        while e:
-            if e & 1:
-                result = multiply(result, base)
-            e >>= 1
-            if e:
-                base = multiply(base, base)
-        return result
-    if trunc is None:
-        trunc = DEFAULT_TRUNC
+        return times_power(one(f.n, f.m), f, k)
     # every term of f**k sits in the orthant of f, where grade = gamma-degree
     return divide_by_power(one(f.n, f.m), f, -k, trunc)
+
+
+def times_power(p: ClassSeries, f: ClassSeries, k: int) -> ClassSeries:
+    """p * f**k for k >= 0, exact, in one packed pass.
+
+    When f = 1 + u with u in one closed gamma orthant and free of
+    gamma-degree 0 (every gluing factor), F = f**k is J.C.P. Miller's
+    recurrence, the graded solve of theta(F) f = k theta(f) F:
+
+        l F_l = sum_j ((k + 1) j - l) u_j F_{l-j},   F_0 = 1,
+
+    from grade 0 up to k max L(u), about |u| |F| pairs.  Any other f is
+    raised by square-and-multiply.  p is then convolved into the buckets of
+    F and the product unpacked once.
+    """
+    p._check_context(f)
+    k = require_int(k, "exponent")
+    if k < 0:
+        raise BadParams(f"times_power needs an exponent >= 0, got {k}")
+    # a term of p * f**k is a term of p plus k terms of f
+    packer = _Packer(p.n, p.m, _coord_bound(p._terms) + k * _coord_bound(f._terms))
+    try:
+        u = _unit_tail(f, "power")
+        grade = _orthant_grade(f.n, u, "power")
+    except (NotInvertible, NotFiltered):
+        fk = {0: _packed_power(_ints(f._terms, packer.pack), k)}
+    else:
+        top = k * max(map(grade, u), default=0)
+        u_by_grade = _graded(u, grade, packer.pack, top)
+        fk = _graded_solve({0: (1, {0: 1})}, u_by_grade, top, lambda j, l: ((k + 1) * j - l, l))
+    dp, a = _ints(p._terms, packer.pack)
+    den = math.lcm(*(d for d, _ in fk.values()))
+    acc: dict[int, int] = {}
+    while fk:
+        _, (d, x) = fk.popitem()
+        _convolve(acc, a, x, den // d)
+    return _unpacked(p.n, p.m, packer, {0: (dp * den, acc)})
 
 
 def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> ClassSeries:
@@ -208,6 +240,10 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     term of L-grade <= trunc and may hold some of gamma-degree above trunc.
     """
     f._check_context(p)
+    k = require_int(k, "exponent")
+    trunc = require_int(trunc, "truncation bound")
+    if k < 0:
+        raise BadParams(f"divide_by_power needs an exponent >= 0, got {k}")
     u = _unit_tail(f, "negative power")
     grade = _orthant_grade(f.n, u, "negative power")
     src = {c: q for c, q in p._terms.items() if grade(c) <= trunc}
@@ -229,6 +265,7 @@ def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
 
         l E_l = sum_j j f_j E_{l-j},   E_0 = 1.
     """
+    trunc = require_int(trunc, "truncation bound")
     packer, f_by_grade = _graded_tail(f, f._terms, "exp", trunc)
     sol = _graded_solve({0: (1, {0: 1})}, f_by_grade, trunc, lambda j, l: (j, l))
     return _unpacked(f.n, f.m, packer, sol)
@@ -242,6 +279,7 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
 
         l L_l = l u_l + sum_j (j - l) u_j L_{l-j}.
     """
+    trunc = require_int(trunc, "truncation bound")
     packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
     return _unpacked(f.n, f.m, packer, _graded_solve(u, u, trunc, lambda j, l: (j - l, l)))
 
@@ -314,6 +352,25 @@ def _graded(terms: Mapping[RelClass, Fraction], grade, pack, trunc: int):
         if d <= trunc:
             by_grade.setdefault(d, {})[c] = q
     return {d: _ints(bucket, pack) for d, bucket in by_grade.items()}
+
+
+def _product(a: tuple[int, dict[int, int]], b: tuple[int, dict[int, int]]):
+    # (den, nums) of a product of two (den, nums) operands
+    acc: dict[int, int] = {}
+    _convolve(acc, a[1], b[1], 1)
+    return a[0] * b[0], acc
+
+
+def _packed_power(base: tuple[int, dict[int, int]], k: int):
+    # base**k by square-and-multiply, for an f without a graded unit tail
+    result = (1, {0: 1})
+    while k:
+        if k & 1:
+            result = _product(result, base)
+        k >>= 1
+        if k:
+            base = _product(base, base)
+    return result
 
 
 def _convolve(acc: dict[int, int], a: dict[int, int], b: dict[int, int], scale: int):

@@ -42,6 +42,7 @@ from .fan import (
     class_name,
     gamma_class,
     ray_decomposition,
+    require_int,
     require_ints,
 )
 from .series import (
@@ -52,9 +53,9 @@ from .series import (
     monomial,
     multiply,
     one,
-    power,
     series_exp,
     series_log,
+    times_power,
     truncate_gamma,
 )
 
@@ -154,6 +155,7 @@ def wall_crossing_factor(
     trunc: int = DEFAULT_TRUNC,
 ) -> GluingData:
     """The gluing factor 1 + sum_k gamma_k-monomials for this fan."""
+    trunc = require_int(trunc, "truncation bound")
     if trunc < 0:
         raise BadParams(f"truncation bound must be >= 0, got {trunc}")
     f = one(spec.n, spec.m)
@@ -179,7 +181,7 @@ def chekanov_superpotential(spec: FanSpec, ambient: Ambient) -> Superpotential:
             if p < 0:
                 raise NegativePa(a, p)
             term = monomial(spec.n, spec.m, beta_prime_class(spec, a))
-            w = w + multiply(term, power(f, p))
+            w = w + times_power(term, f, p)
     return Superpotential(spec, w, Chart.CHEKANOV, ambient)
 
 
@@ -189,13 +191,13 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
     Each monomial of class c is multiplied by factor^e, e = -c.b for
     PlusToMinus and +c.b for MinusToPlus; gamma- and H-only monomials are
     fixed.  The source is grouped by e.  A group with e > 0 is multiplied
-    once by the exact power factor^e.  A group with e < 0 is divided
-    exactly by the factor |e| times (series.divide_by_power): terms are
-    graded by the linear form L of the factor's gamma orthant, which adds
-    under products and never exceeds gamma-degree, so solving grade by
-    grade up to gd.trunc gives every output coefficient of gamma-degree at
-    most gd.trunc exactly, and an exact quotient stops as soon as it is
-    found.  When some e < 0 the result is truncated at gd.trunc; a series
+    by the exact power factor^e in one packed pass (series.times_power).
+    A group with e < 0 is divided exactly by the factor |e| times
+    (series.divide_by_power): terms are graded by the linear form L of the
+    factor's gamma orthant, which adds under products and never exceeds
+    gamma-degree, so solving grade by grade up to gd.trunc gives every
+    output coefficient of gamma-degree at most gd.trunc exactly, and an
+    exact quotient stops as soon as it is found.  When some e < 0 the result is truncated at gd.trunc; a series
     needing no negative power is returned untruncated.
     """
     if s.n != spec.n or s.m != spec.m:
@@ -213,7 +215,7 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
     for e, terms in groups.items():
         part = _raw(spec.n, spec.m, terms)
         if e > 0:
-            part = multiply(part, power(f, e))
+            part = times_power(part, f, e)
         elif e < 0:
             part = divide_by_power(part, f, -e, gd.trunc)
         for cls, coeff in part.items():

@@ -216,6 +216,7 @@ def test_check_07_sphere_class_sum_law():
         total = sum(row.value for row in table if any(row.cls.h))
         assert total == n**n, f"n={n}: got {total}, want {n**n}"
     dt = time.perf_counter() - t0
+    assert dt < 2.0, f"took {dt:.2f}s, budget 2s"
     _ok(7, label, f"{dt:.2f} s")
 
 

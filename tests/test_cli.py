@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import opengw
 from opengw import cli, novikov, series, wallcross
-from opengw.fan import EnergyValues, builtin_fan
+from opengw.fan import EnergyValues, RelClass, builtin_fan
 from opengw.wallcross import Ambient, chekanov_superpotential, clifford_superpotential
 
 CP2 = {
@@ -190,6 +190,65 @@ class TestSuperpotential:
         code, _, err = run(capsys, "superpotential", cp2_file, "--ambient", "open")
         assert code == 2
         assert "--chamber" in err
+
+
+def _json_reference(obj):
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def _series_reference(s):
+    return _json_reference({"n": s.n, "m": s.m, "terms": series.to_records(s)})
+
+
+def _table_reference(table):
+    return _json_reference([
+        {"name": row.name, "b": row.cls.b, "g": list(row.cls.g), "h": list(row.cls.h),
+         "maslov": row.maslov, "n_beta": int(row.value)}
+        for row in table
+    ])
+
+
+JSON_FANS = [
+    builtin_fan("cpn", n=1), builtin_fan("cpn", n=2), builtin_fan("cpn", n=3),
+    builtin_fan("cpn", n=4), builtin_fan("hirzebruch_f1"), builtin_fan("cp_product", n=3, r=1),
+]
+
+
+class TestJsonRender:
+    """render_invariants and render_series write JSON without json.dumps;
+    the bytes must equal json.dumps(..., indent=2, ensure_ascii=False)."""
+
+    @pytest.mark.parametrize("spec", JSON_FANS, ids=lambda s: f"n{s.n}m{s.m}r{s.extra_rays}")
+    @pytest.mark.parametrize("ambient", [Ambient.COMPACT, Ambient.OPEN])
+    def test_tables_and_superpotentials(self, spec, ambient):
+        for w in (chekanov_superpotential(spec, ambient), clifford_superpotential(spec, ambient)):
+            table = wallcross.invariant_table(w)
+            if ambient is Ambient.OPEN and w.chamber is wallcross.Chart.CHEKANOV:
+                assert [row.name for row in table] == ["β̂"]
+            assert cli.render_invariants(table, spec, "json") == _table_reference(table)
+            assert cli.render_series(w.series, "json") == _series_reference(w.series)
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (1, 2), (3, 0), (2, 1)])
+    def test_edge_shapes_and_negative_ints(self, n, m):
+        # n = 1 gives empty g lists, m = 0 empty h lists; negative
+        # coordinates, numerators and counts, non-ASCII names
+        classes = [
+            RelClass(-3, tuple(range(-1, n - 2)), tuple(-2 * a for a in range(m))),
+            RelClass(5, (0,) * (n - 1), (1,) * m),
+            RelClass(0, (-7,) * (n - 1), (-1,) * m),
+        ]
+        coeffs = [Fraction(-5, 3), Fraction(12), Fraction(-1)]
+        s = series.ClassSeries(n, m, dict(zip(classes, coeffs)))
+        assert cli.render_series(s, "json") == _series_reference(s)
+        empty = series.ClassSeries(n, m)
+        assert cli.render_series(empty, "json") == _series_reference(empty)
+        rows = tuple(
+            wallcross.InvariantRow(c, 2 - i, Fraction(-i), name)
+            for i, (c, name) in enumerate(zip(classes, ["β̂ - γ_1", "H_1 \"q\"", "\u00e9\t\x01"]))
+        )
+        spec = builtin_fan("cpn", n=n)
+        for table in (wallcross.InvariantTable(rows), wallcross.InvariantTable(())):
+            assert cli.render_invariants(table, spec, "json") == _table_reference(table)
 
 
 class TestGlue:

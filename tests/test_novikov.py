@@ -380,6 +380,12 @@ class TestStrictExponents:
         with pytest.raises(errors.BadParams):
             novikov.gauss_valuation(f, [(F(0),)])
 
+    @pytest.mark.parametrize("k", [1.5, True, "2", None])
+    def test_scalar_pow_exponent_must_be_int(self, k):
+        # 1.5 used to raise a raw TypeError, True to return x
+        with pytest.raises(errors.BadParams):
+            novikov.scalar_pow(t_monomial(1), k)
+
     def test_exact_strings_accepted(self):
         assert t_monomial("1/2", "0.1") == NovikovScalar(((F(1, 2), F(1, 10)),))
         assert NovikovScalar.from_terms([(1, 1)], cutoff="1/2") == NovikovScalar((), F(1, 2))

@@ -100,6 +100,35 @@ class TestRingOps:
         with pytest.raises(errors.BadParams):
             gamma_mono(2, 0, 1).scaled(q)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda f: series.power(f, 1.5), lambda f: series.power(f, True),
+         lambda f: series.power(f, -1, 2.5), lambda f: series.power(f, 2, "3"),
+         lambda f: series.series_exp(f - series.one(2, 0), "3"),
+         lambda f: series.series_log(f, 2.0),
+         lambda f: series.divide_by_power(f, f, 1.5, 3),
+         lambda f: series.divide_by_power(f, f, 1, None),
+         lambda f: series.divide_by_power(f, f, -1, 3),
+         lambda f: series.times_power(f, f, 2.0), lambda f: series.times_power(f, f, -1),
+         lambda f: series.truncate_gamma(f, 1.5)],
+        ids=["power-k-float", "power-k-bool", "power-trunc-float", "power-trunc-str",
+             "exp-trunc-str", "log-trunc-float", "divide-k-float", "divide-trunc-none",
+             "divide-k-negative", "times-power-k-float", "times-power-k-negative",
+             "truncate-degree-float"],
+    )
+    def test_integer_arguments_are_strict(self, call):
+        # power(f, 1.5) used to raise a raw TypeError, power(f, True) to
+        # return f, power(f, -1, 2.5) a raw AttributeError, series_exp(u, "3")
+        # and divide_by_power(p, f, 1.5, 3) a raw TypeError
+        with pytest.raises(errors.BadParams):
+            call(series.one(2, 0) + gamma_mono(2, 0, 1))
+
+    @pytest.mark.parametrize("n, m", [(2.5, 0), (2, 0.0), (True, 0), ("2", 0), (0, 0), (2, -1)])
+    def test_shape_is_strict(self, n, m):
+        # ClassSeries(2.5, 0, {}) used to be a series of shape (2.5, 0)
+        with pytest.raises(errors.BadParams):
+            series.ClassSeries(n, m, {})
+
     def test_exact_strings_accepted(self):
         c = RelClass(0, (1,), ())
         assert series.ClassSeries(2, 0, {c: "1/2"}).coeff(c) == Fraction(1, 2)
@@ -395,6 +424,57 @@ def test_multiply_and_power_match_sympy(seed):
     # sympy refuses 0**0; power takes f**0 = 1 for every f
     want = R.one if k == 0 else pf**k
     assert series.power(f, k) == from_poly(want, tuple(k * s for s in sf))
+
+
+def _repeated_product(f, k, unit):
+    out = {unit: Fraction(1)}
+    for _ in range(k):
+        out = _dict_mul(out, f)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_power_and_times_power_match_repeated_products(seed):
+    # f = 1 + u with u in one gamma orthant goes through Miller's
+    # recurrence; f with constant 2, mixed gamma signs or a tail term of
+    # gamma-degree 0 through square-and-multiply.  Both must equal k plain
+    # dict products, and times_power(p, f, k) must equal p times that, for
+    # p with coordinates far beyond k times those of f.
+    rng = random.Random(seed)
+    n, m, k = 1 + seed % 4, seed % 3, seed % 7
+    sign = tuple(rng.choice((1, -1)) for _ in range(n - 1))
+    unit = (0, (0,) * (n - 1), (0,) * m)
+
+    def coeff():
+        return Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), rng.randint(1, 4))
+
+    def h_part(lo, hi):
+        return tuple(rng.randint(lo, hi) for _ in range(m))
+
+    u = {}
+    for _ in range(rng.randint(0, 4)):
+        g = tuple(s * rng.randint(0, 3) for s in sign)
+        if any(g):
+            u[(rng.randint(-2, 2), g, h_part(-1, 2))] = coeff()
+    flat = (0, (0,) * (n - 1), (1,) * m) if m else (1, (0,) * (n - 1), ())
+    variants = {
+        "graded": {unit: Fraction(1), **u},
+        "constant 2": {unit: Fraction(2), **u},
+        "gamma-degree 0 tail": {unit: Fraction(1), flat: coeff(), **u},
+    }
+    if n > 1:
+        mixed = (0, (-sign[0],) + (0,) * (n - 2), (0,) * m)
+        variants["mixed signs"] = {unit: Fraction(1), mixed: coeff(), **u}
+    p = {}
+    for _ in range(rng.randint(0, 4)):
+        p[(rng.randint(-50, 50), tuple(rng.randint(-3, 3) for _ in range(n - 1)),
+           h_part(-40, 40))] = coeff()
+    ps = _as_series(n, m, p)
+    for name, f in variants.items():
+        fs = _as_series(n, m, f)
+        want = _as_series(n, m, _repeated_product(f, k, unit))
+        assert series.power(fs, k) == want, name
+        assert series.times_power(ps, fs, k) == series.multiply(ps, want), name
 
 
 def orthant_series(n, m, sign, max_terms=3):

@@ -513,6 +513,19 @@ class TestClosedForms:
 
 
 class TestIdentity:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda spec: wall_crossing_factor(spec, trunc=2.5),
+         lambda spec: wall_crossing_factor(spec, trunc=True),
+         lambda spec: solve_exp_G(spec, "4"),
+         lambda spec: wall_cross_rhs(spec, 4.0),
+         lambda spec: verify_wall_cross_identity(spec, None)],
+    )
+    def test_truncation_bound_must_be_int(self, call):
+        # trunc=2.5 used to be stored in GluingData as it was
+        with pytest.raises(errors.BadParams):
+            call(builtin_fan("cpn", n=3))
+
     def test_log_expansion_n2(self):
         spec = builtin_fan("cpn", n=2)
         g = solve_exp_G(spec, trunc=3)
