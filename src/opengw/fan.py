@@ -20,6 +20,7 @@ d(beta_i) = -e_i and d(beta'_a) = v_a.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping, Sequence
@@ -316,28 +317,25 @@ def _check_class_shape(spec: FanSpec, c: RelClass):
         )
 
 
+@functools.cache
+def _class_symbols(m: int, g: int) -> tuple[str, ...]:
+    # coordinate symbols in name order: H_1..H_m, beta_hat, gamma_1..gamma_g
+    return (*(f"H_{a}" for a in range(1, m + 1)), "β̂", *(f"γ_{k}" for k in range(1, g + 1)))
+
+
 def class_name(c: RelClass) -> str:
     """Readable name like 'H_1 - 2β̂ + γ_1'."""
-    parts: list[tuple[int, str]] = []
-    for a, ha in enumerate(c.h, start=1):
-        if ha:
-            parts.append((ha, f"H_{a}"))
-    if c.b:
-        parts.append((c.b, "β̂"))
-    for k, gk in enumerate(c.g, start=1):
-        if gk:
-            parts.append((gk, f"γ_{k}"))
-    if not parts:
+    # one pass of " + body" / " - body" pieces; the first piece's sign
+    # then becomes a bare leading minus or is dropped
+    text = ""
+    for q, sym in zip((*c.h, c.b, *c.g), _class_symbols(len(c.h), len(c.g))):
+        if q > 0:
+            text += f" + {sym}" if q == 1 else f" + {q}{sym}"
+        elif q:
+            text += f" - {sym}" if q == -1 else f" - {-q}{sym}"
+    if not text:
         return "0"
-    pieces = []
-    for coeff, sym in parts:
-        mag = abs(coeff)
-        body = sym if mag == 1 else f"{mag}{sym}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # exact integer linear algebra, small n

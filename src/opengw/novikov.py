@@ -10,12 +10,15 @@ NovikovLaurent is a Laurent polynomial in n torus variables with
 NovikovScalar coefficients; it carries the toric superpotentials, Gauss
 valuations over a polytope, and base-point shifts.  evaluate() sends the
 symbolic class series of the wallcross module to actual scalars once
-energies and a torus point are chosen.
+energies and a torus point are chosen.  It works on integer T-exponents
+over one common denominator per call and builds the Fraction exponents
+only on output; its products follow the same rule as NovikovScalar's.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -78,15 +81,11 @@ class NovikovScalar:
         """Smallest exponent, infinity for the zero scalar."""
         return self.terms[0][0] if self.terms else INF
 
-    def _val_floor(self):
-        # smallest exponent any completion of this scalar could have
-        return _min_cut(None if self.val is INF else self.val, self.cutoff)
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, e) -> Fraction:
-        e = Fraction(e)
+        e = require_rational(e, "exponent")
         for ee, c in self.terms:
             if ee == e:
                 return c
@@ -104,17 +103,7 @@ class NovikovScalar:
         return self + (-other)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
-        cut = None
-        if self.cutoff is not None:
-            floor = other._val_floor()
-            cut = _min_cut(cut, None if floor is None else self.cutoff + floor)
-        if other.cutoff is not None:
-            floor = self._val_floor()
-            cut = _min_cut(cut, None if floor is None else other.cutoff + floor)
-        prods = [
-            (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
-        ]
-        return _merged(prods, cut)
+        return NovikovScalar(*_product(self.terms, self.cutoff, other.terms, other.cutoff))
 
     def __pow__(self, k: int) -> "NovikovScalar":
         return scalar_pow(self, k)
@@ -160,6 +149,31 @@ def _merged(pairs: Iterable[tuple], cutoff) -> NovikovScalar:
         if c != 0 and (cutoff is None or e < cutoff)
     )
     return NovikovScalar(kept, cutoff)
+
+
+def _product(xt, xc, yt, yc) -> tuple:
+    """The (terms, cutoff) of x * y from those of x and y, for Fraction
+    exponents (NovikovScalar.__mul__) and for the int exponents of
+    evaluate alike.  Each cutoff is shifted by the other factor's floor,
+    the smallest exponent any completion of it could have, and the product
+    keeps the smaller shifted cutoff; zero terms and terms at or above
+    the cutoff are dropped."""
+    cut = None
+    if xc is not None:
+        floor = _min_cut(yt[0][0] if yt else None, yc)
+        cut = None if floor is None else xc + floor
+    if yc is not None:
+        floor = _min_cut(xt[0][0] if xt else None, xc)
+        cut = _min_cut(cut, None if floor is None else yc + floor)
+    merged = {}
+    for e1, c1 in xt:
+        for e2, c2 in yt:
+            e = e1 + e2
+            merged[e] = merged[e] + c1 * c2 if e in merged else c1 * c2
+    kept = tuple(
+        (e, c) for e, c in sorted(merged.items()) if c and (cut is None or e < cut)
+    )
+    return kept, cut
 
 
 def t_monomial(e, c=1) -> NovikovScalar:
@@ -368,13 +382,16 @@ class EnergyAssignment:
         for k, gk in enumerate(cls.g):
             total += self.gamma[k] * gk
         if any(cls.h):
-            if self.h is None:
-                raise EnergyViolation(
-                    f"class {cls} needs sphere-class energies but none were assigned"
-                )
+            self._require_h(cls)
             for a, ha in enumerate(cls.h):
                 total += self.h[a] * ha
         return total
+
+    def _require_h(self, cls):
+        if self.h is None:
+            raise EnergyViolation(
+                f"class {cls} needs sphere-class energies but none were assigned"
+            )
 
 
 def assign_energies(spec: FanSpec, values=None) -> EnergyAssignment:
@@ -425,22 +442,53 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     if len(point) != spec.n:
         raise DimensionMismatch(f"point must have {spec.n} coordinates")
     trop(point)
-    # one exponent-keyed sum, merged and sorted once at the end, and each
-    # distinct power x_i^w computed once.  The cutoff is the min over the
-    # terms' cutoffs, so dropping at or above it once keeps exactly what
-    # dropping after every addition would
+    # first pass, term by term: the checks and each distinct power x_i^w,
+    # computed once, so errors come in the per-term order
     powers: dict[tuple[int, int], NovikovScalar] = {}
-    sums: dict[Fraction, Fraction] = {}
-    cut = None
+    rows = []
     for cls, coeff in s.items():
-        term = NovikovScalar(((ea.energy_of(cls), coeff),))
-        for i, wi in enumerate(class_boundary(spec, cls)):
+        if any(cls.h):
+            ea._require_h(cls)
+        w = class_boundary(spec, cls)
+        for i, wi in enumerate(w):
+            if wi and (i, wi) not in powers:
+                powers[(i, wi)] = scalar_pow(point[i], wi)
+        rows.append(((cls.b, *cls.g, *cls.h), coeff, w))
+    # every T-exponent below is an int numerator over one denominator d
+    areas = (ea.beta_hat, *ea.gamma, *(ea.h or ()))
+    dens = {q.denominator for q in areas}
+    for x in powers.values():
+        dens.update(e.denominator for e, _ in x.terms)
+        if x.cutoff is not None:
+            dens.add(x.cutoff.denominator)
+    d = math.lcm(*dens)
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (d // q.denominator)
+
+    # without H energies every class here has h = 0, so the dot product
+    # may stop after the gamma coordinates
+    energies = [scaled(q) for q in areas]
+    int_powers = {
+        key: (tuple((scaled(e), c) for e, c in x.terms),
+              None if x.cutoff is None else scaled(x.cutoff))
+        for key, x in powers.items()
+    }
+    # one exponent-keyed sum, sorted once at the end.  The cutoff is the
+    # min over the terms' cutoffs, so dropping at or above it once keeps
+    # exactly what dropping after every addition would
+    sums: dict[int, Fraction] = {}
+    cut = None
+    for coords, coeff, w in rows:
+        terms, term_cut = ((sum(map(operator.mul, coords, energies)), coeff),), None
+        for i, wi in enumerate(w):
             if wi:
-                xw = powers.get((i, wi))
-                if xw is None:
-                    xw = powers[(i, wi)] = scalar_pow(point[i], wi)
-                term = term * xw
-        for e, c in term.terms:
-            sums[e] = sums.get(e, 0) + c
-        cut = _min_cut(cut, term.cutoff)
-    return _merged(sums.items(), cut)
+                terms, term_cut = _product(terms, term_cut, *int_powers[(i, wi)])
+        for e, c in terms:
+            sums[e] = sums[e] + c if e in sums else c
+        cut = _min_cut(cut, term_cut)
+    return NovikovScalar(
+        tuple((Fraction(e, d), c) for e, c in sorted(sums.items())
+              if c and (cut is None or e < cut)),
+        None if cut is None else Fraction(cut, d),
+    )

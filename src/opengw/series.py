@@ -105,7 +105,7 @@ class ClassSeries:
         self._check_context(other)
         out = dict(self._terms)
         for cls, coeff in other._terms.items():
-            out[cls] = out.get(cls, Fraction(0)) + coeff
+            out[cls] = out[cls] + coeff if cls in out else coeff
         return _raw(self.n, self.m, {c: q for c, q in out.items() if q})
 
     def __neg__(self) -> "ClassSeries":

@@ -219,7 +219,7 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
         elif e < 0:
             part = divide_by_power(part, f, -e, gd.trunc)
         for cls, coeff in part.items():
-            out[cls] = out.get(cls, 0) + coeff
+            out[cls] = out[cls] + coeff if cls in out else coeff
     if min(groups, default=0) < 0:
         out = {c: q for c, q in out.items() if c.gamma_degree <= gd.trunc}
     return _raw(spec.n, spec.m, {c: q for c, q in out.items() if q})

@@ -1,5 +1,6 @@
 """Fan validation, disk classes, boundaries, Maslov indices."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,40 @@ class TestClasses:
         assert fan.class_name(fan.RelClass(-1, (-3, 0), (0, 2))) == (
             "2H_2 - β̂ - 3γ_1"
         )
+
+
+def two_pass_class_name(c):
+    """The former class_name: a list of (coefficient, symbol) pairs, then a
+    second pass of f-strings."""
+    parts = []
+    for a, ha in enumerate(c.h, start=1):
+        if ha:
+            parts.append((ha, f"H_{a}"))
+    if c.b:
+        parts.append((c.b, "β̂"))
+    for k, gk in enumerate(c.g, start=1):
+        if gk:
+            parts.append((gk, f"γ_{k}"))
+    if not parts:
+        return "0"
+    pieces = []
+    for coeff, sym in parts:
+        mag = abs(coeff)
+        body = sym if mag == 1 else f"{mag}{sym}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_class_name_matches_two_pass_names(n, m):
+    # every class with coordinates in [-3, 3]: 7^(n + m) names, byte for byte
+    for coords in itertools.product(range(-3, 4), repeat=n + m):
+        c = fan.RelClass(coords[0], coords[1:n], coords[n:])
+        assert fan.class_name(c) == two_pass_class_name(c), coords
 
 
 def rel_classes(n, m):

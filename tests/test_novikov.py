@@ -1,5 +1,6 @@
 """Novikov scalars, Gauss valuations, toric potentials, numeric evaluation."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opengw import errors, fan, novikov, series, wallcross
+from opengw import cli, errors, fan, novikov, series, wallcross
 from opengw.fan import RelClass
 from opengw.novikov import NovikovScalar, constant, t_monomial
 
@@ -97,6 +98,32 @@ def test_scalar_ring_laws(x, y, z):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+
+
+cut_scalars = st.builds(
+    lambda pairs, cut: NovikovScalar.from_terms(pairs, cut),
+    scalars.map(lambda x: x.terms),
+    st.none() | st.fractions(min_value=-2, max_value=4, max_denominator=4),
+)
+
+
+@given(cut_scalars, cut_scalars)
+def test_product_follows_the_cutoff_rule(x, y):
+    # the rule, stated here on its own: each cutoff shifts by the other
+    # factor's floor min(val, cutoff); the product keeps the smaller one
+    def floor(z):
+        low = [e for e, _ in z.terms[:1]] + ([z.cutoff] if z.cutoff is not None else [])
+        return min(low, default=None)
+
+    cuts = [c + floor(z) for c, z in ((x.cutoff, y), (y.cutoff, x))
+            if c is not None and floor(z) is not None]
+    cut = min(cuts, default=None)
+    sums = {}
+    for e1, c1 in x.terms:
+        for e2, c2 in y.terms:
+            sums[e1 + e2] = sums.get(e1 + e2, 0) + c1 * c2
+    want = tuple(sorted((e, c) for e, c in sums.items() if c and (cut is None or e < cut)))
+    assert ((x * y).terms, (x * y).cutoff) == (want, cut)
 
 
 class TestTrop:
@@ -386,6 +413,14 @@ class TestStrictExponents:
         with pytest.raises(errors.BadParams):
             novikov.scalar_pow(t_monomial(1), k)
 
+    @pytest.mark.parametrize("e", [0.1, True, None])
+    def test_coeff_exponent_never_rounded(self, e):
+        # coeff(0.1) used to return 0 and coeff(True) to look up exponent 1
+        x = t_monomial("1/10", 3) + t_monomial(1, 5)
+        with pytest.raises(errors.BadParams):
+            x.coeff(e)
+        assert (x.coeff("1/10"), x.coeff(F(1, 10)), x.coeff(1)) == (3, 3, 5)
+
     def test_exact_strings_accepted(self):
         assert t_monomial("1/2", "0.1") == NovikovScalar(((F(1, 2), F(1, 10)),))
         assert NovikovScalar.from_terms([(1, 1)], cutoff="1/2") == NovikovScalar((), F(1, 2))
@@ -413,12 +448,22 @@ def _outcome(fn, *args):
     try:
         x = fn(*args)
     except ValueError as exc:  # exact multi-term coordinate to a negative power
-        return ("raised", str(exc))
+        return ("raised", ValueError, str(exc))
+    except errors.EnergyViolation as exc:  # a sphere class without H energies
+        return ("raised", errors.EnergyViolation, str(exc))
     return (x.terms, x.cutoff)
 
 
+def fractions_over(denominators, lo, hi):
+    """Fractions k/d in [lo, hi] with d drawn from the given denominators,
+    so that values drawn together rarely share one."""
+    return st.sampled_from(denominators).flatmap(
+        lambda d: st.integers(min_value=lo * d, max_value=hi * d).map(lambda k: F(k, d))
+    )
+
+
 nonzero_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
-exponents = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+exponents = fractions_over([1, 2, 3, 5, 7, 11], -3, 3)
 monomial_coords = st.builds(t_monomial, exponents, nonzero_fracs)
 
 
@@ -427,8 +472,7 @@ def multi_term_coords(draw, with_cutoff):
     e0 = draw(exponents)
     rest = draw(
         st.lists(
-            st.tuples(st.fractions(min_value=0, max_value=2, max_denominator=3).filter(bool),
-                      nonzero_fracs),
+            st.tuples(fractions_over([1, 2, 3, 5], 0, 2).filter(bool), nonzero_fracs),
             min_size=1, max_size=3,
         )
     )
@@ -436,15 +480,20 @@ def multi_term_coords(draw, with_cutoff):
     return NovikovScalar.from_terms([(e0, draw(nonzero_fracs))] + [(e0 + d, c) for d, c in rest], cut)
 
 
+STOCK_FANS = [
+    fan.builtin_fan("cpn", n=1), fan.builtin_fan("cpn", n=2), fan.builtin_fan("cpn", n=3),
+    fan.builtin_fan("hirzebruch_f1"),
+] + [fan.builtin_fan("cp_product", n=n, r=r) for n in (2, 3, 4) for r in range(1, n)]
+
+
 @st.composite
-def fans_with_energies(draw):
-    spec = draw(st.sampled_from([
-        fan.builtin_fan("cpn", n=1), fan.builtin_fan("cpn", n=2), fan.builtin_fan("cpn", n=3),
-        fan.builtin_fan("hirzebruch_f1"),
-    ]))
-    pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+def fans_with_energies(draw, allow_no_h=False):
+    spec = draw(st.sampled_from(STOCK_FANS))
+    pos = fractions_over([1, 2, 3, 4, 5, 7, 13], 0, 3).filter(bool)
     beta = draw(pos)
     gamma = [draw(pos) for _ in range(spec.n - 1)]
+    if allow_no_h and draw(st.booleans()):
+        return novikov.assign_energies(spec, {"beta_hat": beta, "gamma": gamma})
     h = []
     for a in range(1, spec.m + 1):
         v, p = fan.ray_decomposition(spec, a)
@@ -466,9 +515,11 @@ def class_series_for(spec, max_terms=6):
 
 
 @given(st.data())
-@settings(max_examples=150)
+@settings(max_examples=200)
 def test_evaluate_matches_per_term_sum(data):
-    ea = data.draw(fans_with_energies(), label="ea")
+    # CP^1..CP^3, F_1 and CP^r x CP^(n-r) for n <= 4, with or without H
+    # energies, energies and exponents over coprime denominators
+    ea = data.draw(fans_with_energies(allow_no_h=True), label="ea")
     s = data.draw(class_series_for(ea.fan), label="s")
     coords = st.one_of(monomial_coords, multi_term_coords(True), multi_term_coords(False))
     point = data.draw(st.lists(coords, min_size=ea.fan.n, max_size=ea.fan.n), label="point")
@@ -497,3 +548,63 @@ def test_evaluate_cancels_to_zero(data):
 def test_evaluate_empty_series_is_zero():
     ea = novikov.assign_energies(fan.builtin_fan("cpn", n=2), {"beta_hat": 1, "gamma": [1]})
     assert novikov.evaluate(series.zero(2, 1), ea, [novikov.ONE, novikov.ONE]) == novikov.ZERO
+
+
+def _stock_energies(spec):
+    """Energies over the coprime denominators 2, 3, 5, ..., 17 with every
+    E(beta'_a) = 1/17, for n <= 6."""
+    beta = F(1, 2)
+    gamma = [F(1, p) for p in (3, 5, 7, 11, 13)[: spec.n - 1]]
+    h = []
+    for a in range(1, spec.m + 1):
+        v, p = fan.ray_decomposition(spec, a)
+        h.append(p * beta + sum(x * y for x, y in zip(v, gamma)) + F(1, 17))
+    return {"beta_hat": str(beta), "gamma": [str(g) for g in gamma], "H": [str(x) for x in h]}
+
+
+@pytest.mark.parametrize("spec", STOCK_FANS, ids=lambda s: f"n{s.n}-{s.extra_rays}")
+@pytest.mark.parametrize("chamber, point", [
+    ("minus", ["-2*T^1/2", "T^-1/3", "3/2*T^2/5", "T^1/7"]),
+    ("plus", ["T^1/11", "-T^3/2", "T", "2*T^-1/5"]),
+])
+def test_cli_eval_json_matches_reference(tmp_path, capsys, spec, chamber, point):
+    energies = _stock_energies(spec)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "n": spec.n, "extra_rays": [list(v) for v in spec.extra_rays],
+        "max_cones": [list(c) for c in spec.max_cones], "energies": energies,
+    }))
+    lits = point[: spec.n]
+    code = cli.main(["eval", str(path), "--point", ",".join(lits), "--chamber", chamber,
+                     "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    make = {"minus": wallcross.chekanov_superpotential, "plus": wallcross.clifford_superpotential}
+    w = make[chamber](spec, wallcross.Ambient.COMPACT)
+    want = reference_evaluate(
+        w.series, novikov.assign_energies(spec, energies), [cli.parse_scalar_literal(t) for t in lits]
+    )
+    assert out == cli.render_scalar(want, "json")
+
+
+def test_evaluate_work_count(monkeypatch):
+    # one compact CP^6 Chekanov evaluation at a single-term point: every
+    # term shares the cached powers x_i^w, so NovikovScalar products are
+    # made only inside scalar_pow (2236 when every term was multiplied out)
+    spec = fan.builtin_fan("cpn", n=6)
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    point = [t_monomial(F(k, 3), -k) for k in (1, 2, -1, 3, -2, 1)]
+    calls = 0
+    mul = NovikovScalar.__mul__
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(NovikovScalar, "__mul__", counted)
+    got = novikov.evaluate(w, ea, point)
+    assert calls <= 100, f"{calls} NovikovScalar products for {len(w)} terms"
+    monkeypatch.undo()
+    assert got == reference_evaluate(w, ea, point)
