@@ -313,14 +313,9 @@ def render_matrix(mat, fmt: str) -> str:
 
 def render_scalar(x: NovikovScalar, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(
-            {
-                "terms": [
-                    {"exponent": str(e), "coefficient": str(c)} for e, c in x.terms
-                ],
-                "cutoff": None if x.cutoff is None else str(x.cutoff),
-            }
-        )
+        terms = [{"exponent": str(e), "coefficient": str(c)} for e, c in x.terms]
+        cutoff = "null" if x.cutoff is None else encode_basestring(str(x.cutoff))
+        return f'{{\n  "terms": {_json_records(terms, 1)},\n  "cutoff": {cutoff}\n}}\n'
     if fmt == "csv":
         return _csv_text(["exponent", "coefficient"], [[str(e), str(c)] for e, c in x.terms])
     return str(x) + "\n"

@@ -35,6 +35,7 @@ from .errors import (
 from .fan import (
     EnergyValues,
     FanSpec,
+    _check_class_shape,
     _require_rationals,
     _require_seq,
     class_boundary,
@@ -377,7 +378,8 @@ class EnergyAssignment:
     h: tuple[Fraction, ...] | None
 
     def energy_of(self, cls) -> Fraction:
-        """Area of a class by linearity."""
+        """Area of a class of the fan's shape by linearity."""
+        _check_class_shape(self.fan, cls)
         total = self.beta_hat * cls.b
         for k, gk in enumerate(cls.g):
             total += self.gamma[k] * gk

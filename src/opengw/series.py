@@ -32,6 +32,14 @@ reduced by their gcd.  For f = 1 + u the callers supply
 and a negative power is 1 divided by f**|k|.  times_power convolves a
 series into the buckets of f**k in the same packed pass; an f without a
 graded unit tail is raised by square-and-multiply on packed ints instead.
+The wall-crossing identity's p exp(-log f), _times_exp_neg_log, chains
+two solves on one packer:
+
+    L = log f         R = u            weight (j - l, l)
+    E = exp(-L)       R = 1, A = -L    weight (j, l)
+
+with L's buckets negated in place, then convolves p into E only where
+the L-grades add up to at most trunc.
 Fractions and RelClasses are rebuilt only on output, bucket by bucket.
 """
 
@@ -282,6 +290,42 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
     trunc = require_int(trunc, "truncation bound")
     packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
     return _unpacked(f.n, f.m, packer, _graded_solve(u, u, trunc, lambda j, l: (j - l, l)))
+
+
+def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSeries:
+    """truncate_gamma(p * series_exp(-series_log(f, trunc), trunc), trunc)
+    in one packed pass, unpacked once.
+
+    L = log f and E = exp(-L) are the two graded solves of series_log and
+    series_exp on the same packed buckets; p is then convolved into E only
+    where the L-grades add up to at most trunc.  Every dropped pair has
+    gamma-degree >= L-grade > trunc, whatever the gamma signs of p.
+    """
+    trunc = require_int(trunc, "truncation bound")
+    p._check_context(f)
+    u = _unit_tail(f, "log")
+    grade = _orthant_grade(f.n, u, "log")
+    # a term of L or E of grade l <= trunc is a sum of terms of u whose
+    # grades, each >= 1, add up to l, so its coordinates are at most
+    # trunc * bound(u); a product term adds one term of p
+    packer = _Packer(p.n, p.m, _coord_bound(p._terms) + max(trunc, 0) * _coord_bound(u))
+    u_by_grade = _graded(u, grade, packer.pack, trunc)
+    log_f = _graded_solve(u_by_grade, u_by_grade, trunc, lambda j, l: (j - l, l))
+    for _, nums in log_f.values():
+        for key, v in nums.items():
+            nums[key] = -v
+    exp_f = _graded_solve({0: (1, {0: 1})}, log_f, trunc, lambda j, l: (j, l))
+    pairs = [
+        (a, e)
+        for lp, a in _graded(p._terms, grade, packer.pack, trunc).items()
+        for le, e in exp_f.items()
+        if lp + le <= trunc
+    ]
+    den = math.lcm(*(da * de for (da, _), (de, _) in pairs))
+    acc: dict[int, int] = {}
+    for (da, a), (de, e) in pairs:
+        _convolve(acc, a, e, den // (da * de))
+    return truncate_gamma(_unpacked(p.n, p.m, packer, {0: (den, acc)}), trunc)
 
 
 def _unit_tail(f: ClassSeries, what: str) -> dict[RelClass, Fraction]:

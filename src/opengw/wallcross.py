@@ -49,14 +49,13 @@ from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
     _raw,
+    _times_exp_neg_log,
     divide_by_power,
     monomial,
     multiply,
     one,
-    series_exp,
     series_log,
     times_power,
-    truncate_gamma,
 )
 
 
@@ -348,19 +347,23 @@ def wall_cross_rhs(
         n_beta_hat = exp(-log f) * (N_n + sum_{k<n} gamma_k-monomial * N_k)
 
     and the left side is 1; callers compare against the constant series.
+    log f, exp(-log f) and the product with the bracket are one packed
+    pass, series._times_exp_neg_log.
     """
     if n_factors is None:
         n_factors = [one(spec.n, spec.m)] * spec.n
     if len(n_factors) != spec.n:
         raise BadParams(f"need {spec.n} sphere-correction series")
-    expf = series_exp(-solve_exp_G(spec, trunc), trunc)
+    f = wall_crossing_factor(spec).factor
+    # a bad bound is reported before a bad correction shape
+    trunc = require_int(trunc, "truncation bound")
     # one product of the bracket with exp(-log f), equal by distributivity
     # to one product per slot
     bracket = n_factors[spec.n - 1]
     for k in range(1, spec.n):
         slot = monomial(spec.n, spec.m, gamma_class(spec, k))
         bracket = bracket + multiply(slot, n_factors[k - 1])
-    return truncate_gamma(multiply(bracket, expf), trunc)
+    return _times_exp_neg_log(bracket, f, trunc)
 
 
 def verify_wall_cross_identity(

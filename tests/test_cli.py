@@ -215,8 +215,9 @@ JSON_FANS = [
 
 
 class TestJsonRender:
-    """render_invariants and render_series write JSON without json.dumps;
-    the bytes must equal json.dumps(..., indent=2, ensure_ascii=False)."""
+    """render_invariants, render_series and render_scalar write JSON without
+    json.dumps; the bytes must equal json.dumps(..., indent=2,
+    ensure_ascii=False)."""
 
     @pytest.mark.parametrize("spec", JSON_FANS, ids=lambda s: f"n{s.n}m{s.m}r{s.extra_rays}")
     @pytest.mark.parametrize("ambient", [Ambient.COMPACT, Ambient.OPEN])
@@ -249,6 +250,24 @@ class TestJsonRender:
         spec = builtin_fan("cpn", n=n)
         for table in (wallcross.InvariantTable(rows), wallcross.InvariantTable(())):
             assert cli.render_invariants(table, spec, "json") == _table_reference(table)
+
+    @pytest.mark.parametrize("cutoff", [None, Fraction(7, 2), Fraction(-3)])
+    @pytest.mark.parametrize(
+        "terms",
+        [[], [(Fraction(0), Fraction(1))],
+         [(Fraction(-5, 3), Fraction(-1, 4)), (Fraction(-1), Fraction(12)),
+          (Fraction(1, 2), Fraction(-7)), (Fraction(3), Fraction(5, 6))]],
+        ids=["empty", "one", "mixed"],
+    )
+    def test_scalars(self, terms, cutoff):
+        # empty terms, cutoff None and set, negative and fractional
+        # exponents and coefficients
+        x = novikov.NovikovScalar.from_terms(terms, cutoff=cutoff)
+        want = {
+            "terms": [{"exponent": str(e), "coefficient": str(c)} for e, c in x.terms],
+            "cutoff": None if x.cutoff is None else str(x.cutoff),
+        }
+        assert cli.render_scalar(x, "json") == _json_reference(want)
 
 
 class TestGlue:

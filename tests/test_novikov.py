@@ -263,6 +263,19 @@ class TestEnergies:
         with pytest.raises(errors.EnergyViolation):
             ea.energy_of(fan.sphere_class(spec, 1))
 
+    @pytest.mark.parametrize(
+        "cls",
+        [RelClass(0, (), (1,)), RelClass(0, (1, 2), (0,)), RelClass(0, (1,), (1, 1))],
+        ids=["short-g", "long-g", "long-h"],
+    )
+    def test_energy_of_checks_class_shape(self, cls):
+        # a missing gamma coordinate used to read as 0 (energy 4) and a
+        # long class to die on a raw IndexError
+        spec = fan.builtin_fan("cpn", n=2)
+        ea = novikov.assign_energies(spec, {"beta_hat": 1, "gamma": [1], "H": [4]})
+        with pytest.raises(errors.DimensionMismatch, match="does not match fan"):
+            ea.energy_of(cls)
+
     def test_unknown_keys(self):
         spec = fan.builtin_fan("cpn", n=2)
         with pytest.raises(errors.BadParams):

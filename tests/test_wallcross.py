@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -560,3 +561,123 @@ class TestIdentity:
         rhs = wall_cross_rhs(spec, trunc=10)
         assert rhs.coeff(RelClass(0, (0, 0, 0), ())) == 1
         assert rhs == series.one(4, 0)
+
+
+def reference_rhs(spec, trunc, n_factors=None):
+    # wall_cross_rhs as the composition of the public kernels, one
+    # unpacked series per step
+    if n_factors is None:
+        n_factors = [series.one(spec.n, spec.m)] * spec.n
+    if len(n_factors) != spec.n:
+        raise errors.BadParams(f"need {spec.n} sphere-correction series")
+    f = wall_crossing_factor(spec).factor
+    expf = series.series_exp(-series.series_log(f, trunc), trunc)
+    bracket = n_factors[spec.n - 1]
+    for k in range(1, spec.n):
+        slot = monomial(spec.n, spec.m, gamma_class(spec, k))
+        bracket = bracket + series.multiply(slot, n_factors[k - 1])
+    return truncate_gamma(series.multiply(bracket, expf), trunc)
+
+
+def random_factors(rng, spec):
+    # sphere corrections with b and h coordinates, both gamma signs (so
+    # negative L-grades) and rational coefficients
+    def term():
+        return RelClass(
+            rng.randint(-2, 2),
+            tuple(rng.randint(-2, 2) for _ in range(spec.n - 1)),
+            tuple(rng.randint(-1, 1) for _ in range(spec.m)),
+        )
+
+    return [
+        ClassSeries(spec.n, spec.m, {
+            term(): F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))
+        })
+        for _ in range(spec.n)
+    ]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except errors.DomainError as exc:
+        return type(exc), str(exc)
+
+
+ORACLE_TRUNCS = [-1, 0, 1, 4, 8]
+
+
+class TestOnePassIdentity:
+    """wall_cross_rhs against reference_rhs, term for term and error for
+    error."""
+
+    @pytest.mark.parametrize("trunc", ORACLE_TRUNCS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_default_corrections(self, n, trunc):
+        for spec in (FanSpec(n, ()), builtin_fan("cpn", n=n)):
+            want = reference_rhs(spec, trunc)
+            assert wall_cross_rhs(spec, trunc) == want
+            assert verify_wall_cross_identity(spec, trunc) == (want == series.one(spec.n, spec.m))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("trunc", ORACLE_TRUNCS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_random_corrections(self, n, trunc, seed):
+        spec = builtin_fan("cpn", n=n)
+        factors = random_factors(random.Random(1000 * n + seed), spec)
+        want = reference_rhs(spec, trunc, factors)
+        assert wall_cross_rhs(spec, trunc, factors) == want
+        assert verify_wall_cross_identity(spec, trunc, factors) == (
+            want == series.one(spec.n, spec.m)
+        )
+
+    @pytest.mark.parametrize("trunc", ORACLE_TRUNCS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_wrong_correction(self, n, trunc):
+        spec = FanSpec(n, ())
+        factors = [series.one(n, 0)] * n
+        factors[n - 1] = series.one(n, 0).scaled(F(3, 2))
+        want = reference_rhs(spec, trunc, factors)
+        assert wall_cross_rhs(spec, trunc, factors) == want
+        assert not verify_wall_cross_identity(spec, trunc, factors)
+
+    @pytest.mark.parametrize(
+        "trunc, factors",
+        [(4, lambda n: [series.one(n, 1)] * (n + 1)),
+         (4, lambda n: [series.one(n, 1)] * (n - 1)),
+         (4, lambda n: [series.one(n, 0)] * n),
+         (4, lambda n: [series.one(n, 1)] * (n - 1) + [series.one(n + 1, 1)]),
+         (4.0, None),
+         ("4", None),
+         (True, None),
+         (2.5, lambda n: [series.one(n, 0)] * n)],
+        ids=["long", "short", "shape", "last-shape", "float", "str", "bool", "float-and-shape"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_errors_match(self, n, trunc, factors):
+        spec = builtin_fan("cpn", n=n)
+        args = (spec, trunc, None if factors is None else factors(n))
+        want = _outcome(lambda: reference_rhs(*args))
+        assert isinstance(want, tuple) and want[0] in (errors.BadParams, errors.DimensionMismatch)
+        assert _outcome(lambda: wall_cross_rhs(*args)) == want
+        assert _outcome(lambda: verify_wall_cross_identity(*args)) == want
+
+
+def test_identity_work_count(monkeypatch):
+    # one C^6 identity at trunc 12: log f, exp(-log f) and the product with
+    # the bracket stay packed, so classes are unpacked only for the five
+    # slot products of the bracket and the one-term result (14,761 when
+    # every step unpacked its output)
+    calls = 0
+    unpack = series._Packer.unpack
+
+    def counted(self, key):
+        nonlocal calls
+        calls += 1
+        return unpack(self, key)
+
+    monkeypatch.setattr(series._Packer, "unpack", counted)
+    got = wall_cross_rhs(FanSpec(6, ()), 12)
+    assert calls <= 10, f"{calls} classes unpacked"
+    monkeypatch.undo()
+    assert got == series.one(6, 0)
