@@ -29,6 +29,7 @@ from .fan import (
     _require_rationals,
     _require_seq,
     beta_class,
+    require_int,
     require_ints,
     require_rational,
 )
@@ -78,6 +79,9 @@ def classify_point(n: int, point: ChamberPoint) -> Chamber:
     On the critical level q2 = 0 the wall index is the unique minimizer of
     (lambda_1, ..., lambda_{n-1}, 0); a tie means the discriminant.
     """
+    n = require_int(n, "n")
+    if n < 1:
+        raise BadParams(f"n must be >= 1, got {n}")
     if len(point.lam) != n - 1:
         raise DimensionMismatch(f"expected {n - 1} lambda components, got {len(point.lam)}")
     if point.q2 <= -1:

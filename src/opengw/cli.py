@@ -140,6 +140,8 @@ def parse_scalar_literal(text: str) -> NovikovScalar:
                 coeff_txt, _, exp_txt = part.partition("T")
                 if coeff_txt.endswith("*"):
                     coeff_txt = coeff_txt[:-1]
+                    if not coeff_txt:
+                        raise ValueError("no coefficient before *")
                 coeff = Fraction(coeff_txt) if coeff_txt else Fraction(1)
                 if exp_txt == "":
                     e = Fraction(1)
@@ -493,16 +495,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _option_flags(parser: argparse.ArgumentParser) -> set[str]:
-    """Option strings of every action, subcommands included, that takes a value."""
-    flags = set()
+def _value_actions(parser: argparse.ArgumentParser):
+    """Every action, subcommands included, that takes a value."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                flags |= _option_flags(sub)
+                yield from _value_actions(sub)
         elif action.nargs != 0:
-            flags.update(action.option_strings)
-    return flags
+            yield action
+
+
+def _option_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Option strings of every action, subcommands included, that takes a value."""
+    return {flag for action in _value_actions(parser) for flag in action.option_strings}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -534,6 +539,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_merge_negative_values(list(argv)))
+        # argparse before Python 3.12 parses "--flag=--" to [] where
+        # "--flag --" is an error; no flag here takes a list
+        for action in _value_actions(parser):
+            if isinstance(getattr(args, action.dest, None), list):
+                name = "/".join(action.option_strings) or action.dest
+                parser.error(f"argument {name}: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,6 +13,9 @@ symbolic class series of the wallcross module to actual scalars once
 energies and a torus point are chosen.  It works on integer T-exponents
 over one common denominator per call and builds the Fraction exponents
 only on output; its products follow the same rule as NovikovScalar's.
+A coordinate power that is one exact term c*T^e shifts a term's int
+exponent by e and scales its int numerator and denominator by c's, one
+Fraction per term; every other power goes through that product rule.
 """
 
 from __future__ import annotations
@@ -471,24 +474,50 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     # without H energies every class here has h = 0, so the dot product
     # may stop after the gamma coordinates
     energies = [scaled(q) for q in areas]
-    int_powers = {
-        key: (tuple((scaled(e), c) for e, c in x.terms),
-              None if x.cutoff is None else scaled(x.cutoff))
-        for key, x in powers.items()
-    }
+    # a power that is one exact term c*T^e is the product rule's own case
+    # of an exact monomial factor: it shifts the other factor's terms and
+    # cutoff by its floor e, scales its coefficients by c and drops
+    # nothing.  So it goes into the term's int exponent, numerator and
+    # denominator; every other power is folded through _product from 1,
+    # and the fold is shifted and scaled by the term afterwards
+    monomials: dict[tuple[int, int], tuple[int, int, int]] = {}
+    folded: dict[tuple[int, int], tuple] = {}
+    for key, x in powers.items():
+        if x.cutoff is None and len(x.terms) == 1:
+            ((e, c),) = x.terms
+            monomials[key] = (scaled(e), c.numerator, c.denominator)
+        else:
+            folded[key] = (tuple((scaled(e), c) for e, c in x.terms),
+                           None if x.cutoff is None else scaled(x.cutoff))
     # one exponent-keyed sum, sorted once at the end.  The cutoff is the
     # min over the terms' cutoffs, so dropping at or above it once keeps
     # exactly what dropping after every addition would
     sums: dict[int, Fraction] = {}
     cut = None
+    unit = ((0, 1),)
     for coords, coeff, w in rows:
-        terms, term_cut = ((sum(map(operator.mul, coords, energies)), coeff),), None
-        for i, wi in enumerate(w):
-            if wi:
-                terms, term_cut = _product(terms, term_cut, *int_powers[(i, wi)])
-        for e, c in terms:
+        e = sum(map(operator.mul, coords, energies))
+        num, den = coeff.numerator, coeff.denominator
+        terms, term_cut = unit, None
+        for key in enumerate(w):
+            if key[1]:
+                if key in monomials:
+                    pe, pn, pd = monomials[key]
+                    e += pe
+                    num *= pn
+                    den *= pd
+                else:
+                    terms, term_cut = _product(terms, term_cut, *folded[key])
+        c = Fraction(num, den)
+        if terms is unit:
             sums[e] = sums[e] + c if e in sums else c
-        cut = _min_cut(cut, term_cut)
+            continue
+        for te, tc in terms:
+            te += e
+            tc *= c
+            sums[te] = sums[te] + tc if te in sums else tc
+        if term_cut is not None:
+            cut = _min_cut(cut, term_cut + e)
     return NovikovScalar(
         tuple((Fraction(e, d), c) for e, c in sorted(sums.items())
               if c and (cut is None or e < cut)),

@@ -46,6 +46,12 @@ class TestClassify:
         with pytest.raises(errors.OutsideBase):
             chambers.classify_point(2, pt([1], -1))
 
+    @pytest.mark.parametrize("n", [True, 1.0, 0, -1])
+    def test_n_must_be_a_positive_int(self, n):
+        # True and 1.0 used to classify as n = 1, and 0 to expect -1 lambdas
+        with pytest.raises(errors.BadParams):
+            chambers.classify_point(n, pt([], 0))
+
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             chambers.classify_point(3, pt([1], 0))

@@ -112,6 +112,20 @@ class TestParsing:
         with pytest.raises(cli.ParseError):
             lit("")
 
+    @pytest.mark.parametrize("text", ["*T", "-*T", "1+*T^2", "*T^2", "1 - * T"])
+    def test_star_needs_a_coefficient(self, text):
+        # these used to parse as if the * were not there
+        with pytest.raises(cli.ParseError, match="no coefficient before"):
+            cli.parse_scalar_literal(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("T", novikov.t_monomial(1)), ("-T", novikov.t_monomial(1, -1)),
+        ("2*T^3/2", novikov.t_monomial(Fraction(3, 2), 2)), ("2T", novikov.t_monomial(1, 2)),
+        ("-2*T", novikov.t_monomial(1, -2)),
+    ])
+    def test_coefficient_forms_kept(self, text, want):
+        assert cli.parse_scalar_literal(text) == want
+
 
 class TestValidate:
     def test_cp2_all_ok(self, cp2_file, capsys):
@@ -352,6 +366,11 @@ class TestClassify:
         assert code == 2
         assert "ParseError" in err
 
+    def test_n_below_one(self, capsys):
+        code, out, err = run(capsys, "classify", "--n", "0", "--lambda=", "--q2", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("BadParams: n must be >= 1")
+
 
 class TestMonodromy:
     def test_shear_matrix(self, tmp_path, capsys):
@@ -410,6 +429,11 @@ class TestEval:
         w = clifford_superpotential(spec, Ambient.COMPACT)
         pt = [novikov.t_monomial(1), novikov.t_monomial(1)]
         assert out.strip() == str(novikov.evaluate(w.series, ea, pt))
+
+    def test_star_without_coefficient_rejected(self, cp2_file, capsys):
+        code, out, err = run(capsys, "eval", cp2_file, "--point", "*T,T")
+        assert (code, out) == (2, "")
+        assert "ParseError" in err
 
     def test_zero_point_rejected(self, cp2_file, capsys):
         code, _, err = run(capsys, "eval", cp2_file, "--point", "0,T")
@@ -491,6 +515,18 @@ def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--n=--", "--q2", "0"),
+    ("oracle", "cpn", "--k=--"),
+    ("eval", "{cp2}", "--point", "T,T", "--energies=--"),
+])
+def test_double_dash_value_is_usage_error(capsys, cp2_file, argv):
+    # argparse before Python 3.12 hands these commands [] as the value, a
+    # raw TypeError or AttributeError; later versions hand them "--"
+    code, out, _ = run(capsys, *(a.format(cp2=cp2_file) for a in argv))
+    assert (code, out) == (2, "")
+
+
 # fuzzing: near-valid fan and series documents with one part corrupted
 
 SMALL = st.integers(-2, 3)
@@ -570,3 +606,65 @@ def test_documents_fuzz_exit_cleanly(tmp_path_factory, docs, trunc, direction):
         code, out, err = run_quiet(*argv)
         assert code in (0, 1, 2)
         assert (code == 0) == (err == "") and (code == 0 or out == "")
+
+
+# fuzzing: junk, near-valid and valid flag values
+
+def flag_values(valid):
+    """A flag value drawn from valid, from junk, or valid with junk spliced in."""
+    junk = st.sampled_from(["", " ", "x", "-", "--", "1/0", "0.1", "1e3", "-1/2", "True",
+                            "[1]", ",", "1,,2", "*", "٣", "2 2"])
+    return st.one_of(valid, junk, st.tuples(valid, junk).map("".join))
+
+
+INT_TEXT = st.integers(-3, 8).map(str)
+RATIONAL_TEXT = st.one_of(INT_TEXT, st.sampled_from(["1/2", "-2/3", "0.25", "-1"]))
+RATIONAL_LIST = st.lists(RATIONAL_TEXT, max_size=4).map(",".join)
+ENERGIES = st.one_of(
+    corrupted({"beta_hat": "1", "gamma": ["1"], "H": ["4"]}).map(json.dumps),
+    st.fixed_dictionaries({"beta_hat": RATIONAL, "gamma": st.lists(RATIONAL, max_size=2),
+                           "H": st.lists(RATIONAL, max_size=2)}).map(json.dumps),
+    st.sampled_from(["{", "[]", "null", "1", '{"beta_hat": 1}']),
+)
+# one-term coordinates only: an exact multi-term coordinate to a negative
+# power still raises the ValueError pinned by the eval benchmark workload
+ONE_TERM_POINT = st.lists(
+    st.sampled_from(["T", "-T^1/2", "2*T^-1/3", "3/2", "T^0", "0", "x", "T^", "*T", ""]),
+    min_size=1, max_size=3,
+).map(",".join)
+
+
+@st.composite
+def flag_argvs(draw, cp2_path):
+    """classify, oracle or eval with each value flag present or not."""
+    def flags(**valid):
+        argv = []
+        for name, v in valid.items():
+            if draw(st.booleans()):
+                value = draw(flag_values(v))
+                argv += [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+        return argv
+
+    command = draw(st.sampled_from(["classify", "oracle", "eval"]))
+    if command == "classify":
+        return ["classify", *flags(n=INT_TEXT, **{"lambda": RATIONAL_LIST}, q2=RATIONAL_TEXT)]
+    if command == "oracle":
+        family = draw(st.sampled_from(["cpn", "cp-product", "f1"]))
+        beta_hat = ["--beta-hat"] if draw(st.booleans()) else []
+        return ["oracle", family, *flags(n=INT_TEXT, r=INT_TEXT, k=RATIONAL_LIST,
+                                         branch=st.sampled_from(["H1", "H2"])), *beta_hat]
+    return ["eval", cp2_path, f"--point={draw(ONE_TERM_POINT)}",
+            f"--chamber={draw(st.sampled_from(['plus', 'minus']))}",
+            *flags(energies=ENERGIES)]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_flags_fuzz_exit_cleanly(tmp_path_factory, data):
+    # every argv ends in exit 0, 1 or 2, with stderr empty exactly on exit 0
+    path = tmp_path_factory.getbasetemp() / "fuzz-cp2.json"
+    if not path.exists():
+        path.write_text(json.dumps(CP2))
+    code, out, err = run_quiet(*data.draw(flag_argvs(str(path)), label="argv"))
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err == "") and (code == 0 or out == "")

@@ -600,14 +600,20 @@ def test_cli_eval_json_matches_reference(tmp_path, capsys, spec, chamber, point)
     assert out == cli.render_scalar(want, "json")
 
 
+def _cp6_at_one_term_point():
+    """The compact CP^6 Chekanov series, its stock energies and a point
+    whose coordinates are single terms."""
+    spec = fan.builtin_fan("cpn", n=6)
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    return w, ea, [t_monomial(F(k, 3), -k) for k in (1, 2, -1, 3, -2, 1)]
+
+
 def test_evaluate_work_count(monkeypatch):
     # one compact CP^6 Chekanov evaluation at a single-term point: every
     # term shares the cached powers x_i^w, so NovikovScalar products are
     # made only inside scalar_pow (2236 when every term was multiplied out)
-    spec = fan.builtin_fan("cpn", n=6)
-    ea = novikov.assign_energies(spec, _stock_energies(spec))
-    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
-    point = [t_monomial(F(k, 3), -k) for k in (1, 2, -1, 3, -2, 1)]
+    w, ea, point = _cp6_at_one_term_point()
     calls = 0
     mul = NovikovScalar.__mul__
 
@@ -621,3 +627,46 @@ def test_evaluate_work_count(monkeypatch):
     assert calls <= 100, f"{calls} NovikovScalar products for {len(w)} terms"
     monkeypatch.undo()
     assert got == reference_evaluate(w, ea, point)
+
+
+def test_evaluate_product_count(monkeypatch):
+    # at a single-term point every cached power is one exact monomial, so
+    # evaluate shifts and scales each term by it with ints and leaves
+    # _product to scalar_pow (93; 2236 when every term was folded through it)
+    w, ea, point = _cp6_at_one_term_point()
+    calls = 0
+    product = novikov._product
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return product(*args)
+
+    monkeypatch.setattr(novikov, "_product", counted)
+    got = novikov.evaluate(w, ea, point)
+    assert calls <= 100, f"{calls} _product calls for {len(w)} terms"
+    monkeypatch.undo()
+    assert got == reference_evaluate(w, ea, point)
+
+
+@pytest.mark.parametrize("spec", [
+    fan.builtin_fan("cpn", n=3), fan.builtin_fan("cp_product", n=3, r=1),
+], ids=["cp3", "cp1xcp2"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_evaluate_mixes_monomial_and_folded_powers(spec, sign, slot):
+    # two one-term coordinates with non-integer coefficients, applied as a
+    # shift and a scale, and one multi-term coordinate with a cutoff, folded
+    # through _product; the terms' cutoffs are shifted by their exponents
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    e0 = sign * F(1, 2)
+    multi = NovikovScalar.from_terms(
+        [(e0, 1), (e0 + F(1, 7), -3), (e0 + F(2, 3), F(1, 2))], e0 + F(5, 4)
+    )
+    point = [t_monomial(sign * F(1, 3), F(-2, 5)), t_monomial(sign * F(2, 5), F(3, 2))]
+    point.insert(slot, multi)
+    got = novikov.evaluate(w, ea, point)
+    want = reference_evaluate(w, ea, point)
+    assert got.terms and got.cutoff is not None
+    assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
