@@ -5,6 +5,16 @@ monodromy, eval, oracle.  Input fans are JSON documents; all rationals in
 files and flags are exact, written as integers or "p/q" strings, never
 floats.  Output (table, csv, or json) is byte-deterministic for identical
 inputs.  Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+
+eval of the compact Chekanov superpotential (--chamber minus, --ambient
+compact, the defaults) goes through wallcross.evaluate_chekanov.  At a
+monomial point (n coordinates, each one exact term c*T^e, every p_a >= 0
+and sphere energies given) it evaluates beta_hat + sum_a beta'_a f^{p_a}
+in factored form.  Any other point, fan or chamber evaluates the expanded
+series with novikov.evaluate, which is also the factored path's oracle:
+the factored form needs x_k**-1 for each gamma_k even where no expanded
+term does, and a cutoff would spread differently through f^{p_a}.  Both
+give byte-identical output wherever the factored path applies.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .wallcross import (
     chekanov_superpotential,
     clifford_superpotential,
     closed_form_invariant,
+    evaluate_chekanov,
     invariant_table,
     wall_crossing_factor,
 )
@@ -392,8 +403,12 @@ def _cmd_eval(args) -> str:
         values = parse_energies(doc, SchemaError)
     ea = assign_energies(spec, values)
     point = [parse_scalar_literal(t) for t in args.point.split(",")]
-    w = _superpotential(spec, args.chamber, args.ambient)
-    return render_scalar(evaluate(w.series, ea, point), args.format)
+    if (CHAMBERS[args.chamber], AMBIENTS[args.ambient]) == (Chart.CHEKANOV, Ambient.COMPACT):
+        # factored at a monomial point, expanded otherwise
+        value = evaluate_chekanov(ea, point)
+    else:
+        value = evaluate(_superpotential(spec, args.chamber, args.ambient).series, ea, point)
+    return render_scalar(value, args.format)
 
 
 def _cmd_oracle(args) -> str:

@@ -295,6 +295,11 @@ def class_boundary(spec: FanSpec, c: RelClass) -> IntVec:
     Linear in c and zero on pure sphere classes.
     """
     _check_class_shape(spec, c)
+    return _boundary(c)
+
+
+def _boundary(c: RelClass) -> IntVec:
+    # class_boundary without the shape check, for callers that check once
     out = [-gk for gk in c.g]
     out.append(-c.b + sum(c.g))
     return tuple(out)

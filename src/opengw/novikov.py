@@ -13,9 +13,22 @@ symbolic class series of the wallcross module to actual scalars once
 energies and a torus point are chosen.  It works on integer T-exponents
 over one common denominator per call and builds the Fraction exponents
 only on output; its products follow the same rule as NovikovScalar's.
-A coordinate power that is one exact term c*T^e shifts a term's int
-exponent by e and scales its int numerator and denominator by c's, one
-Fraction per term; every other power goes through that product rule.
+It checks the series shape once per call and takes each term's boundary
+unchecked.  A power of a coordinate that is one exact term c*T^e shifts a
+term's int exponent by its exponent and scales its int numerator and
+denominator by its coefficient's, one Fraction per term; every other
+power goes through that product rule.
+
+That shift and scale is the monomial-point character (monomial_character):
+at a point whose n coordinates are each one exact term, a class evaluates
+to one exact term and evaluation is multiplicative on classes.
+wallcross.evaluate_chekanov uses it to evaluate the compact Chekanov
+superpotential in factored form without expanding it, at a monomial point
+of a fan with every p_a >= 0 and sphere energies; evaluate on the
+expanded series is that path's oracle.  Every other point stays on
+evaluate: the factored form needs x_k**-1 for each ev(gamma_k) even where
+no expanded term does, and a cutoff would spread through ev(f)**p_a
+differently from the per-term cutoffs.
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ from .errors import (
 from .fan import (
     EnergyValues,
     FanSpec,
+    _boundary,
     _check_class_shape,
     _require_rationals,
     _require_seq,
@@ -440,6 +454,57 @@ def assign_energies(spec: FanSpec, values=None) -> EnergyAssignment:
     return EnergyAssignment(spec, values.beta_hat, values.gamma, values.h)
 
 
+def _exact_term(x: NovikovScalar):
+    # (e, c) when x is one exact term c*T^e, else None
+    return x.terms[0] if x.cutoff is None and len(x.terms) == 1 else None
+
+
+def _monomial_power(term: tuple, w: int, scaled) -> tuple[int, int, int]:
+    """The monomial-point character on one coordinate: (c*T^e)**w for the
+    exact term (e, c), as the int T-exponent scaled(e) * w and the int
+    numerator and positive denominator of c**w.  No Fraction is built."""
+    e, c = term
+    num, den = c.numerator, c.denominator
+    if w < 0:
+        # (c*T^e)**w = ((1/c)*T^-e)**|w|
+        e, w = -e, -w
+        num, den = (den, num) if num > 0 else (-den, -num)
+    return scaled(e) * w, num ** w, den ** w
+
+
+def monomial_character(ea: EnergyAssignment, point: Sequence[NovikovScalar]):
+    """Evaluation at a monomial point as a character on classes.
+
+    At a point of n coordinates x_i = c_i*T^{e_i}, each one exact term,
+    the class c evaluates to the one exact term
+    T^{E(c) + sum_i d_i(c) e_i} * prod_i c_i^{d_i(c)}, and this is
+    multiplicative: ev(c + c') = ev(c) ev(c').  Returns (d, ev) with
+    ev(cls) = (T-exponent * d, numerator, denominator), the T-exponents
+    ints over one common denominator d; None when the point has the wrong
+    number of coordinates or a coordinate that is not one exact term.
+    ev checks the class shape and the sphere energies like evaluate.
+    """
+    spec = ea.fan
+    terms = [_exact_term(x) for x in point]
+    if len(terms) != spec.n or None in terms:
+        return None
+    areas = (ea.beta_hat, *ea.gamma, *(ea.h or ()))
+    d = math.lcm(*(q.denominator for q in areas), *(e.denominator for e, _ in terms))
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (d // q.denominator)
+
+    def ev(cls) -> tuple[int, int, int]:
+        e, num, den = scaled(ea.energy_of(cls)), 1, 1
+        for i, wi in enumerate(class_boundary(spec, cls)):
+            if wi:
+                pe, pn, pd = _monomial_power(terms[i], wi, scaled)
+                e, num, den = e + pe, num * pn, den * pd
+        return e, num, den
+
+    return d, ev
+
+
 def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> NovikovScalar:
     """Numeric value of a class series at a torus point: each monomial of
     class c contributes coeff * T^{E(c)} * prod point_i^{boundary_i(c)}."""
@@ -447,25 +512,37 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     if len(point) != spec.n:
         raise DimensionMismatch(f"point must have {spec.n} coordinates")
     trop(point)
-    # first pass, term by term: the checks and each distinct power x_i^w,
-    # computed once, so errors come in the per-term order
-    powers: dict[tuple[int, int], NovikovScalar] = {}
-    rows = []
-    for cls, coeff in s.items():
+    items = s.items()
+    if items and (s.n, s.m) != (spec.n, spec.m):
+        # every class of s has the series' shape, so the first term fails
+        # the shape check, after its own sphere-energy check
+        cls = items[0][0]
         if any(cls.h):
             ea._require_h(cls)
-        w = class_boundary(spec, cls)
+        _check_class_shape(spec, cls)
+    # first pass, term by term: the checks and each distinct power x_i^w of
+    # a coordinate that is not one exact term, computed once, so errors
+    # come in the per-term order
+    exact = [_exact_term(x) for x in point]
+    powers: dict[tuple[int, int], NovikovScalar | None] = {}
+    rows = []
+    for cls, coeff in items:
+        if any(cls.h):
+            ea._require_h(cls)
+        w = _boundary(cls)
         for i, wi in enumerate(w):
             if wi and (i, wi) not in powers:
-                powers[(i, wi)] = scalar_pow(point[i], wi)
+                powers[(i, wi)] = None if exact[i] else scalar_pow(point[i], wi)
         rows.append(((cls.b, *cls.g, *cls.h), coeff, w))
     # every T-exponent below is an int numerator over one denominator d
     areas = (ea.beta_hat, *ea.gamma, *(ea.h or ()))
     dens = {q.denominator for q in areas}
+    dens.update(t[0].denominator for t in exact if t)
     for x in powers.values():
-        dens.update(e.denominator for e, _ in x.terms)
-        if x.cutoff is not None:
-            dens.add(x.cutoff.denominator)
+        if x is not None:
+            dens.update(e.denominator for e, _ in x.terms)
+            if x.cutoff is not None:
+                dens.add(x.cutoff.denominator)
     d = math.lcm(*dens)
 
     def scaled(q: Fraction) -> int:
@@ -474,18 +551,18 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     # without H energies every class here has h = 0, so the dot product
     # may stop after the gamma coordinates
     energies = [scaled(q) for q in areas]
-    # a power that is one exact term c*T^e is the product rule's own case
-    # of an exact monomial factor: it shifts the other factor's terms and
-    # cutoff by its floor e, scales its coefficients by c and drops
-    # nothing.  So it goes into the term's int exponent, numerator and
-    # denominator; every other power is folded through _product from 1,
-    # and the fold is shifted and scaled by the term afterwards
+    # a power of a one-exact-term coordinate is the product rule's own
+    # case of an exact monomial factor: it shifts the other factor's terms
+    # and cutoff by its floor, scales its coefficients and drops nothing.
+    # So it goes into the term's int exponent, numerator and denominator
+    # through the monomial-point character; every other power is folded
+    # through _product from 1, and the fold is shifted and scaled by the
+    # term afterwards
     monomials: dict[tuple[int, int], tuple[int, int, int]] = {}
     folded: dict[tuple[int, int], tuple] = {}
     for key, x in powers.items():
-        if x.cutoff is None and len(x.terms) == 1:
-            ((e, c),) = x.terms
-            monomials[key] = (scaled(e), c.numerator, c.denominator)
+        if x is None:
+            monomials[key] = _monomial_power(exact[key[0]], key[1], scaled)
         else:
             folded[key] = (tuple((scaled(e), c) for e, c in x.terms),
                            None if x.cutoff is None else scaled(x.cutoff))

@@ -10,9 +10,13 @@ the power being minus the beta_hat-coefficient of the class (plus for the
 reverse direction).  The Chekanov superpotential has an exact closed form
 whenever every extra ray has nonnegative coordinate sum, and its
 coefficients are one-pointed open Gromov-Witten invariants; invariant_table
-reads them off.  closed_form_invariant supplies independent multinomial
-formulas for the stock families, and verify_wall_cross_identity checks the
-exp/log consistency identity that pins the basic disk count to 1.
+reads them off.  evaluate_chekanov evaluates it at a torus point; at a
+monomial point it does so in the factored form
+beta_hat + sum_a beta'_a f^{p_a}, never expanding f^{p_a}, with the
+expanded novikov.evaluate as its oracle.  closed_form_invariant supplies
+independent multinomial formulas for the stock families, and
+verify_wall_cross_identity checks the exp/log consistency identity that
+pins the basic disk count to 1.
 """
 
 from __future__ import annotations
@@ -45,9 +49,17 @@ from .fan import (
     require_int,
     require_ints,
 )
+from .novikov import (
+    EnergyAssignment,
+    NovikovScalar,
+    evaluate,
+    monomial_character,
+)
 from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
+    _convolve,
+    _graded_solve,
     _raw,
     _times_exp_neg_log,
     divide_by_power,
@@ -182,6 +194,64 @@ def chekanov_superpotential(spec: FanSpec, ambient: Ambient) -> Superpotential:
             term = monomial(spec.n, spec.m, beta_prime_class(spec, a))
             w = w + times_power(term, f, p)
     return Superpotential(spec, w, Chart.CHEKANOV, ambient)
+
+
+def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> NovikovScalar:
+    """The compact Chekanov superpotential of ea.fan evaluated at a point,
+    equal to evaluate(chekanov_superpotential(ea.fan, COMPACT).series, ea,
+    point), which is its oracle.
+
+    At a monomial point (n coordinates, each one exact term c*T^e),
+    evaluation is a character on classes (novikov.monomial_character), so
+    with every p_a >= 0 and sphere energies present
+
+        ev(W) = ev(beta_hat) + sum_a ev(beta'_a) * ev(f)**p_a,
+        ev(f) = 1 + sum_k ev(gamma_k),
+
+    exactly, and the expanded series is never built.  ev(f) is held as int
+    T-exponents (over one common denominator) with int numerators; they
+    add like packed class keys, so ev(f)**p_a is times_power's graded
+    solve, Miller's recurrence, with every ev(gamma_k) of grade 1, and
+    ev(beta'_a) is convolved into its grade buckets.  Fractions are built
+    on output, one exponent and one coefficient per term.
+
+    Any other input takes the expanded path, so it raises the same errors
+    in the same order: ev(gamma_k) needs x_k**-1 even where no expanded
+    term does, and a coordinate with several terms or a cutoff would carry
+    its cutoff through ev(f)**p_a differently from the expanded terms.
+    """
+    spec = ea.fan
+    ps = [ray_decomposition(spec, a)[1] for a in range(1, spec.m + 1)]
+    character = None
+    if spec.m and ea.h is not None and min(ps) >= 0:
+        character = monomial_character(ea, point)
+    if character is None:
+        return evaluate(chekanov_superpotential(spec, Ambient.COMPACT).series, ea, point)
+    d, ev = character
+    gammas = [ev(gamma_class(spec, k)) for k in range(1, spec.n)]
+    u_den = math.lcm(*(den for _, _, den in gammas))
+    u: dict[int, int] = {}
+    for e, num, den in gammas:
+        u[e] = u.get(e, 0) + num * (u_den // den)
+    # ev(f) = 1 + u with u of grade 1 in a formal grading, so ev(f)**p is
+    # Miller's recurrence of times_power on T-exponent keys, in grade
+    # buckets; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
+    powers: dict[int, list] = {}
+    parts = [(ev(beta_hat_class(spec)), (1, {0: 1}))]
+    for a, p in enumerate(ps, start=1):
+        if p not in powers:
+            fp = _graded_solve({0: (1, {0: 1})}, {1: (u_den, u)}, p,
+                               lambda j, l: ((p + 1) * j - l, l))
+            powers[p] = list(fp.values())
+        c = ev(beta_prime_class(spec, a))
+        parts.extend((c, bucket) for bucket in powers[p])
+    den = math.lcm(*(c_den * p_den for (_, _, c_den), (p_den, _) in parts))
+    acc: dict[int, int] = {}
+    for (e, num, c_den), (p_den, nums) in parts:
+        _convolve(acc, {e: num}, nums, den // (c_den * p_den))
+    return NovikovScalar(
+        tuple((Fraction(e, d), Fraction(v, den)) for e, v in sorted(acc.items()) if v)
+    )
 
 
 def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:

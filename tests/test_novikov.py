@@ -1,7 +1,10 @@
 """Novikov scalars, Gauss valuations, toric potentials, numeric evaluation."""
 
+import contextlib
+import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -611,8 +614,9 @@ def _cp6_at_one_term_point():
 
 def test_evaluate_work_count(monkeypatch):
     # one compact CP^6 Chekanov evaluation at a single-term point: every
-    # term shares the cached powers x_i^w, so NovikovScalar products are
-    # made only inside scalar_pow (2236 when every term was multiplied out)
+    # power x_i^w is one exact term, taken as ints by the monomial-point
+    # character, so no NovikovScalar product is made (2236 when every term
+    # was multiplied out, 93 while the powers went through scalar_pow)
     w, ea, point = _cp6_at_one_term_point()
     calls = 0
     mul = NovikovScalar.__mul__
@@ -631,8 +635,9 @@ def test_evaluate_work_count(monkeypatch):
 
 def test_evaluate_product_count(monkeypatch):
     # at a single-term point every cached power is one exact monomial, so
-    # evaluate shifts and scales each term by it with ints and leaves
-    # _product to scalar_pow (93; 2236 when every term was folded through it)
+    # evaluate shifts and scales each term by it with ints and never calls
+    # _product (2236 when every term was folded through it, 93 while the
+    # powers went through scalar_pow)
     w, ea, point = _cp6_at_one_term_point()
     calls = 0
     product = novikov._product
@@ -670,3 +675,227 @@ def test_evaluate_mixes_monomial_and_folded_powers(spec, sign, slot):
     want = reference_evaluate(w, ea, point)
     assert got.terms and got.cutoff is not None
     assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
+
+
+class TestSeriesShape:
+    # evaluate checks the series shape once per call, not once per term
+    CP2 = fan.builtin_fan("cpn", n=2)
+
+    @pytest.mark.parametrize("n, m, cls", [
+        (3, 1, RelClass(1, (0, 0), (0,))),
+        (2, 0, RelClass(1, (1,), ())),
+    ], ids=["n", "m"])
+    def test_nonempty_wrong_shape_keeps_the_message(self, n, m, cls):
+        ea = novikov.assign_energies(self.CP2, {"beta_hat": 1, "gamma": [1], "H": [4]})
+        s = series.ClassSeries(n, m, {cls: 1})
+        with pytest.raises(errors.DimensionMismatch) as exc:
+            novikov.evaluate(s, ea, [novikov.ONE, novikov.ONE])
+        assert str(exc.value) == f"class shape ({n - 1}, {m}) does not match fan (1, 1)"
+
+    def test_sphere_energy_check_comes_first(self):
+        # the first term's missing-H check runs before its shape check, as
+        # when every term was checked on its own
+        ea = novikov.assign_energies(self.CP2, {"beta_hat": 1, "gamma": [1]})
+        s = series.ClassSeries(3, 1, {RelClass(0, (0, 0), (1,)): 1})
+        with pytest.raises(errors.EnergyViolation):
+            novikov.evaluate(s, ea, [novikov.ONE, novikov.ONE])
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (2, 0), (1, 0)])
+    def test_empty_wrong_shape_is_zero(self, n, m):
+        ea = novikov.assign_energies(self.CP2, {"beta_hat": 1, "gamma": [1], "H": [4]})
+        got = novikov.evaluate(series.zero(n, m), ea, [novikov.ONE, novikov.ONE])
+        assert got == novikov.ZERO
+
+    def test_no_checked_boundary_per_term(self, monkeypatch):
+        w, ea, point = _cp6_at_one_term_point()
+        calls = _count_calls(monkeypatch, fan.class_boundary)
+        novikov.evaluate(w, ea, point)
+        assert calls["n"] == 0
+
+
+def _count_calls(monkeypatch, fn):
+    """Count the calls of fn through every opengw module that binds it."""
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "opengw" or name.startswith("opengw."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+# the factored Chekanov evaluation against the expanded one
+
+FACTORED_FANS = [fan.builtin_fan("cpn", n=n) for n in range(1, 7)] + [
+    fan.builtin_fan("hirzebruch_f1"),
+] + [fan.builtin_fan("cp_product", n=n, r=r) for n, r in ((2, 1), (3, 1), (3, 2), (4, 1),
+                                                          (4, 2), (4, 3), (5, 2))] + [
+    fan.FanSpec(2, ((1, -1),)),  # p = 0: that disk crosses the wall unchanged
+]
+
+
+def _fan_id(spec):
+    return f"n{spec.n}-" + "-".join("".join(map(str, v)) for v in spec.extra_rays)
+
+
+small_energies = fractions_over([1, 2, 3], 0, 2).filter(bool)
+small_coeffs = st.sampled_from([F(1), F(-1), F(2), F(-1, 2), F(3, 2)])
+
+
+@st.composite
+def energies_for(draw, spec):
+    """Energies over small denominators, so that T-exponents collide."""
+    beta = draw(small_energies)
+    gamma = [draw(small_energies) for _ in range(spec.n - 1)]
+    h = []
+    for a in range(1, spec.m + 1):
+        v, p = fan.ray_decomposition(spec, a)
+        h.append(p * beta + sum(x * y for x, y in zip(v, gamma)) + draw(small_energies))
+    return {"beta_hat": str(beta), "gamma": [str(g) for g in gamma], "H": [str(x) for x in h]}
+
+
+@st.composite
+def monomial_points(draw, spec, energies):
+    """n one-term coordinates with exponents of both signs.  Some points are
+    all 1; in others x_k = s x_n T^{E(gamma_k) + delta}, so that ev(gamma_k)
+    is s T^-delta and the terms of ev(f) collide or cancel."""
+    if draw(st.integers(0, 5)) == 0:
+        return [novikov.ONE] * spec.n
+    x_n = t_monomial(draw(exponents), draw(small_coeffs))
+    point = []
+    for k in range(spec.n - 1):
+        if draw(st.booleans()):
+            gamma_k = F(energies["gamma"][k])
+            delta = draw(st.sampled_from([F(0), F(0), F(1, 2), F(-1)]))
+            point.append(x_n * t_monomial(gamma_k + delta, draw(st.sampled_from([1, -1]))))
+        else:
+            point.append(t_monomial(draw(exponents), draw(nonzero_fracs)))
+    return point + [x_n]
+
+
+def _cli(argv):
+    """cli.main's (exit code, stdout, stderr), or the exception that escapes it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except ValueError as exc:  # the multi-term point's scalar_inverse
+            return ("raised", type(exc), str(exc))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fan_file(directory, spec) -> str:
+    path = directory / f"{_fan_id(spec)}.json"
+    path.write_text(json.dumps({"n": spec.n, "extra_rays": [list(v) for v in spec.extra_rays]}))
+    return str(path)
+
+
+def _check_paths_agree(directory, spec, data):
+    energies = data.draw(energies_for(spec), label="energies")
+    point = data.draw(monomial_points(spec, energies), label="point")
+    fmt = data.draw(st.sampled_from(["table", "csv", "json"]), label="format")
+    lits = [str(x) for x in point]
+    assert [cli.parse_scalar_literal(t) for t in lits] == point
+    got = _cli(["eval", _fan_file(directory, spec), "--point", ",".join(lits),
+                "--energies", json.dumps(energies), "--format", fmt])
+    ea = novikov.assign_energies(spec, energies)
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    assert got == (0, cli.render_scalar(novikov.evaluate(w, ea, point), fmt), "")
+    assert got[1] == cli.render_scalar(reference_evaluate(w, ea, point), fmt)
+
+
+@pytest.mark.parametrize("spec", FACTORED_FANS[:5] + FACTORED_FANS[6:], ids=_fan_id)
+@given(data=st.data())
+@settings(max_examples=12)
+def test_factored_eval_matches_expanded(tmp_path_factory, spec, data):
+    _check_paths_agree(tmp_path_factory.getbasetemp(), spec, data)
+
+
+@given(data=st.data())
+@settings(max_examples=3)
+def test_factored_eval_matches_expanded_cp6(tmp_path_factory, data):
+    # the per-term oracle takes about a second on the 463 terms of CP^6
+    _check_paths_agree(tmp_path_factory.getbasetemp(), FACTORED_FANS[5], data)
+
+
+def test_factored_eval_cancellation():
+    # x_1 = -x_2 T^E(gamma_1) makes ev(f) = 0 on CP^2: only beta_hat is left
+    spec = fan.builtin_fan("cpn", n=2)
+    ea = novikov.assign_energies(spec, {"beta_hat": 1, "gamma": [1], "H": [4]})
+    x_2 = t_monomial(F(1, 2), F(2, 3))
+    point = [-x_2 * t_monomial(1), x_2]
+    got = wallcross.evaluate_chekanov(ea, point)
+    assert got == t_monomial(F(1, 2), F(3, 2))
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    assert got == novikov.evaluate(w, ea, point)
+
+
+NEG_P = {"n": 2, "extra_rays": [[-1, -2]], "energies": {"beta_hat": "1", "gamma": ["1"], "H": ["1"]}}
+
+
+@pytest.mark.parametrize("doc, args", [
+    (None, ["--point", "1+T,T"]),                        # multi-term: raw ValueError
+    (None, ["--point", "T^1/2,-T+2*T^3", "--format", "json"]),  # multi-term, positive powers only
+    (None, ["--point", "0,T"]),                          # zero coordinate
+    (None, ["--point", "T,T,T"]),                        # wrong coordinate count
+    (None, ["--point", "T"]),
+    (None, ["--point", "T,T", "--energies", '{"beta_hat": "1", "gamma": ["1"]}']),  # no H
+    (NEG_P, ["--point", "T,T"]),                         # NegativePa
+    (None, ["--point", "T,2*T^-1", "--ambient", "open"]),
+    (None, ["--point", "T,2*T^-1", "--chamber", "plus"]),
+    (None, ["--point", "T,2*T^-1", "--chamber", "plus", "--ambient", "open"]),
+], ids=["multi-term", "multi-term-positive", "zero", "too-many", "too-few", "no-h",
+        "negative-p", "open", "plus", "plus-open"])
+def test_fallback_matches_expanded_path(tmp_path, monkeypatch, doc, args):
+    # every input that is not a monomial point of the compact Chekanov
+    # potential goes the expanded way: same exit code, stdout and stderr
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc or {
+        "n": 2, "extra_rays": [[1, 1]], "energies": {"beta_hat": "1", "gamma": ["1"], "H": ["4"]},
+    }))
+    argv = ["eval", str(path), *args]
+    characters = []
+
+    def character(ea, point):
+        characters.append(novikov.monomial_character(ea, point))
+        return characters[-1]
+
+    monkeypatch.setattr(wallcross, "monomial_character", character)
+    got = _cli(argv)
+    assert not any(characters)
+    monkeypatch.undo()
+
+    def expanded(ea, point):
+        w = wallcross.chekanov_superpotential(ea.fan, wallcross.Ambient.COMPACT)
+        return novikov.evaluate(w.series, ea, point)
+
+    monkeypatch.setattr(cli, "evaluate_chekanov", expanded)
+    assert got == _cli(argv)
+
+
+def test_factored_eval_work_count(monkeypatch, tmp_path):
+    # one opengw eval of the compact CP^6 Chekanov potential at a one-term
+    # point: one checked boundary per generator class (beta_hat, the gamma_k
+    # and the beta'_a), and no expanded series is built or unpacked (463
+    # checked boundaries, one times_power and one unpack when it was)
+    spec = fan.builtin_fan("cpn", n=6)
+    path = tmp_path / "cp6.json"
+    path.write_text(json.dumps({"n": 6, "extra_rays": [[1] * 6], "energies": _stock_energies(spec)}))
+    lits = ["1/3*T^-1", "-2/3*T^2", "-1/3*T^-1", "3/5*T^3", "-2/3*T^-2", "1/3*T"]
+    argv = ["eval", str(path), "--point", ",".join(lits), "--format", "json"]
+    boundaries = _count_calls(monkeypatch, fan.class_boundary)
+    powers = _count_calls(monkeypatch, series.times_power)
+    unpacks = _count_calls(monkeypatch, series._unpacked)
+    got = _cli(argv)
+    assert boundaries["n"] <= spec.n + spec.m, f"{boundaries['n']} class_boundary calls"
+    assert (powers["n"], unpacks["n"]) == (0, 0)
+    monkeypatch.undo()
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    want = novikov.evaluate(w, ea, [cli.parse_scalar_literal(t) for t in lits])
+    assert got == (0, cli.render_scalar(want, "json"), "")
