@@ -47,8 +47,6 @@ from .novikov import (
     constant,
     evaluate,
     gauss_valuation,
-    in_positive_part,
-    is_norm_one,
     laurent_mul,
     scalar_inverse,
     scalar_pow,

@@ -210,16 +210,6 @@ def scalar_val(x: NovikovScalar):
     return x.val
 
 
-def in_positive_part(x: NovikovScalar) -> bool:
-    """Membership in the maximal ideal: strictly positive valuation."""
-    return x.val > 0
-
-
-def is_norm_one(x: NovikovScalar) -> bool:
-    """Membership in the unit-norm subgroup: valuation exactly 0."""
-    return x.val == 0
-
-
 def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
     """1/x by leading-monomial factorization and a geometric series.
 

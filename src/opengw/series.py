@@ -40,6 +40,22 @@ two solves on one packer:
 
 with L's buckets negated in place, then convolves p into E only where
 the L-grades add up to at most trunc.
+
+The exp solves (series_exp and E above) hold their buckets as rows,
+Kronecker substitution: a bucket is homogeneous in L, so one gamma digit
+d is fixed by the grade and the other digits.  d is projected away and
+the rest of a key split as outer + x_c 2^(w c') along a second gamma
+digit c; the terms sharing an outer key are one int with a signed S-bit
+slot per t = sigma_c x_c >= 0, so _convolve multiplies whole rows.  S
+starts at 64 and widens, repacking the rows, whenever a grade's bound
+
+    sum |R| den / r_den + sum_j |scale_j| sum |A_j| sum |X_{l-j}|
+
+reaches 2^(S-2), so no slot overflows whatever the signs.  Slots are read
+back only for each grade's gcd and on output, with x_d rebuilt from the
+grade.  Only the exp solves use rows: their coefficient is the dense
+exponent, while the log, power, division and Chekanov-evaluation solves
+have the sparse unit tail u as coefficient, where rows measured slower.
 Fractions and RelClasses are rebuilt only on output, bucket by bucket.
 """
 
@@ -215,7 +231,7 @@ def times_power(p: ClassSeries, f: ClassSeries, k: int) -> ClassSeries:
     packer = _Packer(p.n, p.m, _coord_bound(p._terms) + k * _coord_bound(f._terms))
     try:
         u = _unit_tail(f, "power")
-        grade = _orthant_grade(f.n, u, "power")
+        _, grade = _orthant(f.n, u, "power")
     except (NotInvertible, NotFiltered):
         fk = {0: _packed_power(_ints(f._terms, packer.pack), k)}
     else:
@@ -253,7 +269,7 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     if k < 0:
         raise BadParams(f"divide_by_power needs an exponent >= 0, got {k}")
     u = _unit_tail(f, "negative power")
-    grade = _orthant_grade(f.n, u, "negative power")
+    _, grade = _orthant(f.n, u, "negative power")
     src = {c: q for c, q in p._terms.items() if grade(c) <= trunc}
     # a term of Q is a term of P plus at most trunc - lo terms of u, each of grade >= 1
     lo = min(map(grade, src), default=trunc)
@@ -274,8 +290,9 @@ def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
         l E_l = sum_j j f_j E_{l-j},   E_0 = 1.
     """
     trunc = require_int(trunc, "truncation bound")
-    packer, f_by_grade = _graded_tail(f, f._terms, "exp", trunc)
-    sol = _graded_solve({0: (1, {0: 1})}, f_by_grade, trunc, lambda j, l: (j, l))
+    sigma, packer, f_by_grade = _graded_tail(f, f._terms, "exp", trunc)
+    rows = _Rows(packer, sigma, f._terms) if sigma else None
+    sol = _graded_solve({0: (1, {0: 1})}, f_by_grade, trunc, lambda j, l: (j, l), rows)
     return _unpacked(f.n, f.m, packer, sol)
 
 
@@ -288,7 +305,7 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
         l L_l = l u_l + sum_j (j - l) u_j L_{l-j}.
     """
     trunc = require_int(trunc, "truncation bound")
-    packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
+    _, packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
     return _unpacked(f.n, f.m, packer, _graded_solve(u, u, trunc, lambda j, l: (j - l, l)))
 
 
@@ -304,7 +321,7 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
     trunc = require_int(trunc, "truncation bound")
     p._check_context(f)
     u = _unit_tail(f, "log")
-    grade = _orthant_grade(f.n, u, "log")
+    sigma, grade = _orthant(f.n, u, "log")
     # a term of L or E of grade l <= trunc is a sum of terms of u whose
     # grades, each >= 1, add up to l, so its coordinates are at most
     # trunc * bound(u); a product term adds one term of p
@@ -314,7 +331,8 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
     for _, nums in log_f.values():
         for key, v in nums.items():
             nums[key] = -v
-    exp_f = _graded_solve({0: (1, {0: 1})}, log_f, trunc, lambda j, l: (j, l))
+    rows = _Rows(packer, sigma, u) if sigma else None
+    exp_f = _graded_solve({0: (1, {0: 1})}, log_f, trunc, lambda j, l: (j, l), rows)
     pairs = [
         (a, e)
         for lp, a in _graded(p._terms, grade, packer.pack, trunc).items()
@@ -336,12 +354,12 @@ def _unit_tail(f: ClassSeries, what: str) -> dict[RelClass, Fraction]:
 
 
 def _graded_tail(f: ClassSeries, u: Mapping[RelClass, Fraction], what: str, trunc: int):
-    # the prelude of a solve from grade 0 up to trunc: u's orthant grading,
+    # the prelude of a solve from grade 0 up to trunc: u's orthant signs,
     # a packer for every term of grade <= trunc, a sum of at most trunc
     # terms of u, and u's grade buckets up to trunc
-    grade = _orthant_grade(f.n, u, what)
+    sigma, grade = _orthant(f.n, u, what)
     packer = _Packer(f.n, f.m, (trunc + 1) * _coord_bound(u))
-    return packer, _graded(u, grade, packer.pack, trunc)
+    return sigma, packer, _graded(u, grade, packer.pack, trunc)
 
 
 # the packed kernel
@@ -376,6 +394,132 @@ class _Packer:
         mask, half, n = self.mask, self.half, self.n
         xs = [(u >> s & mask) - half for s in self.shifts]
         return RelClass(xs[0], tuple(xs[1:n]), tuple(xs[n:]))
+
+
+class _RowBucket(dict):
+    # the rows of one grade bucket; norm is the sum of |slot| over them
+    __slots__ = ("norm",)
+
+
+class _Rows:
+    """The row layout of an exp solve's grade buckets (module docstring).
+
+    A packed key of grade l is outer + x_c 2^(w c') + x_d 2^(w d'), c' and
+    d' the digit positions of c and d, outer free of both; it sits in the
+    row under outer, in slot t = sigma_c x_c.  Outer keys add like classes
+    and rows multiply like polynomials in 2^S.  n = 2 has no digit c, so
+    every row has the one slot t = 0.  Every row bucket made is kept in
+    buckets, with its norm, the sum of |slot|, so that _widen can repack
+    them all.
+    """
+
+    __slots__ = ("packer", "sigma", "d", "c", "width", "buckets")
+
+    def __init__(self, packer: _Packer, sigma: tuple[int, ...], u: Iterable[RelClass]):
+        # d and c are the two gamma digits of widest spread on u, so rows
+        # are few and long
+        spread = [max((abs(c.g[k]) for c in u), default=0) for k in range(len(sigma))]
+        order = sorted(range(len(sigma)), key=lambda k: -spread[k])
+        self.packer = packer
+        self.sigma = sigma
+        self.d = order[0]
+        self.c = order[1] if len(order) > 1 else None
+        self.width = 64
+        self.buckets: list[_RowBucket] = []
+
+    def enter(self, buckets: dict) -> dict:
+        # per-key buckets as row buckets, S first widened to hold them
+        norms = {l: sum(map(abs, nums.values())) for l, (_, nums) in buckets.items()}
+        self._widen(max(norms.values(), default=0))
+        p, c = self.packer, self.c
+        mask, half, bias, width = p.mask, p.half, p.bias, self.width
+        ds = p.shifts[1 + self.d]
+        # with no digit c, every term sits in slot 0
+        cs, sc = (p.shifts[1 + c], self.sigma[c]) if c is not None else (0, 0)
+        out = {}
+        for l, (den, nums) in buckets.items():
+            rows = _RowBucket()
+            for key, v in nums.items():
+                xc = (key + bias >> cs & mask) - half if sc else 0
+                xd = (key + bias >> ds & mask) - half
+                outer = key - (xc << cs) - (xd << ds)
+                rows[outer] = rows.get(outer, 0) + (v << width * sc * xc)
+            rows.norm = norms[l]
+            self.buckets.append(rows)
+            out[l] = (den, rows)
+        return out
+
+    def fit(self, r_scale: int, r: dict, terms: list):
+        # widen S for acc = r_scale R + sum scale A X
+        bound = r.norm * r_scale if r else 0
+        for scale, a, x in terms:
+            bound += abs(scale) * a.norm * x.norm
+        self._widen(bound)
+
+    def reduced(self, den: int, acc: dict[int, int]):
+        # _reduced on rows: the gcd and the norm read every slot once
+        rows = _RowBucket()
+        g, norm = den, 0
+        for key, r in acc.items():
+            if r:
+                vs = _slots(r, self.width)
+                norm += sum(map(abs, vs))
+                g = math.gcd(g, *vs)
+                rows[key] = r
+        if not rows:
+            return None
+        if g > 1:
+            den //= g
+            norm //= g
+            for key, r in rows.items():
+                rows[key] = r // g
+        rows.norm = norm
+        self.buckets.append(rows)
+        return den, rows
+
+    def leave(self, sol: dict) -> dict:
+        # row buckets back to per-key buckets, x_d rebuilt from the grade
+        p, d, c, sigma = self.packer, self.d, self.c, self.sigma
+        ds = p.shifts[1 + d]
+        step = -sigma[d] << ds
+        if c is not None:
+            step += sigma[c] << p.shifts[1 + c]
+        rest = [(sigma[k], p.shifts[1 + k]) for k in range(len(sigma)) if k not in (c, d)]
+        mask, half, bias = p.mask, p.half, p.bias
+        out = {}
+        for l, (den, rows) in sol.items():
+            nums = {}
+            for outer, r in rows.items():
+                # the grade of outer, then key = base + t step along the row
+                lo = sum(s * ((outer + bias >> sh & mask) - half) for s, sh in rest)
+                base = outer + (sigma[d] * (l - lo) << ds)
+                for t, v in enumerate(_slots(r, self.width)):
+                    if v:
+                        nums[base + t * step] = v
+            out[l] = (den, nums)
+        self.buckets.clear()
+        return out
+
+    def _widen(self, bound: int):
+        # the smallest multiple of 64 with bound < 2^(S-2), rows repacked
+        need = bound.bit_length() + 2
+        if need <= self.width:
+            return
+        old, self.width = self.width, -(-need // 64) * 64
+        for rows in self.buckets:
+            for key, r in rows.items():
+                rows[key] = sum(v << self.width * t for t, v in enumerate(_slots(r, old)))
+
+
+def _slots(r: int, width: int) -> list[int]:
+    # the balanced width-bit digits of r, lowest first: the slots of a row
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    while r:
+        v = (r + half & mask) - half
+        out.append(v)
+        r = (r - v) >> width
+    return out
 
 
 def _coord_bound(terms: Iterable[RelClass]) -> int:
@@ -428,16 +572,21 @@ def _convolve(acc: dict[int, int], a: dict[int, int], b: dict[int, int], scale: 
             acc[key] = get(key, 0) + n1 * n2
 
 
-def _graded_solve(rhs: dict, coef: dict, trunc: int, weight) -> dict:
+def _graded_solve(rhs: dict, coef: dict, trunc: int, weight, rows: _Rows | None = None) -> dict:
     """X_l = R_l + sum_j (p/q) A_j X_{l-j}, with (p, q) = weight(j, l), q > 0.
 
     Buckets are {grade: (den, {key: num})}, every A_j of grade j >= 1.
     Solved from the lowest grade of R up to trunc, stopping once R is used
     up and the last max j buckets of X are empty: every later one is empty
-    too.  Each bucket of X is kept over its own reduced denominator.
+    too.  Each bucket of X is kept over its own reduced denominator.  With
+    a row layout, R, A and X are held as rows inside the solve; the
+    buckets in and out are keyed by class either way.
     """
     if not rhs:
         return {}
+    if rows is not None:
+        rhs, coef = rows.enter(rhs), rows.enter(coef)
+    reduced = _reduced if rows is None else rows.reduced
     reach = max(coef, default=0)
     top = max(rhs)
     sol: dict[int, tuple[int, dict[int, int]]] = {}
@@ -447,17 +596,29 @@ def _graded_solve(rhs: dict, coef: dict, trunc: int, weight) -> dict:
         parts = [(weight(j, l), coef[j], sol[l - j]) for j in coef if l - j in sol]
         r_den, r = rhs.get(l, (1, {}))
         den = math.lcm(r_den, *(q * da * dx for (_, q), (da, _), (dx, _) in parts))
+        terms = [(p * (den // (q * da * dx)), a, x) for (p, q), (da, a), (dx, x) in parts]
+        if rows is not None:
+            rows.fit(den // r_den, r, terms)
         acc = {key: v * (den // r_den) for key, v in r.items()}
-        for (p, q), (da, a), (dx, x) in parts:
-            _convolve(acc, a, x, p * (den // (q * da * dx)))
-        nums = {key: v for key, v in acc.items() if v}
-        if nums:
-            g = math.gcd(den, *nums.values())
-            if g > 1:
-                den //= g
-                nums = {key: v // g for key, v in nums.items()}
-            sol[l] = (den, nums)
-    return sol
+        for scale, a, x in terms:
+            _convolve(acc, a, x, scale)
+        bucket = reduced(den, acc)
+        if bucket:
+            sol[l] = bucket
+    return sol if rows is None else rows.leave(sol)
+
+
+def _reduced(den: int, acc: dict[int, int]):
+    # (den, nums) of a bucket without its zero terms, over its reduced
+    # denominator; None when every term cancelled
+    nums = {key: v for key, v in acc.items() if v}
+    if not nums:
+        return None
+    g = math.gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {key: v // g for key, v in nums.items()}
+    return den, nums
 
 
 def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
@@ -474,12 +635,12 @@ def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
     return _raw(n, m, terms)
 
 
-def _orthant_grade(n: int, u: Iterable[RelClass], what: str):
+def _orthant(n: int, u: Iterable[RelClass], what: str):
     # All terms must sit in gamma-degree >= 1 and in one closed sign orthant
     # of gamma space; otherwise products can fall back to low gamma-degree
     # and the truncated expansion would be wrong, not just incomplete.
-    # Returns the orthant's linear grade L(c) = sum_k sigma_k g_k, with
-    # sigma_k the sign of gamma_k on u (+1 where unused).
+    # Returns the orthant's signs sigma, sigma_k the sign of gamma_k on u
+    # (+1 where unused), and its linear grade L(c) = sum_k sigma_k g_k.
     pos = [False] * (n - 1)
     neg = [False] * (n - 1)
     for c in u:
@@ -497,7 +658,7 @@ def _orthant_grade(n: int, u: Iterable[RelClass], what: str):
                 "gamma-degree truncation would drop low-order terms"
             )
     sigma = tuple(-1 if neg[k] else 1 for k in range(n - 1))
-    return lambda c: sum(s * x for s, x in zip(sigma, c.g))
+    return sigma, lambda c: sum(s * x for s, x in zip(sigma, c.g))
 
 
 # canonical serialization

@@ -66,12 +66,6 @@ class TestScalar:
         with pytest.raises(errors.DivisionByZero):
             novikov.scalar_inverse(novikov.ZERO)
 
-    def test_membership_predicates(self):
-        assert novikov.in_positive_part(t_monomial(F(1, 3)))
-        assert not novikov.in_positive_part(constant(2))
-        assert novikov.is_norm_one(constant(2) + t_monomial(1))
-        assert not novikov.is_norm_one(t_monomial(1))
-
     def test_formatting(self):
         x = NovikovScalar.from_terms([(F(0), F(3, 2)), (F(1, 2), -1)], cutoff=F(2))
         assert str(x) == "3/2 - T^1/2 + O(T^2)"

@@ -1,5 +1,6 @@
 """Group-ring series: products, powers, exp, log, truncation, serialization."""
 
+import itertools
 import json
 import math
 import random
@@ -605,3 +606,110 @@ class TestPackingEdges:
         want = _divide_reference(p, u, (1,), 2, trunc)
         assert (9 * big, (0,), (-9 * big,)) in want
         assert series.divide_by_power(_as_series(n, m, p), f, 2, trunc) == _as_series(n, m, want)
+
+
+# the exp solve holds its buckets as rows: one int per outer key, one slot
+# per step along a second gamma digit, the projected digit rebuilt from
+# the grade
+
+
+def _exp_recurrence(u, zero, sign, trunc):
+    # exp(u) on plain dicts by l E_l = sum_j j u_j E_{l-j}, graded by
+    # L = sum sign_k g_k up to trunc
+    def grade(c):
+        return sum(s * x for s, x in zip(sign, c[1]))
+
+    buckets = [{zero: Fraction(1)}]
+    for l in range(1, trunc + 1):
+        acc = {}
+        for j in range(1, l + 1):
+            uj = {c: j * q for c, q in u.items() if grade(c) == j}
+            for c, q in _dict_mul(uj, buckets[l - j]).items():
+                acc[c] = acc.get(c, 0) + q / l
+        buckets.append({c: q for c, q in acc.items() if q})
+    return {c: q for bucket in buckets for c, q in bucket.items()}
+
+
+def _zero(n, m):
+    return (0, (0,) * (n - 1), (0,) * m)
+
+
+def row_series(n, m, sign):
+    """Orthant series whose b and h digits vary inside a row's outer key,
+    some numerators at least 2^80, and optionally a term a + b with
+    coefficient -u_a u_b, which cancels exactly in exp."""
+    big = st.integers(min_value=2**80, max_value=2**90)
+    small = st.integers(min_value=-4, max_value=4).filter(bool)
+    num = st.one_of(small, big, big.map(lambda x: -x))
+    coeffs = st.builds(Fraction, num, st.integers(min_value=1, max_value=6))
+    classes = st.builds(
+        lambda b, g, h: (b, tuple(s * x for s, x in zip(sign, g)), h),
+        st.integers(min_value=-2, max_value=2),
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * (n - 1)),
+        st.tuples(*[st.integers(min_value=-1, max_value=2)] * m),
+    ).filter(lambda c: any(c[1]))
+
+    def with_cancelling(u, cancel):
+        if cancel and len(u) >= 2:
+            (a, qa), (b, qb) = list(u.items())[:2]
+            u[_dict_mul({a: 1}, {b: 1}).popitem()[0]] = -qa * qb
+        return u
+
+    terms = st.dictionaries(classes, coeffs, min_size=1, max_size=4)
+    return st.builds(with_cancelling, terms, st.booleans())
+
+
+@pytest.mark.parametrize(
+    "n, sign",
+    [(n, sign) for n in (2, 3, 4) for sign in itertools.product((1, -1), repeat=n - 1)],
+)
+@given(st.data())
+@settings(max_examples=15)
+def test_exp_rows_match_dict_recurrence(n, sign, data):
+    # every gamma orthant, so sigma_c and sigma_d = -1 both occur; n = 2
+    # has no second gamma digit and one slot per row
+    m = data.draw(st.integers(min_value=0, max_value=2), label="m")
+    trunc = data.draw(st.integers(min_value=0, max_value=5), label="trunc")
+    u = data.draw(row_series(n, m, sign), label="u")
+    want = _exp_recurrence(u, _zero(n, m), sign, trunc)
+    assert series.series_exp(_as_series(n, m, u), trunc) == _as_series(n, m, want)
+    f = _as_series(n, m, u) + series.one(n, m)
+    back = series.series_exp(series.series_log(f, trunc), trunc)
+    assert back == series.truncate_gamma(f, trunc)
+
+
+def test_exp_rows_widen_mid_solve(monkeypatch):
+    # numerators near 2^80 fill 64-bit slots at entry; their products
+    # outgrow the widened slots during the solve, which repacks every row
+    widths = []
+    widen = series._Rows._widen
+
+    def spy(self, bound):
+        widen(self, bound)
+        widths.append(self.width)
+
+    monkeypatch.setattr(series._Rows, "_widen", spy)
+    n, m, trunc, sign = 4, 1, 5, (1, -1, 1)
+    u = {
+        (1, (1, 0, 0), (0,)): Fraction(2**80 + 1, 3),
+        (-2, (0, -1, 1), (2,)): Fraction(-(2**85), 5),
+        (0, (2, -1, 0), (-1,)): Fraction(7),
+    }
+    got = series.series_exp(_as_series(n, m, u), trunc)
+    # the first two widths are set at entry, for R = 1 and for u
+    assert widths[:2] == [64, 128] and widths[-1] > 128
+    assert got == _as_series(n, m, _exp_recurrence(u, _zero(n, m), sign, trunc))
+
+
+@pytest.mark.parametrize("sign", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_exp_rows_exact_cancellation(sign):
+    # u = x + y - xy: the xy slot of exp(u) sums to exactly 0, and its row
+    # still holds the other classes of that outer key
+    n, m, trunc = 3, 1, 4
+    x, y = (1, (sign[0], 0), (0,)), (0, (0, sign[1]), (1,))
+    xy = (1, (sign[0], sign[1]), (1,))
+    u = {x: Fraction(3, 2), y: Fraction(-2, 3), xy: Fraction(1)}
+    want = _exp_recurrence(u, _zero(n, m), sign, trunc)
+    got = series.series_exp(_as_series(n, m, u), trunc)
+    assert got.coeff(RelClass(*xy)) == 0 and xy not in want
+    assert got == _as_series(n, m, want)

@@ -681,3 +681,23 @@ def test_identity_work_count(monkeypatch):
     assert calls <= 10, f"{calls} classes unpacked"
     monkeypatch.undo()
     assert got == series.one(6, 0)
+
+
+def test_identity_product_count(monkeypatch):
+    # one C^6 identity at trunc 12 formed 690,326 int products in _convolve
+    # with one term per key, 640,458 of them in the exp solve; on rows that
+    # solve forms 124,150 row products, about 174,000 in all with the log
+    # solve and the product with the bracket
+    products = 0
+    convolve = series._convolve
+
+    def counted(acc, a, b, scale):
+        nonlocal products
+        products += len(a) * len(b)
+        convolve(acc, a, b, scale)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    got = wall_cross_rhs(FanSpec(6, ()), 12)
+    monkeypatch.undo()
+    assert products <= 200_000, f"{products} int products"
+    assert got == series.one(6, 0)
