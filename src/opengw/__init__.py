@@ -15,7 +15,6 @@ from .chambers import (
     classify_point,
     cn_rays,
     monodromy_matrix,
-    transport_beta_hat,
     wall,
     wall_component_tropical,
 )
@@ -43,7 +42,6 @@ from .novikov import (
     NovikovLaurent,
     NovikovScalar,
     assign_energies,
-    base_point_shift,
     constant,
     evaluate,
     gauss_valuation,

@@ -13,8 +13,7 @@ the locus where max_k(-<v_k, xi> - c_k) is attained twice is the tropical
 hypersurface Pi, and the open regions around it are indexed by the rays.
 
 Monodromy of the fibration across walls acts on disk classes through an
-integer shear matrix; transporting the basic fiber disk from the canonical
-wall chart into wall i picks up gamma_i.
+integer shear matrix.
 """
 
 from __future__ import annotations
@@ -24,11 +23,8 @@ from fractions import Fraction
 
 from .errors import BadParams, DimensionMismatch, IndexOutOfRange, OutsideBase
 from .fan import (
-    FanSpec,
-    RelClass,
     _require_rationals,
     _require_seq,
-    beta_class,
     require_int,
     require_ints,
     require_rational,
@@ -189,14 +185,3 @@ def monodromy_matrix(rays: CYFanRays, i: int, j: int) -> tuple[IntVec, ...]:
         out.append(tuple(row))
     return tuple(out)
 
-
-def transport_beta_hat(spec: FanSpec, i: int) -> RelClass:
-    """The basic fiber disk as seen in the chart of wall i: beta_hat picks
-    up gamma_i when moved from the canonical wall H_n into H_i.
-
-    Transport of general classes between arbitrary wall charts is not
-    provided; compose with the class algebra directly if needed.
-    """
-    if not 1 <= i <= spec.n:
-        raise IndexOutOfRange(f"wall index {i} not in 1..{spec.n}")
-    return beta_class(spec, i)

@@ -7,8 +7,8 @@ cutoffs conservatively so reported terms are always complete.  Valuation is
 the smallest exponent present, infinity for zero.
 
 NovikovLaurent is a Laurent polynomial in n torus variables with
-NovikovScalar coefficients; it carries the toric superpotentials, Gauss
-valuations over a polytope, and base-point shifts.  evaluate() sends the
+NovikovScalar coefficients; it carries the toric superpotentials and
+Gauss valuations over a polytope.  evaluate() sends the
 symbolic class series of the wallcross module to actual scalars once
 energies and a torus point are chosen.  It works on integer T-exponents
 over one common denominator per call and builds the Fraction exponents
@@ -266,6 +266,8 @@ def trop(point: Sequence[NovikovScalar]) -> tuple:
     """Coordinate-wise valuation of a torus point."""
     out = []
     for i, x in enumerate(point):
+        if not isinstance(x, NovikovScalar):
+            raise BadParams(f"coordinate {i} must be a NovikovScalar, got {x!r}")
         if x.is_zero():
             raise ZeroCoordinate(f"coordinate {i} is zero")
         out.append(x.val)
@@ -293,13 +295,6 @@ class NovikovLaurent:
 
     def items(self):
         return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NovikovLaurent)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
 
 
 def laurent_mul(f: NovikovLaurent, g: NovikovLaurent) -> NovikovLaurent:
@@ -335,18 +330,6 @@ def gauss_valuation(f: NovikovLaurent, vertices) -> Fraction | float:
     return best
 
 
-def base_point_shift(f: NovikovLaurent, c) -> NovikovLaurent:
-    """Recenter at a new base point: the coefficient of Y^nu gains T^<nu, c>."""
-    c = _require_rationals(c, "shift vector")
-    if len(c) != f.n:
-        raise DimensionMismatch(f"shift vector must have length {f.n}")
-    out = {}
-    for nu, s in f.terms.items():
-        shift = sum(a * b for a, b in zip(nu, c))
-        out[nu] = s * t_monomial(shift)
-    return NovikovLaurent(f.n, out)
-
-
 def toric_superpotential(normals, constants, q, corrections=None) -> NovikovLaurent:
     """Leading-order superpotential of a toric moment polytope at interior
     point q: one monomial T^{l_i(q)} Y^{v_i} per facet, l_i(q) = <v_i, q> - c_i.
@@ -361,8 +344,12 @@ def toric_superpotential(normals, constants, q, corrections=None) -> NovikovLaur
         raise DimensionMismatch("need one constant per facet normal")
     if any(len(v) != len(q) for v in normals):
         raise DimensionMismatch("facet normals and base point dimensions differ")
-    if corrections is not None and len(corrections) != len(normals):
-        raise DimensionMismatch("need one correction per facet")
+    if corrections is not None:
+        if len(_require_seq(corrections, "corrections")) != len(normals):
+            raise DimensionMismatch("need one correction per facet")
+        for i, x in enumerate(corrections):
+            if not isinstance(x, NovikovScalar):
+                raise BadParams(f"correction {i} must be a NovikovScalar, got {x!r}")
     out: dict[tuple[int, ...], NovikovScalar] = {}
     for i, (v, c) in enumerate(zip(normals, constants)):
         ell = sum(a * b for a, b in zip(v, q)) - c
@@ -446,7 +433,9 @@ def assign_energies(spec: FanSpec, values=None) -> EnergyAssignment:
 
 def _exact_term(x: NovikovScalar):
     # (e, c) when x is one exact term c*T^e, else None
-    return x.terms[0] if x.cutoff is None and len(x.terms) == 1 else None
+    if isinstance(x, NovikovScalar) and x.cutoff is None and len(x.terms) == 1:
+        return x.terms[0]
+    return None
 
 
 def _monomial_power(term: tuple, w: int, scaled) -> tuple[int, int, int]:
@@ -471,7 +460,8 @@ def monomial_character(ea: EnergyAssignment, point: Sequence[NovikovScalar]):
     multiplicative: ev(c + c') = ev(c) ev(c').  Returns (d, ev) with
     ev(cls) = (T-exponent * d, numerator, denominator), the T-exponents
     ints over one common denominator d; None when the point has the wrong
-    number of coordinates or a coordinate that is not one exact term.
+    number of coordinates or a coordinate that is not a NovikovScalar of
+    one exact term.
     ev checks the class shape and the sphere energies like evaluate.
     """
     spec = ea.fan

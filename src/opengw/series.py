@@ -7,16 +7,18 @@ novikov module instantiates numbers later.
 
 Truncation is graded by gamma-degree (total absolute gamma coefficient).
 That grading is only multiplicative when the gamma supports being combined
-are sign-compatible coordinate by coordinate; exp, log, and negative powers
-check this and refuse otherwise, because a truncated expansion would then
+are sign-compatible coordinate by coordinate; exp, log and division check
+this and refuse otherwise, because a truncated expansion would then
 silently drop low-order terms.
 
 Every hot loop runs on one packed kernel.  At entry each class becomes an
 integer key with one signed radix-2^w digit per coordinate (b, g..., h...),
 w sized from a bound on every coordinate the operation can form, so adding
 keys adds classes; coefficients become int numerators over one common
-denominator per operand.  multiply is a plain convolution of packed terms.
-divide_by_power, series_exp and series_log are one weighted triangular
+denominator per operand.  Outside the solve below, every sum of products
+of (den, nums) buckets, multiply included, is _products: one convolution
+per pair over the pairs' common denominator.  divide_by_power,
+series_exp, series_log and Miller's powers are one weighted triangular
 solve, graded by the linear form L of the gamma orthant,
 
     X_l = R_l + sum_j (p/q) A_j X_{l-j},   (p, q) = weight(j, l),
@@ -24,16 +26,16 @@ solve, graded by the linear form L of the gamma orthant,
 with one denominator per grade bucket, buckets combined over the lcm and
 reduced by their gcd.  For f = 1 + u the callers supply
 
-    power (k >= 0)    R = 1            weight ((k + 1) j - l, l)
+    _times_powers     R = 1            weight ((k + 1) j - l, l)
     divide_by_power   R = the source   weight (-1, 1)
     series_exp        R = 1            weight (j, l)
     series_log        R = u            weight (j - l, l)
 
-and a negative power is 1 divided by f**|k|.  times_power convolves a
-series into the buckets of f**k in the same packed pass; an f without a
-graded unit tail is raised by square-and-multiply on packed ints instead.
-The wall-crossing identity's p exp(-log f), _times_exp_neg_log, chains
-two solves on one packer:
+_times_powers sums p f**k over its parts in one packed pass, one solve
+per distinct k; times_power and wallcross.evaluate_chekanov (on
+T-exponent keys) both call it.  An f without a graded unit tail is
+raised by square-and-multiply instead.  The wall-crossing identity's
+p exp(-log f), _times_exp_neg_log, chains two solves on one packer:
 
     L = log f         R = u            weight (j - l, l)
     E = exp(-L)       R = 1, A = -L    weight (j, l)
@@ -42,21 +44,22 @@ with L's buckets negated in place, then convolves p into E only where
 the L-grades add up to at most trunc.
 
 The exp solves (series_exp and E above) hold their buckets as rows,
-Kronecker substitution: a bucket is homogeneous in L, so one gamma digit
-d is fixed by the grade and the other digits.  d is projected away and
-the rest of a key split as outer + x_c 2^(w c') along a second gamma
-digit c; the terms sharing an outer key are one int with a signed S-bit
-slot per t = sigma_c x_c >= 0, so _convolve multiplies whole rows.  S
-starts at 64 and widens, repacking the rows, whenever a grade's bound
+Kronecker substitution: a bucket is homogeneous in L, so moving along a
+row's step, +1 on sigma_c x_c and -1 on sigma_d x_d for two gamma digits
+c and d, keeps the grade.  A key sits in the row under outer = key - t
+step, in slot t = sigma_c x_c >= 0, and leaves as outer + t step; the
+terms sharing an outer key are one int with a signed S-bit slot per t,
+so _convolve multiplies whole rows.  S starts at 64 and widens,
+repacking the rows, whenever a grade's bound
 
     sum |R| den / r_den + sum_j |scale_j| sum |A_j| sum |X_{l-j}|
 
 reaches 2^(S-2), so no slot overflows whatever the signs.  Slots are read
-back only for each grade's gcd and on output, with x_d rebuilt from the
-grade.  Only the exp solves use rows: their coefficient is the dense
-exponent, while the log, power, division and Chekanov-evaluation solves
-have the sparse unit tail u as coefficient, where rows measured slower.
-Fractions and RelClasses are rebuilt only on output, bucket by bucket.
+back only for each grade's gcd and on output.  Only the exp solves use
+rows: their coefficient is the dense exponent, while the log, power,
+division and Chekanov-evaluation solves have the sparse unit tail u as
+coefficient, where rows measured slower.  Fractions and RelClasses are
+rebuilt only on output, bucket by bucket.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     f._check_context(g)
     packer = _Packer(f.n, f.m, _coord_bound(f._terms) + _coord_bound(g._terms))
     # the packed operands are freed before the output is built, which keeps the peak down
-    prod = _product(_ints(f._terms, packer.pack), _ints(g._terms, packer.pack))
+    prod = _products([(_ints(f._terms, packer.pack), _ints(g._terms, packer.pack))])
     return _unpacked(f.n, f.m, packer, {0: prod})
 
 
@@ -198,30 +201,18 @@ def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
     return _raw(f.n, f.m, {c: q for c, q in f._terms.items() if c.gamma_degree <= degree})
 
 
-def power(f: ClassSeries, k: int, trunc: int | None = None) -> ClassSeries:
-    """f**k.  Nonnegative k is exact and ignores trunc; negative k returns
-    the inverse-power expansion with all retained terms of gamma-degree at
-    most trunc (default DEFAULT_TRUNC)."""
-    k = require_int(k, "exponent")
-    trunc = DEFAULT_TRUNC if trunc is None else require_int(trunc, "truncation bound")
-    if k >= 0:
-        return times_power(one(f.n, f.m), f, k)
-    # every term of f**k sits in the orthant of f, where grade = gamma-degree
-    return divide_by_power(one(f.n, f.m), f, -k, trunc)
+def power(f: ClassSeries, k: int) -> ClassSeries:
+    """f**k for k >= 0, exact: times_power(1, f, k)."""
+    return times_power(one(f.n, f.m), f, k)
 
 
 def times_power(p: ClassSeries, f: ClassSeries, k: int) -> ClassSeries:
     """p * f**k for k >= 0, exact, in one packed pass.
 
     When f = 1 + u with u in one closed gamma orthant and free of
-    gamma-degree 0 (every gluing factor), F = f**k is J.C.P. Miller's
-    recurrence, the graded solve of theta(F) f = k theta(f) F:
-
-        l F_l = sum_j ((k + 1) j - l) u_j F_{l-j},   F_0 = 1,
-
-    from grade 0 up to k max L(u), about |u| |F| pairs.  Any other f is
-    raised by square-and-multiply.  p is then convolved into the buckets of
-    F and the product unpacked once.
+    gamma-degree 0 (every gluing factor), f**k is Miller's recurrence
+    (_times_powers) and p is convolved into its grade buckets.  Any other
+    f is raised by square-and-multiply.  The product is unpacked once.
     """
     p._check_context(f)
     k = require_int(k, "exponent")
@@ -233,18 +224,12 @@ def times_power(p: ClassSeries, f: ClassSeries, k: int) -> ClassSeries:
         u = _unit_tail(f, "power")
         _, grade = _orthant(f.n, u, "power")
     except (NotInvertible, NotFiltered):
-        fk = {0: _packed_power(_ints(f._terms, packer.pack), k)}
+        fk = _packed_power(_ints(f._terms, packer.pack), k)
+        prod = _products([(_ints(p._terms, packer.pack), fk)])
     else:
-        top = k * max(map(grade, u), default=0)
-        u_by_grade = _graded(u, grade, packer.pack, top)
-        fk = _graded_solve({0: (1, {0: 1})}, u_by_grade, top, lambda j, l: ((k + 1) * j - l, l))
-    dp, a = _ints(p._terms, packer.pack)
-    den = math.lcm(*(d for d, _ in fk.values()))
-    acc: dict[int, int] = {}
-    while fk:
-        _, (d, x) = fk.popitem()
-        _convolve(acc, a, x, den // d)
-    return _unpacked(p.n, p.m, packer, {0: (dp * den, acc)})
+        u_by_grade = _graded(u, grade, packer.pack, max(map(grade, u), default=0))
+        prod = _times_powers([(_ints(p._terms, packer.pack), k)], u_by_grade)
+    return _unpacked(p.n, p.m, packer, {0: prod})
 
 
 def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> ClassSeries:
@@ -333,17 +318,13 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
             nums[key] = -v
     rows = _Rows(packer, sigma, u) if sigma else None
     exp_f = _graded_solve({0: (1, {0: 1})}, log_f, trunc, lambda j, l: (j, l), rows)
-    pairs = [
+    prod = _products([
         (a, e)
         for lp, a in _graded(p._terms, grade, packer.pack, trunc).items()
         for le, e in exp_f.items()
         if lp + le <= trunc
-    ]
-    den = math.lcm(*(da * de for (da, _), (de, _) in pairs))
-    acc: dict[int, int] = {}
-    for (da, a), (de, e) in pairs:
-        _convolve(acc, a, e, den // (da * de))
-    return truncate_gamma(_unpacked(p.n, p.m, packer, {0: (den, acc)}), trunc)
+    ])
+    return truncate_gamma(_unpacked(p.n, p.m, packer, {0: prod}), trunc)
 
 
 def _unit_tail(f: ClassSeries, what: str) -> dict[RelClass, Fraction]:
@@ -404,16 +385,20 @@ class _RowBucket(dict):
 class _Rows:
     """The row layout of an exp solve's grade buckets (module docstring).
 
-    A packed key of grade l is outer + x_c 2^(w c') + x_d 2^(w d'), c' and
-    d' the digit positions of c and d, outer free of both; it sits in the
-    row under outer, in slot t = sigma_c x_c.  Outer keys add like classes
-    and rows multiply like polynomials in 2^S.  n = 2 has no digit c, so
-    every row has the one slot t = 0.  Every row bucket made is kept in
-    buckets, with its norm, the sum of |slot|, so that _widen can repack
-    them all.
+    Each row has the step +1 on sigma_c x_c and -1 on sigma_d x_d, which
+    keeps the grade, with c and d two gamma digits.  A packed key sits in
+    the row under outer = key - t step, in slot t = sigma_c x_c, and comes
+    back as outer + t step.  Inside the orthant t >= 0, outer's c digit is
+    0 and its d digit is sigma_d (|x_c| + |x_d|), at most the grade in
+    size, so at most trunc, within both exp solves' packer bounds: outer
+    is the key of a class, outer keys add like classes and rows multiply
+    like polynomials in 2^S.  n = 2 has no
+    digit c, so every row has the one slot t = 0.  Every row bucket made
+    is kept in buckets, with its norm, the sum of |slot|, so that _widen
+    can repack them all.
     """
 
-    __slots__ = ("packer", "sigma", "d", "c", "width", "buckets")
+    __slots__ = ("packer", "c", "step", "width", "buckets")
 
     def __init__(self, packer: _Packer, sigma: tuple[int, ...], u: Iterable[RelClass]):
         # d and c are the two gamma digits of widest spread on u, so rows
@@ -421,9 +406,12 @@ class _Rows:
         spread = [max((abs(c.g[k]) for c in u), default=0) for k in range(len(sigma))]
         order = sorted(range(len(sigma)), key=lambda k: -spread[k])
         self.packer = packer
-        self.sigma = sigma
-        self.d = order[0]
-        self.c = order[1] if len(order) > 1 else None
+        # (shift, sign) of digit c, and the row step; none without a digit c
+        self.c, self.step = (0, 0), 0
+        if len(order) > 1:
+            d, c = (packer.shifts[1 + k] for k in order[:2])
+            self.c = (c, sigma[order[1]])
+            self.step = (sigma[order[1]] << c) - (sigma[order[0]] << d)
         self.width = 64
         self.buckets: list[_RowBucket] = []
 
@@ -431,19 +419,15 @@ class _Rows:
         # per-key buckets as row buckets, S first widened to hold them
         norms = {l: sum(map(abs, nums.values())) for l, (_, nums) in buckets.items()}
         self._widen(max(norms.values(), default=0))
-        p, c = self.packer, self.c
+        p, (cs, sc), step = self.packer, self.c, self.step
         mask, half, bias, width = p.mask, p.half, p.bias, self.width
-        ds = p.shifts[1 + self.d]
-        # with no digit c, every term sits in slot 0
-        cs, sc = (p.shifts[1 + c], self.sigma[c]) if c is not None else (0, 0)
         out = {}
         for l, (den, nums) in buckets.items():
             rows = _RowBucket()
             for key, v in nums.items():
-                xc = (key + bias >> cs & mask) - half if sc else 0
-                xd = (key + bias >> ds & mask) - half
-                outer = key - (xc << cs) - (xd << ds)
-                rows[outer] = rows.get(outer, 0) + (v << width * sc * xc)
+                t = sc * ((key + bias >> cs & mask) - half)
+                outer = key - t * step
+                rows[outer] = rows.get(outer, 0) + (v << width * t)
             rows.norm = norms[l]
             self.buckets.append(rows)
             out[l] = (den, rows)
@@ -478,24 +462,14 @@ class _Rows:
         return den, rows
 
     def leave(self, sol: dict) -> dict:
-        # row buckets back to per-key buckets, x_d rebuilt from the grade
-        p, d, c, sigma = self.packer, self.d, self.c, self.sigma
-        ds = p.shifts[1 + d]
-        step = -sigma[d] << ds
-        if c is not None:
-            step += sigma[c] << p.shifts[1 + c]
-        rest = [(sigma[k], p.shifts[1 + k]) for k in range(len(sigma)) if k not in (c, d)]
-        mask, half, bias = p.mask, p.half, p.bias
-        out = {}
+        # row buckets back to per-key buckets, key = outer + t step
+        step, out = self.step, {}
         for l, (den, rows) in sol.items():
             nums = {}
             for outer, r in rows.items():
-                # the grade of outer, then key = base + t step along the row
-                lo = sum(s * ((outer + bias >> sh & mask) - half) for s, sh in rest)
-                base = outer + (sigma[d] * (l - lo) << ds)
                 for t, v in enumerate(_slots(r, self.width)):
                     if v:
-                        nums[base + t * step] = v
+                        nums[outer + t * step] = v
             out[l] = (den, nums)
         self.buckets.clear()
         return out
@@ -542,11 +516,16 @@ def _graded(terms: Mapping[RelClass, Fraction], grade, pack, trunc: int):
     return {d: _ints(bucket, pack) for d, bucket in by_grade.items()}
 
 
-def _product(a: tuple[int, dict[int, int]], b: tuple[int, dict[int, int]]):
-    # (den, nums) of a product of two (den, nums) operands
+def _products(pairs: list) -> tuple[int, dict[int, int]]:
+    # (den, nums) of the sum of a * b over the pairs (a, b) of (den, nums)
+    # buckets, on their one common denominator.  pairs is emptied as it
+    # goes, so a bucket held nowhere else is freed once it is convolved
+    den = math.lcm(*(da * db for (da, _), (db, _) in pairs))
     acc: dict[int, int] = {}
-    _convolve(acc, a[1], b[1], 1)
-    return a[0] * b[0], acc
+    while pairs:
+        (da, a), (db, b) = pairs.pop()
+        _convolve(acc, a, b, den // (da * db))
+    return den, acc
 
 
 def _packed_power(base: tuple[int, dict[int, int]], k: int):
@@ -554,11 +533,37 @@ def _packed_power(base: tuple[int, dict[int, int]], k: int):
     result = (1, {0: 1})
     while k:
         if k & 1:
-            result = _product(result, base)
+            result = _products([(result, base)])
         k >>= 1
         if k:
-            base = _product(base, base)
+            base = _products([(base, base)])
     return result
+
+
+def _times_powers(parts: list, u_by_grade: dict) -> tuple[int, dict[int, int]]:
+    """(den, nums) of sum p (1 + u)**k over the (p, k) in parts, u given
+    by its grade buckets, every grade >= 1.
+
+    (1 + u)**k is J.C.P. Miller's recurrence, the graded solve of
+    theta(F) f = k theta(f) F:
+
+        l F_l = sum_j ((k + 1) j - l) u_j F_{l-j},   F_0 = 1,
+
+    from grade 0 up to k max L(u), about |u| |F| pairs, once per distinct
+    k; each p is then convolved into the buckets of its power.
+    """
+    top = max(u_by_grade, default=0)
+    powers: dict[int, list] = {}
+    pairs = []
+    for p, k in parts:
+        if k not in powers:
+            fk = _graded_solve({0: (1, {0: 1})}, u_by_grade, k * top,
+                               lambda j, l: ((k + 1) * j - l, l))
+            powers[k] = list(fk.values())
+        pairs += [(p, x) for x in powers[k]]
+    # the pairs hold the only references, so each power is freed as used
+    powers.clear()
+    return _products(pairs)
 
 
 def _convolve(acc: dict[int, int], a: dict[int, int], b: dict[int, int], scale: int):

@@ -58,10 +58,10 @@ from .novikov import (
 from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
-    _convolve,
-    _graded_solve,
+    _products,
     _raw,
     _times_exp_neg_log,
+    _times_powers,
     divide_by_power,
     monomial,
     multiply,
@@ -210,10 +210,10 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
 
     exactly, and the expanded series is never built.  ev(f) is held as int
     T-exponents (over one common denominator) with int numerators; they
-    add like packed class keys, so ev(f)**p_a is times_power's graded
-    solve, Miller's recurrence, with every ev(gamma_k) of grade 1, and
-    ev(beta'_a) is convolved into its grade buckets.  Fractions are built
-    on output, one exponent and one coefficient per term.
+    add like packed class keys, so the sum is series._times_powers, the
+    Miller solve that times_power uses too, with every ev(gamma_k) of
+    grade 1.  Fractions are built on output, one exponent and one
+    coefficient per term.
 
     Any other input takes the expanded path, so it raises the same errors
     in the same order: ev(gamma_k) needs x_k**-1 even where no expanded
@@ -228,27 +228,19 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     if character is None:
         return evaluate(chekanov_superpotential(spec, Ambient.COMPACT).series, ea, point)
     d, ev = character
-    gammas = [ev(gamma_class(spec, k)) for k in range(1, spec.n)]
-    u_den = math.lcm(*(den for _, _, den in gammas))
-    u: dict[int, int] = {}
-    for e, num, den in gammas:
-        u[e] = u.get(e, 0) + num * (u_den // den)
-    # ev(f) = 1 + u with u of grade 1 in a formal grading, so ev(f)**p is
-    # Miller's recurrence of times_power on T-exponent keys, in grade
-    # buckets; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
-    powers: dict[int, list] = {}
-    parts = [(ev(beta_hat_class(spec)), (1, {0: 1}))]
-    for a, p in enumerate(ps, start=1):
-        if p not in powers:
-            fp = _graded_solve({0: (1, {0: 1})}, {1: (u_den, u)}, p,
-                               lambda j, l: ((p + 1) * j - l, l))
-            powers[p] = list(fp.values())
-        c = ev(beta_prime_class(spec, a))
-        parts.extend((c, bucket) for bucket in powers[p])
-    den = math.lcm(*(c_den * p_den for (_, _, c_den), (p_den, _) in parts))
-    acc: dict[int, int] = {}
-    for (e, num, c_den), (p_den, nums) in parts:
-        _convolve(acc, {e: num}, nums, den // (c_den * p_den))
+
+    def bucket(cls):
+        # ev(cls) as a one-term (den, nums) bucket on its T-exponent
+        e, num, den = ev(cls)
+        return den, {e: num}
+
+    # ev(f) = 1 + u, u = sum_k ev(gamma_k) * 1 of grade 1 in a formal
+    # grading; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
+    one_term = (1, {0: 1})
+    u = _products([(bucket(gamma_class(spec, k)), one_term) for k in range(1, spec.n)])
+    parts = [(bucket(beta_hat_class(spec)), 0)]
+    parts += [(bucket(beta_prime_class(spec, a)), p) for a, p in enumerate(ps, start=1)]
+    den, acc = _times_powers(parts, {1: u})
     return NovikovScalar(
         tuple((Fraction(e, d), Fraction(v, den)) for e, v in sorted(acc.items()) if v)
     )

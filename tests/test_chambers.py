@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opengw import chambers, errors, fan
+from opengw import chambers, errors
 
 
 def pt(lam, q2):
@@ -186,24 +186,3 @@ def test_monodromy_group_laws(data):
     mjk = chambers.monodromy_matrix(rays, j, k)
     mik = chambers.monodromy_matrix(rays, i, k)
     assert mat_mul(mij, mjk) == mik
-
-
-class TestTransport:
-    def test_transport_into_each_wall(self):
-        spec = fan.builtin_fan("cpn", n=3)
-        assert chambers.transport_beta_hat(spec, 1) == fan.RelClass(1, (1, 0), (0,))
-        assert chambers.transport_beta_hat(spec, 2) == fan.RelClass(1, (0, 1), (0,))
-        assert chambers.transport_beta_hat(spec, 3) == fan.RelClass(1, (0, 0), (0,))
-
-    def test_boundary_of_transported_disk(self):
-        spec = fan.builtin_fan("cpn", n=4)
-        for i in range(1, 5):
-            c = chambers.transport_beta_hat(spec, i)
-            assert fan.class_boundary(spec, c) == tuple(
-                -1 if j == i - 1 else 0 for j in range(4)
-            )
-            assert fan.class_maslov(spec, c) == 2
-
-    def test_wall_index_range(self):
-        with pytest.raises(errors.IndexOutOfRange):
-            chambers.transport_beta_hat(fan.builtin_fan("cpn", n=2), 3)

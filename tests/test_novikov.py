@@ -185,24 +185,6 @@ def test_gauss_valuation_properties(data):
     assert got >= novikov.gauss_valuation(f, poly) + novikov.gauss_valuation(g, poly)
 
 
-class TestShift:
-    def test_shift_adds_pairing(self):
-        f = novikov.NovikovLaurent(2, {(1, -1): novikov.ONE})
-        g = novikov.base_point_shift(f, (F(1, 2), F(1, 3)))
-        assert g.terms[(1, -1)] == t_monomial(F(1, 2) - F(1, 3))
-
-    def test_shift_of_toric_potential_matches_recomputation(self):
-        normals = [(1, 0), (0, 1), (-1, -1)]
-        consts = [F(0), F(0), F(-1)]
-        q = (F(1, 3), F(1, 3))
-        c = (F(1, 12), F(-1, 12))
-        shifted = novikov.base_point_shift(
-            novikov.toric_superpotential(normals, consts, q), c
-        )
-        direct = novikov.toric_superpotential(normals, consts, tuple(a + b for a, b in zip(q, c)))
-        assert shifted == direct
-
-
 class TestToric:
     def test_cp2_potential_at_center(self):
         got = novikov.toric_superpotential(
@@ -211,6 +193,11 @@ class TestToric:
         assert set(got.terms) == {(1, 0), (0, 1), (-1, -1)}
         for s in got.terms.values():
             assert s == t_monomial(F(1, 3))
+        # NovikovLaurent compares by n and terms
+        want = {nu: t_monomial(F(1, 3)) for nu in ((1, 0), (0, 1), (-1, -1))}
+        assert got == novikov.NovikovLaurent(2, want)
+        assert got != novikov.NovikovLaurent(2, {**want, (1, 0): t_monomial(F(1, 2))})
+        assert got != novikov.NovikovLaurent(3, {(*nu, 0): s for nu, s in want.items()})
 
     def test_outside_polytope(self):
         with pytest.raises(errors.OutsidePolytope) as exc:
@@ -398,13 +385,6 @@ class TestStrictExponents:
         with pytest.raises(errors.BadParams):
             novikov.toric_superpotential(normals, constants, q)
 
-    @pytest.mark.parametrize("c", [(0.1,), (None,), ("x",), 5])
-    def test_shift_never_rounded(self, c):
-        # (0.1,) used to shift by the exponent 3602879701896397/2^55
-        f = novikov.NovikovLaurent(1, {(1,): novikov.ONE})
-        with pytest.raises(errors.BadParams):
-            novikov.base_point_shift(f, c)
-
     @pytest.mark.parametrize("vertices", [[(0.5,)], [(True,)], [5], 5])
     def test_gauss_vertices_never_rounded(self, vertices):
         f = novikov.NovikovLaurent(1, {(1,): novikov.ONE})
@@ -435,7 +415,6 @@ class TestStrictExponents:
         assert t_monomial("1/2", "0.1") == NovikovScalar(((F(1, 2), F(1, 10)),))
         assert NovikovScalar.from_terms([(1, 1)], cutoff="1/2") == NovikovScalar((), F(1, 2))
         f = novikov.NovikovLaurent(1, {(1,): novikov.ONE})
-        assert novikov.base_point_shift(f, ("1/2",)).terms[(1,)] == t_monomial(F(1, 2))
         assert novikov.gauss_valuation(f, [("0.1",)]) == F(1, 10)
         got = novikov.toric_superpotential([(1,)], ["-1/2"], ("0.1",))
         assert got.terms == {(1,): t_monomial(F(3, 5))}
@@ -893,3 +872,27 @@ def test_factored_eval_work_count(monkeypatch, tmp_path):
     w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
     want = novikov.evaluate(w, ea, [cli.parse_scalar_literal(t) for t in lits])
     assert got == (0, cli.render_scalar(want, "json"), "")
+
+
+@pytest.mark.parametrize("bad", [1, F(1, 2), None, "T"], ids=repr)
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_non_scalar_is_bad_params(slot, bad):
+    # a point coordinate or a correction that is not a NovikovScalar used to
+    # end in a raw AttributeError: 'is_zero' in trop, 'cutoff' in
+    # monomial_character, 'terms' in the correction product
+    spec = fan.builtin_fan("cpn", n=3)
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    point = [t_monomial(1, 2), t_monomial(F(1, 2), -1), constant(3)]
+    point[slot] = bad
+    with pytest.raises(errors.BadParams) as want:
+        novikov.evaluate(w, ea, point)
+    with pytest.raises(errors.BadParams) as got:
+        wallcross.evaluate_chekanov(ea, point)
+    assert str(got.value) == str(want.value)
+    corrections = [novikov.ONE, t_monomial(1), constant(2)]
+    corrections[slot] = bad
+    with pytest.raises(errors.BadParams):
+        novikov.toric_superpotential(
+            [(1, 0), (0, 1), (-1, -1)], [F(0), F(0), F(-1)], (F(1, 3), F(1, 3)), corrections
+        )

@@ -47,7 +47,7 @@ class TestRingOps:
     def test_geometric_inverse(self):
         n, m = 2, 0
         f = series.one(n, m) + gamma_mono(n, m, 1)
-        inv = series.power(f, -1, trunc=4)
+        inv = series.divide_by_power(series.one(n, m), f, 1, 4)
         expected = {RelClass(0, (j,), ()): Fraction((-1) ** j) for j in range(5)}
         assert inv == series.ClassSeries(n, m, expected)
 
@@ -55,7 +55,7 @@ class TestRingOps:
         # (1+x)^-2 = 1 - 2x + 3x^2 - 4x^3 + ...
         n, m = 2, 0
         f = series.one(n, m) + gamma_mono(n, m, 1)
-        inv2 = series.power(f, -2, trunc=5)
+        inv2 = series.divide_by_power(series.one(n, m), f, 2, 5)
         for j in range(6):
             assert inv2.coeff(RelClass(0, (j,), ())) == Fraction((-1) ** j * (j + 1))
 
@@ -63,13 +63,13 @@ class TestRingOps:
         n, m = 2, 0
         f = series.one(n, m).scaled(2) + gamma_mono(n, m, 1)
         with pytest.raises(errors.NotInvertible):
-            series.power(f, -1, trunc=4)
+            series.divide_by_power(series.one(n, m), f, 1, 4)
 
     def test_inverse_rejects_gamma_degree_zero_tail(self):
         n, m = 2, 1
         f = series.one(n, m) + series.monomial(n, m, RelClass(1, (0,), (0,)))
         with pytest.raises(errors.NotFiltered):
-            series.power(f, -1, trunc=4)
+            series.divide_by_power(series.one(n, m), f, 1, 4)
 
     def test_inverse_rejects_mixed_signs(self):
         n, m = 2, 0
@@ -79,7 +79,7 @@ class TestRingOps:
             + series.monomial(n, m, RelClass(0, (-1,), ()))
         )
         with pytest.raises(errors.NotFiltered):
-            series.power(f, -1, trunc=4)
+            series.divide_by_power(series.one(n, m), f, 1, 4)
 
     def test_context_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
@@ -104,7 +104,7 @@ class TestRingOps:
     @pytest.mark.parametrize(
         "call",
         [lambda f: series.power(f, 1.5), lambda f: series.power(f, True),
-         lambda f: series.power(f, -1, 2.5), lambda f: series.power(f, 2, "3"),
+         lambda f: series.power(f, -1),
          lambda f: series.series_exp(f - series.one(2, 0), "3"),
          lambda f: series.series_log(f, 2.0),
          lambda f: series.divide_by_power(f, f, 1.5, 3),
@@ -112,15 +112,15 @@ class TestRingOps:
          lambda f: series.divide_by_power(f, f, -1, 3),
          lambda f: series.times_power(f, f, 2.0), lambda f: series.times_power(f, f, -1),
          lambda f: series.truncate_gamma(f, 1.5)],
-        ids=["power-k-float", "power-k-bool", "power-trunc-float", "power-trunc-str",
+        ids=["power-k-float", "power-k-bool", "power-k-negative",
              "exp-trunc-str", "log-trunc-float", "divide-k-float", "divide-trunc-none",
              "divide-k-negative", "times-power-k-float", "times-power-k-negative",
              "truncate-degree-float"],
     )
     def test_integer_arguments_are_strict(self, call):
         # power(f, 1.5) used to raise a raw TypeError, power(f, True) to
-        # return f, power(f, -1, 2.5) a raw AttributeError, series_exp(u, "3")
-        # and divide_by_power(p, f, 1.5, 3) a raw TypeError
+        # return f, series_exp(u, "3") and divide_by_power(p, f, 1.5, 3) a
+        # raw TypeError
         with pytest.raises(errors.BadParams):
             call(series.one(2, 0) + gamma_mono(2, 0, 1))
 
@@ -221,7 +221,8 @@ def test_negative_power_cancels(data):
     body = data.draw(series_strategy(n, 1, signed=False), label="body")
     f = series.one(n, 1) + body
     k = data.draw(st.integers(min_value=1, max_value=3), label="k")
-    prod = series.multiply(series.power(f, -k, trunc), series.power(f, k))
+    inv = series.divide_by_power(series.one(n, 1), f, k, trunc)
+    prod = series.multiply(inv, series.power(f, k))
     assert series.truncate_gamma(prod, trunc) == series.one(n, 1)
 
 
@@ -248,7 +249,8 @@ def test_negative_power_is_binomial_series(a, b, signs, k, trunc):
             cls = x.scale(i) + y.scale(j)
             d = i + j
             want[cls] = (-1) ** d * math.comb(k + d - 1, d) * math.comb(d, i) * a**i * b**j
-    assert series.power(f, -k, trunc) == series.ClassSeries(n, m, want)
+    inv = series.divide_by_power(series.one(n, m), f, k, trunc)
+    assert inv == series.ClassSeries(n, m, want)
 
 
 @given(st.data())
@@ -713,3 +715,35 @@ def test_exp_rows_exact_cancellation(sign):
     got = series.series_exp(_as_series(n, m, u), trunc)
     assert got.coeff(RelClass(*xy)) == 0 and xy not in want
     assert got == _as_series(n, m, want)
+
+
+@pytest.mark.parametrize(
+    "sign",
+    [(-1, 1), (1, -1), (-1, -1),
+     (-1, 1, -1), (1, -1, 1), (-1, -1, 1),
+     (-1, 1, -1, 1), (1, -1, -1, 1), (-1, -1, 1, -1)],
+)
+def test_exp_rows_at_the_grade_bound(sign):
+    # f = 1 + sum_k +-gamma_k with unit coordinates in a mixed-sign orthant:
+    # at trunc 12 the d digit of an outer key, sigma_d (|x_c| + |x_d|),
+    # reaches the grade, near the packer's bound of 12 + bound(p) in the
+    # fused solve.  The first two gamma digits are d and c, so sigma_d and
+    # sigma_c take every sign pair
+    n, m, trunc = len(sign) + 1, 1, 12
+
+    def cls(b, g, h):
+        return RelClass(b, tuple(g), (h,))
+
+    unit = [tuple(s if j == k else 0 for j in range(n - 1)) for k, s in enumerate(sign)]
+    f = series.one(n, m)
+    for k, g in enumerate(unit):
+        f = f + series.monomial(n, m, cls(0, g, 0), Fraction((-1) ** k * (k + 2), k + 1))
+    assert series.series_exp(series.series_log(f, trunc), trunc) == series.truncate_gamma(f, trunc)
+    # p has b and h digits and gamma signs off the orthant of f
+    p = series.ClassSeries(n, m, {
+        cls(0, (0,) * (n - 1), 0): Fraction(1),
+        cls(1, (-sign[0],) + (0,) * (n - 2), 1): Fraction(2),
+        cls(-1, sign, -1): Fraction(-1, 3),
+    })
+    unfused = series.multiply(p, series.series_exp(-series.series_log(f, trunc), trunc))
+    assert series._times_exp_neg_log(p, f, trunc) == series.truncate_gamma(unfused, trunc)
