@@ -39,10 +39,10 @@ from .errors import (
 )
 from .fan import (
     FanSpec,
+    _class_namer,
     _require_keys,
     _require_rationals,
     _require_seq,
-    class_name,
     parse_energies,
     require_int,
     require_ints,
@@ -50,7 +50,7 @@ from .fan import (
     validate_fan,
 )
 from .novikov import NovikovScalar, assign_energies, evaluate
-from .series import ClassSeries, from_records, to_records
+from .series import ClassSeries, from_records
 from .wallcross import (
     Ambient,
     Chart,
@@ -192,36 +192,38 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _json_records(records: list[dict], depth: int) -> str:
-    """A list of flat records laid out exactly as _json_text lays it out
-    depth levels deep, without json's pure-Python indenting encoder.
+def _json_records(columns: list[tuple[str, list]], depth: int) -> str:
+    """A list of flat records, given column by column as (key, values),
+    laid out exactly as _json_text lays it out depth levels deep, without
+    json's pure-Python indenting encoder.
 
-    Every record has the first one's keys, in its order, and each value the
-    kind of the first record's: a str goes through encode_basestring, an
-    int through int.__repr__, a list or tuple of ints one entry per line or
-    [] when empty.  One format template per record is filled column by
-    column.
+    A column's values are all of one kind: str, int, or tuple of ints of
+    one length.  The template of one record has a format field per str or
+    int and one per entry of a tuple, [] for an empty tuple; a str goes
+    through encode_basestring, an int is formatted by str.format, and the
+    template is filled column by column.  Only the template's own text is
+    brace-escaped: the values are format arguments, never parsed.
     """
-    if not records:
+    if not columns[0][1]:
         return "[]"
     end_pad, rec_pad, field_pad, item_pad = ("\n" + "  " * (depth + i) for i in range(4))
-    item_sep, list_close = "," + item_pad, field_pad + "]"
-
-    def ints(v) -> str:
-        return f"[{item_pad}{item_sep.join(map(int.__repr__, v))}{list_close}" if v else "[]"
-
-    heads = (f"{field_pad}{encode_basestring(key)}: " for key in records[0])
-    fields = ",".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads)
+    fields, args = [], []
+    for key, values in columns:
+        head = f"{field_pad}{encode_basestring(key)}: ".replace("{", "{{").replace("}", "}}")
+        first = values[0]
+        if isinstance(first, str):
+            fields.append(head + "{}")
+            args.append(map(encode_basestring, values))
+        elif isinstance(first, (list, tuple)):
+            entries = ("," + item_pad).join(["{}"] * len(first))
+            fields.append(f"{head}[{item_pad}{entries}{field_pad}]" if first else head + "[]")
+            args += zip(*values)
+        else:
+            fields.append(head + "{}")
+            args.append(values)
     # the record's own braces, escaped for str.format
-    template = rec_pad + "{{" + fields + rec_pad + "}}"
-    kinds = [
-        encode_basestring if isinstance(v, str)
-        else ints if isinstance(v, (list, tuple))
-        else int.__repr__
-        for v in records[0].values()
-    ]
-    columns = [map(kind, col) for kind, col in zip(kinds, zip(*map(dict.values, records)))]
-    return f"[{','.join(map(template.format, *columns))}{end_pad}]"
+    template = rec_pad + "{{" + ",".join(fields) + rec_pad + "}}"
+    return f"[{','.join(map(template.format, *args))}{end_pad}]"
 
 
 def _csv_text(header, rows) -> str:
@@ -251,30 +253,36 @@ def _series_columns(n: int, m: int) -> list[str]:
 
 
 def render_series(s: ClassSeries, fmt: str) -> str:
+    items = s.items()
     if fmt == "json":
-        return f'{{\n  "n": {s.n},\n  "m": {s.m},\n  "terms": {_json_records(to_records(s), 1)}\n}}\n'
+        terms = _json_records([
+            ("b", [c.b for c, _ in items]),
+            ("g", [c.g for c, _ in items]),
+            ("h", [c.h for c, _ in items]),
+            ("coeff_numerator", [q.numerator for _, q in items]),
+            ("coeff_denominator", [q.denominator for _, q in items]),
+        ], 1)
+        return f'{{\n  "n": {s.n},\n  "m": {s.m},\n  "terms": {terms}\n}}\n'
     if fmt == "csv":
         header = _series_columns(s.n, s.m) + ["coeff"]
-        rows = [[c.b, *c.g, *c.h, str(q)] for c, q in s.items()]
+        rows = [[c.b, *c.g, *c.h, str(q)] for c, q in items]
         return _csv_text(header, rows)
-    rows = [[class_name(c), str(q)] for c, q in s.items()]
+    name = _class_namer(s.m, s.n - 1)
+    rows = [[name(c), str(q)] for c, q in items]
     return _table_text(["class", "coeff"], rows)
 
 
 def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
     if fmt == "json":
-        records = [
-            {
-                "name": row.name,
-                "b": row.cls.b,
-                "g": row.cls.g,
-                "h": row.cls.h,
-                "maslov": row.maslov,
-                "n_beta": int(row.value),
-            }
-            for row in table
-        ]
-        return _json_records(records, 0) + "\n"
+        rows = table.rows
+        return _json_records([
+            ("name", [row.name for row in rows]),
+            ("b", [row.cls.b for row in rows]),
+            ("g", [row.cls.g for row in rows]),
+            ("h", [row.cls.h for row in rows]),
+            ("maslov", [row.maslov for row in rows]),
+            ("n_beta", [int(row.value) for row in rows]),
+        ], 0) + "\n"
     if fmt == "csv":
         header = _series_columns(spec.n, spec.m) + ["maslov", "n_beta"]
         rows = [[row.cls.b, *row.cls.g, *row.cls.h, row.maslov, int(row.value)] for row in table]
@@ -326,9 +334,12 @@ def render_matrix(mat, fmt: str) -> str:
 
 def render_scalar(x: NovikovScalar, fmt: str) -> str:
     if fmt == "json":
-        terms = [{"exponent": str(e), "coefficient": str(c)} for e, c in x.terms]
+        terms = _json_records([
+            ("exponent", [str(e) for e, _ in x.terms]),
+            ("coefficient", [str(c) for _, c in x.terms]),
+        ], 1)
         cutoff = "null" if x.cutoff is None else encode_basestring(str(x.cutoff))
-        return f'{{\n  "terms": {_json_records(terms, 1)},\n  "cutoff": {cutoff}\n}}\n'
+        return f'{{\n  "terms": {terms},\n  "cutoff": {cutoff}\n}}\n'
     if fmt == "csv":
         return _csv_text(["exponent", "coefficient"], [[str(e), str(c)] for e, c in x.terms])
     return str(x) + "\n"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -308,11 +309,12 @@ def _boundary(c: RelClass) -> IntVec:
 def class_maslov(spec: FanSpec, c: RelClass) -> int:
     """Maslov index: 2b plus 2(1 + p_a) per sphere class H_a."""
     _check_class_shape(spec, c)
-    mu = 2 * c.b
-    for a in range(spec.m):
-        if c.h[a]:
-            mu += 2 * c.h[a] * (1 + sum(spec.extra_rays[a]))
-    return mu
+    return 2 * c.b + sum(map(operator.mul, _maslov_weights(spec), c.h))
+
+
+def _maslov_weights(spec: FanSpec) -> IntVec:
+    """The Maslov index's weights 2(1 + p_a) on h_a; b has weight 2."""
+    return tuple(2 * (1 + sum(v)) for v in spec.extra_rays)
 
 
 def _check_class_shape(spec: FanSpec, c: RelClass):
@@ -328,19 +330,49 @@ def _class_symbols(m: int, g: int) -> tuple[str, ...]:
     return (*(f"H_{a}" for a in range(1, m + 1)), "β̂", *(f"γ_{k}" for k in range(1, g + 1)))
 
 
+class _Pieces(dict):
+    # value q -> the piece " + q sym" / " - |q| sym" of one coordinate, "" for
+    # q = 0, each formatted on first use
+    __slots__ = ("sym",)
+
+    def __init__(self, sym: str):
+        super().__init__()
+        self.sym = sym
+
+    def __missing__(self, q: int) -> str:
+        if q > 0:
+            piece = f" + {self.sym}" if q == 1 else f" + {q}{self.sym}"
+        elif q:
+            piece = f" - {self.sym}" if q == -1 else f" - {-q}{self.sym}"
+        else:
+            piece = ""
+        self[q] = piece
+        return piece
+
+
+def _class_namer(m: int, g: int):
+    """class_name for classes with m sphere and g gamma coordinates.
+
+    The namer keeps each (coordinate, value) piece it formats and joins the
+    pieces of every later class, so a table names its rows with one join
+    per row; the pieces live as long as the namer.
+    """
+    pieces = [_Pieces(sym) for sym in _class_symbols(m, g)]
+    getitem = operator.getitem
+
+    def name(c: RelClass) -> str:
+        # the first piece's sign becomes a bare leading minus or is dropped
+        text = "".join(map(getitem, pieces, (*c.h, c.b, *c.g)))
+        if not text:
+            return "0"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    return name
+
+
 def class_name(c: RelClass) -> str:
     """Readable name like 'H_1 - 2β̂ + γ_1'."""
-    # one pass of " + body" / " - body" pieces; the first piece's sign
-    # then becomes a bare leading minus or is dropped
-    text = ""
-    for q, sym in zip((*c.h, c.b, *c.g), _class_symbols(len(c.h), len(c.g))):
-        if q > 0:
-            text += f" + {sym}" if q == 1 else f" + {q}{sym}"
-        elif q:
-            text += f" - {sym}" if q == -1 else f" - {-q}{sym}"
-    if not text:
-        return "0"
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+    return _class_namer(len(c.h), len(c.g))(c)
 
 
 # exact integer linear algebra, small n

@@ -485,13 +485,19 @@ def monomial_character(ea: EnergyAssignment, point: Sequence[NovikovScalar]):
     return d, ev
 
 
+def _check_point(spec: FanSpec, point: Sequence[NovikovScalar]):
+    """evaluate's checks of the point alone: the coordinate count, then
+    trop's check of each coordinate."""
+    if len(point) != spec.n:
+        raise DimensionMismatch(f"point must have {spec.n} coordinates")
+    trop(point)
+
+
 def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> NovikovScalar:
     """Numeric value of a class series at a torus point: each monomial of
     class c contributes coeff * T^{E(c)} * prod point_i^{boundary_i(c)}."""
     spec = ea.fan
-    if len(point) != spec.n:
-        raise DimensionMismatch(f"point must have {spec.n} coordinates")
-    trop(point)
+    _check_point(spec, point)
     items = s.items()
     if items and (s.n, s.m) != (spec.n, spec.m):
         # every class of s has the series' shape, so the first term fails

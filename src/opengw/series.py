@@ -32,8 +32,11 @@ reduced by their gcd.  For f = 1 + u the callers supply
     series_log        R = u            weight (j - l, l)
 
 _times_powers sums p f**k over its parts in one packed pass, one solve
-per distinct k; times_power and wallcross.evaluate_chekanov (on
-T-exponent keys) both call it.  An f without a graded unit tail is
+per distinct k.  times_powers(parts, f) calls it on class keys, with
+times_power(p, f, k) as its one-part call, and
+wallcross.evaluate_chekanov on T-exponent keys; the Chekanov
+superpotential beta_hat f**0 + sum_a beta'_a f**p_a is one times_powers
+call, one packer and one unpack.  An f without a graded unit tail is
 raised by square-and-multiply instead.  The wall-crossing identity's
 p exp(-log f), _times_exp_neg_log, chains two solves on one packer:
 
@@ -59,7 +62,9 @@ back only for each grade's gcd and on output.  Only the exp solves use
 rows: their coefficient is the dense exponent, while the log, power,
 division and Chekanov-evaluation solves have the sparse unit tail u as
 coefficient, where rows measured slower.  Fractions and RelClasses are
-rebuilt only on output, bucket by bucket.
+rebuilt only on output, bucket by bucket, one RelClass per term; the terms
+of a bucket with equal numerators share one Fraction, built as Fraction(v)
+when the bucket's denominator is 1.
 """
 
 from __future__ import annotations
@@ -207,29 +212,44 @@ def power(f: ClassSeries, k: int) -> ClassSeries:
 
 
 def times_power(p: ClassSeries, f: ClassSeries, k: int) -> ClassSeries:
-    """p * f**k for k >= 0, exact, in one packed pass.
+    """p * f**k for k >= 0, exact: times_powers([(p, k)], f)."""
+    return times_powers([(p, k)], f)
+
+
+def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> ClassSeries:
+    """sum p * f**k over the (p, k) in parts, every k >= 0, exact, in one
+    packed pass.
 
     When f = 1 + u with u in one closed gamma orthant and free of
-    gamma-degree 0 (every gluing factor), f**k is Miller's recurrence
-    (_times_powers) and p is convolved into its grade buckets.  Any other
-    f is raised by square-and-multiply.  The product is unpacked once.
+    gamma-degree 0 (every gluing factor), each f**k is Miller's recurrence
+    (_times_powers), solved once per distinct k, and each p is convolved
+    into the grade buckets of its power.  Any other f is raised by
+    square-and-multiply, once per distinct k.  Every product lands in one
+    bucket on one packer, which is unpacked once.
     """
-    p._check_context(f)
-    k = require_int(k, "exponent")
-    if k < 0:
-        raise BadParams(f"times_power needs an exponent >= 0, got {k}")
+    checked = []
+    for p, k in parts:
+        p._check_context(f)
+        k = require_int(k, "exponent")
+        if k < 0:
+            raise BadParams(f"times_power needs an exponent >= 0, got {k}")
+        checked.append((p, k))
     # a term of p * f**k is a term of p plus k terms of f
-    packer = _Packer(p.n, p.m, _coord_bound(p._terms) + k * _coord_bound(f._terms))
+    fb = _coord_bound(f._terms)
+    bound = max((_coord_bound(p._terms) + k * fb for p, k in checked), default=0)
+    packer = _Packer(f.n, f.m, bound)
+    packed = [(_ints(p._terms, packer.pack), k) for p, k in checked]
     try:
         u = _unit_tail(f, "power")
         _, grade = _orthant(f.n, u, "power")
     except (NotInvertible, NotFiltered):
-        fk = _packed_power(_ints(f._terms, packer.pack), k)
-        prod = _products([(_ints(p._terms, packer.pack), fk)])
+        base = _ints(f._terms, packer.pack)
+        powers = {k: _packed_power(base, k) for k in {k for _, k in packed}}
+        prod = _products([(p, powers[k]) for p, k in packed])
     else:
         u_by_grade = _graded(u, grade, packer.pack, max(map(grade, u), default=0))
-        prod = _times_powers([(_ints(p._terms, packer.pack), k)], u_by_grade)
-    return _unpacked(p.n, p.m, packer, {0: prod})
+        prod = _times_powers(packed, u_by_grade)
+    return _unpacked(f.n, f.m, packer, {0: prod})
 
 
 def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> ClassSeries:
@@ -633,10 +653,15 @@ def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
     unpack = packer.unpack
     while buckets:
         _, (den, nums) = buckets.popitem()
+        # terms of one bucket with equal numerators share one Fraction
+        fractions: dict[int, Fraction] = {}
         while nums:
             key, v = nums.popitem()
             if v:
-                terms[unpack(key)] = Fraction(v, den)
+                q = fractions.get(v)
+                if q is None:
+                    q = fractions[v] = Fraction(v) if den == 1 else Fraction(v, den)
+                terms[unpack(key)] = q
     return _raw(n, m, terms)
 
 

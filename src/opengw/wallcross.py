@@ -8,12 +8,17 @@ chamber multiplies each monomial by a power of the gluing factor
 
 the power being minus the beta_hat-coefficient of the class (plus for the
 reverse direction).  The Chekanov superpotential has an exact closed form
-whenever every extra ray has nonnegative coordinate sum, and its
-coefficients are one-pointed open Gromov-Witten invariants; invariant_table
-reads them off.  evaluate_chekanov evaluates it at a torus point; at a
-monomial point it does so in the factored form
-beta_hat + sum_a beta'_a f^{p_a}, never expanding f^{p_a}, with the
-expanded novikov.evaluate as its oracle.  closed_form_invariant supplies
+whenever every extra ray has nonnegative coordinate sum: it is one
+series.times_powers pass over the parts beta_hat f^0 and beta'_a f^{p_a}
+(_chekanov_parts).  Its coefficients are one-pointed open Gromov-Witten
+invariants; invariant_table reads them off, checking the series shape once
+per table, reading each Maslov index as the linear form
+2b + sum_a 2(1 + p_a) h_a and naming each row by one join of per-table
+name pieces (fan._class_namer).  evaluate_chekanov evaluates it at a torus
+point from the same parts; at a monomial point it does so in the factored
+form beta_hat + sum_a beta'_a f^{p_a}, never expanding f^{p_a}, with the
+expanded novikov.evaluate as its oracle, and a point that evaluate would
+refuse is refused before the expansion.  closed_form_invariant supplies
 independent multinomial formulas for the stock families, and
 verify_wall_cross_identity checks the exp/log consistency identity that
 pins the basic disk count to 1.
@@ -22,6 +27,7 @@ pins the basic disk count to 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,12 +44,13 @@ from .errors import (
 from .fan import (
     FanSpec,
     RelClass,
+    _check_class_shape,
+    _class_namer,
+    _maslov_weights,
     _require_int_param,
     beta_class,
     beta_hat_class,
     beta_prime_class,
-    class_maslov,
-    class_name,
     gamma_class,
     ray_decomposition,
     require_int,
@@ -52,6 +59,7 @@ from .fan import (
 from .novikov import (
     EnergyAssignment,
     NovikovScalar,
+    _check_point,
     evaluate,
     monomial_character,
 )
@@ -68,6 +76,7 @@ from .series import (
     one,
     series_log,
     times_power,
+    times_powers,
 )
 
 
@@ -175,24 +184,37 @@ def wall_crossing_factor(
     return GluingData(f, direction, trunc)
 
 
+def _chekanov_parts(spec: FanSpec) -> list[tuple[RelClass, int]]:
+    """The (class, power of f) parts of the compact Chekanov superpotential
+    beta_hat * f**0 + sum_a beta'_a * f**p_a.
+
+    Compact needs an extra ray, and every p_a >= 0: otherwise f**p_a is an
+    infinite series and we refuse rather than emit a silently truncated
+    table.
+    """
+    _check_ambient(spec, Ambient.COMPACT)
+    parts = [(beta_hat_class(spec), 0)]
+    for a in range(1, spec.m + 1):
+        _, p = ray_decomposition(spec, a)
+        if p < 0:
+            raise NegativePa(a, p)
+        parts.append((beta_prime_class(spec, a), p))
+    return parts
+
+
 def chekanov_superpotential(spec: FanSpec, ambient: Ambient) -> Superpotential:
     """Exact pushforward of the Clifford superpotential across the wall.
 
-    Open ambient: the single beta_hat monomial.  Compact: additionally
-    (beta'_a-monomial) * factor^{p_a} per extra ray, expanded exactly; this
-    needs every p_a >= 0, otherwise the expansion is an infinite series and
-    we refuse rather than emit a silently truncated table.
+    Open ambient: the single beta_hat monomial.  Compact: the sum over
+    _chekanov_parts of (class monomial) * factor**p, expanded exactly in one
+    packed pass (series.times_powers).
     """
-    _check_ambient(spec, ambient)
-    w = monomial(spec.n, spec.m, beta_hat_class(spec))
     if ambient is Ambient.COMPACT:
         f = wall_crossing_factor(spec).factor
-        for a in range(1, spec.m + 1):
-            _, p = ray_decomposition(spec, a)
-            if p < 0:
-                raise NegativePa(a, p)
-            term = monomial(spec.n, spec.m, beta_prime_class(spec, a))
-            w = w + times_power(term, f, p)
+        parts = [(monomial(spec.n, spec.m, c), p) for c, p in _chekanov_parts(spec)]
+        w = times_powers(parts, f)
+    else:
+        w = monomial(spec.n, spec.m, beta_hat_class(spec))
     return Superpotential(spec, w, Chart.CHEKANOV, ambient)
 
 
@@ -211,7 +233,7 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     exactly, and the expanded series is never built.  ev(f) is held as int
     T-exponents (over one common denominator) with int numerators; they
     add like packed class keys, so the sum is series._times_powers, the
-    Miller solve that times_power uses too, with every ev(gamma_k) of
+    Miller solve that times_powers uses too, with every ev(gamma_k) of
     grade 1.  Fractions are built on output, one exponent and one
     coefficient per term.
 
@@ -219,13 +241,15 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     in the same order: ev(gamma_k) needs x_k**-1 even where no expanded
     term does, and a coordinate with several terms or a cutoff would carry
     its cutoff through ev(f)**p_a differently from the expanded terms.
+    The parts come first, so no ray at infinity and a negative p_a raise
+    as the expansion does; past them the expansion cannot fail, so
+    evaluate's point checks run before it is built.
     """
     spec = ea.fan
-    ps = [ray_decomposition(spec, a)[1] for a in range(1, spec.m + 1)]
-    character = None
-    if spec.m and ea.h is not None and min(ps) >= 0:
-        character = monomial_character(ea, point)
+    parts = _chekanov_parts(spec)
+    character = None if ea.h is None else monomial_character(ea, point)
     if character is None:
+        _check_point(spec, point)
         return evaluate(chekanov_superpotential(spec, Ambient.COMPACT).series, ea, point)
     d, ev = character
 
@@ -238,9 +262,7 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     # grading; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
     one_term = (1, {0: 1})
     u = _products([(bucket(gamma_class(spec, k)), one_term) for k in range(1, spec.n)])
-    parts = [(bucket(beta_hat_class(spec)), 0)]
-    parts += [(bucket(beta_prime_class(spec, a)), p) for a, p in enumerate(ps, start=1)]
-    den, acc = _times_powers(parts, {1: u})
+    den, acc = _times_powers([(bucket(c), p) for c, p in parts], {1: u})
     return NovikovScalar(
         tuple((Fraction(e, d), Fraction(v, den)) for e, v in sorted(acc.items()) if v)
     )
@@ -304,20 +326,25 @@ def invariant_table(w: Superpotential) -> InvariantTable:
     """Read the disk counts off a superpotential, one row per class.
 
     Every class must have Maslov index 2 and an integer coefficient;
-    violations abort, they are never rounded away.
+    violations abort, they are never rounded away.  Every class has the
+    series' shape, so the shape is checked once, on the first class, and
+    each Maslov index is the linear form 2b + sum_a 2(1 + p_a) h_a.
     """
+    spec, s = w.fan, w.series
+    items = s.items()
+    if items and (s.n, s.m) != (spec.n, spec.m):
+        _check_class_shape(spec, items[0][0])
+    weights = _maslov_weights(spec)
+    name = _class_namer(spec.m, spec.n - 1)
+    mul = operator.mul
     rows = []
-    for cls, coeff in w.series.items():
-        mu = class_maslov(w.fan, cls)
+    for cls, coeff in items:
+        mu = 2 * cls.b + sum(map(mul, weights, cls.h))
         if mu != 2:
-            raise MaslovViolation(
-                f"class {class_name(cls)} has Maslov index {mu}, expected 2"
-            )
+            raise MaslovViolation(f"class {name(cls)} has Maslov index {mu}, expected 2")
         if coeff.denominator != 1:
-            raise NonIntegerInvariant(
-                f"count for {class_name(cls)} is {coeff}, not an integer"
-            )
-        rows.append(InvariantRow(cls, mu, coeff, class_name(cls)))
+            raise NonIntegerInvariant(f"count for {name(cls)} is {coeff}, not an integer")
+        rows.append(InvariantRow(cls, mu, coeff, name(cls)))
     return InvariantTable(tuple(rows))
 
 

@@ -265,6 +265,49 @@ class TestJsonRender:
         for table in (wallcross.InvariantTable(rows), wallcross.InvariantTable(())):
             assert cli.render_invariants(table, spec, "json") == _table_reference(table)
 
+    @pytest.mark.parametrize("spec", [
+        builtin_fan("cpn", n=8), builtin_fan("cp_product", n=5, r=2),
+    ], ids=["cp8", "cp2xcp3"])
+    def test_large_compact_tables(self, spec):
+        w = chekanov_superpotential(spec, Ambient.COMPACT)
+        table = wallcross.invariant_table(w)
+        assert cli.render_invariants(table, spec, "json") == _table_reference(table)
+        assert cli.render_series(w.series, "json") == _series_reference(w.series)
+
+    def test_glued_series(self):
+        # fractional coefficients and negative coordinates: the CP^3
+        # Clifford series divided across the wall at trunc 6
+        spec = builtin_fan("cpn", n=3)
+        s = clifford_superpotential(spec, Ambient.COMPACT).series
+        s = s + series.monomial(3, 1, RelClass(2, (1, -1), (0,)), Fraction(-2, 3))
+        gd = wallcross.wall_crossing_factor(spec, wallcross.Direction.MINUS_TO_PLUS, 6)
+        glued = wallcross.apply_gluing(spec, s, gd)
+        assert any(q.denominator > 1 for _, q in glued.items())
+        assert cli.render_series(glued, "json") == _series_reference(glued)
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (3, 2)])
+    def test_names_with_braces_quotes_and_non_ascii(self, n, m):
+        names = ["{}", "{0}", "}{", "{{x}}", 'H_1 "q" {', "γ_1 – β̂ é", "\\{\n}", ""]
+        rows = tuple(
+            wallcross.InvariantRow(
+                RelClass(-i, tuple(-j - i for j in range(n - 1)), tuple(i - j for j in range(m))),
+                2 - 3 * i, Fraction(-7 * i), name)
+            for i, name in enumerate(names)
+        )
+        table = wallcross.InvariantTable(rows)
+        spec = builtin_fan("cpn", n=n)
+        assert cli.render_invariants(table, spec, "json") == _table_reference(table)
+
+    def test_keys_with_braces(self):
+        # only the template's own text is brace-escaped
+        for depth in (0, 1, 2):
+            columns = [("{k}", ["{v}", "}"]), ("a}{", [-1, 2]), ("l{", [(3, -4), (5, 6)]),
+                       ("e}", [(), ()])]
+            want = [dict(zip(("{k}", "a}{", "l{", "e}"), (s, x, list(t), list(e))))
+                    for s, x, t, e in zip(*(values for _, values in columns))]
+            text = json.dumps(want, indent=2, ensure_ascii=False)
+            assert cli._json_records(columns, depth) == text.replace("\n", "\n" + "  " * depth)
+
     @pytest.mark.parametrize("cutoff", [None, Fraction(7, 2), Fraction(-3)])
     @pytest.mark.parametrize(
         "terms",
@@ -282,6 +325,23 @@ class TestJsonRender:
             "cutoff": None if x.cutoff is None else str(x.cutoff),
         }
         assert cli.render_scalar(x, "json") == _json_reference(want)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_cp8_invariants_are_deterministic_across_processes(tmp_path, monkeypatch, fmt):
+    # rows come from packed buckets and per-call name pieces; two fresh
+    # interpreters with different string hash seeds print the same bytes
+    path = tmp_path / "cp8.json"
+    path.write_text(json.dumps({"n": 8, "extra_rays": [[1] * 8]}))
+    outputs = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        outputs.append(run_process("invariants", str(path), "--format", fmt))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert (code, err) == (0, "")
+    rows = len(json.loads(out)) if fmt == "json" else len(out.splitlines()) - 1
+    assert rows == 6436
 
 
 class TestGlue:

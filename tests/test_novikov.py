@@ -896,3 +896,57 @@ def test_non_scalar_is_bad_params(slot, bad):
         novikov.toric_superpotential(
             [(1, 0), (0, 1), (-1, -1)], [F(0), F(0), F(-1)], (F(1, 3), F(1, 3)), corrections
         )
+
+
+def _value_or_error(call):
+    """call()'s value, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the multi-term point's scalar_inverse is a ValueError
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", [
+    fan.FanSpec(2, ()),               # no ray at infinity: BadParams first
+    fan.FanSpec(2, ((-1, -2),)),      # p_1 = -3: NegativePa before any point error
+    fan.builtin_fan("cpn", n=2),      # the build cannot fail: the point checks first
+], ids=["m0", "negative-p", "cp2"])
+@pytest.mark.parametrize("with_h", [True, False], ids=["h", "no-h"])
+@pytest.mark.parametrize("point", [
+    [t_monomial(1, 2), t_monomial(F(1, 2), -1)],
+    [novikov.ZERO, t_monomial(1)],
+    [t_monomial(1)],
+    [t_monomial(1), t_monomial(1), t_monomial(1)],
+    [1, t_monomial(1)],
+    [constant(1) + t_monomial(1), t_monomial(1)],
+    [t_monomial(1, 2), t_monomial(1).truncated(3)],
+], ids=["monomial", "zero", "too-few", "too-many", "not-a-scalar", "multi-term", "cutoff"])
+def test_chekanov_errors_match_expanded_path(spec, with_h, point):
+    # every fan, energy and point combination: the same value, or the same
+    # exception type and message, as evaluating the expanded series
+    values = {"beta_hat": 1, "gamma": [1]}
+    if with_h:
+        values["H"] = [5] * spec.m
+    ea = novikov.assign_energies(spec, values)
+
+    def expanded():
+        w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+        return novikov.evaluate(w, ea, point)
+
+    got = _value_or_error(lambda: wallcross.evaluate_chekanov(ea, point))
+    assert got == _value_or_error(expanded)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (novikov.ZERO, errors.ZeroCoordinate), (None, errors.DimensionMismatch),
+], ids=["zero", "too-few"])
+def test_bad_point_is_refused_before_the_expansion(monkeypatch, bad, error):
+    # on CP^6 a bad point used to build the 463-term series before evaluate
+    # looked at the point
+    spec = fan.builtin_fan("cpn", n=6)
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    point = [t_monomial(1)] * 5 + ([bad] if bad is not None else [])
+    solves = _count_calls(monkeypatch, series._times_powers)
+    with pytest.raises(error):
+        wallcross.evaluate_chekanov(ea, point)
+    assert solves["n"] == 0

@@ -381,6 +381,81 @@ class TestInvariantTables:
             invariant_table(bad)
 
 
+    def test_series_shape_differs_from_fan(self):
+        # a series of shape (3, 1) read against the CP^2 fan: the first
+        # class fails the shape check with class_maslov's message
+        spec = builtin_fan("cpn", n=2)
+        s = ClassSeries(3, 1, {RelClass(1, (0, 0), (0,)): F(1), RelClass(-3, (1, 0), (1,)): F(2)})
+        bad = wallcross.Superpotential(spec, s, Chart.CHEKANOV, Ambient.COMPACT)
+        with pytest.raises(errors.DimensionMismatch) as exc:
+            invariant_table(bad)
+        assert str(exc.value) == "class shape (2, 1) does not match fan (1, 1)"
+
+    def test_empty_series_of_another_shape_is_an_empty_table(self):
+        spec = builtin_fan("cpn", n=2)
+        for n, m in ((3, 1), (2, 0), (1, 2)):
+            w = wallcross.Superpotential(spec, ClassSeries(n, m), Chart.CHEKANOV, Ambient.COMPACT)
+            assert len(invariant_table(w)) == 0
+
+    def test_maslov_violation_comes_before_a_non_integer_count(self):
+        spec = builtin_fan("cpn", n=2)
+
+        def table(terms):
+            s = ClassSeries(2, 1, terms)
+            w = wallcross.Superpotential(spec, s, Chart.CHEKANOV, Ambient.COMPACT)
+            return invariant_table(w)
+
+        # one class with both faults: the Maslov index is reported
+        with pytest.raises(errors.MaslovViolation) as exc:
+            table({RelClass(2, (1,), (0,)): F(1, 2)})
+        assert str(exc.value) == "class 2β̂ + γ_1 has Maslov index 4, expected 2"
+        with pytest.raises(errors.NonIntegerInvariant) as exc:
+            table({RelClass(-2, (1,), (1,)): F(-3, 2)})
+        assert str(exc.value) == "count for H_1 - 2β̂ + γ_1 is -3/2, not an integer"
+        # across rows, the first faulty row in canonical order is reported
+        with pytest.raises(errors.NonIntegerInvariant):
+            table({RelClass(1, (0,), (0,)): F(1, 3), RelClass(0, (0,), (1,)): F(1)})
+        with pytest.raises(errors.MaslovViolation):
+            table({RelClass(1, (0,), (0,)): F(1), RelClass(0, (0,), (0,)): F(1, 3)})
+
+
+@pytest.mark.parametrize("spec, products", [
+    (builtin_fan("cpn", n=8), 30460),
+    (builtin_fan("hirzebruch_f1"), 9),
+    (builtin_fan("cp_product", n=5, r=2), 131),
+], ids=["cp8", "f1", "cp2xcp3"])
+def test_chekanov_work_count(monkeypatch, spec, products):
+    # the compact Chekanov series is one times_powers pass: one unpack of one
+    # packer, one RelClass per output term, no series sum per extra ray, and
+    # the Miller solves' int products plus one for the beta_hat part at k = 0
+    counts = {"unpacked": 0, "unpack": 0, "add": 0, "products": 0}
+    in_factor = [False]
+
+    def counted(key, fn, what=lambda *args: 1):
+        def wrapper(*args):
+            counts[key] += what(*args)
+            return fn(*args)
+        return wrapper
+
+    def factor(*args, **kwargs):
+        in_factor[0] = True
+        try:
+            return wallcross_factor(*args, **kwargs)
+        finally:
+            in_factor[0] = False
+
+    wallcross_factor = wallcross.wall_crossing_factor
+    monkeypatch.setattr(wallcross, "wall_crossing_factor", factor)
+    monkeypatch.setattr(series, "_unpacked", counted("unpacked", series._unpacked))
+    monkeypatch.setattr(series._Packer, "unpack", counted("unpack", series._Packer.unpack))
+    monkeypatch.setattr(series, "_convolve", counted(
+        "products", series._convolve, lambda acc, a, b, scale: len(a) * len(b)))
+    monkeypatch.setattr(series.ClassSeries, "__add__", counted(
+        "add", series.ClassSeries.__add__, lambda *args: not in_factor[0]))
+    w = chekanov_superpotential(spec, Ambient.COMPACT).series
+    assert counts == {"unpacked": 1, "unpack": len(w), "add": 0, "products": products}
+
+
 class TestClosedForms:
     def test_cpn_examples(self):
         assert closed_form_invariant("cpn", {"n": 3, "k": (0, 0)}) == 6
