@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fan import (
     FanSpec,
-    _class_namer,
+    _class_names,
     _require_keys,
     _require_rationals,
     _require_seq,
@@ -192,38 +192,36 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _json_records(columns: list[tuple[str, list]], depth: int) -> str:
+def _json_records(columns: list[tuple[str, list | tuple]], depth: int) -> str:
     """A list of flat records, given column by column as (key, values),
     laid out exactly as _json_text lays it out depth levels deep, without
     json's pure-Python indenting encoder.
 
-    A column's values are all of one kind: str, int, or tuple of ints of
-    one length.  The template of one record has a format field per str or
-    int and one per entry of a tuple, [] for an empty tuple; a str goes
-    through encode_basestring, an int is formatted by str.format, and the
-    template is filled column by column.  Only the template's own text is
-    brace-escaped: the values are format arguments, never parsed.
+    A list of values holds one str or int per record; a tuple holds the
+    int columns of an array field, one per entry, () for an empty array.
+    The first column is a list.  The %-template of one record has a field
+    per str or int and per entry of an array; a str goes through
+    encode_basestring and an int is formatted by %d.  Only the template's
+    own text is %-escaped: the values are arguments, never parsed.
     """
     if not columns[0][1]:
         return "[]"
     end_pad, rec_pad, field_pad, item_pad = ("\n" + "  " * (depth + i) for i in range(4))
     fields, args = [], []
     for key, values in columns:
-        head = f"{field_pad}{encode_basestring(key)}: ".replace("{", "{{").replace("}", "}}")
-        first = values[0]
-        if isinstance(first, str):
-            fields.append(head + "{}")
+        head = f"{field_pad}{encode_basestring(key)}: ".replace("%", "%%")
+        if isinstance(values, tuple):
+            entries = ("," + item_pad).join(["%d"] * len(values))
+            fields.append(f"{head}[{item_pad}{entries}{field_pad}]" if values else head + "[]")
+            args += values
+        elif isinstance(values[0], str):
+            fields.append(head + "%s")
             args.append(map(encode_basestring, values))
-        elif isinstance(first, (list, tuple)):
-            entries = ("," + item_pad).join(["{}"] * len(first))
-            fields.append(f"{head}[{item_pad}{entries}{field_pad}]" if first else head + "[]")
-            args += zip(*values)
         else:
-            fields.append(head + "{}")
+            fields.append(head + "%d")
             args.append(values)
-    # the record's own braces, escaped for str.format
-    template = rec_pad + "{{" + ",".join(fields) + rec_pad + "}}"
-    return f"[{','.join(map(template.format, *args))}{end_pad}]"
+    template = rec_pad + "{" + ",".join(fields) + rec_pad + "}"
+    return f"[{','.join(map(template.__mod__, zip(*args)))}{end_pad}]"
 
 
 def _csv_text(header, rows) -> str:
@@ -252,43 +250,49 @@ def _series_columns(n: int, m: int) -> list[str]:
     )
 
 
+def _fractions(den: int, nums: list[int]) -> tuple[list[int], list[int]]:
+    # numerators and denominators of nums[i] / den in lowest terms
+    if den == 1:
+        return nums, [1] * len(nums)
+    gs = [math.gcd(v, den) for v in nums]
+    return [v // g for v, g in zip(nums, gs)], [den // g for g in gs]
+
+
 def render_series(s: ClassSeries, fmt: str) -> str:
-    items = s.items()
+    cols, den, nums = s.columns()
+    h, b, g = cols[:s.m], cols[s.m], cols[s.m + 1:]
+    numerators, denominators = _fractions(den, nums)
     if fmt == "json":
         terms = _json_records([
-            ("b", [c.b for c, _ in items]),
-            ("g", [c.g for c, _ in items]),
-            ("h", [c.h for c, _ in items]),
-            ("coeff_numerator", [q.numerator for _, q in items]),
-            ("coeff_denominator", [q.denominator for _, q in items]),
+            ("b", b),
+            ("g", tuple(g)),
+            ("h", tuple(h)),
+            ("coeff_numerator", numerators),
+            ("coeff_denominator", denominators),
         ], 1)
         return f'{{\n  "n": {s.n},\n  "m": {s.m},\n  "terms": {terms}\n}}\n'
+    coeffs = [str(p) if q == 1 else f"{p}/{q}" for p, q in zip(numerators, denominators)]
     if fmt == "csv":
         header = _series_columns(s.n, s.m) + ["coeff"]
-        rows = [[c.b, *c.g, *c.h, str(q)] for c, q in items]
-        return _csv_text(header, rows)
-    name = _class_namer(s.m, s.n - 1)
-    rows = [[name(c), str(q)] for c, q in items]
-    return _table_text(["class", "coeff"], rows)
+        return _csv_text(header, zip(b, *g, *h, coeffs))
+    return _table_text(["class", "coeff"], zip(_class_names(s.m, s.n - 1, cols), coeffs))
 
 
 def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
+    names, h, b, g, maslov, n_beta = table.columns()
     if fmt == "json":
-        rows = table.rows
         return _json_records([
-            ("name", [row.name for row in rows]),
-            ("b", [row.cls.b for row in rows]),
-            ("g", [row.cls.g for row in rows]),
-            ("h", [row.cls.h for row in rows]),
-            ("maslov", [row.maslov for row in rows]),
-            ("n_beta", [int(row.value) for row in rows]),
+            ("name", names),
+            ("b", b),
+            ("g", tuple(g)),
+            ("h", tuple(h)),
+            ("maslov", maslov),
+            ("n_beta", n_beta),
         ], 0) + "\n"
     if fmt == "csv":
         header = _series_columns(spec.n, spec.m) + ["maslov", "n_beta"]
-        rows = [[row.cls.b, *row.cls.g, *row.cls.h, row.maslov, int(row.value)] for row in table]
-        return _csv_text(header, rows)
-    rows = [[row.name, row.maslov, int(row.value)] for row in table]
-    return _table_text(["class", "maslov", "n_beta"], rows)
+        return _csv_text(header, zip(b, *g, *h, maslov, n_beta))
+    return _table_text(["class", "maslov", "n_beta"], zip(names, maslov, n_beta))
 
 
 def render_validation(report, fmt: str) -> str:

@@ -318,9 +318,14 @@ def _maslov_weights(spec: FanSpec) -> IntVec:
 
 
 def _check_class_shape(spec: FanSpec, c: RelClass):
-    if len(c.g) != spec.n - 1 or len(c.h) != spec.m:
+    _check_shape(spec, len(c.g), len(c.h))
+
+
+def _check_shape(spec: FanSpec, g: int, h: int):
+    # the shape check of a class with g gamma and h sphere coordinates
+    if g != spec.n - 1 or h != spec.m:
         raise DimensionMismatch(
-            f"class shape ({len(c.g)}, {len(c.h)}) does not match fan ({spec.n - 1}, {spec.m})"
+            f"class shape ({g}, {h}) does not match fan ({spec.n - 1}, {spec.m})"
         )
 
 
@@ -350,29 +355,24 @@ class _Pieces(dict):
         return piece
 
 
-def _class_namer(m: int, g: int):
-    """class_name for classes with m sphere and g gamma coordinates.
+def _class_names(m: int, g: int, columns: Sequence[Sequence[int]]) -> list[str]:
+    """class_name of every row of digit columns in canonical order, one
+    column per coordinate h_1 .. h_m, b, gamma_1 .. gamma_g.
 
-    The namer keeps each (coordinate, value) piece it formats and joins the
-    pieces of every later class, so a table names its rows with one join
-    per row; the pieces live as long as the namer.
+    One _Pieces map per column formats each of its values once, and every
+    row is one join of its pieces.
     """
-    pieces = [_Pieces(sym) for sym in _class_symbols(m, g)]
-    getitem = operator.getitem
-
-    def name(c: RelClass) -> str:
-        # the first piece's sign becomes a bare leading minus or is dropped
-        text = "".join(map(getitem, pieces, (*c.h, c.b, *c.g)))
-        if not text:
-            return "0"
-        return text[3:] if text[1] == "+" else "-" + text[3:]
-
-    return name
+    pieces = [map(_Pieces(sym).__getitem__, col) for sym, col in zip(_class_symbols(m, g), columns)]
+    # the first piece's sign becomes a bare leading minus or is dropped
+    return [
+        (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
+        for text in map("".join, zip(*pieces))
+    ]
 
 
 def class_name(c: RelClass) -> str:
     """Readable name like 'H_1 - 2β̂ + γ_1'."""
-    return _class_namer(len(c.h), len(c.g))(c)
+    return _class_names(len(c.h), len(c.g), [[x] for x in (*c.h, c.b, *c.g)])[0]
 
 
 # exact integer linear algebra, small n

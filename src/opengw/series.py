@@ -12,10 +12,12 @@ this and refuse otherwise, because a truncated expansion would then
 silently drop low-order terms.
 
 Every hot loop runs on one packed kernel.  At entry each class becomes an
-integer key with one signed radix-2^w digit per coordinate (b, g..., h...),
-w sized from a bound on every coordinate the operation can form, so adding
-keys adds classes; coefficients become int numerators over one common
-denominator per operand.  Outside the solve below, every sum of products
+integer key with one balanced radix-2^w digit per coordinate, h_1 the most
+significant, then h_2 .. h_m, b, g_1 .. g_{n-1}, w sized from a bound on
+every coordinate the operation can form, so adding keys adds classes and
+int order of keys is the canonical (h, b, g) order of classes;
+coefficients become int numerators over one common denominator per
+operand.  Outside the solve below, every sum of products
 of (den, nums) buckets, multiply included, is _products: one convolution
 per pair over the pairs' common denominator.  divide_by_power,
 series_exp, series_log and Miller's powers are one weighted triangular
@@ -61,17 +63,29 @@ reaches 2^(S-2), so no slot overflows whatever the signs.  Slots are read
 back only for each grade's gcd and on output.  Only the exp solves use
 rows: their coefficient is the dense exponent, while the log, power,
 division and Chekanov-evaluation solves have the sparse unit tail u as
-coefficient, where rows measured slower.  Fractions and RelClasses are
-rebuilt only on output, bucket by bucket, one RelClass per term; the terms
-of a bucket with equal numerators share one Fraction, built as Fraction(v)
-when the bucket's denominator is 1.
+coefficient, where rows measured slower.
+
+A kernel result stays packed: the ClassSeries holds the packer and the
+(den, nums) buckets.  len and bool count nonzero numerators, and
+ClassSeries.columns, the one reader of terms without objects, sorts the
+int keys and splits their digits into one int column per coordinate, with
+the numerators over one common denominator.  Invariant tables and
+rendered series are read that way, and _packed_sum adds series read as
+columns on one packer, so a glued series stays packed too.  The
+RelClass -> Fraction dict is built on the first read of _terms or
+items(), in key order, one RelClass per term, with equal numerators
+sharing one Fraction, and the packed form is dropped.  A series held as
+a dict sorts on C-level attrgetter("h", "b", "g") keys and is packed to be
+read as columns.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import chain, compress
+from operator import attrgetter, countOf
+from typing import Collection, Iterable, Mapping
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
 from .fan import RelClass, require_int, require_ints, require_rational
@@ -85,9 +99,14 @@ class ClassSeries:
     n >= 1 and m >= 0 must be genuine integers, every key a RelClass of the
     shape and every coefficient pass fan.require_rational, so a float is
     rejected, never rounded.
+
+    A kernel result is held packed, as its packer and (den, nums) buckets,
+    until it is read: len and bool count its nonzero numerators, columns
+    reads it as digit columns, and the RelClass -> Fraction dict is built
+    on the first read of _terms or items(), which drop the packed form.
     """
 
-    __slots__ = ("n", "m", "_terms")
+    __slots__ = ("n", "m", "_dict", "_packed")
 
     def __init__(self, n: int, m: int, terms: Mapping[RelClass, Fraction] | None = None):
         self.n = require_int(n, "series n")
@@ -104,11 +123,57 @@ class ClassSeries:
                 q = require_rational(coeff, "series coefficient")
                 if q:
                     clean[cls] = q
-        self._terms = clean
+        self._dict = clean
+        self._packed = None
+
+    @property
+    def _terms(self) -> dict[RelClass, Fraction]:
+        if self._packed is not None:
+            self._unpack()
+        return self._dict
+
+    def _unpack(self):
+        # the dict in canonical order, one RelClass per term; terms with
+        # equal numerators share one Fraction.  The buckets are freed before
+        # the dict is built, which keeps the peak down
+        (packer, buckets), self._packed = self._packed, None
+        keys, den, nums = _canonical(buckets)
+        del buckets
+        unpack = packer.unpack
+        fractions: dict[int, Fraction] = {}
+        terms: dict[RelClass, Fraction] = {}
+        for key, v in zip(keys, nums):
+            q = fractions.get(v)
+            if q is None:
+                q = fractions[v] = Fraction(v) if den == 1 else Fraction(v, den)
+            terms[unpack(key)] = q
+        self._dict = terms
 
     def items(self) -> list[tuple[RelClass, Fraction]]:
         """Terms in canonical order: lexicographic on (h, b, g)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key)
+        if self._packed is not None:
+            self._unpack()
+            return list(self._dict.items())
+        # sorted through C-level keys, with no Python call per term
+        items = list(self._dict.items())
+        keys = list(map(_CANONICAL, self._dict))
+        return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
+
+    def columns(self) -> tuple[list[list[int]], int, list[int]]:
+        """The terms in canonical order as (columns, den, nums): one int
+        column per coordinate h_1 .. h_m, b, g_1 .. g_{n-1}, and each
+        term's coefficient nums[i] / den over one common denominator.
+
+        No RelClass or Fraction is built; a series held as a dict is packed
+        first and read the same way.
+        """
+        if self._packed is not None:
+            packer, buckets = self._packed
+        else:
+            packer = _Packer(self.n, self.m, _coord_bound(self._dict))
+            buckets = {0: _ints(self._dict, packer.pack)}
+        keys, den, nums = _canonical(buckets)
+        return packer.columns(keys), den, nums
 
     def coeff(self, cls: RelClass) -> Fraction:
         return self._terms.get(cls, Fraction(0))
@@ -117,10 +182,15 @@ class ClassSeries:
         return [c for c, _ in self.items()]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        if self._packed is not None:
+            buckets = self._packed[1].values()
+            return sum(len(nums) - countOf(nums.values(), 0) for _, nums in buckets)
+        return len(self._dict)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        if self._packed is not None:
+            return any(any(nums.values()) for _, nums in self._packed[1].values())
+        return bool(self._dict)
 
     def __eq__(self, other) -> bool:
         return (
@@ -169,13 +239,19 @@ class ClassSeries:
             )
 
 
+# canonical order of classes, lexicographic on (h, b, g), as a C-level key
+_CANONICAL = attrgetter("h", "b", "g")
+_B, _G, _H = attrgetter("b"), attrgetter("g"), attrgetter("h")
+
+
 def _raw(n: int, m: int, terms: dict[RelClass, Fraction]) -> ClassSeries:
     # Internal fast path: caller guarantees shapes match and values are
     # nonzero Fractions, so the constructor's per-term validation is skipped.
     s = ClassSeries.__new__(ClassSeries)
     s.n = n
     s.m = m
-    s._terms = terms
+    s._dict = terms
+    s._packed = None
     return s
 
 
@@ -366,35 +442,52 @@ def _graded_tail(f: ClassSeries, u: Mapping[RelClass, Fraction], what: str, trun
 # the packed kernel
 
 class _Packer:
-    """Classes of shape (n, m) as integer keys, one signed radix-2^w digit
-    per coordinate (b, g..., h...).
+    """Classes of shape (n, m) as integer keys, one balanced radix-2^w
+    digit per coordinate, in canonical order from the most significant
+    down: h_1 .. h_m, b, g_1 .. g_{n-1}.
 
     Sound while every coordinate of every class formed lies in
-    [-bound, bound]: keys then add exactly like classes.
+    [-bound, bound]: keys then add exactly like classes.  bound < 2^(w-1),
+    so two keys differing first in some digit differ by more than all
+    lower digits can make up: int order of keys is the canonical order.
+    shifts lists each digit's shift in that same order.
     """
 
-    __slots__ = ("n", "w", "mask", "half", "bias", "shifts")
+    __slots__ = ("m", "w", "mask", "half", "bias", "shifts")
 
     def __init__(self, n: int, m: int, bound: int):
-        self.n = n
+        self.m = m
         self.w = bound.bit_length() + 1
         self.mask = (1 << self.w) - 1
         self.half = 1 << (self.w - 1)
-        self.shifts = tuple(self.w * i for i in range(n + m))
-        # adding half to every digit makes them all nonnegative
-        self.bias = sum(self.half << s for s in self.shifts)
+        self.shifts = tuple(range(self.w * (n + m - 1), -1, -self.w))
+        # half in every digit, which makes them all nonnegative
+        self.bias = self.half * ((1 << self.w * (n + m)) - 1) // self.mask
 
     def pack(self, c: RelClass) -> int:
-        key = 0
-        for x in reversed((c.b, *c.g, *c.h)):
-            key = (key << self.w) + x
+        key, w = 0, self.w
+        for x in (*c.h, c.b, *c.g):
+            key = (key << w) + x
         return key
 
     def unpack(self, key: int) -> RelClass:
         u = key + self.bias
-        mask, half, n = self.mask, self.half, self.n
+        mask, half, m = self.mask, self.half, self.m
         xs = [(u >> s & mask) - half for s in self.shifts]
-        return RelClass(xs[0], tuple(xs[1:n]), tuple(xs[n:]))
+        return RelClass(xs[m], tuple(xs[m + 1:]), tuple(xs[:m]))
+
+    def keys(self, columns: list[list[int]]) -> list[int]:
+        # the keys of digit columns in canonical order
+        keys, w = columns[0], self.w
+        for col in columns[1:]:
+            keys = [(key << w) + x for key, x in zip(keys, col)]
+        return keys
+
+    def columns(self, keys: list[int]) -> list[list[int]]:
+        # the digits of keys, one column per coordinate in canonical order
+        us = [key + self.bias for key in keys]
+        mask, half = self.mask, self.half
+        return [[(u >> s & mask) - half for u in us] for s in self.shifts]
 
 
 class _RowBucket(dict):
@@ -429,7 +522,7 @@ class _Rows:
         # (shift, sign) of digit c, and the row step; none without a digit c
         self.c, self.step = (0, 0), 0
         if len(order) > 1:
-            d, c = (packer.shifts[1 + k] for k in order[:2])
+            d, c = (packer.shifts[packer.m + 1 + k] for k in order[:2])
             self.c = (c, sigma[order[1]])
             self.step = (sigma[order[1]] << c) - (sigma[order[0]] << d)
         self.width = 64
@@ -516,13 +609,19 @@ def _slots(r: int, width: int) -> list[int]:
     return out
 
 
-def _coord_bound(terms: Iterable[RelClass]) -> int:
-    return max((abs(x) for c in terms for x in (c.b, *c.g, *c.h)), default=0)
+def _coord_bound(terms: Collection[RelClass]) -> int:
+    # the largest |coordinate|, read attribute by attribute at C speed
+    xs = list(map(_B, terms))
+    xs += chain.from_iterable(map(_G, terms))
+    xs += chain.from_iterable(map(_H, terms))
+    return max(map(abs, xs), default=0)
 
 
 def _ints(terms: Mapping[RelClass, Fraction], pack) -> tuple[int, dict[int, int]]:
     # packed keys with int numerators over one common denominator
     den = math.lcm(*(q.denominator for q in terms.values()))
+    if den == 1:
+        return den, {pack(c): q.numerator for c, q in terms.items()}
     return den, {pack(c): q.numerator * (den // q.denominator) for c, q in terms.items()}
 
 
@@ -647,22 +746,56 @@ def _reduced(den: int, acc: dict[int, int]):
 
 
 def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
-    # Fractions and RelClasses are built here only; buckets are emptied as
-    # they are read, so packed and unpacked terms barely coexist
-    terms: dict[RelClass, Fraction] = {}
-    unpack = packer.unpack
-    while buckets:
-        _, (den, nums) = buckets.popitem()
-        # terms of one bucket with equal numerators share one Fraction
-        fractions: dict[int, Fraction] = {}
-        while nums:
-            key, v = nums.popitem()
-            if v:
-                q = fractions.get(v)
-                if q is None:
-                    q = fractions[v] = Fraction(v) if den == 1 else Fraction(v, den)
-                terms[unpack(key)] = q
-    return _raw(n, m, terms)
+    # a kernel result as a ClassSeries, held packed until it is read
+    s = ClassSeries.__new__(ClassSeries)
+    s.n = n
+    s.m = m
+    s._dict = None
+    s._packed = (packer, buckets)
+    return s
+
+
+def _packed_sum(n: int, m: int, parts: list[ClassSeries], degree: int | None = None):
+    # the sum of the parts, read as columns and added on one packer, held
+    # packed; with a degree, only its terms of gamma-degree <= degree
+    read = []
+    for part in parts:
+        cols, den, nums = part.columns()
+        if degree is not None:
+            degrees = [0] * len(nums)
+            for g in cols[m + 1:]:
+                degrees = [d + abs(x) for d, x in zip(degrees, g)]
+            if max(degrees, default=0) > degree:
+                keep = [d <= degree for d in degrees]
+                cols = [list(compress(col, keep)) for col in cols]
+                nums = list(compress(nums, keep))
+        read.append((cols, den, nums))
+    bound = max((max(map(abs, col), default=0) for cols, _, _ in read for col in cols), default=0)
+    packer = _Packer(n, m, bound)
+    den = math.lcm(*(d for _, d, _ in read))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for cols, d, nums in read:
+        scale = den // d
+        for key, v in zip(packer.keys(cols), nums):
+            acc[key] = get(key, 0) + v * scale
+    return _unpacked(n, m, packer, {0: (den, acc)})
+
+
+def _canonical(buckets: dict) -> tuple[list[int], int, list[int]]:
+    # the nonzero terms of (den, nums) buckets as sorted keys, which is
+    # canonical order, and their numerators over one common denominator;
+    # a key lies in one bucket only
+    if len(buckets) == 1:
+        (den, merged), = buckets.values()
+    else:
+        den = math.lcm(*(d for d, _ in buckets.values()))
+        merged = {}
+        for d, nums in buckets.values():
+            scale = den // d
+            merged.update(nums if scale == 1 else {key: v * scale for key, v in nums.items()})
+    keys = sorted([key for key, v in merged.items() if v])
+    return keys, den, list(map(merged.__getitem__, keys))
 
 
 def _orthant(n: int, u: Iterable[RelClass], what: str):

@@ -10,11 +10,13 @@ the power being minus the beta_hat-coefficient of the class (plus for the
 reverse direction).  The Chekanov superpotential has an exact closed form
 whenever every extra ray has nonnegative coordinate sum: it is one
 series.times_powers pass over the parts beta_hat f^0 and beta'_a f^{p_a}
-(_chekanov_parts).  Its coefficients are one-pointed open Gromov-Witten
-invariants; invariant_table reads them off, checking the series shape once
-per table, reading each Maslov index as the linear form
-2b + sum_a 2(1 + p_a) h_a and naming each row by one join of per-table
-name pieces (fan._class_namer).  evaluate_chekanov evaluates it at a torus
+(_chekanov_parts), still packed when it returns.  Its coefficients are
+one-pointed open Gromov-Witten invariants; invariant_table reads them off
+the series' digit columns (ClassSeries.columns) without a RelClass or an
+InvariantRow per row: the series shape is checked once per table, the
+Maslov index is the column sum 2b + sum_a 2(1 + p_a) h_a, integrality is
+den | numerator, and the names come from one piece map per coordinate
+column (fan._class_names).  evaluate_chekanov evaluates it at a torus
 point from the same parts; at a monomial point it does so in the factored
 form beta_hat + sum_a beta'_a f^{p_a}, never expanding f^{p_a}, with the
 expanded novikov.evaluate as its oracle, and a point that evaluate would
@@ -27,11 +29,10 @@ pins the basic disk count to 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadParams,
@@ -44,8 +45,8 @@ from .errors import (
 from .fan import (
     FanSpec,
     RelClass,
-    _check_class_shape,
-    _class_namer,
+    _check_shape,
+    _class_names,
     _maslov_weights,
     _require_int_param,
     beta_class,
@@ -66,6 +67,7 @@ from .novikov import (
 from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
+    _packed_sum,
     _products,
     _raw,
     _times_exp_neg_log,
@@ -130,17 +132,66 @@ class InvariantRow:
     name: str
 
 
-@dataclass(frozen=True)
 class InvariantTable:
-    """Canonically ordered rows of one-pointed disk counts."""
+    """Canonically ordered rows of one-pointed disk counts.
 
-    rows: tuple[InvariantRow, ...]
+    invariant_table builds a table from columns, and its InvariantRows
+    only when rows, iteration or value_of ask for them; InvariantTable(rows)
+    builds one from rows, and its columns from them when asked.  The
+    columns are (names, h, b, g, maslov, n_beta), rows in canonical order,
+    with h and g one int column per coordinate h_a and gamma_k.
+    """
+
+    __slots__ = ("_rows", "_columns")
+
+    def __init__(self, rows: Iterable[InvariantRow] = ()):
+        self._rows = tuple(rows)
+        self._columns = None
+
+    @classmethod
+    def _of(cls, columns: tuple) -> "InvariantTable":
+        table = cls.__new__(cls)
+        table._rows, table._columns = None, columns
+        return table
+
+    @property
+    def rows(self) -> tuple[InvariantRow, ...]:
+        if self._rows is None:
+            names, h, b, g, maslov, n_beta = self._columns
+            # a shape without h or gamma coordinates has one () per row
+            hs = zip(*h) if h else [()] * len(b)
+            gs = zip(*g) if g else [()] * len(b)
+            self._rows = tuple(
+                InvariantRow(RelClass(*cls), mu, Fraction(v), name)
+                for name, *cls, mu, v in zip(names, b, gs, hs, maslov, n_beta)
+            )
+        return self._rows
+
+    def columns(self) -> tuple:
+        if self._columns is None:
+            rows = self._rows
+            classes = [row.cls for row in rows]
+            self._columns = (
+                [row.name for row in rows],
+                [list(col) for col in zip(*(c.h for c in classes))],
+                [c.b for c in classes],
+                [list(col) for col in zip(*(c.g for c in classes))],
+                [row.maslov for row in rows],
+                [int(row.value) for row in rows],
+            )
+        return self._columns
 
     def __iter__(self):
         return iter(self.rows)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows) if self._rows is not None else len(self._columns[0])
+
+    def __eq__(self, other):
+        return isinstance(other, InvariantTable) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
 
     def value_of(self, cls: RelClass) -> Fraction:
         for row in self.rows:
@@ -280,8 +331,10 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
     factor's gamma orthant, which adds under products and never exceeds
     gamma-degree, so solving grade by grade up to gd.trunc gives every
     output coefficient of gamma-degree at most gd.trunc exactly, and an
-    exact quotient stops as soon as it is found.  When some e < 0 the result is truncated at gd.trunc; a series
-    needing no negative power is returned untruncated.
+    exact quotient stops as soon as it is found.  The groups are summed on
+    one packer (series._packed_sum), and the result stays packed.  When
+    some e < 0 the result is truncated at gd.trunc; a series needing no
+    negative power is returned untruncated.
     """
     if s.n != spec.n or s.m != spec.m:
         raise DimensionMismatch(
@@ -294,18 +347,16 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
     groups: dict[int, dict[RelClass, Fraction]] = {}
     for cls, coeff in s.items():
         groups.setdefault(sign * cls.b, {})[cls] = coeff
-    out: dict[RelClass, Fraction] = {}
+    parts = []
     for e, terms in groups.items():
         part = _raw(spec.n, spec.m, terms)
         if e > 0:
             part = times_power(part, f, e)
         elif e < 0:
             part = divide_by_power(part, f, -e, gd.trunc)
-        for cls, coeff in part.items():
-            out[cls] = out[cls] + coeff if cls in out else coeff
-    if min(groups, default=0) < 0:
-        out = {c: q for c, q in out.items() if c.gamma_degree <= gd.trunc}
-    return _raw(spec.n, spec.m, {c: q for c, q in out.items() if q})
+        parts.append(part)
+    trunc = gd.trunc if min(groups, default=0) < 0 else None
+    return _packed_sum(spec.n, spec.m, parts, trunc)
 
 
 def glue_superpotential(w: Superpotential, gd: GluingData) -> Superpotential:
@@ -326,26 +377,41 @@ def invariant_table(w: Superpotential) -> InvariantTable:
     """Read the disk counts off a superpotential, one row per class.
 
     Every class must have Maslov index 2 and an integer coefficient;
-    violations abort, they are never rounded away.  Every class has the
-    series' shape, so the shape is checked once, on the first class, and
-    each Maslov index is the linear form 2b + sum_a 2(1 + p_a) h_a.
+    violations abort, they are never rounded away, and the first faulty
+    row in canonical order is reported, its Maslov index first.  The
+    table is read from the series' digit columns (ClassSeries.columns):
+    the shape is checked once, the Maslov index is the column sum
+    2b + sum_a 2(1 + p_a) h_a, a count is an integer when den divides its
+    numerator, and the names are one join per row of per-column pieces.
     """
     spec, s = w.fan, w.series
-    items = s.items()
-    if items and (s.n, s.m) != (spec.n, spec.m):
-        _check_class_shape(spec, items[0][0])
-    weights = _maslov_weights(spec)
-    name = _class_namer(spec.m, spec.n - 1)
-    mul = operator.mul
-    rows = []
-    for cls, coeff in items:
-        mu = 2 * cls.b + sum(map(mul, weights, cls.h))
-        if mu != 2:
-            raise MaslovViolation(f"class {name(cls)} has Maslov index {mu}, expected 2")
-        if coeff.denominator != 1:
-            raise NonIntegerInvariant(f"count for {name(cls)} is {coeff}, not an integer")
-        rows.append(InvariantRow(cls, mu, coeff, name(cls)))
-    return InvariantTable(tuple(rows))
+    if s and (s.n, s.m) != (spec.n, spec.m):
+        _check_shape(spec, s.n - 1, s.m)
+    cols, den, nums = s.columns()
+    m = s.m
+    maslov = [2 * b for b in cols[m]]
+    for weight, h in zip(_maslov_weights(spec), cols[:m]):
+        maslov = [mu + weight * x for mu, x in zip(maslov, h)]
+    # the first row failing each check, len(nums) when none does
+    size = len(nums)
+    bad_mu = size if maslov.count(2) == size else next(i for i, x in enumerate(maslov) if x != 2)
+    bad_int = size if den == 1 else next((i for i, v in enumerate(nums) if v % den), size)
+    first = min(bad_mu, bad_int)
+    if first < size:
+        name = _class_names(m, s.n - 1, [[col[first]] for col in cols])[0]
+        if first == bad_mu:
+            raise MaslovViolation(f"class {name} has Maslov index {maslov[first]}, expected 2")
+        raise NonIntegerInvariant(
+            f"count for {name} is {Fraction(nums[first], den)}, not an integer"
+        )
+    return InvariantTable._of((
+        _class_names(m, s.n - 1, cols),
+        cols[:m],
+        cols[m],
+        cols[m + 1:],
+        maslov,
+        nums if den == 1 else [v // den for v in nums],
+    ))
 
 
 def _no_extra(params: dict):

@@ -301,12 +301,19 @@ class TestJsonRender:
     def test_keys_with_braces(self):
         # only the template's own text is brace-escaped
         for depth in (0, 1, 2):
-            columns = [("{k}", ["{v}", "}"]), ("a}{", [-1, 2]), ("l{", [(3, -4), (5, 6)]),
-                       ("e}", [(), ()])]
-            want = [dict(zip(("{k}", "a}{", "l{", "e}"), (s, x, list(t), list(e))))
-                    for s, x, t, e in zip(*(values for _, values in columns))]
+            # an array field is a tuple of int columns, one per entry
+            columns = [("{k}", ["{v}", "}"]), ("a}{", [-1, 2]), ("l{", ([3, 5], [-4, 6])),
+                       ("e}", ())]
+            want = [{"{k}": s, "a}{": x, "l{": list(t), "e}": []}
+                    for s, x, t in zip(["{v}", "}"], [-1, 2], [(3, -4), (5, 6)])]
             text = json.dumps(want, indent=2, ensure_ascii=False)
             assert cli._json_records(columns, depth) == text.replace("\n", "\n" + "  " * depth)
+
+    def test_keys_with_percent_signs(self):
+        # the template is a %-template: a key's own % is escaped
+        columns = [("%s", ["%d", "100%"]), ("%%", [7, -8]), ("a%d", ([1, 2],))]
+        want = [{"%s": s, "%%": x, "a%d": [y]} for s, x, y in zip(["%d", "100%"], [7, -8], [1, 2])]
+        assert cli._json_records(columns, 0) == json.dumps(want, indent=2, ensure_ascii=False)
 
     @pytest.mark.parametrize("cutoff", [None, Fraction(7, 2), Fraction(-3)])
     @pytest.mark.parametrize(
@@ -342,6 +349,62 @@ def test_cp8_invariants_are_deterministic_across_processes(tmp_path, monkeypatch
     assert (code, err) == (0, "")
     rows = len(json.loads(out)) if fmt == "json" else len(out.splitlines()) - 1
     assert rows == 6436
+
+
+def test_invariants_work_count(tmp_path, capsys, monkeypatch):
+    # one opengw invariants of CP^8 as JSON reads the table straight from
+    # the packed kernel result: no class is unpacked and no InvariantRow is
+    # made, and the only RelClasses are the factor's and the parts' (6,436
+    # unpacks, 6,436 rows and 6,447 RelClasses when every row was an object)
+    path = tmp_path / "cp8.json"
+    path.write_text(json.dumps({"n": 8, "extra_rays": [[1] * 8]}))
+    counts = {"unpack": 0, "row": 0, "class": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(series._Packer, "unpack", counted("unpack", series._Packer.unpack))
+    monkeypatch.setattr(wallcross.InvariantRow, "__init__",
+                        counted("row", wallcross.InvariantRow.__init__))
+    monkeypatch.setattr(RelClass, "__init__", counted("class", RelClass.__init__))
+    code, out, err = run(capsys, "invariants", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert counts["unpack"] == 0 and counts["row"] == 0, counts
+    assert counts["class"] <= 11, counts
+    monkeypatch.undo()
+    spec = builtin_fan("cpn", n=8)
+    table = wallcross.invariant_table(chekanov_superpotential(spec, Ambient.COMPACT))
+    assert len(table) == 6436
+    assert out == _table_reference(table)
+
+
+def test_glue_work_count(tmp_path, capsys, monkeypatch):
+    # one opengw glue of the CP^2 x CP^3 Chekanov series back across the
+    # wall: each group's power or quotient is read as columns and summed on
+    # one packer, and the sum is rendered from its keys, so no class is
+    # unpacked (every output term of every group was unpacked before)
+    spec = builtin_fan("cp_product", n=5, r=2)
+    fan_path, src = tmp_path / "fan.json", tmp_path / "chekanov.json"
+    fan_path.write_text(json.dumps({"n": 5, "extra_rays": [list(r) for r in spec.extra_rays]}))
+    w = chekanov_superpotential(spec, Ambient.COMPACT).series
+    src.write_text(cli.render_series(w, "json"))
+    calls = {"unpack": 0}
+    unpack = series._Packer.unpack
+
+    def counted(self, key):
+        calls["unpack"] += 1
+        return unpack(self, key)
+
+    monkeypatch.setattr(series._Packer, "unpack", counted)
+    code, out, err = run(capsys, "glue", str(fan_path), "--input", str(src),
+                         "--direction", "minus-to-plus", "--truncate", "16", "--format", "json")
+    assert (code, err) == (0, "") and calls["unpack"] == 0
+    monkeypatch.undo()
+    want = clifford_superpotential(spec, Ambient.COMPACT).series
+    assert out == _series_reference(want)
 
 
 class TestGlue:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opengw import errors, fan, series
+from opengw import cli, errors, fan, series
 from opengw.fan import RelClass
 
 
@@ -747,3 +747,80 @@ def test_exp_rows_at_the_grade_bound(sign):
     })
     unfused = series.multiply(p, series.series_exp(-series.series_log(f, trunc), trunc))
     assert series._times_exp_neg_log(p, f, trunc) == series.truncate_gamma(unfused, trunc)
+
+
+# packed keys in canonical order: h_1 is the most significant digit, then
+# h_2 .. h_m, b, g_1 .. g_{n-1}, all balanced, so int order of keys is the
+# (h, b, g) order of RelClass.sort_key
+
+
+@st.composite
+def packed_terms(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    bound = draw(st.sampled_from([0, 1, 2, 3, 7, 8, 100, 255, 256, 10**6]))
+    # both ends of [-bound, bound] often, anything in between too
+    coord = st.one_of(st.sampled_from([-bound, bound, 0]), st.integers(-bound, bound))
+    cls = st.builds(
+        RelClass, coord, st.tuples(*[coord] * (n - 1)), st.tuples(*[coord] * m))
+    classes = draw(st.lists(cls, max_size=12, unique=True))
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool)
+    terms = {c: draw(coeffs) for c in classes}
+    return n, m, bound, terms
+
+
+def _packed_series(n, m, bound, terms):
+    # terms as a kernel result: two buckets over their own denominators,
+    # with a cancelled (zero) numerator in one of them
+    packer = series._Packer(n, m, bound)
+    classes = list(terms)
+    half = len(classes) // 2
+    low = series._ints({c: terms[c] for c in classes[:half]}, packer.pack)
+    high = series._ints({c: terms[c] for c in classes[half:]}, packer.pack)
+    zero = RelClass(-bound, (bound,) * (n - 1), (bound,) * m)
+    if zero not in terms:
+        low[1][packer.pack(zero)] = 0
+    return series._unpacked(n, m, packer, {0: low, 1: high})
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_terms())
+def test_packed_keys_sort_canonically(case):
+    n, m, bound, terms = case
+    packer = series._Packer(n, m, bound)
+    classes = list(terms)
+    assert sorted(classes, key=packer.pack) == sorted(classes, key=lambda c: c.sort_key)
+    assert all(packer.unpack(packer.pack(c)) == c for c in classes)
+    cols = packer.columns(sorted(map(packer.pack, classes)))
+    rows = sorted(classes, key=lambda c: c.sort_key)
+    assert [list(col) for col in zip(*cols)] == [[*c.h, c.b, *c.g] for c in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_terms())
+def test_packed_series_reads_like_its_dict(case):
+    # every reader gives the same answer on a packed kernel result as on
+    # the same terms held as a dict
+    n, m, bound, terms = case
+    held = series.ClassSeries(n, m, terms)
+    want = sorted(terms.items(), key=lambda kv: kv[0].sort_key)
+
+    def fresh():
+        # a new packed series each time: reading items() unpacks it
+        return _packed_series(n, m, bound, terms)
+
+    assert held.items() == want
+    assert fresh().items() == want
+    assert fresh() == held and held == fresh()
+    assert hash(fresh()) == hash(held)
+    assert len(fresh()) == len(held) == len(terms)
+    assert bool(fresh()) == bool(held)
+    for s in (fresh(), held):
+        cols, den, nums = s.columns()
+        assert [list(col) for col in zip(*cols)] == [[*c.h, c.b, *c.g] for c, _ in want]
+        assert [Fraction(v, den) for v in nums] == [q for _, q in want]
+    reference = json.dumps(
+        {"n": n, "m": m, "terms": series.to_records(held)}, indent=2, ensure_ascii=False) + "\n"
+    assert cli.render_series(fresh(), "json") == cli.render_series(held, "json") == reference
+    table = cli._table_text(["class", "coeff"], [[fan.class_name(c), str(q)] for c, q in want])
+    assert cli.render_series(fresh(), "table") == cli.render_series(held, "table") == table
+    assert cli.render_series(fresh(), "csv") == cli.render_series(held, "csv")

@@ -1,15 +1,16 @@
 """Source checks on src/opengw, standard library only.
 
 Deleting code tends to leave imports that nothing uses, and the packed
-kernel's internals (_graded_solve, _convolve, _Rows) belong to series alone:
-other modules reach it through its helpers.
+kernel's internals (_Packer, _graded_solve, _convolve, _Rows) belong to series
+alone: other modules reach it through its helpers, and read a series only
+through ClassSeries methods.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "opengw"
-KERNEL = {"_graded_solve", "_convolve", "_Rows"}
+KERNEL = {"_Packer", "_graded_solve", "_convolve", "_Rows"}
 
 
 def _modules():

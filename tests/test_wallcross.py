@@ -18,6 +18,7 @@ from opengw.fan import (
     beta_prime_class,
     builtin_fan,
     class_maslov,
+    class_name,
     gamma_class,
 )
 from opengw.series import ClassSeries, monomial, truncate_gamma
@@ -419,15 +420,97 @@ class TestInvariantTables:
             table({RelClass(1, (0,), (0,)): F(1), RelClass(0, (0,), (0,)): F(1, 3)})
 
 
+def _reference_table(w):
+    # the per-row reading of a table: one class at a time, checked Maslov
+    # index, integrality, and class_name
+    rows = []
+    for cls, coeff in w.series.items():
+        mu = class_maslov(w.fan, cls)
+        if mu != 2:
+            raise errors.MaslovViolation(
+                f"class {class_name(cls)} has Maslov index {mu}, expected 2")
+        if coeff.denominator != 1:
+            raise errors.NonIntegerInvariant(
+                f"count for {class_name(cls)} is {coeff}, not an integer")
+        rows.append(wallcross.InvariantRow(cls, mu, coeff, class_name(cls)))
+    return rows
+
+
+def _table_outcome(read, w):
+    try:
+        return list(read(w))
+    except errors.DomainError as exc:
+        return type(exc), str(exc)
+
+
+TABLE_FANS = [builtin_fan("cpn", n=n) for n in range(1, 7)] + [
+    builtin_fan("hirzebruch_f1"), builtin_fan("cp_product", n=2, r=1),
+    builtin_fan("cp_product", n=5, r=2),
+]
+
+
+@pytest.mark.parametrize("ambient", list(Ambient), ids=str)
+@pytest.mark.parametrize("make", [clifford_superpotential, chekanov_superpotential],
+                         ids=["clifford", "chekanov"])
+@pytest.mark.parametrize("spec", TABLE_FANS, ids=lambda s: f"n{s.n}r{s.extra_rays}")
+def test_table_matches_per_row_reading(spec, make, ambient):
+    got = invariant_table(make(spec, ambient))
+    want = _reference_table(make(spec, ambient))
+    assert list(got) == want
+    assert len(got) == len(want) and got.rows == tuple(want)
+    for row in want:
+        assert got.value_of(row.cls) == row.value
+    # a table built from the same rows reads the same columns
+    assert wallcross.InvariantTable(want).columns() == got.columns()
+
+
+def _packed(n, m, terms, k=0):
+    # terms as one kernel result, still packed: sum of c * f**k
+    f = wall_crossing_factor(FanSpec(n, ((1,) * n,) * m)).factor
+    s = series.times_powers([(monomial(n, m, c, q), k) for c, q in terms.items()], f)
+    assert s._packed is not None
+    return s
+
+
+@pytest.mark.parametrize("terms, k, error, message", [
+    ({RelClass(1, (0,), (0,)): F(1, 2)}, 2, errors.NonIntegerInvariant,
+     "count for β̂ is 1/2, not an integer"),
+    ({RelClass(2, (0,), (0,)): F(1)}, 1, errors.MaslovViolation,
+     "class 2β̂ has Maslov index 4, expected 2"),
+    ({RelClass(2, (1,), (0,)): F(1, 2)}, 0, errors.MaslovViolation,
+     "class 2β̂ + γ_1 has Maslov index 4, expected 2"),
+    ({RelClass(-2, (1,), (1,)): F(-3, 2)}, 0, errors.NonIntegerInvariant,
+     "count for H_1 - 2β̂ + γ_1 is -3/2, not an integer"),
+    ({RelClass(1, (0,), (0,)): F(1, 3), RelClass(0, (0,), (1,)): F(1)}, 0,
+     errors.NonIntegerInvariant, "count for β̂ is 1/3, not an integer"),
+    ({RelClass(1, (0,), (0,)): F(1), RelClass(0, (0,), (0,)): F(1, 3)}, 0,
+     errors.MaslovViolation, "class 0 has Maslov index 0, expected 2"),
+], ids=["half", "maslov", "both", "negative", "integer-first", "maslov-first"])
+def test_packed_table_errors(terms, k, error, message):
+    # the errors of invariant_table keep their type and message on a
+    # packed kernel result, the first faulty row in canonical order first
+    spec = builtin_fan("cpn", n=2)
+
+    def w(s):
+        return wallcross.Superpotential(spec, s, Chart.CHEKANOV, Ambient.COMPACT)
+
+    with pytest.raises(error) as exc:
+        invariant_table(w(_packed(2, 1, terms, k)))
+    assert str(exc.value) == message
+    assert _table_outcome(_reference_table, w(_packed(2, 1, terms, k))) == (error, message)
+
+
 @pytest.mark.parametrize("spec, products", [
     (builtin_fan("cpn", n=8), 30460),
     (builtin_fan("hirzebruch_f1"), 9),
     (builtin_fan("cp_product", n=5, r=2), 131),
 ], ids=["cp8", "f1", "cp2xcp3"])
 def test_chekanov_work_count(monkeypatch, spec, products):
-    # the compact Chekanov series is one times_powers pass: one unpack of one
-    # packer, one RelClass per output term, no series sum per extra ray, and
-    # the Miller solves' int products plus one for the beta_hat part at k = 0
+    # the compact Chekanov series is one times_powers pass: one packed
+    # result, no series sum per extra ray, and the Miller solves' int
+    # products plus one for the beta_hat part at k = 0.  It stays packed
+    # until read: len counts its terms without a RelClass, and the first
+    # items() unpacks one RelClass per term, once
     counts = {"unpacked": 0, "unpack": 0, "add": 0, "products": 0}
     in_factor = [False]
 
@@ -453,7 +536,12 @@ def test_chekanov_work_count(monkeypatch, spec, products):
     monkeypatch.setattr(series.ClassSeries, "__add__", counted(
         "add", series.ClassSeries.__add__, lambda *args: not in_factor[0]))
     w = chekanov_superpotential(spec, Ambient.COMPACT).series
-    assert counts == {"unpacked": 1, "unpack": len(w), "add": 0, "products": products}
+    size = len(w)
+    assert counts == {"unpacked": 1, "unpack": 0, "add": 0, "products": products}
+    terms = w.items()
+    assert counts["unpack"] == size == len(terms)
+    assert w.items() == terms and len(w) == size
+    assert counts["unpack"] == size
 
 
 class TestClosedForms:
