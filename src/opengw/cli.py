@@ -525,19 +525,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value_actions(parser: argparse.ArgumentParser):
-    """Every action, subcommands included, that takes a value."""
+@functools.cache
+def _value_actions(parser: argparse.ArgumentParser) -> tuple[argparse.Action, ...]:
+    """Every action, subcommands included, that takes a value; walked once
+    per parser, which _build_parser builds once per process."""
+    actions = []
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                yield from _value_actions(sub)
+                actions += _value_actions(sub)
         elif action.nargs != 0:
-            yield action
+            actions.append(action)
+    return tuple(actions)
 
 
-def _option_flags(parser: argparse.ArgumentParser) -> set[str]:
+@functools.cache
+def _option_flags(parser: argparse.ArgumentParser) -> frozenset[str]:
     """Option strings of every action, subcommands included, that takes a value."""
-    return {flag for action in _value_actions(parser) for flag in action.option_strings}
+    return frozenset(flag for action in _value_actions(parser) for flag in action.option_strings)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

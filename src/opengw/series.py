@@ -11,13 +11,19 @@ are sign-compatible coordinate by coordinate; exp, log and division check
 this and refuse otherwise, because a truncated expansion would then
 silently drop low-order terms.
 
-Every hot loop runs on one packed kernel.  At entry each class becomes an
-integer key with one balanced radix-2^w digit per coordinate, h_1 the most
+Every hot loop runs on one packed kernel.  A class is an integer key
+with one balanced radix-2^w digit per coordinate, h_1 the most
 significant, then h_2 .. h_m, b, g_1 .. g_{n-1}, w sized from a bound on
 every coordinate the operation can form, so adding keys adds classes and
 int order of keys is the canonical (h, b, g) order of classes;
-coefficients become int numerators over one common denominator per
-operand.  Outside the solve below, every sum of products
+coefficients are int numerators over one common denominator per
+operand.  Each kernel entry reads its operands through _operand: a
+kernel result or a parsed series (from_records) already is such keys,
+and a series held as a dict is packed once and keeps its packed form.  A
+key moves to the wider packer of an operation digit by digit, with no
+class built, and the grade L of a term (below) is a sum over the gamma
+digit columns of all the operand's keys at once.  Outside the solve
+below, every sum of products
 of (den, nums) buckets, multiply included, is _products: one convolution
 per pair over the pairs' common denominator.  divide_by_power,
 series_exp, series_log and Miller's powers are one weighted triangular
@@ -70,8 +76,10 @@ A kernel result stays packed: the ClassSeries holds the packer and the
 ClassSeries.columns, the one reader of terms without objects, sorts the
 int keys and splits their digits into one int column per coordinate, with
 the numerators over one common denominator.  Invariant tables and
-rendered series are read that way, and _packed_sum adds series read as
-columns on one packer, so a glued series stays packed too.  The
+rendered series are read that way.  Gluing never leaves the keys either:
+_split_b groups a series by its b digit column, each group a packed
+series on the same packer, and _packed_sum adds packed parts on the
+widest of their packers, so a glued series stays packed too.  The
 RelClass -> Fraction dict is built on the first read of _terms or
 items(), in key order, one RelClass per term, with equal numerators
 sharing one Fraction, and the packed form is dropped.  A series held as
@@ -82,10 +90,11 @@ read as columns.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, compress
-from operator import attrgetter, countOf
-from typing import Collection, Iterable, Mapping
+from operator import add, attrgetter, countOf, itemgetter, neg, sub
+from typing import NamedTuple
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
 from .fan import RelClass, require_int, require_ints, require_rational
@@ -100,10 +109,13 @@ class ClassSeries:
     shape and every coefficient pass fan.require_rational, so a float is
     rejected, never rounded.
 
-    A kernel result is held packed, as its packer and (den, nums) buckets,
-    until it is read: len and bool count its nonzero numerators, columns
-    reads it as digit columns, and the RelClass -> Fraction dict is built
-    on the first read of _terms or items(), which drop the packed form.
+    A kernel result or a parsed series (from_records) is held packed, as
+    its packer and (den, nums) buckets, until it is read: len and bool
+    count its nonzero numerators, columns reads it as digit columns, and
+    the RelClass -> Fraction dict is built on the first read of _terms or
+    items(), which drop the packed form.  A series held as a dict keeps
+    the packed form that a kernel entry or columns made of it beside the
+    dict (_operand).
     """
 
     __slots__ = ("n", "m", "_dict", "_packed")
@@ -128,17 +140,17 @@ class ClassSeries:
 
     @property
     def _terms(self) -> dict[RelClass, Fraction]:
-        if self._packed is not None:
+        if self._dict is None:
             self._unpack()
         return self._dict
 
     def _unpack(self):
         # the dict in canonical order, one RelClass per term; terms with
-        # equal numerators share one Fraction.  The buckets are freed before
-        # the dict is built, which keeps the peak down
-        (packer, buckets), self._packed = self._packed, None
-        keys, den, nums = _canonical(buckets)
-        del buckets
+        # equal numerators share one Fraction.  The packed form is dropped
+        # before the dict is built, which keeps the peak down
+        packer, den, nums = _operand(self)
+        self._packed = None
+        keys, nums = _sorted(nums)
         unpack = packer.unpack
         fractions: dict[int, Fraction] = {}
         terms: dict[RelClass, Fraction] = {}
@@ -151,7 +163,7 @@ class ClassSeries:
 
     def items(self) -> list[tuple[RelClass, Fraction]]:
         """Terms in canonical order: lexicographic on (h, b, g)."""
-        if self._packed is not None:
+        if self._dict is None:
             self._unpack()
             return list(self._dict.items())
         # sorted through C-level keys, with no Python call per term
@@ -165,14 +177,10 @@ class ClassSeries:
         term's coefficient nums[i] / den over one common denominator.
 
         No RelClass or Fraction is built; a series held as a dict is packed
-        first and read the same way.
+        first (_operand) and read the same way.
         """
-        if self._packed is not None:
-            packer, buckets = self._packed
-        else:
-            packer = _Packer(self.n, self.m, _coord_bound(self._dict))
-            buckets = {0: _ints(self._dict, packer.pack)}
-        keys, den, nums = _canonical(buckets)
+        packer, den, nums = _operand(self)
+        keys, nums = _sorted(nums)
         return packer.columns(keys), den, nums
 
     def coeff(self, cls: RelClass) -> Fraction:
@@ -182,13 +190,13 @@ class ClassSeries:
         return [c for c, _ in self.items()]
 
     def __len__(self) -> int:
-        if self._packed is not None:
+        if self._dict is None:
             buckets = self._packed[1].values()
             return sum(len(nums) - countOf(nums.values(), 0) for _, nums in buckets)
         return len(self._dict)
 
     def __bool__(self) -> bool:
-        if self._packed is not None:
+        if self._dict is None:
             return any(any(nums.values()) for _, nums in self._packed[1].values())
         return bool(self._dict)
 
@@ -270,9 +278,9 @@ def monomial(n: int, m: int, cls: RelClass, coeff=Fraction(1)) -> ClassSeries:
 def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     """Exact convolution product; classes add, coefficients multiply."""
     f._check_context(g)
-    packer = _Packer(f.n, f.m, _coord_bound(f._terms) + _coord_bound(g._terms))
-    # the packed operands are freed before the output is built, which keeps the peak down
-    prod = _products([(_ints(f._terms, packer.pack), _ints(g._terms, packer.pack))])
+    a, b = _operand(f), _operand(g)
+    packer = _Packer(f.n, f.m, a.packer.bound + b.packer.bound)
+    prod = _products([(_moved(a, packer), _moved(b, packer))])
     return _unpacked(f.n, f.m, packer, {0: prod})
 
 
@@ -301,7 +309,8 @@ def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> Cl
     (_times_powers), solved once per distinct k, and each p is convolved
     into the grade buckets of its power.  Any other f is raised by
     square-and-multiply, once per distinct k.  Every product lands in one
-    bucket on one packer, which is unpacked once.
+    bucket on one packer, which is unpacked once.  The p and f are read as
+    packed keys (_operand) and moved to that packer digit by digit.
     """
     checked = []
     for p, k in parts:
@@ -309,22 +318,21 @@ def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> Cl
         k = require_int(k, "exponent")
         if k < 0:
             raise BadParams(f"times_power needs an exponent >= 0, got {k}")
-        checked.append((p, k))
+        checked.append((_operand(p), k))
+    fop = _operand(f)
     # a term of p * f**k is a term of p plus k terms of f
-    fb = _coord_bound(f._terms)
-    bound = max((_coord_bound(p._terms) + k * fb for p, k in checked), default=0)
+    bound = max((op.packer.bound + k * fop.packer.bound for op, k in checked), default=0)
     packer = _Packer(f.n, f.m, bound)
-    packed = [(_ints(p._terms, packer.pack), k) for p, k in checked]
+    packed = [(_moved(op, packer), k) for op, k in checked]
     try:
-        u = _unit_tail(f, "power")
-        _, grade = _orthant(f.n, u, "power")
+        tail = _unit_tail(f, "power")
+        sigma = _orthant(tail, "power")
     except (NotInvertible, NotFiltered):
-        base = _ints(f._terms, packer.pack)
+        base = _moved(fop, packer)
         powers = {k: _packed_power(base, k) for k in {k for _, k in packed}}
         prod = _products([(p, powers[k]) for p, k in packed])
     else:
-        u_by_grade = _graded(u, grade, packer.pack, max(map(grade, u), default=0))
-        prod = _times_powers(packed, u_by_grade)
+        prod = _times_powers(packed, _graded(tail, sigma, packer))
     return _unpacked(f.n, f.m, packer, {0: prod})
 
 
@@ -343,21 +351,25 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     used up and the last max L(t) buckets of Q are empty; an exact
     quotient therefore costs about its own size.  The result holds every
     term of L-grade <= trunc and may hold some of gamma-degree above trunc.
+    p is read as packed keys (_operand), graded over its gamma digit
+    columns, and moved to the quotient's packer digit by digit.
     """
     f._check_context(p)
     k = require_int(k, "exponent")
     trunc = require_int(trunc, "truncation bound")
     if k < 0:
         raise BadParams(f"divide_by_power needs an exponent >= 0, got {k}")
-    u = _unit_tail(f, "negative power")
-    _, grade = _orthant(f.n, u, "negative power")
-    src = {c: q for c, q in p._terms.items() if grade(c) <= trunc}
+    tail = _unit_tail(f, "negative power")
+    sigma = _orthant(tail, "negative power")
+    p_op = _operand(p)
+    cols = p_op.packer.columns(p_op.nums)
+    grades = _grades(cols[p.m + 1:], sigma, len(p_op.nums))
     # a term of Q is a term of P plus at most trunc - lo terms of u, each of grade >= 1
-    lo = min(map(grade, src), default=trunc)
-    packer = _Packer(p.n, p.m, _coord_bound(src) + (trunc - lo + 1) * _coord_bound(u))
+    lo = min((l for l in grades if l <= trunc), default=trunc)
+    packer = _Packer(p.n, p.m, p_op.packer.bound + (trunc - lo + 1) * tail.packer.bound)
     # a grade-l term of Q, l <= trunc, uses terms of u up to grade trunc - lo
-    u_by_grade = _graded(u, grade, packer.pack, trunc - lo)
-    quot = _graded(src, grade, packer.pack, trunc)
+    u_by_grade = _graded(tail, sigma, packer, trunc - lo)
+    quot = _bucketed(p_op, cols, grades, packer, trunc)
     for _ in range(k):
         quot = _graded_solve(quot, u_by_grade, trunc, lambda j, l: (-1, 1))
     return _unpacked(p.n, p.m, packer, quot)
@@ -371,8 +383,9 @@ def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
         l E_l = sum_j j f_j E_{l-j},   E_0 = 1.
     """
     trunc = require_int(trunc, "truncation bound")
-    sigma, packer, f_by_grade = _graded_tail(f, f._terms, "exp", trunc)
-    rows = _Rows(packer, sigma, f._terms) if sigma else None
+    u = _operand(f)
+    sigma, packer, f_by_grade = _graded_tail(f, u, "exp", trunc)
+    rows = _Rows(packer, sigma, u) if sigma else None
     sol = _graded_solve({0: (1, {0: 1})}, f_by_grade, trunc, lambda j, l: (j, l), rows)
     return _unpacked(f.n, f.m, packer, sol)
 
@@ -401,42 +414,45 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
     """
     trunc = require_int(trunc, "truncation bound")
     p._check_context(f)
-    u = _unit_tail(f, "log")
-    sigma, grade = _orthant(f.n, u, "log")
+    tail = _unit_tail(f, "log")
+    sigma = _orthant(tail, "log")
+    p_op = _operand(p)
     # a term of L or E of grade l <= trunc is a sum of terms of u whose
     # grades, each >= 1, add up to l, so its coordinates are at most
     # trunc * bound(u); a product term adds one term of p
-    packer = _Packer(p.n, p.m, _coord_bound(p._terms) + max(trunc, 0) * _coord_bound(u))
-    u_by_grade = _graded(u, grade, packer.pack, trunc)
+    packer = _Packer(p.n, p.m, p_op.packer.bound + max(trunc, 0) * tail.packer.bound)
+    u_by_grade = _graded(tail, sigma, packer, trunc)
     log_f = _graded_solve(u_by_grade, u_by_grade, trunc, lambda j, l: (j - l, l))
     for _, nums in log_f.values():
         for key, v in nums.items():
             nums[key] = -v
-    rows = _Rows(packer, sigma, u) if sigma else None
+    rows = _Rows(packer, sigma, tail) if sigma else None
     exp_f = _graded_solve({0: (1, {0: 1})}, log_f, trunc, lambda j, l: (j, l), rows)
     prod = _products([
         (a, e)
-        for lp, a in _graded(p._terms, grade, packer.pack, trunc).items()
+        for lp, a in _graded(p_op, sigma, packer, trunc).items()
         for le, e in exp_f.items()
         if lp + le <= trunc
     ])
     return truncate_gamma(_unpacked(p.n, p.m, packer, {0: prod}), trunc)
 
 
-def _unit_tail(f: ClassSeries, what: str) -> dict[RelClass, Fraction]:
-    # u of f = 1 + u, after checking the constant term
-    if f.coeff(RelClass(0, (0,) * (f.n - 1), (0,) * f.m)) != 1:
+def _unit_tail(f: ClassSeries, what: str) -> _Operand:
+    # u of f = 1 + u, after checking the constant term: the zero class is
+    # key 0 on every packer
+    packer, den, nums = _operand(f)
+    if nums.get(0) != den:
         raise NotInvertible(f"{what} needs constant term exactly 1")
-    return {c: q for c, q in f._terms.items() if not c.is_zero()}
+    return _Operand(packer, den, {key: v for key, v in nums.items() if key})
 
 
-def _graded_tail(f: ClassSeries, u: Mapping[RelClass, Fraction], what: str, trunc: int):
+def _graded_tail(f: ClassSeries, u: _Operand, what: str, trunc: int):
     # the prelude of a solve from grade 0 up to trunc: u's orthant signs,
     # a packer for every term of grade <= trunc, a sum of at most trunc
     # terms of u, and u's grade buckets up to trunc
-    sigma, grade = _orthant(f.n, u, what)
-    packer = _Packer(f.n, f.m, (trunc + 1) * _coord_bound(u))
-    return sigma, packer, _graded(u, grade, packer.pack, trunc)
+    sigma = _orthant(u, what)
+    packer = _Packer(f.n, f.m, (trunc + 1) * u.packer.bound)
+    return sigma, packer, _graded(u, sigma, packer, trunc)
 
 
 # the packed kernel
@@ -450,13 +466,16 @@ class _Packer:
     [-bound, bound]: keys then add exactly like classes.  bound < 2^(w-1),
     so two keys differing first in some digit differ by more than all
     lower digits can make up: int order of keys is the canonical order.
-    shifts lists each digit's shift in that same order.
+    shifts lists each digit's shift in that same order.  Every operation
+    sizes the packer of its result from the bounds of its operands'
+    packers, so a result's bound holds each of its coordinates.
     """
 
-    __slots__ = ("m", "w", "mask", "half", "bias", "shifts")
+    __slots__ = ("m", "w", "mask", "half", "bias", "shifts", "bound")
 
     def __init__(self, n: int, m: int, bound: int):
         self.m = m
+        self.bound = bound
         self.w = bound.bit_length() + 1
         self.mask = (1 << self.w) - 1
         self.half = 1 << (self.w - 1)
@@ -483,11 +502,12 @@ class _Packer:
             keys = [(key << w) + x for key, x in zip(keys, col)]
         return keys
 
-    def columns(self, keys: list[int]) -> list[list[int]]:
-        # the digits of keys, one column per coordinate in canonical order
+    def columns(self, keys: Iterable[int], first: int = 0, stop=None) -> list[list[int]]:
+        # the digits of keys, one column per coordinate in canonical order,
+        # coordinates first .. stop - 1 only (m + 1 on: the gamma columns)
         us = [key + self.bias for key in keys]
         mask, half = self.mask, self.half
-        return [[(u >> s & mask) - half for u in us] for s in self.shifts]
+        return [[(u >> s & mask) - half for u in us] for s in self.shifts[first:stop]]
 
 
 class _RowBucket(dict):
@@ -513,10 +533,11 @@ class _Rows:
 
     __slots__ = ("packer", "c", "step", "width", "buckets")
 
-    def __init__(self, packer: _Packer, sigma: tuple[int, ...], u: Iterable[RelClass]):
-        # d and c are the two gamma digits of widest spread on u, so rows
-        # are few and long
-        spread = [max((abs(c.g[k]) for c in u), default=0) for k in range(len(sigma))]
+    def __init__(self, packer: _Packer, sigma: tuple[int, ...], u: _Operand):
+        # d and c are the two gamma digits of widest spread on the operand
+        # u, so rows are few and long
+        home, _, nums = u
+        spread = [max(map(abs, col), default=0) for col in home.columns(nums, home.m + 1)]
         order = sorted(range(len(sigma)), key=lambda k: -spread[k])
         self.packer = packer
         # (shift, sign) of digit c, and the row step; none without a digit c
@@ -625,14 +646,90 @@ def _ints(terms: Mapping[RelClass, Fraction], pack) -> tuple[int, dict[int, int]
     return den, {pack(c): q.numerator * (den // q.denominator) for c, q in terms.items()}
 
 
-def _graded(terms: Mapping[RelClass, Fraction], grade, pack, trunc: int):
-    # terms of grade <= trunc as {grade: (den, nums)}
-    by_grade: dict[int, dict[RelClass, Fraction]] = {}
-    for c, q in terms.items():
-        d = grade(c)
-        if d <= trunc:
-            by_grade.setdefault(d, {})[c] = q
-    return {d: _ints(bucket, pack) for d, bucket in by_grade.items()}
+class _Operand(NamedTuple):
+    # terms as packed keys with int numerators over one common denominator
+    packer: _Packer
+    den: int
+    nums: dict[int, int]
+
+
+def _operand(s: ClassSeries) -> _Operand:
+    """The nonzero terms of s as packed keys with int numerators over one
+    common denominator.
+
+    A kernel result's buckets are merged once, and a series held as a dict
+    is packed once; either way the form read is kept on s, beside its dict
+    if it has one, so every later kernel entry reads the same keys.
+    """
+    if s._packed is None:
+        packer = _Packer(s.n, s.m, _coord_bound(s._dict))
+        s._packed = (packer, {0: _ints(s._dict, packer.pack)})
+    packer, buckets = s._packed
+    if len(buckets) == 1:
+        (den, nums), = buckets.values()
+        if not countOf(nums.values(), 0):
+            return _Operand(packer, den, nums)
+    den = math.lcm(*(d for d, _ in buckets.values()))
+    nums = {}
+    for d, bucket in buckets.values():
+        scale = den // d
+        nums.update({key: v * scale for key, v in bucket.items() if v})
+    s._packed = (packer, {0: (den, nums)})
+    return _Operand(packer, den, nums)
+
+
+def _moved(op: _Operand, packer: _Packer) -> tuple[int, dict[int, int]]:
+    # the (den, nums) of an operand with its keys on packer, moved from its
+    # home packer digit by digit only if the widths differ
+    home, den, nums = op
+    if home.w == packer.w:
+        return den, nums
+    return den, dict(zip(packer.keys(home.columns(nums)), nums.values()))
+
+
+def _sorted(nums: dict[int, int]) -> tuple[list[int], list[int]]:
+    # the keys in canonical order, which is int order, and their numerators
+    keys = sorted(nums)
+    return keys, list(map(nums.__getitem__, keys))
+
+
+def _degrees(gamma: list[list[int]], size: int) -> list[int]:
+    # the gamma-degree sum_k |g_k| of each row of gamma columns
+    degrees = [0] * size
+    for col in gamma:
+        degrees = list(map(add, degrees, map(abs, col)))
+    return degrees
+
+
+def _grades(gamma: list[list[int]], sigma: tuple[int, ...], size: int) -> list[int]:
+    # the grade L(c) = sum_k sigma_k g_k of each row of gamma columns
+    grades = [0] * size
+    for sign, col in zip(sigma, gamma):
+        grades = list(map(add if sign > 0 else sub, grades, col))
+    return grades
+
+
+def _graded(op: _Operand, sigma: tuple[int, ...], packer: _Packer, trunc: int | None = None):
+    # an operand's terms of grade <= trunc (all of them without a trunc)
+    # as {grade: (den, nums)} keyed on packer, read off its digit columns
+    home, _, nums = op
+    cols = home.columns(nums)
+    return _bucketed(op, cols, _grades(cols[home.m + 1:], sigma, len(nums)), packer, trunc)
+
+
+def _bucketed(op: _Operand, cols: list[list[int]], grades: list[int], packer: _Packer, trunc):
+    # _graded given the operand's digit columns and grades: each bucket is
+    # over its reduced denominator, and keys move to packer only if its
+    # width differs
+    home, den, nums = op
+    keys = nums if packer.w == home.w else packer.keys(cols)
+    by_grade: dict[int, dict[int, int]] = {}
+    for key, v, l in zip(keys, nums.values(), grades):
+        if trunc is None or l <= trunc:
+            by_grade.setdefault(l, {})[key] = v
+    if den == 1:
+        return {l: (1, bucket) for l, bucket in by_grade.items()}
+    return {l: _reduced(den, bucket) for l, bucket in by_grade.items()}
 
 
 def _products(pairs: list) -> tuple[int, dict[int, int]]:
@@ -755,73 +852,64 @@ def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
     return s
 
 
+def _split_b(s: ClassSeries, sign: int) -> dict[int, ClassSeries]:
+    # the terms of s grouped by e = sign * b, each group a packed series
+    # on s's packer, read off the b digit column with no class built
+    packer, den, nums = _operand(s)
+    groups: dict[int, dict[int, int]] = {}
+    b, = packer.columns(nums, s.m, s.m + 1)
+    for key, v, e in zip(nums, nums.values(), b if sign > 0 else map(neg, b)):
+        groups.setdefault(e, {})[key] = v
+    return {e: _unpacked(s.n, s.m, packer, {0: (den, group)}) for e, group in groups.items()}
+
+
 def _packed_sum(n: int, m: int, parts: list[ClassSeries], degree: int | None = None):
-    # the sum of the parts, read as columns and added on one packer, held
-    # packed; with a degree, only its terms of gamma-degree <= degree
-    read = []
-    for part in parts:
-        cols, den, nums = part.columns()
-        if degree is not None:
-            degrees = [0] * len(nums)
-            for g in cols[m + 1:]:
-                degrees = [d + abs(x) for d, x in zip(degrees, g)]
-            if max(degrees, default=0) > degree:
-                keep = [d <= degree for d in degrees]
-                cols = [list(compress(col, keep)) for col in cols]
-                nums = list(compress(nums, keep))
-        read.append((cols, den, nums))
-    bound = max((max(map(abs, col), default=0) for cols, _, _ in read for col in cols), default=0)
-    packer = _Packer(n, m, bound)
+    # the sum of the parts on one packer as wide as the widest of theirs,
+    # held packed; with a degree, only its terms of gamma-degree <= degree.
+    # A part's keys are moved digit by digit only if its packer is narrower
+    read = [_operand(part) for part in parts]
+    packer = _Packer(n, m, max((home.bound for home, _, _ in read), default=0))
     den = math.lcm(*(d for _, d, _ in read))
     acc: dict[int, int] = {}
     get = acc.get
-    for cols, d, nums in read:
+    for home, d, nums in read:
+        keys, vals = nums, nums.values()
+        if degree is not None or home.w != packer.w:
+            cols = home.columns(nums)
+            degrees = _degrees(cols[m + 1:], len(nums)) if degree is not None else []
+            if degrees and max(degrees) > degree:
+                keep = [x <= degree for x in degrees]
+                keys, vals = list(compress(keys, keep)), list(compress(vals, keep))
+                cols = [list(compress(col, keep)) for col in cols]
+            if home.w != packer.w:
+                keys = packer.keys(cols)
         scale = den // d
-        for key, v in zip(packer.keys(cols), nums):
+        for key, v in zip(keys, vals):
             acc[key] = get(key, 0) + v * scale
     return _unpacked(n, m, packer, {0: (den, acc)})
 
 
-def _canonical(buckets: dict) -> tuple[list[int], int, list[int]]:
-    # the nonzero terms of (den, nums) buckets as sorted keys, which is
-    # canonical order, and their numerators over one common denominator;
-    # a key lies in one bucket only
-    if len(buckets) == 1:
-        (den, merged), = buckets.values()
-    else:
-        den = math.lcm(*(d for d, _ in buckets.values()))
-        merged = {}
-        for d, nums in buckets.values():
-            scale = den // d
-            merged.update(nums if scale == 1 else {key: v * scale for key, v in nums.items()})
-    keys = sorted([key for key, v in merged.items() if v])
-    return keys, den, list(map(merged.__getitem__, keys))
-
-
-def _orthant(n: int, u: Iterable[RelClass], what: str):
-    # All terms must sit in gamma-degree >= 1 and in one closed sign orthant
-    # of gamma space; otherwise products can fall back to low gamma-degree
-    # and the truncated expansion would be wrong, not just incomplete.
-    # Returns the orthant's signs sigma, sigma_k the sign of gamma_k on u
-    # (+1 where unused), and its linear grade L(c) = sum_k sigma_k g_k.
-    pos = [False] * (n - 1)
-    neg = [False] * (n - 1)
-    for c in u:
-        if c.gamma_degree == 0:
-            raise NotFiltered(f"{what}: term {c} has gamma-degree 0")
-        for k, gk in enumerate(c.g):
-            if gk > 0:
-                pos[k] = True
-            elif gk < 0:
-                neg[k] = True
-    for k in range(n - 1):
-        if pos[k] and neg[k]:
+def _orthant(u: _Operand, what: str) -> tuple[int, ...]:
+    # All terms of the operand u must sit in gamma-degree >= 1 and in one
+    # closed sign orthant of gamma space; otherwise products can fall back
+    # to low gamma-degree and the truncated expansion would be wrong, not
+    # just incomplete.  Returns the orthant's signs sigma, sigma_k the sign
+    # of gamma_k on u (+1 where unused); _grades reads the grade
+    # L(c) = sum_k sigma_k g_k off packed keys.  Read off u's gamma columns;
+    # of several terms of gamma-degree 0 the first in canonical order is named
+    packer, _, nums = u
+    gamma = packer.columns(nums, packer.m + 1)
+    degrees = _degrees(gamma, len(nums))
+    if 0 in degrees:
+        c = packer.unpack(min(key for key, d in zip(nums, degrees) if d == 0))
+        raise NotFiltered(f"{what}: term {c} has gamma-degree 0")
+    for k, col in enumerate(gamma):
+        if col and max(col) > 0 and min(col) < 0:
             raise NotFiltered(
                 f"{what}: gamma_{k + 1} appears with both signs, "
                 "gamma-degree truncation would drop low-order terms"
             )
-    sigma = tuple(-1 if neg[k] else 1 for k in range(n - 1))
-    return sigma, lambda c: sum(s * x for s, x in zip(sigma, c.g))
+    return tuple(-1 if col and min(col) < 0 else 1 for col in gamma)
 
 
 # canonical serialization
@@ -839,33 +927,65 @@ def to_records(f: ClassSeries) -> list[dict]:
     ]
 
 
+_FIELDS = frozenset(("b", "g", "h", "coeff_numerator", "coeff_denominator"))
+_FIELD_VALUES = itemgetter("h", "b", "g", "coeff_numerator", "coeff_denominator")
+
+
 def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
-    """Inverse of to_records.  Every field must be a genuine integer (no
-    bool, float or string), g and h arrays of the fan's shape, and the
-    denominator nonzero; anything else is a SchemaError, never a silent
-    rounding."""
-    terms: dict[RelClass, Fraction] = {}
-    for rec in records:
-        if not isinstance(rec, Mapping):
-            raise SchemaError(f"series record must be an object, got {rec!r}")
-        extra = set(rec) - {"b", "g", "h", "coeff_numerator", "coeff_denominator"}
-        if extra:
-            raise SchemaError(f"unknown series record keys {sorted(extra)}")
+    """Inverse of to_records, parsed straight into packed keys.
+
+    Every field must be a genuine integer (no bool, float or string), g
+    and h arrays of the fan's shape, and the denominator nonzero; anything
+    else is a SchemaError, never a silent rounding, and the first bad
+    record is the one reported.  No RelClass or Fraction is built: each
+    record's coordinates become a key on one packer sized from the
+    records' largest coordinate, coefficients are int numerators over the
+    lcm of the denominators, duplicate keys are summed and sums that
+    cancel dropped.  The series stays packed until it is read.
+    """
+    parsed = [_record(rec, n, m) for rec in records]
+    if not parsed:
+        return _unpacked(n, m, _Packer(n, m, 0), {})
+    rows, nums, dens = zip(*parsed)
+    packer = _Packer(n, m, max(map(abs, chain.from_iterable(rows))))
+    lcm = math.lcm(*dens)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for key, num, den in zip(packer.keys(list(zip(*rows))), nums, dens):
+        acc[key] = get(key, 0) + num * (lcm // den)
+    bucket = _reduced(lcm, acc)
+    return _unpacked(n, m, packer, {0: bucket} if bucket else {})
+
+
+def _record(rec, n: int, m: int) -> tuple[list[int], int, int]:
+    # one record as its digits h, b, g in key order, numerator and
+    # denominator.  A plain dict of the five fields with int values and
+    # list arrays of the fan's lengths is read at once; anything else goes
+    # through every check in order, the first failure a SchemaError
+    if type(rec) is dict and len(rec) == 5:
         try:
-            cls = RelClass(
-                require_int(rec["b"], "series record b", SchemaError),
-                require_ints(rec["g"], "series record g", n - 1, SchemaError),
-                require_ints(rec["h"], "series record h", m, SchemaError),
-            )
-            num = require_int(
-                rec["coeff_numerator"], "series record coeff_numerator", SchemaError
-            )
-            den = require_int(
-                rec["coeff_denominator"], "series record coeff_denominator", SchemaError
-            )
-        except KeyError as exc:
-            raise SchemaError(f"bad series record {rec!r}: missing key {exc}") from exc
-        if den == 0:
-            raise SchemaError(f"bad series record {rec!r}: coeff_denominator is 0")
-        terms[cls] = terms.get(cls, Fraction(0)) + Fraction(num, den)
-    return _raw(n, m, {c: q for c, q in terms.items() if q})
+            h, b, g, num, den = _FIELD_VALUES(rec)
+        except KeyError:
+            pass
+        else:
+            if (type(h) is list and type(g) is list and len(h) == m and len(g) == n - 1
+                    and type(num) is int and type(den) is int and den):
+                xs = [*h, b, *g]
+                if countOf(map(type, xs), int) == len(xs):
+                    return xs, num, den
+    if not isinstance(rec, Mapping):
+        raise SchemaError(f"series record must be an object, got {rec!r}")
+    extra = set(rec) - _FIELDS
+    if extra:
+        raise SchemaError(f"unknown series record keys {sorted(extra)}")
+    try:
+        b = require_int(rec["b"], "series record b", SchemaError)
+        g = require_ints(rec["g"], "series record g", n - 1, SchemaError)
+        h = require_ints(rec["h"], "series record h", m, SchemaError)
+        num = require_int(rec["coeff_numerator"], "series record coeff_numerator", SchemaError)
+        den = require_int(rec["coeff_denominator"], "series record coeff_denominator", SchemaError)
+    except KeyError as exc:
+        raise SchemaError(f"bad series record {rec!r}: missing key {exc}") from exc
+    if den == 0:
+        raise SchemaError(f"bad series record {rec!r}: coeff_denominator is 0")
+    return [*h, b, *g], num, den

@@ -69,7 +69,7 @@ from .series import (
     ClassSeries,
     _packed_sum,
     _products,
-    _raw,
+    _split_b,
     _times_exp_neg_log,
     _times_powers,
     divide_by_power,
@@ -324,7 +324,9 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
 
     Each monomial of class c is multiplied by factor^e, e = -c.b for
     PlusToMinus and +c.b for MinusToPlus; gamma- and H-only monomials are
-    fixed.  The source is grouped by e.  A group with e > 0 is multiplied
+    fixed.  The source is grouped by e on its packed keys' b digits
+    (series._split_b), with no class built per term, and each group is a
+    packed series on the source's packer.  A group with e > 0 is multiplied
     by the exact power factor^e in one packed pass (series.times_power).
     A group with e < 0 is divided exactly by the factor |e| times
     (series.divide_by_power): terms are graded by the linear form L of the
@@ -343,13 +345,9 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
     f = gd.factor
     if f.n != spec.n or f.m != spec.m:
         raise DimensionMismatch("gluing factor does not match the fan")
-    sign = -1 if gd.direction is Direction.PLUS_TO_MINUS else 1
-    groups: dict[int, dict[RelClass, Fraction]] = {}
-    for cls, coeff in s.items():
-        groups.setdefault(sign * cls.b, {})[cls] = coeff
+    groups = _split_b(s, -1 if gd.direction is Direction.PLUS_TO_MINUS else 1)
     parts = []
-    for e, terms in groups.items():
-        part = _raw(spec.n, spec.m, terms)
+    for e, part in groups.items():
         if e > 0:
             part = times_power(part, f, e)
         elif e < 0:

@@ -71,6 +71,22 @@ class TestRingOps:
         with pytest.raises(errors.NotFiltered):
             series.divide_by_power(series.one(n, m), f, 1, 4)
 
+    def test_gamma_degree_zero_term_named_in_canonical_order(self):
+        # of several tail terms of gamma-degree 0, the first in canonical
+        # order is named, whether f is held as a dict or packed
+        n, m = 2, 1
+        held = series.ClassSeries(n, m, {
+            RelClass(2, (0,), (0,)): Fraction(1),
+            RelClass(0, (0,), (0,)): Fraction(1),
+            RelClass(1, (0,), (0,)): Fraction(3),
+        })
+        packed = series.from_records(n, m, series.to_records(held))
+        for f in (held, packed):
+            with pytest.raises(errors.NotFiltered) as exc:
+                series.divide_by_power(series.one(n, m), f, 1, 4)
+            assert str(exc.value) == (
+                "negative power: term RelClass(b=1, g=(0,), h=(0,)) has gamma-degree 0")
+
     def test_inverse_rejects_mixed_signs(self):
         n, m = 2, 0
         f = (
@@ -357,6 +373,157 @@ class TestSerialization:
                     }
                 ],
             )
+
+
+
+# from_records parses into packed keys; these pin it to a RelClass/Fraction
+# reference and to its error messages
+
+
+def _records_reference(n, m, records):
+    # the parse as a dict of classes, one RelClass and Fraction per record
+    terms = {}
+    for r in records:
+        c = RelClass(r["b"], tuple(r["g"]), tuple(r["h"]))
+        terms[c] = terms.get(c, Fraction(0)) + Fraction(r["coeff_numerator"], r["coeff_denominator"])
+    return series.ClassSeries(n, m, {c: q for c, q in terms.items() if q})
+
+
+def _random_records(rng, n, m):
+    # duplicates, sums that cancel, negative and unreduced denominators,
+    # ints beyond 2**64, and records that are not plain dicts of lists
+    big = [0, 1, -1, 2**64 + 3, -(2**70)]
+    size = rng.choice([0, 1, 1, 2, 5, 12])
+    classes = [
+        (rng.choice(big) if rng.random() < 0.1 else rng.randint(-3, 3),
+         [rng.choice(big) if rng.random() < 0.1 else rng.randint(-3, 3) for _ in range(n - 1)],
+         [rng.randint(-2, 2) for _ in range(m)])
+        for _ in range(max(1, size // 2))
+    ]
+    records = []
+    for _ in range(size):
+        b, g, h = rng.choice(classes)
+        num = rng.choice([rng.randint(-6, 6), 3**45, -(2**65)])
+        den = rng.choice([1, 1, 2, 3, -4, 6, 2**66])
+        scale = rng.choice([1, 1, -1, 5])
+        rec = {"b": b, "g": list(g), "h": list(h),
+               "coeff_numerator": num * scale, "coeff_denominator": den * scale}
+        if rng.random() < 0.15:
+            rec["g"], rec["h"] = tuple(g), tuple(h)
+        records.append(rec)
+        if rng.random() < 0.2:
+            # a record that cancels every copy of this class so far
+            total = sum(Fraction(r["coeff_numerator"], r["coeff_denominator"])
+                        for r in records if (r["b"], list(r["g"]), list(r["h"])) == (b, g, h))
+            records.append({"coeff_denominator": total.denominator, "b": b, "g": list(g),
+                            "h": list(h), "coeff_numerator": -total.numerator})
+    return records
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_from_records_matches_reference(seed, monkeypatch):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 4), rng.randint(0, 3)
+    records = _random_records(rng, n, m)
+    want = _records_reference(n, m, records)
+    built = {"RelClass": 0, "Fraction": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            built[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RelClass, "__init__", counted("RelClass", RelClass.__init__))
+        patch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
+        got = series.from_records(n, m, records)
+        size = len(got)
+    # no class or coefficient is built per record, and the result is packed
+    assert built == {"RelClass": 0, "Fraction": 0}
+    assert got._dict is None
+    assert size == len(want)
+    cols, den, nums = got.columns()
+    want_cols, want_den, want_nums = want.columns()
+    assert cols == want_cols
+    assert [Fraction(v, den) for v in nums] == [Fraction(v, want_den) for v in want_nums]
+    assert got == want
+    assert series.from_records(n, m, series.to_records(got)) == want
+
+
+def _record(**fields):
+    rec = {"b": 1, "g": [0, 2], "h": [1], "coeff_numerator": 3, "coeff_denominator": 2}
+    for key, value in fields.items():
+        if value is _DROP:
+            del rec[key]
+        else:
+            rec[key] = value
+    return rec
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("records, message", [
+    ([_record(), 7], "series record must be an object, got 7"),
+    ([[1, [0, 2], [1], 3, 2]], "series record must be an object, got [1, [0, 2], [1], 3, 2]"),
+    (["b"], "series record must be an object, got 'b'"),
+    ([None], "series record must be an object, got None"),
+    ([_record(w=1)], "unknown series record keys ['w']"),
+    ([_record(z=1, a=2)], "unknown series record keys ['a', 'z']"),
+    ([_record(b=_DROP)], "bad series record {'g': [0, 2], 'h': [1], 'coeff_numerator': 3, "
+                         "'coeff_denominator': 2}: missing key 'b'"),
+    ([_record(g=_DROP)], "bad series record {'b': 1, 'h': [1], 'coeff_numerator': 3, "
+                         "'coeff_denominator': 2}: missing key 'g'"),
+    ([_record(h=_DROP)], "bad series record {'b': 1, 'g': [0, 2], 'coeff_numerator': 3, "
+                         "'coeff_denominator': 2}: missing key 'h'"),
+    ([_record(coeff_numerator=_DROP)], "bad series record {'b': 1, 'g': [0, 2], 'h': [1], "
+                                       "'coeff_denominator': 2}: missing key 'coeff_numerator'"),
+    ([_record(coeff_denominator=_DROP)], "bad series record {'b': 1, 'g': [0, 2], 'h': [1], "
+                                         "'coeff_numerator': 3}: missing key 'coeff_denominator'"),
+    ([_record(b=True)], "series record b must be an integer, got True"),
+    ([_record(b=1.0)], "series record b must be an integer, got 1.0"),
+    ([_record(b="1")], "series record b must be an integer, got '1'"),
+    ([_record(g=[0, False])], "series record g entry must be an integer, got False"),
+    ([_record(g=[0.5, 0])], "series record g entry must be an integer, got 0.5"),
+    ([_record(g=["1", 0])], "series record g entry must be an integer, got '1'"),
+    ([_record(g="12")], "series record g must be a sequence, got '12'"),
+    ([_record(g=2)], "series record g must be a sequence, got 2"),
+    ([_record(h=[True])], "series record h entry must be an integer, got True"),
+    ([_record(h=[1.0])], "series record h entry must be an integer, got 1.0"),
+    ([_record(h=["0"])], "series record h entry must be an integer, got '0'"),
+    ([_record(h="1")], "series record h must be a sequence, got '1'"),
+    ([_record(coeff_numerator=False)], "series record coeff_numerator must be an integer, got False"),
+    ([_record(coeff_numerator=3.0)], "series record coeff_numerator must be an integer, got 3.0"),
+    ([_record(coeff_numerator="3")], "series record coeff_numerator must be an integer, got '3'"),
+    ([_record(coeff_denominator=True)], "series record coeff_denominator must be an integer, got True"),
+    ([_record(coeff_denominator=2.0)], "series record coeff_denominator must be an integer, got 2.0"),
+    ([_record(coeff_denominator="1/2")],
+     "series record coeff_denominator must be an integer, got '1/2'"),
+    ([_record(g=[0])], "series record g must have length 2, got [0]"),
+    ([_record(g=[0, 1, 2])], "series record g must have length 2, got [0, 1, 2]"),
+    ([_record(h=[])], "series record h must have length 1, got []"),
+    ([_record(h=[1, 1])], "series record h must have length 1, got [1, 1]"),
+    ([_record(coeff_denominator=0)], "bad series record {'b': 1, 'g': [0, 2], 'h': [1], "
+                                     "'coeff_numerator': 3, 'coeff_denominator': 0}: "
+                                     "coeff_denominator is 0"),
+    ([_record(b=1.5, g=_DROP)], "series record b must be an integer, got 1.5"),
+    ([_record(b=_DROP, g=[0.5, 0])], "bad series record {'g': [0.5, 0], 'h': [1], "
+                                     "'coeff_numerator': 3, 'coeff_denominator': 2}: "
+                                     "missing key 'b'"),
+    ([_record(h=[True], coeff_denominator=0)], "series record h entry must be an integer, got True"),
+    ([_record(b=_DROP, x=0)], "unknown series record keys ['x']"),
+    ([_record(), _record(coeff_numerator=_DROP), _record(b=2.5)],
+     "bad series record {'b': 1, 'g': [0, 2], 'h': [1], 'coeff_denominator': 2}: "
+     "missing key 'coeff_numerator'"),
+    ([_record(b=2.5), _record(coeff_numerator=_DROP)], "series record b must be an integer, got 2.5"),
+])
+def test_from_records_bad_record_messages(records, message):
+    # every bad record is a SchemaError with its message byte for byte, the
+    # first bad record in input order winning
+    with pytest.raises(errors.SchemaError) as exc:
+        series.from_records(3, 1, records)
+    assert str(exc.value) == message
 
 
 # independent oracles for the packed kernel

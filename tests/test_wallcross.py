@@ -302,6 +302,58 @@ def test_gluing_matches_binomial_reference(data, spec, direction, trunc):
     assert apply_gluing(spec, s, gd) == reference_gluing(spec, s, direction, trunc)
 
 
+
+def _held_both_ways(s):
+    # the same terms held as a dict and held packed, as from_records parses them
+    held = ClassSeries(s.n, s.m, dict(s.items()))
+    packed = series.from_records(s.n, s.m, series.to_records(s))
+    assert held._packed is None and packed._dict is None
+    return held, packed
+
+
+def _glue_both_ways(spec, s, direction, trunc):
+    # apply_gluing of s held as a dict and held packed, which must agree
+    gd = wall_crossing_factor(spec, direction, trunc)
+    held, packed = (apply_gluing(spec, x, gd) for x in _held_both_ways(s))
+    assert held == packed
+    return packed
+
+
+OPPOSITE = {Direction.PLUS_TO_MINUS: Direction.MINUS_TO_PLUS,
+            Direction.MINUS_TO_PLUS: Direction.PLUS_TO_MINUS}
+
+
+@pytest.mark.parametrize("trunc", [4, 8, 16])
+@pytest.mark.parametrize("spec", BUILTIN_FANO, ids=lambda spec: f"n{spec.n}-{spec.extra_rays}")
+def test_gluing_packed_matches_dict(spec, trunc):
+    # apply_gluing reads a packed series' keys without a class per term;
+    # the same series held as a dict must glue to the same result both
+    # ways.  The Chekanov side divides exactly, so its round trip returns
+    # the source below trunc; the Clifford side's first leg truncates
+    for make, direction in ((clifford_superpotential, Direction.PLUS_TO_MINUS),
+                            (chekanov_superpotential, Direction.MINUS_TO_PLUS)):
+        s = make(spec, Ambient.COMPACT).series
+        there = _glue_both_ways(spec, s, direction, trunc)
+        back = _glue_both_ways(spec, there, OPPOSITE[direction], trunc)
+        if make is chekanov_superpotential:
+            assert there == clifford_superpotential(spec, Ambient.COMPACT).series
+            assert truncate_gamma(back, trunc) == truncate_gamma(s, trunc)
+        else:
+            assert there == truncate_gamma(chekanov_superpotential(spec, Ambient.COMPACT).series, trunc)
+
+
+@given(signed_class_series(3, 1), st.integers(min_value=2, max_value=8))
+@settings(max_examples=60, derandomize=True)
+def test_packed_round_trip_matches_dict(s, trunc):
+    # seeded signed CP^3 inputs: packed and dict-held sources glue alike in
+    # both directions, and the round trip is the identity below trunc
+    spec = builtin_fan("cpn", n=3)
+    for direction in Direction:
+        there = _glue_both_ways(spec, s, direction, trunc)
+        back = _glue_both_ways(spec, there, OPPOSITE[direction], trunc)
+        assert truncate_gamma(back, trunc) == truncate_gamma(s, trunc)
+
+
 class TestInvariantTables:
     def test_cp2_table(self):
         w = chekanov_superpotential(builtin_fan("cpn", n=2), Ambient.COMPACT)
