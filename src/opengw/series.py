@@ -17,9 +17,7 @@ significant, then h_2 .. h_m, b, g_1 .. g_{n-1}, w sized from a bound on
 every coordinate the operation can form, so adding keys adds classes and
 int order of keys is the canonical (h, b, g) order of classes;
 coefficients are int numerators over one common denominator per
-operand.  Each kernel entry reads its operands through _operand: a
-kernel result or a parsed series (from_records) already is such keys,
-and a series held as a dict is packed once and keeps its packed form.  A
+operand.  Each kernel entry reads its operands' keys through _operand.  A
 key moves to the wider packer of an operation digit by digit, with no
 class built, and the grade L of a term (below) is a sum over the gamma
 digit columns of all the operand's keys at once.  Outside the solve
@@ -71,20 +69,21 @@ rows: their coefficient is the dense exponent, while the log, power,
 division and Chekanov-evaluation solves have the sparse unit tail u as
 coefficient, where rows measured slower.
 
-A kernel result stays packed: the ClassSeries holds the packer and the
-(den, nums) buckets.  len and bool count nonzero numerators, and
-ClassSeries.columns, the one reader of terms without objects, sorts the
-int keys and splits their digits into one int column per coordinate, with
-the numerators over one common denominator.  Invariant tables and
-rendered series are read that way.  Gluing never leaves the keys either:
-_split_b groups a series by its b digit column, each group a packed
-series on the same packer, and _packed_sum adds packed parts on the
-widest of their packers, so a glued series stays packed too.  The
-RelClass -> Fraction dict is built on the first read of _terms or
-items(), in key order, one RelClass per term, with equal numerators
-sharing one Fraction, and the packed form is dropped.  A series held as
-a dict sorts on C-level attrgetter("h", "b", "g") keys and is packed to be
-read as columns.
+Every ClassSeries is held packed, as a packer and (den, nums) buckets:
+the constructor packs its terms once, and a kernel result or a parsed
+series (from_records) already is such keys.  len and bool count nonzero
+numerators; +, - and truncate_gamma are _packed_sum, which adds packed
+parts on the widest of their packers and drops terms above a
+gamma-degree off their gamma columns; scaled scales the numerators and
+the denominator; coeff packs the one class asked about.  None of them
+reduces by the gcd, so == and hash read ClassSeries.columns, the one
+reader of terms without objects: it sorts the int keys and splits their
+digits into one int column per coordinate, with the numerators over
+their reduced common denominator.  Invariant tables and rendered series
+are read that way.  Gluing never leaves the keys either: _split_b groups
+a series by its b digit column, each group a packed series on the same
+packer.  items() alone builds a RelClass and a Fraction per term, in key
+order, with equal numerators sharing one Fraction, and caches them.
 """
 
 from __future__ import annotations
@@ -109,16 +108,15 @@ class ClassSeries:
     shape and every coefficient pass fan.require_rational, so a float is
     rejected, never rounded.
 
-    A kernel result or a parsed series (from_records) is held packed, as
-    its packer and (den, nums) buckets, until it is read: len and bool
-    count its nonzero numerators, columns reads it as digit columns, and
-    the RelClass -> Fraction dict is built on the first read of _terms or
-    items(), which drop the packed form.  A series held as a dict keeps
-    the packed form that a kernel entry or columns made of it beside the
-    dict (_operand).
+    Every series is held packed, as its packer and (den, nums) buckets
+    (module docstring): the constructor packs its terms once, and +, -,
+    scaled, truncate_gamma, coeff, len, bool, == and columns all work on
+    the keys.  items() alone builds a RelClass and a Fraction per term, on
+    its first call, and keeps them as a read-only cache that no kernel
+    entry reads.
     """
 
-    __slots__ = ("n", "m", "_dict", "_packed")
+    __slots__ = ("n", "m", "_packed", "_items")
 
     def __init__(self, n: int, m: int, terms: Mapping[RelClass, Fraction] | None = None):
         self.n = require_int(n, "series n")
@@ -135,91 +133,78 @@ class ClassSeries:
                 q = require_rational(coeff, "series coefficient")
                 if q:
                     clean[cls] = q
-        self._dict = clean
-        self._packed = None
-
-    @property
-    def _terms(self) -> dict[RelClass, Fraction]:
-        if self._dict is None:
-            self._unpack()
-        return self._dict
-
-    def _unpack(self):
-        # the dict in canonical order, one RelClass per term; terms with
-        # equal numerators share one Fraction.  The packed form is dropped
-        # before the dict is built, which keeps the peak down
-        packer, den, nums = _operand(self)
-        self._packed = None
-        keys, nums = _sorted(nums)
-        unpack = packer.unpack
-        fractions: dict[int, Fraction] = {}
-        terms: dict[RelClass, Fraction] = {}
-        for key, v in zip(keys, nums):
-            q = fractions.get(v)
-            if q is None:
-                q = fractions[v] = Fraction(v) if den == 1 else Fraction(v, den)
-            terms[unpack(key)] = q
-        self._dict = terms
+        packer = _Packer(n, m, _coord_bound(clean))
+        self._packed = (packer, {0: _ints(clean, packer.pack)})
+        self._items = None
 
     def items(self) -> list[tuple[RelClass, Fraction]]:
         """Terms in canonical order: lexicographic on (h, b, g)."""
-        if self._dict is None:
-            self._unpack()
-            return list(self._dict.items())
-        # sorted through C-level keys, with no Python call per term
-        items = list(self._dict.items())
-        keys = list(map(_CANONICAL, self._dict))
-        return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
+        if self._items is None:
+            # one RelClass per term; terms with equal numerators share one
+            # Fraction
+            packer, den, nums = _operand(self)
+            keys, nums = _sorted(nums)
+            unpack = packer.unpack
+            fractions: dict[int, Fraction] = {}
+            items = []
+            for key, v in zip(keys, nums):
+                q = fractions.get(v)
+                if q is None:
+                    q = fractions[v] = Fraction(v) if den == 1 else Fraction(v, den)
+                items.append((unpack(key), q))
+            self._items = tuple(items)
+        return list(self._items)
 
     def columns(self) -> tuple[list[list[int]], int, list[int]]:
         """The terms in canonical order as (columns, den, nums): one int
         column per coordinate h_1 .. h_m, b, g_1 .. g_{n-1}, and each
-        term's coefficient nums[i] / den over one common denominator.
+        term's coefficient nums[i] / den over their reduced common
+        denominator, so equal series read equal columns.
 
-        No RelClass or Fraction is built; a series held as a dict is packed
-        first (_operand) and read the same way.
+        No RelClass or Fraction is built.
         """
         packer, den, nums = _operand(self)
         keys, nums = _sorted(nums)
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums = [v // g for v in nums]
         return packer.columns(keys), den, nums
 
     def coeff(self, cls: RelClass) -> Fraction:
-        return self._terms.get(cls, Fraction(0))
-
-    def support(self) -> list[RelClass]:
-        return [c for c, _ in self.items()]
+        # a class of another shape, or with a coordinate beyond the
+        # packer's bound, has no key on it and is not a term
+        packer, den, nums = _operand(self)
+        if (len(cls.g) != self.n - 1 or len(cls.h) != self.m
+                or _coord_bound([cls]) > packer.bound):
+            return Fraction(0)
+        return Fraction(nums.get(packer.pack(cls), 0), den)
 
     def __len__(self) -> int:
-        if self._dict is None:
-            buckets = self._packed[1].values()
-            return sum(len(nums) - countOf(nums.values(), 0) for _, nums in buckets)
-        return len(self._dict)
+        buckets = self._packed[1].values()
+        return sum(len(nums) - countOf(nums.values(), 0) for _, nums in buckets)
 
     def __bool__(self) -> bool:
-        if self._dict is None:
-            return any(any(nums.values()) for _, nums in self._packed[1].values())
-        return bool(self._dict)
+        return any(any(nums.values()) for _, nums in self._packed[1].values())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ClassSeries)
             and self.n == other.n
             and self.m == other.m
-            and self._terms == other._terms
+            and self.columns() == other.columns()
         )
 
     def __hash__(self):
-        return hash((self.n, self.m, frozenset(self._terms.items())))
+        cols, den, nums = self.columns()
+        return hash((self.n, self.m, tuple(map(tuple, cols)), den, tuple(nums)))
 
     def __add__(self, other: "ClassSeries") -> "ClassSeries":
         self._check_context(other)
-        out = dict(self._terms)
-        for cls, coeff in other._terms.items():
-            out[cls] = out[cls] + coeff if cls in out else coeff
-        return _raw(self.n, self.m, {c: q for c, q in out.items() if q})
+        return _packed_sum(self.n, self.m, [self, other])
 
     def __neg__(self) -> "ClassSeries":
-        return _raw(self.n, self.m, {c: -q for c, q in self._terms.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other: "ClassSeries") -> "ClassSeries":
         return self + (-other)
@@ -234,7 +219,10 @@ class ClassSeries:
 
     def scaled(self, q) -> "ClassSeries":
         q = require_rational(q, "scale factor")
-        return _raw(self.n, self.m, {c: q * v for c, v in self._terms.items()} if q else {})
+        packer, den, nums = _operand(self)
+        p = q.numerator
+        return _unpacked(self.n, self.m, packer,
+                         {0: (den * q.denominator, {key: v * p for key, v in nums.items()})})
 
     def __repr__(self):
         body = " + ".join(f"{q}*[{c}]" for c, q in self.items()) or "0"
@@ -247,20 +235,7 @@ class ClassSeries:
             )
 
 
-# canonical order of classes, lexicographic on (h, b, g), as a C-level key
-_CANONICAL = attrgetter("h", "b", "g")
 _B, _G, _H = attrgetter("b"), attrgetter("g"), attrgetter("h")
-
-
-def _raw(n: int, m: int, terms: dict[RelClass, Fraction]) -> ClassSeries:
-    # Internal fast path: caller guarantees shapes match and values are
-    # nonzero Fractions, so the constructor's per-term validation is skipped.
-    s = ClassSeries.__new__(ClassSeries)
-    s.n = n
-    s.m = m
-    s._dict = terms
-    s._packed = None
-    return s
 
 
 def zero(n: int, m: int) -> ClassSeries:
@@ -287,7 +262,7 @@ def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
 def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
     """Drop every term of gamma-degree above the given bound."""
     degree = require_int(degree, "gamma-degree bound")
-    return _raw(f.n, f.m, {c: q for c, q in f._terms.items() if c.gamma_degree <= degree})
+    return _packed_sum(f.n, f.m, [f], degree)
 
 
 def power(f: ClassSeries, k: int) -> ClassSeries:
@@ -657,13 +632,10 @@ def _operand(s: ClassSeries) -> _Operand:
     """The nonzero terms of s as packed keys with int numerators over one
     common denominator.
 
-    A kernel result's buckets are merged once, and a series held as a dict
-    is packed once; either way the form read is kept on s, beside its dict
-    if it has one, so every later kernel entry reads the same keys.
+    Buckets over several denominators, or holding cancelled terms, are
+    merged once and the merged form is kept on s, so every later kernel
+    entry reads the same keys.
     """
-    if s._packed is None:
-        packer = _Packer(s.n, s.m, _coord_bound(s._dict))
-        s._packed = (packer, {0: _ints(s._dict, packer.pack)})
     packer, buckets = s._packed
     if len(buckets) == 1:
         (den, nums), = buckets.values()
@@ -843,12 +815,12 @@ def _reduced(den: int, acc: dict[int, int]):
 
 
 def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
-    # a kernel result as a ClassSeries, held packed until it is read
+    # a kernel result as a ClassSeries on its packer and buckets
     s = ClassSeries.__new__(ClassSeries)
     s.n = n
     s.m = m
-    s._dict = None
     s._packed = (packer, buckets)
+    s._items = None
     return s
 
 

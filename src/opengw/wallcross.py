@@ -56,6 +56,7 @@ from .fan import (
     ray_decomposition,
     require_int,
     require_ints,
+    zero_class,
 )
 from .novikov import (
     EnergyAssignment,
@@ -137,7 +138,8 @@ class InvariantTable:
 
     invariant_table builds a table from columns, and its InvariantRows
     only when rows, iteration or value_of ask for them; InvariantTable(rows)
-    builds one from rows, and its columns from them when asked.  The
+    builds one from rows, and its columns from them when asked, refusing a
+    value that is not an integer as invariant_table does.  The
     columns are (names, h, b, g, maslov, n_beta), rows in canonical order,
     with h and g one int column per coordinate h_a and gamma_k.
     """
@@ -170,6 +172,11 @@ class InvariantTable:
     def columns(self) -> tuple:
         if self._columns is None:
             rows = self._rows
+            for row in rows:
+                if row.value.denominator != 1:
+                    raise NonIntegerInvariant(
+                        f"count for {row.name} is {row.value}, not an integer"
+                    )
             classes = [row.cls for row in rows]
             self._columns = (
                 [row.name for row in rows],
@@ -229,10 +236,9 @@ def wall_crossing_factor(
     trunc = require_int(trunc, "truncation bound")
     if trunc < 0:
         raise BadParams(f"truncation bound must be >= 0, got {trunc}")
-    f = one(spec.n, spec.m)
-    for k in range(1, spec.n):
-        f = f + monomial(spec.n, spec.m, gamma_class(spec, k))
-    return GluingData(f, direction, trunc)
+    terms = {zero_class(spec): Fraction(1)}
+    terms.update((gamma_class(spec, k), Fraction(1)) for k in range(1, spec.n))
+    return GluingData(ClassSeries(spec.n, spec.m, terms), direction, trunc)
 
 
 def _chekanov_parts(spec: FanSpec) -> list[tuple[RelClass, int]]:

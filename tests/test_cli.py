@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import opengw
-from opengw import cli, novikov, series, wallcross
+from opengw import cli, errors, novikov, series, wallcross
 from opengw.fan import EnergyValues, RelClass, builtin_fan
 from opengw.wallcross import Ambient, chekanov_superpotential, clifford_superpotential
 
@@ -264,6 +264,12 @@ class TestJsonRender:
         spec = builtin_fan("cpn", n=n)
         for table in (wallcross.InvariantTable(rows), wallcross.InvariantTable(())):
             assert cli.render_invariants(table, spec, "json") == _table_reference(table)
+        # a count that is not an integer is refused, never rounded to 0
+        half = rows + (wallcross.InvariantRow(classes[0], 2, Fraction(-1, 2), "x"),)
+        for fmt in ("json", "csv", "table"):
+            with pytest.raises(errors.NonIntegerInvariant,
+                               match=r"^count for x is -1/2, not an integer$"):
+                cli.render_invariants(wallcross.InvariantTable(half), spec, fmt)
 
     @pytest.mark.parametrize("spec", [
         builtin_fan("cpn", n=8), builtin_fan("cp_product", n=5, r=2),

@@ -73,7 +73,7 @@ class TestRingOps:
 
     def test_gamma_degree_zero_term_named_in_canonical_order(self):
         # of several tail terms of gamma-degree 0, the first in canonical
-        # order is named, whether f is held as a dict or packed
+        # order is named, whether f is built from a dict or parsed
         n, m = 2, 1
         held = series.ClassSeries(n, m, {
             RelClass(2, (0,), (0,)): Fraction(1),
@@ -439,9 +439,8 @@ def test_from_records_matches_reference(seed, monkeypatch):
         patch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
         got = series.from_records(n, m, records)
         size = len(got)
-    # no class or coefficient is built per record, and the result is packed
+    # no class or coefficient is built per record
     assert built == {"RelClass": 0, "Fraction": 0}
-    assert got._dict is None
     assert size == len(want)
     cols, den, nums = got.columns()
     want_cols, want_den, want_nums = want.columns()
@@ -571,7 +570,7 @@ def test_multiply_and_power_match_sympy(seed):
         return series.ClassSeries(n, m, terms)
 
     def to_poly(f):
-        coords = [(c.b, *c.g, *c.h) for c in f.support()]
+        coords = [(c.b, *c.g, *c.h) for c, _ in f.items()]
         shift = tuple(min(col) for col in zip(*coords)) if coords else (0,) * (n + m)
         poly = R.from_dict(
             {tuple(x - s for x, s in zip(v, shift)): QQ(q.numerator, q.denominator)
@@ -963,17 +962,36 @@ def test_packed_keys_sort_canonically(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(packed_terms())
-def test_packed_series_reads_like_its_dict(case):
-    # every reader gives the same answer on a packed kernel result as on
-    # the same terms held as a dict
+@given(packed_terms(), st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+def test_packed_series_reads_like_its_dict(case, q):
+    # every reader gives the same answer on a kernel result over two
+    # buckets as on the same terms built from a dict.  Sums and scalings
+    # keep their common denominator unreduced by the gcd, and still
+    # compare and hash equal
     n, m, bound, terms = case
     held = series.ClassSeries(n, m, terms)
     want = sorted(terms.items(), key=lambda kv: kv[0].sort_key)
 
     def fresh():
-        # a new packed series each time: reading items() unpacks it
+        # a new kernel result each time, with no items() cached
         return _packed_series(n, m, bound, terms)
+
+    for s in (fresh(), held):
+        for same in (s + s - s, s.scaled(q).scaled(1 / q)):
+            assert same == s and s == same
+            assert hash(same) == hash(s) == hash(held)
+        diff = s - s
+        assert not diff and len(diff) == 0
+        assert diff == series.zero(n, m) and hash(diff) == hash(series.zero(n, m))
+        # a class of another shape, or beyond the packer's bound, reads 0,
+        # even one whose digits would pack to a term's key
+        assert [s.coeff(c) for c in terms] == list(terms.values())
+        assert s.coeff(RelClass(0, (0,) * n, (0,) * m)) == 0
+        if terms and n + m > 1:
+            xs = [*want[0][0].h, want[0][0].b, *want[0][0].g]
+            xs[-1] += 1 << series._Packer(n, m, bound).w
+            xs[-2] -= 1
+            assert s.coeff(RelClass(xs[m], tuple(xs[m + 1:]), tuple(xs[:m]))) == 0
 
     assert held.items() == want
     assert fresh().items() == want

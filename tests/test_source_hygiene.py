@@ -3,7 +3,8 @@
 Deleting code tends to leave imports that nothing uses, and the packed
 kernel's internals (_Packer, _graded_solve, _convolve, _Rows) belong to series
 alone: other modules reach it through its helpers, and read a series only
-through ClassSeries methods.
+through ClassSeries methods, never through its stored form (the slots
+_packed and _items).
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "opengw"
 KERNEL = {"_Packer", "_graded_solve", "_convolve", "_Rows"}
+SLOTS = {"_packed", "_items"}
 
 
 def _modules():
@@ -50,3 +52,11 @@ def test_kernel_internals_stay_in_series():
         if alias.name in KERNEL
     ]
     assert not leaks, f"series kernel internals imported elsewhere: {leaks}"
+    reads = [
+        f"{name}:{node.lineno} .{node.attr}"
+        for name, tree in _modules().items()
+        if name != "series.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SLOTS
+    ]
+    assert not reads, f"ClassSeries slots read outside series: {reads}"

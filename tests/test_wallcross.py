@@ -304,15 +304,14 @@ def test_gluing_matches_binomial_reference(data, spec, direction, trunc):
 
 
 def _held_both_ways(s):
-    # the same terms held as a dict and held packed, as from_records parses them
+    # the same terms from the constructor's dict and parsed by from_records
     held = ClassSeries(s.n, s.m, dict(s.items()))
     packed = series.from_records(s.n, s.m, series.to_records(s))
-    assert held._packed is None and packed._dict is None
     return held, packed
 
 
 def _glue_both_ways(spec, s, direction, trunc):
-    # apply_gluing of s held as a dict and held packed, which must agree
+    # apply_gluing of s built both ways, which must agree
     gd = wall_crossing_factor(spec, direction, trunc)
     held, packed = (apply_gluing(spec, x, gd) for x in _held_both_ways(s))
     assert held == packed
@@ -326,10 +325,11 @@ OPPOSITE = {Direction.PLUS_TO_MINUS: Direction.MINUS_TO_PLUS,
 @pytest.mark.parametrize("trunc", [4, 8, 16])
 @pytest.mark.parametrize("spec", BUILTIN_FANO, ids=lambda spec: f"n{spec.n}-{spec.extra_rays}")
 def test_gluing_packed_matches_dict(spec, trunc):
-    # apply_gluing reads a packed series' keys without a class per term;
-    # the same series held as a dict must glue to the same result both
-    # ways.  The Chekanov side divides exactly, so its round trip returns
-    # the source below trunc; the Clifford side's first leg truncates
+    # apply_gluing reads a series' keys without a class per term; the
+    # same series built from a dict and parsed from records must glue to
+    # the same result both ways.  The Chekanov side divides exactly, so
+    # its round trip returns the source below trunc; the Clifford side's
+    # first leg truncates
     for make, direction in ((clifford_superpotential, Direction.PLUS_TO_MINUS),
                             (chekanov_superpotential, Direction.MINUS_TO_PLUS)):
         s = make(spec, Ambient.COMPACT).series
@@ -345,7 +345,7 @@ def test_gluing_packed_matches_dict(spec, trunc):
 @given(signed_class_series(3, 1), st.integers(min_value=2, max_value=8))
 @settings(max_examples=60, derandomize=True)
 def test_packed_round_trip_matches_dict(s, trunc):
-    # seeded signed CP^3 inputs: packed and dict-held sources glue alike in
+    # seeded signed CP^3 inputs: built and parsed sources glue alike in
     # both directions, and the round trip is the identity below trunc
     spec = builtin_fan("cpn", n=3)
     for direction in Direction:
@@ -594,6 +594,32 @@ def test_chekanov_work_count(monkeypatch, spec, products):
     assert counts["unpack"] == size == len(terms)
     assert w.items() == terms and len(w) == size
     assert counts["unpack"] == size
+
+
+def test_packed_operations_build_no_classes(monkeypatch):
+    # truncation, sums, differences, scalings and coefficient reads work on
+    # the packed keys of the CP^8 Chekanov series: no class is unpacked
+    # (truncate_gamma alone unpacked all 6,436 terms when it read the
+    # series as a RelClass -> Fraction dict)
+    spec = builtin_fan("cpn", n=8)
+    w = chekanov_superpotential(spec, Ambient.COMPACT).series
+    c = beta_prime_class(spec, 1)
+    unpacks = 0
+    unpack = series._Packer.unpack
+
+    def counted(self, key):
+        nonlocal unpacks
+        unpacks += 1
+        return unpack(self, key)
+
+    monkeypatch.setattr(series._Packer, "unpack", counted)
+    low = truncate_gamma(w, 4)
+    twice, nothing, thrice = w + w, w - w, w.scaled(3)
+    got = w.coeff(c)
+    assert unpacks == 0
+    monkeypatch.undo()
+    assert 0 < len(low) < len(w) and got == 1 and not nothing
+    assert twice == thrice - w and len(thrice) == len(w)
 
 
 class TestClosedForms:
