@@ -370,6 +370,17 @@ def _class_names(m: int, g: int, columns: Sequence[Sequence[int]]) -> list[str]:
     ]
 
 
+def _classes(m: int, columns: Sequence[Sequence[int]]) -> list[RelClass]:
+    """The RelClass of every row of digit columns in canonical order, one
+    column per coordinate h_1 .. h_m, b, gamma_1 .. gamma_g: the one way
+    back from packed keys or table columns to classes."""
+    b = columns[m]
+    # a shape without h or gamma coordinates has one () per row
+    hs = zip(*columns[:m]) if m else [()] * len(b)
+    gs = zip(*columns[m + 1:]) if len(columns) > m + 1 else [()] * len(b)
+    return list(map(RelClass, b, gs, hs))
+
+
 def class_name(c: RelClass) -> str:
     """Readable name like 'H_1 - 2β̂ + γ_1'."""
     return _class_names(len(c.h), len(c.g), [[x] for x in (*c.h, c.b, *c.g)])[0]

@@ -17,7 +17,7 @@ significant, then h_2 .. h_m, b, g_1 .. g_{n-1}, w sized from a bound on
 every coordinate the operation can form, so adding keys adds classes and
 int order of keys is the canonical (h, b, g) order of classes;
 coefficients are int numerators over one common denominator per
-operand.  Each kernel entry reads its operands' keys through _operand.  A
+operand.  Each kernel entry reads its operands' keys off the series.  A
 key moves to the wider packer of an operation digit by digit, with no
 class built, and the grade L of a term (below) is a sum over the gamma
 digit columns of all the operand's keys at once.  Outside the solve
@@ -42,7 +42,7 @@ per distinct k.  times_powers(parts, f) calls it on class keys, with
 times_power(p, f, k) as its one-part call, and
 wallcross.evaluate_chekanov on T-exponent keys; the Chekanov
 superpotential beta_hat f**0 + sum_a beta'_a f**p_a is one times_powers
-call, one packer and one unpack.  An f without a graded unit tail is
+call on one packer.  An f without a graded unit tail is
 raised by square-and-multiply instead.  The wall-crossing identity's
 p exp(-log f), _times_exp_neg_log, chains two solves on one packer:
 
@@ -69,21 +69,24 @@ rows: their coefficient is the dense exponent, while the log, power,
 division and Chekanov-evaluation solves have the sparse unit tail u as
 coefficient, where rows measured slower.
 
-Every ClassSeries is held packed, as a packer and (den, nums) buckets:
-the constructor packs its terms once, and a kernel result or a parsed
-series (from_records) already is such keys.  len and bool count nonzero
-numerators; +, - and truncate_gamma are _packed_sum, which adds packed
-parts on the widest of their packers and drops terms above a
-gamma-degree off their gamma columns; scaled scales the numerators and
-the denominator; coeff packs the one class asked about.  None of them
-reduces by the gcd, so == and hash read ClassSeries.columns, the one
-reader of terms without objects: it sorts the int keys and splits their
-digits into one int column per coordinate, with the numerators over
-their reduced common denominator.  Invariant tables and rendered series
-are read that way.  Gluing never leaves the keys either: _split_b groups
-a series by its b digit column, each group a packed series on the same
-packer.  items() alone builds a RelClass and a Fraction per term, in key
-order, with equal numerators sharing one Fraction, and caches them.
+Every ClassSeries is one packed operand, set when it is made and never
+changed: a packer, one common denominator and a nonzero int numerator
+per key.  The constructor packs its terms once; every kernel result and
+parsed series (from_records) goes through _unpacked, which merges the
+solve's grade buckets over their lcm and drops cancelled terms.  len and
+bool read the numerators; +, - and truncate_gamma are _packed_sum, which
+adds packed parts on the widest of their packers and drops terms above
+a gamma-degree off their gamma columns; scaled scales the numerators
+and the denominator; coeff packs the one class asked about.  None of
+them reduces by the gcd, so == and hash read ClassSeries.columns: it
+sorts the int keys and splits their digits into one int column per
+coordinate (_Packer.columns, the only decoder of keys), with the
+numerators over their reduced common denominator.  Invariant tables and
+rendered series are read that way.  Gluing never leaves the keys
+either: _split_b groups a series by its b digit column, each group a
+packed series on the same packer.  items() alone builds a RelClass and
+a Fraction per term, on each call, from the digit columns
+(fan._classes), with equal numerators sharing one Fraction.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ from operator import add, attrgetter, countOf, itemgetter, neg, sub
 from typing import NamedTuple
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
-from .fan import RelClass, require_int, require_ints, require_rational
+from .fan import RelClass, _classes, require_int, require_ints, require_rational
 
 DEFAULT_TRUNC = 16
 
@@ -108,52 +111,36 @@ class ClassSeries:
     shape and every coefficient pass fan.require_rational, so a float is
     rejected, never rounded.
 
-    Every series is held packed, as its packer and (den, nums) buckets
-    (module docstring): the constructor packs its terms once, and +, -,
-    scaled, truncate_gamma, coeff, len, bool, == and columns all work on
-    the keys.  items() alone builds a RelClass and a Fraction per term, on
-    its first call, and keeps them as a read-only cache that no kernel
-    entry reads.
+    A series is one packed operand, set when it is made and never changed
+    (module docstring): its packer, a common denominator and int
+    numerators by key, none of them zero.  +, -, scaled, truncate_gamma,
+    coeff, len, bool, == and columns all work on the keys; items() builds
+    a RelClass and a Fraction per term on each call.
     """
 
-    __slots__ = ("n", "m", "_packed", "_items")
+    __slots__ = ("n", "m", "_packed")
 
     def __init__(self, n: int, m: int, terms: Mapping[RelClass, Fraction] | None = None):
-        self.n = require_int(n, "series n")
-        self.m = require_int(m, "series m")
-        if n < 1 or m < 0:
-            raise BadParams(f"series shape needs n >= 1 and m >= 0, got ({n}, {m})")
+        self.n, self.m = _shape(n, m)
         clean: dict[RelClass, Fraction] = {}
         if terms:
             for cls, coeff in terms.items():
-                if not isinstance(cls, RelClass):
-                    raise BadParams(f"series key must be a RelClass, got {cls!r}")
+                _require_class(cls)
                 if len(cls.g) != n - 1 or len(cls.h) != m:
                     raise DimensionMismatch(f"class {cls} does not fit shape ({n}, {m})")
                 q = require_rational(coeff, "series coefficient")
                 if q:
                     clean[cls] = q
         packer = _Packer(n, m, _coord_bound(clean))
-        self._packed = (packer, {0: _ints(clean, packer.pack)})
-        self._items = None
+        self._packed = _Operand(packer, *_ints(clean, packer.pack))
 
     def items(self) -> list[tuple[RelClass, Fraction]]:
         """Terms in canonical order: lexicographic on (h, b, g)."""
-        if self._items is None:
-            # one RelClass per term; terms with equal numerators share one
-            # Fraction
-            packer, den, nums = _operand(self)
-            keys, nums = _sorted(nums)
-            unpack = packer.unpack
-            fractions: dict[int, Fraction] = {}
-            items = []
-            for key, v in zip(keys, nums):
-                q = fractions.get(v)
-                if q is None:
-                    q = fractions[v] = Fraction(v) if den == 1 else Fraction(v, den)
-                items.append((unpack(key), q))
-            self._items = tuple(items)
-        return list(self._items)
+        packer, den, nums = self._packed
+        keys, nums = _sorted(nums)
+        # terms with equal numerators share one Fraction
+        fractions = {v: Fraction(v, den) for v in set(nums)}
+        return list(zip(_classes(self.m, packer.columns(keys)), map(fractions.__getitem__, nums)))
 
     def columns(self) -> tuple[list[list[int]], int, list[int]]:
         """The terms in canonical order as (columns, den, nums): one int
@@ -163,7 +150,7 @@ class ClassSeries:
 
         No RelClass or Fraction is built.
         """
-        packer, den, nums = _operand(self)
+        packer, den, nums = self._packed
         keys, nums = _sorted(nums)
         g = math.gcd(den, *nums)
         if g > 1:
@@ -174,18 +161,18 @@ class ClassSeries:
     def coeff(self, cls: RelClass) -> Fraction:
         # a class of another shape, or with a coordinate beyond the
         # packer's bound, has no key on it and is not a term
-        packer, den, nums = _operand(self)
+        _require_class(cls)
+        packer, den, nums = self._packed
         if (len(cls.g) != self.n - 1 or len(cls.h) != self.m
                 or _coord_bound([cls]) > packer.bound):
             return Fraction(0)
         return Fraction(nums.get(packer.pack(cls), 0), den)
 
     def __len__(self) -> int:
-        buckets = self._packed[1].values()
-        return sum(len(nums) - countOf(nums.values(), 0) for _, nums in buckets)
+        return len(self._packed.nums)
 
     def __bool__(self) -> bool:
-        return any(any(nums.values()) for _, nums in self._packed[1].values())
+        return bool(self._packed.nums)
 
     def __eq__(self, other) -> bool:
         return (
@@ -207,7 +194,8 @@ class ClassSeries:
         return self.scaled(-1)
 
     def __sub__(self, other: "ClassSeries") -> "ClassSeries":
-        return self + (-other)
+        self._check_context(other)
+        return _packed_sum(self.n, self.m, [self, -other])
 
     def __mul__(self, other):
         if isinstance(other, ClassSeries):
@@ -219,7 +207,7 @@ class ClassSeries:
 
     def scaled(self, q) -> "ClassSeries":
         q = require_rational(q, "scale factor")
-        packer, den, nums = _operand(self)
+        packer, den, nums = self._packed
         p = q.numerator
         return _unpacked(self.n, self.m, packer,
                          {0: (den * q.denominator, {key: v * p for key, v in nums.items()})})
@@ -229,10 +217,26 @@ class ClassSeries:
         return f"<ClassSeries ({self.n},{self.m}) {body}>"
 
     def _check_context(self, other: "ClassSeries"):
+        if not isinstance(other, ClassSeries):
+            raise BadParams(f"series operand must be a ClassSeries, got {other!r}")
         if self.n != other.n or self.m != other.m:
             raise DimensionMismatch(
                 f"series shapes ({self.n},{self.m}) and ({other.n},{other.m}) differ"
             )
+
+
+def _shape(n, m) -> tuple[int, int]:
+    # the checked shape (n, m) of a series
+    n = require_int(n, "series n")
+    m = require_int(m, "series m")
+    if n < 1 or m < 0:
+        raise BadParams(f"series shape needs n >= 1 and m >= 0, got ({n}, {m})")
+    return n, m
+
+
+def _require_class(cls):
+    if not isinstance(cls, RelClass):
+        raise BadParams(f"series key must be a RelClass, got {cls!r}")
 
 
 _B, _G, _H = attrgetter("b"), attrgetter("g"), attrgetter("h")
@@ -253,7 +257,7 @@ def monomial(n: int, m: int, cls: RelClass, coeff=Fraction(1)) -> ClassSeries:
 def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     """Exact convolution product; classes add, coefficients multiply."""
     f._check_context(g)
-    a, b = _operand(f), _operand(g)
+    a, b = f._packed, g._packed
     packer = _Packer(f.n, f.m, a.packer.bound + b.packer.bound)
     prod = _products([(_moved(a, packer), _moved(b, packer))])
     return _unpacked(f.n, f.m, packer, {0: prod})
@@ -284,8 +288,8 @@ def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> Cl
     (_times_powers), solved once per distinct k, and each p is convolved
     into the grade buckets of its power.  Any other f is raised by
     square-and-multiply, once per distinct k.  Every product lands in one
-    bucket on one packer, which is unpacked once.  The p and f are read as
-    packed keys (_operand) and moved to that packer digit by digit.
+    bucket on one packer.  The p and f are read as packed keys and moved
+    to that packer digit by digit.
     """
     checked = []
     for p, k in parts:
@@ -293,8 +297,8 @@ def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> Cl
         k = require_int(k, "exponent")
         if k < 0:
             raise BadParams(f"times_power needs an exponent >= 0, got {k}")
-        checked.append((_operand(p), k))
-    fop = _operand(f)
+        checked.append((p._packed, k))
+    fop = f._packed
     # a term of p * f**k is a term of p plus k terms of f
     bound = max((op.packer.bound + k * fop.packer.bound for op, k in checked), default=0)
     packer = _Packer(f.n, f.m, bound)
@@ -326,7 +330,7 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     used up and the last max L(t) buckets of Q are empty; an exact
     quotient therefore costs about its own size.  The result holds every
     term of L-grade <= trunc and may hold some of gamma-degree above trunc.
-    p is read as packed keys (_operand), graded over its gamma digit
+    p is read as packed keys, graded over its gamma digit
     columns, and moved to the quotient's packer digit by digit.
     """
     f._check_context(p)
@@ -336,7 +340,7 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
         raise BadParams(f"divide_by_power needs an exponent >= 0, got {k}")
     tail = _unit_tail(f, "negative power")
     sigma = _orthant(tail, "negative power")
-    p_op = _operand(p)
+    p_op = p._packed
     cols = p_op.packer.columns(p_op.nums)
     grades = _grades(cols[p.m + 1:], sigma, len(p_op.nums))
     # a term of Q is a term of P plus at most trunc - lo terms of u, each of grade >= 1
@@ -358,7 +362,7 @@ def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
         l E_l = sum_j j f_j E_{l-j},   E_0 = 1.
     """
     trunc = require_int(trunc, "truncation bound")
-    u = _operand(f)
+    u = f._packed
     sigma, packer, f_by_grade = _graded_tail(f, u, "exp", trunc)
     rows = _Rows(packer, sigma, u) if sigma else None
     sol = _graded_solve({0: (1, {0: 1})}, f_by_grade, trunc, lambda j, l: (j, l), rows)
@@ -380,7 +384,7 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
 
 def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSeries:
     """truncate_gamma(p * series_exp(-series_log(f, trunc), trunc), trunc)
-    in one packed pass, unpacked once.
+    in one packed pass.
 
     L = log f and E = exp(-L) are the two graded solves of series_log and
     series_exp on the same packed buckets; p is then convolved into E only
@@ -391,7 +395,7 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
     p._check_context(f)
     tail = _unit_tail(f, "log")
     sigma = _orthant(tail, "log")
-    p_op = _operand(p)
+    p_op = p._packed
     # a term of L or E of grade l <= trunc is a sum of terms of u whose
     # grades, each >= 1, add up to l, so its coordinates are at most
     # trunc * bound(u); a product term adds one term of p
@@ -415,7 +419,7 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
 def _unit_tail(f: ClassSeries, what: str) -> _Operand:
     # u of f = 1 + u, after checking the constant term: the zero class is
     # key 0 on every packer
-    packer, den, nums = _operand(f)
+    packer, den, nums = f._packed
     if nums.get(0) != den:
         raise NotInvertible(f"{what} needs constant term exactly 1")
     return _Operand(packer, den, {key: v for key, v in nums.items() if key})
@@ -463,12 +467,6 @@ class _Packer:
         for x in (*c.h, c.b, *c.g):
             key = (key << w) + x
         return key
-
-    def unpack(self, key: int) -> RelClass:
-        u = key + self.bias
-        mask, half, m = self.mask, self.half, self.m
-        xs = [(u >> s & mask) - half for s in self.shifts]
-        return RelClass(xs[m], tuple(xs[m + 1:]), tuple(xs[:m]))
 
     def keys(self, columns: list[list[int]]) -> list[int]:
         # the keys of digit columns in canonical order
@@ -626,28 +624,6 @@ class _Operand(NamedTuple):
     packer: _Packer
     den: int
     nums: dict[int, int]
-
-
-def _operand(s: ClassSeries) -> _Operand:
-    """The nonzero terms of s as packed keys with int numerators over one
-    common denominator.
-
-    Buckets over several denominators, or holding cancelled terms, are
-    merged once and the merged form is kept on s, so every later kernel
-    entry reads the same keys.
-    """
-    packer, buckets = s._packed
-    if len(buckets) == 1:
-        (den, nums), = buckets.values()
-        if not countOf(nums.values(), 0):
-            return _Operand(packer, den, nums)
-    den = math.lcm(*(d for d, _ in buckets.values()))
-    nums = {}
-    for d, bucket in buckets.values():
-        scale = den // d
-        nums.update({key: v * scale for key, v in bucket.items() if v})
-    s._packed = (packer, {0: (den, nums)})
-    return _Operand(packer, den, nums)
 
 
 def _moved(op: _Operand, packer: _Packer) -> tuple[int, dict[int, int]]:
@@ -815,19 +791,22 @@ def _reduced(den: int, acc: dict[int, int]):
 
 
 def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
-    # a kernel result as a ClassSeries on its packer and buckets
+    # a kernel result as a ClassSeries on its packer: the {grade: (den, nums)}
+    # buckets merged over their lcm, cancelled terms dropped
+    den = math.lcm(*(d for d, _ in buckets.values()))
+    nums = {}
+    for d, bucket in buckets.values():
+        scale = den // d
+        nums.update({key: v * scale for key, v in bucket.items() if v})
     s = ClassSeries.__new__(ClassSeries)
-    s.n = n
-    s.m = m
-    s._packed = (packer, buckets)
-    s._items = None
+    s.n, s.m, s._packed = n, m, _Operand(packer, den, nums)
     return s
 
 
 def _split_b(s: ClassSeries, sign: int) -> dict[int, ClassSeries]:
     # the terms of s grouped by e = sign * b, each group a packed series
     # on s's packer, read off the b digit column with no class built
-    packer, den, nums = _operand(s)
+    packer, den, nums = s._packed
     groups: dict[int, dict[int, int]] = {}
     b, = packer.columns(nums, s.m, s.m + 1)
     for key, v, e in zip(nums, nums.values(), b if sign > 0 else map(neg, b)):
@@ -839,7 +818,7 @@ def _packed_sum(n: int, m: int, parts: list[ClassSeries], degree: int | None = N
     # the sum of the parts on one packer as wide as the widest of theirs,
     # held packed; with a degree, only its terms of gamma-degree <= degree.
     # A part's keys are moved digit by digit only if its packer is narrower
-    read = [_operand(part) for part in parts]
+    read = [part._packed for part in parts]
     packer = _Packer(n, m, max((home.bound for home, _, _ in read), default=0))
     den = math.lcm(*(d for _, d, _ in read))
     acc: dict[int, int] = {}
@@ -873,7 +852,7 @@ def _orthant(u: _Operand, what: str) -> tuple[int, ...]:
     gamma = packer.columns(nums, packer.m + 1)
     degrees = _degrees(gamma, len(nums))
     if 0 in degrees:
-        c = packer.unpack(min(key for key, d in zip(nums, degrees) if d == 0))
+        c, = _classes(packer.m, packer.columns([min(key for key, d in zip(nums, degrees) if d == 0)]))
         raise NotFiltered(f"{what}: term {c} has gamma-degree 0")
     for k, col in enumerate(gamma):
         if col and max(col) > 0 and min(col) < 0:
@@ -915,6 +894,7 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
     lcm of the denominators, duplicate keys are summed and sums that
     cancel dropped.  The series stays packed until it is read.
     """
+    n, m = _shape(n, m)
     parsed = [_record(rec, n, m) for rec in records]
     if not parsed:
         return _unpacked(n, m, _Packer(n, m, 0), {})
@@ -925,8 +905,7 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
     get = acc.get
     for key, num, den in zip(packer.keys(list(zip(*rows))), nums, dens):
         acc[key] = get(key, 0) + num * (lcm // den)
-    bucket = _reduced(lcm, acc)
-    return _unpacked(n, m, packer, {0: bucket} if bucket else {})
+    return _unpacked(n, m, packer, {0: (lcm, acc)})
 
 
 def _record(rec, n: int, m: int) -> tuple[list[int], int, int]:

@@ -10,13 +10,16 @@ the power being minus the beta_hat-coefficient of the class (plus for the
 reverse direction).  The Chekanov superpotential has an exact closed form
 whenever every extra ray has nonnegative coordinate sum: it is one
 series.times_powers pass over the parts beta_hat f^0 and beta'_a f^{p_a}
-(_chekanov_parts), still packed when it returns.  Its coefficients are
-one-pointed open Gromov-Witten invariants; invariant_table reads them off
-the series' digit columns (ClassSeries.columns) without a RelClass or an
-InvariantRow per row: the series shape is checked once per table, the
+(_chekanov_parts), one packed operand when it returns.  Its coefficients
+are one-pointed open Gromov-Witten invariants; invariant_table reads them
+off the series' digit columns (ClassSeries.columns) without a RelClass or
+an InvariantRow per row: the series shape is checked once per table, the
 Maslov index is the column sum 2b + sum_a 2(1 + p_a) h_a, integrality is
 den | numerator, and the names come from one piece map per coordinate
-column (fan._class_names).  evaluate_chekanov evaluates it at a torus
+column (fan._class_names).  An InvariantTable is those columns and
+nothing else; its rows are built from them when read (fan._classes, the
+one way back from digit columns to classes), and value_of matches a class
+against them.  evaluate_chekanov evaluates it at a torus
 point from the same parts; at a monomial point it does so in the factored
 form beta_hat + sum_a beta'_a f^{p_a}, never expanding f^{p_a}, with the
 expanded novikov.evaluate as its oracle, and a point that evaluate would
@@ -47,6 +50,7 @@ from .fan import (
     RelClass,
     _check_shape,
     _class_names,
+    _classes,
     _maslov_weights,
     _require_int_param,
     beta_class,
@@ -134,65 +138,59 @@ class InvariantRow:
 
 
 class InvariantTable:
-    """Canonically ordered rows of one-pointed disk counts.
+    """Canonically ordered rows of one-pointed disk counts, held only as
+    their columns (names, h, b, g, maslov, n_beta), with h and g one int
+    column per coordinate h_a and gamma_k.
 
-    invariant_table builds a table from columns, and its InvariantRows
-    only when rows, iteration or value_of ask for them; InvariantTable(rows)
-    builds one from rows, and its columns from them when asked, refusing a
-    value that is not an integer as invariant_table does.  The
-    columns are (names, h, b, g, maslov, n_beta), rows in canonical order,
-    with h and g one int column per coordinate h_a and gamma_k.
+    invariant_table builds a table from a series' columns.
+    InvariantTable(rows) turns its rows into columns once, refusing a value
+    that is not an integer as invariant_table does, and rows whose classes
+    differ in shape.  rows and iteration build the InvariantRows from the
+    columns on each call (fan._classes); value_of matches a class against
+    the digit columns and builds none.
     """
 
-    __slots__ = ("_rows", "_columns")
+    __slots__ = ("_columns",)
 
     def __init__(self, rows: Iterable[InvariantRow] = ()):
-        self._rows = tuple(rows)
-        self._columns = None
+        rows = tuple(rows)
+        for row in rows:
+            if row.value.denominator != 1:
+                raise NonIntegerInvariant(f"count for {row.name} is {row.value}, not an integer")
+        classes = [row.cls for row in rows]
+        # one column per coordinate needs one shape: zip would cut the longer
+        shapes = {(len(c.g), len(c.h)) for c in classes}
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"invariant rows mix class shapes {sorted(shapes)}")
+        self._columns = (
+            [row.name for row in rows],
+            [list(col) for col in zip(*(c.h for c in classes))],
+            [c.b for c in classes],
+            [list(col) for col in zip(*(c.g for c in classes))],
+            [row.maslov for row in rows],
+            [row.value.numerator for row in rows],
+        )
 
     @classmethod
     def _of(cls, columns: tuple) -> "InvariantTable":
         table = cls.__new__(cls)
-        table._rows, table._columns = None, columns
+        table._columns = columns
         return table
 
     @property
     def rows(self) -> tuple[InvariantRow, ...]:
-        if self._rows is None:
-            names, h, b, g, maslov, n_beta = self._columns
-            # a shape without h or gamma coordinates has one () per row
-            hs = zip(*h) if h else [()] * len(b)
-            gs = zip(*g) if g else [()] * len(b)
-            self._rows = tuple(
-                InvariantRow(RelClass(*cls), mu, Fraction(v), name)
-                for name, *cls, mu, v in zip(names, b, gs, hs, maslov, n_beta)
-            )
-        return self._rows
+        names, h, b, g, maslov, n_beta = self._columns
+        classes = _classes(len(h), [*h, b, *g])
+        return tuple(map(InvariantRow, classes, maslov, map(Fraction, n_beta), names))
 
     def columns(self) -> tuple:
-        if self._columns is None:
-            rows = self._rows
-            for row in rows:
-                if row.value.denominator != 1:
-                    raise NonIntegerInvariant(
-                        f"count for {row.name} is {row.value}, not an integer"
-                    )
-            classes = [row.cls for row in rows]
-            self._columns = (
-                [row.name for row in rows],
-                [list(col) for col in zip(*(c.h for c in classes))],
-                [c.b for c in classes],
-                [list(col) for col in zip(*(c.g for c in classes))],
-                [row.maslov for row in rows],
-                [int(row.value) for row in rows],
-            )
         return self._columns
 
     def __iter__(self):
         return iter(self.rows)
 
     def __len__(self):
-        return len(self._rows) if self._rows is not None else len(self._columns[0])
+        return len(self._columns[0])
 
     def __eq__(self, other):
         return isinstance(other, InvariantTable) and self.rows == other.rows
@@ -201,10 +199,15 @@ class InvariantTable:
         return hash(self.rows)
 
     def value_of(self, cls: RelClass) -> Fraction:
-        for row in self.rows:
-            if row.cls == cls:
-                return row.value
-        return Fraction(0)
+        # the first row whose digits are the class's, narrowed column by
+        # column; 0 for a class of another shape or anything not a class
+        _, h, b, g, _, n_beta = self._columns
+        if not isinstance(cls, RelClass) or (len(cls.h), len(cls.g)) != (len(h), len(g)):
+            return Fraction(0)
+        found = range(len(b))
+        for col, x in zip([*h, b, *g], [*cls.h, cls.b, *cls.g]):
+            found = [i for i in found if col[i] == x]
+        return Fraction(n_beta[found[0]]) if found else Fraction(0)
 
 
 def _check_ambient(spec: FanSpec, ambient: Ambient):

@@ -359,12 +359,13 @@ def test_cp8_invariants_are_deterministic_across_processes(tmp_path, monkeypatch
 
 def test_invariants_work_count(tmp_path, capsys, monkeypatch):
     # one opengw invariants of CP^8 as JSON reads the table straight from
-    # the packed kernel result: no class is unpacked and no InvariantRow is
-    # made, and the only RelClasses are the factor's and the parts' (6,436
-    # unpacks, 6,436 rows and 6,447 RelClasses when every row was an object)
+    # the packed kernel result: no class is read back from a key and no
+    # InvariantRow is made, so the only RelClasses are the ten of the
+    # factor and the parts (6,436 rows and 6,447 RelClasses when every row
+    # was an object)
     path = tmp_path / "cp8.json"
     path.write_text(json.dumps({"n": 8, "extra_rays": [[1] * 8]}))
-    counts = {"unpack": 0, "row": 0, "class": 0}
+    counts = {"row": 0, "class": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -372,14 +373,12 @@ def test_invariants_work_count(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(series._Packer, "unpack", counted("unpack", series._Packer.unpack))
     monkeypatch.setattr(wallcross.InvariantRow, "__init__",
                         counted("row", wallcross.InvariantRow.__init__))
     monkeypatch.setattr(RelClass, "__init__", counted("class", RelClass.__init__))
     code, out, err = run(capsys, "invariants", str(path), "--format", "json")
     assert (code, err) == (0, "")
-    assert counts["unpack"] == 0 and counts["row"] == 0, counts
-    assert counts["class"] <= 11, counts
+    assert counts["row"] == 0 and counts["class"] <= 10, counts
     monkeypatch.undo()
     spec = builtin_fan("cpn", n=8)
     table = wallcross.invariant_table(chekanov_superpotential(spec, Ambient.COMPACT))
@@ -391,14 +390,15 @@ def test_glue_work_count(tmp_path, capsys, monkeypatch):
     # one opengw glue of the CP^2 x CP^3 Chekanov series back across the
     # wall: the 51 records are parsed straight into packed keys, grouped,
     # graded and summed on keys, and the sum is rendered from its keys, so
-    # no class is unpacked.  The only classes, Fractions and packs left are
-    # the gluing factor's five terms (the parent commit made 59, 161 and 63)
+    # no class is read back from a key.  The only classes are the gluing
+    # factor's five terms, and the only Fractions and packs are theirs too
+    # (59, 161 and 63 when the records were parsed into objects)
     spec = builtin_fan("cp_product", n=5, r=2)
     fan_path, src = tmp_path / "fan.json", tmp_path / "chekanov.json"
     fan_path.write_text(json.dumps({"n": 5, "extra_rays": [list(r) for r in spec.extra_rays]}))
     w = chekanov_superpotential(spec, Ambient.COMPACT).series
     src.write_text(cli.render_series(w, "json"))
-    calls = {"unpack": 0, "pack": 0, "RelClass": 0, "Fraction": 0}
+    calls = {"pack": 0, "RelClass": 0, "Fraction": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -406,15 +406,14 @@ def test_glue_work_count(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(series._Packer, "unpack", counted("unpack", series._Packer.unpack))
     monkeypatch.setattr(series._Packer, "pack", counted("pack", series._Packer.pack))
     monkeypatch.setattr(RelClass, "__init__", counted("RelClass", RelClass.__init__))
     monkeypatch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
     code, out, err = run(capsys, "glue", str(fan_path), "--input", str(src),
                          "--direction", "minus-to-plus", "--truncate", "16", "--format", "json")
     monkeypatch.undo()
-    assert (code, err) == (0, "") and calls["unpack"] == 0
-    assert calls["RelClass"] <= 10 and calls["Fraction"] <= 10 and calls["pack"] <= 10, calls
+    assert (code, err) == (0, "") and calls["RelClass"] <= 5, calls
+    assert calls["Fraction"] <= 10 and calls["pack"] <= 10, calls
     want = clifford_superpotential(spec, Ambient.COMPACT).series
     assert out == _series_reference(want)
 

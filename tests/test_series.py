@@ -140,17 +140,42 @@ class TestRingOps:
         with pytest.raises(errors.BadParams):
             call(series.one(2, 0) + gamma_mono(2, 0, 1))
 
-    @pytest.mark.parametrize("n, m", [(2.5, 0), (2, 0.0), (True, 0), ("2", 0), (0, 0), (2, -1)])
+    @pytest.mark.parametrize("n, m", [(2.5, 0), (2, 0.0), (True, 0), ("2", 0), (0, 0), (2, -1),
+                                      (-1, 2), ("a", 0)])
     def test_shape_is_strict(self, n, m):
-        # ClassSeries(2.5, 0, {}) used to be a series of shape (2.5, 0)
-        with pytest.raises(errors.BadParams):
+        # ClassSeries(2.5, 0, {}) used to be a series of shape (2.5, 0).
+        # from_records checks the shape with the constructor's message:
+        # from_records(0, 0, []), (-1, 2, []), (2, -1, []) and (True, 0, [])
+        # used to give a series of that shape, ("a", 0, []) a raw TypeError
+        with pytest.raises(errors.BadParams) as want:
             series.ClassSeries(n, m, {})
+        assert str(want.value).startswith(
+            ("series n must be an integer, got", "series m must be an integer, got",
+             f"series shape needs n >= 1 and m >= 0, got ({n}, {m})"))
+        with pytest.raises(errors.BadParams) as got:
+            series.from_records(n, m, [])
+        assert str(got.value) == str(want.value)
 
     def test_exact_strings_accepted(self):
         c = RelClass(0, (1,), ())
         assert series.ClassSeries(2, 0, {c: "1/2"}).coeff(c) == Fraction(1, 2)
         assert gamma_mono(2, 0, 1).scaled("0.1").coeff(c) == Fraction(1, 10)
         assert not gamma_mono(2, 0, 1).scaled(0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: s + 1, "series operand must be a ClassSeries, got 1"),
+        (lambda s: s - 1, "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.multiply(s, 1), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.divide_by_power(1, s, 1, 4),
+         "series operand must be a ClassSeries, got 1"),
+        (lambda s: s.coeff((0, (1,), ())), "series key must be a RelClass, got (0, (1,), ())"),
+    ], ids=["add", "sub", "multiply", "divide", "coeff"])
+    def test_operands_are_strict(self, call, message):
+        # each used to end in a raw AttributeError ('int' object has no
+        # attribute 'n', 'tuple' object has no attribute 'g')
+        with pytest.raises(errors.BadParams) as exc:
+            call(series.one(2, 0) + gamma_mono(2, 0, 1))
+        assert str(exc.value) == message
 
 
 class TestExpLog:
@@ -955,10 +980,11 @@ def test_packed_keys_sort_canonically(case):
     packer = series._Packer(n, m, bound)
     classes = list(terms)
     assert sorted(classes, key=packer.pack) == sorted(classes, key=lambda c: c.sort_key)
-    assert all(packer.unpack(packer.pack(c)) == c for c in classes)
     cols = packer.columns(sorted(map(packer.pack, classes)))
     rows = sorted(classes, key=lambda c: c.sort_key)
     assert [list(col) for col in zip(*cols)] == [[*c.h, c.b, *c.g] for c in rows]
+    # the digit columns read back as the classes packed, in canonical order
+    assert fan._classes(m, cols) == rows
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,9 +2,15 @@
 
 Deleting code tends to leave imports that nothing uses, and the packed
 kernel's internals (_Packer, _graded_solve, _convolve, _Rows) belong to series
-alone: other modules reach it through its helpers, and read a series only
-through ClassSeries methods, never through its stored form (the slots
-_packed and _items).
+alone: other modules reach it through its helpers.
+
+Each value type has one stored form, set once, and SLOTS names it with the
+module that owns it: a ClassSeries is its packed operand (_packed), which
+only series reads and only ClassSeries.__init__ and series._unpacked set;
+an InvariantTable is its columns (_columns), which only InvariantTable
+sets.  No slot holds a second copy (the read-only items() cache _items is
+gone), and digit columns are the one way back from keys to classes, so no
+.unpack( is left.
 """
 
 import ast
@@ -12,7 +18,13 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "opengw"
 KERNEL = {"_Packer", "_graded_solve", "_convolve", "_Rows"}
-SLOTS = {"_packed", "_items"}
+SLOTS = {"_packed": "series.py", "_columns": "wallcross.py"}
+# the (module, enclosing class and function names) allowed to set each slot
+SETTERS = {
+    "_packed": {("series.py", ("ClassSeries", "__init__")), ("series.py", ("_unpacked",))},
+    "_columns": {("wallcross.py", ("InvariantTable", "__init__")),
+                 ("wallcross.py", ("InvariantTable", "_of"))},
+}
 
 
 def _modules():
@@ -55,8 +67,65 @@ def test_kernel_internals_stay_in_series():
     reads = [
         f"{name}:{node.lineno} .{node.attr}"
         for name, tree in _modules().items()
-        if name != "series.py"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in SLOTS
+        if isinstance(node, ast.Attribute) and SLOTS.get(node.attr, name) != name
     ]
-    assert not reads, f"ClassSeries slots read outside series: {reads}"
+    assert not reads, f"stored forms read outside their modules: {reads}"
+
+
+def _assigned(node, scope=()):
+    # (enclosing class and function names, line, slot) of every assignment
+    # that sets a slot or writes into it, at any depth of its target
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope += (node.name,)
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr in SLOTS:
+                    yield scope, node.lineno, sub.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _assigned(child, scope)
+
+
+def test_stored_forms_are_set_once():
+    # a ClassSeries or InvariantTable never changes once made: each slot is
+    # set only where the value is made
+    writes = [
+        f"{name}:{line} {'.'.join(scope)} sets .{slot}"
+        for name, tree in _modules().items()
+        for scope, line, slot in _assigned(tree)
+        if (name, scope) not in SETTERS[slot]
+    ]
+    assert not writes, f"stored forms set after they are made: {writes}"
+
+
+def _class(tree, name):
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def _slots(node):
+    return next(
+        ast.literal_eval(stmt.value)
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["__slots__"]
+    )
+
+
+def test_one_stored_form_and_one_reader():
+    modules = _modules()
+    series, wallcross = modules["series.py"], modules["wallcross.py"]
+    assert _slots(_class(series, "ClassSeries")) == ("n", "m", "_packed")
+    assert _slots(_class(wallcross, "InvariantTable")) == ("_columns",)
+    # keys are read back only as digit columns (_Packer.columns, then
+    # fan._classes): no decoder of one key, no merge of a series on read
+    defined = {node.name for node in ast.walk(series) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"unpack", "_operand"}, defined & {"unpack", "_operand"}
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unpack"
+    ]
+    assert not calls, f".unpack( calls: {calls}"

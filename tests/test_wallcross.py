@@ -512,8 +512,51 @@ def test_table_matches_per_row_reading(spec, make, ambient):
     assert len(got) == len(want) and got.rows == tuple(want)
     for row in want:
         assert got.value_of(row.cls) == row.value
-    # a table built from the same rows reads the same columns
-    assert wallcross.InvariantTable(want).columns() == got.columns()
+    # a table built from the same rows is equal and holds the same columns
+    built = wallcross.InvariantTable(want)
+    assert built == got and built.columns() == got.columns()
+
+
+def test_table_rows_need_one_shape():
+    # a table is one int column per coordinate, so rows of two class
+    # shapes are refused; zip cut the longer class short, and the row of
+    # beta_hat + gamma_2 read back as the class beta_hat
+    rows = [wallcross.InvariantRow(RelClass(1, (0,), ()), 2, F(1), "β̂"),
+            wallcross.InvariantRow(RelClass(1, (0, 1), ()), 2, F(3), "β̂ + γ_2")]
+    with pytest.raises(errors.DimensionMismatch) as exc:
+        wallcross.InvariantTable(rows)
+    assert str(exc.value) == "invariant rows mix class shapes [(1, 0), (2, 0)]"
+
+
+def _count_inits(monkeypatch, cls, counts, key):
+    # counts[key] += 1 on every cls.__init__ until monkeypatch.undo()
+    init = cls.__init__
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return init(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+
+
+def test_value_of_reads_the_columns(monkeypatch):
+    # value_of matches a class against the CP^8 table's digit columns and
+    # agrees with series.coeff, on the table and off it, with no
+    # InvariantRow built (6,436 when its first call built every row)
+    spec = builtin_fan("cpn", n=8)
+    s = chekanov_superpotential(spec, Ambient.COMPACT).series
+    table = invariant_table(wallcross.Superpotential(spec, s, Chart.CHEKANOV, Ambient.COMPACT))
+    on = [cls for cls, _ in s.items()[::97]]
+    off = [RelClass(c.b + 1, c.g, c.h) for c in on[:5]] + [RelClass(0, (0,) * 7, (5,))]
+    counts = {"rows": 0}
+    _count_inits(monkeypatch, wallcross.InvariantRow, counts, "rows")
+    got = [table.value_of(c) for c in on + off]
+    other = [table.value_of(RelClass(1, (0,) * 6, (0,))), table.value_of("β̂")]
+    monkeypatch.undo()
+    assert counts["rows"] == 0
+    assert got == [s.coeff(c) for c in on + off]
+    assert all(got[:len(on)]) and got[len(on):] == [0] * len(off)
+    assert other == [0, 0] and all(type(v) is Fraction for v in got + other)
 
 
 def _packed(n, m, terms, k=0):
@@ -552,18 +595,19 @@ def test_packed_table_errors(terms, k, error, message):
     assert _table_outcome(_reference_table, w(_packed(2, 1, terms, k))) == (error, message)
 
 
-@pytest.mark.parametrize("spec, products", [
-    (builtin_fan("cpn", n=8), 30460),
-    (builtin_fan("hirzebruch_f1"), 9),
-    (builtin_fan("cp_product", n=5, r=2), 131),
+@pytest.mark.parametrize("spec, products, classes", [
+    (builtin_fan("cpn", n=8), 30460, 10),
+    (builtin_fan("hirzebruch_f1"), 9, 5),
+    (builtin_fan("cp_product", n=5, r=2), 131, 8),
 ], ids=["cp8", "f1", "cp2xcp3"])
-def test_chekanov_work_count(monkeypatch, spec, products):
+def test_chekanov_work_count(monkeypatch, spec, products, classes):
     # the compact Chekanov series is one times_powers pass: one packed
     # result, no series sum per extra ray, and the Miller solves' int
     # products plus one for the beta_hat part at k = 0.  It stays packed
-    # until read: len counts its terms without a RelClass, and the first
-    # items() unpacks one RelClass per term, once
-    counts = {"unpacked": 0, "unpack": 0, "add": 0, "products": 0}
+    # until read: len counts its terms without a RelClass, the only
+    # RelClasses built are the factor's and the parts', and items() builds
+    # one RelClass per term
+    counts = {"unpacked": 0, "class": 0, "add": 0, "products": 0}
     in_factor = [False]
 
     def counted(key, fn, what=lambda *args: 1):
@@ -582,41 +626,33 @@ def test_chekanov_work_count(monkeypatch, spec, products):
     wallcross_factor = wallcross.wall_crossing_factor
     monkeypatch.setattr(wallcross, "wall_crossing_factor", factor)
     monkeypatch.setattr(series, "_unpacked", counted("unpacked", series._unpacked))
-    monkeypatch.setattr(series._Packer, "unpack", counted("unpack", series._Packer.unpack))
+    _count_inits(monkeypatch, RelClass, counts, "class")
     monkeypatch.setattr(series, "_convolve", counted(
         "products", series._convolve, lambda acc, a, b, scale: len(a) * len(b)))
     monkeypatch.setattr(series.ClassSeries, "__add__", counted(
         "add", series.ClassSeries.__add__, lambda *args: not in_factor[0]))
     w = chekanov_superpotential(spec, Ambient.COMPACT).series
     size = len(w)
-    assert counts == {"unpacked": 1, "unpack": 0, "add": 0, "products": products}
+    assert counts == {"unpacked": 1, "class": classes, "add": 0, "products": products}
     terms = w.items()
-    assert counts["unpack"] == size == len(terms)
+    assert counts["class"] - classes == size == len(terms)
     assert w.items() == terms and len(w) == size
-    assert counts["unpack"] == size
 
 
 def test_packed_operations_build_no_classes(monkeypatch):
     # truncation, sums, differences, scalings and coefficient reads work on
-    # the packed keys of the CP^8 Chekanov series: no class is unpacked
-    # (truncate_gamma alone unpacked all 6,436 terms when it read the
-    # series as a RelClass -> Fraction dict)
+    # the packed keys of the CP^8 Chekanov series: no RelClass is built
+    # (truncate_gamma alone built all 6,436 terms' classes when it read
+    # the series as a RelClass -> Fraction dict)
     spec = builtin_fan("cpn", n=8)
     w = chekanov_superpotential(spec, Ambient.COMPACT).series
     c = beta_prime_class(spec, 1)
-    unpacks = 0
-    unpack = series._Packer.unpack
-
-    def counted(self, key):
-        nonlocal unpacks
-        unpacks += 1
-        return unpack(self, key)
-
-    monkeypatch.setattr(series._Packer, "unpack", counted)
+    counts = {"class": 0}
+    _count_inits(monkeypatch, RelClass, counts, "class")
     low = truncate_gamma(w, 4)
     twice, nothing, thrice = w + w, w - w, w.scaled(3)
     got = w.coeff(c)
-    assert unpacks == 0
+    assert counts["class"] == 0
     monkeypatch.undo()
     assert 0 < len(low) < len(w) and got == 1 and not nothing
     assert twice == thrice - w and len(thrice) == len(w)
@@ -906,20 +942,13 @@ class TestOnePassIdentity:
 
 def test_identity_work_count(monkeypatch):
     # one C^6 identity at trunc 12: log f, exp(-log f) and the product with
-    # the bracket stay packed, so classes are unpacked only for the five
-    # slot products of the bracket and the one-term result (14,761 when
-    # every step unpacked its output)
-    calls = 0
-    unpack = series._Packer.unpack
-
-    def counted(self, key):
-        nonlocal calls
-        calls += 1
-        return unpack(self, key)
-
-    monkeypatch.setattr(series._Packer, "unpack", counted)
+    # the bracket stay packed, so the only RelClasses built are the
+    # factor's six, the constant correction's and the five slots' (14,761
+    # classes unpacked when every step unpacked its output)
+    counts = {"class": 0}
+    _count_inits(monkeypatch, RelClass, counts, "class")
     got = wall_cross_rhs(FanSpec(6, ()), 12)
-    assert calls <= 10, f"{calls} classes unpacked"
+    assert counts["class"] <= 12, f"{counts['class']} classes built"
     monkeypatch.undo()
     assert got == series.one(6, 0)
 
