@@ -40,6 +40,8 @@ from .errors import (
 from .fan import (
     FanSpec,
     _class_names,
+    _fraction_texts,
+    _fractions,
     _require_keys,
     _require_rationals,
     _require_seq,
@@ -250,19 +252,11 @@ def _series_columns(n: int, m: int) -> list[str]:
     )
 
 
-def _fractions(den: int, nums: list[int]) -> tuple[list[int], list[int]]:
-    # numerators and denominators of nums[i] / den in lowest terms
-    if den == 1:
-        return nums, [1] * len(nums)
-    gs = [math.gcd(v, den) for v in nums]
-    return [v // g for v, g in zip(nums, gs)], [den // g for g in gs]
-
-
 def render_series(s: ClassSeries, fmt: str) -> str:
     cols, den, nums = s.columns()
     h, b, g = cols[:s.m], cols[s.m], cols[s.m + 1:]
-    numerators, denominators = _fractions(den, nums)
     if fmt == "json":
+        numerators, denominators = _fractions(den, nums)
         terms = _json_records([
             ("b", b),
             ("g", tuple(g)),
@@ -271,7 +265,7 @@ def render_series(s: ClassSeries, fmt: str) -> str:
             ("coeff_denominator", denominators),
         ], 1)
         return f'{{\n  "n": {s.n},\n  "m": {s.m},\n  "terms": {terms}\n}}\n'
-    coeffs = [str(p) if q == 1 else f"{p}/{q}" for p, q in zip(numerators, denominators)]
+    coeffs = _fraction_texts(den, nums)
     if fmt == "csv":
         header = _series_columns(s.n, s.m) + ["coeff"]
         return _csv_text(header, zip(b, *g, *h, coeffs))
@@ -337,16 +331,15 @@ def render_matrix(mat, fmt: str) -> str:
 
 
 def render_scalar(x: NovikovScalar, fmt: str) -> str:
+    if fmt not in ("json", "csv"):
+        return str(x) + "\n"
+    d, exps, den, nums = x.columns()
+    exponents, coefficients = _fraction_texts(d, exps), _fraction_texts(den, nums)
     if fmt == "json":
-        terms = _json_records([
-            ("exponent", [str(e) for e, _ in x.terms]),
-            ("coefficient", [str(c) for _, c in x.terms]),
-        ], 1)
+        terms = _json_records([("exponent", exponents), ("coefficient", coefficients)], 1)
         cutoff = "null" if x.cutoff is None else encode_basestring(str(x.cutoff))
         return f'{{\n  "terms": {terms},\n  "cutoff": {cutoff}\n}}\n'
-    if fmt == "csv":
-        return _csv_text(["exponent", "coefficient"], [[str(e), str(c)] for e, c in x.terms])
-    return str(x) + "\n"
+    return _csv_text(["exponent", "coefficient"], zip(exponents, coefficients))
 
 
 # subcommands

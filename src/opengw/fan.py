@@ -77,6 +77,19 @@ def require_rational(v, what: str, error: type[Exception] = BadParams) -> Fracti
         raise error(f"{what}: bad rational {v!r}: {exc}") from exc
 
 
+def _fractions(den: int, nums: Sequence[int]) -> tuple[Sequence[int], list[int]]:
+    # numerators and denominators of nums[i] / den, den > 0, in lowest terms
+    if den == 1:
+        return nums, [1] * len(nums)
+    gs = [math.gcd(v, den) for v in nums]
+    return [v // g for v, g in zip(nums, gs)], [den // g for g in gs]
+
+
+def _fraction_texts(den: int, nums: Sequence[int]) -> list[str]:
+    # str(Fraction(v, den)) for each v in nums, with no Fraction built
+    return [str(p) if q == 1 else f"{p}/{q}" for p, q in zip(*_fractions(den, nums))]
+
+
 def _require_seq(v, what: str, error: type[Exception] = BadParams) -> Sequence:
     """v itself when it is a list, tuple or other non-string sequence."""
     if isinstance(v, str) or not isinstance(v, Sequence):

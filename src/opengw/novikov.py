@@ -1,23 +1,27 @@
 """Exact Novikov-field arithmetic and numeric series evaluation.
 
-A NovikovScalar is a finite sum of c * T^e with rational c and e, kept
-sorted with strictly increasing exponents.  An optional cutoff records that
-terms with exponent >= cutoff have been dropped; all arithmetic propagates
-cutoffs conservatively so reported terms are always complete.  Valuation is
-the smallest exponent present, infinity for zero.
+A NovikovScalar is a finite sum of c * T^e with rational c and e, held as
+int columns: strictly increasing exponents over one reduced common
+denominator and nonzero coefficients over another, so equal scalars hold
+equal columns.  Sums and products work on the columns over the lcm of the
+operands' denominators, and the Fraction terms are built only when read.
+An optional cutoff records that terms with exponent >= cutoff have been
+dropped; all arithmetic propagates cutoffs conservatively so reported
+terms are always complete.  Valuation is the smallest exponent present,
+infinity for zero.
 
 NovikovLaurent is a Laurent polynomial in n torus variables with
 NovikovScalar coefficients; it carries the toric superpotentials and
 Gauss valuations over a polytope.  evaluate() sends the
 symbolic class series of the wallcross module to actual scalars once
 energies and a torus point are chosen.  It works on integer T-exponents
-over one common denominator per call and builds the Fraction exponents
-only on output; its products follow the same rule as NovikovScalar's.
-It checks the series shape once per call and takes each term's boundary
-unchecked.  A power of a coordinate that is one exact term c*T^e shifts a
-term's int exponent by its exponent and scales its int numerator and
-denominator by its coefficient's, one Fraction per term; every other
-power goes through that product rule.
+over one common denominator per call and sums int numerators, and builds
+its result straight from those ints; its products follow the same rule as
+NovikovScalar's.  It checks the series shape once per call and takes each
+term's boundary unchecked.  A power of a coordinate that is one exact term
+c*T^e shifts a term's int exponent by its exponent and scales its int
+numerator and denominator by its coefficient's; every other power goes
+through that product rule.
 
 That shift and scale is the monomial-point character (monomial_character):
 at a point whose n coordinates are each one exact term, a class evaluates
@@ -53,6 +57,7 @@ from .fan import (
     FanSpec,
     _boundary,
     _check_class_shape,
+    _fraction_texts,
     _require_rationals,
     _require_seq,
     class_boundary,
@@ -74,12 +79,53 @@ def _min_cut(a, b):
     return min(a, b)
 
 
-@dataclass(frozen=True)
-class NovikovScalar:
-    """Finite T-series with strictly increasing rational exponents."""
+def _over(qs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    # the Fractions qs as ints over their reduced common denominator
+    d = math.lcm(*(q.denominator for q in qs))
+    return d, tuple(q.numerator * (d // q.denominator) for q in qs)
 
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()
-    cutoff: Fraction | None = None
+
+def _int_cut(cutoff, d: int):
+    # the int bound b with e < b exactly when e / d < cutoff, for ints e
+    return None if cutoff is None else -(-cutoff.numerator * d // cutoff.denominator)
+
+
+class NovikovScalar:
+    """Finite T-series with strictly increasing rational exponents.
+
+    A scalar is held as int columns (d, exps, den, nums): the term
+    (nums[i] / den) * T^(exps[i] / d), exponents strictly increasing,
+    coefficients nonzero, each column over its reduced common denominator,
+    so equal scalars hold equal columns.  columns() reads them; terms
+    builds the Fraction pairs on each read.
+    """
+
+    __slots__ = ("_ints", "cutoff")
+
+    def __init__(self, terms: Iterable[tuple] = (), cutoff=None):
+        # terms: (exponent, coefficient) pairs, exponents strictly increasing;
+        # each value passes fan.require_rational, as in from_terms
+        pairs = [(require_rational(e, "exponent"), require_rational(c, "coefficient"))
+                 for e, c in terms]
+        self._ints = (*_over([e for e, _ in pairs]), *_over([c for _, c in pairs]))
+        self.cutoff = None if cutoff is None else require_rational(cutoff, "cutoff")
+
+    @classmethod
+    def _of(cls, d: int, exps, den: int, nums, cutoff=None) -> "NovikovScalar":
+        # a scalar straight from int columns: exps strictly increasing over
+        # d > 0, nums nonzero over den > 0; both are reduced here
+        g = math.gcd(d, *exps)
+        if g > 1:
+            d //= g
+            exps = [e // g for e in exps]
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums = [v // g for v in nums]
+        x = cls.__new__(cls)
+        x._ints = (d, tuple(exps), den, tuple(nums))
+        x.cutoff = cutoff
+        return x
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple], cutoff=None) -> "NovikovScalar":
@@ -90,92 +136,132 @@ class NovikovScalar:
         """
         if cutoff is not None:
             cutoff = require_rational(cutoff, "cutoff")
-        exact = [(require_rational(e, "exponent"), require_rational(c, "coefficient"))
-                 for e, c in pairs]
-        return _merged(exact, cutoff)
+        d, exps, den, nums = NovikovScalar(pairs).columns()
+        return _merged(d, den, zip(exps, nums), cutoff)
+
+    def columns(self) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+        """(d, exps, den, nums): the term (nums[i] / den) * T^(exps[i] / d)
+        for each i, in increasing exponent.  No Fraction is built."""
+        return self._ints
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (exponent, coefficient) Fraction pairs, built on each read."""
+        d, exps, den, nums = self._ints
+        return tuple((Fraction(e, d), Fraction(v, den)) for e, v in zip(exps, nums))
 
     @property
     def val(self):
         """Smallest exponent, infinity for the zero scalar."""
-        return self.terms[0][0] if self.terms else INF
+        d, exps, _, _ = self._ints
+        return Fraction(exps[0], d) if exps else INF
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints[1]
 
     def coeff(self, e) -> Fraction:
         e = require_rational(e, "exponent")
-        for ee, c in self.terms:
-            if ee == e:
-                return c
+        d, exps, den, nums = self._ints
+        # an exponent of the scalar is an int over d
+        if d % e.denominator == 0:
+            k = e.numerator * (d // e.denominator)
+            if k in exps:
+                return Fraction(nums[exps.index(k)], den)
         return Fraction(0)
 
+    def __eq__(self, other):
+        if not isinstance(other, NovikovScalar):
+            return NotImplemented
+        return self._ints == other._ints and self.cutoff == other.cutoff
+
+    def __hash__(self):
+        return hash((self._ints, self.cutoff))
+
+    def __repr__(self):
+        return f"NovikovScalar(terms={self.terms!r}, cutoff={self.cutoff!r})"
+
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
-        return _merged(
-            list(self.terms) + list(other.terms), _min_cut(self.cutoff, other.cutoff)
-        )
+        dx, xe, denx, xn = self._ints
+        dy, ye, deny, yn = other._ints
+        d, den = math.lcm(dx, dy), math.lcm(denx, deny)
+        sx, sy, cx, cy = d // dx, d // dy, den // denx, den // deny
+        pairs = [(e * sx, v * cx) for e, v in zip(xe, xn)]
+        pairs += [(e * sy, v * cy) for e, v in zip(ye, yn)]
+        return _merged(d, den, pairs, _min_cut(self.cutoff, other.cutoff))
 
     def __neg__(self) -> "NovikovScalar":
-        return NovikovScalar(tuple((e, -c) for e, c in self.terms), self.cutoff)
+        d, exps, den, nums = self._ints
+        return NovikovScalar._of(d, exps, den, [-v for v in nums], self.cutoff)
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
         return self + (-other)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
-        return NovikovScalar(*_product(self.terms, self.cutoff, other.terms, other.cutoff))
+        # both factors' exponents and cutoffs as ints over one denominator d
+        dx, xe, denx, xn = self._ints
+        dy, ye, deny, yn = other._ints
+        cuts = [c for c in (self.cutoff, other.cutoff) if c is not None]
+        d = math.lcm(dx, dy, *(c.denominator for c in cuts))
+        sx, sy = d // dx, d // dy
+        kept, cut = _product(
+            [(e * sx, v) for e, v in zip(xe, xn)], _int_cut(self.cutoff, d),
+            [(e * sy, v) for e, v in zip(ye, yn)], _int_cut(other.cutoff, d),
+        )
+        return NovikovScalar._of(d, [e for e, _ in kept], denx * deny, [v for _, v in kept],
+                                 None if cut is None else Fraction(cut, d))
 
     def __pow__(self, k: int) -> "NovikovScalar":
         return scalar_pow(self, k)
 
     def truncated(self, cutoff) -> "NovikovScalar":
-        return _merged(self.terms, _min_cut(self.cutoff, require_rational(cutoff, "cutoff")))
+        d, exps, den, nums = self._ints
+        return _merged(d, den, zip(exps, nums),
+                       _min_cut(self.cutoff, require_rational(cutoff, "cutoff")))
 
     def __str__(self):
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for e, c in self.terms:
-                if e == 0:
-                    frag = str(c)
-                elif c == 1:
-                    frag = f"T^{e}"
-                elif c == -1:
-                    frag = f"-T^{e}"
-                else:
-                    frag = f"{c}*T^{e}"
-                if parts and not frag.startswith("-"):
-                    parts.append(f"+ {frag}")
-                elif parts:
-                    parts.append(f"- {frag[1:]}")
-                else:
-                    parts.append(frag)
-            body = " ".join(parts)
+        d, exps, den, nums = self._ints
+        parts = []
+        for e, c in zip(_fraction_texts(d, exps), _fraction_texts(den, nums)):
+            if e == "0":
+                frag = c
+            elif c == "1":
+                frag = f"T^{e}"
+            elif c == "-1":
+                frag = f"-T^{e}"
+            else:
+                frag = f"{c}*T^{e}"
+            if parts and not frag.startswith("-"):
+                parts.append(f"+ {frag}")
+            elif parts:
+                parts.append(f"- {frag[1:]}")
+            else:
+                parts.append(frag)
+        body = " ".join(parts) or "0"
         if self.cutoff is not None:
             body += f" + O(T^{self.cutoff})"
         return body
 
 
-def _merged(pairs: Iterable[tuple], cutoff) -> NovikovScalar:
-    # from_terms without the boundary check, for exponents, coefficients
-    # and cutoffs that are already exact: arithmetic results and evaluate
-    merged: dict[Fraction, Fraction] = {}
-    for e, c in pairs:
-        merged[e] = merged.get(e, Fraction(0)) + c
-    kept = tuple(
-        (e, c)
-        for e, c in sorted(merged.items())
-        if c != 0 and (cutoff is None or e < cutoff)
-    )
-    return NovikovScalar(kept, cutoff)
+def _merged(d: int, den: int, pairs: Iterable[tuple[int, int]], cutoff) -> NovikovScalar:
+    # the sum of the int terms (e, v), each (v / den) * T^(e / d), dropping
+    # e / d >= cutoff: from_terms, + and truncated
+    merged: dict[int, int] = {}
+    for e, v in pairs:
+        merged[e] = merged[e] + v if e in merged else v
+    bound = _int_cut(cutoff, d)
+    exps = sorted(e for e, v in merged.items() if v and (bound is None or e < bound))
+    return NovikovScalar._of(d, exps, den, [merged[e] for e in exps], cutoff)
 
 
 def _product(xt, xc, yt, yc) -> tuple:
-    """The (terms, cutoff) of x * y from those of x and y, for Fraction
-    exponents (NovikovScalar.__mul__) and for the int exponents of
-    evaluate alike.  Each cutoff is shifted by the other factor's floor,
-    the smallest exponent any completion of it could have, and the product
-    keeps the smaller shifted cutoff; zero terms and terms at or above
-    the cutoff are dropped."""
+    """The (terms, cutoff) of x * y from those of x and y, each term an
+    (exponent, numerator) pair of ints over one common exponent
+    denominator, the cutoffs ints over it too (NovikovScalar.__mul__ and
+    evaluate alike); the product's numerators are over the product of the
+    factors' coefficient denominators.  Each cutoff is shifted by the
+    other factor's floor, the smallest exponent any completion of it could
+    have, and the product keeps the smaller shifted cutoff; zero terms and
+    terms at or above the cutoff are dropped."""
     cut = None
     if xc is not None:
         floor = _min_cut(yt[0][0] if yt else None, yc)
@@ -218,8 +304,10 @@ def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
     """
     if x.is_zero():
         raise DivisionByZero("inverse of the zero scalar")
-    e0, c0 = x.terms[0]
-    lead_inv = t_monomial(-e0, Fraction(1) / c0)
+    d, exps, den, nums = x.columns()
+    e0 = Fraction(exps[0], d)
+    # 1/c0 = den / v0, over |v0|
+    lead_inv = NovikovScalar._of(d, [-exps[0]], abs(nums[0]), [den if nums[0] > 0 else -den])
     if x.cutoff is not None:
         result_cut = x.cutoff - 2 * e0
         if cutoff is not None:
@@ -227,7 +315,7 @@ def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
     elif cutoff is not None:
         result_cut = require_rational(cutoff, "cutoff")
     else:
-        if len(x.terms) > 1:
+        if len(exps) > 1:
             raise ValueError("inverse of an exact multi-term scalar needs a cutoff")
         return lead_inv
     # x = c0 T^e0 (1 + r), val(r) > 0
@@ -432,23 +520,24 @@ def assign_energies(spec: FanSpec, values=None) -> EnergyAssignment:
 
 
 def _exact_term(x: NovikovScalar):
-    # (e, c) when x is one exact term c*T^e, else None
-    if isinstance(x, NovikovScalar) and x.cutoff is None and len(x.terms) == 1:
-        return x.terms[0]
+    # the columns of x when it is one exact term c*T^e, else None
+    if isinstance(x, NovikovScalar) and x.cutoff is None and len(x._ints[1]) == 1:
+        return x._ints
     return None
 
 
-def _monomial_power(term: tuple, w: int, scaled) -> tuple[int, int, int]:
+def _monomial_power(term: tuple, w: int, d: int) -> tuple[int, int, int]:
     """The monomial-point character on one coordinate: (c*T^e)**w for the
-    exact term (e, c), as the int T-exponent scaled(e) * w and the int
-    numerator and positive denominator of c**w.  No Fraction is built."""
-    e, c = term
-    num, den = c.numerator, c.denominator
+    exact term with columns term, as the int T-exponent e * w over d, a
+    multiple of the term's exponent denominator, and the int numerator and
+    positive denominator of c**w.  No Fraction is built."""
+    ed, (e,), den, (num,) = term
+    e *= d // ed
     if w < 0:
         # (c*T^e)**w = ((1/c)*T^-e)**|w|
         e, w = -e, -w
         num, den = (den, num) if num > 0 else (-den, -num)
-    return scaled(e) * w, num ** w, den ** w
+    return e * w, num ** w, den ** w
 
 
 def monomial_character(ea: EnergyAssignment, point: Sequence[NovikovScalar]):
@@ -469,16 +558,14 @@ def monomial_character(ea: EnergyAssignment, point: Sequence[NovikovScalar]):
     if len(terms) != spec.n or None in terms:
         return None
     areas = (ea.beta_hat, *ea.gamma, *(ea.h or ()))
-    d = math.lcm(*(q.denominator for q in areas), *(e.denominator for e, _ in terms))
-
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (d // q.denominator)
+    d = math.lcm(*(q.denominator for q in areas), *(t[0] for t in terms))
 
     def ev(cls) -> tuple[int, int, int]:
-        e, num, den = scaled(ea.energy_of(cls)), 1, 1
+        q = ea.energy_of(cls)
+        e, num, den = q.numerator * (d // q.denominator), 1, 1
         for i, wi in enumerate(class_boundary(spec, cls)):
             if wi:
-                pe, pn, pd = _monomial_power(terms[i], wi, scaled)
+                pe, pn, pd = _monomial_power(terms[i], wi, d)
                 e, num, den = e + pe, num * pn, den * pd
         return e, num, den
 
@@ -523,39 +610,38 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     # every T-exponent below is an int numerator over one denominator d
     areas = (ea.beta_hat, *ea.gamma, *(ea.h or ()))
     dens = {q.denominator for q in areas}
-    dens.update(t[0].denominator for t in exact if t)
+    dens.update(t[0] for t in exact if t)
     for x in powers.values():
         if x is not None:
-            dens.update(e.denominator for e, _ in x.terms)
+            dens.add(x.columns()[0])
             if x.cutoff is not None:
                 dens.add(x.cutoff.denominator)
     d = math.lcm(*dens)
 
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (d // q.denominator)
-
     # without H energies every class here has h = 0, so the dot product
     # may stop after the gamma coordinates
-    energies = [scaled(q) for q in areas]
+    energies = [q.numerator * (d // q.denominator) for q in areas]
     # a power of a one-exact-term coordinate is the product rule's own
     # case of an exact monomial factor: it shifts the other factor's terms
     # and cutoff by its floor, scales its coefficients and drops nothing.
     # So it goes into the term's int exponent, numerator and denominator
     # through the monomial-point character; every other power is folded
-    # through _product from 1, and the fold is shifted and scaled by the
-    # term afterwards
+    # through _product from 1, with its coefficient denominator, and the
+    # fold is shifted and scaled by the term afterwards
     monomials: dict[tuple[int, int], tuple[int, int, int]] = {}
     folded: dict[tuple[int, int], tuple] = {}
     for key, x in powers.items():
         if x is None:
-            monomials[key] = _monomial_power(exact[key[0]], key[1], scaled)
+            monomials[key] = _monomial_power(exact[key[0]], key[1], d)
         else:
-            folded[key] = (tuple((scaled(e), c) for e, c in x.terms),
-                           None if x.cutoff is None else scaled(x.cutoff))
-    # one exponent-keyed sum, sorted once at the end.  The cutoff is the
+            xd, exps, den, nums = x.columns()
+            folded[key] = (tuple(zip([e * (d // xd) for e in exps], nums)),
+                           _int_cut(x.cutoff, d), den)
+    # exponent-keyed int sums, one per term denominator, put over their
+    # common denominator and sorted once at the end.  The cutoff is the
     # min over the terms' cutoffs, so dropping at or above it once keeps
     # exactly what dropping after every addition would
-    sums: dict[int, Fraction] = {}
+    sums: dict[int, dict[int, int]] = {}
     cut = None
     unit = ((0, 1),)
     for coords, coeff, w in rows:
@@ -570,19 +656,27 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
                     num *= pn
                     den *= pd
                 else:
-                    terms, term_cut = _product(terms, term_cut, *folded[key])
-        c = Fraction(num, den)
+                    fterms, fcut, fden = folded[key]
+                    terms, term_cut = _product(terms, term_cut, fterms, fcut)
+                    den *= fden
+        acc = sums.get(den)
+        if acc is None:
+            acc = sums[den] = {}
         if terms is unit:
-            sums[e] = sums[e] + c if e in sums else c
+            acc[e] = acc[e] + num if e in acc else num
             continue
         for te, tc in terms:
             te += e
-            tc *= c
-            sums[te] = sums[te] + tc if te in sums else tc
+            tc *= num
+            acc[te] = acc[te] + tc if te in acc else tc
         if term_cut is not None:
             cut = _min_cut(cut, term_cut + e)
-    return NovikovScalar(
-        tuple((Fraction(e, d), c) for e, c in sorted(sums.items())
-              if c and (cut is None or e < cut)),
-        None if cut is None else Fraction(cut, d),
-    )
+    den = math.lcm(*sums)
+    total: dict[int, int] = {}
+    for term_den, acc in sums.items():
+        scale = den // term_den
+        for e, v in acc.items():
+            total[e] = total[e] + v * scale if e in total else v * scale
+    exps = sorted(e for e, v in total.items() if v and (cut is None or e < cut))
+    return NovikovScalar._of(d, exps, den, [total[e] for e in exps],
+                             None if cut is None else Fraction(cut, d))

@@ -187,14 +187,14 @@ class ClassSeries:
         return hash((self.n, self.m, tuple(map(tuple, cols)), den, tuple(nums)))
 
     def __add__(self, other: "ClassSeries") -> "ClassSeries":
-        self._check_context(other)
+        _check_context(self, other)
         return _packed_sum(self.n, self.m, [self, other])
 
     def __neg__(self) -> "ClassSeries":
         return self.scaled(-1)
 
     def __sub__(self, other: "ClassSeries") -> "ClassSeries":
-        self._check_context(other)
+        _check_context(self, other)
         return _packed_sum(self.n, self.m, [self, -other])
 
     def __mul__(self, other):
@@ -216,13 +216,18 @@ class ClassSeries:
         body = " + ".join(f"{q}*[{c}]" for c, q in self.items()) or "0"
         return f"<ClassSeries ({self.n},{self.m}) {body}>"
 
-    def _check_context(self, other: "ClassSeries"):
-        if not isinstance(other, ClassSeries):
-            raise BadParams(f"series operand must be a ClassSeries, got {other!r}")
-        if self.n != other.n or self.m != other.m:
-            raise DimensionMismatch(
-                f"series shapes ({self.n},{self.m}) and ({other.n},{other.m}) differ"
-            )
+
+def _require_series(f):
+    if not isinstance(f, ClassSeries):
+        raise BadParams(f"series operand must be a ClassSeries, got {f!r}")
+
+
+def _check_context(f: ClassSeries, g: ClassSeries):
+    # both operands are series of one shape
+    _require_series(f)
+    _require_series(g)
+    if f.n != g.n or f.m != g.m:
+        raise DimensionMismatch(f"series shapes ({f.n},{f.m}) and ({g.n},{g.m}) differ")
 
 
 def _shape(n, m) -> tuple[int, int]:
@@ -256,7 +261,7 @@ def monomial(n: int, m: int, cls: RelClass, coeff=Fraction(1)) -> ClassSeries:
 
 def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     """Exact convolution product; classes add, coefficients multiply."""
-    f._check_context(g)
+    _check_context(f, g)
     a, b = f._packed, g._packed
     packer = _Packer(f.n, f.m, a.packer.bound + b.packer.bound)
     prod = _products([(_moved(a, packer), _moved(b, packer))])
@@ -266,11 +271,13 @@ def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
 def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
     """Drop every term of gamma-degree above the given bound."""
     degree = require_int(degree, "gamma-degree bound")
+    _require_series(f)
     return _packed_sum(f.n, f.m, [f], degree)
 
 
 def power(f: ClassSeries, k: int) -> ClassSeries:
     """f**k for k >= 0, exact: times_power(1, f, k)."""
+    _require_series(f)
     return times_power(one(f.n, f.m), f, k)
 
 
@@ -291,9 +298,10 @@ def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> Cl
     bucket on one packer.  The p and f are read as packed keys and moved
     to that packer digit by digit.
     """
+    _require_series(f)
     checked = []
     for p, k in parts:
-        p._check_context(f)
+        _check_context(p, f)
         k = require_int(k, "exponent")
         if k < 0:
             raise BadParams(f"times_power needs an exponent >= 0, got {k}")
@@ -333,7 +341,7 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     p is read as packed keys, graded over its gamma digit
     columns, and moved to the quotient's packer digit by digit.
     """
-    f._check_context(p)
+    _check_context(f, p)
     k = require_int(k, "exponent")
     trunc = require_int(trunc, "truncation bound")
     if k < 0:
@@ -362,6 +370,7 @@ def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
         l E_l = sum_j j f_j E_{l-j},   E_0 = 1.
     """
     trunc = require_int(trunc, "truncation bound")
+    _require_series(f)
     u = f._packed
     sigma, packer, f_by_grade = _graded_tail(f, u, "exp", trunc)
     rows = _Rows(packer, sigma, u) if sigma else None
@@ -378,6 +387,7 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
         l L_l = l u_l + sum_j (j - l) u_j L_{l-j}.
     """
     trunc = require_int(trunc, "truncation bound")
+    _require_series(f)
     _, packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
     return _unpacked(f.n, f.m, packer, _graded_solve(u, u, trunc, lambda j, l: (j - l, l)))
 
@@ -392,7 +402,7 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
     gamma-degree >= L-grade > trunc, whatever the gamma signs of p.
     """
     trunc = require_int(trunc, "truncation bound")
-    p._check_context(f)
+    _check_context(p, f)
     tail = _unit_tail(f, "log")
     sigma = _orthant(tail, "log")
     p_op = p._packed

@@ -193,10 +193,20 @@ class InvariantTable:
         return len(self._columns[0])
 
     def __eq__(self, other):
-        return isinstance(other, InvariantTable) and self.rows == other.rows
+        return isinstance(other, InvariantTable) and self._frozen() == other._frozen()
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._frozen())
+
+    def _frozen(self) -> tuple:
+        # the columns as nested tuples, for == and hash: the rows are read
+        # off them one to one, so equal columns are equal rows.  A table
+        # with no rows keeps no shape, as its empty rows do not
+        names, h, b, g, maslov, n_beta = self._columns
+        if not b:
+            return ()
+        return (tuple(names), tuple(map(tuple, h)), tuple(b), tuple(map(tuple, g)),
+                tuple(maslov), tuple(n_beta))
 
     def value_of(self, cls: RelClass) -> Fraction:
         # the first row whose digits are the class's, narrowed column by
@@ -294,8 +304,8 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     T-exponents (over one common denominator) with int numerators; they
     add like packed class keys, so the sum is series._times_powers, the
     Miller solve that times_powers uses too, with every ev(gamma_k) of
-    grade 1.  Fractions are built on output, one exponent and one
-    coefficient per term.
+    grade 1.  The result is built straight from the solve's ints, with no
+    Fraction per term.
 
     Any other input takes the expanded path, so it raises the same errors
     in the same order: ev(gamma_k) needs x_k**-1 even where no expanded
@@ -323,9 +333,8 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     one_term = (1, {0: 1})
     u = _products([(bucket(gamma_class(spec, k)), one_term) for k in range(1, spec.n)])
     den, acc = _times_powers([(bucket(c), p) for c, p in parts], {1: u})
-    return NovikovScalar(
-        tuple((Fraction(e, d), Fraction(v, den)) for e, v in sorted(acc.items()) if v)
-    )
+    exps = sorted(e for e, v in acc.items() if v)
+    return NovikovScalar._of(d, exps, den, [acc[e] for e in exps])
 
 
 def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:

@@ -872,6 +872,22 @@ def test_factored_eval_work_count(monkeypatch, tmp_path):
     w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
     want = novikov.evaluate(w, ea, [cli.parse_scalar_literal(t) for t in lits])
     assert got == (0, cli.render_scalar(want, "json"), "")
+    # the scalar is rendered from its int columns: the op builds 144
+    # Fractions in every format, none per output term (1,088 when the
+    # solve's ints became two Fractions per term)
+    new = Fraction.__new__
+
+    def counted(*args, **kwargs):
+        made["n"] += 1
+        return new(*args, **kwargs)
+
+    for fmt in ("json", "csv", "table"):
+        made = {"n": 0}
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        got = _cli(argv[:-1] + [fmt])
+        monkeypatch.undo()
+        assert made["n"] <= 200, f"{made['n']} Fractions in {fmt}"
+        assert got == (0, cli.render_scalar(want, fmt), "")
 
 
 @pytest.mark.parametrize("bad", [1, F(1, 2), None, "T"], ids=repr)
@@ -950,3 +966,90 @@ def test_bad_point_is_refused_before_the_expansion(monkeypatch, bad, error):
     with pytest.raises(error):
         wallcross.evaluate_chekanov(ea, point)
     assert solves["n"] == 0
+
+
+# a scalar is int columns: rendered and compared without a Fraction per term
+
+def _scalar_reference(x, fmt):
+    """render_scalar as str(Fraction) of every exponent and coefficient."""
+    pairs = [(str(e), str(c)) for e, c in x.terms]
+    if fmt == "json":
+        return json.dumps({
+            "terms": [{"exponent": e, "coefficient": c} for e, c in pairs],
+            "cutoff": None if x.cutoff is None else str(x.cutoff),
+        }, indent=2, ensure_ascii=False) + "\n"
+    if fmt == "csv":
+        return "exponent,coefficient\n" + "".join(f"{e},{c}\n" for e, c in pairs)
+    parts = []
+    for e, c in x.terms:
+        if e == 0:
+            frag = str(c)
+        elif c in (1, -1):
+            frag = f"T^{e}" if c == 1 else f"-T^{e}"
+        else:
+            frag = f"{c}*T^{e}"
+        if parts:
+            frag = f"- {frag[1:]}" if frag.startswith("-") else f"+ {frag}"
+        parts.append(frag)
+    body = " ".join(parts) or "0"
+    return body + ("" if x.cutoff is None else f" + O(T^{x.cutoff})") + "\n"
+
+
+HAND_SCALARS = {
+    "zero": ([], None),
+    "zero-cut": ([], F(-5, 2)),
+    "exponent-0": ([(0, F(-7, 3))], None),
+    "ones": ([(0, 1), (F(1, 2), 1), (F(2, 3), -1), (3, 1), (4, -1)], None),
+    "minus-one-first": ([(F(-3, 4), -1), (0, -1)], None),
+    "negative": ([(F(-5, 3), F(-1, 4)), (-1, 12), (F(1, 2), -7)], F(7, 2)),
+    "unreduced": ([("2/4", "6/8"), ("-9/6", "-10/4"), ("4/2", "3/9")], "20/8"),
+    "cut-drops": ([(0, 1), (1, 2), (2, 3)], 1),
+    "merges": ([(1, F(1, 2)), (1, F(1, 2)), (0, 3), (0, -3)], None),
+}
+
+
+def _hand_scalar(key):
+    pairs, cutoff = HAND_SCALARS[key]
+    return NovikovScalar.from_terms(pairs, cutoff)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("key", HAND_SCALARS)
+def test_render_scalar_matches_fraction_reference(key, fmt):
+    x = _hand_scalar(key)
+    assert cli.render_scalar(x, fmt) == _scalar_reference(x, fmt)
+    # the same terms given as sorted Fraction pairs to the constructor
+    y = NovikovScalar(x.terms, x.cutoff)
+    assert (y, hash(y), cli.render_scalar(y, fmt)) == (x, hash(x), cli.render_scalar(x, fmt))
+
+
+def test_hand_scalar_columns():
+    # each column over its reduced common denominator, whatever the input
+    assert _hand_scalar("unreduced").columns() == (2, (-3, 1, 4), 12, (-30, 9, 4))
+    assert str(_hand_scalar("unreduced")) == "-5/2*T^-3/2 + 3/4*T^1/2 + 1/3*T^2 + O(T^5/2)"
+    assert _hand_scalar("zero").columns() == (1, (), 1, ())
+    assert _hand_scalar("cut-drops").columns() == (1, (0,), 1, (1,))
+    assert _hand_scalar("merges").columns() == (1, (1,), 1, (1,))
+    assert str(_hand_scalar("ones")) == "1 + T^1/2 - T^2/3 + T^3 - T^4"
+    assert str(_hand_scalar("minus-one-first")) == "-T^-3/4 - 1"
+    # unreduced ints straight into the columns
+    x = NovikovScalar._of(12, [-18, 6], 8, [-20, 6], F(3, 2))
+    assert x == NovikovScalar.from_terms([(F(-3, 2), F(-5, 2)), (F(1, 2), F(3, 4))], "3/2")
+    assert x.columns() == (2, (-3, 1), 4, (-10, 3))
+    assert hash(x) == hash(NovikovScalar(x.terms, x.cutoff))
+
+
+@pytest.mark.parametrize("spec", FACTORED_FANS, ids=_fan_id)
+def test_factored_scalar_renders_and_hashes(spec):
+    # evaluate_chekanov builds its result from the solve's ints; it renders
+    # as the str(Fraction) reference in every format and equals, with equal
+    # hash, the same terms built from Fraction pairs and evaluate's result
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    point = [t_monomial(F(k, 3), F(-k, 5) if k % 2 else k) for k in (1, 2, -1, 3, -2, 1)[:spec.n]]
+    got = wallcross.evaluate_chekanov(ea, point)
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    for y in (NovikovScalar.from_terms(got.terms), NovikovScalar(got.terms),
+              novikov.evaluate(w, ea, point)):
+        assert (y, hash(y)) == (got, hash(got))
+    for fmt in ("json", "csv", "table"):
+        assert cli.render_scalar(got, fmt) == _scalar_reference(got, fmt)

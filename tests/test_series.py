@@ -169,10 +169,23 @@ class TestRingOps:
         (lambda s: series.divide_by_power(1, s, 1, 4),
          "series operand must be a ClassSeries, got 1"),
         (lambda s: s.coeff((0, (1,), ())), "series key must be a RelClass, got (0, (1,), ())"),
-    ], ids=["add", "sub", "multiply", "divide", "coeff"])
+        (lambda s: series.multiply(1, s), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.divide_by_power(s, 1, 1, 4),
+         "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.times_power(1, s, 2), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.times_power(s, 1, 2), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.times_powers([], 1), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.power(1, 2), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.truncate_gamma(1, 2), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.series_exp(1, 3), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.series_log(1, 3), "series operand must be a ClassSeries, got 1"),
+    ], ids=["add", "sub", "multiply", "divide", "coeff", "multiply-first", "divide-first",
+            "times-power-first", "times-power-base", "times-powers-empty", "power",
+            "truncate", "exp", "log"])
     def test_operands_are_strict(self, call, message):
         # each used to end in a raw AttributeError ('int' object has no
-        # attribute 'n', 'tuple' object has no attribute 'g')
+        # attribute 'n', '_check_context' or '_packed', 'tuple' object has
+        # no attribute 'g')
         with pytest.raises(errors.BadParams) as exc:
             call(series.one(2, 0) + gamma_mono(2, 0, 1))
         assert str(exc.value) == message

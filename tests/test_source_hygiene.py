@@ -8,9 +8,12 @@ Each value type has one stored form, set once, and SLOTS names it with the
 module that owns it: a ClassSeries is its packed operand (_packed), which
 only series reads and only ClassSeries.__init__ and series._unpacked set;
 an InvariantTable is its columns (_columns), which only InvariantTable
-sets.  No slot holds a second copy (the read-only items() cache _items is
-gone), and digit columns are the one way back from keys to classes, so no
-.unpack( is left.
+sets; a NovikovScalar is its int columns (_ints), which only novikov reads
+and only NovikovScalar's constructors set; other modules read them
+through columns().  No slot holds a second copy (the read-only items()
+cache _items is gone, and a scalar keeps no Fraction terms), and digit
+columns are the one way back from keys to classes, so no .unpack( is
+left.
 """
 
 import ast
@@ -18,12 +21,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "opengw"
 KERNEL = {"_Packer", "_graded_solve", "_convolve", "_Rows"}
-SLOTS = {"_packed": "series.py", "_columns": "wallcross.py"}
+SLOTS = {"_packed": "series.py", "_columns": "wallcross.py", "_ints": "novikov.py"}
 # the (module, enclosing class and function names) allowed to set each slot
 SETTERS = {
     "_packed": {("series.py", ("ClassSeries", "__init__")), ("series.py", ("_unpacked",))},
     "_columns": {("wallcross.py", ("InvariantTable", "__init__")),
                  ("wallcross.py", ("InvariantTable", "_of"))},
+    "_ints": {("novikov.py", ("NovikovScalar", "__init__")),
+              ("novikov.py", ("NovikovScalar", "_of"))},
 }
 
 
@@ -117,6 +122,7 @@ def test_one_stored_form_and_one_reader():
     series, wallcross = modules["series.py"], modules["wallcross.py"]
     assert _slots(_class(series, "ClassSeries")) == ("n", "m", "_packed")
     assert _slots(_class(wallcross, "InvariantTable")) == ("_columns",)
+    assert _slots(_class(modules["novikov.py"], "NovikovScalar")) == ("_ints", "cutoff")
     # keys are read back only as digit columns (_Packer.columns, then
     # fan._classes): no decoder of one key, no merge of a series on read
     defined = {node.name for node in ast.walk(series) if isinstance(node, ast.FunctionDef)}

@@ -559,6 +559,49 @@ def test_value_of_reads_the_columns(monkeypatch):
     assert other == [0, 0] and all(type(v) is Fraction for v in got + other)
 
 
+def test_table_equality_reads_the_columns(monkeypatch):
+    # == and hash compare the tables' columns and agree with comparing their
+    # rows, on CP^8 and on hand-built tables, row order included, with no
+    # InvariantRow built (every row of both tables on each call when they
+    # compared rows)
+    spec = builtin_fan("cpn", n=8)
+    w = chekanov_superpotential(spec, Ambient.COMPACT)
+    big = invariant_table(w)
+    rows = big.rows
+    hand = tuple(
+        wallcross.InvariantRow(RelClass(b, (g, -g), (h,)), 2, Fraction(v), name)
+        for b, g, h, v, name in [(1, 0, 0, 1, "β̂"), (0, 1, 1, -3, "x"), (2, -1, 0, 5, "y")]
+    )
+    tables = [
+        big, invariant_table(w), wallcross.InvariantTable(rows),
+        wallcross.InvariantTable(rows[1:] + rows[:1]), wallcross.InvariantTable(rows[:-1]),
+        wallcross.InvariantTable(hand), wallcross.InvariantTable(hand[::-1]),
+        wallcross.InvariantTable(hand[:1] + hand[2:] + hand[1:2]),
+        wallcross.InvariantTable(hand[:2] + (wallcross.InvariantRow(
+            hand[2].cls, hand[2].maslov, hand[2].value, "z"),)),
+        wallcross.InvariantTable(hand[:2] + (wallcross.InvariantRow(
+            hand[2].cls, hand[2].maslov, -hand[2].value, hand[2].name),)),
+        wallcross.InvariantTable(()),
+    ] + [invariant_table(wallcross.Superpotential(spec, series.zero(n, m), Chart.CHEKANOV,
+                                                  Ambient.COMPACT))
+         for n, m in ((1, 0), (3, 1), (1, 2))]
+    read = [a.rows for a in tables]
+    want = [[ra == rb for rb in read] for ra in read]
+    # equal tables of different builds, in either shape of empty table
+    assert want[0][1] and want[0][2] and want[10][11] and want[12][13]
+    assert not (want[0][3] or want[5][6] or want[5][8] or want[5][9] or want[0][10])
+    counts = {"rows": 0}
+    _count_inits(monkeypatch, wallcross.InvariantRow, counts, "rows")
+    got = [[a == b for b in tables] for a in tables]
+    hashes = [hash(a) for a in tables]
+    monkeypatch.undo()
+    assert counts["rows"] == 0
+    assert got == want
+    for ha, row in zip(hashes, want):
+        assert all(ha == hb for hb, same in zip(hashes, row) if same)
+    assert tables[0] != list(rows) and tables[-1] != ()
+
+
 def _packed(n, m, terms, k=0):
     # terms as one kernel result, still packed: sum of c * f**k
     f = wall_crossing_factor(FanSpec(n, ((1,) * n,) * m)).factor
