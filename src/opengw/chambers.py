@@ -18,13 +18,13 @@ integer shear matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParams, DimensionMismatch, IndexOutOfRange, OutsideBase
 from .fan import (
     _require_rationals,
     _require_seq,
+    _Value,
     require_int,
     require_ints,
     require_rational,
@@ -33,12 +33,14 @@ from .fan import (
 IntVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(_Value):
     """Where a base point sits: BPlus, BMinus, Wall(i), or Discriminant."""
 
-    kind: str
-    index: int | None = None
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind: str, index: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
 
     def __str__(self) -> str:
         if self.kind == "wall":
@@ -57,16 +59,14 @@ def wall(i: int) -> Chamber:
     return Chamber("wall", i)
 
 
-@dataclass(frozen=True)
-class ChamberPoint:
+class ChamberPoint(_Value):
     """Base point: the n-1 moment differences and the critical coordinate."""
 
-    lam: tuple[Fraction, ...]
-    q2: Fraction
+    __slots__ = ("lam", "q2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _require_rationals(self.lam, "lambda"))
-        object.__setattr__(self, "q2", require_rational(self.q2, "q2"))
+    def __init__(self, lam: tuple[Fraction, ...], q2: Fraction):
+        object.__setattr__(self, "lam", _require_rationals(lam, "lambda"))
+        object.__setattr__(self, "q2", require_rational(q2, "q2"))
 
 
 def classify_point(n: int, point: ChamberPoint) -> Chamber:
@@ -94,40 +94,38 @@ def classify_point(n: int, point: ChamberPoint) -> Chamber:
     return DISCRIMINANT
 
 
-@dataclass(frozen=True)
-class CYFanRays:
+class CYFanRays(_Value):
     """Rays of an anticanonically normalized fan, with facet constants.
 
     Every ray must pair to 1 against m_0 (default: the last coordinate
     functional), which puts all rays on a common affine hyperplane.
     """
 
-    rays: tuple[IntVec, ...]
-    constants: tuple[Fraction, ...] | None = None
-    m0: IntVec | None = None
+    __slots__ = ("rays", "constants", "m0")
 
-    def __post_init__(self):
-        rays = tuple(require_ints(r, "ray") for r in _require_seq(self.rays, "rays"))
-        object.__setattr__(self, "rays", rays)
+    def __init__(self, rays: tuple[IntVec, ...], constants: tuple[Fraction, ...] | None = None,
+                 m0: IntVec | None = None):
+        rays = tuple(require_ints(r, "ray") for r in _require_seq(rays, "rays"))
         if not rays:
             raise BadParams("need at least one ray")
         n = len(rays[0])
         if any(len(r) != n for r in rays):
             raise DimensionMismatch("rays must all have the same length")
-        m0 = require_ints(self.m0, "m0") if self.m0 is not None else (0,) * (n - 1) + (1,)
+        m0 = require_ints(m0, "m0") if m0 is not None else (0,) * (n - 1) + (1,)
         if len(m0) != n:
             raise DimensionMismatch("m0 must have the same length as the rays")
-        object.__setattr__(self, "m0", m0)
         for i, r in enumerate(rays):
             if sum(x * y for x, y in zip(r, m0)) != 1:
                 raise BadParams(f"ray {i} = {r} does not pair to 1 against m0 = {m0}")
-        if self.constants is None:
-            consts = tuple(Fraction(0) for _ in rays)
+        if constants is None:
+            constants = tuple(Fraction(0) for _ in rays)
         else:
-            consts = _require_rationals(self.constants, "constants")
-            if len(consts) != len(rays):
+            constants = _require_rationals(constants, "constants")
+            if len(constants) != len(rays):
                 raise DimensionMismatch("need one constant per ray")
-        object.__setattr__(self, "constants", consts)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "m0", m0)
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,6 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -118,13 +117,66 @@ def _require_keys(
     return doc
 
 
-@dataclass(frozen=True)
-class RelClass:
+class _Value:
+    """Base of the value types: the fields are a subclass's __slots__, in
+    constructor order, and each subclass writes its own __init__.
+
+    == and hash compare the field values, and an instance equals only an
+    instance of the same class; repr prints Name(field=value, ...); copy
+    and pickle rebuild an instance through its constructor.  Assigning or
+    deleting any attribute raises AttributeError, so an __init__ sets its
+    fields with object.__setattr__.  RelClass, EnergyValues and FanSpec
+    spell out their own == and hash, which a field tuple built inline makes
+    about twice as fast as the shared ones.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field values as one tuple
+        cls._values = property(operator.attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class RelClass(_Value):
     """A relative homotopy class b*beta_hat + sum g_k gamma_k + sum h_a H_a."""
 
-    b: int
-    g: IntVec
-    h: IntVec
+    __slots__ = ("b", "g", "h")
+
+    def __init__(self, b: int, g: IntVec, h: IntVec):
+        # the slots' own setters, bound below, skip the frozen __setattr__
+        _set_b(self, b)
+        _set_g(self, g)
+        _set_h(self, h)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.b, self.g, self.h) == (other.b, other.g, other.h)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.b, self.g, self.h))
 
     def __add__(self, other: "RelClass") -> "RelClass":
         if len(self.g) != len(other.g) or len(self.h) != len(other.h):
@@ -158,16 +210,30 @@ class RelClass:
         return self.b == 0 and not any(self.g) and not any(self.h)
 
 
-@dataclass(frozen=True)
-class EnergyValues:
+_set_b, _set_g, _set_h = (RelClass.__dict__[f].__set__ for f in RelClass.__slots__)
+
+
+class EnergyValues(_Value):
     """Raw symplectic areas for the generator classes, all exact rationals.
 
     h may be None when only the open-ambient generators are being used.
     """
 
-    beta_hat: Fraction
-    gamma: tuple[Fraction, ...]
-    h: tuple[Fraction, ...] | None = None
+    __slots__ = ("beta_hat", "gamma", "h")
+
+    def __init__(self, beta_hat: Fraction, gamma: tuple[Fraction, ...],
+                 h: tuple[Fraction, ...] | None = None):
+        object.__setattr__(self, "beta_hat", beta_hat)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "h", h)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.beta_hat, self.gamma, self.h) == (other.beta_hat, other.gamma, other.h)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.beta_hat, self.gamma, self.h))
 
 
 def parse_energies(doc, error: type[Exception] = BadParams) -> EnergyValues:
@@ -186,8 +252,7 @@ def parse_energies(doc, error: type[Exception] = BadParams) -> EnergyValues:
     )
 
 
-@dataclass(frozen=True)
-class FanSpec:
+class FanSpec(_Value):
     """Fan of a toric compactification of C^n.
 
     extra_rays are the rays added to the C^n fan.  max_cones, when present,
@@ -195,31 +260,39 @@ class FanSpec:
     optionally pins areas for beta_hat, the gammas, and the H_a.
     """
 
-    n: int
-    extra_rays: tuple[IntVec, ...]
-    max_cones: tuple[IntVec, ...] | None = None
-    energies: EnergyValues | None = None
+    __slots__ = ("n", "extra_rays", "max_cones", "energies")
 
-    def __post_init__(self):
-        if require_int(self.n, "dimension") < 1:
-            raise BadParams(f"dimension must be >= 1, got {self.n}")
-        rays = tuple(
-            require_ints(r, "extra ray") for r in _require_seq(self.extra_rays, "extra rays")
-        )
-        object.__setattr__(self, "extra_rays", rays)
-        for r in self.extra_rays:
-            if len(r) != self.n:
-                raise DimensionMismatch(f"extra ray {r} does not have length {self.n}")
-        if self.max_cones is not None:
-            cones = tuple(
-                require_ints(c, "cone") for c in _require_seq(self.max_cones, "max cones")
+    def __init__(self, n: int, extra_rays: tuple[IntVec, ...],
+                 max_cones: tuple[IntVec, ...] | None = None,
+                 energies: EnergyValues | None = None):
+        if require_int(n, "dimension") < 1:
+            raise BadParams(f"dimension must be >= 1, got {n}")
+        rays = tuple(require_ints(r, "extra ray") for r in _require_seq(extra_rays, "extra rays"))
+        for r in rays:
+            if len(r) != n:
+                raise DimensionMismatch(f"extra ray {r} does not have length {n}")
+        if max_cones is not None:
+            max_cones = tuple(
+                require_ints(c, "cone") for c in _require_seq(max_cones, "max cones")
             )
-            object.__setattr__(self, "max_cones", cones)
-            top = self.n + len(self.extra_rays)
-            for c in cones:
+            top = n + len(rays)
+            for c in max_cones:
                 for i in c:
                     if not 0 <= i < top:
                         raise IndexOutOfRange(f"cone {c}: ray index {i} not in 0..{top - 1}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "extra_rays", rays)
+        object.__setattr__(self, "max_cones", max_cones)
+        object.__setattr__(self, "energies", energies)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.extra_rays, self.max_cones, self.energies) == (
+                other.n, other.extra_rays, other.max_cones, other.energies)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.extra_rays, self.max_cones, self.energies))
 
     @property
     def m(self) -> int:
@@ -238,13 +311,16 @@ class FanSpec:
         return tuple(self.ray(i) for i in range(self.n + self.m))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    primitive_ok: bool
-    smooth_ok: bool
-    complete_ok: bool
-    fano_ok: bool
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
+class ValidationReport(_Value):
+    __slots__ = ("primitive_ok", "smooth_ok", "complete_ok", "fano_ok", "diagnostics")
+
+    def __init__(self, primitive_ok: bool, smooth_ok: bool, complete_ok: bool, fano_ok: bool,
+                 diagnostics: tuple[str, ...] = ()):
+        object.__setattr__(self, "primitive_ok", primitive_ok)
+        object.__setattr__(self, "smooth_ok", smooth_ok)
+        object.__setattr__(self, "complete_ok", complete_ok)
+        object.__setattr__(self, "fano_ok", fano_ok)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     @property
     def all_ok(self) -> bool:

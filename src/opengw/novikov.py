@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import (
     BadParams,
@@ -60,6 +59,7 @@ from .fan import (
     _fraction_texts,
     _require_rationals,
     _require_seq,
+    _Value,
     class_boundary,
     parse_energies,
     ray_decomposition,
@@ -103,11 +103,15 @@ class NovikovScalar:
     __slots__ = ("_ints", "cutoff")
 
     def __init__(self, terms: Iterable[tuple] = (), cutoff=None):
-        # terms: (exponent, coefficient) pairs, exponents strictly increasing;
-        # each value passes fan.require_rational, as in from_terms
+        # terms: (exponent, coefficient) pairs in any order, each value
+        # passing fan.require_rational; the coefficients of equal exponents
+        # are summed and zero sums dropped, as in from_terms, but no term at
+        # or above the cutoff is dropped
         pairs = [(require_rational(e, "exponent"), require_rational(c, "coefficient"))
                  for e, c in terms]
-        self._ints = (*_over([e for e, _ in pairs]), *_over([c for _, c in pairs]))
+        d, exps = _over([e for e, _ in pairs])
+        den, nums = _over([c for _, c in pairs])
+        self._ints = _merged(d, den, zip(exps, nums), None)._ints
         self.cutoff = None if cutoff is None else require_rational(cutoff, "cutoff")
 
     @classmethod
@@ -136,8 +140,8 @@ class NovikovScalar:
         """
         if cutoff is not None:
             cutoff = require_rational(cutoff, "cutoff")
-        d, exps, den, nums = NovikovScalar(pairs).columns()
-        return _merged(d, den, zip(exps, nums), cutoff)
+        x = NovikovScalar(pairs)
+        return x if cutoff is None else x.truncated(cutoff)
 
     def columns(self) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
         """(d, exps, den, nums): the term (nums[i] / den) * T^(exps[i] / d)
@@ -362,23 +366,29 @@ def trop(point: Sequence[NovikovScalar]) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class NovikovLaurent:
-    """Laurent polynomial in n variables with NovikovScalar coefficients."""
+class NovikovLaurent(_Value):
+    """Laurent polynomial in n variables with NovikovScalar coefficients.
 
-    n: int
-    terms: dict[tuple[int, ...], NovikovScalar]
+    Unlike the other value types its fields can be reassigned, and it is
+    unhashable.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("n", "terms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n: int, terms: dict[tuple[int, ...], NovikovScalar]):
         clean = {}
-        for nu, s in self.terms.items():
+        for nu, s in terms.items():
             nu = require_ints(nu, "exponent")
-            if len(nu) != self.n:
-                raise DimensionMismatch(f"exponent {nu} does not have length {self.n}")
+            if len(nu) != n:
+                raise DimensionMismatch(f"exponent {nu} does not have length {n}")
             if not isinstance(s, NovikovScalar):
                 raise BadParams(f"coefficient of {nu} must be a NovikovScalar, got {s!r}")
             if not s.is_zero():
                 clean[nu] = s
+        self.n = n
         self.terms = clean
 
     def items(self):
@@ -450,14 +460,17 @@ def toric_superpotential(normals, constants, q, corrections=None) -> NovikovLaur
     return NovikovLaurent(len(q), out)
 
 
-@dataclass(frozen=True)
-class EnergyAssignment:
+class EnergyAssignment(_Value):
     """Validated areas for the generator classes of a fan."""
 
-    fan: FanSpec
-    beta_hat: Fraction
-    gamma: tuple[Fraction, ...]
-    h: tuple[Fraction, ...] | None
+    __slots__ = ("fan", "beta_hat", "gamma", "h")
+
+    def __init__(self, fan: FanSpec, beta_hat: Fraction, gamma: tuple[Fraction, ...],
+                 h: tuple[Fraction, ...] | None):
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "beta_hat", beta_hat)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "h", h)
 
     def energy_of(self, cls) -> Fraction:
         """Area of a class of the fan's shape by linearity."""

@@ -96,7 +96,6 @@ from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, compress
 from operator import add, attrgetter, countOf, itemgetter, neg, sub
-from typing import NamedTuple
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
 from .fan import RelClass, _classes, require_int, require_ints, require_rational
@@ -629,11 +628,21 @@ def _ints(terms: Mapping[RelClass, Fraction], pack) -> tuple[int, dict[int, int]
     return den, {pack(c): q.numerator * (den // q.denominator) for c, q in terms.items()}
 
 
-class _Operand(NamedTuple):
-    # terms as packed keys with int numerators over one common denominator
-    packer: _Packer
-    den: int
-    nums: dict[int, int]
+class _Operand(tuple):
+    # (packer, den, nums): terms as packed keys with int numerators over one
+    # common denominator
+    __slots__ = ()
+
+    def __new__(cls, packer: _Packer, den: int, nums: dict[int, int]):
+        return tuple.__new__(cls, (packer, den, nums))
+
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with the three items
+        return tuple(self)
+
+    packer = property(itemgetter(0))
+    den = property(itemgetter(1))
+    nums = property(itemgetter(2))
 
 
 def _moved(op: _Operand, packer: _Packer) -> tuple[int, dict[int, int]]:

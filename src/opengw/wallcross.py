@@ -32,10 +32,9 @@ pins the basic disk count to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadParams,
@@ -53,6 +52,7 @@ from .fan import (
     _classes,
     _maslov_weights,
     _require_int_param,
+    _Value,
     beta_class,
     beta_hat_class,
     beta_prime_class,
@@ -106,35 +106,41 @@ class Direction(Enum):
     MINUS_TO_PLUS = "minus_to_plus"
 
 
-@dataclass(frozen=True)
-class Superpotential:
+class Superpotential(_Value):
     """Finite sum of Maslov-2 disk monomials attached to one chamber."""
 
-    fan: FanSpec
-    series: ClassSeries
-    chamber: Chart
-    ambient: Ambient
+    __slots__ = ("fan", "series", "chamber", "ambient")
+
+    def __init__(self, fan: FanSpec, series: ClassSeries, chamber: Chart, ambient: Ambient):
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "chamber", chamber)
+        object.__setattr__(self, "ambient", ambient)
 
 
-@dataclass(frozen=True)
-class GluingData:
+class GluingData(_Value):
     """Wall-crossing factor plus how to apply it.
 
     factor always has constant term 1 and one further term per gamma_k.
     trunc bounds the gamma-degree of glued output.
     """
 
-    factor: ClassSeries
-    direction: Direction
-    trunc: int
+    __slots__ = ("factor", "direction", "trunc")
+
+    def __init__(self, factor: ClassSeries, direction: Direction, trunc: int):
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "trunc", trunc)
 
 
-@dataclass(frozen=True)
-class InvariantRow:
-    cls: RelClass
-    maslov: int
-    value: Fraction
-    name: str
+class InvariantRow(_Value):
+    __slots__ = ("cls", "maslov", "value", "name")
+
+    def __init__(self, cls: RelClass, maslov: int, value: Fraction, name: str):
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "maslov", maslov)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "name", name)
 
 
 class InvariantTable:

@@ -28,6 +28,24 @@ class TestScalar:
         x = NovikovScalar.from_terms([(F(1), F(2)), (F(1), F(-2)), (F(0), F(1))])
         assert x.terms == ((F(0), F(1)),)
 
+    def test_constructor_sorts_merges_and_drops_zeros(self):
+        x = NovikovScalar(((1, 1), (0, 1)))
+        assert x.val == 0
+        assert x == NovikovScalar.from_terms(((1, 1), (0, 1)))
+        assert hash(x) == hash(NovikovScalar.from_terms(((1, 1), (0, 1))))
+        assert NovikovScalar(((0, 0),)).is_zero()
+        assert NovikovScalar(((0, 0),)) == novikov.ZERO
+        y = NovikovScalar(((F(1, 2), 1), (0, 3), ("2/4", -1), (F(1, 2), 2), (5, 0)))
+        assert y.terms == ((F(0), F(3)), (F(1, 2), F(2)))
+        assert y.columns() == (2, (0, 1), 1, (3, 2))
+
+    def test_constructor_keeps_terms_at_the_cutoff(self):
+        pairs = ((3, 1), (0, 1), (3, 1))
+        x = NovikovScalar(pairs, cutoff=2)
+        assert x.terms == ((F(0), F(1)), (F(3), F(2)))
+        assert x.cutoff == 2
+        assert NovikovScalar.from_terms(pairs, cutoff=2).terms == ((F(0), F(1)),)
+
     def test_cutoff_drops_terms(self):
         x = NovikovScalar.from_terms([(F(0), 1), (F(3), 1), (F(5), 1)], cutoff=F(3))
         assert x.terms == ((F(0), F(1)),)

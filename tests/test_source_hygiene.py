@@ -14,12 +14,21 @@ through columns().  No slot holds a second copy (the read-only items()
 cache _items is gone, and a scalar keeps no Fraction terms), and digit
 columns are the one way back from keys to classes, so no .unpack( is
 left.
+
+Start-up is part of every CLI call: the value types are plain classes,
+so importing opengw loads neither dataclasses nor typing, nor the
+inspect, ast, dis and tokenize modules that dataclasses pulls in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "opengw"
+# standard modules that importing opengw must not load
+HEAVY = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize"}
 KERNEL = {"_Packer", "_graded_solve", "_convolve", "_Rows"}
 SLOTS = {"_packed": "series.py", "_columns": "wallcross.py", "_ints": "novikov.py"}
 # the (module, enclosing class and function names) allowed to set each slot
@@ -56,6 +65,37 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}:{line} {bound}" for bound, line in _imported(tree) if bound not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_no_dataclasses_or_typing_imports():
+    hits = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            hits += [f"{name}:{node.lineno} {m}" for m in modules
+                     if m.split(".")[0] in {"dataclasses", "typing"}]
+    assert not hits, f"dataclasses or typing imported: {hits}"
+
+
+def test_import_loads_no_heavy_modules():
+    # -S keeps site (and whatever its .pth files import) out of the diff
+    code = (
+        "import sys; before = set(sys.modules); import opengw; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = [m for m in proc.stdout.split() if m.split(".")[0] != "opengw"]
+    assert "fractions" in added, added
+    assert not HEAVY & set(added), f"import opengw loads {sorted(HEAVY & set(added))}"
 
 
 def test_kernel_internals_stay_in_series():
