@@ -194,7 +194,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _json_records(columns: list[tuple[str, list | tuple]], depth: int, suffix: str = "") -> str:
+def _json_records(columns: list[tuple[str, list | tuple]], depth: int) -> str:
     """A list of flat records, given column by column as (key, values),
     laid out exactly as _json_text lays it out depth levels deep, without
     json's pure-Python indenting encoder.
@@ -205,10 +205,9 @@ def _json_records(columns: list[tuple[str, list | tuple]], depth: int, suffix: s
     per str or int and per entry of an array; a str goes through
     encode_basestring and an int is formatted by %d.  Only the template's
     own text is %-escaped: the values are arguments, never parsed.
-    suffix follows the closing bracket.
     """
     if not columns[0][1]:
-        return "[]" + suffix
+        return "[]"
     end_pad, rec_pad, field_pad, item_pad = ("\n" + "  " * (depth + i) for i in range(4))
     fields, args = [], []
     for key, values in columns:
@@ -224,13 +223,7 @@ def _json_records(columns: list[tuple[str, list | tuple]], depth: int, suffix: s
             fields.append(head + "%d")
             args.append(values)
     template = rec_pad + "{" + ",".join(fields) + rec_pad + "}"
-    # the brackets and the suffix go on the first and last records, so the
-    # join is the one copy of the whole text: a table of megabytes that is
-    # copied again costs a page fault per fresh 4 KB page
-    records = list(map(template.__mod__, zip(*args)))
-    records[0] = "[" + records[0]
-    records[-1] += end_pad + "]" + suffix
-    return ",".join(records)
+    return f"[{','.join(map(template.__mod__, zip(*args)))}{end_pad}]"
 
 
 def _csv_text(header, rows) -> str:
@@ -289,7 +282,7 @@ def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
             ("h", tuple(h)),
             ("maslov", maslov),
             ("n_beta", n_beta),
-        ], 0, "\n")
+        ], 0) + "\n"
     if fmt == "csv":
         header = _series_columns(spec.n, spec.m) + ["maslov", "n_beta"]
         return _csv_text(header, zip(b, *g, *h, maslov, n_beta))

@@ -125,9 +125,9 @@ class _Value:
     instance of the same class; repr prints Name(field=value, ...); copy
     and pickle rebuild an instance through its constructor.  Assigning or
     deleting any attribute raises AttributeError, so an __init__ sets its
-    fields with object.__setattr__.  RelClass, EnergyValues and FanSpec
-    spell out their own == and hash, which a field tuple built inline makes
-    about twice as fast as the shared ones.
+    fields with object.__setattr__.  RelClass and FanSpec spell out their
+    own == and hash, which a field tuple built inline makes about twice as
+    fast as the shared ones.
     """
 
     __slots__ = ()
@@ -226,14 +226,6 @@ class EnergyValues(_Value):
         object.__setattr__(self, "beta_hat", beta_hat)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "h", h)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.beta_hat, self.gamma, self.h) == (other.beta_hat, other.gamma, other.h)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.beta_hat, self.gamma, self.h))
 
 
 def parse_energies(doc, error: type[Exception] = BadParams) -> EnergyValues:

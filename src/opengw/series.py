@@ -92,6 +92,7 @@ a Fraction per term, on each call, from the digit columns
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, compress
@@ -628,21 +629,8 @@ def _ints(terms: Mapping[RelClass, Fraction], pack) -> tuple[int, dict[int, int]
     return den, {pack(c): q.numerator * (den // q.denominator) for c, q in terms.items()}
 
 
-class _Operand(tuple):
-    # (packer, den, nums): terms as packed keys with int numerators over one
-    # common denominator
-    __slots__ = ()
-
-    def __new__(cls, packer: _Packer, den: int, nums: dict[int, int]):
-        return tuple.__new__(cls, (packer, den, nums))
-
-    def __getnewargs__(self):
-        # copy and pickle call __new__ with the three items
-        return tuple(self)
-
-    packer = property(itemgetter(0))
-    den = property(itemgetter(1))
-    nums = property(itemgetter(2))
+# terms as packed keys with int numerators over one common denominator
+_Operand = namedtuple("_Operand", "packer den nums")
 
 
 def _moved(op: _Operand, packer: _Packer) -> tuple[int, dict[int, int]]:
