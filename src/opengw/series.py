@@ -44,30 +44,36 @@ wallcross.evaluate_chekanov on T-exponent keys; the Chekanov
 superpotential beta_hat f**0 + sum_a beta'_a f**p_a is one times_powers
 call on one packer.  An f without a graded unit tail is
 raised by square-and-multiply instead.  The wall-crossing identity's
-p exp(-log f), _times_exp_neg_log, chains two solves on one packer:
+p exp(-log f), _times_exp_neg_log, chains two solves on one packer and
+one row layout (below):
 
     L = log f         R = u            weight (j - l, l)
     E = exp(-L)       R = 1, A = -L    weight (j, l)
 
-with L's buckets negated in place, then convolves p into E only where
-the L-grades add up to at most trunc.
+with L's rows negated in place to be E's coefficient, then convolves
+p's rows into E's only where the L-grades add up to at most trunc.
 
-The exp solves (series_exp and E above) hold their buckets as rows,
-Kronecker substitution: a bucket is homogeneous in L, so moving along a
-row's step, +1 on sigma_c x_c and -1 on sigma_d x_d for two gamma digits
-c and d, keeps the grade.  A key sits in the row under outer = key - t
+series_exp and _times_exp_neg_log hold their buckets as rows, Kronecker
+substitution: a bucket is homogeneous in L, so moving along a row's
+step, +1 on sigma_c x_c and -1 on sigma_d x_d for two gamma digits c
+and d, keeps the grade.  A key sits in the row under outer = key - t
 step, in slot t = sigma_c x_c >= 0, and leaves as outer + t step; the
 terms sharing an outer key are one int with a signed S-bit slot per t,
-so _convolve multiplies whole rows.  S starts at 64 and widens,
-repacking the rows, whenever a grade's bound
+so _convolve multiplies whole rows.  A term of p off the orthant along
+c, where sigma_c x_c < 0, sits in slot 0 under its own key, so one key
+of a product can sit in two rows; leaving sums the slots of each key.
+S starts at 64 and widens, repacking the rows, whenever a grade's bound
 
     sum |R| den / r_den + sum_j |scale_j| sum |A_j| sum |X_{l-j}|
 
-reaches 2^(S-2), so no slot overflows whatever the signs.  Slots are read
-back only for each grade's gcd and on output.  Only the exp solves use
-rows: their coefficient is the dense exponent, while the log, power,
-division and Chekanov-evaluation solves have the sparse unit tail u as
-coefficient, where rows measured slower.
+reaches 2^(S-2), so no slot overflows whatever the signs, and before
+p's rows are convolved into E's.  Slots are read back only for each
+grade's gcd and on output.  The callers enter and leave the rows once:
+series_exp enters f and 1 and leaves E, _times_exp_neg_log enters u, 1
+and p and leaves only the product.  series_log on its own and the
+power, division and Chekanov-evaluation solves keep one term per key:
+their coefficient is the sparse unit tail u, and Miller's f^8 of CP^8,
+for one, measured slower on rows.
 
 Every ClassSeries is one packed operand, set when it is made and never
 changed: a packer, one common denominator and a nonzero int numerator
@@ -343,7 +349,7 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     """
     _check_context(f, p)
     k = require_int(k, "exponent")
-    trunc = require_int(trunc, "truncation bound")
+    trunc = _trunc_bound(trunc)
     if k < 0:
         raise BadParams(f"divide_by_power needs an exponent >= 0, got {k}")
     tail = _unit_tail(f, "negative power")
@@ -367,15 +373,18 @@ def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
 
     The graded solve of theta(exp f) = theta(f) exp(f):
 
-        l E_l = sum_j j f_j E_{l-j},   E_0 = 1.
+        l E_l = sum_j j f_j E_{l-j},   E_0 = 1,
+
+    on rows: f and 1 enter them once and E leaves them once.
     """
-    trunc = require_int(trunc, "truncation bound")
+    trunc = _trunc_bound(trunc)
     _require_series(f)
     u = f._packed
     sigma, packer, f_by_grade = _graded_tail(f, u, "exp", trunc)
-    rows = _Rows(packer, sigma, u) if sigma else None
-    sol = _graded_solve({0: (1, {0: 1})}, f_by_grade, trunc, lambda j, l: (j, l), rows)
-    return _unpacked(f.n, f.m, packer, sol)
+    rows = _Rows(packer, sigma, u)
+    sol = _graded_solve(rows.enter({0: (1, {0: 1})}), rows.enter(f_by_grade), trunc,
+                        lambda j, l: (j, l), rows)
+    return _unpacked(f.n, f.m, packer, {0: rows.leave(sol)})
 
 
 def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
@@ -386,7 +395,7 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
 
         l L_l = l u_l + sum_j (j - l) u_j L_{l-j}.
     """
-    trunc = require_int(trunc, "truncation bound")
+    trunc = _trunc_bound(trunc)
     _require_series(f)
     _, packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
     return _unpacked(f.n, f.m, packer, _graded_solve(u, u, trunc, lambda j, l: (j - l, l)))
@@ -394,36 +403,40 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
 
 def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSeries:
     """truncate_gamma(p * series_exp(-series_log(f, trunc), trunc), trunc)
-    in one packed pass.
+    in one pass on one row layout.
 
-    L = log f and E = exp(-L) are the two graded solves of series_log and
-    series_exp on the same packed buckets; p is then convolved into E only
-    where the L-grades add up to at most trunc.  Every dropped pair has
-    gamma-degree >= L-grade > trunc, whatever the gamma signs of p.
+    u = f - 1, 1 and p enter the rows once.  L = log f and E = exp(-L) are
+    the graded solves of series_log and series_exp on rows, E's
+    coefficient being L's rows negated in place; p is then convolved into
+    E only where the L-grades add up to at most trunc, and the product
+    leaves the rows once.  Every dropped pair has gamma-degree >= L-grade
+    > trunc, whatever the gamma signs of p.
     """
-    trunc = require_int(trunc, "truncation bound")
+    trunc = _trunc_bound(trunc)
     _check_context(p, f)
     tail = _unit_tail(f, "log")
     sigma = _orthant(tail, "log")
     p_op = p._packed
     # a term of L or E of grade l <= trunc is a sum of terms of u whose
     # grades, each >= 1, add up to l, so its coordinates are at most
-    # trunc * bound(u); a product term adds one term of p
-    packer = _Packer(p.n, p.m, p_op.packer.bound + max(trunc, 0) * tail.packer.bound)
-    u_by_grade = _graded(tail, sigma, packer, trunc)
-    log_f = _graded_solve(u_by_grade, u_by_grade, trunc, lambda j, l: (j - l, l))
-    for _, nums in log_f.values():
-        for key, v in nums.items():
-            nums[key] = -v
-    rows = _Rows(packer, sigma, tail) if sigma else None
-    exp_f = _graded_solve({0: (1, {0: 1})}, log_f, trunc, lambda j, l: (j, l), rows)
-    prod = _products([
+    # trunc * bound(u); a product term adds one term of p.  A row of p
+    # has outer keys with a d digit of at most |x_c| + |x_d| <= 2 bound(p)
+    # (_Rows), so outer keys of products stay within the bound too
+    packer = _Packer(p.n, p.m, 2 * p_op.packer.bound + trunc * tail.packer.bound)
+    rows = _Rows(packer, sigma, tail)
+    u = rows.enter(_graded(tail, sigma, packer, trunc))
+    log_f = _graded_solve(u, u, trunc, lambda j, l: (j - l, l), rows)
+    for _, r in log_f.values():
+        for outer, v in r.items():
+            r[outer] = -v
+    exp_f = _graded_solve(rows.enter({0: (1, {0: 1})}), log_f, trunc, lambda j, l: (j, l), rows)
+    prod = rows.products([
         (a, e)
-        for lp, a in _graded(p_op, sigma, packer, trunc).items()
+        for lp, a in rows.enter(_graded(p_op, sigma, packer, trunc)).items()
         for le, e in exp_f.items()
         if lp + le <= trunc
     ])
-    return truncate_gamma(_unpacked(p.n, p.m, packer, {0: prod}), trunc)
+    return truncate_gamma(_unpacked(p.n, p.m, packer, {0: rows.leave({0: prod})}), trunc)
 
 
 def _unit_tail(f: ClassSeries, what: str) -> _Operand:
@@ -433,6 +446,14 @@ def _unit_tail(f: ClassSeries, what: str) -> _Operand:
     if nums.get(0) != den:
         raise NotInvertible(f"{what} needs constant term exactly 1")
     return _Operand(packer, den, {key: v for key, v in nums.items() if key})
+
+
+def _trunc_bound(trunc) -> int:
+    # a truncation bound of the graded solves: an int >= 0
+    trunc = require_int(trunc, "truncation bound")
+    if trunc < 0:
+        raise BadParams(f"truncation bound must be >= 0, got {trunc}")
+    return trunc
 
 
 def _graded_tail(f: ClassSeries, u: _Operand, what: str, trunc: int):
@@ -499,16 +520,18 @@ class _RowBucket(dict):
 
 
 class _Rows:
-    """The row layout of an exp solve's grade buckets (module docstring).
+    """The row layout of grade buckets (module docstring).
 
     Each row has the step +1 on sigma_c x_c and -1 on sigma_d x_d, which
     keeps the grade, with c and d two gamma digits.  A packed key sits in
-    the row under outer = key - t step, in slot t = sigma_c x_c, and comes
-    back as outer + t step.  Inside the orthant t >= 0, outer's c digit is
-    0 and its d digit is sigma_d (|x_c| + |x_d|), at most the grade in
-    size, so at most trunc, within both exp solves' packer bounds: outer
-    is the key of a class, outer keys add like classes and rows multiply
-    like polynomials in 2^S.  n = 2 has no
+    the row under outer = key - t step, in slot t = max(sigma_c x_c, 0),
+    and comes back as outer + t step.  Inside the orthant t = sigma_c x_c,
+    outer's c digit is 0 and its d digit is sigma_d (|x_c| + |x_d|), at
+    most the grade in size, so at most trunc.  A term of p off the orthant
+    has an outer key with digits at most 2 bound(p), its own key when t
+    = 0.  Each caller's packer holds every outer key and every sum of two
+    that it forms, so outer is the key of a class, outer keys add like
+    classes and rows multiply like polynomials in 2^S.  n <= 2 has no
     digit c, so every row has the one slot t = 0.  Every row bucket made
     is kept in buckets, with its norm, the sum of |slot|, so that _widen
     can repack them all.
@@ -543,6 +566,8 @@ class _Rows:
             rows = _RowBucket()
             for key, v in nums.items():
                 t = sc * ((key + bias >> cs & mask) - half)
+                if t < 0:
+                    t = 0
                 outer = key - t * step
                 rows[outer] = rows.get(outer, 0) + (v << width * t)
             rows.norm = norms[l]
@@ -578,18 +603,27 @@ class _Rows:
         self.buckets.append(rows)
         return den, rows
 
-    def leave(self, sol: dict) -> dict:
-        # row buckets back to per-key buckets, key = outer + t step
-        step, out = self.step, {}
-        for l, (den, rows) in sol.items():
-            nums = {}
+    def products(self, pairs: list) -> tuple[int, dict[int, int]]:
+        # _products on row buckets, S first widened for the sum, as in fit
+        den = math.lcm(*(da * db for (da, _), (db, _) in pairs))
+        self._widen(sum(den // (da * db) * a.norm * b.norm for (da, a), (db, b) in pairs))
+        return _products(pairs)
+
+    def leave(self, buckets: dict) -> tuple[int, dict[int, int]]:
+        # row buckets as one per-key (den, nums) over their lcm, key = outer
+        # + t step; a key may sit in several rows, so its slots are summed
+        den = math.lcm(*(d for d, _ in buckets.values()))
+        step, width, nums = self.step, self.width, {}
+        get = nums.get
+        for d, rows in buckets.values():
+            scale = den // d
             for outer, r in rows.items():
-                for t, v in enumerate(_slots(r, self.width)):
+                for t, v in enumerate(_slots(r, width)):
                     if v:
-                        nums[outer + t * step] = v
-            out[l] = (den, nums)
+                        key = outer + t * step
+                        nums[key] = get(key, 0) + v * scale
         self.buckets.clear()
-        return out
+        return den, nums
 
     def _widen(self, bound: int):
         # the smallest multiple of 64 with bound < 2^(S-2), rows repacked
@@ -755,13 +789,11 @@ def _graded_solve(rhs: dict, coef: dict, trunc: int, weight, rows: _Rows | None 
     Solved from the lowest grade of R up to trunc, stopping once R is used
     up and the last max j buckets of X are empty: every later one is empty
     too.  Each bucket of X is kept over its own reduced denominator.  With
-    a row layout, R, A and X are held as rows inside the solve; the
-    buckets in and out are keyed by class either way.
+    a row layout, R and A come in as its row buckets and X goes out as
+    them; the caller enters and leaves the rows.
     """
     if not rhs:
         return {}
-    if rows is not None:
-        rhs, coef = rows.enter(rhs), rows.enter(coef)
     reduced = _reduced if rows is None else rows.reduced
     reach = max(coef, default=0)
     top = max(rhs)
@@ -781,7 +813,7 @@ def _graded_solve(rhs: dict, coef: dict, trunc: int, weight, rows: _Rows | None 
         bucket = reduced(den, acc)
         if bucket:
             sol[l] = bucket
-    return sol if rows is None else rows.leave(sol)
+    return sol
 
 
 def _reduced(den: int, acc: dict[int, int]):

@@ -58,7 +58,6 @@ from .fan import (
     beta_prime_class,
     gamma_class,
     ray_decomposition,
-    require_int,
     require_ints,
     zero_class,
 )
@@ -77,6 +76,7 @@ from .series import (
     _split_b,
     _times_exp_neg_log,
     _times_powers,
+    _trunc_bound,
     divide_by_power,
     monomial,
     multiply,
@@ -252,9 +252,7 @@ def wall_crossing_factor(
     trunc: int = DEFAULT_TRUNC,
 ) -> GluingData:
     """The gluing factor 1 + sum_k gamma_k-monomials for this fan."""
-    trunc = require_int(trunc, "truncation bound")
-    if trunc < 0:
-        raise BadParams(f"truncation bound must be >= 0, got {trunc}")
+    trunc = _trunc_bound(trunc)
     terms = {zero_class(spec): Fraction(1)}
     terms.update((gamma_class(spec, k), Fraction(1)) for k in range(1, spec.n))
     return GluingData(ClassSeries(spec.n, spec.m, terms), direction, trunc)
@@ -533,7 +531,7 @@ def wall_cross_rhs(
         raise BadParams(f"need {spec.n} sphere-correction series")
     f = wall_crossing_factor(spec).factor
     # a bad bound is reported before a bad correction shape
-    trunc = require_int(trunc, "truncation bound")
+    trunc = _trunc_bound(trunc)
     # one product of the bracket with exp(-log f), equal by distributivity
     # to one product per slot
     bracket = n_factors[spec.n - 1]

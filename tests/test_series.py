@@ -907,6 +907,31 @@ def test_exp_rows_widen_mid_solve(monkeypatch):
     assert got == _as_series(n, m, _exp_recurrence(u, _zero(n, m), sign, trunc))
 
 
+def test_exp_rows_widen_for_the_bracket_product(monkeypatch):
+    # p and exp(-log f) each fit the 64-bit slots, but p's numerators near
+    # 2^58 times E's binomials (norm 2^8 at grade 8) do not: the rows widen
+    # once more before the product
+    widths = []
+    widen = series._Rows._widen
+
+    def spy(self, bound):
+        widen(self, bound)
+        widths.append(self.width)
+
+    monkeypatch.setattr(series._Rows, "_widen", spy)
+    n, m, trunc = 3, 1, 8
+    f = series.one(n, m) + gamma_mono(n, m, 1) + gamma_mono(n, m, 2)
+    p = series.ClassSeries(n, m, {
+        RelClass(0, (0, 0), (0,)): Fraction(2**58),
+        RelClass(1, (0, -1), (1,)): Fraction(-(2**58) - 1),
+    })
+    got = series._times_exp_neg_log(p, f, trunc)
+    assert widths[-2:] == [64, 128]
+    monkeypatch.undo()
+    unfused = series.multiply(p, series.series_exp(-series.series_log(f, trunc), trunc))
+    assert got == series.truncate_gamma(unfused, trunc)
+
+
 @pytest.mark.parametrize("sign", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
 def test_exp_rows_exact_cancellation(sign):
     # u = x + y - xy: the xy slot of exp(u) sums to exactly 0, and its row
@@ -930,7 +955,7 @@ def test_exp_rows_exact_cancellation(sign):
 def test_exp_rows_at_the_grade_bound(sign):
     # f = 1 + sum_k +-gamma_k with unit coordinates in a mixed-sign orthant:
     # at trunc 12 the d digit of an outer key, sigma_d (|x_c| + |x_d|),
-    # reaches the grade, near the packer's bound of 12 + bound(p) in the
+    # reaches the grade, near the packer's bound of 12 + 2 bound(p) in the
     # fused solve.  The first two gamma digits are d and c, so sigma_d and
     # sigma_c take every sign pair
     n, m, trunc = len(sign) + 1, 1, 12

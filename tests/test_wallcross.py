@@ -1,9 +1,14 @@
 """Superpotentials, gluing, invariant tables, closed-form oracles."""
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -847,6 +852,25 @@ class TestIdentity:
         with pytest.raises(errors.BadParams):
             call(builtin_fan("cpn", n=3))
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda f: series.series_exp(f - series.one(f.n, f.m), -1),
+         lambda f: series.series_log(f, -1),
+         lambda f: series.divide_by_power(f, f, 1, -1),
+         lambda f: series._times_exp_neg_log(f, f, -2),
+         lambda f: wall_cross_rhs(builtin_fan("cpn", n=3), -1),
+         lambda f: verify_wall_cross_identity(FanSpec(2, ()), -1)],
+        ids=["exp", "log", "divide", "times-exp-neg-log", "rhs", "verify"],
+    )
+    def test_negative_truncation_bound_is_refused(self, call):
+        # series_log(f, -1) used to return the zero series and
+        # verify_wall_cross_identity(C^2, -1) to return False
+        f = wall_crossing_factor(builtin_fan("cpn", n=3)).factor
+        with pytest.raises(errors.BadParams, match=r"truncation bound must be >= 0, got -[12]$"):
+            call(f)
+        # truncate_gamma only filters terms, so any bound goes
+        assert not truncate_gamma(f, -1) and truncate_gamma(f, 0) == series.one(3, 1)
+
     def test_log_expansion_n2(self):
         spec = builtin_fan("cpn", n=2)
         g = solve_exp_G(spec, trunc=3)
@@ -927,6 +951,17 @@ def _outcome(call):
 ORACLE_TRUNCS = [-1, 0, 1, 4, 8]
 
 
+def _matches_reference(spec, trunc, factors=None):
+    # wall_cross_rhs and verify_wall_cross_identity give reference_rhs's
+    # result, or raise its error: exactly when the bound is negative
+    want = _outcome(lambda: reference_rhs(spec, trunc, factors))
+    assert isinstance(want, tuple) == (trunc < 0)
+    assert _outcome(lambda: wall_cross_rhs(spec, trunc, factors)) == want
+    holds = want if trunc < 0 else want == series.one(spec.n, spec.m)
+    assert _outcome(lambda: verify_wall_cross_identity(spec, trunc, factors)) == holds
+    return want
+
+
 class TestOnePassIdentity:
     """wall_cross_rhs against reference_rhs, term for term and error for
     error."""
@@ -935,9 +970,7 @@ class TestOnePassIdentity:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_default_corrections(self, n, trunc):
         for spec in (FanSpec(n, ()), builtin_fan("cpn", n=n)):
-            want = reference_rhs(spec, trunc)
-            assert wall_cross_rhs(spec, trunc) == want
-            assert verify_wall_cross_identity(spec, trunc) == (want == series.one(spec.n, spec.m))
+            _matches_reference(spec, trunc)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("trunc", ORACLE_TRUNCS)
@@ -945,11 +978,7 @@ class TestOnePassIdentity:
     def test_random_corrections(self, n, trunc, seed):
         spec = builtin_fan("cpn", n=n)
         factors = random_factors(random.Random(1000 * n + seed), spec)
-        want = reference_rhs(spec, trunc, factors)
-        assert wall_cross_rhs(spec, trunc, factors) == want
-        assert verify_wall_cross_identity(spec, trunc, factors) == (
-            want == series.one(spec.n, spec.m)
-        )
+        _matches_reference(spec, trunc, factors)
 
     @pytest.mark.parametrize("trunc", ORACLE_TRUNCS)
     @pytest.mark.parametrize("n", range(1, 6))
@@ -957,9 +986,7 @@ class TestOnePassIdentity:
         spec = FanSpec(n, ())
         factors = [series.one(n, 0)] * n
         factors[n - 1] = series.one(n, 0).scaled(F(3, 2))
-        want = reference_rhs(spec, trunc, factors)
-        assert wall_cross_rhs(spec, trunc, factors) == want
-        assert not verify_wall_cross_identity(spec, trunc, factors)
+        assert _matches_reference(spec, trunc, factors) != series.one(n, 0)
 
     @pytest.mark.parametrize(
         "trunc, factors",
@@ -996,11 +1023,88 @@ def test_identity_work_count(monkeypatch):
     assert got == series.one(6, 0)
 
 
+def test_bracket_terms_off_the_orthant_meet_in_two_rows():
+    # on CP^3, f = 1 + gamma_1 + gamma_2 and the bracket is 2y + x1 + x2
+    # with x1 = y / gamma_1 and x2 = y / gamma_2.  Whichever of the two
+    # gamma digits is the rows' digit c, one x is off the orthant along it
+    # and enters its row at slot 0, so its products with exp(-log f) sit
+    # in other rows than the same classes formed from y.  They must be
+    # summed: at y the three products 2 - 1 - 1 cancel exactly, and an
+    # overwriting read-out of the rows keeps only one of them
+    spec, trunc = builtin_fan("cpn", n=3), 6
+    y = RelClass(1, (0, 0), (1,))
+    factors = [
+        monomial(3, 1, RelClass(1, (-2, 0), (1,))),
+        monomial(3, 1, RelClass(1, (0, -2), (1,))),
+        monomial(3, 1, y, Fraction(2)),
+    ]
+    want = reference_rhs(spec, trunc, factors)
+    got = wall_cross_rhs(spec, trunc, factors)
+    assert got == want and got.coeff(y) == 0
+    # the same classes from y and from an x that do not cancel
+    assert got.coeff(RelClass(1, (1, 0), (1,))) == want.coeff(RelClass(1, (1, 0), (1,))) != 0
+    f = wall_crossing_factor(spec).factor
+    bracket = factors[2] + monomial(3, 1, RelClass(1, (-1, 0), (1,))) + monomial(
+        3, 1, RelClass(1, (0, -1), (1,)))
+    unfused = series.multiply(bracket, series.series_exp(-series.series_log(f, trunc), trunc))
+    assert series._times_exp_neg_log(bracket, f, trunc) == truncate_gamma(unfused, trunc) == got
+
+
+ROW_WORK = """
+import json
+from opengw import FanSpec, series, wall_cross_rhs
+
+counts = {"pairs": 0, "entered": 0, "left": 0}
+convolve, enter, leave = series._convolve, series._Rows.enter, series._Rows.leave
+
+
+def counted_convolve(acc, a, b, scale):
+    counts["pairs"] += len(a) * len(b)
+    convolve(acc, a, b, scale)
+
+
+def counted_enter(rows, buckets):
+    counts["entered"] += sum(len(nums) for _, nums in buckets.values())
+    return enter(rows, buckets)
+
+
+def counted_leave(rows, buckets):
+    den, nums = leave(rows, buckets)
+    counts["left"] += len(nums)
+    return den, nums
+
+
+series._convolve = counted_convolve
+series._Rows.enter, series._Rows.leave = counted_enter, counted_leave
+assert wall_cross_rhs(FanSpec(6, ()), 12) == series.one(6, 0)
+print(json.dumps(counts))
+"""
+
+
+def test_identity_row_work_count():
+    # one C^6 identity at trunc 12 runs log f, exp(-log f) and the product
+    # with the bracket on one row layout: u, 1 and the bracket's six terms
+    # enter the rows once and the one term of the result leaves them once
+    # (6,188 terms each way and 174,018 int products when only the exp
+    # solve ran on rows).  The counts are the same under two string hash
+    # seeds, in fresh interpreters
+    src = str(Path(series.__file__).resolve().parent.parent)
+    counts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-c", ROW_WORK], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        counts.append(json.loads(proc.stdout))
+    assert counts[0] == counts[1] == {"pairs": 136_891, "entered": 12, "left": 1}
+
+
 def test_identity_product_count(monkeypatch):
     # one C^6 identity at trunc 12 formed 690,326 int products in _convolve
     # with one term per key, 640,458 of them in the exp solve; on rows that
-    # solve forms 124,150 row products, about 174,000 in all with the log
-    # solve and the product with the bracket
+    # solve forms 124,150 row products, and 136,891 in all with the log
+    # solve and the product with the bracket on rows too
     products = 0
     convolve = series._convolve
 
