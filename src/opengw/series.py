@@ -89,10 +89,14 @@ sorts the int keys and splits their digits into one int column per
 coordinate (_Packer.columns, the only decoder of keys), with the
 numerators over their reduced common denominator.  Invariant tables and
 rendered series are read that way.  Gluing never leaves the keys
-either: _split_b groups a series by its b digit column, each group a
-packed series on the same packer.  items() alone builds a RelClass and
-a Fraction per term, on each call, from the digit columns
-(fan._classes), with equal numerators sharing one Fraction.
+either: _glued reads the source's digit columns once, e off the b
+column, and runs every e-group on one packer with the factor checked
+and its unit tail graded once: the e > 0 groups are one _times_powers
+call, each e < 0 group is divide_by_power's division loop (_divided)
+on that same tail, and every part is added into one accumulator.
+items() alone builds a RelClass and a Fraction per term, on each call,
+from the digit columns (fan._classes), with equal numerators sharing
+one Fraction.
 """
 
 from __future__ import annotations
@@ -265,6 +269,14 @@ def monomial(n: int, m: int, cls: RelClass, coeff=Fraction(1)) -> ClassSeries:
     return ClassSeries(n, m, {cls: coeff})
 
 
+def _one_plus_gammas(n: int, m: int) -> ClassSeries:
+    # 1 + sum_k gamma_k straight on a packer, with no class built: key 0
+    # for the zero class and, for each gamma_k, +1 in its gamma digit
+    packer = _Packer(n, m, 1)
+    nums = dict.fromkeys([0, *(1 << shift for shift in packer.shifts[m + 1:])], 1)
+    return _unpacked(n, m, packer, {0: (1, nums)})
+
+
 def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     """Exact convolution product; classes add, coefficients multiply."""
     _check_context(f, g)
@@ -312,21 +324,13 @@ def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> Cl
         if k < 0:
             raise BadParams(f"times_power needs an exponent >= 0, got {k}")
         checked.append((p._packed, k))
-    fop = f._packed
     # a term of p * f**k is a term of p plus k terms of f
-    bound = max((op.packer.bound + k * fop.packer.bound for op, k in checked), default=0)
+    bound = max((op.packer.bound + k * f._packed.packer.bound for op, k in checked), default=0)
     packer = _Packer(f.n, f.m, bound)
     packed = [(_moved(op, packer), k) for op, k in checked]
-    try:
-        tail = _unit_tail(f, "power")
-        sigma = _orthant(tail, "power")
-    except (NotInvertible, NotFiltered):
-        base = _moved(fop, packer)
-        powers = {k: _packed_power(base, k) for k in {k for _, k in packed}}
-        prod = _products([(p, powers[k]) for p, k in packed])
-    else:
-        prod = _times_powers(packed, _graded(tail, sigma, packer))
-    return _unpacked(f.n, f.m, packer, {0: prod})
+    unit = _graded_unit(f, "power", required=False)
+    u_by_grade = None if unit is None else _graded(*unit, packer)
+    return _unpacked(f.n, f.m, packer, {0: _power_sum(packed, f, packer, u_by_grade)})
 
 
 def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> ClassSeries:
@@ -352,20 +356,17 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     trunc = _trunc_bound(trunc)
     if k < 0:
         raise BadParams(f"divide_by_power needs an exponent >= 0, got {k}")
-    tail = _unit_tail(f, "negative power")
-    sigma = _orthant(tail, "negative power")
-    p_op = p._packed
-    cols = p_op.packer.columns(p_op.nums)
-    grades = _grades(cols[p.m + 1:], sigma, len(p_op.nums))
+    tail, sigma = _graded_unit(f, "negative power")
+    home, den, nums = p._packed
+    cols = home.columns(nums)
+    grades = _grades(cols[p.m + 1:], sigma, len(nums))
     # a term of Q is a term of P plus at most trunc - lo terms of u, each of grade >= 1
     lo = min((l for l in grades if l <= trunc), default=trunc)
-    packer = _Packer(p.n, p.m, p_op.packer.bound + (trunc - lo + 1) * tail.packer.bound)
+    packer = _Packer(p.n, p.m, home.bound + (trunc - lo + 1) * tail.packer.bound)
     # a grade-l term of Q, l <= trunc, uses terms of u up to grade trunc - lo
     u_by_grade = _graded(tail, sigma, packer, trunc - lo)
-    quot = _bucketed(p_op, cols, grades, packer, trunc)
-    for _ in range(k):
-        quot = _graded_solve(quot, u_by_grade, trunc, lambda j, l: (-1, 1))
-    return _unpacked(p.n, p.m, packer, quot)
+    quot = _bucketed(den, _keys_on(packer, home, nums, cols), nums.values(), grades, trunc)
+    return _unpacked(p.n, p.m, packer, _divided(quot, u_by_grade, k, trunc))
 
 
 def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
@@ -414,8 +415,7 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
     """
     trunc = _trunc_bound(trunc)
     _check_context(p, f)
-    tail = _unit_tail(f, "log")
-    sigma = _orthant(tail, "log")
+    tail, sigma = _graded_unit(f, "log")
     p_op = p._packed
     # a term of L or E of grade l <= trunc is a sum of terms of u whose
     # grades, each >= 1, add up to l, so its coordinates are at most
@@ -439,6 +439,70 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
     return truncate_gamma(_unpacked(p.n, p.m, packer, {0: rows.leave({0: prod})}), trunc)
 
 
+def _glued(p: ClassSeries, f: ClassSeries, sign: int, trunc: int) -> ClassSeries:
+    """sum over e of p_e * f**e, p_e the terms of p with sign * b = e, in
+    one packed pass: the gluing map z^c -> z^c f^(sign c.b).
+
+    p's digit columns are read once, e off the b column and, when some
+    e < 0, the grade L off the gamma columns.  f is checked once and every
+    group lands on one packer, sized for all of them, on which f's unit
+    tail is graded once.  The e > 0 groups are one _times_powers call
+    (_power_sum), each distinct e solved once, or square-and-multiply for
+    an f without a graded unit tail; each e < 0 group is divided |e| times
+    by that same tail up to grade trunc (_divided), as in divide_by_power;
+    the e = 0 group is kept as it is.  Groups can give equal keys, so
+    every bucket is added into one accumulator over one lcm.  When some
+    e < 0, f must have a graded unit tail (NotInvertible or NotFiltered,
+    "negative power", otherwise), trunc must be a bound, and the result
+    is truncated at gamma-degree trunc off its gamma columns; otherwise it
+    is exact and untruncated.
+    """
+    home, den, nums = p._packed
+    cols = home.columns(nums)
+    es = cols[p.m] if sign > 0 else list(map(neg, cols[p.m]))
+    negative = min(es, default=0) < 0
+    if negative:
+        trunc = _trunc_bound(trunc)
+    unit = _graded_unit(f, "negative power", required=negative)
+    # a term of p f**e, e > 0, is a term of p plus e terms of f; a term of
+    # p / f**|e| of grade <= trunc one of p plus at most trunc - lo terms
+    # of u, each of grade >= 1 (divide_by_power)
+    reach = max(es, default=0)
+    if negative:
+        grades = _grades(cols[p.m + 1:], unit[1], len(nums))
+        lo = min((l for l, e in zip(grades, es) if e < 0 and l <= trunc), default=trunc)
+        reach = max(reach, trunc - lo + 1)
+    packer = _Packer(p.n, p.m, home.bound + reach * f._packed.packer.bound)
+    u_by_grade = None if unit is None else _graded(*unit, packer)
+    keys, vals = list(_keys_on(packer, home, nums, cols)), list(nums.values())
+    groups: dict[int, list[int]] = {}
+    for i, e in enumerate(es):
+        groups.setdefault(e, []).append(i)
+    buckets, powers = [], []
+    for e, at in groups.items():
+        group = {keys[i]: vals[i] for i in at}
+        if e < 0:
+            quot = _bucketed(den, group, group.values(), [grades[i] for i in at], trunc)
+            buckets += _divided(quot, u_by_grade, -e, trunc).values()
+        elif e > 0:
+            powers.append(((den, group), e))
+        else:
+            buckets.append((den, group))
+    if powers:
+        buckets.append(_power_sum(powers, f, packer, u_by_grade))
+    total = math.lcm(*(d for d, _ in buckets))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for d, bucket in buckets:
+        scale = total // d
+        for key, v in bucket.items():
+            acc[key] = get(key, 0) + v * scale
+    if negative:
+        degrees = _degrees(packer.columns(acc, p.m + 1), len(acc))
+        acc = {key: v for (key, v), x in zip(acc.items(), degrees) if x <= trunc}
+    return _unpacked(p.n, p.m, packer, {0: (total, acc)})
+
+
 def _unit_tail(f: ClassSeries, what: str) -> _Operand:
     # u of f = 1 + u, after checking the constant term: the zero class is
     # key 0 on every packer
@@ -446,6 +510,40 @@ def _unit_tail(f: ClassSeries, what: str) -> _Operand:
     if nums.get(0) != den:
         raise NotInvertible(f"{what} needs constant term exactly 1")
     return _Operand(packer, den, {key: v for key, v in nums.items() if key})
+
+
+def _graded_unit(f: ClassSeries, what: str, required: bool = True):
+    # (u, sigma) of f = 1 + u with u in one closed gamma orthant sigma and
+    # free of gamma-degree 0, which every graded solve on u needs; an f
+    # without such a tail raises, or gives None when it is not required
+    try:
+        tail = _unit_tail(f, what)
+        return tail, _orthant(tail, what)
+    except (NotInvertible, NotFiltered):
+        if required:
+            raise
+        return None
+
+
+def _power_sum(parts: list, f: ClassSeries, packer: _Packer, u_by_grade: dict | None):
+    # (den, nums) of sum p f**k over the parts (p, k), p a (den, nums)
+    # bucket on packer: Miller's solve on u_by_grade, the grade buckets of
+    # f's unit tail on packer, or for an f without one (None)
+    # square-and-multiply, either once per distinct k
+    if u_by_grade is not None:
+        return _times_powers(parts, u_by_grade)
+    base = _moved(f._packed, packer)
+    powers = {k: _packed_power(base, k) for k in {k for _, k in parts}}
+    return _products([(p, powers[k]) for p, k in parts])
+
+
+def _divided(quot: dict, u_by_grade: dict, k: int, trunc: int) -> dict:
+    # the grade buckets of quot / (1 + u)**k up to grade trunc, u given by
+    # its grade buckets: one graded solve Q_l = P_l - sum_j u_j Q_{l-j} per
+    # factor
+    for _ in range(k):
+        quot = _graded_solve(quot, u_by_grade, trunc, lambda j, l: (-1, 1))
+    return quot
 
 
 def _trunc_bound(trunc) -> int:
@@ -701,19 +799,23 @@ def _grades(gamma: list[list[int]], sigma: tuple[int, ...], size: int) -> list[i
 def _graded(op: _Operand, sigma: tuple[int, ...], packer: _Packer, trunc: int | None = None):
     # an operand's terms of grade <= trunc (all of them without a trunc)
     # as {grade: (den, nums)} keyed on packer, read off its digit columns
-    home, _, nums = op
-    cols = home.columns(nums)
-    return _bucketed(op, cols, _grades(cols[home.m + 1:], sigma, len(nums)), packer, trunc)
-
-
-def _bucketed(op: _Operand, cols: list[list[int]], grades: list[int], packer: _Packer, trunc):
-    # _graded given the operand's digit columns and grades: each bucket is
-    # over its reduced denominator, and keys move to packer only if its
-    # width differs
     home, den, nums = op
-    keys = nums if packer.w == home.w else packer.keys(cols)
+    cols = home.columns(nums)
+    grades = _grades(cols[home.m + 1:], sigma, len(nums))
+    return _bucketed(den, _keys_on(packer, home, nums, cols), nums.values(), grades, trunc)
+
+
+def _keys_on(packer: _Packer, home: _Packer, nums: dict[int, int], cols: list[list[int]]):
+    # the keys of nums, whose digit columns are cols, moved from home to
+    # packer digit by digit only if the widths differ
+    return nums if packer.w == home.w else packer.keys(cols)
+
+
+def _bucketed(den: int, keys: Iterable[int], nums: Iterable[int], grades: Iterable[int], trunc):
+    # the terms (key, num) of grade <= trunc (all of them without a trunc)
+    # as {grade: (den, nums)}, each bucket over its reduced denominator
     by_grade: dict[int, dict[int, int]] = {}
-    for key, v, l in zip(keys, nums.values(), grades):
+    for key, v, l in zip(keys, nums, grades):
         if trunc is None or l <= trunc:
             by_grade.setdefault(l, {})[key] = v
     if den == 1:
@@ -840,17 +942,6 @@ def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
     s = ClassSeries.__new__(ClassSeries)
     s.n, s.m, s._packed = n, m, _Operand(packer, den, nums)
     return s
-
-
-def _split_b(s: ClassSeries, sign: int) -> dict[int, ClassSeries]:
-    # the terms of s grouped by e = sign * b, each group a packed series
-    # on s's packer, read off the b digit column with no class built
-    packer, den, nums = s._packed
-    groups: dict[int, dict[int, int]] = {}
-    b, = packer.columns(nums, s.m, s.m + 1)
-    for key, v, e in zip(nums, nums.values(), b if sign > 0 else map(neg, b)):
-        groups.setdefault(e, {})[key] = v
-    return {e: _unpacked(s.n, s.m, packer, {0: (den, group)}) for e, group in groups.items()}
 
 
 def _packed_sum(n: int, m: int, parts: list[ClassSeries], degree: int | None = None):

@@ -59,7 +59,6 @@ from .fan import (
     gamma_class,
     ray_decomposition,
     require_ints,
-    zero_class,
 )
 from .novikov import (
     EnergyAssignment,
@@ -71,18 +70,17 @@ from .novikov import (
 from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
-    _packed_sum,
+    _glued,
+    _one_plus_gammas,
     _products,
-    _split_b,
     _times_exp_neg_log,
     _times_powers,
+    _require_series,
     _trunc_bound,
-    divide_by_power,
     monomial,
     multiply,
     one,
     series_log,
-    times_power,
     times_powers,
 )
 
@@ -121,16 +119,21 @@ class Superpotential(_Value):
 class GluingData(_Value):
     """Wall-crossing factor plus how to apply it.
 
-    factor always has constant term 1 and one further term per gamma_k.
-    trunc bounds the gamma-degree of glued output.
+    factor is a ClassSeries (wall_crossing_factor's has constant term 1
+    and one further term per gamma_k), direction a Direction, and trunc,
+    an int >= 0, bounds the gamma-degree of glued output; each is checked
+    when the data is built, a bad one raising BadParams.
     """
 
     __slots__ = ("factor", "direction", "trunc")
 
     def __init__(self, factor: ClassSeries, direction: Direction, trunc: int):
+        _require_series(factor)
+        if not isinstance(direction, Direction):
+            raise BadParams(f"gluing direction must be a Direction, got {direction!r}")
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "trunc", _trunc_bound(trunc))
 
 
 class InvariantRow(_Value):
@@ -251,11 +254,9 @@ def wall_crossing_factor(
     direction: Direction = Direction.PLUS_TO_MINUS,
     trunc: int = DEFAULT_TRUNC,
 ) -> GluingData:
-    """The gluing factor 1 + sum_k gamma_k-monomials for this fan."""
-    trunc = _trunc_bound(trunc)
-    terms = {zero_class(spec): Fraction(1)}
-    terms.update((gamma_class(spec, k), Fraction(1)) for k in range(1, spec.n))
-    return GluingData(ClassSeries(spec.n, spec.m, terms), direction, trunc)
+    """The gluing factor 1 + sum_k gamma_k-monomials for this fan, built
+    straight onto packed keys (series._one_plus_gammas)."""
+    return GluingData(_one_plus_gammas(spec.n, spec.m), direction, trunc)
 
 
 def _chekanov_parts(spec: FanSpec) -> list[tuple[RelClass, int]]:
@@ -346,19 +347,19 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
 
     Each monomial of class c is multiplied by factor^e, e = -c.b for
     PlusToMinus and +c.b for MinusToPlus; gamma- and H-only monomials are
-    fixed.  The source is grouped by e on its packed keys' b digits
-    (series._split_b), with no class built per term, and each group is a
-    packed series on the source's packer.  A group with e > 0 is multiplied
-    by the exact power factor^e in one packed pass (series.times_power).
-    A group with e < 0 is divided exactly by the factor |e| times
-    (series.divide_by_power): terms are graded by the linear form L of the
-    factor's gamma orthant, which adds under products and never exceeds
-    gamma-degree, so solving grade by grade up to gd.trunc gives every
-    output coefficient of gamma-degree at most gd.trunc exactly, and an
-    exact quotient stops as soon as it is found.  The groups are summed on
-    one packer (series._packed_sum), and the result stays packed.  When
-    some e < 0 the result is truncated at gd.trunc; a series needing no
-    negative power is returned untruncated.
+    fixed.  The whole series is one packed pass (series._glued), with no
+    class built per term: e is read off the source keys' b digits, the
+    factor is checked and its unit tail graded once, on one packer sized
+    for every group, the e > 0 groups are multiplied by their exact powers
+    in one Miller solve per distinct e, and each e < 0 group is divided
+    exactly by the factor |e| times: terms are graded by the linear form
+    L of the factor's gamma orthant, which adds under products and never
+    exceeds gamma-degree, so solving grade by grade up to gd.trunc gives
+    every output coefficient of gamma-degree at most gd.trunc exactly, and
+    an exact quotient stops as soon as it is found.  The groups are added
+    into one accumulator and the result stays packed.  When some e < 0
+    the result is truncated at gd.trunc; a series needing no negative
+    power is returned untruncated.
     """
     if s.n != spec.n or s.m != spec.m:
         raise DimensionMismatch(
@@ -367,16 +368,7 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
     f = gd.factor
     if f.n != spec.n or f.m != spec.m:
         raise DimensionMismatch("gluing factor does not match the fan")
-    groups = _split_b(s, -1 if gd.direction is Direction.PLUS_TO_MINUS else 1)
-    parts = []
-    for e, part in groups.items():
-        if e > 0:
-            part = times_power(part, f, e)
-        elif e < 0:
-            part = divide_by_power(part, f, -e, gd.trunc)
-        parts.append(part)
-    trunc = gd.trunc if min(groups, default=0) < 0 else None
-    return _packed_sum(spec.n, spec.m, parts, trunc)
+    return _glued(s, f, -1 if gd.direction is Direction.PLUS_TO_MINUS else 1, gd.trunc)
 
 
 def glue_superpotential(w: Superpotential, gd: GluingData) -> Superpotential:

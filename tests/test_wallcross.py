@@ -232,6 +232,96 @@ class TestGluing:
             assert glued == series.multiply(needs_none, series.power(f, 2))
 
 
+    def test_gluing_data_is_checked_when_built(self):
+        # factor=None ended in a raw AttributeError from apply_gluing,
+        # direction "plus" glued minus-to-plus, and trunc=-3 was accepted
+        # whenever no negative power was needed
+        f = wall_crossing_factor(builtin_fan("cpn", n=2)).factor
+        cases = [
+            ((None, Direction.PLUS_TO_MINUS, 4), "series operand must be a ClassSeries, got None"),
+            ((f, "plus", 4), "gluing direction must be a Direction, got 'plus'"),
+            ((f, Direction.MINUS_TO_PLUS, -3), "truncation bound must be >= 0, got -3"),
+            ((f, Direction.MINUS_TO_PLUS, 2.5), "truncation bound must be an integer"),
+        ]
+        for args, message in cases:
+            with pytest.raises(errors.BadParams, match=message.replace("(", r"\(")):
+                GluingData(*args)
+        assert GluingData(f, Direction.MINUS_TO_PLUS, 0).trunc == 0
+
+    @pytest.mark.parametrize("spec", [
+        *(builtin_fan("cpn", n=n) for n in range(1, 9)),
+        builtin_fan("cp_product", n=2, r=1),
+        builtin_fan("hirzebruch_f1"),
+        builtin_fan("cp_product", n=5, r=2),
+    ], ids=lambda spec: f"n{spec.n}-{spec.extra_rays}")
+    def test_factor_is_built_packed(self, monkeypatch, spec):
+        # 1 + sum_k gamma_k goes straight onto a packer: no RelClass, no
+        # ClassSeries constructor, and the series the constructor would build
+        counts = {"class": 0, "series": 0}
+        _count_inits(monkeypatch, RelClass, counts, "class")
+        _count_inits(monkeypatch, ClassSeries, counts, "series")
+        f = wall_crossing_factor(spec).factor
+        monkeypatch.undo()
+        assert counts == {"class": 0, "series": 0}
+        terms = {RelClass(0, (0,) * (spec.n - 1), (0,) * spec.m): F(1)}
+        terms.update((gamma_class(spec, k), F(1)) for k in range(1, spec.n))
+        built = ClassSeries(spec.n, spec.m, terms)
+        assert f == built and hash(f) == hash(built) and repr(f) == repr(built)
+
+    def test_coinciding_keys_of_power_groups_are_summed(self):
+        # f = 1 + beta_hat has no graded unit tail, so every e > 0 takes
+        # square-and-multiply; beta_hat * f and 2 beta_hat * f**2 share the
+        # classes 2 beta_hat and 3 beta_hat, which must be added
+        spec = builtin_fan("cpn", n=2)
+        beta_hat = beta_hat_class(spec)
+        f = series.one(2, 1) + monomial(2, 1, beta_hat)
+        a, b = monomial(2, 1, beta_hat, F(3)), monomial(2, 1, beta_hat.scale(2), F(-1, 2))
+        gd = GluingData(f, Direction.MINUS_TO_PLUS, 0)
+        glued = apply_gluing(spec, a + b, gd)
+        expected = series.multiply(a, series.power(f, 1)) + series.multiply(b, series.power(f, 2))
+        assert glued == expected
+        assert [glued.coeff(beta_hat.scale(k)) for k in (1, 2, 3, 4)] == [3, F(5, 2), -1, F(-1, 2)]
+
+    @pytest.mark.parametrize("trunc", [0, 2, 5])
+    def test_coinciding_keys_of_all_groups_are_summed(self, trunc):
+        # f = 1 + (beta_hat + gamma_1) has a graded unit tail that moves b,
+        # so the quotients of the e = -2 and e = -1 groups, the e = 0 term
+        # and the products of the e = 1 group share classes: every group's
+        # part is added, as the sum of the kernel entries one per group is
+        spec = builtin_fan("cpn", n=2)
+        f = series.one(2, 1) + monomial(2, 1, RelClass(1, (1,), (0,)))
+        groups = {
+            -2: monomial(2, 1, RelClass(-2, (0,), (0,)), F(3)),
+            -1: monomial(2, 1, RelClass(-1, (1,), (0,)), F(-1, 2)),
+            0: monomial(2, 1, RelClass(0, (2,), (0,)), F(5)),
+            1: monomial(2, 1, RelClass(1, (0,), (0,)), F(2, 3)),
+        }
+        glued = apply_gluing(spec, sum(groups.values(), series.zero(2, 1)),
+                             GluingData(f, Direction.MINUS_TO_PLUS, trunc))
+        parts = [series.divide_by_power(p, f, -e, trunc) if e < 0
+                 else series.times_power(p, f, e) for e, p in groups.items()]
+        assert glued == truncate_gamma(sum(parts, series.zero(2, 1)), trunc)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("trunc", [0, 3, 7])
+    def test_several_negative_powers_match_reference(self, direction, trunc):
+        # groups e = -1, -2, -3 (and +1, +2 the other way) whose quotients
+        # share classes, plus an e = 0 term; every group is summed on one
+        # packer and truncated once
+        spec = builtin_fan("cpn", n=3)
+        s = ClassSeries(3, 1, {
+            RelClass(1, (0, 0), (0,)): F(2),
+            RelClass(2, (1, 0), (0,)): F(-1, 3),
+            RelClass(3, (0, 2), (1,)): F(5),
+            RelClass(3, (1, 1), (1,)): F(1, 2),
+            RelClass(-1, (0, 1), (0,)): F(1),
+            RelClass(-2, (2, 0), (1,)): F(-7, 2),
+            RelClass(0, (1, 1), (0,)): F(4),
+        })
+        gd = wall_crossing_factor(spec, direction, trunc)
+        assert apply_gluing(spec, s, gd) == reference_gluing(spec, s, direction, trunc)
+
+
 def _binom(e, j):
     """Generalized binomial coefficient e choose j, any integer e."""
     out = Fraction(1)
@@ -643,20 +733,16 @@ def test_packed_table_errors(terms, k, error, message):
     assert _table_outcome(_reference_table, w(_packed(2, 1, terms, k))) == (error, message)
 
 
-@pytest.mark.parametrize("spec, products, classes", [
-    (builtin_fan("cpn", n=8), 30460, 10),
-    (builtin_fan("hirzebruch_f1"), 9, 5),
-    (builtin_fan("cp_product", n=5, r=2), 131, 8),
-], ids=["cp8", "f1", "cp2xcp3"])
-def test_chekanov_work_count(monkeypatch, spec, products, classes):
-    # the compact Chekanov series is one times_powers pass: one packed
-    # result, no series sum per extra ray, and the Miller solves' int
-    # products plus one for the beta_hat part at k = 0.  It stays packed
-    # until read: len counts its terms without a RelClass, the only
-    # RelClasses built are the factor's and the parts', and items() builds
-    # one RelClass per term
-    counts = {"unpacked": 0, "class": 0, "add": 0, "products": 0}
-    in_factor = [False]
+def test_gluing_prepares_factor_once(monkeypatch):
+    # the gluing heavy op, CP^2 x CP^3 Chekanov -> Clifford at trunc 16, is
+    # one packed pass: its e = 1 group and two e < 0 groups share one
+    # packer and one check of the factor (3 _orthant calls and 4 packers
+    # when each group was its own kernel entry), and the saving is set-up
+    # only, with the convolution pairs unchanged
+    spec = builtin_fan("cp_product", n=5, r=2)
+    w = chekanov_superpotential(spec, Ambient.COMPACT).series
+    gd = wall_crossing_factor(spec, Direction.MINUS_TO_PLUS, 16)
+    counts = {"orthant": 0, "packers": 0, "pairs": 0}
 
     def counted(key, fn, what=lambda *args: 1):
         def wrapper(*args):
@@ -664,24 +750,44 @@ def test_chekanov_work_count(monkeypatch, spec, products, classes):
             return fn(*args)
         return wrapper
 
-    def factor(*args, **kwargs):
-        in_factor[0] = True
-        try:
-            return wallcross_factor(*args, **kwargs)
-        finally:
-            in_factor[0] = False
+    monkeypatch.setattr(series, "_orthant", counted("orthant", series._orthant))
+    monkeypatch.setattr(series, "_convolve", counted(
+        "pairs", series._convolve, lambda acc, a, b, scale: len(a) * len(b)))
+    _count_inits(monkeypatch, series._Packer, counts, "packers")
+    glued = apply_gluing(spec, w, gd)
+    monkeypatch.undo()
+    assert counts == {"orthant": 1, "packers": 1, "pairs": 117}
+    assert glued == clifford_superpotential(spec, Ambient.COMPACT).series
 
-    wallcross_factor = wallcross.wall_crossing_factor
-    monkeypatch.setattr(wallcross, "wall_crossing_factor", factor)
+
+@pytest.mark.parametrize("spec, products, classes", [
+    (builtin_fan("cpn", n=8), 30460, 2),
+    (builtin_fan("hirzebruch_f1"), 9, 3),
+    (builtin_fan("cp_product", n=5, r=2), 131, 3),
+], ids=["cp8", "f1", "cp2xcp3"])
+def test_chekanov_work_count(monkeypatch, spec, products, classes):
+    # the compact Chekanov series is one times_powers pass: one packed
+    # result besides the factor's (built on packed keys, with no RelClass),
+    # no series sum per extra ray, and the Miller solves' int products plus
+    # one for the beta_hat part at k = 0.  It stays packed until read: len
+    # counts its terms without a RelClass, the only RelClasses built are
+    # the parts', and items() builds one RelClass per term
+    counts = {"unpacked": 0, "class": 0, "add": 0, "products": 0}
+
+    def counted(key, fn, what=lambda *args: 1):
+        def wrapper(*args):
+            counts[key] += what(*args)
+            return fn(*args)
+        return wrapper
+
     monkeypatch.setattr(series, "_unpacked", counted("unpacked", series._unpacked))
     _count_inits(monkeypatch, RelClass, counts, "class")
     monkeypatch.setattr(series, "_convolve", counted(
         "products", series._convolve, lambda acc, a, b, scale: len(a) * len(b)))
-    monkeypatch.setattr(series.ClassSeries, "__add__", counted(
-        "add", series.ClassSeries.__add__, lambda *args: not in_factor[0]))
+    monkeypatch.setattr(series.ClassSeries, "__add__", counted("add", series.ClassSeries.__add__))
     w = chekanov_superpotential(spec, Ambient.COMPACT).series
     size = len(w)
-    assert counts == {"unpacked": 1, "class": classes, "add": 0, "products": products}
+    assert counts == {"unpacked": 2, "class": classes, "add": 0, "products": products}
     terms = w.items()
     assert counts["class"] - classes == size == len(terms)
     assert w.items() == terms and len(w) == size
