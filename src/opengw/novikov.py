@@ -67,6 +67,7 @@ from .fan import (
     require_ints,
     require_rational,
 )
+from .series import _require_series
 
 INF = math.inf
 
@@ -596,6 +597,7 @@ def _check_point(spec: FanSpec, point: Sequence[NovikovScalar]):
 def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> NovikovScalar:
     """Numeric value of a class series at a torus point: each monomial of
     class c contributes coeff * T^{E(c)} * prod point_i^{boundary_i(c)}."""
+    _require_series(s)
     spec = ea.fan
     _check_point(spec, point)
     items = s.items()

@@ -23,29 +23,28 @@ class built, and the grade L of a term (below) is a sum over the gamma
 digit columns of all the operand's keys at once.  Outside the solve
 below, every sum of products
 of (den, nums) buckets, multiply included, is _products: one convolution
-per pair over the pairs' common denominator.  divide_by_power,
-series_exp, series_log and Miller's powers are one weighted triangular
-solve, graded by the linear form L of the gamma orthant,
+per pair over the pairs' common denominator.  Division, series_exp,
+series_log and Miller's powers are one weighted triangular solve,
+graded by the linear form L of the gamma orthant,
 
     X_l = R_l + sum_j (p/q) A_j X_{l-j},   (p, q) = weight(j, l),
 
 with one denominator per grade bucket, buckets combined over the lcm and
 reduced by their gcd.  For f = 1 + u the callers supply
 
-    _times_powers     R = 1            weight ((k + 1) j - l, l)
-    divide_by_power   R = the source   weight (-1, 1)
+    f**k (Miller)     R = 1            weight ((k + 1) j - l, l)
+    p / f             R = p            weight (-1, 1)
     series_exp        R = 1            weight (j, l)
     series_log        R = u            weight (j - l, l)
 
-_times_powers sums p f**k over its parts in one packed pass, one solve
-per distinct k.  times_powers(parts, f) calls it on class keys, with
-times_power(p, f, k) as its one-part call, and
-wallcross.evaluate_chekanov on T-exponent keys; the Chekanov
-superpotential beta_hat f**0 + sum_a beta'_a f**p_a is one times_powers
-call on one packer.  An f without a graded unit tail is
-raised by square-and-multiply instead.  The wall-crossing identity's
-p exp(-log f), _times_exp_neg_log, chains two solves on one packer and
-one row layout (below):
+Every sum p f**e over integer e is one engine, _powered, which prepares
+f once per call on one packer: times_powers (the Chekanov superpotential
+beta_hat f**0 + sum_a beta'_a f**p_a), divide_by_power (the one part
+(p, -k)) and the gluing map z^c -> z^c f^(-+c.b) (_glued).
+wallcross.evaluate_chekanov calls its Miller solve, _times_powers, on
+T-exponent keys.  The wall-crossing identity's p exp(-log f),
+_times_exp_neg_log, chains two solves on one packer and one row layout
+(below):
 
     L = log f         R = u            weight (j - l, l)
     E = exp(-L)       R = 1, A = -L    weight (j, l)
@@ -89,14 +88,10 @@ sorts the int keys and splits their digits into one int column per
 coordinate (_Packer.columns, the only decoder of keys), with the
 numerators over their reduced common denominator.  Invariant tables and
 rendered series are read that way.  Gluing never leaves the keys
-either: _glued reads the source's digit columns once, e off the b
-column, and runs every e-group on one packer with the factor checked
-and its unit tail graded once: the e > 0 groups are one _times_powers
-call, each e < 0 group is divide_by_power's division loop (_divided)
-on that same tail, and every part is added into one accumulator.
-items() alone builds a RelClass and a Fraction per term, on each call,
-from the digit columns (fan._classes), with equal numerators sharing
-one Fraction.
+either: _glued splits the source by its b column alone and is one
+_powered call.  items() alone builds a RelClass and a Fraction per
+term, on each call, from the digit columns (fan._classes), with equal
+numerators sharing one Fraction.
 """
 
 from __future__ import annotations
@@ -106,7 +101,7 @@ from collections import namedtuple
 from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, compress
-from operator import add, attrgetter, countOf, itemgetter, neg, sub
+from operator import add, attrgetter, countOf, itemgetter, sub
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
 from .fan import RelClass, _classes, require_int, require_ints, require_rational
@@ -306,31 +301,27 @@ def times_power(p: ClassSeries, f: ClassSeries, k: int) -> ClassSeries:
 
 def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> ClassSeries:
     """sum p * f**k over the (p, k) in parts, every k >= 0, exact, in one
-    packed pass.
+    packed pass (_powered).
 
     When f = 1 + u with u in one closed gamma orthant and free of
-    gamma-degree 0 (every gluing factor), each f**k is Miller's recurrence
-    (_times_powers), solved once per distinct k, and each p is convolved
-    into the grade buckets of its power.  Any other f is raised by
-    square-and-multiply, once per distinct k.  Every product lands in one
-    bucket on one packer.  The p and f are read as packed keys and moved
-    to that packer digit by digit.
+    gamma-degree 0 (every gluing factor), each f**k, k > 0, is Miller's
+    recurrence (_times_powers), solved once per distinct k, and each p is
+    convolved into the grade buckets of its power.  Any other f is raised
+    by square-and-multiply.  A p with k = 0 is added as it is.
     """
     _require_series(f)
+    try:
+        pairs = [(p, k) for p, k in parts]
+    except (TypeError, ValueError):
+        raise BadParams("times_powers needs an iterable of (series, exponent) pairs") from None
     checked = []
-    for p, k in parts:
+    for p, k in pairs:
         _check_context(p, f)
         k = require_int(k, "exponent")
         if k < 0:
             raise BadParams(f"times_power needs an exponent >= 0, got {k}")
         checked.append((p._packed, k))
-    # a term of p * f**k is a term of p plus k terms of f
-    bound = max((op.packer.bound + k * f._packed.packer.bound for op, k in checked), default=0)
-    packer = _Packer(f.n, f.m, bound)
-    packed = [(_moved(op, packer), k) for op, k in checked]
-    unit = _graded_unit(f, "power", required=False)
-    u_by_grade = None if unit is None else _graded(*unit, packer)
-    return _unpacked(f.n, f.m, packer, {0: _power_sum(packed, f, packer, u_by_grade)})
+    return _powered(f.n, f.m, checked, f)
 
 
 def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> ClassSeries:
@@ -347,26 +338,16 @@ def divide_by_power(p: ClassSeries, f: ClassSeries, k: int, trunc: int) -> Class
     upward from the lowest grade of P to trunc, stopping early once P is
     used up and the last max L(t) buckets of Q are empty; an exact
     quotient therefore costs about its own size.  The result holds every
-    term of L-grade <= trunc and may hold some of gamma-degree above trunc.
-    p is read as packed keys, graded over its gamma digit
-    columns, and moved to the quotient's packer digit by digit.
+    term of L-grade <= trunc and may hold some of gamma-degree above
+    trunc; for k = 0 it is p's terms of L-grade <= trunc.  It is the one
+    part (p, -k) of _powered.
     """
     _check_context(f, p)
     k = require_int(k, "exponent")
     trunc = _trunc_bound(trunc)
     if k < 0:
         raise BadParams(f"divide_by_power needs an exponent >= 0, got {k}")
-    tail, sigma = _graded_unit(f, "negative power")
-    home, den, nums = p._packed
-    cols = home.columns(nums)
-    grades = _grades(cols[p.m + 1:], sigma, len(nums))
-    # a term of Q is a term of P plus at most trunc - lo terms of u, each of grade >= 1
-    lo = min((l for l in grades if l <= trunc), default=trunc)
-    packer = _Packer(p.n, p.m, home.bound + (trunc - lo + 1) * tail.packer.bound)
-    # a grade-l term of Q, l <= trunc, uses terms of u up to grade trunc - lo
-    u_by_grade = _graded(tail, sigma, packer, trunc - lo)
-    quot = _bucketed(den, _keys_on(packer, home, nums, cols), nums.values(), grades, trunc)
-    return _unpacked(p.n, p.m, packer, _divided(quot, u_by_grade, k, trunc))
+    return _powered(p.n, p.m, [(p._packed, -k)], f, trunc)
 
 
 def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
@@ -440,56 +421,76 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
 
 
 def _glued(p: ClassSeries, f: ClassSeries, sign: int, trunc: int) -> ClassSeries:
-    """sum over e of p_e * f**e, p_e the terms of p with sign * b = e, in
-    one packed pass: the gluing map z^c -> z^c f^(sign c.b).
-
-    p's digit columns are read once, e off the b column and, when some
-    e < 0, the grade L off the gamma columns.  f is checked once and every
-    group lands on one packer, sized for all of them, on which f's unit
-    tail is graded once.  The e > 0 groups are one _times_powers call
-    (_power_sum), each distinct e solved once, or square-and-multiply for
-    an f without a graded unit tail; each e < 0 group is divided |e| times
-    by that same tail up to grade trunc (_divided), as in divide_by_power;
-    the e = 0 group is kept as it is.  Groups can give equal keys, so
-    every bucket is added into one accumulator over one lcm.  When some
-    e < 0, f must have a graded unit tail (NotInvertible or NotFiltered,
-    "negative power", otherwise), trunc must be a bound, and the result
-    is truncated at gamma-degree trunc off its gamma columns; otherwise it
-    is exact and untruncated.
+    """The gluing map z^c -> z^c f^(sign c.b): one _powered call on the
+    parts of p split by e = sign * b, read off p's b column alone.  When
+    some e < 0, trunc is checked and the result is cut at gamma-degree
+    trunc off its gamma columns; otherwise it is exact and untruncated.
     """
     home, den, nums = p._packed
-    cols = home.columns(nums)
-    es = cols[p.m] if sign > 0 else list(map(neg, cols[p.m]))
-    negative = min(es, default=0) < 0
-    if negative:
-        trunc = _trunc_bound(trunc)
-    unit = _graded_unit(f, "negative power", required=negative)
+    groups: dict[int, dict[int, int]] = {}
+    for (key, v), b in zip(nums.items(), home.columns(nums, p.m, p.m + 1)[0]):
+        groups.setdefault(sign * b, {})[key] = v
+    negative = min(groups, default=0) < 0
+    parts = [(_Operand(home, den, group), e) for e, group in groups.items()]
+    glued = _powered(p.n, p.m, parts, f, _trunc_bound(trunc) if negative else None)
+    if not negative:
+        return glued
+    packer, den, nums = glued._packed
+    degrees = _degrees(packer.columns(nums, p.m + 1), len(nums))
+    kept = {key: v for (key, v), x in zip(nums.items(), degrees) if x <= trunc}
+    return _unpacked(p.n, p.m, packer, {0: (den, kept)})
+
+
+def _powered(n: int, m: int, parts: list, f: ClassSeries, trunc: int | None = None) -> ClassSeries:
+    """sum p * f**e over the (p, e) parts, p a packed operand, in one
+    packed pass: f checked once, one packer sized for every part and f's
+    unit tail graded on it once.
+
+    The e > 0 parts are one _times_powers call, or square-and-multiply
+    for an f without a graded unit tail.  Without a trunc every e >= 0,
+    an e = 0 part is added as it is and the sum is exact.  With a trunc,
+    an int >= 0, f must have a graded unit tail (NotInvertible or
+    NotFiltered, "negative power", otherwise) and each part with e <= 0
+    keeps its terms of L-grade <= trunc and is divided |e| times up to
+    grade trunc, as in divide_by_power.  Parts can share keys, so every
+    bucket is added into one accumulator.
+    """
+    unit = _graded_unit(f, "negative power", required=trunc is not None)
+    step = f._packed.packer.bound
     # a term of p f**e, e > 0, is a term of p plus e terms of f; a term of
-    # p / f**|e| of grade <= trunc one of p plus at most trunc - lo terms
-    # of u, each of grade >= 1 (divide_by_power)
-    reach = max(es, default=0)
-    if negative:
-        grades = _grades(cols[p.m + 1:], unit[1], len(nums))
-        lo = min((l for l, e in zip(grades, es) if e < 0 and l <= trunc), default=trunc)
-        reach = max(reach, trunc - lo + 1)
-    packer = _Packer(p.n, p.m, home.bound + reach * f._packed.packer.bound)
+    # p / f**|e| of grade <= trunc is one of p plus at most trunc - lo
+    # terms of u, each of grade >= 1, lo the lowest grade of p up to trunc
+    read, bound = [], 0
+    for op, e in parts:
+        home, _, nums = op
+        cols = grades = None
+        reach = max(e, 0)
+        if trunc is not None and e <= 0:
+            cols = home.columns(nums)
+            grades = _grades(cols[m + 1:], unit[1], len(nums))
+            reach = trunc - min((l for l in grades if l <= trunc), default=trunc) + 1
+        bound = max(bound, home.bound + reach * step)
+        read.append((op, e, cols, grades))
+    packer = _Packer(n, m, bound)
     u_by_grade = None if unit is None else _graded(*unit, packer)
-    keys, vals = list(_keys_on(packer, home, nums, cols)), list(nums.values())
-    groups: dict[int, list[int]] = {}
-    for i, e in enumerate(es):
-        groups.setdefault(e, []).append(i)
     buckets, powers = [], []
-    for e, at in groups.items():
-        group = {keys[i]: vals[i] for i in at}
-        if e < 0:
-            quot = _bucketed(den, group, group.values(), [grades[i] for i in at], trunc)
-            buckets += _divided(quot, u_by_grade, -e, trunc).values()
+    for op, e, cols, grades in read:
+        if grades is not None:
+            home, den, nums = op
+            quot = _bucketed(den, _keys_on(packer, home, nums, cols), nums.values(), grades, trunc)
+            for _ in range(-e):
+                quot = _graded_solve(quot, u_by_grade, trunc, lambda j, l: (-1, 1))
+            buckets += quot.values()
         elif e > 0:
-            powers.append(((den, group), e))
+            powers.append((_moved(op, packer), e))
         else:
-            buckets.append((den, group))
-    if powers:
-        buckets.append(_power_sum(powers, f, packer, u_by_grade))
+            buckets.append(_moved(op, packer))
+    if powers and u_by_grade is not None:
+        buckets.append(_times_powers(powers, u_by_grade))
+    elif powers:
+        base = _moved(f._packed, packer)
+        fk = {e: _packed_power(base, e) for e in {e for _, e in powers}}
+        buckets.append(_products([(p, fk[e]) for p, e in powers]))
     total = math.lcm(*(d for d, _ in buckets))
     acc: dict[int, int] = {}
     get = acc.get
@@ -497,10 +498,7 @@ def _glued(p: ClassSeries, f: ClassSeries, sign: int, trunc: int) -> ClassSeries
         scale = total // d
         for key, v in bucket.items():
             acc[key] = get(key, 0) + v * scale
-    if negative:
-        degrees = _degrees(packer.columns(acc, p.m + 1), len(acc))
-        acc = {key: v for (key, v), x in zip(acc.items(), degrees) if x <= trunc}
-    return _unpacked(p.n, p.m, packer, {0: (total, acc)})
+    return _unpacked(n, m, packer, {0: (total, acc)})
 
 
 def _unit_tail(f: ClassSeries, what: str) -> _Operand:
@@ -523,27 +521,6 @@ def _graded_unit(f: ClassSeries, what: str, required: bool = True):
         if required:
             raise
         return None
-
-
-def _power_sum(parts: list, f: ClassSeries, packer: _Packer, u_by_grade: dict | None):
-    # (den, nums) of sum p f**k over the parts (p, k), p a (den, nums)
-    # bucket on packer: Miller's solve on u_by_grade, the grade buckets of
-    # f's unit tail on packer, or for an f without one (None)
-    # square-and-multiply, either once per distinct k
-    if u_by_grade is not None:
-        return _times_powers(parts, u_by_grade)
-    base = _moved(f._packed, packer)
-    powers = {k: _packed_power(base, k) for k in {k for _, k in parts}}
-    return _products([(p, powers[k]) for p, k in parts])
-
-
-def _divided(quot: dict, u_by_grade: dict, k: int, trunc: int) -> dict:
-    # the grade buckets of quot / (1 + u)**k up to grade trunc, u given by
-    # its grade buckets: one graded solve Q_l = P_l - sum_j u_j Q_{l-j} per
-    # factor
-    for _ in range(k):
-        quot = _graded_solve(quot, u_by_grade, trunc, lambda j, l: (-1, 1))
-    return quot
 
 
 def _trunc_bound(trunc) -> int:

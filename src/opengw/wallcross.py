@@ -8,8 +8,9 @@ chamber multiplies each monomial by a power of the gluing factor
 
 the power being minus the beta_hat-coefficient of the class (plus for the
 reverse direction).  The Chekanov superpotential has an exact closed form
-whenever every extra ray has nonnegative coordinate sum: it is one
-series.times_powers pass over the parts beta_hat f^0 and beta'_a f^{p_a}
+whenever every extra ray has nonnegative coordinate sum: like the gluing
+map it is a sum p f^e, one call of series' engine for those, here
+series.times_powers over the parts beta_hat f^0 and beta'_a f^{p_a}
 (_chekanov_parts), one packed operand when it returns.  Its coefficients
 are one-pointed open Gromov-Witten invariants; invariant_table reads them
 off the series' digit columns (ClassSeries.columns) without a RelClass or
@@ -104,6 +105,13 @@ class Direction(Enum):
     MINUS_TO_PLUS = "minus_to_plus"
 
 
+def _require(value, kind: type, what: str):
+    # a BadParams for an argument that is not a kind, never a raw error later
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise BadParams(f"{what} must be {article} {kind.__name__}, got {value!r}")
+
+
 class Superpotential(_Value):
     """Finite sum of Maslov-2 disk monomials attached to one chamber."""
 
@@ -129,8 +137,7 @@ class GluingData(_Value):
 
     def __init__(self, factor: ClassSeries, direction: Direction, trunc: int):
         _require_series(factor)
-        if not isinstance(direction, Direction):
-            raise BadParams(f"gluing direction must be a Direction, got {direction!r}")
+        _require(direction, Direction, "gluing direction")
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "trunc", _trunc_bound(trunc))
@@ -230,6 +237,7 @@ class InvariantTable:
 
 
 def _check_ambient(spec: FanSpec, ambient: Ambient):
+    _require(ambient, Ambient, "ambient")
     if ambient is Ambient.COMPACT and spec.m == 0:
         raise BadParams("compact ambient needs at least one ray at infinity")
 
@@ -284,6 +292,7 @@ def chekanov_superpotential(spec: FanSpec, ambient: Ambient) -> Superpotential:
     _chekanov_parts of (class monomial) * factor**p, expanded exactly in one
     packed pass (series.times_powers).
     """
+    _check_ambient(spec, ambient)
     if ambient is Ambient.COMPACT:
         f = wall_crossing_factor(spec).factor
         parts = [(monomial(spec.n, spec.m, c), p) for c, p in _chekanov_parts(spec)]
@@ -348,19 +357,20 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
     Each monomial of class c is multiplied by factor^e, e = -c.b for
     PlusToMinus and +c.b for MinusToPlus; gamma- and H-only monomials are
     fixed.  The whole series is one packed pass (series._glued), with no
-    class built per term: e is read off the source keys' b digits, the
-    factor is checked and its unit tail graded once, on one packer sized
-    for every group, the e > 0 groups are multiplied by their exact powers
-    in one Miller solve per distinct e, and each e < 0 group is divided
-    exactly by the factor |e| times: terms are graded by the linear form
-    L of the factor's gamma orthant, which adds under products and never
-    exceeds gamma-degree, so solving grade by grade up to gd.trunc gives
-    every output coefficient of gamma-degree at most gd.trunc exactly, and
-    an exact quotient stops as soon as it is found.  The groups are added
-    into one accumulator and the result stays packed.  When some e < 0
-    the result is truncated at gd.trunc; a series needing no negative
-    power is returned untruncated.
+    class built per term: e is read off the source keys' b digits and
+    every e-group is one part of series' engine for sums p f^e, which
+    prepares the factor once.  The e > 0 groups are multiplied by their
+    exact powers; each e < 0 group is divided by the factor |e| times,
+    graded by the linear form L of the factor's gamma orthant, which adds
+    under products and never exceeds gamma-degree, so solving grade by
+    grade up to gd.trunc gives every output coefficient of gamma-degree at
+    most gd.trunc exactly, and an exact quotient stops as soon as it is
+    found.  When some e < 0 the result is truncated at gd.trunc; a series
+    needing no negative power is returned untruncated.
     """
+    _require(spec, FanSpec, "gluing fan")
+    _require_series(s)
+    _require(gd, GluingData, "gluing data")
     if s.n != spec.n or s.m != spec.m:
         raise DimensionMismatch(
             f"series shape ({s.n},{s.m}) does not match fan ({spec.n},{spec.m})"
@@ -373,6 +383,8 @@ def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:
 
 def glue_superpotential(w: Superpotential, gd: GluingData) -> Superpotential:
     """apply_gluing lifted to superpotentials, flipping the chamber tag."""
+    _require(w, Superpotential, "glued superpotential")
+    _require(gd, GluingData, "gluing data")
     side = {
         Direction.PLUS_TO_MINUS: (Chart.CLIFFORD, Chart.CHEKANOV),
         Direction.MINUS_TO_PLUS: (Chart.CHEKANOV, Chart.CLIFFORD),
@@ -396,6 +408,7 @@ def invariant_table(w: Superpotential) -> InvariantTable:
     2b + sum_a 2(1 + p_a) h_a, a count is an integer when den divides its
     numerator, and the names are one join per row of per-column pieces.
     """
+    _require(w, Superpotential, "invariant table source")
     spec, s = w.fan, w.series
     if s and (s.n, s.m) != (spec.n, spec.m):
         _check_shape(spec, s.n - 1, s.m)

@@ -175,17 +175,23 @@ class TestRingOps:
         (lambda s: series.times_power(1, s, 2), "series operand must be a ClassSeries, got 1"),
         (lambda s: series.times_power(s, 1, 2), "series operand must be a ClassSeries, got 1"),
         (lambda s: series.times_powers([], 1), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.times_powers(None, s),
+         "times_powers needs an iterable of (series, exponent) pairs"),
+        (lambda s: series.times_powers([(s,)], s),
+         "times_powers needs an iterable of (series, exponent) pairs"),
         (lambda s: series.power(1, 2), "series operand must be a ClassSeries, got 1"),
         (lambda s: series.truncate_gamma(1, 2), "series operand must be a ClassSeries, got 1"),
         (lambda s: series.series_exp(1, 3), "series operand must be a ClassSeries, got 1"),
         (lambda s: series.series_log(1, 3), "series operand must be a ClassSeries, got 1"),
     ], ids=["add", "sub", "multiply", "divide", "coeff", "multiply-first", "divide-first",
-            "times-power-first", "times-power-base", "times-powers-empty", "power",
+            "times-power-first", "times-power-base", "times-powers-empty",
+            "times-powers-none", "times-powers-short", "power",
             "truncate", "exp", "log"])
     def test_operands_are_strict(self, call, message):
         # each used to end in a raw AttributeError ('int' object has no
         # attribute 'n', '_check_context' or '_packed', 'tuple' object has
-        # no attribute 'g')
+        # no attribute 'g'), times_powers(None, s) in a raw TypeError and
+        # times_powers([(s,)], s) in a raw ValueError
         with pytest.raises(errors.BadParams) as exc:
             call(series.one(2, 0) + gamma_mono(2, 0, 1))
         assert str(exc.value) == message
@@ -682,6 +688,95 @@ def test_power_and_times_power_match_repeated_products(seed):
         want = _as_series(n, m, _repeated_product(f, k, unit))
         assert series.power(fs, k) == want, name
         assert series.times_power(ps, fs, k) == series.multiply(ps, want), name
+
+
+@pytest.mark.parametrize("f", [
+    {(0, (0, 0), (0,)): Fraction(1), (1, (1, 0), (0,)): Fraction(2),
+     (0, (0, 1), (1,)): Fraction(-1, 3)},
+    {(0, (0, 0), (0,)): Fraction(1), (1, (1, 0), (0,)): Fraction(2),
+     (0, (-1, 1), (1,)): Fraction(-1, 3)},
+], ids=["graded", "no-graded-tail"])
+def test_times_powers_adds_kept_and_powered_parts(f):
+    # the k = 0 parts are added as they are, the k > 0 parts through
+    # Miller's solve or, for an f whose tail has mixed gamma signs,
+    # square-and-multiply.  Keys of every part coincide: the unit class is
+    # a term of the k = 0, 1 and 2 parts, the two k = 0 parts cancel on
+    # one class and a k = 0 part cancels the k = 1 and 2 parts on another
+    n, m = 3, 1
+    unit = (0, (0, 0), (0,))
+    parts = [
+        ({unit: Fraction(3), (1, (1, 0), (0,)): Fraction(-4), (5, (0, 0), (0,)): Fraction(7)}, 0),
+        ({(5, (0, 0), (0,)): Fraction(-7), (1, (0, 1), (1,)): Fraction(1, 2)}, 0),
+        ({unit: Fraction(1)}, 1),
+        ({(-1, (-1, 0), (0,)): Fraction(1, 2), (0, (0, 0), (-1,)): Fraction(4)}, 2),
+    ]
+    want = {}
+    for p, k in parts:
+        for c, q in _dict_mul(p, _repeated_product(f, k, unit)).items():
+            want[c] = want.get(c, 0) + q
+    want = {c: q for c, q in want.items() if q}
+    assert (5, (0, 0), (0,)) not in want and (1, (1, 0), (0,)) not in want
+    fs = _as_series(n, m, f)
+    got = series.times_powers([(_as_series(n, m, p), k) for p, k in parts], fs)
+    assert got == _as_series(n, m, want)
+    by_products = series.zero(n, m)
+    for p, k in parts:
+        by_products = by_products + series.multiply(_as_series(n, m, p), series.power(fs, k))
+    assert got == by_products
+    kept = _as_series(n, m, parts[0][0])
+    assert series.times_power(kept, fs, 0) == kept
+
+
+def test_divide_by_zeroth_power_keeps_grades_up_to_trunc():
+    # p / f**0 is p's terms of L-grade <= trunc, L = g_1 - g_2 read off
+    # f's gamma orthant: a term of L-grade <= trunc stays whatever its
+    # gamma-degree, and f must still have a graded unit tail
+    n, m, trunc = 3, 1, 2
+    f = series.one(n, m) + gamma_mono(n, m, 1) + _as_series(n, m, {(0, (0, -1), (0,)): 1})
+    keep = {
+        (1, (1, -1), (0,)): Fraction(2),
+        (0, (-2, 0), (1,)): Fraction(-1, 3),
+        (0, (4, 2), (0,)): Fraction(5),
+        (-3, (1, 1), (2,)): Fraction(1, 2),
+    }
+    drop = {(0, (3, 0), (0,)): Fraction(7), (2, (0, -3), (-1,)): Fraction(-4)}
+    p = _as_series(n, m, {**keep, **drop})
+    assert series.divide_by_power(p, f, 0, trunc) == _as_series(n, m, keep)
+    assert series.divide_by_power(p, f, 0, 3) == p
+    with pytest.raises(errors.NotInvertible, match="negative power"):
+        series.divide_by_power(p, f.scaled(2), 0, trunc)
+
+
+def test_times_powers_and_divide_by_power_prepare_once(monkeypatch):
+    # each is one call of the engine: one check of f (one _orthant call)
+    # and one packer for the result, however many parts and powers
+    n, m = 3, 1
+    f = series.one(n, m) + gamma_mono(n, m, 1) + gamma_mono(n, m, 2)
+    p = _as_series(n, m, {(1, (0, 0), (0,)): Fraction(2), (-2, (1, 0), (1,)): Fraction(1, 3)})
+    q = _as_series(n, m, {(0, (0, 2), (-1,)): Fraction(-5)})
+    pq = p + q
+    counts = {"orthant": 0, "packers": 0}
+    orthant, init = series._orthant, series._Packer.__init__
+
+    def counted_orthant(*args):
+        counts["orthant"] += 1
+        return orthant(*args)
+
+    def counted_init(self, *args):
+        counts["packers"] += 1
+        init(self, *args)
+
+    calls = [
+        lambda: series.times_powers([(p, 0), (p, 1), (q, 3), (p, 3)], f),
+        lambda: series.divide_by_power(pq, f, 2, 6),
+    ]
+    for call in calls:
+        monkeypatch.setattr(series, "_orthant", counted_orthant)
+        monkeypatch.setattr(series._Packer, "__init__", counted_init)
+        counts.update(orthant=0, packers=0)
+        call()
+        monkeypatch.undo()
+        assert counts == {"orthant": 1, "packers": 1}
 
 
 def orthant_series(n, m, sign, max_terms=3):

@@ -15,6 +15,10 @@ cache _items is gone, and a scalar keeps no Fraction terms), and digit
 columns are the one way back from keys to classes, so no .unpack( is
 left.
 
+The sums sum p f**e over integer e, times_powers, divide_by_power and the
+gluing map, are one engine, series._powered: it alone prepares f and
+calls Miller's solve, so a second prelude cannot come back unnoticed.
+
 Start-up is part of every CLI call: the value types are plain classes,
 so importing opengw loads neither dataclasses nor typing, nor the
 inspect, ast, dis and tokenize modules that dataclasses pulls in.
@@ -175,3 +179,27 @@ def test_one_stored_form_and_one_reader():
         and node.func.attr == "unpack"
     ]
     assert not calls, f".unpack( calls: {calls}"
+
+
+def _callers(node, name, scope=()):
+    # the enclosing class and function names of every call of name
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope += (node.name,)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _callers(child, name, scope)
+
+
+def test_one_signed_power_engine():
+    modules = _modules()
+    series = modules["series.py"]
+    defined = {node.name for tree in modules.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_power_sum", "_divided"}, defined & {"_power_sum", "_divided"}
+    # each entry point is one engine call, and within series only the
+    # engine runs Miller's solve (wallcross.evaluate_chekanov runs it on
+    # T-exponent keys)
+    assert sorted(_callers(series, "_powered")) == [("_glued",), ("divide_by_power",),
+                                                    ("times_powers",)]
+    assert list(_callers(series, "_times_powers")) == [("_powered",)]

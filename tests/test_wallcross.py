@@ -26,6 +26,7 @@ from opengw.fan import (
     class_name,
     gamma_class,
 )
+from opengw.novikov import assign_energies, evaluate, t_monomial
 from opengw.series import ClassSeries, monomial, truncate_gamma
 from opengw.wallcross import (
     Ambient,
@@ -84,6 +85,14 @@ class TestSuperpotentials:
     def test_compact_needs_extra_rays(self):
         with pytest.raises(errors.BadParams):
             clifford_superpotential(FanSpec(2, ()), Ambient.COMPACT)
+
+    @pytest.mark.parametrize("make", [clifford_superpotential, chekanov_superpotential])
+    @pytest.mark.parametrize("ambient", ["compact", "open", None, Chart.CLIFFORD])
+    def test_ambient_must_be_an_ambient(self, make, ambient):
+        # "compact" used to give an open-ambient series tagged "compact"
+        with pytest.raises(errors.BadParams) as exc:
+            make(builtin_fan("cpn", n=2), ambient)
+        assert str(exc.value) == f"ambient must be an Ambient, got {ambient!r}"
 
     def test_chekanov_open_is_beta_hat_alone(self):
         for n in (1, 2, 5):
@@ -231,6 +240,35 @@ class TestGluing:
             glued = apply_gluing(spec, needs_none, gd)
             assert glued == series.multiply(needs_none, series.power(f, 2))
 
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec, w, gd: apply_gluing(spec, None, gd),
+         "series operand must be a ClassSeries, got None"),
+        (lambda spec, w, gd: apply_gluing(None, w.series, gd),
+         "gluing fan must be a FanSpec, got None"),
+        (lambda spec, w, gd: apply_gluing(spec, w.series, None),
+         "gluing data must be a GluingData, got None"),
+        (lambda spec, w, gd: glue_superpotential(None, gd),
+         "glued superpotential must be a Superpotential, got None"),
+        (lambda spec, w, gd: glue_superpotential(w, gd.factor),
+         "gluing data must be a GluingData, got <ClassSeries"),
+        (lambda spec, w, gd: invariant_table(None),
+         "invariant table source must be a Superpotential, got None"),
+        (lambda spec, w, gd: invariant_table(w.series),
+         "invariant table source must be a Superpotential, got <ClassSeries"),
+        (lambda spec, w, gd: evaluate(None, assign_energies(spec, {"beta_hat": 1, "gamma": [1],
+                                                                   "H": [4]}), [t_monomial(1)] * 2),
+         "series operand must be a ClassSeries, got None"),
+    ], ids=["apply-series", "apply-fan", "apply-data", "glue-superpotential", "glue-data",
+            "table", "table-series", "evaluate"])
+    def test_entry_points_refuse_a_wrong_argument(self, call, message):
+        # each ended in a raw AttributeError: no attribute 'n', 'chamber',
+        # 'fan', 'factor', 'direction' or 'items' on the wrong argument
+        spec = builtin_fan("cpn", n=2)
+        w = clifford_superpotential(spec, Ambient.COMPACT)
+        with pytest.raises(errors.BadParams) as exc:
+            call(spec, w, wall_crossing_factor(spec))
+        assert str(exc.value).startswith(message)
 
     def test_gluing_data_is_checked_when_built(self):
         # factor=None ended in a raw AttributeError from apply_gluing,
@@ -761,15 +799,16 @@ def test_gluing_prepares_factor_once(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, products, classes", [
-    (builtin_fan("cpn", n=8), 30460, 2),
-    (builtin_fan("hirzebruch_f1"), 9, 3),
-    (builtin_fan("cp_product", n=5, r=2), 131, 3),
+    (builtin_fan("cpn", n=8), 30459, 2),
+    (builtin_fan("hirzebruch_f1"), 8, 3),
+    (builtin_fan("cp_product", n=5, r=2), 130, 3),
 ], ids=["cp8", "f1", "cp2xcp3"])
 def test_chekanov_work_count(monkeypatch, spec, products, classes):
     # the compact Chekanov series is one times_powers pass: one packed
     # result besides the factor's (built on packed keys, with no RelClass),
-    # no series sum per extra ray, and the Miller solves' int products plus
-    # one for the beta_hat part at k = 0.  It stays packed until read: len
+    # no series sum per extra ray, and only the Miller solves' int products:
+    # the beta_hat part at k = 0 is added as it is (one product more when
+    # it was convolved with f**0 = 1).  It stays packed until read: len
     # counts its terms without a RelClass, the only RelClasses built are
     # the parts', and items() builds one RelClass per term
     counts = {"unpacked": 0, "class": 0, "add": 0, "products": 0}
