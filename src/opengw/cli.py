@@ -6,6 +6,14 @@ files and flags are exact, written as integers or "p/q" strings, never
 floats.  Output (table, csv, or json) is byte-deterministic for identical
 inputs.  Exit codes: 0 success, 1 domain error, 2 usage or parse error.
 
+argv is read against one table, COMMANDS, which renders the usage and
+-h/--help texts too.  A value flag takes the next token as it stands
+("--lambda -1,2"), unless it starts with "--", or the text after "=" of
+"--flag=value", an empty one too.  A lone "--" ends the options, "-" is a
+file name, flags are never abbreviated, and a repeated flag keeps its
+last value.  A usage error prints a usage line and an error line naming
+the flag to stderr, nothing to stdout, and exits 2.
+
 eval of the compact Chekanov superpotential (--chamber minus, --ambient
 compact, the defaults) goes through wallcross.evaluate_chekanov.  At a
 monomial point (n coordinates, each one exact term c*T^e, every p_a >= 0
@@ -19,15 +27,14 @@ give byte-identical output wherever the factored path applies.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import io
 import json
 import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
+from types import SimpleNamespace
 
 from .chambers import ChamberPoint, CYFanRays, classify_point, monodromy_matrix
 from .errors import (
@@ -67,11 +74,12 @@ from .wallcross import (
     wall_crossing_factor,
 )
 
-CHAMBERS = {"plus": Chart.CLIFFORD, "minus": Chart.CHEKANOV}
-AMBIENTS = {"open": Ambient.OPEN, "compact": Ambient.COMPACT}
+# in sorted order, as the command table lists them
+CHAMBERS = {"minus": Chart.CHEKANOV, "plus": Chart.CLIFFORD}
+AMBIENTS = {"compact": Ambient.COMPACT, "open": Ambient.OPEN}
 DIRECTIONS = {
-    "plus-to-minus": Direction.PLUS_TO_MINUS,
     "minus-to-plus": Direction.MINUS_TO_PLUS,
+    "plus-to-minus": Direction.PLUS_TO_MINUS,
 }
 
 
@@ -86,12 +94,14 @@ def _load_json(source: str):
                 text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
+    return _json_doc(text, source)
+
+
+def _json_doc(text: str, where: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ParseError(f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def parse_fan_spec(source: str) -> FanSpec:
@@ -194,36 +204,41 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _json_records(columns: list[tuple[str, list | tuple]], depth: int) -> str:
+def _json_records(columns: list[tuple[str, list | tuple]], depth: int,
+                  head: str = "", tail: str = "") -> str:
     """A list of flat records, given column by column as (key, values),
     laid out exactly as _json_text lays it out depth levels deep, without
-    json's pure-Python indenting encoder.
+    json's pure-Python indenting encoder, between head and tail.
 
     A list of values holds one str or int per record; a tuple holds the
     int columns of an array field, one per entry, () for an empty array.
     The first column is a list.  The %-template of one record has a field
     per str or int and per entry of an array; a str goes through
     encode_basestring and an int is formatted by %d.  Only the template's
-    own text is %-escaped: the values are arguments, never parsed.
+    own text is %-escaped: the values are arguments, never parsed.  head and
+    tail join the first and last records: the one whole-text copy is the join.
     """
     if not columns[0][1]:
-        return "[]"
+        return f"{head}[]{tail}"
     end_pad, rec_pad, field_pad, item_pad = ("\n" + "  " * (depth + i) for i in range(4))
     fields, args = [], []
     for key, values in columns:
-        head = f"{field_pad}{encode_basestring(key)}: ".replace("%", "%%")
+        name = f"{field_pad}{encode_basestring(key)}: ".replace("%", "%%")
         if isinstance(values, tuple):
             entries = ("," + item_pad).join(["%d"] * len(values))
-            fields.append(f"{head}[{item_pad}{entries}{field_pad}]" if values else head + "[]")
+            fields.append(f"{name}[{item_pad}{entries}{field_pad}]" if values else name + "[]")
             args += values
         elif isinstance(values[0], str):
-            fields.append(head + "%s")
+            fields.append(name + "%s")
             args.append(map(encode_basestring, values))
         else:
-            fields.append(head + "%d")
+            fields.append(name + "%d")
             args.append(values)
     template = rec_pad + "{" + ",".join(fields) + rec_pad + "}"
-    return f"[{','.join(map(template.__mod__, zip(*args)))}{end_pad}]"
+    records = list(map(template.__mod__, zip(*args)))
+    records[0] = f"{head}[{records[0]}"
+    records[-1] = f"{records[-1]}{end_pad}]{tail}"
+    return ",".join(records)
 
 
 def _csv_text(header, rows) -> str:
@@ -237,11 +252,8 @@ def _csv_text(header, rows) -> str:
 def _table_text(header, rows) -> str:
     cells = [[str(c) for c in row] for row in [list(header)] + [list(r) for r in rows]]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    lines = []
-    for row in cells:
-        line = "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in cells)
 
 
 def _series_columns(n: int, m: int) -> list[str]:
@@ -257,14 +269,13 @@ def render_series(s: ClassSeries, fmt: str) -> str:
     h, b, g = cols[:s.m], cols[s.m], cols[s.m + 1:]
     if fmt == "json":
         numerators, denominators = _fractions(den, nums)
-        terms = _json_records([
+        return _json_records([
             ("b", b),
             ("g", tuple(g)),
             ("h", tuple(h)),
             ("coeff_numerator", numerators),
             ("coeff_denominator", denominators),
-        ], 1)
-        return f'{{\n  "n": {s.n},\n  "m": {s.m},\n  "terms": {terms}\n}}\n'
+        ], 1, f'{{\n  "n": {s.n},\n  "m": {s.m},\n  "terms": ', "\n}\n")
     coeffs = _fraction_texts(den, nums)
     if fmt == "csv":
         header = _series_columns(s.n, s.m) + ["coeff"]
@@ -282,7 +293,7 @@ def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
             ("h", tuple(h)),
             ("maslov", maslov),
             ("n_beta", n_beta),
-        ], 0) + "\n"
+        ], 0, "", "\n")
     if fmt == "csv":
         header = _series_columns(spec.n, spec.m) + ["maslov", "n_beta"]
         return _csv_text(header, zip(b, *g, *h, maslov, n_beta))
@@ -290,34 +301,16 @@ def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
 
 
 def render_validation(report, fmt: str) -> str:
-    checks = [
-        ("primitive", report.primitive_ok),
-        ("smooth", report.smooth_ok),
-        ("complete", report.complete_ok),
-        ("fano", report.fano_ok),
-        ("overall", report.all_ok),
-    ]
+    # each check is the report's <name>_ok, shown as "overall" for "all"
+    names, notes = ("primitive", "smooth", "complete", "fano", "all"), report.diagnostics
+    oks = [getattr(report, f"{name}_ok") for name in names]
     if fmt == "json":
-        return _json_text(
-            {
-                "primitive_ok": report.primitive_ok,
-                "smooth_ok": report.smooth_ok,
-                "complete_ok": report.complete_ok,
-                "fano_ok": report.fano_ok,
-                "all_ok": report.all_ok,
-                "diagnostics": list(report.diagnostics),
-            }
-        )
+        doc = {f"{name}_ok": ok for name, ok in zip(names, oks)}
+        return _json_text({**doc, "diagnostics": list(notes)})
+    rows = [[name, "ok" if ok else "fail"] for name, ok in zip(names[:4] + ("overall",), oks)]
     if fmt == "csv":
-        rows = [[name, "ok" if ok else "fail"] for name, ok in checks]
-        rows += [["diagnostic", d] for d in report.diagnostics]
-        return _csv_text(["check", "result"], rows)
-    body = _table_text(
-        ["check", "result"], [[name, "ok" if ok else "fail"] for name, ok in checks]
-    )
-    if report.diagnostics:
-        body += "".join(f"  - {d}\n" for d in report.diagnostics)
-    return body
+        return _csv_text(["check", "result"], rows + [["diagnostic", d] for d in notes])
+    return _table_text(["check", "result"], rows) + "".join(f"  - {d}\n" for d in notes)
 
 
 def render_matrix(mat, fmt: str) -> str:
@@ -336,30 +329,26 @@ def render_scalar(x: NovikovScalar, fmt: str) -> str:
     d, exps, den, nums = x.columns()
     exponents, coefficients = _fraction_texts(d, exps), _fraction_texts(den, nums)
     if fmt == "json":
-        terms = _json_records([("exponent", exponents), ("coefficient", coefficients)], 1)
         cutoff = "null" if x.cutoff is None else encode_basestring(str(x.cutoff))
-        return f'{{\n  "terms": {terms},\n  "cutoff": {cutoff}\n}}\n'
+        return _json_records([("exponent", exponents), ("coefficient", coefficients)], 1,
+                             '{\n  "terms": ', f',\n  "cutoff": {cutoff}\n}}\n')
     return _csv_text(["exponent", "coefficient"], zip(exponents, coefficients))
 
 
 # subcommands
 
 def _cmd_validate(args) -> str:
-    spec = parse_fan_spec(args.file)
-    return render_validation(validate_fan(spec), args.format)
+    return render_validation(validate_fan(parse_fan_spec(args.file)), args.format)
 
 
 def _superpotential(spec: FanSpec, chamber: str, ambient: str):
-    make = {
-        Chart.CLIFFORD: clifford_superpotential,
-        Chart.CHEKANOV: chekanov_superpotential,
-    }[CHAMBERS[chamber]]
+    clifford = CHAMBERS[chamber] is Chart.CLIFFORD
+    make = clifford_superpotential if clifford else chekanov_superpotential
     return make(spec, AMBIENTS[ambient])
 
 
 def _cmd_superpotential(args) -> str:
-    spec = parse_fan_spec(args.file)
-    w = _superpotential(spec, args.chamber, args.ambient)
+    w = _superpotential(parse_fan_spec(args.file), args.chamber, args.ambient)
     return render_series(w.series, args.format)
 
 
@@ -379,8 +368,7 @@ def _cmd_glue(args) -> str:
 def _cmd_classify(args) -> str:
     lam = _parse_rational_list(args.lam, "--lambda")
     q2 = require_rational(args.q2, "--q2", ParseError)
-    chamber = classify_point(args.n, ChamberPoint(lam, q2))
-    return f"{chamber}\n"
+    return f"{classify_point(args.n, ChamberPoint(lam, q2))}\n"
 
 
 def _cmd_monodromy(args) -> str:
@@ -402,13 +390,7 @@ def _cmd_eval(args) -> str:
     spec = parse_fan_spec(args.file)
     values = None
     if args.energies is not None:
-        try:
-            doc = json.loads(args.energies)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"--energies: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        values = parse_energies(doc, SchemaError)
+        values = parse_energies(_json_doc(args.energies, "--energies"), SchemaError)
     ea = assign_energies(spec, values)
     point = [parse_scalar_literal(t) for t in args.point.split(",")]
     if (CHAMBERS[args.chamber], AMBIENTS[args.ambient]) == (Chart.CHEKANOV, Ambient.COMPACT):
@@ -421,11 +403,7 @@ def _cmd_eval(args) -> str:
 
 def _cmd_oracle(args) -> str:
     family = args.family.replace("-", "_")
-    params: dict = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.r is not None:
-        params["r"] = args.r
+    params = {key: v for key, v in (("n", args.n), ("r", args.r)) if v is not None}
     if args.beta_hat:
         params["beta_hat"] = True
     else:
@@ -440,149 +418,170 @@ def _cmd_oracle(args) -> str:
     return f"{closed_form_invariant(family, params)}\n"
 
 
-def _add_format(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--format", choices=["table", "csv", "json"], default="table",
-        help="output format (default: table)",
-    )
+# the command table
+
+def _flag(dest: str, kind: type = str, choices=None, default=None, required=False, help=""):
+    # a flag or positional; kind is int, str or bool (a flag without value)
+    return dest, kind, choices, default, required, help
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built on first use, not at import, and kept for the process
-    parser = argparse.ArgumentParser(
-        prog="opengw",
-        description="Superpotentials and open Gromov-Witten invariants of "
-        "toric Fano compactifications of C^n.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+FILE = _flag("file", required=True, help="fan spec JSON, - for stdin")
+FORMAT = {"--format": _flag("format", choices=("table", "csv", "json"), default="table",
+                            help="output format (default: table)")}
+SIDE = {
+    "--chamber": _flag("chamber", choices=CHAMBERS, default="minus"),
+    "--ambient": _flag("ambient", choices=AMBIENTS, default="compact"),
+}
 
-    p = sub.add_parser("validate", help="check a fan: primitive, smooth, complete, Fano")
-    p.add_argument("file", help="fan spec JSON (or - for stdin)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("superpotential", help="chamber superpotential as a class series")
-    p.add_argument("file")
-    p.add_argument("--chamber", choices=sorted(CHAMBERS), required=True)
-    p.add_argument("--ambient", choices=sorted(AMBIENTS), required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_superpotential)
-
-    p = sub.add_parser("invariants", help="one-pointed disk counts (Chekanov side by default)")
-    p.add_argument("file")
-    p.add_argument("--chamber", choices=sorted(CHAMBERS), default="minus")
-    p.add_argument("--ambient", choices=sorted(AMBIENTS), default="compact")
-    _add_format(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("glue", help="apply the wall-crossing map to a series file")
-    p.add_argument("file")
-    p.add_argument("--input", required=True, help="series JSON file")
-    p.add_argument("--direction", choices=sorted(DIRECTIONS), required=True)
-    p.add_argument("--truncate", type=int, required=True, help="gamma-degree bound")
-    _add_format(p)
-    p.set_defaults(func=_cmd_glue)
-
-    p = sub.add_parser("classify", help="chamber of a fibration base point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default="", help="comma-separated rationals")
-    p.add_argument("--q2", required=True, help="critical coordinate, rational")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("monodromy", help="wall-crossing monodromy matrix")
-    p.add_argument("--rays", required=True, help="rays JSON file")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_monodromy)
-
-    p = sub.add_parser("eval", help="evaluate a superpotential at a torus point")
-    p.add_argument("file")
-    p.add_argument("--energies", help="inline JSON, overrides the file's energies")
-    p.add_argument("--point", required=True, help="comma-separated scalar literals")
-    p.add_argument("--chamber", choices=sorted(CHAMBERS), default="minus")
-    p.add_argument("--ambient", choices=sorted(AMBIENTS), default="compact")
-    _add_format(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("oracle", help="closed-form invariant value")
-    p.add_argument("family", choices=["cpn", "cp-product", "f1"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--branch", choices=["H1", "H2"])
-    p.add_argument("--k", help="comma-separated integers")
-    p.add_argument("--beta-hat", action="store_true", dest="beta_hat")
-    p.set_defaults(func=_cmd_oracle)
-
-    return parser
+# name: (handler, help, positionals, flags by name)
+COMMANDS = {
+    "validate": (_cmd_validate, "check a fan: primitive, smooth, complete, Fano", (FILE,), FORMAT),
+    "superpotential": (_cmd_superpotential, "chamber superpotential as a class series", (FILE,), {
+        "--chamber": _flag("chamber", choices=CHAMBERS, required=True),
+        "--ambient": _flag("ambient", choices=AMBIENTS, required=True),
+        **FORMAT,
+    }),
+    "invariants": (_cmd_invariants, "one-pointed disk counts (Chekanov side by default)",
+                   (FILE,), {**SIDE, **FORMAT}),
+    "glue": (_cmd_glue, "apply the wall-crossing map to a series file", (FILE,), {
+        "--input": _flag("input", required=True, help="series JSON file"),
+        "--direction": _flag("direction", choices=DIRECTIONS, required=True),
+        "--truncate": _flag("truncate", int, required=True, help="gamma-degree bound"),
+        **FORMAT,
+    }),
+    "classify": (_cmd_classify, "chamber of a fibration base point", (), {
+        "--n": _flag("n", int, required=True),
+        "--lambda": _flag("lam", default="", help="comma-separated rationals"),
+        "--q2": _flag("q2", required=True, help="critical coordinate, rational"),
+    }),
+    "monodromy": (_cmd_monodromy, "wall-crossing monodromy matrix", (), {
+        "--rays": _flag("rays", required=True, help="rays JSON file"),
+        "--i": _flag("i", int, required=True),
+        "--j": _flag("j", int, required=True),
+        **FORMAT,
+    }),
+    "eval": (_cmd_eval, "evaluate a superpotential at a torus point", (FILE,), {
+        "--energies": _flag("energies", help="inline JSON, overrides the file's energies"),
+        "--point": _flag("point", required=True, help="comma-separated scalar literals"),
+        **SIDE,
+        **FORMAT,
+    }),
+    "oracle": (_cmd_oracle, "closed-form invariant value",
+               (_flag("family", choices=("cpn", "cp-product", "f1"), required=True),), {
+        "--n": _flag("n", int),
+        "--r": _flag("r", int),
+        "--branch": _flag("branch", choices=("H1", "H2")),
+        "--k": _flag("k", help="comma-separated integers"),
+        "--beta-hat": _flag("beta_hat", bool, default=False, help="the basic disk"),
+    }),
+}
+HELP = ("-h", "--help")
 
 
-@functools.cache
-def _value_actions(parser: argparse.ArgumentParser) -> tuple[argparse.Action, ...]:
-    """Every action, subcommands included, that takes a value; walked once
-    per parser, which _build_parser builds once per process."""
-    actions = []
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                actions += _value_actions(sub)
-        elif action.nargs != 0:
-            actions.append(action)
-    return tuple(actions)
+class _Usage(Exception):
+    """(command, message) of a usage error, command None before one is known."""
 
 
-@functools.cache
-def _option_flags(parser: argparse.ArgumentParser) -> frozenset[str]:
-    """Option strings of every action, subcommands included, that takes a value."""
-    return frozenset(flag for action in _value_actions(parser) for flag in action.option_strings)
+def _invalid(what: str, value, choices) -> str:
+    listed = ", ".join(map(repr, choices))
+    return f"argument {what}: invalid choice: {value!r} (choose from {listed})"
 
 
-def _merge_negative_values(argv: list[str]) -> list[str]:
-    # argparse mistakes values like "-1,2" for option strings; fold them
-    # into --flag=value form so negative rationals work as flag values
-    value_flags = _option_flags(_build_parser())
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in value_flags
-            and nxt is not None
-            and nxt.startswith("-")
-            and not nxt.startswith("--")
-        ):
-            out.append(f"{tok}={nxt}")
-            i += 2
+def _parse(argv):
+    """(handler, args) of argv read against COMMANDS: a subcommand's handler
+    and its values by dest, or _help and the command after -h or --help."""
+    command = argv[0] if argv else None
+    if command in HELP:
+        return _help, None
+    if command not in COMMANDS:
+        raise _Usage(None, _invalid("command", command, COMMANDS) if argv
+                     else "the following arguments are required: command")
+    handler, _, positionals, flags = COMMANDS[command]
+    values = {spec[0]: spec[3] for spec in (*positionals, *flags.values())}
+    read, options = 0, True
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if options and token[:1] == "-" and token != "-":
+            if token == "--":
+                options = False
+                continue
+            if token in HELP:
+                return _help, command
+            name, eq, value = token.partition("=") if token[:2] == "--" else (token, "", "")
+            if name not in flags:
+                raise _Usage(command, f"unrecognized arguments: {token}")
+            dest, kind, choices = flags[name][:3]
+            if kind is bool:
+                if eq:
+                    raise _Usage(command, f"argument {name}: ignored explicit argument {value!r}")
+                value = True
+            elif not eq:
+                value = next(tokens, "--")
+                if value[:2] == "--":
+                    raise _Usage(command, f"argument {name}: expected one argument")
+        elif read < len(positionals):
+            (name, kind, choices), value = positionals[read][:3], token
+            dest, read = name, read + 1
         else:
-            out.append(tok)
-            i += 1
-    return out
+            raise _Usage(command, f"unrecognized arguments: {token}")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _Usage(command, f"argument {name}: invalid int value: {value!r}") from None
+        if choices and value not in choices:
+            raise _Usage(command, _invalid(name, value, choices))
+        values[dest] = value
+    # a required argument has no default, and a value read is never None
+    missing = [spec[0] for spec in positionals if values[spec[0]] is None]
+    missing += [name for name, spec in flags.items() if spec[4] and values[spec[0]] is None]
+    if missing:
+        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**values)
+
+
+def _shown(spec, name: str = "") -> str:
+    # a positional as its dest or choices, a flag as its name and metavar
+    dest, kind, choices = spec[:3]
+    metavar = "{" + ",".join(choices) + "}" if choices else dest.upper() if name else dest
+    return name if kind is bool else f"{name} {metavar}".lstrip()
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: opengw [-h] COMMAND ...\n"
+    _, _, positionals, flags = COMMANDS[command]
+    parts = [_shown(s, name) if s[4] else f"[{_shown(s, name)}]" for name, s in flags.items()]
+    parts += map(_shown, positionals)
+    return f"usage: opengw {command} [-h] {' '.join(parts)}\n"
+
+
+def _help(command) -> str:
+    """The usage line, then a row per command or per argument of one."""
+    if command is None:
+        about = "Superpotentials and open Gromov-Witten invariants of toric Fano " \
+                "compactifications of C^n."
+        header, rows = ["command", "does"], [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        _, about, positionals, flags = COMMANDS[command]
+        header = ["argument", "meaning"]
+        rows = [(_shown(spec), spec[5]) for spec in positionals]
+        rows += [(_shown(spec, name), spec[5]) for name, spec in flags.items()]
+    return f"{_usage(command)}\n{about}\n\n{_table_text(header, rows)}"
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_negative_values(list(argv)))
-        # argparse before Python 3.12 parses "--flag=--" to [] where
-        # "--flag --" is an error; no flag here takes a list
-        for action in _value_actions(parser):
-            if isinstance(getattr(args, action.dest, None), list):
-                name = "/".join(action.option_strings) or action.dest
-                parser.error(f"argument {name}: expected one argument")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        text = args.func(args)
-    except (ParseError, SchemaError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        text = handler(args)
+    except _Usage as exc:
+        command, message = exc.args
+        prog = "opengw" if command is None else f"opengw {command}"
+        sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
         return 2
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, SchemaError)) else 1
     sys.stdout.write(text)
     return 0
 

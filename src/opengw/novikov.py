@@ -598,6 +598,8 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     """Numeric value of a class series at a torus point: each monomial of
     class c contributes coeff * T^{E(c)} * prod point_i^{boundary_i(c)}."""
     _require_series(s)
+    if not isinstance(ea, EnergyAssignment):
+        raise BadParams(f"energy assignment must be an EnergyAssignment, got {ea!r}")
     spec = ea.fan
     _check_point(spec, point)
     items = s.items()

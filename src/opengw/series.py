@@ -455,7 +455,11 @@ def _powered(n: int, m: int, parts: list, f: ClassSeries, trunc: int | None = No
     grade trunc, as in divide_by_power.  Parts can share keys, so every
     bucket is added into one accumulator.
     """
-    unit = _graded_unit(f, "negative power", required=trunc is not None)
+    # with every e = 0 and no trunc each part is added as it is: f's tail
+    # is neither checked nor graded
+    unit = None
+    if trunc is not None or any(e for _, e in parts):
+        unit = _graded_unit(f, "negative power", required=trunc is not None)
     step = f._packed.packer.bound
     # a term of p f**e, e > 0, is a term of p plus e terms of f; a term of
     # p / f**|e| of grade <= trunc is one of p plus at most trunc - lo

@@ -113,11 +113,20 @@ def _require(value, kind: type, what: str):
 
 
 class Superpotential(_Value):
-    """Finite sum of Maslov-2 disk monomials attached to one chamber."""
+    """Finite sum of Maslov-2 disk monomials attached to one chamber.
+
+    fan is a FanSpec, series a ClassSeries, chamber a Chart and ambient an
+    Ambient; each is checked when the superpotential is built, a bad one
+    raising BadParams.
+    """
 
     __slots__ = ("fan", "series", "chamber", "ambient")
 
     def __init__(self, fan: FanSpec, series: ClassSeries, chamber: Chart, ambient: Ambient):
+        _require(fan, FanSpec, "superpotential fan")
+        _require_series(series)
+        _require(chamber, Chart, "superpotential chamber")
+        _require(ambient, Ambient, "superpotential ambient")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "chamber", chamber)
@@ -329,6 +338,7 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     as the expansion does; past them the expansion cannot fail, so
     evaluate's point checks run before it is built.
     """
+    _require(ea, EnergyAssignment, "energy assignment")
     spec = ea.fan
     parts = _chekanov_parts(spec)
     character = None if ea.h is None else monomial_character(ea, point)

@@ -291,6 +291,25 @@ class TestJsonRender:
         assert any(q.denominator > 1 for _, q in glued.items())
         assert cli.render_series(glued, "json") == _series_reference(glued)
 
+    def test_documents_are_whole(self):
+        # the brackets, the wrapper and the final newline sit on the first
+        # and last records: each text is one whole JSON document as json
+        # lays it out
+        texts = []
+        for spec in (builtin_fan("cpn", n=8), builtin_fan("cp_product", n=5, r=2)):
+            table = wallcross.invariant_table(chekanov_superpotential(spec, Ambient.COMPACT))
+            texts.append(cli.render_invariants(table, spec, "json"))
+        spec = builtin_fan("cpn", n=3)
+        gd = wallcross.wall_crossing_factor(spec, wallcross.Direction.PLUS_TO_MINUS, 6)
+        texts.append(cli.render_series(
+            wallcross.apply_gluing(spec, clifford_superpotential(spec, Ambient.COMPACT).series, gd),
+            "json"))
+        texts.append(cli.render_series(series.ClassSeries(3, 1), "json"))
+        texts.append(cli.render_invariants(wallcross.InvariantTable(()), spec, "json"))
+        for text in texts:
+            assert text == _json_reference(json.loads(text))
+        assert texts[-2:] == ['{\n  "n": 3,\n  "m": 1,\n  "terms": []\n}\n', "[]\n"]
+
     @pytest.mark.parametrize("n, m", [(1, 0), (3, 2)])
     def test_names_with_braces_quotes_and_non_ascii(self, n, m):
         names = ["{}", "{0}", "}{", "{{x}}", 'H_1 "q" {', "γ_1 – β̂ é", "\\{\n}", ""]
@@ -621,28 +640,37 @@ class TestOracle:
 
 
 class TestParserCache:
-    def test_calls_in_a_row_match_fresh_interpreters(self, cp2_file, capsys, monkeypatch):
-        # the parser is built once per process; no call may see another's state.
-        # One width for argparse's usage text, in and out of process
-        monkeypatch.setenv("COLUMNS", "80")
+    """argv is read against the command table by one loop; no call keeps
+    state that a later call could see."""
+
+    def test_calls_in_a_row_match_fresh_interpreters(self, cp2_file, capsys):
+        table = repr(cli.COMMANDS)
         calls = [
             ("invariants", cp2_file, "--format", "json"),
             ("classify", "--n", "3", "--lambda", "-1,2", "--q2", "0"),
             ("superpotential", cp2_file, "--chamber", "plus"),
             ("eval", cp2_file, "--point", "-2*T^1/2,T", "--format", "csv"),
+            ("glue", cp2_file, "--truncate", "x"),
             ("validate", cp2_file),
+            ("oracle", "cpn", "--n", "3", "--beta-hat"),
+            ("oracle", "cpn", "--n", "3", "--k", "0,0"),
             ("invariants", cp2_file, "--format", "json"),
+            ("validate", "-h"),
         ]
         for argv in calls:
             assert run(capsys, *argv) == run_process(*argv)
-        assert cli._build_parser() is cli._build_parser()
+        assert repr(cli.COMMANDS) == table
 
     def test_value_flags_derived_from_parser(self):
-        assert cli._option_flags(cli._build_parser()) == {
+        value_flags = {name for _, _, _, flags in cli.COMMANDS.values()
+                       for name, spec in flags.items() if spec[1] is not bool}
+        assert value_flags == {
             "--ambient", "--branch", "--chamber", "--direction", "--energies",
             "--format", "--i", "--input", "--j", "--k", "--lambda", "--n", "--point",
             "--q2", "--r", "--rays", "--truncate",
         }
+        assert {spec[1] for _, _, _, flags in cli.COMMANDS.values()
+                for spec in flags.values()} == {int, str, bool}
 
 
 def test_unknown_subcommand(capsys):
@@ -655,10 +683,86 @@ def test_unknown_subcommand(capsys):
     ("eval", "{cp2}", "--point", "T,T", "--energies=--"),
 ])
 def test_double_dash_value_is_usage_error(capsys, cp2_file, argv):
-    # argparse before Python 3.12 hands these commands [] as the value, a
-    # raw TypeError or AttributeError; later versions hand them "--"
+    # "--" is no int, and no rational list or JSON document either
     code, out, _ = run(capsys, *(a.format(cp2=cp2_file) for a in argv))
     assert (code, out) == (2, "")
+
+
+# the argv grammar: (argv, exit code, stdout fragment, or None for an empty
+# stdout, stderr fragment); {cp2} is the CP^2 fan file, whose text is stdin
+GRAMMAR = [
+    # a value flag takes the next token as it stands
+    (("classify", "--n", "3", "--lambda", "-1,2", "--q2", "0"), 0, "Wall(1)", ""),
+    (("oracle", "f1", "--branch", "H1", "--k", "-1"), 0, "1\n", ""),
+    (("eval", "{cp2}", "--point", "-2*T^1/2,T", "--format", "csv"), 0, "exponent,coefficient", ""),
+    (("classify", "--n", "3", "--lambda", "-", "--q2", "0"), 2, None, "ParseError: "),
+    # --flag=value, an empty value too
+    (("classify", "--n=1", "--lambda=", "--q2=1/2"), 0, "BPlus", ""),
+    (("monodromy", "--rays={rays}", "--i=0", "--j=1", "--format=csv"), 0, "c_1,c_2", ""),
+    (("invariants", "{cp2}", "--format="), 2, None, "argument --format: invalid choice: ''"),
+    # a value that starts with --, and --flag=-- for an int flag
+    (("glue", "{cp2}", "--input", "--direction", "plus-to-minus", "--truncate", "4"), 2, None,
+     "argument --input: expected one argument"),
+    (("classify", "--n", "2", "--q2", "--lambda"), 2, None, "argument --q2: expected one argument"),
+    (("glue", "{cp2}", "--input", "{cp2}", "--direction", "plus-to-minus", "--truncate=--"), 2,
+     None, "argument --truncate: invalid int value: '--'"),
+    (("eval", "{cp2}", "--point"), 2, None, "argument --point: expected one argument"),
+    # a lone -- ends the options; - is a file name (stdin)
+    (("validate", "--format", "csv", "--", "{cp2}"), 0, "fano,ok", ""),
+    (("validate", "--", "--format"), 2, None, "ParseError: cannot read --format"),
+    (("validate", "-"), 0, "overall    ok", ""),
+    (("superpotential", "-", "--chamber", "minus", "--ambient", "open"), 0, "β̂", ""),
+    # a repeated flag keeps the last value
+    (("validate", "{cp2}", "--format", "json", "--format", "csv"), 0, "check,result", ""),
+    (("invariants", "{cp2}", "--chamber", "plus", "--chamber", "minus", "--format", "csv"), 0,
+     "b,g_1,h_1,maslov,n_beta", ""),
+    # usage errors: a missing required flag, a bad choice, a non-int value,
+    # an unknown flag (no abbreviations) or subcommand, a wrong positional
+    # count, a value given to --beta-hat
+    (("superpotential", "{cp2}", "--ambient", "open"), 2, None,
+     "the following arguments are required: --chamber"),
+    (("monodromy", "--i", "0"), 2, None, "the following arguments are required: --rays, --j"),
+    (("invariants", "{cp2}", "--ambient", "closed"), 2, None,
+     "argument --ambient: invalid choice: 'closed' (choose from 'compact', 'open')"),
+    (("oracle", "quadric", "--n", "3"), 2, None, "argument family: invalid choice: 'quadric'"),
+    (("monodromy", "--rays", "{rays}", "--i", "0", "--j", "1.5"), 2, None,
+     "argument --j: invalid int value: '1.5'"),
+    (("glue", "{cp2}", "--input", "{cp2}", "--dir", "plus-to-minus", "--truncate", "4"), 2, None,
+     "unrecognized arguments: --dir"),
+    (("eval", "{cp2}", "--point", "T,T", "-x"), 2, None, "unrecognized arguments: -x"),
+    (("frobnicate", "{cp2}"), 2, None, "argument command: invalid choice: 'frobnicate'"),
+    ((), 2, None, "the following arguments are required: command"),
+    (("invariants",), 2, None, "the following arguments are required: file"),
+    (("validate", "{cp2}", "{cp2}"), 2, None, "unrecognized arguments: "),
+    (("classify", "--n", "2", "--q2", "0", "extra"), 2, None, "unrecognized arguments: extra"),
+    (("oracle",), 2, None, "the following arguments are required: family"),
+    (("oracle", "cpn", "--n", "3", "--beta-hat=1"), 2, None,
+     "argument --beta-hat: ignored explicit argument '1'"),
+    # -h and --help print help to stdout and exit 0, wherever they stand
+    (("-h",), 0, "usage: opengw [-h] COMMAND ...", ""),
+    (("--help", "glue"), 0, "glue            apply the wall-crossing map", ""),
+    (("glue", "{cp2}", "--help"), 0, "usage: opengw glue [-h] --input INPUT", ""),
+    (("oracle", "-h", "--n", "x"), 0, "--beta-hat", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_part, err_part", GRAMMAR,
+                         ids=[" ".join(row[0]) or "(empty)" for row in GRAMMAR])
+def test_argv_grammar(tmp_path, cp2_file, capsys, monkeypatch, argv, code, out_part, err_part):
+    rays = tmp_path / "rays.json"
+    rays.write_text(json.dumps({"rays": [[1, 1], [0, 1]]}))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(CP2)))
+    got = run(capsys, *(a.format(cp2=cp2_file, rays=rays) for a in argv))
+    assert got[0] == code, got
+    assert (got[1] == "") if out_part is None else (out_part in got[1]), got
+    assert err_part in got[2]
+    if code == 0:
+        assert got[2] == ""
+    elif err_part and "Error: " not in err_part:
+        # a usage error: the usage line, then the error line
+        usage, error, rest = got[2].split("\n", 2)
+        assert usage.startswith("usage: opengw") and error.startswith("opengw") and not rest
+        assert ": error: " in error
 
 
 # fuzzing: near-valid fan and series documents with one part corrupted

@@ -779,6 +779,24 @@ def test_times_powers_and_divide_by_power_prepare_once(monkeypatch):
         assert counts == {"orthant": 1, "packers": 1}
 
 
+def test_zeroth_power_leaves_f_unchecked(monkeypatch):
+    # p * f**0 without a trunc adds p as it is: f's unit tail is neither
+    # checked nor graded (one _orthant call before)
+    n, m = 3, 1
+    f = series.one(n, m) + gamma_mono(n, m, 1) + gamma_mono(n, m, 2, Fraction(-2, 3))
+    p = _as_series(n, m, {(1, (0, 0), (0,)): Fraction(2), (-2, (1, -4), (1,)): Fraction(1, 3)})
+    calls = []
+    orthant, graded = series._orthant, series._graded
+    monkeypatch.setattr(series, "_orthant", lambda *args: calls.append("_orthant") or orthant(*args))
+    monkeypatch.setattr(series, "_graded", lambda *args: calls.append("_graded") or graded(*args))
+    got = series.times_power(p, f, 0)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == p and series.to_records(got) == series.to_records(p)
+    # f without a graded tail, and not invertible at all, changes nothing
+    assert series.times_power(p, f.scaled(2), 0) == p
+
+
 def orthant_series(n, m, sign, max_terms=3):
     """Series in one gamma orthant (sign per coordinate), every term of
     gamma-degree >= 1, with beta_hat/H parts and non-unit rational coefficients."""

@@ -21,7 +21,9 @@ calls Miller's solve, so a second prelude cannot come back unnoticed.
 
 Start-up is part of every CLI call: the value types are plain classes,
 so importing opengw loads neither dataclasses nor typing, nor the
-inspect, ast, dis and tokenize modules that dataclasses pulls in.
+inspect, ast, dis and tokenize modules that dataclasses pulls in; and the
+command line reads argv against its own command table, so importing
+opengw.cli loads neither argparse nor gettext.
 """
 
 import ast
@@ -100,6 +102,20 @@ def test_import_loads_no_heavy_modules():
     added = [m for m in proc.stdout.split() if m.split(".")[0] != "opengw"]
     assert "fractions" in added, added
     assert not HEAVY & set(added), f"import opengw loads {sorted(HEAVY & set(added))}"
+
+
+def test_cli_import_loads_no_argparse():
+    # the command line reads argv against its own table: importing it
+    # loads neither argparse nor the gettext that argparse pulls in
+    code = "import sys, opengw.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "opengw.cli" in loaded, loaded
+    assert not {"argparse", "gettext"} & loaded, sorted({"argparse", "gettext"} & loaded)
 
 
 def test_kernel_internals_stay_in_series():

@@ -259,16 +259,42 @@ class TestGluing:
         (lambda spec, w, gd: evaluate(None, assign_energies(spec, {"beta_hat": 1, "gamma": [1],
                                                                    "H": [4]}), [t_monomial(1)] * 2),
          "series operand must be a ClassSeries, got None"),
+        (lambda spec, w, gd: evaluate(w.series, None, [t_monomial(1)] * 2),
+         "energy assignment must be an EnergyAssignment, got None"),
+        (lambda spec, w, gd: wallcross.evaluate_chekanov(None, [t_monomial(1)] * 2),
+         "energy assignment must be an EnergyAssignment, got None"),
     ], ids=["apply-series", "apply-fan", "apply-data", "glue-superpotential", "glue-data",
-            "table", "table-series", "evaluate"])
+            "table", "table-series", "evaluate", "evaluate-energies", "evaluate-chekanov"])
     def test_entry_points_refuse_a_wrong_argument(self, call, message):
         # each ended in a raw AttributeError: no attribute 'n', 'chamber',
-        # 'fan', 'factor', 'direction' or 'items' on the wrong argument
+        # 'fan', 'factor', 'direction', 'items' or 'fan' on the wrong argument
         spec = builtin_fan("cpn", n=2)
         w = clifford_superpotential(spec, Ambient.COMPACT)
         with pytest.raises(errors.BadParams) as exc:
             call(spec, w, wall_crossing_factor(spec))
         assert str(exc.value).startswith(message)
+
+    def test_superpotential_is_checked_when_built(self):
+        # series=None was accepted, and invariant_table of it ended in a raw
+        # AttributeError on .columns
+        spec = builtin_fan("cpn", n=2)
+        s = clifford_superpotential(spec, Ambient.OPEN).series
+        cases = [
+            ((None, s, Chart.CLIFFORD, Ambient.OPEN), "superpotential fan must be a FanSpec, got None"),
+            ((spec, None, Chart.CLIFFORD, Ambient.OPEN),
+             "series operand must be a ClassSeries, got None"),
+            ((spec, s, "plus", Ambient.OPEN), "superpotential chamber must be a Chart, got 'plus'"),
+            ((spec, s, Chart.CLIFFORD, "open"),
+             "superpotential ambient must be an Ambient, got 'open'"),
+        ]
+        for args, message in cases:
+            with pytest.raises(errors.BadParams) as exc:
+                wallcross.Superpotential(*args)
+            assert str(exc.value) == message
+        with pytest.raises(errors.BadParams):
+            invariant_table(wallcross.Superpotential(spec, None, Chart.CLIFFORD, Ambient.OPEN))
+        w = wallcross.Superpotential(spec, s, Chart.CLIFFORD, Ambient.OPEN)
+        assert w == clifford_superpotential(spec, Ambient.OPEN)
 
     def test_gluing_data_is_checked_when_built(self):
         # factor=None ended in a raw AttributeError from apply_gluing,
