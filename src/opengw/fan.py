@@ -96,6 +96,13 @@ def _require_seq(v, what: str, error: type[Exception] = BadParams) -> Sequence:
     return v
 
 
+def _require(value, kind: type, what: str):
+    # a BadParams for an argument that is not a kind, never a raw error later
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise BadParams(f"{what} must be {article} {kind.__name__}, got {value!r}")
+
+
 def _require_rationals(v, what: str, error: type[Exception] = BadParams) -> tuple[Fraction, ...]:
     """v, a non-string sequence, as a tuple of require_rational values."""
     entry = f"{what} entry"

@@ -3,25 +3,30 @@
 A NovikovScalar is a finite sum of c * T^e with rational c and e, held as
 int columns: strictly increasing exponents over one reduced common
 denominator and nonzero coefficients over another, so equal scalars hold
-equal columns.  Sums and products work on the columns over the lcm of the
-operands' denominators, and the Fraction terms are built only when read.
-An optional cutoff records that terms with exponent >= cutoff have been
-dropped; all arithmetic propagates cutoffs conservatively so reported
-terms are always complete.  Valuation is the smallest exponent present,
-infinity for zero.
+equal columns.  Arithmetic is series' bucket arithmetic on T-exponent
+keys: an operand is a (den, {exponent: numerator}) bucket, its exponents
+ints over a denominator shared with the other operand; products convolve
+buckets with series._products, and _merged, the one way from int buckets
+to a scalar, sums them with series._summed, then sorts and drops zero
+terms and terms at or above the cutoff.  The Fraction terms are built
+only when read.  An optional cutoff records that terms with exponent >=
+cutoff have been dropped; all arithmetic propagates cutoffs
+conservatively so reported terms are always complete.  Valuation is the
+smallest exponent present, infinity for zero.
 
 NovikovLaurent is a Laurent polynomial in n torus variables with
 NovikovScalar coefficients; it carries the toric superpotentials and
 Gauss valuations over a polytope.  evaluate() sends the
 symbolic class series of the wallcross module to actual scalars once
 energies and a torus point are chosen.  It works on integer T-exponents
-over one common denominator per call and sums int numerators, and builds
-its result straight from those ints; its products follow the same rule as
-NovikovScalar's.  It checks the series shape once per call and takes each
-term's boundary unchecked.  A power of a coordinate that is one exact term
-c*T^e shifts a term's int exponent by its exponent and scales its int
-numerator and denominator by its coefficient's; every other power goes
-through that product rule.
+over one common denominator per call; its products follow the same rule
+as NovikovScalar's.  It checks the series shape once per call and takes
+each term's boundary unchecked.  A power of a coordinate that is one
+exact term c*T^e shifts a term's int exponent by its exponent and scales
+its int numerator and denominator by its coefficient's; every other
+power is folded through that product rule.  Each term is then one pair
+(term bucket, fold), and one series._products call sums them all into
+the bucket that _merged turns into the result.
 
 That shift and scale is the monomial-point character (monomial_character):
 at a point whose n coordinates are each one exact term, a class evaluates
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import (
@@ -57,6 +62,7 @@ from .fan import (
     _boundary,
     _check_class_shape,
     _fraction_texts,
+    _require,
     _require_rationals,
     _require_seq,
     _Value,
@@ -67,7 +73,7 @@ from .fan import (
     require_ints,
     require_rational,
 )
-from .series import _require_series
+from .series import _products, _require_series, _summed
 
 INF = math.inf
 
@@ -112,7 +118,7 @@ class NovikovScalar:
                  for e, c in terms]
         d, exps = _over([e for e, _ in pairs])
         den, nums = _over([c for _, c in pairs])
-        self._ints = _merged(d, den, zip(exps, nums), None)._ints
+        self._ints = _merged(d, [(den, {e: v}) for e, v in zip(exps, nums)], None)._ints
         self.cutoff = None if cutoff is None else require_rational(cutoff, "cutoff")
 
     @classmethod
@@ -186,22 +192,25 @@ class NovikovScalar:
         return f"NovikovScalar(terms={self.terms!r}, cutoff={self.cutoff!r})"
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
+        _require(other, NovikovScalar, "scalar operand")
         dx, xe, denx, xn = self._ints
         dy, ye, deny, yn = other._ints
-        d, den = math.lcm(dx, dy), math.lcm(denx, deny)
-        sx, sy, cx, cy = d // dx, d // dy, den // denx, den // deny
-        pairs = [(e * sx, v * cx) for e, v in zip(xe, xn)]
-        pairs += [(e * sy, v * cy) for e, v in zip(ye, yn)]
-        return _merged(d, den, pairs, _min_cut(self.cutoff, other.cutoff))
+        d = math.lcm(dx, dy)
+        sx, sy = d // dx, d // dy
+        return _merged(d, [(denx, dict(zip([e * sx for e in xe], xn))),
+                           (deny, dict(zip([e * sy for e in ye], yn)))],
+                       _min_cut(self.cutoff, other.cutoff))
 
     def __neg__(self) -> "NovikovScalar":
         d, exps, den, nums = self._ints
         return NovikovScalar._of(d, exps, den, [-v for v in nums], self.cutoff)
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
+        _require(other, NovikovScalar, "scalar operand")
         return self + (-other)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
+        _require(other, NovikovScalar, "scalar operand")
         # both factors' exponents and cutoffs as ints over one denominator d
         dx, xe, denx, xn = self._ints
         dy, ye, deny, yn = other._ints
@@ -209,18 +218,17 @@ class NovikovScalar:
         d = math.lcm(dx, dy, *(c.denominator for c in cuts))
         sx, sy = d // dx, d // dy
         kept, cut = _product(
-            [(e * sx, v) for e, v in zip(xe, xn)], _int_cut(self.cutoff, d),
-            [(e * sy, v) for e, v in zip(ye, yn)], _int_cut(other.cutoff, d),
+            dict(zip([e * sx for e in xe], xn)), _int_cut(self.cutoff, d),
+            dict(zip([e * sy for e in ye], yn)), _int_cut(other.cutoff, d),
         )
-        return NovikovScalar._of(d, [e for e, _ in kept], denx * deny, [v for _, v in kept],
-                                 None if cut is None else Fraction(cut, d))
+        return _merged(d, [(denx * deny, kept)], None if cut is None else Fraction(cut, d))
 
     def __pow__(self, k: int) -> "NovikovScalar":
         return scalar_pow(self, k)
 
     def truncated(self, cutoff) -> "NovikovScalar":
         d, exps, den, nums = self._ints
-        return _merged(d, den, zip(exps, nums),
+        return _merged(d, [(den, dict(zip(exps, nums)))],
                        _min_cut(self.cutoff, require_rational(cutoff, "cutoff")))
 
     def __str__(self):
@@ -247,42 +255,34 @@ class NovikovScalar:
         return body
 
 
-def _merged(d: int, den: int, pairs: Iterable[tuple[int, int]], cutoff) -> NovikovScalar:
-    # the sum of the int terms (e, v), each (v / den) * T^(e / d), dropping
-    # e / d >= cutoff: from_terms, + and truncated
-    merged: dict[int, int] = {}
-    for e, v in pairs:
-        merged[e] = merged[e] + v if e in merged else v
+def _merged(d: int, buckets: list, cutoff) -> NovikovScalar:
+    # the scalar sum of the int buckets (den, {e: v}), each term (v / den)
+    # * T^(e / d), dropping zero terms and e / d >= cutoff: the one way
+    # from int buckets to a scalar
+    den, nums = _summed(buckets)
     bound = _int_cut(cutoff, d)
-    exps = sorted(e for e, v in merged.items() if v and (bound is None or e < bound))
-    return NovikovScalar._of(d, exps, den, [merged[e] for e in exps], cutoff)
+    exps = sorted(e for e, v in nums.items() if v and (bound is None or e < bound))
+    return NovikovScalar._of(d, exps, den, [nums[e] for e in exps], cutoff)
 
 
-def _product(xt, xc, yt, yc) -> tuple:
-    """The (terms, cutoff) of x * y from those of x and y, each term an
-    (exponent, numerator) pair of ints over one common exponent
-    denominator, the cutoffs ints over it too (NovikovScalar.__mul__ and
-    evaluate alike); the product's numerators are over the product of the
-    factors' coefficient denominators.  Each cutoff is shifted by the
+def _product(x: dict, xc, y: dict, yc) -> tuple:
+    """The (terms, cutoff) of x * y from those of x and y, each given by
+    its terms {exponent: numerator}, ints over one common exponent
+    denominator, and its cutoff, an int over it too (NovikovScalar.__mul__
+    and evaluate alike); the product's numerators are over the product of
+    the factors' coefficient denominators.  Each cutoff is shifted by the
     other factor's floor, the smallest exponent any completion of it could
     have, and the product keeps the smaller shifted cutoff; zero terms and
     terms at or above the cutoff are dropped."""
     cut = None
     if xc is not None:
-        floor = _min_cut(yt[0][0] if yt else None, yc)
+        floor = _min_cut(min(y, default=None), yc)
         cut = None if floor is None else xc + floor
     if yc is not None:
-        floor = _min_cut(xt[0][0] if xt else None, xc)
+        floor = _min_cut(min(x, default=None), xc)
         cut = _min_cut(cut, None if floor is None else yc + floor)
-    merged = {}
-    for e1, c1 in xt:
-        for e2, c2 in yt:
-            e = e1 + e2
-            merged[e] = merged[e] + c1 * c2 if e in merged else c1 * c2
-    kept = tuple(
-        (e, c) for e, c in sorted(merged.items()) if c and (cut is None or e < cut)
-    )
-    return kept, cut
+    _, merged = _products([((1, x), (1, y))])
+    return {e: v for e, v in merged.items() if v and (cut is None or e < cut)}, cut
 
 
 def t_monomial(e, c=1) -> NovikovScalar:
@@ -307,6 +307,7 @@ def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
     A multi-term x needs a cutoff (its own or the argument) because the
     geometric series does not terminate.
     """
+    _require(x, NovikovScalar, "scalar operand")
     if x.is_zero():
         raise DivisionByZero("inverse of the zero scalar")
     d, exps, den, nums = x.columns()
@@ -340,6 +341,7 @@ def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
 
 
 def scalar_pow(x: NovikovScalar, k: int) -> NovikovScalar:
+    _require(x, NovikovScalar, "scalar operand")
     k = require_int(k, "exponent")
     if k < 0:
         return scalar_pow(scalar_inverse(x), -k)
@@ -358,9 +360,8 @@ def scalar_pow(x: NovikovScalar, k: int) -> NovikovScalar:
 def trop(point: Sequence[NovikovScalar]) -> tuple:
     """Coordinate-wise valuation of a torus point."""
     out = []
-    for i, x in enumerate(point):
-        if not isinstance(x, NovikovScalar):
-            raise BadParams(f"coordinate {i} must be a NovikovScalar, got {x!r}")
+    for i, x in enumerate(_require_seq(point, "point")):
+        _require(x, NovikovScalar, f"coordinate {i}")
         if x.is_zero():
             raise ZeroCoordinate(f"coordinate {i} is zero")
         out.append(x.val)
@@ -380,13 +381,14 @@ class NovikovLaurent(_Value):
     __hash__ = None
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], NovikovScalar]):
+        n = require_int(n, "Laurent n")
+        _require(terms, Mapping, "Laurent terms")
         clean = {}
         for nu, s in terms.items():
             nu = require_ints(nu, "exponent")
             if len(nu) != n:
                 raise DimensionMismatch(f"exponent {nu} does not have length {n}")
-            if not isinstance(s, NovikovScalar):
-                raise BadParams(f"coefficient of {nu} must be a NovikovScalar, got {s!r}")
+            _require(s, NovikovScalar, f"coefficient of {nu}")
             if not s.is_zero():
                 clean[nu] = s
         self.n = n
@@ -397,6 +399,8 @@ class NovikovLaurent(_Value):
 
 
 def laurent_mul(f: NovikovLaurent, g: NovikovLaurent) -> NovikovLaurent:
+    _require(f, NovikovLaurent, "Laurent operand")
+    _require(g, NovikovLaurent, "Laurent operand")
     if f.n != g.n:
         raise DimensionMismatch("cannot multiply Laurent series in different dimensions")
     out: dict[tuple[int, ...], NovikovScalar] = {}
@@ -447,8 +451,7 @@ def toric_superpotential(normals, constants, q, corrections=None) -> NovikovLaur
         if len(_require_seq(corrections, "corrections")) != len(normals):
             raise DimensionMismatch("need one correction per facet")
         for i, x in enumerate(corrections):
-            if not isinstance(x, NovikovScalar):
-                raise BadParams(f"correction {i} must be a NovikovScalar, got {x!r}")
+            _require(x, NovikovScalar, f"correction {i}")
     out: dict[tuple[int, ...], NovikovScalar] = {}
     for i, (v, c) in enumerate(zip(normals, constants)):
         ell = sum(a * b for a, b in zip(v, q)) - c
@@ -499,8 +502,10 @@ def assign_energies(spec: FanSpec, values=None) -> EnergyAssignment:
     energies are present, that each derived disk class at infinity has
     E(beta'_a) = E(H_a) - p_a E(beta_hat) - sum_k v_{ak} E(gamma_k) > 0.
     values is an EnergyValues or an energies mapping; both go through
-    fan.parse_energies, so a float area raises BadParams.
+    fan.parse_energies, so a float area raises BadParams, as does a spec
+    that is not a FanSpec.
     """
+    _require(spec, FanSpec, "fan spec")
     if values is None:
         values = spec.energies
     if values is None:
@@ -564,11 +569,11 @@ def monomial_character(ea: EnergyAssignment, point: Sequence[NovikovScalar]):
     ev(cls) = (T-exponent * d, numerator, denominator), the T-exponents
     ints over one common denominator d; None when the point has the wrong
     number of coordinates or a coordinate that is not a NovikovScalar of
-    one exact term.
+    one exact term, and a point that is not a sequence raises BadParams.
     ev checks the class shape and the sphere energies like evaluate.
     """
     spec = ea.fan
-    terms = [_exact_term(x) for x in point]
+    terms = [_exact_term(x) for x in _require_seq(point, "point")]
     if len(terms) != spec.n or None in terms:
         return None
     areas = (ea.beta_hat, *ea.gamma, *(ea.h or ()))
@@ -587,9 +592,9 @@ def monomial_character(ea: EnergyAssignment, point: Sequence[NovikovScalar]):
 
 
 def _check_point(spec: FanSpec, point: Sequence[NovikovScalar]):
-    """evaluate's checks of the point alone: the coordinate count, then
-    trop's check of each coordinate."""
-    if len(point) != spec.n:
+    """evaluate's checks of the point alone: a sequence, the coordinate
+    count, then trop's check of each coordinate."""
+    if len(_require_seq(point, "point")) != spec.n:
         raise DimensionMismatch(f"point must have {spec.n} coordinates")
     trop(point)
 
@@ -598,8 +603,7 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     """Numeric value of a class series at a torus point: each monomial of
     class c contributes coeff * T^{E(c)} * prod point_i^{boundary_i(c)}."""
     _require_series(s)
-    if not isinstance(ea, EnergyAssignment):
-        raise BadParams(f"energy assignment must be an EnergyAssignment, got {ea!r}")
+    _require(ea, EnergyAssignment, "energy assignment")
     spec = ea.fan
     _check_point(spec, point)
     items = s.items()
@@ -643,8 +647,11 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     # and cutoff by its floor, scales its coefficients and drops nothing.
     # So it goes into the term's int exponent, numerator and denominator
     # through the monomial-point character; every other power is folded
-    # through _product from 1, with its coefficient denominator, and the
-    # fold is shifted and scaled by the term afterwards
+    # through _product from 1, with its coefficient denominator.  Each term
+    # is then one pair (term bucket, fold), and one _products call shifts
+    # and scales every fold by its term and sums them.  The cutoff is the
+    # min over the terms' cutoffs, so dropping at or above it once keeps
+    # exactly what dropping after every addition would
     monomials: dict[tuple[int, int], tuple[int, int, int]] = {}
     folded: dict[tuple[int, int], tuple] = {}
     for key, x in powers.items():
@@ -652,19 +659,15 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
             monomials[key] = _monomial_power(exact[key[0]], key[1], d)
         else:
             xd, exps, den, nums = x.columns()
-            folded[key] = (tuple(zip([e * (d // xd) for e in exps], nums)),
+            folded[key] = (dict(zip([e * (d // xd) for e in exps], nums)),
                            _int_cut(x.cutoff, d), den)
-    # exponent-keyed int sums, one per term denominator, put over their
-    # common denominator and sorted once at the end.  The cutoff is the
-    # min over the terms' cutoffs, so dropping at or above it once keeps
-    # exactly what dropping after every addition would
-    sums: dict[int, dict[int, int]] = {}
+    pairs = []
     cut = None
-    unit = ((0, 1),)
+    unit = {0: 1}
     for coords, coeff, w in rows:
         e = sum(map(operator.mul, coords, energies))
         num, den = coeff.numerator, coeff.denominator
-        terms, term_cut = unit, None
+        fold, fold_cut, fold_den = unit, None, 1
         for key in enumerate(w):
             if key[1]:
                 if key in monomials:
@@ -674,26 +677,9 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
                     den *= pd
                 else:
                     fterms, fcut, fden = folded[key]
-                    terms, term_cut = _product(terms, term_cut, fterms, fcut)
-                    den *= fden
-        acc = sums.get(den)
-        if acc is None:
-            acc = sums[den] = {}
-        if terms is unit:
-            acc[e] = acc[e] + num if e in acc else num
-            continue
-        for te, tc in terms:
-            te += e
-            tc *= num
-            acc[te] = acc[te] + tc if te in acc else tc
-        if term_cut is not None:
-            cut = _min_cut(cut, term_cut + e)
-    den = math.lcm(*sums)
-    total: dict[int, int] = {}
-    for term_den, acc in sums.items():
-        scale = den // term_den
-        for e, v in acc.items():
-            total[e] = total[e] + v * scale if e in total else v * scale
-    exps = sorted(e for e, v in total.items() if v and (cut is None or e < cut))
-    return NovikovScalar._of(d, exps, den, [total[e] for e in exps],
-                             None if cut is None else Fraction(cut, d))
+                    fold, fold_cut = _product(fold, fold_cut, fterms, fcut)
+                    fold_den *= fden
+        pairs.append(((den, {e: num}), (fold_den, fold)))
+        if fold_cut is not None:
+            cut = _min_cut(cut, fold_cut + e)
+    return _merged(d, [_products(pairs)], None if cut is None else Fraction(cut, d))

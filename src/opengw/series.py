@@ -21,9 +21,11 @@ operand.  Each kernel entry reads its operands' keys off the series.  A
 key moves to the wider packer of an operation digit by digit, with no
 class built, and the grade L of a term (below) is a sum over the gamma
 digit columns of all the operand's keys at once.  Outside the solve
-below, every sum of products
-of (den, nums) buckets, multiply included, is _products: one convolution
-per pair over the pairs' common denominator.  Division, series_exp,
+below, every sum of products of (den, nums) buckets, multiply included,
+is _products: one convolution per pair over the pairs' common
+denominator.  Every plain sum of buckets is _summed: the numerators of
+shared keys added over the buckets' lcm, a lone bucket passed through
+uncopied.  novikov uses both on T-exponent keys.  Division, series_exp,
 series_log and Miller's powers are one weighted triangular solve,
 graded by the linear form L of the gamma orthant,
 
@@ -77,11 +79,11 @@ for one, measured slower on rows.
 Every ClassSeries is one packed operand, set when it is made and never
 changed: a packer, one common denominator and a nonzero int numerator
 per key.  The constructor packs its terms once; every kernel result and
-parsed series (from_records) goes through _unpacked, which merges the
-solve's grade buckets over their lcm and drops cancelled terms.  len and
+parsed series (from_records) goes through _unpacked, which takes one
+(den, nums) bucket and drops cancelled terms.  len and
 bool read the numerators; +, - and truncate_gamma are _packed_sum, which
-adds packed parts on the widest of their packers and drops terms above
-a gamma-degree off their gamma columns; scaled scales the numerators
+adds packed parts with _summed on the widest of their packers and drops
+terms above a gamma-degree off their gamma columns; scaled scales the numerators
 and the denominator; coeff packs the one class asked about.  None of
 them reduces by the gcd, so == and hash read ClassSeries.columns: it
 sorts the int keys and splits their digits into one int column per
@@ -89,7 +91,8 @@ coordinate (_Packer.columns, the only decoder of keys), with the
 numerators over their reduced common denominator.  Invariant tables and
 rendered series are read that way.  Gluing never leaves the keys
 either: _glued splits the source by its b column alone and is one
-_powered call.  items() alone builds a RelClass and a Fraction per
+_powered call, cut by truncate_gamma when a power is negative.  items()
+alone builds a RelClass and a Fraction per
 term, on each call, from the digit columns (fan._classes), with equal
 numerators sharing one Fraction.
 """
@@ -104,7 +107,7 @@ from itertools import chain, compress
 from operator import add, attrgetter, countOf, itemgetter, sub
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
-from .fan import RelClass, _classes, require_int, require_ints, require_rational
+from .fan import RelClass, _classes, _require, require_int, require_ints, require_rational
 
 DEFAULT_TRUNC = 16
 
@@ -130,7 +133,7 @@ class ClassSeries:
         clean: dict[RelClass, Fraction] = {}
         if terms:
             for cls, coeff in terms.items():
-                _require_class(cls)
+                _require(cls, RelClass, "series key")
                 if len(cls.g) != n - 1 or len(cls.h) != m:
                     raise DimensionMismatch(f"class {cls} does not fit shape ({n}, {m})")
                 q = require_rational(coeff, "series coefficient")
@@ -166,7 +169,7 @@ class ClassSeries:
     def coeff(self, cls: RelClass) -> Fraction:
         # a class of another shape, or with a coordinate beyond the
         # packer's bound, has no key on it and is not a term
-        _require_class(cls)
+        _require(cls, RelClass, "series key")
         packer, den, nums = self._packed
         if (len(cls.g) != self.n - 1 or len(cls.h) != self.m
                 or _coord_bound([cls]) > packer.bound):
@@ -214,8 +217,8 @@ class ClassSeries:
         q = require_rational(q, "scale factor")
         packer, den, nums = self._packed
         p = q.numerator
-        return _unpacked(self.n, self.m, packer,
-                         {0: (den * q.denominator, {key: v * p for key, v in nums.items()})})
+        return _unpacked(self.n, self.m, packer, den * q.denominator,
+                         {key: v * p for key, v in nums.items()})
 
     def __repr__(self):
         body = " + ".join(f"{q}*[{c}]" for c, q in self.items()) or "0"
@@ -223,8 +226,7 @@ class ClassSeries:
 
 
 def _require_series(f):
-    if not isinstance(f, ClassSeries):
-        raise BadParams(f"series operand must be a ClassSeries, got {f!r}")
+    _require(f, ClassSeries, "series operand")
 
 
 def _check_context(f: ClassSeries, g: ClassSeries):
@@ -242,11 +244,6 @@ def _shape(n, m) -> tuple[int, int]:
     if n < 1 or m < 0:
         raise BadParams(f"series shape needs n >= 1 and m >= 0, got ({n}, {m})")
     return n, m
-
-
-def _require_class(cls):
-    if not isinstance(cls, RelClass):
-        raise BadParams(f"series key must be a RelClass, got {cls!r}")
 
 
 _B, _G, _H = attrgetter("b"), attrgetter("g"), attrgetter("h")
@@ -269,7 +266,7 @@ def _one_plus_gammas(n: int, m: int) -> ClassSeries:
     # for the zero class and, for each gamma_k, +1 in its gamma digit
     packer = _Packer(n, m, 1)
     nums = dict.fromkeys([0, *(1 << shift for shift in packer.shifts[m + 1:])], 1)
-    return _unpacked(n, m, packer, {0: (1, nums)})
+    return _unpacked(n, m, packer, 1, nums)
 
 
 def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
@@ -277,8 +274,7 @@ def multiply(f: ClassSeries, g: ClassSeries) -> ClassSeries:
     _check_context(f, g)
     a, b = f._packed, g._packed
     packer = _Packer(f.n, f.m, a.packer.bound + b.packer.bound)
-    prod = _products([(_moved(a, packer), _moved(b, packer))])
-    return _unpacked(f.n, f.m, packer, {0: prod})
+    return _unpacked(f.n, f.m, packer, *_products([(_moved(a, packer), _moved(b, packer))]))
 
 
 def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
@@ -366,7 +362,7 @@ def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
     rows = _Rows(packer, sigma, u)
     sol = _graded_solve(rows.enter({0: (1, {0: 1})}), rows.enter(f_by_grade), trunc,
                         lambda j, l: (j, l), rows)
-    return _unpacked(f.n, f.m, packer, {0: rows.leave(sol)})
+    return _unpacked(f.n, f.m, packer, *rows.leave(sol))
 
 
 def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
@@ -380,7 +376,8 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
     trunc = _trunc_bound(trunc)
     _require_series(f)
     _, packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
-    return _unpacked(f.n, f.m, packer, _graded_solve(u, u, trunc, lambda j, l: (j - l, l)))
+    log_f = _graded_solve(u, u, trunc, lambda j, l: (j - l, l))
+    return _unpacked(f.n, f.m, packer, *_summed(list(log_f.values())))
 
 
 def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSeries:
@@ -417,14 +414,14 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
         for le, e in exp_f.items()
         if lp + le <= trunc
     ])
-    return truncate_gamma(_unpacked(p.n, p.m, packer, {0: rows.leave({0: prod})}), trunc)
+    return truncate_gamma(_unpacked(p.n, p.m, packer, *rows.leave({0: prod})), trunc)
 
 
 def _glued(p: ClassSeries, f: ClassSeries, sign: int, trunc: int) -> ClassSeries:
     """The gluing map z^c -> z^c f^(sign c.b): one _powered call on the
     parts of p split by e = sign * b, read off p's b column alone.  When
-    some e < 0, trunc is checked and the result is cut at gamma-degree
-    trunc off its gamma columns; otherwise it is exact and untruncated.
+    some e < 0, trunc is checked and the result is cut by truncate_gamma;
+    otherwise it is exact and untruncated.
     """
     home, den, nums = p._packed
     groups: dict[int, dict[int, int]] = {}
@@ -433,12 +430,7 @@ def _glued(p: ClassSeries, f: ClassSeries, sign: int, trunc: int) -> ClassSeries
     negative = min(groups, default=0) < 0
     parts = [(_Operand(home, den, group), e) for e, group in groups.items()]
     glued = _powered(p.n, p.m, parts, f, _trunc_bound(trunc) if negative else None)
-    if not negative:
-        return glued
-    packer, den, nums = glued._packed
-    degrees = _degrees(packer.columns(nums, p.m + 1), len(nums))
-    kept = {key: v for (key, v), x in zip(nums.items(), degrees) if x <= trunc}
-    return _unpacked(p.n, p.m, packer, {0: (den, kept)})
+    return truncate_gamma(glued, trunc) if negative else glued
 
 
 def _powered(n: int, m: int, parts: list, f: ClassSeries, trunc: int | None = None) -> ClassSeries:
@@ -452,8 +444,8 @@ def _powered(n: int, m: int, parts: list, f: ClassSeries, trunc: int | None = No
     an int >= 0, f must have a graded unit tail (NotInvertible or
     NotFiltered, "negative power", otherwise) and each part with e <= 0
     keeps its terms of L-grade <= trunc and is divided |e| times up to
-    grade trunc, as in divide_by_power.  Parts can share keys, so every
-    bucket is added into one accumulator.
+    grade trunc, as in divide_by_power.  Parts can share keys, so the
+    buckets are added by _summed.
     """
     # with every e = 0 and no trunc each part is added as it is: f's tail
     # is neither checked nor graded
@@ -495,14 +487,7 @@ def _powered(n: int, m: int, parts: list, f: ClassSeries, trunc: int | None = No
         base = _moved(f._packed, packer)
         fk = {e: _packed_power(base, e) for e in {e for _, e in powers}}
         buckets.append(_products([(p, fk[e]) for p, e in powers]))
-    total = math.lcm(*(d for d, _ in buckets))
-    acc: dict[int, int] = {}
-    get = acc.get
-    for d, bucket in buckets:
-        scale = total // d
-        for key, v in bucket.items():
-            acc[key] = get(key, 0) + v * scale
-    return _unpacked(n, m, packer, {0: (total, acc)})
+    return _unpacked(n, m, packer, *_summed(buckets))
 
 
 def _unit_tail(f: ClassSeries, what: str) -> _Operand:
@@ -804,6 +789,22 @@ def _bucketed(den: int, keys: Iterable[int], nums: Iterable[int], grades: Iterab
     return {l: _reduced(den, bucket) for l, bucket in by_grade.items()}
 
 
+def _summed(buckets: list) -> tuple[int, dict[int, int]]:
+    # (den, nums) of the sum of the (den, nums) buckets, the numerators of
+    # shared keys added over the buckets' lcm; a lone bucket is returned
+    # as it is, not copied
+    if len(buckets) == 1:
+        return buckets[0]
+    den = math.lcm(*(d for d, _ in buckets))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for d, nums in buckets:
+        scale = den // d
+        for key, v in nums.items():
+            acc[key] = get(key, 0) + v * scale
+    return den, acc
+
+
 def _products(pairs: list) -> tuple[int, dict[int, int]]:
     # (den, nums) of the sum of a * b over the pairs (a, b) of (den, nums)
     # buckets, on their one common denominator.  pairs is emptied as it
@@ -912,28 +913,21 @@ def _reduced(den: int, acc: dict[int, int]):
     return den, nums
 
 
-def _unpacked(n: int, m: int, packer: _Packer, buckets: dict) -> ClassSeries:
-    # a kernel result as a ClassSeries on its packer: the {grade: (den, nums)}
-    # buckets merged over their lcm, cancelled terms dropped
-    den = math.lcm(*(d for d, _ in buckets.values()))
-    nums = {}
-    for d, bucket in buckets.values():
-        scale = den // d
-        nums.update({key: v * scale for key, v in bucket.items() if v})
+def _unpacked(n: int, m: int, packer: _Packer, den: int, nums: dict[int, int]) -> ClassSeries:
+    # a kernel result, one (den, nums) bucket, as a ClassSeries on its
+    # packer, cancelled terms dropped
     s = ClassSeries.__new__(ClassSeries)
-    s.n, s.m, s._packed = n, m, _Operand(packer, den, nums)
+    s.n, s.m, s._packed = n, m, _Operand(packer, den, {key: v for key, v in nums.items() if v})
     return s
 
 
 def _packed_sum(n: int, m: int, parts: list[ClassSeries], degree: int | None = None):
-    # the sum of the parts on one packer as wide as the widest of theirs,
-    # held packed; with a degree, only its terms of gamma-degree <= degree.
-    # A part's keys are moved digit by digit only if its packer is narrower
+    # the sum of the parts on the widest of their packers, held packed;
+    # with a degree, only its terms of gamma-degree <= degree.  A part's
+    # keys are moved digit by digit only if its packer is narrower
     read = [part._packed for part in parts]
-    packer = _Packer(n, m, max((home.bound for home, _, _ in read), default=0))
-    den = math.lcm(*(d for _, d, _ in read))
-    acc: dict[int, int] = {}
-    get = acc.get
+    packer = max((home for home, _, _ in read), key=attrgetter("bound"))
+    buckets = []
     for home, d, nums in read:
         keys, vals = nums, nums.values()
         if degree is not None or home.w != packer.w:
@@ -945,10 +939,8 @@ def _packed_sum(n: int, m: int, parts: list[ClassSeries], degree: int | None = N
                 cols = [list(compress(col, keep)) for col in cols]
             if home.w != packer.w:
                 keys = packer.keys(cols)
-        scale = den // d
-        for key, v in zip(keys, vals):
-            acc[key] = get(key, 0) + v * scale
-    return _unpacked(n, m, packer, {0: (den, acc)})
+        buckets.append((d, nums if keys is nums else dict(zip(keys, vals))))
+    return _unpacked(n, m, packer, *_summed(buckets))
 
 
 def _orthant(u: _Operand, what: str) -> tuple[int, ...]:
@@ -1008,7 +1000,7 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
     n, m = _shape(n, m)
     parsed = [_record(rec, n, m) for rec in records]
     if not parsed:
-        return _unpacked(n, m, _Packer(n, m, 0), {})
+        return _unpacked(n, m, _Packer(n, m, 0), 1, {})
     rows, nums, dens = zip(*parsed)
     packer = _Packer(n, m, max(map(abs, chain.from_iterable(rows))))
     lcm = math.lcm(*dens)
@@ -1016,7 +1008,7 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
     get = acc.get
     for key, num, den in zip(packer.keys(list(zip(*rows))), nums, dens):
         acc[key] = get(key, 0) + num * (lcm // den)
-    return _unpacked(n, m, packer, {0: (lcm, acc)})
+    return _unpacked(n, m, packer, lcm, acc)
 
 
 def _record(rec, n: int, m: int) -> tuple[list[int], int, int]:

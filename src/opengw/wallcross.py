@@ -52,6 +52,7 @@ from .fan import (
     _class_names,
     _classes,
     _maslov_weights,
+    _require,
     _require_int_param,
     _Value,
     beta_class,
@@ -65,6 +66,7 @@ from .novikov import (
     EnergyAssignment,
     NovikovScalar,
     _check_point,
+    _merged,
     evaluate,
     monomial_character,
 )
@@ -103,13 +105,6 @@ class Ambient(Enum):
 class Direction(Enum):
     PLUS_TO_MINUS = "plus_to_minus"
     MINUS_TO_PLUS = "minus_to_plus"
-
-
-def _require(value, kind: type, what: str):
-    # a BadParams for an argument that is not a kind, never a raw error later
-    if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise BadParams(f"{what} must be {article} {kind.__name__}, got {value!r}")
 
 
 class Superpotential(_Value):
@@ -327,8 +322,8 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     T-exponents (over one common denominator) with int numerators; they
     add like packed class keys, so the sum is series._times_powers, the
     Miller solve that times_powers uses too, with every ev(gamma_k) of
-    grade 1.  The result is built straight from the solve's ints, with no
-    Fraction per term.
+    grade 1.  The result is built straight from the solve's ints by
+    novikov._merged, with no Fraction per term.
 
     Any other input takes the expanded path, so it raises the same errors
     in the same order: ev(gamma_k) needs x_k**-1 even where no expanded
@@ -356,9 +351,7 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     # grading; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
     one_term = (1, {0: 1})
     u = _products([(bucket(gamma_class(spec, k)), one_term) for k in range(1, spec.n)])
-    den, acc = _times_powers([(bucket(c), p) for c, p in parts], {1: u})
-    exps = sorted(e for e, v in acc.items() if v)
-    return NovikovScalar._of(d, exps, den, [acc[e] for e in exps])
+    return _merged(d, [_times_powers([(bucket(c), p) for c, p in parts], {1: u})], None)
 
 
 def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:

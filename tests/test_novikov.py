@@ -150,6 +150,12 @@ class TestTrop:
         with pytest.raises(errors.ZeroCoordinate):
             novikov.trop([novikov.ONE, novikov.ZERO])
 
+    @pytest.mark.parametrize("point", [None, 5, "T,T"])
+    def test_point_must_be_a_sequence(self, point):
+        # None and 5 used to end in a raw TypeError
+        with pytest.raises(errors.BadParams, match="point must be a sequence"):
+            novikov.trop(point)
+
 
 class TestGauss:
     def test_line_segment_example(self):
@@ -382,6 +388,33 @@ class TestStrictExponents:
         # t_monomial(0.1) used to give T^3602879701896397/36028797018963968
         with pytest.raises(errors.BadParams):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: novikov.NovikovLaurent("x", {}), lambda: novikov.NovikovLaurent(1.0, {}),
+        lambda: novikov.NovikovLaurent(1, None), lambda: novikov.NovikovLaurent(1, [((1,), 1)]),
+        lambda: novikov.assign_energies(None),
+        lambda: novikov.assign_energies(5, {"beta_hat": 1, "gamma": [1]}),
+    ], ids=["n-str", "n-float", "terms-none", "terms-list", "spec-none", "spec-int"])
+    def test_constructor_arguments_are_checked(self, make):
+        # NovikovLaurent("x", {}) used to be accepted, and a None terms or
+        # spec to end in a raw AttributeError
+        with pytest.raises(errors.BadParams):
+            make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: novikov.ONE + 1, "scalar operand must be a NovikovScalar, got 1"),
+        (lambda: novikov.ONE * 2, "scalar operand must be a NovikovScalar, got 2"),
+        (lambda: novikov.ONE - None, "scalar operand must be a NovikovScalar, got None"),
+        (lambda: novikov.scalar_pow(1, 2), "scalar operand must be a NovikovScalar, got 1"),
+        (lambda: novikov.scalar_inverse(2), "scalar operand must be a NovikovScalar, got 2"),
+        (lambda: novikov.laurent_mul(1, 2), "Laurent operand must be a NovikovLaurent, got 1"),
+    ], ids=["add", "mul", "sub", "pow", "inverse", "laurent-mul"])
+    def test_operands_must_be_novikov(self, make, message):
+        # each used to end in a raw AttributeError, or a TypeError from the
+        # unary minus of ONE - None
+        with pytest.raises(errors.BadParams) as exc:
+            make()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("coeff", [5, F(1), None, "1"])
     def test_laurent_coefficient_must_be_scalar(self, coeff):
@@ -954,7 +987,11 @@ def _value_or_error(call):
     [1, t_monomial(1)],
     [constant(1) + t_monomial(1), t_monomial(1)],
     [t_monomial(1, 2), t_monomial(1).truncated(3)],
-], ids=["monomial", "zero", "too-few", "too-many", "not-a-scalar", "multi-term", "cutoff"])
+    None,
+    5,
+    "T,T",
+], ids=["monomial", "zero", "too-few", "too-many", "not-a-scalar", "multi-term", "cutoff",
+        "none", "int", "str"])
 def test_chekanov_errors_match_expanded_path(spec, with_h, point):
     # every fan, energy and point combination: the same value, or the same
     # exception type and message, as evaluating the expanded series
@@ -969,6 +1006,10 @@ def test_chekanov_errors_match_expanded_path(spec, with_h, point):
 
     got = _value_or_error(lambda: wallcross.evaluate_chekanov(ea, point))
     assert got == _value_or_error(expanded)
+    if not isinstance(point, list):
+        # a point that is not a sequence used to end in a raw TypeError,
+        # with a different message on each path
+        assert issubclass(got[0], errors.DomainError), got
 
 
 @pytest.mark.parametrize("bad, error", [

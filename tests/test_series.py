@@ -1121,7 +1121,7 @@ def _packed_series(n, m, bound, terms):
     zero = RelClass(-bound, (bound,) * (n - 1), (bound,) * m)
     if zero not in terms:
         low[1][packer.pack(zero)] = 0
-    return series._unpacked(n, m, packer, {0: low, 1: high})
+    return series._unpacked(n, m, packer, *series._summed([low, high]))
 
 
 @settings(max_examples=150, deadline=None)

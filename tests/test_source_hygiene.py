@@ -18,6 +18,8 @@ left.
 The sums sum p f**e over integer e, times_powers, divide_by_power and the
 gluing map, are one engine, series._powered: it alone prepares f and
 calls Miller's solve, so a second prelude cannot come back unnoticed.
+Likewise the int buckets of series and novikov are summed by one
+function, series._summed, and convolved by one, series._products.
 
 Start-up is part of every CLI call: the value types are plain classes,
 so importing opengw loads neither dataclasses nor typing, nor the
@@ -198,10 +200,11 @@ def test_one_stored_form_and_one_reader():
 
 
 def _callers(node, name, scope=()):
-    # the enclosing class and function names of every call of name
+    # the enclosing class and function names of every call of name, a
+    # plain or a dotted name such as NovikovScalar._of
     if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
         scope += (node.name,)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == name:
         yield scope
     for child in ast.iter_child_nodes(node):
         yield from _callers(child, name, scope)
@@ -219,3 +222,22 @@ def test_one_signed_power_engine():
     assert sorted(_callers(series, "_powered")) == [("_glued",), ("divide_by_power",),
                                                     ("times_powers",)]
     assert list(_callers(series, "_times_powers")) == [("_powered",)]
+
+
+def test_one_bucket_arithmetic():
+    # every sum of (den, nums) buckets in series and novikov is
+    # series._summed and every product of them series._products, and the
+    # int buckets become a NovikovScalar only through novikov._merged
+    # (__neg__ and scalar_inverse build theirs from columns)
+    modules = _modules()
+    summed = sorted((name, scope) for name, tree in modules.items()
+                    for scope in _callers(tree, "_summed"))
+    assert summed == [("novikov.py", ("_merged",)), ("series.py", ("_packed_sum",)),
+                      ("series.py", ("_powered",)), ("series.py", ("series_log",))]
+    novikov = modules["novikov.py"]
+    products = set(_callers(novikov, "_products"))
+    assert {("_product",), ("evaluate",)} <= products, products
+    made = sorted((name, scope) for name, tree in modules.items()
+                  for scope in _callers(tree, "NovikovScalar._of"))
+    assert made == [("novikov.py", ("NovikovScalar", "__neg__")), ("novikov.py", ("_merged",)),
+                    ("novikov.py", ("scalar_inverse",))]
