@@ -3,21 +3,15 @@
 Builds Clifford- and Chekanov-side Landau-Ginzburg superpotentials over the
 Novikov field, pushes them through the wall-crossing gluing map, and tabulates
 one-pointed open Gromov-Witten invariants.
+
+Importing the package loads fan, series and wallcross, which every
+superpotential, gluing, table and identity runs.  The names of chambers
+(base chambers, walls, monodromy) and novikov (Novikov scalars, energies,
+evaluation) load their module on first use, through the module
+__getattr__ below (PEP 562): opengw.X and from opengw import X reach the
+same objects as before.
 """
 
-from .chambers import (
-    B_MINUS,
-    B_PLUS,
-    DISCRIMINANT,
-    Chamber,
-    ChamberPoint,
-    CYFanRays,
-    classify_point,
-    cn_rays,
-    monodromy_matrix,
-    wall,
-    wall_component_tropical,
-)
 from .fan import (
     EnergyValues,
     FanSpec,
@@ -36,22 +30,6 @@ from .fan import (
     sphere_class,
     validate_fan,
     zero_class,
-)
-from .novikov import (
-    EnergyAssignment,
-    NovikovLaurent,
-    NovikovScalar,
-    assign_energies,
-    constant,
-    evaluate,
-    gauss_valuation,
-    laurent_mul,
-    scalar_inverse,
-    scalar_pow,
-    scalar_val,
-    t_monomial,
-    toric_superpotential,
-    trop,
 )
 from .series import (
     DEFAULT_TRUNC,
@@ -86,3 +64,32 @@ from .wallcross import (
 )
 
 __version__ = "0.1.0"
+
+# name: the module that defines it, imported on first use
+_LAZY = {
+    **dict.fromkeys((
+        "B_MINUS", "B_PLUS", "DISCRIMINANT", "Chamber", "ChamberPoint", "CYFanRays",
+        "classify_point", "cn_rays", "monodromy_matrix", "wall", "wall_component_tropical",
+    ), "chambers"),
+    **dict.fromkeys((
+        "EnergyAssignment", "NovikovLaurent", "NovikovScalar", "assign_energies", "constant",
+        "evaluate", "gauss_valuation", "laurent_mul", "scalar_inverse", "scalar_pow",
+        "scalar_val", "t_monomial", "toric_superpotential", "trop",
+    ), "novikov"),
+}
+
+
+def __getattr__(name):
+    # only for names not yet in the globals: a lazy one is imported and
+    # kept there; any other raises, so that from opengw import novikov
+    # falls through to the submodule
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

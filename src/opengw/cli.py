@@ -36,13 +36,13 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 from types import SimpleNamespace
 
-from .chambers import ChamberPoint, CYFanRays, classify_point, monodromy_matrix
 from .errors import (
     DimensionMismatch,
     DomainError,
     NonPrimitiveRay,
     ParseError,
     SchemaError,
+    UnsupportedFan,
 )
 from .fan import (
     FanSpec,
@@ -74,6 +74,8 @@ from .wallcross import (
     wall_crossing_factor,
 )
 
+# the checks of validate_fan, each the report's <name>_ok
+CHECKS = ("primitive", "smooth", "complete", "fano")
 # in sorted order, as the command table lists them
 CHAMBERS = {"minus": Chart.CHEKANOV, "plus": Chart.CLIFFORD}
 AMBIENTS = {"compact": Ambient.COMPACT, "open": Ambient.OPEN}
@@ -136,6 +138,23 @@ def parse_fan_spec(source: str) -> FanSpec:
     if "energies" in doc:
         energies = parse_energies(doc["energies"], SchemaError)
     return FanSpec(n, rays, cones, energies)
+
+
+def _theorem_fan(source: str) -> FanSpec:
+    """parse_fan_spec, then validate_fan when the document lists max_cones.
+
+    A fan that fails a check is outside the theorem, so the commands that
+    build a superpotential, table, gluing or evaluation refuse it with
+    UnsupportedFan, naming the failed checks.  A document without
+    max_cones cannot be validated and is accepted as it is.
+    """
+    spec = parse_fan_spec(source)
+    if spec.max_cones is not None:
+        report = validate_fan(spec)
+        failed = [name for name in CHECKS if not getattr(report, f"{name}_ok")]
+        if failed:
+            raise UnsupportedFan(f"fan fails {', '.join(failed)}: {'; '.join(report.diagnostics)}")
+    return spec
 
 
 def parse_scalar_literal(text: str) -> NovikovScalar:
@@ -302,7 +321,7 @@ def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
 
 def render_validation(report, fmt: str) -> str:
     # each check is the report's <name>_ok, shown as "overall" for "all"
-    names, notes = ("primitive", "smooth", "complete", "fano", "all"), report.diagnostics
+    names, notes = CHECKS + ("all",), report.diagnostics
     oks = [getattr(report, f"{name}_ok") for name in names]
     if fmt == "json":
         doc = {f"{name}_ok": ok for name, ok in zip(names, oks)}
@@ -348,30 +367,36 @@ def _superpotential(spec: FanSpec, chamber: str, ambient: str):
 
 
 def _cmd_superpotential(args) -> str:
-    w = _superpotential(parse_fan_spec(args.file), args.chamber, args.ambient)
+    w = _superpotential(_theorem_fan(args.file), args.chamber, args.ambient)
     return render_series(w.series, args.format)
 
 
 def _cmd_invariants(args) -> str:
-    spec = parse_fan_spec(args.file)
+    spec = _theorem_fan(args.file)
     w = _superpotential(spec, args.chamber, args.ambient)
     return render_invariants(invariant_table(w), spec, args.format)
 
 
 def _cmd_glue(args) -> str:
-    spec = parse_fan_spec(args.file)
+    spec = _theorem_fan(args.file)
     s = _parse_series_doc(_load_json(args.input), spec)
     gd = wall_crossing_factor(spec, DIRECTIONS[args.direction], args.truncate)
     return render_series(apply_gluing(spec, s, gd), args.format)
 
 
+# classify and monodromy alone use chambers: it is imported when they run
+
 def _cmd_classify(args) -> str:
+    from .chambers import ChamberPoint, classify_point
+
     lam = _parse_rational_list(args.lam, "--lambda")
     q2 = require_rational(args.q2, "--q2", ParseError)
     return f"{classify_point(args.n, ChamberPoint(lam, q2))}\n"
 
 
 def _cmd_monodromy(args) -> str:
+    from .chambers import CYFanRays, monodromy_matrix
+
     doc = _load_json(args.rays)
     _require_keys(doc, {"rays", "constants", "m0"}, {"rays"}, "rays", SchemaError)
     if not isinstance(doc["rays"], list) or not doc["rays"]:
@@ -387,7 +412,7 @@ def _cmd_monodromy(args) -> str:
 
 
 def _cmd_eval(args) -> str:
-    spec = parse_fan_spec(args.file)
+    spec = _theorem_fan(args.file)
     values = None
     if args.energies is not None:
         values = parse_energies(_json_doc(args.energies, "--energies"), SchemaError)

@@ -43,6 +43,12 @@ class BadParams(DomainError):
     """Parameters of a builtin fan or closed form are invalid."""
 
 
+class UnsupportedFan(DomainError):
+    """The fan's maximal cones fail a check of validate_fan (primitive,
+    smooth, complete or Fano), so the fan is outside the smooth toric Fano
+    compactifications whose disk counts the theorem gives."""
+
+
 # series arithmetic
 
 class NotInvertible(DomainError):

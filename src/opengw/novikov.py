@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .errors import (
@@ -97,6 +97,13 @@ def _int_cut(cutoff, d: int):
     return None if cutoff is None else -(-cutoff.numerator * d // cutoff.denominator)
 
 
+def _pair(term) -> Sequence:
+    # one (exponent, coefficient) term of a scalar's terms, not yet read
+    if len(_require_seq(term, "scalar term")) != 2:
+        raise BadParams(f"scalar term must be an (exponent, coefficient) pair, got {term!r}")
+    return term
+
+
 class NovikovScalar:
     """Finite T-series with strictly increasing rational exponents.
 
@@ -109,13 +116,13 @@ class NovikovScalar:
 
     __slots__ = ("_ints", "cutoff")
 
-    def __init__(self, terms: Iterable[tuple] = (), cutoff=None):
-        # terms: (exponent, coefficient) pairs in any order, each value
-        # passing fan.require_rational; the coefficients of equal exponents
-        # are summed and zero sums dropped, as in from_terms, but no term at
-        # or above the cutoff is dropped
+    def __init__(self, terms: Sequence[tuple] = (), cutoff=None):
+        # terms: a sequence of (exponent, coefficient) pairs in any order,
+        # each value passing fan.require_rational; the coefficients of equal
+        # exponents are summed and zero sums dropped, as in from_terms, but
+        # no term at or above the cutoff is dropped
         pairs = [(require_rational(e, "exponent"), require_rational(c, "coefficient"))
-                 for e, c in terms]
+                 for e, c in map(_pair, _require_seq(terms, "scalar terms"))]
         d, exps = _over([e for e, _ in pairs])
         den, nums = _over([c for _, c in pairs])
         self._ints = _merged(d, [(den, {e: v}) for e, v in zip(exps, nums)], None)._ints
@@ -139,11 +146,12 @@ class NovikovScalar:
         return x
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple], cutoff=None) -> "NovikovScalar":
+    def from_terms(pairs: Sequence[tuple], cutoff=None) -> "NovikovScalar":
         """Sum of c * T^e over the (e, c) pairs, dropping e >= cutoff.
 
-        Every exponent, coefficient and the cutoff pass fan.require_rational,
-        so a float is rejected, never rounded.
+        pairs is a sequence of two-item sequences, and every exponent,
+        coefficient and the cutoff pass fan.require_rational, so a float is
+        rejected, never rounded.
         """
         if cutoff is not None:
             cutoff = require_rational(cutoff, "cutoff")
@@ -382,6 +390,8 @@ class NovikovLaurent(_Value):
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], NovikovScalar]):
         n = require_int(n, "Laurent n")
+        if n < 0:
+            raise BadParams(f"Laurent n must be >= 0, got {n}")
         _require(terms, Mapping, "Laurent terms")
         clean = {}
         for nu, s in terms.items():

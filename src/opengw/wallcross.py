@@ -62,14 +62,6 @@ from .fan import (
     ray_decomposition,
     require_ints,
 )
-from .novikov import (
-    EnergyAssignment,
-    NovikovScalar,
-    _check_point,
-    _merged,
-    evaluate,
-    monomial_character,
-)
 from .series import (
     DEFAULT_TRUNC,
     ClassSeries,
@@ -333,6 +325,9 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     as the expansion does; past them the expansion cannot fail, so
     evaluate's point checks run before it is built.
     """
+    # nothing else in wallcross uses novikov, so importing opengw need not
+    from .novikov import EnergyAssignment, _check_point, _merged, evaluate, monomial_character
+
     _require(ea, EnergyAssignment, "energy assignment")
     spec = ea.fan
     parts = _chekanov_parts(spec)

@@ -25,6 +25,7 @@ CP2 = {
     "energies": {"beta_hat": "1", "gamma": ["1"], "H": ["4"]},
 }
 
+# the document of builtin_fan("f2_nonfano")
 F2 = {
     "n": 2,
     "extra_rays": [[0, 1], [1, 2]],
@@ -147,6 +148,48 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/nonexistent/f.json")
         assert code == 2
         assert "ParseError" in err
+
+
+class TestTheoremFans:
+    """Commands that compute refuse a fan whose max_cones fail validate."""
+
+    COMPUTE = [
+        ["invariants"],
+        ["superpotential", "--chamber", "minus", "--ambient", "compact"],
+        ["glue", "--input", "SERIES", "--direction", "plus-to-minus", "--truncate", "2"],
+        ["eval", "--point", "T,T", "--energies", '{"beta_hat": "1", "gamma": ["1"]}',
+         "--chamber", "plus", "--ambient", "open"],
+    ]
+
+    @staticmethod
+    def _argv(tmp_path, doc, command):
+        fan_path, series_path = tmp_path / "fan.json", tmp_path / "series.json"
+        fan_path.write_text(json.dumps(doc))
+        series_path.write_text(json.dumps({"n": doc["n"], "m": len(doc["extra_rays"]),
+                                           "terms": []}))
+        argv = [str(series_path) if a == "SERIES" else a for a in command]
+        return [argv[0], str(fan_path), *argv[1:]]
+
+    @pytest.mark.parametrize("command", COMPUTE, ids=lambda c: c[0])
+    @pytest.mark.parametrize("doc, failed", [
+        (F2, "fano"),
+        ({**CP2, "max_cones": [[0, 1], [0, 2]]}, "complete, fano"),
+    ], ids=["f2_nonfano", "cp2-two-cones"])
+    def test_failed_check_is_domain_error(self, tmp_path, capsys, doc, failed, command):
+        # each used to print a table and exit 0; fano is not evaluated on
+        # an incomplete fan, so it fails too
+        code, out, err = run(capsys, *self._argv(tmp_path, doc, command))
+        assert (code, out) == (1, "")
+        assert err.split(":")[:2] == ["UnsupportedFan", f" fan fails {failed}"]
+
+    @pytest.mark.parametrize("command", COMPUTE, ids=lambda c: c[0])
+    def test_no_max_cones_is_accepted(self, tmp_path, capsys, command):
+        # without max_cones there is nothing to validate: F_2's rays (and
+        # CP^2's) compute as before
+        for doc in ({"n": 2, "extra_rays": F2["extra_rays"]},
+                    {"n": 2, "extra_rays": CP2["extra_rays"]}):
+            code, out, err = run(capsys, *self._argv(tmp_path, doc, command))
+            assert (code, err) == (0, "") and out
 
 
 class TestInvariants:

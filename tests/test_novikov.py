@@ -392,12 +392,21 @@ class TestStrictExponents:
     @pytest.mark.parametrize("make", [
         lambda: novikov.NovikovLaurent("x", {}), lambda: novikov.NovikovLaurent(1.0, {}),
         lambda: novikov.NovikovLaurent(1, None), lambda: novikov.NovikovLaurent(1, [((1,), 1)]),
+        lambda: novikov.NovikovLaurent(-1, {}),
         lambda: novikov.assign_energies(None),
         lambda: novikov.assign_energies(5, {"beta_hat": 1, "gamma": [1]}),
-    ], ids=["n-str", "n-float", "terms-none", "terms-list", "spec-none", "spec-int"])
+        lambda: NovikovScalar(5), lambda: NovikovScalar.from_terms(5),
+        lambda: NovikovScalar("T"), lambda: NovikovScalar([(1,)]),
+        lambda: NovikovScalar.from_terms([(0, 1), (1, 2, 3)]), lambda: NovikovScalar([5]),
+        lambda: NovikovScalar.from_terms(["12"]),
+    ], ids=["n-str", "n-float", "terms-none", "terms-list", "n-negative", "spec-none",
+            "spec-int", "scalar-int", "from-terms-int", "scalar-str", "short-pair", "long-pair",
+            "int-pair", "str-pair"])
     def test_constructor_arguments_are_checked(self, make):
-        # NovikovLaurent("x", {}) used to be accepted, and a None terms or
-        # spec to end in a raw AttributeError
+        # NovikovLaurent("x", {}) and NovikovLaurent(-1, {}) used to be
+        # accepted, and a None terms or spec to end in a raw AttributeError;
+        # NovikovScalar(5) ended in a raw TypeError, NovikovScalar([(1,)]) in
+        # a raw ValueError, and the pair "12" was read as (1, 2)
         with pytest.raises(errors.BadParams):
             make()
 
@@ -884,12 +893,14 @@ def test_fallback_matches_expanded_path(tmp_path, monkeypatch, doc, args):
     }))
     argv = ["eval", str(path), *args]
     characters = []
+    monomial_character = novikov.monomial_character
 
     def character(ea, point):
-        characters.append(novikov.monomial_character(ea, point))
+        characters.append(monomial_character(ea, point))
         return characters[-1]
 
-    monkeypatch.setattr(wallcross, "monomial_character", character)
+    # evaluate_chekanov imports it from novikov when called
+    monkeypatch.setattr(novikov, "monomial_character", character)
     got = _cli(argv)
     assert not any(characters)
     monkeypatch.undo()

@@ -25,7 +25,10 @@ Start-up is part of every CLI call: the value types are plain classes,
 so importing opengw loads neither dataclasses nor typing, nor the
 inspect, ast, dis and tokenize modules that dataclasses pulls in; and the
 command line reads argv against its own command table, so importing
-opengw.cli loads neither argparse nor gettext.
+opengw.cli loads neither argparse nor gettext.  No superpotential, gluing,
+table or identity runs novikov or chambers, so importing opengw loads
+neither; their names load them on first use, through the package's module
+__getattr__, and reach the same objects as before.
 """
 
 import ast
@@ -33,6 +36,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "opengw"
 # standard modules that importing opengw must not load
@@ -90,18 +95,23 @@ def test_no_dataclasses_or_typing_imports():
     assert not hits, f"dataclasses or typing imported: {hits}"
 
 
-def test_import_loads_no_heavy_modules():
-    # -S keeps site (and whatever its .pth files import) out of the diff
-    code = (
-        "import sys; before = set(sys.modules); import opengw; "
-        "print(*sorted(set(sys.modules) - before))"
-    )
+def _fresh(code: str) -> list[str]:
+    # the words code prints in a fresh -S interpreter, which keeps site
+    # (and whatever its .pth files import) out of sys.modules
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    added = [m for m in proc.stdout.split() if m.split(".")[0] != "opengw"]
+    return proc.stdout.split()
+
+
+def test_import_loads_no_heavy_modules():
+    code = (
+        "import sys; before = set(sys.modules); import opengw; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    added = [m for m in _fresh(code) if m.split(".")[0] != "opengw"]
     assert "fractions" in added, added
     assert not HEAVY & set(added), f"import opengw loads {sorted(HEAVY & set(added))}"
 
@@ -109,15 +119,69 @@ def test_import_loads_no_heavy_modules():
 def test_cli_import_loads_no_argparse():
     # the command line reads argv against its own table: importing it
     # loads neither argparse nor the gettext that argparse pulls in
-    code = "import sys, opengw.cli; print(*sorted(sys.modules))"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    loaded = set(_fresh("import sys, opengw.cli; print(*sorted(sys.modules))"))
     assert "opengw.cli" in loaded, loaded
     assert not {"argparse", "gettext"} & loaded, sorted({"argparse", "gettext"} & loaded)
+
+
+# the names opengw exports, by the module that defines them
+EXPORTS = {
+    "chambers": "B_MINUS B_PLUS DISCRIMINANT Chamber ChamberPoint CYFanRays classify_point "
+                "cn_rays monodromy_matrix wall wall_component_tropical",
+    "fan": "EnergyValues FanSpec RelClass ValidationReport beta_class beta_hat_class "
+           "beta_prime_class builtin_fan class_boundary class_maslov class_name det_int "
+           "gamma_class ray_decomposition sphere_class validate_fan zero_class",
+    "novikov": "EnergyAssignment NovikovLaurent NovikovScalar assign_energies constant evaluate "
+               "gauss_valuation laurent_mul scalar_inverse scalar_pow scalar_val t_monomial "
+               "toric_superpotential trop",
+    "series": "DEFAULT_TRUNC ClassSeries from_records monomial multiply power series_exp "
+              "series_log to_records truncate_gamma",
+    "wallcross": "Ambient Chart Direction GluingData InvariantRow InvariantTable Superpotential "
+                 "apply_gluing chekanov_superpotential clifford_superpotential "
+                 "closed_form_invariant glue_superpotential invariant_table solve_exp_G "
+                 "verify_wall_cross_identity wall_cross_rhs wall_crossing_factor",
+}
+
+
+def test_import_loads_neither_novikov_nor_chambers():
+    lazy = ["opengw.novikov", "opengw.chambers"]
+    code = f"import sys, opengw; print(*[m in sys.modules for m in {lazy}])"
+    assert _fresh(code) == ["False", "False"]
+    code = f"import sys, opengw.cli; print(*[m in sys.modules for m in {lazy}])"
+    assert _fresh(code) == ["True", "False"]
+
+
+def test_every_export_resolves_from_a_fresh_import():
+    # each name is first reached by from-import in a fresh interpreter, then
+    # as an attribute: both are its defining module's object, and dir lists it
+    code = (
+        "import importlib, opengw\n"
+        f"for module, names in {EXPORTS!r}.items():\n"
+        "    for name in names.split():\n"
+        "        ns = {}\n"
+        "        exec(f'from opengw import {name}', ns)\n"
+        "        defined = getattr(importlib.import_module(f'opengw.{module}'), name)\n"
+        "        ok = ns[name] is opengw.__dict__[name] is getattr(opengw, name) is defined\n"
+        "        print(name, ok and name in dir(opengw))\n"
+    )
+    words = _fresh(code)
+    got = dict(zip(words[::2], words[1::2]))
+    want = [name for names in EXPORTS.values() for name in names.split()]
+    assert sorted(got) == sorted(want)
+    assert not [name for name, ok in got.items() if ok != "True"]
+
+
+def test_unknown_name_raises_attribute_error():
+    import opengw
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        opengw.no_such_name
+    with pytest.raises(ImportError):
+        from opengw import no_such_name  # noqa: F401
+    # a submodule is no lazy name: from-import falls through to importing it
+    from opengw import chambers, novikov
+
+    assert (novikov.__name__, chambers.__name__) == ("opengw.novikov", "opengw.chambers")
 
 
 def test_kernel_internals_stay_in_series():
