@@ -15,7 +15,7 @@ last value.  A usage error prints a usage line and an error line naming
 the flag to stderr, nothing to stdout, and exits 2.
 
 eval of the compact Chekanov superpotential (--chamber minus, --ambient
-compact, the defaults) goes through wallcross.evaluate_chekanov.  At a
+compact, the defaults) goes through novikov.evaluate_chekanov.  At a
 monomial point (n coordinates, each one exact term c*T^e, every p_a >= 0
 and sphere energies given) it evaluates beta_hat + sum_a beta'_a f^{p_a}
 in factored form.  Any other point, fan or chamber evaluates the expanded
@@ -58,7 +58,7 @@ from .fan import (
     require_rational,
     validate_fan,
 )
-from .novikov import NovikovScalar, assign_energies, evaluate
+from .novikov import NovikovScalar, assign_energies, evaluate, evaluate_chekanov
 from .series import ClassSeries, from_records
 from .wallcross import (
     Ambient,
@@ -69,7 +69,6 @@ from .wallcross import (
     chekanov_superpotential,
     clifford_superpotential,
     closed_form_invariant,
-    evaluate_chekanov,
     invariant_table,
     wall_crossing_factor,
 )
@@ -145,13 +144,15 @@ def _theorem_fan(source: str) -> FanSpec:
 
     A fan that fails a check is outside the theorem, so the commands that
     build a superpotential, table, gluing or evaluation refuse it with
-    UnsupportedFan, naming the failed checks.  A document without
-    max_cones cannot be validated and is accepted as it is.
+    UnsupportedFan, naming the checks that ran and failed.  A document
+    without max_cones cannot be validated and is accepted as it is.
     """
     spec = parse_fan_spec(source)
     if spec.max_cones is not None:
         report = validate_fan(spec)
-        failed = [name for name in CHECKS if not getattr(report, f"{name}_ok")]
+        # validate_fan runs complete only on a smooth fan, fano only on a complete one
+        ran = {"complete": report.smooth_ok, "fano": report.complete_ok}
+        failed = [c for c in CHECKS if ran.get(c, True) and not getattr(report, f"{c}_ok")]
         if failed:
             raise UnsupportedFan(f"fan fails {', '.join(failed)}: {'; '.join(report.diagnostics)}")
     return spec

@@ -8,11 +8,13 @@ keys: an operand is a (den, {exponent: numerator}) bucket, its exponents
 ints over a denominator shared with the other operand; products convolve
 buckets with series._products, and _merged, the one way from int buckets
 to a scalar, sums them with series._summed, then sorts and drops zero
-terms and terms at or above the cutoff.  The Fraction terms are built
-only when read.  An optional cutoff records that terms with exponent >=
-cutoff have been dropped; all arithmetic propagates cutoffs
-conservatively so reported terms are always complete.  Valuation is the
-smallest exponent present, infinity for zero.
+terms and terms at or above the cutoff.  Every power and inverse is one
+Miller solve, series._times_powers, on x = c0*T^e0*(1 + r) with r in
+one grade (_power).  The Fraction terms are built only when read.  An
+optional cutoff records that terms with exponent >= cutoff have been
+dropped; all arithmetic propagates cutoffs conservatively so reported
+terms are always complete.  Valuation is the smallest exponent present,
+infinity for zero.
 
 NovikovLaurent is a Laurent polynomial in n torus variables with
 NovikovScalar coefficients; it carries the toric superpotentials and
@@ -31,7 +33,7 @@ the bucket that _merged turns into the result.
 That shift and scale is the monomial-point character (monomial_character):
 at a point whose n coordinates are each one exact term, a class evaluates
 to one exact term and evaluation is multiplicative on classes.
-wallcross.evaluate_chekanov uses it to evaluate the compact Chekanov
+evaluate_chekanov uses it to evaluate the compact Chekanov
 superpotential in factored form without expanding it, at a monomial point
 of a fan with every p_a >= 0 and sphere energies; evaluate on the
 expanded series is that path's oracle.  Every other point stays on
@@ -67,13 +69,15 @@ from .fan import (
     _require_seq,
     _Value,
     class_boundary,
+    gamma_class,
     parse_energies,
     ray_decomposition,
     require_int,
     require_ints,
     require_rational,
 )
-from .series import _products, _require_series, _summed
+from .series import _products, _require_series, _summed, _times_powers
+from .wallcross import Ambient, _chekanov_parts, chekanov_superpotential
 
 INF = math.inf
 
@@ -309,60 +313,59 @@ def scalar_val(x: NovikovScalar):
     return x.val
 
 
-def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
-    """1/x by leading-monomial factorization and a geometric series.
+def _power(x: NovikovScalar, k: int, cutoff=None) -> NovikovScalar:
+    """x**k for an int k != 0, cut at cutoff too when one is given.
 
-    A multi-term x needs a cutoff (its own or the argument) because the
-    geometric series does not terminate.
+    x = c0*T^e0*(1 + r) with val(r) > 0: (c0*T^e0)**k is _monomial_power's
+    and (1 + r)**k is one Miller solve, series._times_powers, with every
+    term of r in grade 1.  With x's cutoff C the result keeps
+    C + (k - 1) min(e0, C), as k - 1 products by the cutoff rule do, and a
+    k < 0 keeps that of x**-1 raised to -k, x**-1 of valuation -e0 and
+    cutoff C - 2 e0.  Level l of the solve lies at T^(>= k e0 + l val(r)),
+    so a cut solve stops at the last level below the cutoff, or at level
+    k, where a power k > 0 ends.  A negative power needs x nonzero and,
+    when x and cutoff are exact, one term.
     """
-    _require(x, NovikovScalar, "scalar operand")
-    if x.is_zero():
-        raise DivisionByZero("inverse of the zero scalar")
     d, exps, den, nums = x.columns()
-    e0 = Fraction(exps[0], d)
-    # 1/c0 = den / v0, over |v0|
-    lead_inv = NovikovScalar._of(d, [-exps[0]], abs(nums[0]), [den if nums[0] > 0 else -den])
-    if x.cutoff is not None:
-        result_cut = x.cutoff - 2 * e0
+    if k < 0:
+        if not exps:
+            raise DivisionByZero("inverse of the zero scalar")
         if cutoff is not None:
-            result_cut = min(result_cut, require_rational(cutoff, "cutoff"))
-    elif cutoff is not None:
-        result_cut = require_rational(cutoff, "cutoff")
-    else:
-        if len(exps) > 1:
+            cutoff = require_rational(cutoff, "cutoff")
+        elif x.cutoff is None and len(exps) > 1:
             raise ValueError("inverse of an exact multi-term scalar needs a cutoff")
-        return lead_inv
-    # x = c0 T^e0 (1 + r), val(r) > 0
-    r = (x * lead_inv - ONE).truncated(result_cut + e0)
-    acc = ONE.truncated(result_cut + e0)
-    rpow = ONE.truncated(result_cut + e0)
-    if not r.is_zero():
-        step = r.val
-        j = 1
-        while j * step < result_cut + e0:
-            rpow = rpow * (-r)
-            if rpow.is_zero():
-                break
-            acc = acc + rpow
-            j += 1
-    return (lead_inv * acc).truncated(result_cut)
+    cut = x.cutoff
+    if cut is not None:
+        lead = x.val
+        if k < 0:
+            lead, cut = -lead, cut - 2 * lead
+        cut += (abs(k) - 1) * min(lead, cut)
+    cut = _min_cut(cut, cutoff)
+    if not exps:
+        return _merged(d, [], cut)
+    e0, v0 = exps[0], nums[0]
+    r = {e - e0: v if v0 > 0 else -v for e, v in zip(exps[1:], nums[1:])}
+    level = None
+    if cut is not None and r:
+        level = max(math.ceil((cut - k * x.val) * d / (exps[1] - e0)) - 1, 0)
+        if k > 0:
+            level = min(level, k)
+    e, num, den_k = _monomial_power((d, (e0,), den, (v0,)), k, d)
+    power = _times_powers([((den_k, {e: num}), k)], {1: (abs(v0), r)} if r else {}, level)
+    return _merged(d, [power], cut)
+
+
+def scalar_inverse(x: NovikovScalar, cutoff=None) -> NovikovScalar:
+    """1/x, cut at x's cutoff less 2 val(x) and at the cutoff argument; a
+    multi-term x needs one of the two, as its inverse does not terminate."""
+    _require(x, NovikovScalar, "scalar operand")
+    return _power(x, -1, cutoff)
 
 
 def scalar_pow(x: NovikovScalar, k: int) -> NovikovScalar:
     _require(x, NovikovScalar, "scalar operand")
     k = require_int(k, "exponent")
-    if k < 0:
-        return scalar_pow(scalar_inverse(x), -k)
-    result = ONE
-    base = x
-    e = k
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+    return _power(x, k) if k else ONE
 
 
 def trop(point: Sequence[NovikovScalar]) -> tuple:
@@ -693,3 +696,51 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
         if fold_cut is not None:
             cut = _min_cut(cut, fold_cut + e)
     return _merged(d, [_products(pairs)], None if cut is None else Fraction(cut, d))
+
+
+def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> NovikovScalar:
+    """The compact Chekanov superpotential of ea.fan evaluated at a point,
+    equal to evaluate(chekanov_superpotential(ea.fan, COMPACT).series, ea,
+    point), which is its oracle.
+
+    At a monomial point (n coordinates, each one exact term c*T^e),
+    evaluation is a character on classes (monomial_character), so
+    with every p_a >= 0 and sphere energies present
+
+        ev(W) = ev(beta_hat) + sum_a ev(beta'_a) * ev(f)**p_a,
+        ev(f) = 1 + sum_k ev(gamma_k),
+
+    exactly, and the expanded series is never built.  ev(f) is held as int
+    T-exponents (over one common denominator) with int numerators; they
+    add like packed class keys, so the sum is series._times_powers, the
+    Miller solve that times_powers uses too, with every ev(gamma_k) of
+    grade 1.  The result is built straight from the solve's ints by
+    _merged, with no Fraction per term.
+
+    Any other input takes the expanded path, so it raises the same errors
+    in the same order: ev(gamma_k) needs x_k**-1 even where no expanded
+    term does, and a coordinate with several terms or a cutoff would carry
+    its cutoff through ev(f)**p_a differently from the expanded terms.
+    The parts come first, so no ray at infinity and a negative p_a raise
+    as the expansion does; past them the expansion cannot fail, so
+    evaluate's point checks run before it is built.
+    """
+    _require(ea, EnergyAssignment, "energy assignment")
+    spec = ea.fan
+    parts = _chekanov_parts(spec)
+    character = None if ea.h is None else monomial_character(ea, point)
+    if character is None:
+        _check_point(spec, point)
+        return evaluate(chekanov_superpotential(spec, Ambient.COMPACT).series, ea, point)
+    d, ev = character
+
+    def bucket(cls):
+        # ev(cls) as a one-term (den, nums) bucket on its T-exponent
+        e, num, den = ev(cls)
+        return den, {e: num}
+
+    # ev(f) = 1 + u, u = sum_k ev(gamma_k) * 1 of grade 1 in a formal
+    # grading; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
+    one_term = (1, {0: 1})
+    u = _products([(bucket(gamma_class(spec, k)), one_term) for k in range(1, spec.n)])
+    return _merged(d, [_times_powers([(bucket(c), p) for c, p in parts], {1: u})], None)

@@ -43,10 +43,10 @@ Every sum p f**e over integer e is one engine, _powered, which prepares
 f once per call on one packer: times_powers (the Chekanov superpotential
 beta_hat f**0 + sum_a beta'_a f**p_a), divide_by_power (the one part
 (p, -k)) and the gluing map z^c -> z^c f^(-+c.b) (_glued).
-wallcross.evaluate_chekanov calls its Miller solve, _times_powers, on
-T-exponent keys.  The wall-crossing identity's p exp(-log f),
-_times_exp_neg_log, chains two solves on one packer and one row layout
-(below):
+novikov calls its Miller solve, _times_powers, on T-exponent keys, for
+every Novikov power and inverse and for novikov.evaluate_chekanov.  The
+wall-crossing identity's p exp(-log f), _times_exp_neg_log, chains two
+solves on one packer and one row layout (below):
 
     L = log f         R = u            weight (j - l, l)
     E = exp(-L)       R = 1, A = -L    weight (j, l)
@@ -829,7 +829,8 @@ def _packed_power(base: tuple[int, dict[int, int]], k: int):
     return result
 
 
-def _times_powers(parts: list, u_by_grade: dict) -> tuple[int, dict[int, int]]:
+def _times_powers(parts: list, u_by_grade: dict,
+                  trunc: int | None = None) -> tuple[int, dict[int, int]]:
     """(den, nums) of sum p (1 + u)**k over the (p, k) in parts, u given
     by its grade buckets, every grade >= 1.
 
@@ -838,15 +839,16 @@ def _times_powers(parts: list, u_by_grade: dict) -> tuple[int, dict[int, int]]:
 
         l F_l = sum_j ((k + 1) j - l) u_j F_{l-j},   F_0 = 1,
 
-    from grade 0 up to k max L(u), about |u| |F| pairs, once per distinct
-    k; each p is then convolved into the buckets of its power.
+    from grade 0 up to trunc, or to k max L(u), where an exact power ends,
+    about |u| |F| pairs, once per distinct k; each p is then convolved into
+    the buckets of its power.  A negative k needs a trunc.
     """
     top = max(u_by_grade, default=0)
     powers: dict[int, list] = {}
     pairs = []
     for p, k in parts:
         if k not in powers:
-            fk = _graded_solve({0: (1, {0: 1})}, u_by_grade, k * top,
+            fk = _graded_solve({0: (1, {0: 1})}, u_by_grade, k * top if trunc is None else trunc,
                                lambda j, l: ((k + 1) * j - l, l))
             powers[k] = list(fk.values())
         pairs += [(p, x) for x in powers[k]]

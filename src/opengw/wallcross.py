@@ -20,14 +20,11 @@ den | numerator, and the names come from one piece map per coordinate
 column (fan._class_names).  An InvariantTable is those columns and
 nothing else; its rows are built from them when read (fan._classes, the
 one way back from digit columns to classes), and value_of matches a class
-against them.  evaluate_chekanov evaluates it at a torus
-point from the same parts; at a monomial point it does so in the factored
-form beta_hat + sum_a beta'_a f^{p_a}, never expanding f^{p_a}, with the
-expanded novikov.evaluate as its oracle, and a point that evaluate would
-refuse is refused before the expansion.  closed_form_invariant supplies
-independent multinomial formulas for the stock families, and
-verify_wall_cross_identity checks the exp/log consistency identity that
-pins the basic disk count to 1.
+against them.  novikov.evaluate_chekanov evaluates it at a torus point
+from the same parts (_chekanov_parts); wallcross itself imports nothing
+from novikov.  closed_form_invariant supplies independent multinomial
+formulas for the stock families, and verify_wall_cross_identity checks
+the exp/log consistency identity that pins the basic disk count to 1.
 """
 
 from __future__ import annotations
@@ -67,9 +64,7 @@ from .series import (
     ClassSeries,
     _glued,
     _one_plus_gammas,
-    _products,
     _times_exp_neg_log,
-    _times_powers,
     _require_series,
     _trunc_bound,
     monomial,
@@ -296,57 +291,6 @@ def chekanov_superpotential(spec: FanSpec, ambient: Ambient) -> Superpotential:
     else:
         w = monomial(spec.n, spec.m, beta_hat_class(spec))
     return Superpotential(spec, w, Chart.CHEKANOV, ambient)
-
-
-def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> NovikovScalar:
-    """The compact Chekanov superpotential of ea.fan evaluated at a point,
-    equal to evaluate(chekanov_superpotential(ea.fan, COMPACT).series, ea,
-    point), which is its oracle.
-
-    At a monomial point (n coordinates, each one exact term c*T^e),
-    evaluation is a character on classes (novikov.monomial_character), so
-    with every p_a >= 0 and sphere energies present
-
-        ev(W) = ev(beta_hat) + sum_a ev(beta'_a) * ev(f)**p_a,
-        ev(f) = 1 + sum_k ev(gamma_k),
-
-    exactly, and the expanded series is never built.  ev(f) is held as int
-    T-exponents (over one common denominator) with int numerators; they
-    add like packed class keys, so the sum is series._times_powers, the
-    Miller solve that times_powers uses too, with every ev(gamma_k) of
-    grade 1.  The result is built straight from the solve's ints by
-    novikov._merged, with no Fraction per term.
-
-    Any other input takes the expanded path, so it raises the same errors
-    in the same order: ev(gamma_k) needs x_k**-1 even where no expanded
-    term does, and a coordinate with several terms or a cutoff would carry
-    its cutoff through ev(f)**p_a differently from the expanded terms.
-    The parts come first, so no ray at infinity and a negative p_a raise
-    as the expansion does; past them the expansion cannot fail, so
-    evaluate's point checks run before it is built.
-    """
-    # nothing else in wallcross uses novikov, so importing opengw need not
-    from .novikov import EnergyAssignment, _check_point, _merged, evaluate, monomial_character
-
-    _require(ea, EnergyAssignment, "energy assignment")
-    spec = ea.fan
-    parts = _chekanov_parts(spec)
-    character = None if ea.h is None else monomial_character(ea, point)
-    if character is None:
-        _check_point(spec, point)
-        return evaluate(chekanov_superpotential(spec, Ambient.COMPACT).series, ea, point)
-    d, ev = character
-
-    def bucket(cls):
-        # ev(cls) as a one-term (den, nums) bucket on its T-exponent
-        e, num, den = ev(cls)
-        return den, {e: num}
-
-    # ev(f) = 1 + u, u = sum_k ev(gamma_k) * 1 of grade 1 in a formal
-    # grading; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
-    one_term = (1, {0: 1})
-    u = _products([(bucket(gamma_class(spec, k)), one_term) for k in range(1, spec.n)])
-    return _merged(d, [_times_powers([(bucket(c), p) for c, p in parts], {1: u})], None)
 
 
 def apply_gluing(spec: FanSpec, s: ClassSeries, gd: GluingData) -> ClassSeries:

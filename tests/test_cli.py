@@ -173,11 +173,11 @@ class TestTheoremFans:
     @pytest.mark.parametrize("command", COMPUTE, ids=lambda c: c[0])
     @pytest.mark.parametrize("doc, failed", [
         (F2, "fano"),
-        ({**CP2, "max_cones": [[0, 1], [0, 2]]}, "complete, fano"),
+        ({**CP2, "max_cones": [[0, 1], [0, 2]]}, "complete"),
     ], ids=["f2_nonfano", "cp2-two-cones"])
     def test_failed_check_is_domain_error(self, tmp_path, capsys, doc, failed, command):
         # each used to print a table and exit 0; fano is not evaluated on
-        # an incomplete fan, so it fails too
+        # an incomplete fan, so only complete is named
         code, out, err = run(capsys, *self._argv(tmp_path, doc, command))
         assert (code, out) == (1, "")
         assert err.split(":")[:2] == ["UnsupportedFan", f" fan fails {failed}"]

@@ -141,6 +141,113 @@ def test_product_follows_the_cutoff_rule(x, y):
     assert ((x * y).terms, (x * y).cutoff) == (want, cut)
 
 
+# scalar_pow and scalar_inverse are one Miller solve each; their oracle is
+# NovikovScalar products and sums: repeated products and the geometric series
+
+def _reference_inverse(x, cutoff=None):
+    """1/x = (1/c0) T^-e0 sum_j (-r)^j for x = c0 T^e0 (1 + r), the
+    geometric series summed until j val(r) reaches the cutoff, which is the
+    smaller of x's cutoff shifted by -2 e0 and the argument."""
+    if x.is_zero():
+        raise errors.DivisionByZero("inverse of the zero scalar")
+    e0, c0 = x.terms[0]
+    cut = None if x.cutoff is None else x.cutoff - 2 * e0
+    if cutoff is not None:
+        cut = cutoff if cut is None else min(cut, cutoff)
+    lead = t_monomial(-e0, 1 / c0)
+    if cut is None:
+        if len(x.terms) > 1:
+            raise ValueError("inverse of an exact multi-term scalar needs a cutoff")
+        return lead
+    room = cut + e0
+    r = (x * lead - novikov.ONE).truncated(room)
+    acc = term = novikov.ONE.truncated(room)
+    j = 1
+    while not r.is_zero() and j * r.val < room:
+        term = term * -r
+        acc = acc + term
+        j += 1
+    return (lead * acc).truncated(cut)
+
+
+def _reference_pow(x, k):
+    """x**k as |k| products from 1, of x or of its reference inverse."""
+    base = x if k >= 0 else _reference_inverse(x)
+    out = novikov.ONE
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def _terms_or_error(fn, *args):
+    try:
+        x = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return x.terms, x.cutoff
+
+
+# scalars that keep terms at or above their cutoff, as the constructor does
+kept_scalars = st.builds(
+    NovikovScalar, scalars.map(lambda x: x.terms),
+    st.none() | st.fractions(min_value=-2, max_value=4, max_denominator=4),
+)
+
+
+@settings(max_examples=400)
+@given(cut_scalars | kept_scalars, st.integers(min_value=-4, max_value=6))
+def test_scalar_pow_matches_repeated_products(x, k):
+    got = _terms_or_error(novikov.scalar_pow, x, k)
+    assert got == _terms_or_error(_reference_pow, x, k)
+
+
+@settings(max_examples=400)
+@given(cut_scalars | kept_scalars,
+       st.none() | st.fractions(min_value=-2, max_value=4, max_denominator=4))
+def test_scalar_inverse_matches_geometric_series(x, cutoff):
+    got = _terms_or_error(novikov.scalar_inverse, x, cutoff)
+    assert got == _terms_or_error(_reference_inverse, x, cutoff)
+
+
+ONE_PLUS_T = NovikovScalar.from_terms([(0, 1), (1, 1)])
+SINGLE = t_monomial(F(3, 2), F(-2, 5))
+NEEDS_CUTOFF = (ValueError, "inverse of an exact multi-term scalar needs a cutoff")
+
+
+@pytest.mark.parametrize("x, k, want", [
+    (NovikovScalar((), 2), 3, ((), 6)),                  # zero with a cutoff
+    (NovikovScalar((), 2), 0, (((0, 1),), None)),
+    (NovikovScalar((), 2), -1, (errors.DivisionByZero, "inverse of the zero scalar")),
+    (SINGLE, -3, (((F(-9, 2), F(-125, 8)),), None)),     # exact single term: exact
+    (SINGLE, 4, (((6, F(16, 625)),), None)),
+    (ONE_PLUS_T, 3, (((0, 1), (1, 3), (2, 3), (3, 1)), None)),
+    (ONE_PLUS_T, -2, NEEDS_CUTOFF),                      # exact multi-term
+    (NovikovScalar([(F(1, 2), 2), (1, -1), (2, 3)], F(3, 2)), -3, None),
+    (NovikovScalar([(5, 1)], 2), -2, None),              # a kept term above the cutoff
+], ids=["zero-cut", "zero-cut-0", "zero-cut-neg", "single-neg", "single-pos", "multi-pos",
+        "multi-neg", "cut-neg", "kept-term"])
+def test_scalar_pow_hand_cases(x, k, want):
+    got = _terms_or_error(novikov.scalar_pow, x, k)
+    assert got == _terms_or_error(_reference_pow, x, k)
+    assert want is None or got == want
+
+
+@pytest.mark.parametrize("x, cutoff, want", [
+    (SINGLE, None, (((F(-3, 2), F(-5, 2)),), None)),
+    (SINGLE, F(-2), ((), -2)),                           # the argument cuts it away
+    (ONE_PLUS_T, None, NEEDS_CUTOFF),
+    (ONE_PLUS_T, F(7, 2), (((0, 1), (1, -1), (2, 1), (3, -1)), F(7, 2))),
+    (ONE_PLUS_T.truncated(5), F(7, 2), None),            # the argument is lower
+    (ONE_PLUS_T.truncated(3), F(7, 2), None),            # x's own cutoff is lower
+    (novikov.ZERO, "bad", (errors.DivisionByZero, "inverse of the zero scalar")),
+], ids=["single", "single-cut-away", "multi", "multi-cutoff-arg", "cut-and-arg",
+        "arg-above-cut", "zero-before-arg"])
+def test_scalar_inverse_hand_cases(x, cutoff, want):
+    got = _terms_or_error(novikov.scalar_inverse, x, cutoff)
+    assert got == _terms_or_error(_reference_inverse, x, cutoff)
+    assert want is None or got == want
+
+
 class TestTrop:
     def test_coordinatewise_valuation(self):
         pt = [t_monomial(F(1, 2)), constant(2)]
@@ -862,10 +969,19 @@ def test_factored_eval_cancellation():
     ea = novikov.assign_energies(spec, {"beta_hat": 1, "gamma": [1], "H": [4]})
     x_2 = t_monomial(F(1, 2), F(2, 3))
     point = [-x_2 * t_monomial(1), x_2]
-    got = wallcross.evaluate_chekanov(ea, point)
+    got = novikov.evaluate_chekanov(ea, point)
     assert got == t_monomial(F(1, 2), F(3, 2))
     w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
     assert got == novikov.evaluate(w, ea, point)
+
+
+def test_evaluate_chekanov_type_hints_resolve():
+    # in wallcross its annotations named novikov types that wallcross did
+    # not bind, and get_type_hints raised NameError
+    import typing
+
+    hints = typing.get_type_hints(novikov.evaluate_chekanov)
+    assert (hints["ea"], hints["return"]) == (novikov.EnergyAssignment, NovikovScalar)
 
 
 NEG_P = {"n": 2, "extra_rays": [[-1, -2]], "energies": {"beta_hat": "1", "gamma": ["1"], "H": ["1"]}}
@@ -899,7 +1015,7 @@ def test_fallback_matches_expanded_path(tmp_path, monkeypatch, doc, args):
         characters.append(monomial_character(ea, point))
         return characters[-1]
 
-    # evaluate_chekanov imports it from novikov when called
+    # evaluate_chekanov reads it from the novikov globals when called
     monkeypatch.setattr(novikov, "monomial_character", character)
     got = _cli(argv)
     assert not any(characters)
@@ -966,7 +1082,7 @@ def test_non_scalar_is_bad_params(slot, bad):
     with pytest.raises(errors.BadParams) as want:
         novikov.evaluate(w, ea, point)
     with pytest.raises(errors.BadParams) as got:
-        wallcross.evaluate_chekanov(ea, point)
+        novikov.evaluate_chekanov(ea, point)
     assert str(got.value) == str(want.value)
     corrections = [novikov.ONE, t_monomial(1), constant(2)]
     corrections[slot] = bad
@@ -1015,7 +1131,7 @@ def test_chekanov_errors_match_expanded_path(spec, with_h, point):
         w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
         return novikov.evaluate(w, ea, point)
 
-    got = _value_or_error(lambda: wallcross.evaluate_chekanov(ea, point))
+    got = _value_or_error(lambda: novikov.evaluate_chekanov(ea, point))
     assert got == _value_or_error(expanded)
     if not isinstance(point, list):
         # a point that is not a sequence used to end in a raw TypeError,
@@ -1034,7 +1150,7 @@ def test_bad_point_is_refused_before_the_expansion(monkeypatch, bad, error):
     point = [t_monomial(1)] * 5 + ([bad] if bad is not None else [])
     solves = _count_calls(monkeypatch, series._times_powers)
     with pytest.raises(error):
-        wallcross.evaluate_chekanov(ea, point)
+        novikov.evaluate_chekanov(ea, point)
     assert solves["n"] == 0
 
 
@@ -1116,7 +1232,7 @@ def test_factored_scalar_renders_and_hashes(spec):
     # hash, the same terms built from Fraction pairs and evaluate's result
     ea = novikov.assign_energies(spec, _stock_energies(spec))
     point = [t_monomial(F(k, 3), F(-k, 5) if k % 2 else k) for k in (1, 2, -1, 3, -2, 1)[:spec.n]]
-    got = wallcross.evaluate_chekanov(ea, point)
+    got = novikov.evaluate_chekanov(ea, point)
     w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
     for y in (NovikovScalar.from_terms(got.terms), NovikovScalar(got.terms),
               novikov.evaluate(w, ea, point)):

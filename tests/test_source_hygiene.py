@@ -17,9 +17,14 @@ left.
 
 The sums sum p f**e over integer e, times_powers, divide_by_power and the
 gluing map, are one engine, series._powered: it alone prepares f and
-calls Miller's solve, so a second prelude cannot come back unnoticed.
-Likewise the int buckets of series and novikov are summed by one
-function, series._summed, and convolved by one, series._products.
+calls Miller's solve, so a second prelude cannot come back unnoticed;
+outside series only novikov calls it, for every Novikov power and
+inverse (novikov._power, with no loop of its own) and for
+evaluate_chekanov.  Likewise the int buckets of series and novikov are
+summed by one function, series._summed, and convolved by one,
+series._products.  The modules import one another in one direction
+only, errors, fan, chambers, series, wallcross, novikov, cli: so
+wallcross imports nothing from novikov.
 
 Start-up is part of every CLI call: the value types are plain classes,
 so importing opengw loads neither dataclasses nor typing, nor the
@@ -281,18 +286,33 @@ def test_one_signed_power_engine():
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_power_sum", "_divided"}, defined & {"_power_sum", "_divided"}
     # each entry point is one engine call, and within series only the
-    # engine runs Miller's solve (wallcross.evaluate_chekanov runs it on
-    # T-exponent keys)
+    # engine runs Miller's solve; outside it only novikov runs it, on
+    # T-exponent keys, for every Novikov power and for evaluate_chekanov
     assert sorted(_callers(series, "_powered")) == [("_glued",), ("divide_by_power",),
                                                     ("times_powers",)]
     assert list(_callers(series, "_times_powers")) == [("_powered",)]
+    outside = sorted((name, scope) for name, tree in modules.items() if name != "series.py"
+                     for scope in _callers(tree, "_times_powers"))
+    assert outside == [("novikov.py", ("_power",)), ("novikov.py", ("evaluate_chekanov",))]
+
+
+def test_novikov_powers_have_no_loop_of_their_own():
+    # scalar_pow and scalar_inverse are their checks and one _power call,
+    # and _power loops over nothing: its power is the Miller solve's
+    novikov = _modules()["novikov.py"]
+    defined = {node.name: node for node in novikov.body if isinstance(node, ast.FunctionDef)}
+    for name in ("scalar_pow", "scalar_inverse"):
+        assert list(_callers(defined[name], "_power")) == [(name,)], name
+    loops = [f"{name}:{node.lineno}" for name in ("_power", "scalar_pow", "scalar_inverse")
+             for node in ast.walk(defined[name]) if isinstance(node, (ast.For, ast.While))]
+    assert not loops, f"loops in Novikov powers: {loops}"
 
 
 def test_one_bucket_arithmetic():
     # every sum of (den, nums) buckets in series and novikov is
     # series._summed and every product of them series._products, and the
     # int buckets become a NovikovScalar only through novikov._merged
-    # (__neg__ and scalar_inverse build theirs from columns)
+    # (__neg__ builds its own from columns)
     modules = _modules()
     summed = sorted((name, scope) for name, tree in modules.items()
                     for scope in _callers(tree, "_summed"))
@@ -303,5 +323,32 @@ def test_one_bucket_arithmetic():
     assert {("_product",), ("evaluate",)} <= products, products
     made = sorted((name, scope) for name, tree in modules.items()
                   for scope in _callers(tree, "NovikovScalar._of"))
-    assert made == [("novikov.py", ("NovikovScalar", "__neg__")), ("novikov.py", ("_merged",)),
-                    ("novikov.py", ("scalar_inverse",))]
+    assert made == [("novikov.py", ("NovikovScalar", "__neg__")), ("novikov.py", ("_merged",))]
+
+
+# the package's modules in import order: each imports only earlier ones
+ORDER = ["errors", "fan", "chambers", "series", "wallcross", "novikov", "cli"]
+
+
+def _relative_imports(tree):
+    # (imported module, line) of every relative import, at any depth: from
+    # .x import ... names x, from . import x, y names x and y
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [node.module] if node.module else [alias.name for alias in node.names]
+            for target in targets:
+                yield target.split(".")[0], node.lineno
+
+
+def test_imports_run_in_one_direction():
+    # an import inside a function counts too, so wallcross, for one, can
+    # reach nothing of novikov
+    modules = _modules()
+    assert sorted(ORDER) == sorted(name[:-3] for name in modules if name != "__init__.py")
+    later = [
+        f"{name}:{line} imports {target}"
+        for name, tree in modules.items() if name != "__init__.py"
+        for target, line in _relative_imports(tree)
+        if ORDER.index(target) >= ORDER.index(name[:-3])
+    ]
+    assert not later, f"imports against the module order: {later}"

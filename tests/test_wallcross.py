@@ -26,7 +26,7 @@ from opengw.fan import (
     class_name,
     gamma_class,
 )
-from opengw.novikov import assign_energies, evaluate, t_monomial
+from opengw.novikov import assign_energies, evaluate, evaluate_chekanov, t_monomial
 from opengw.series import ClassSeries, monomial, truncate_gamma
 from opengw.wallcross import (
     Ambient,
@@ -261,7 +261,7 @@ class TestGluing:
          "series operand must be a ClassSeries, got None"),
         (lambda spec, w, gd: evaluate(w.series, None, [t_monomial(1)] * 2),
          "energy assignment must be an EnergyAssignment, got None"),
-        (lambda spec, w, gd: wallcross.evaluate_chekanov(None, [t_monomial(1)] * 2),
+        (lambda spec, w, gd: evaluate_chekanov(None, [t_monomial(1)] * 2),
          "energy assignment must be an EnergyAssignment, got None"),
     ], ids=["apply-series", "apply-fan", "apply-data", "glue-superpotential", "glue-data",
             "table", "table-series", "evaluate", "evaluate-energies", "evaluate-chekanov"])
