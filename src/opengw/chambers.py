@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import BadParams, DimensionMismatch, IndexOutOfRange, OutsideBase
 from .fan import (
+    _require,
     _require_rationals,
     _require_seq,
     _Value,
@@ -78,6 +79,7 @@ def classify_point(n: int, point: ChamberPoint) -> Chamber:
     n = require_int(n, "n")
     if n < 1:
         raise BadParams(f"n must be >= 1, got {n}")
+    _require(point, ChamberPoint, "base point")
     if len(point.lam) != n - 1:
         raise DimensionMismatch(f"expected {n - 1} lambda components, got {len(point.lam)}")
     if point.q2 <= -1:
@@ -139,7 +141,7 @@ class CYFanRays(_Value):
 def cn_rays(n: int, constants=None) -> CYFanRays:
     """The C^n fan in anticanonical normalization: v_0 = e_n and
     v_k = e_k + e_n for k = 1..n-1."""
-    if n < 1:
+    if require_int(n, "n") < 1:
         raise BadParams("n must be >= 1")
     rays = [tuple([0] * (n - 1) + [1])]
     for k in range(n - 1):
@@ -154,6 +156,7 @@ def wall_component_tropical(rays: CYFanRays, xi) -> int | None:
     Evaluates max_k(-<v_k, xi> - c_k) over the first n-1 coordinates of
     each ray; a unique argmax names the wall component.
     """
+    _require(rays, CYFanRays, "rays")
     xi = _require_rationals(xi, "xi")
     if len(xi) != rays.dim - 1:
         raise DimensionMismatch(f"xi must have length {rays.dim - 1}, got {len(xi)}")
@@ -170,6 +173,8 @@ def wall_component_tropical(rays: CYFanRays, xi) -> int | None:
 def monodromy_matrix(rays: CYFanRays, i: int, j: int) -> tuple[IntVec, ...]:
     """Integer shear for transport from the chart at ray i to the chart at
     ray j: identity with last column (v_j - v_i, 1)."""
+    _require(rays, CYFanRays, "rays")
+    i, j = require_int(i, "ray index i"), require_int(j, "ray index j")
     if not 0 <= i < rays.count:
         raise IndexOutOfRange(f"ray index i = {i} not in 0..{rays.count - 1}")
     if not 0 <= j < rays.count:

@@ -372,7 +372,8 @@ def beta_prime_class(spec: FanSpec, a: int) -> RelClass:
 
 def ray_decomposition(spec: FanSpec, a: int) -> tuple[IntVec, int]:
     """Extra ray v_a (1-based) with its coordinate sum p_a."""
-    if not 1 <= a <= spec.m:
+    _require(spec, FanSpec, "fan spec")
+    if not 1 <= require_int(a, "extra ray index") <= spec.m:
         raise IndexOutOfRange(f"extra ray index {a} not in 1..{spec.m}")
     v = spec.extra_rays[a - 1]
     return v, sum(v)
@@ -517,6 +518,7 @@ def validate_fan(spec: FanSpec) -> ValidationReport:
     independent generators) and the Fano criterion only on smooth complete
     ones; skipped checks report False with a diagnostic saying why.
     """
+    _require(spec, FanSpec, "fan spec")
     if spec.max_cones is None:
         raise MissingCones("fan spec has no maximal cones")
     for c in spec.max_cones:

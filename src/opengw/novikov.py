@@ -20,26 +20,25 @@ NovikovLaurent is a Laurent polynomial in n torus variables with
 NovikovScalar coefficients; it carries the toric superpotentials and
 Gauss valuations over a polytope.  evaluate() sends the
 symbolic class series of the wallcross module to actual scalars once
-energies and a torus point are chosen.  It works on integer T-exponents
-over one common denominator per call; its products follow the same rule
-as NovikovScalar's.  It checks the series shape once per call and takes
-each term's boundary unchecked.  A power of a coordinate that is one
-exact term c*T^e shifts a term's int exponent by its exponent and scales
-its int numerator and denominator by its coefficient's; every other
-power is folded through that product rule.  Each term is then one pair
-(term bucket, fold), and one series._products call sums them all into
-the bucket that _merged turns into the result.
+energies and a torus point are chosen.  It checks the series shape once
+per call, and then one pass (_evaluated) values each class at the point
+on integer T-exponents over one common denominator, taking each term's
+boundary unchecked.  A power of a coordinate that is one exact term c*T^e
+shifts a term's int exponent by its exponent and scales its int
+numerator and denominator by its coefficient's (_monomial_power); every
+other power is folded through NovikovScalar's product rule.  Each term is
+then one pair (term bucket, fold), and one series._products call sums
+them all into the bucket that _merged turns into the result.
 
-That shift and scale is the monomial-point character (monomial_character):
-at a point whose n coordinates are each one exact term, a class evaluates
-to one exact term and evaluation is multiplicative on classes.
-evaluate_chekanov uses it to evaluate the compact Chekanov
-superpotential in factored form without expanding it, at a monomial point
-of a fan with every p_a >= 0 and sphere energies; evaluate on the
-expanded series is that path's oracle.  Every other point stays on
-evaluate: the factored form needs x_k**-1 for each ev(gamma_k) even where
-no expanded term does, and a cutoff would spread through ev(f)**p_a
-differently from the per-term cutoffs.
+At a monomial point, whose n coordinates are each one exact term, every
+fold is 1: a class evaluates to one exact term and evaluation is
+multiplicative on classes.  evaluate_chekanov reads the generator values
+off that same pass to evaluate the compact Chekanov superpotential in
+factored form without expanding it, on a fan with every p_a >= 0 and
+sphere energies; evaluate on the expanded series is that path's oracle.
+Every other point stays on evaluate: the factored form needs x_k**-1 for
+each ev(gamma_k) even where no expanded term does, and a cutoff would
+spread through ev(f)**p_a differently from the per-term cutoffs.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .fan import (
     _require_rationals,
     _require_seq,
     _Value,
-    class_boundary,
     gamma_class,
     parse_energies,
     ray_decomposition,
@@ -323,13 +321,16 @@ def _power(x: NovikovScalar, k: int, cutoff=None) -> NovikovScalar:
     k < 0 keeps that of x**-1 raised to -k, x**-1 of valuation -e0 and
     cutoff C - 2 e0.  Level l of the solve lies at T^(>= k e0 + l val(r)),
     so a cut solve stops at the last level below the cutoff, or at level
-    k, where a power k > 0 ends.  A negative power needs x nonzero and,
-    when x and cutoff are exact, one term.
+    k, where a power k > 0 ends.  A negative power needs x nonzero, with a
+    term below its cutoff when it has one (else its leading term is
+    unknown), and, when x and cutoff are exact, one term.
     """
     d, exps, den, nums = x.columns()
     if k < 0:
         if not exps:
             raise DivisionByZero("inverse of the zero scalar")
+        if x.cutoff is not None and x.val >= x.cutoff:
+            raise DivisionByZero(f"inverse of a scalar with no term below its cutoff {x.cutoff}")
         if cutoff is not None:
             cutoff = require_rational(cutoff, "cutoff")
         elif x.cutoff is None and len(exps) > 1:
@@ -559,10 +560,10 @@ def _exact_term(x: NovikovScalar):
 
 
 def _monomial_power(term: tuple, w: int, d: int) -> tuple[int, int, int]:
-    """The monomial-point character on one coordinate: (c*T^e)**w for the
-    exact term with columns term, as the int T-exponent e * w over d, a
-    multiple of the term's exponent denominator, and the int numerator and
-    positive denominator of c**w.  No Fraction is built."""
+    """(c*T^e)**w for the exact term with columns term, as the int
+    T-exponent e * w over d, a multiple of the term's exponent
+    denominator, and the int numerator and positive denominator of c**w.
+    No Fraction is built."""
     ed, (e,), den, (num,) = term
     e *= d // ed
     if w < 0:
@@ -570,38 +571,6 @@ def _monomial_power(term: tuple, w: int, d: int) -> tuple[int, int, int]:
         e, w = -e, -w
         num, den = (den, num) if num > 0 else (-den, -num)
     return e * w, num ** w, den ** w
-
-
-def monomial_character(ea: EnergyAssignment, point: Sequence[NovikovScalar]):
-    """Evaluation at a monomial point as a character on classes.
-
-    At a point of n coordinates x_i = c_i*T^{e_i}, each one exact term,
-    the class c evaluates to the one exact term
-    T^{E(c) + sum_i d_i(c) e_i} * prod_i c_i^{d_i(c)}, and this is
-    multiplicative: ev(c + c') = ev(c) ev(c').  Returns (d, ev) with
-    ev(cls) = (T-exponent * d, numerator, denominator), the T-exponents
-    ints over one common denominator d; None when the point has the wrong
-    number of coordinates or a coordinate that is not a NovikovScalar of
-    one exact term, and a point that is not a sequence raises BadParams.
-    ev checks the class shape and the sphere energies like evaluate.
-    """
-    spec = ea.fan
-    terms = [_exact_term(x) for x in _require_seq(point, "point")]
-    if len(terms) != spec.n or None in terms:
-        return None
-    areas = (ea.beta_hat, *ea.gamma, *(ea.h or ()))
-    d = math.lcm(*(q.denominator for q in areas), *(t[0] for t in terms))
-
-    def ev(cls) -> tuple[int, int, int]:
-        q = ea.energy_of(cls)
-        e, num, den = q.numerator * (d // q.denominator), 1, 1
-        for i, wi in enumerate(class_boundary(spec, cls)):
-            if wi:
-                pe, pn, pd = _monomial_power(terms[i], wi, d)
-                e, num, den = e + pe, num * pn, den * pd
-        return e, num, den
-
-    return d, ev
 
 
 def _check_point(spec: FanSpec, point: Sequence[NovikovScalar]):
@@ -627,6 +596,16 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
         if any(cls.h):
             ea._require_h(cls)
         _check_class_shape(spec, cls)
+    d, pairs, cut = _evaluated(ea, point, items)
+    return _merged(d, [_products(pairs)], cut)
+
+
+def _evaluated(ea: EnergyAssignment, point: Sequence[NovikovScalar], items) -> tuple:
+    """(d, pairs, cut): one pair (term bucket, fold) per (class,
+    coefficient) item, the item's value at the checked point being the
+    product of the two, every T-exponent an int over the one denominator
+    d, and cut the cutoff of their sum, or None.  Classes of the fan's
+    shape only; each is checked for its sphere energies."""
     # first pass, term by term: the checks and each distinct power x_i^w of
     # a coordinate that is not one exact term, computed once, so errors
     # come in the per-term order
@@ -659,12 +638,11 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
     # case of an exact monomial factor: it shifts the other factor's terms
     # and cutoff by its floor, scales its coefficients and drops nothing.
     # So it goes into the term's int exponent, numerator and denominator
-    # through the monomial-point character; every other power is folded
-    # through _product from 1, with its coefficient denominator.  Each term
-    # is then one pair (term bucket, fold), and one _products call shifts
-    # and scales every fold by its term and sums them.  The cutoff is the
-    # min over the terms' cutoffs, so dropping at or above it once keeps
-    # exactly what dropping after every addition would
+    # (_monomial_power); every other power is folded through _product
+    # from 1, with its coefficient denominator.  A _products call on the
+    # pairs shifts and scales every fold by its term and sums them.  The
+    # cutoff is the min over the terms' cutoffs, so dropping at or above
+    # it once keeps exactly what dropping after every addition would
     monomials: dict[tuple[int, int], tuple[int, int, int]] = {}
     folded: dict[tuple[int, int], tuple] = {}
     for key, x in powers.items():
@@ -695,7 +673,7 @@ def evaluate(s, ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> Novikov
         pairs.append(((den, {e: num}), (fold_den, fold)))
         if fold_cut is not None:
             cut = _min_cut(cut, fold_cut + e)
-    return _merged(d, [_products(pairs)], None if cut is None else Fraction(cut, d))
+    return d, pairs, None if cut is None else Fraction(cut, d)
 
 
 def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> NovikovScalar:
@@ -703,17 +681,18 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     equal to evaluate(chekanov_superpotential(ea.fan, COMPACT).series, ea,
     point), which is its oracle.
 
-    At a monomial point (n coordinates, each one exact term c*T^e),
-    evaluation is a character on classes (monomial_character), so
-    with every p_a >= 0 and sphere energies present
+    At a monomial point (n coordinates, each one exact term c*T^e), a
+    class evaluates to one exact term and evaluation is multiplicative on
+    classes, so with every p_a >= 0 and sphere energies present
 
         ev(W) = ev(beta_hat) + sum_a ev(beta'_a) * ev(f)**p_a,
         ev(f) = 1 + sum_k ev(gamma_k),
 
-    exactly, and the expanded series is never built.  ev(f) is held as int
-    T-exponents (over one common denominator) with int numerators; they
-    add like packed class keys, so the sum is series._times_powers, the
-    Miller solve that times_powers uses too, with every ev(gamma_k) of
+    exactly, and the expanded series is never built.  The generator
+    values are evaluate's own pass (_evaluated), where every fold is 1:
+    int T-exponents over one common denominator with int numerators.
+    They add like packed class keys, so the sum is series._times_powers,
+    the Miller solve that times_powers uses too, with every ev(gamma_k) of
     grade 1.  The result is built straight from the solve's ints by
     _merged, with no Fraction per term.
 
@@ -728,19 +707,14 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     _require(ea, EnergyAssignment, "energy assignment")
     spec = ea.fan
     parts = _chekanov_parts(spec)
-    character = None if ea.h is None else monomial_character(ea, point)
-    if character is None:
+    exact = [_exact_term(x) for x in _require_seq(point, "point")]
+    if ea.h is None or len(exact) != spec.n or None in exact:
         _check_point(spec, point)
         return evaluate(chekanov_superpotential(spec, Ambient.COMPACT).series, ea, point)
-    d, ev = character
-
-    def bucket(cls):
-        # ev(cls) as a one-term (den, nums) bucket on its T-exponent
-        e, num, den = ev(cls)
-        return den, {e: num}
-
-    # ev(f) = 1 + u, u = sum_k ev(gamma_k) * 1 of grade 1 in a formal
-    # grading; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
-    one_term = (1, {0: 1})
-    u = _products([(bucket(gamma_class(spec, k)), one_term) for k in range(1, spec.n)])
-    return _merged(d, [_times_powers([(bucket(c), p) for c, p in parts], {1: u})], None)
+    # ev(f) = 1 + u, u = sum_k ev(gamma_k) of grade 1 in a formal grading;
+    # W = beta_hat * f**0 + sum_a beta'_a * f**p_a
+    gammas = [(gamma_class(spec, k), 1) for k in range(1, spec.n)]
+    d, pairs, _ = _evaluated(ea, point, [(c, 1) for c, _ in parts] + gammas)
+    u = _products(pairs[len(parts):])
+    terms = [(term, p) for (term, _), (_, p) in zip(pairs, parts)]
+    return _merged(d, [_times_powers(terms, {1: u})], None)

@@ -131,7 +131,8 @@ class ClassSeries:
     def __init__(self, n: int, m: int, terms: Mapping[RelClass, Fraction] | None = None):
         self.n, self.m = _shape(n, m)
         clean: dict[RelClass, Fraction] = {}
-        if terms:
+        if terms is not None:
+            _require(terms, Mapping, "series terms")
             for cls, coeff in terms.items():
                 _require(cls, RelClass, "series key")
                 if len(cls.g) != n - 1 or len(cls.h) != m:
@@ -285,14 +286,9 @@ def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
 
 
 def power(f: ClassSeries, k: int) -> ClassSeries:
-    """f**k for k >= 0, exact: times_power(1, f, k)."""
+    """f**k for k >= 0, exact: times_powers([(1, k)], f)."""
     _require_series(f)
-    return times_power(one(f.n, f.m), f, k)
-
-
-def times_power(p: ClassSeries, f: ClassSeries, k: int) -> ClassSeries:
-    """p * f**k for k >= 0, exact: times_powers([(p, k)], f)."""
-    return times_powers([(p, k)], f)
+    return times_powers([(one(f.n, f.m), k)], f)
 
 
 def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> ClassSeries:
@@ -315,7 +311,7 @@ def times_powers(parts: Iterable[tuple[ClassSeries, int]], f: ClassSeries) -> Cl
         _check_context(p, f)
         k = require_int(k, "exponent")
         if k < 0:
-            raise BadParams(f"times_power needs an exponent >= 0, got {k}")
+            raise BadParams(f"times_powers needs an exponent >= 0, got {k}")
         checked.append((p._packed, k))
     return _powered(f.n, f.m, checked, f)
 
@@ -1000,6 +996,7 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
     cancel dropped.  The series stays packed until it is read.
     """
     n, m = _shape(n, m)
+    _require(records, Iterable, "series records")
     parsed = [_record(rec, n, m) for rec in records]
     if not parsed:
         return _unpacked(n, m, _Packer(n, m, 0), 1, {})

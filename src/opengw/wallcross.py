@@ -228,6 +228,7 @@ class InvariantTable:
 
 
 def _check_ambient(spec: FanSpec, ambient: Ambient):
+    _require(spec, FanSpec, "fan spec")
     _require(ambient, Ambient, "ambient")
     if ambient is Ambient.COMPACT and spec.m == 0:
         raise BadParams("compact ambient needs at least one ray at infinity")
@@ -255,6 +256,7 @@ def wall_crossing_factor(
 ) -> GluingData:
     """The gluing factor 1 + sum_k gamma_k-monomials for this fan, built
     straight onto packed keys (series._one_plus_gammas)."""
+    _require(spec, FanSpec, "fan spec")
     return GluingData(_one_plus_gammas(spec.n, spec.m), direction, trunc)
 
 
@@ -406,6 +408,7 @@ def closed_form_invariant(family: str, params: Mapping) -> Fraction:
     (1 + sum gamma)^p, so its count is a multinomial coefficient in k
     shifted by the gammas its ray contributes.
     """
+    _require(params, Mapping, "params")
     params = dict(params)
     if family == "cpn":
         n = _require_int_param(params, "n")
@@ -472,6 +475,7 @@ def wall_cross_rhs(
     log f, exp(-log f) and the product with the bracket are one packed
     pass, series._times_exp_neg_log.
     """
+    _require(spec, FanSpec, "fan spec")
     if n_factors is None:
         n_factors = [one(spec.n, spec.m)] * spec.n
     if len(n_factors) != spec.n:

@@ -151,6 +151,10 @@ def _reference_inverse(x, cutoff=None):
     if x.is_zero():
         raise errors.DivisionByZero("inverse of the zero scalar")
     e0, c0 = x.terms[0]
+    if x.cutoff is not None and e0 >= x.cutoff:
+        # x's leading term is unknown: it may lie anywhere at or above the cutoff
+        raise errors.DivisionByZero(
+            f"inverse of a scalar with no term below its cutoff {x.cutoff}")
     cut = None if x.cutoff is None else x.cutoff - 2 * e0
     if cutoff is not None:
         cut = cutoff if cut is None else min(cut, cutoff)
@@ -212,6 +216,8 @@ def test_scalar_inverse_matches_geometric_series(x, cutoff):
 ONE_PLUS_T = NovikovScalar.from_terms([(0, 1), (1, 1)])
 SINGLE = t_monomial(F(3, 2), F(-2, 5))
 NEEDS_CUTOFF = (ValueError, "inverse of an exact multi-term scalar needs a cutoff")
+# T^5 + O(T^2) may be T^100: its inverse has no known leading term
+KEPT_ONLY = (errors.DivisionByZero, "inverse of a scalar with no term below its cutoff 2")
 
 
 @pytest.mark.parametrize("x, k, want", [
@@ -223,7 +229,7 @@ NEEDS_CUTOFF = (ValueError, "inverse of an exact multi-term scalar needs a cutof
     (ONE_PLUS_T, 3, (((0, 1), (1, 3), (2, 3), (3, 1)), None)),
     (ONE_PLUS_T, -2, NEEDS_CUTOFF),                      # exact multi-term
     (NovikovScalar([(F(1, 2), 2), (1, -1), (2, 3)], F(3, 2)), -3, None),
-    (NovikovScalar([(5, 1)], 2), -2, None),              # a kept term above the cutoff
+    (NovikovScalar([(5, 1)], 2), -2, KEPT_ONLY),         # a kept term above the cutoff
 ], ids=["zero-cut", "zero-cut-0", "zero-cut-neg", "single-neg", "single-pos", "multi-pos",
         "multi-neg", "cut-neg", "kept-term"])
 def test_scalar_pow_hand_cases(x, k, want):
@@ -240,8 +246,11 @@ def test_scalar_pow_hand_cases(x, k, want):
     (ONE_PLUS_T.truncated(5), F(7, 2), None),            # the argument is lower
     (ONE_PLUS_T.truncated(3), F(7, 2), None),            # x's own cutoff is lower
     (novikov.ZERO, "bad", (errors.DivisionByZero, "inverse of the zero scalar")),
+    (NovikovScalar([(5, 1)], 2), None, KEPT_ONLY),
+    (NovikovScalar([(2, 1), (3, 1)], 2), "bad", (   # refused before the argument is read
+        errors.DivisionByZero, "inverse of a scalar with no term below its cutoff 2")),
 ], ids=["single", "single-cut-away", "multi", "multi-cutoff-arg", "cut-and-arg",
-        "arg-above-cut", "zero-before-arg"])
+        "arg-above-cut", "zero-before-arg", "kept-term", "kept-term-before-arg"])
 def test_scalar_inverse_hand_cases(x, cutoff, want):
     got = _terms_or_error(novikov.scalar_inverse, x, cutoff)
     assert got == _terms_or_error(_reference_inverse, x, cutoff)
@@ -1008,17 +1017,19 @@ def test_fallback_matches_expanded_path(tmp_path, monkeypatch, doc, args):
         "n": 2, "extra_rays": [[1, 1]], "energies": {"beta_hat": "1", "gamma": ["1"], "H": ["4"]},
     }))
     argv = ["eval", str(path), *args]
-    characters = []
-    monomial_character = novikov.monomial_character
+    # only the factored step calls gamma_class through the novikov
+    # globals, once per gamma_k; the expanded paths reach it, if at all,
+    # through fan's and wallcross's own bindings
+    factored = []
+    gamma_class = novikov.gamma_class
 
-    def character(ea, point):
-        characters.append(monomial_character(ea, point))
-        return characters[-1]
+    def counted(spec, k):
+        factored.append(k)
+        return gamma_class(spec, k)
 
-    # evaluate_chekanov reads it from the novikov globals when called
-    monkeypatch.setattr(novikov, "monomial_character", character)
+    monkeypatch.setattr(novikov, "gamma_class", counted)
     got = _cli(argv)
-    assert not any(characters)
+    assert not factored, "the factored path ran"
     monkeypatch.undo()
 
     def expanded(ea, point):
@@ -1031,16 +1042,17 @@ def test_fallback_matches_expanded_path(tmp_path, monkeypatch, doc, args):
 
 def test_factored_eval_work_count(monkeypatch, tmp_path):
     # one opengw eval of the compact CP^6 Chekanov potential at a one-term
-    # point: one checked boundary per generator class (beta_hat, the gamma_k
-    # and the beta'_a), and no expanded series is built or unpacked (463
-    # checked boundaries, one times_power and one unpack when it was)
+    # point: at most one checked boundary per generator class (beta_hat,
+    # the gamma_k and the beta'_a), and no expanded series is built or
+    # unpacked (463 checked boundaries, one times_powers and one unpack
+    # when it was)
     spec = fan.builtin_fan("cpn", n=6)
     path = tmp_path / "cp6.json"
     path.write_text(json.dumps({"n": 6, "extra_rays": [[1] * 6], "energies": _stock_energies(spec)}))
     lits = ["1/3*T^-1", "-2/3*T^2", "-1/3*T^-1", "3/5*T^3", "-2/3*T^-2", "1/3*T"]
     argv = ["eval", str(path), "--point", ",".join(lits), "--format", "json"]
     boundaries = _count_calls(monkeypatch, fan.class_boundary)
-    powers = _count_calls(monkeypatch, series.times_power)
+    powers = _count_calls(monkeypatch, series.times_powers)
     unpacks = _count_calls(monkeypatch, series._unpacked)
     got = _cli(argv)
     assert boundaries["n"] <= spec.n + spec.m, f"{boundaries['n']} class_boundary calls"

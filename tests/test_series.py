@@ -126,7 +126,8 @@ class TestRingOps:
          lambda f: series.divide_by_power(f, f, 1.5, 3),
          lambda f: series.divide_by_power(f, f, 1, None),
          lambda f: series.divide_by_power(f, f, -1, 3),
-         lambda f: series.times_power(f, f, 2.0), lambda f: series.times_power(f, f, -1),
+         lambda f: series.times_powers([(f, 2.0)], f),
+         lambda f: series.times_powers([(f, -1)], f),
          lambda f: series.truncate_gamma(f, 1.5)],
         ids=["power-k-float", "power-k-bool", "power-k-negative",
              "exp-trunc-str", "log-trunc-float", "divide-k-float", "divide-trunc-none",
@@ -172,8 +173,8 @@ class TestRingOps:
         (lambda s: series.multiply(1, s), "series operand must be a ClassSeries, got 1"),
         (lambda s: series.divide_by_power(s, 1, 1, 4),
          "series operand must be a ClassSeries, got 1"),
-        (lambda s: series.times_power(1, s, 2), "series operand must be a ClassSeries, got 1"),
-        (lambda s: series.times_power(s, 1, 2), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.times_powers([(1, 2)], s), "series operand must be a ClassSeries, got 1"),
+        (lambda s: series.times_powers([(s, 2)], 1), "series operand must be a ClassSeries, got 1"),
         (lambda s: series.times_powers([], 1), "series operand must be a ClassSeries, got 1"),
         (lambda s: series.times_powers(None, s),
          "times_powers needs an iterable of (series, exponent) pairs"),
@@ -651,7 +652,7 @@ def test_power_and_times_power_match_repeated_products(seed):
     # f = 1 + u with u in one gamma orthant goes through Miller's
     # recurrence; f with constant 2, mixed gamma signs or a tail term of
     # gamma-degree 0 through square-and-multiply.  Both must equal k plain
-    # dict products, and times_power(p, f, k) must equal p times that, for
+    # dict products, and times_powers([(p, k)], f) must equal p times that, for
     # p with coordinates far beyond k times those of f.
     rng = random.Random(seed)
     n, m, k = 1 + seed % 4, seed % 3, seed % 7
@@ -687,7 +688,7 @@ def test_power_and_times_power_match_repeated_products(seed):
         fs = _as_series(n, m, f)
         want = _as_series(n, m, _repeated_product(f, k, unit))
         assert series.power(fs, k) == want, name
-        assert series.times_power(ps, fs, k) == series.multiply(ps, want), name
+        assert series.times_powers([(ps, k)], fs) == series.multiply(ps, want), name
 
 
 @pytest.mark.parametrize("f", [
@@ -724,7 +725,7 @@ def test_times_powers_adds_kept_and_powered_parts(f):
         by_products = by_products + series.multiply(_as_series(n, m, p), series.power(fs, k))
     assert got == by_products
     kept = _as_series(n, m, parts[0][0])
-    assert series.times_power(kept, fs, 0) == kept
+    assert series.times_powers([(kept, 0)], fs) == kept
 
 
 def test_divide_by_zeroth_power_keeps_grades_up_to_trunc():
@@ -789,12 +790,12 @@ def test_zeroth_power_leaves_f_unchecked(monkeypatch):
     orthant, graded = series._orthant, series._graded
     monkeypatch.setattr(series, "_orthant", lambda *args: calls.append("_orthant") or orthant(*args))
     monkeypatch.setattr(series, "_graded", lambda *args: calls.append("_graded") or graded(*args))
-    got = series.times_power(p, f, 0)
+    got = series.times_powers([(p, 0)], f)
     monkeypatch.undo()
     assert calls == []
     assert got == p and series.to_records(got) == series.to_records(p)
     # f without a graded tail, and not invertible at all, changes nothing
-    assert series.times_power(p, f.scaled(2), 0) == p
+    assert series.times_powers([(p, 0)], f.scaled(2)) == p
 
 
 def orthant_series(n, m, sign, max_terms=3):

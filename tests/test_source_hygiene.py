@@ -20,7 +20,9 @@ gluing map, are one engine, series._powered: it alone prepares f and
 calls Miller's solve, so a second prelude cannot come back unnoticed;
 outside series only novikov calls it, for every Novikov power and
 inverse (novikov._power, with no loop of its own) and for
-evaluate_chekanov.  Likewise the int buckets of series and novikov are
+evaluate_chekanov.  A class is valued at a torus point by one pass,
+novikov._evaluated, for evaluate and evaluate_chekanov alike, and
+monomial_character, a second one, is gone.  Likewise the int buckets of series and novikov are
 summed by one function, series._summed, and convolved by one,
 series._products.  The modules import one another in one direction
 only, errors, fan, chambers, series, wallcross, novikov, cli: so
@@ -324,6 +326,23 @@ def test_one_bucket_arithmetic():
     made = sorted((name, scope) for name, tree in modules.items()
                   for scope in _callers(tree, "NovikovScalar._of"))
     assert made == [("novikov.py", ("NovikovScalar", "__neg__")), ("novikov.py", ("_merged",))]
+
+
+def test_one_class_evaluation_pass():
+    # a class is valued at a point by one pass, novikov._evaluated, which
+    # evaluate sums and evaluate_chekanov reads its generator values off;
+    # only it and the Novikov powers turn a one-term coordinate's power
+    # into ints, and the second evaluator of classes is gone
+    modules = _modules()
+    novikov = modules["novikov.py"]
+    defined = {node.name for node in novikov.body if isinstance(node, ast.FunctionDef)}
+    assert "monomial_character" not in defined
+    evaluated = sorted((name, scope) for name, tree in modules.items()
+                       for scope in _callers(tree, "_evaluated"))
+    assert evaluated == [("novikov.py", ("evaluate",)), ("novikov.py", ("evaluate_chekanov",))]
+    powers = sorted((name, scope) for name, tree in modules.items()
+                    for scope in _callers(tree, "_monomial_power"))
+    assert powers == [("novikov.py", ("_evaluated",)), ("novikov.py", ("_power",))]
 
 
 # the package's modules in import order: each imports only earlier ones

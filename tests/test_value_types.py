@@ -4,7 +4,9 @@ For each type: its repr byte for byte (reprs appear in "got {x!r}" error
 messages), == and hash over its fields and only against an instance of
 the same class, frozenness, positional and keyword construction with its
 defaults, the constructor checks with their messages, and copy, deepcopy
-and pickle round trips.
+and pickle round trips.  A library function handed something of the wrong
+type where it takes one of them (or a mapping, an iterable or an int)
+raises BadParams, never a raw error.
 """
 
 import copy
@@ -227,3 +229,31 @@ def test_constructors_normalize():
     assert (point.lam, point.q2) == ((F(1, 2),), F(0))
     assert type(point.q2) is Fraction
     assert novikov.NovikovLaurent(1, {(1,): novikov.ZERO}).terms == {}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chambers.classify_point(2, "x"),
+    lambda: chambers.monodromy_matrix("x", 0, 1),
+    lambda: chambers.monodromy_matrix(chambers.cn_rays(3), "0", 1),
+    lambda: chambers.monodromy_matrix(chambers.cn_rays(3), 0, 1.0),
+    lambda: chambers.wall_component_tropical("x", [1]),
+    lambda: chambers.cn_rays("3"),
+    lambda: chambers.cn_rays(2.0),
+    lambda: fan.validate_fan("x"),
+    lambda: fan.ray_decomposition("x", 1),
+    lambda: fan.ray_decomposition(CP2, "1"),
+    lambda: wallcross.clifford_superpotential("x", wallcross.Ambient.OPEN),
+    lambda: wallcross.chekanov_superpotential("x", wallcross.Ambient.COMPACT),
+    lambda: wallcross.wall_crossing_factor("x"),
+    lambda: wallcross.verify_wall_cross_identity("x"),
+    lambda: wallcross.closed_form_invariant("cpn", 5),
+    lambda: series.from_records(2, 1, 5),
+    lambda: series.ClassSeries(2, 1, [1]),
+], ids=["classify-point", "monodromy-rays", "monodromy-i", "monodromy-j", "tropical-rays",
+        "cn-rays-str", "cn-rays-float", "validate-fan", "ray-decomposition-spec",
+        "ray-decomposition-index", "clifford", "chekanov", "wall-crossing-factor",
+        "wall-cross-identity", "closed-form-params", "from-records", "series-terms"])
+def test_wrong_typed_arguments_are_bad_params(call):
+    # each used to end in a raw AttributeError or TypeError
+    with pytest.raises(BadParams, match="must be"):
+        call()

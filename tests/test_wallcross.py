@@ -363,7 +363,7 @@ class TestGluing:
         glued = apply_gluing(spec, sum(groups.values(), series.zero(2, 1)),
                              GluingData(f, Direction.MINUS_TO_PLUS, trunc))
         parts = [series.divide_by_power(p, f, -e, trunc) if e < 0
-                 else series.times_power(p, f, e) for e, p in groups.items()]
+                 else series.times_powers([(p, e)], f) for e, p in groups.items()]
         assert glued == truncate_gamma(sum(parts, series.zero(2, 1)), trunc)
 
     @pytest.mark.parametrize("direction", list(Direction))
