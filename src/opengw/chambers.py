@@ -40,8 +40,7 @@ class Chamber(_Value):
     __slots__ = ("kind", "index")
 
     def __init__(self, kind: str, index: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
+        _Value.__init__(self, kind, index)
 
     def __str__(self) -> str:
         if self.kind == "wall":
@@ -66,8 +65,7 @@ class ChamberPoint(_Value):
     __slots__ = ("lam", "q2")
 
     def __init__(self, lam: tuple[Fraction, ...], q2: Fraction):
-        object.__setattr__(self, "lam", _require_rationals(lam, "lambda"))
-        object.__setattr__(self, "q2", require_rational(q2, "q2"))
+        _Value.__init__(self, _require_rationals(lam, "lambda"), require_rational(q2, "q2"))
 
 
 def classify_point(n: int, point: ChamberPoint) -> Chamber:
@@ -125,9 +123,7 @@ class CYFanRays(_Value):
             constants = _require_rationals(constants, "constants")
             if len(constants) != len(rays):
                 raise DimensionMismatch("need one constant per ray")
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "m0", m0)
+        _Value.__init__(self, rays, constants, m0)
 
     @property
     def dim(self) -> int:

@@ -126,18 +126,26 @@ def _require_keys(
 
 class _Value:
     """Base of the value types: the fields are a subclass's __slots__, in
-    constructor order, and each subclass writes its own __init__.
+    constructor order.  A subclass's __init__ checks and normalizes its
+    arguments and ends in one _Value.__init__ call with the field values.
 
     == and hash compare the field values, and an instance equals only an
     instance of the same class; repr prints Name(field=value, ...); copy
     and pickle rebuild an instance through its constructor.  Assigning or
-    deleting any attribute raises AttributeError, so an __init__ sets its
-    fields with object.__setattr__.  RelClass and FanSpec spell out their
-    own == and hash, which a field tuple built inline makes about twice as
-    fast as the shared ones.
+    deleting any attribute raises AttributeError; _Value.__init__ alone
+    stores fields past that.  RelClass is built per term whenever a series
+    is read, so it sets its fields through the slots' own setters and
+    spells out its own == and hash, which a field tuple built inline makes
+    about twice as fast as the shared ones.  NovikovLaurent keeps the
+    reassignable fields it has always had, so it is unhashable and its
+    __init__ sets them by plain assignment.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for field, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, field, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -230,9 +238,7 @@ class EnergyValues(_Value):
 
     def __init__(self, beta_hat: Fraction, gamma: tuple[Fraction, ...],
                  h: tuple[Fraction, ...] | None = None):
-        object.__setattr__(self, "beta_hat", beta_hat)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "h", h)
+        _Value.__init__(self, beta_hat, gamma, h)
 
 
 def parse_energies(doc, error: type[Exception] = BadParams) -> EnergyValues:
@@ -279,19 +285,7 @@ class FanSpec(_Value):
                 for i in c:
                     if not 0 <= i < top:
                         raise IndexOutOfRange(f"cone {c}: ray index {i} not in 0..{top - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "extra_rays", rays)
-        object.__setattr__(self, "max_cones", max_cones)
-        object.__setattr__(self, "energies", energies)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.extra_rays, self.max_cones, self.energies) == (
-                other.n, other.extra_rays, other.max_cones, other.energies)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.extra_rays, self.max_cones, self.energies))
+        _Value.__init__(self, n, rays, max_cones, energies)
 
     @property
     def m(self) -> int:
@@ -315,11 +309,7 @@ class ValidationReport(_Value):
 
     def __init__(self, primitive_ok: bool, smooth_ok: bool, complete_ok: bool, fano_ok: bool,
                  diagnostics: tuple[str, ...] = ()):
-        object.__setattr__(self, "primitive_ok", primitive_ok)
-        object.__setattr__(self, "smooth_ok", smooth_ok)
-        object.__setattr__(self, "complete_ok", complete_ok)
-        object.__setattr__(self, "fano_ok", fano_ok)
-        object.__setattr__(self, "diagnostics", diagnostics)
+        _Value.__init__(self, primitive_ok, smooth_ok, complete_ok, fano_ok, diagnostics)
 
     @property
     def all_ok(self) -> bool:
@@ -329,30 +319,35 @@ class ValidationReport(_Value):
 # class constructors
 
 def zero_class(spec: FanSpec) -> RelClass:
+    _require(spec, FanSpec, "fan spec")
     return RelClass(0, (0,) * (spec.n - 1), (0,) * spec.m)
 
 
 def beta_hat_class(spec: FanSpec) -> RelClass:
+    _require(spec, FanSpec, "fan spec")
     return RelClass(1, (0,) * (spec.n - 1), (0,) * spec.m)
 
 
 def gamma_class(spec: FanSpec, k: int) -> RelClass:
     """gamma_k for 1 <= k <= n-1."""
-    if not 1 <= k <= spec.n - 1:
+    _require(spec, FanSpec, "fan spec")
+    if not 1 <= require_int(k, "gamma index") <= spec.n - 1:
         raise IndexOutOfRange(f"gamma index {k} not in 1..{spec.n - 1}")
     return RelClass(0, tuple(1 if j == k - 1 else 0 for j in range(spec.n - 1)), (0,) * spec.m)
 
 
 def sphere_class(spec: FanSpec, a: int) -> RelClass:
     """H_a for 1 <= a <= m."""
-    if not 1 <= a <= spec.m:
+    _require(spec, FanSpec, "fan spec")
+    if not 1 <= require_int(a, "sphere index") <= spec.m:
         raise IndexOutOfRange(f"sphere index {a} not in 1..{spec.m}")
     return RelClass(0, (0,) * (spec.n - 1), tuple(1 if j == a - 1 else 0 for j in range(spec.m)))
 
 
 def beta_class(spec: FanSpec, i: int) -> RelClass:
     """Basic disk beta_i = beta_hat + gamma_i (and beta_n = beta_hat)."""
-    if not 1 <= i <= spec.n:
+    _require(spec, FanSpec, "fan spec")
+    if not 1 <= require_int(i, "disk index") <= spec.n:
         raise IndexOutOfRange(f"disk index {i} not in 1..{spec.n}")
     c = beta_hat_class(spec)
     if i < spec.n:
@@ -407,6 +402,8 @@ def _maslov_weights(spec: FanSpec) -> IntVec:
 
 
 def _check_class_shape(spec: FanSpec, c: RelClass):
+    _require(spec, FanSpec, "fan spec")
+    _require(c, RelClass, "class")
     _check_shape(spec, len(c.g), len(c.h))
 
 

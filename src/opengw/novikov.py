@@ -67,9 +67,9 @@ from .fan import (
     _require_rationals,
     _require_seq,
     _Value,
+    beta_prime_class,
     gamma_class,
     parse_energies,
-    ray_decomposition,
     require_int,
     require_ints,
     require_rational,
@@ -485,10 +485,7 @@ class EnergyAssignment(_Value):
 
     def __init__(self, fan: FanSpec, beta_hat: Fraction, gamma: tuple[Fraction, ...],
                  h: tuple[Fraction, ...] | None):
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "beta_hat", beta_hat)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "h", h)
+        _Value.__init__(self, fan, beta_hat, gamma, h)
 
     def energy_of(self, cls) -> Fraction:
         """Area of a class of the fan's shape by linearity."""
@@ -536,20 +533,18 @@ def assign_energies(spec: FanSpec, values=None) -> EnergyAssignment:
     for k, e in enumerate(values.gamma, start=1):
         if e <= 0:
             raise EnergyViolation(f"E(gamma_{k}) = {e} must be positive")
+    ea = EnergyAssignment(spec, values.beta_hat, values.gamma, values.h)
     if values.h is not None:
         if len(values.h) != spec.m:
             raise DimensionMismatch(f"need {spec.m} sphere energies, got {len(values.h)}")
         for a in range(1, spec.m + 1):
-            v, p = ray_decomposition(spec, a)
-            e_prime = values.h[a - 1] - p * values.beta_hat
-            for k in range(spec.n - 1):
-                e_prime -= v[k] * values.gamma[k]
+            e_prime = ea.energy_of(beta_prime_class(spec, a))
             if e_prime <= 0:
                 raise EnergyViolation(
                     f"E(beta'_{a}) = {e_prime} must be positive; "
                     f"raise E(H_{a}) or shrink the disk energies"
                 )
-    return EnergyAssignment(spec, values.beta_hat, values.gamma, values.h)
+    return ea
 
 
 def _exact_term(x: NovikovScalar):

@@ -20,7 +20,8 @@ coefficients are int numerators over one common denominator per
 operand.  Each kernel entry reads its operands' keys off the series.  A
 key moves to the wider packer of an operation digit by digit, with no
 class built, and the grade L of a term (below) is a sum over the gamma
-digit columns of all the operand's keys at once.  Outside the solve
+digit columns of all the operand's keys at once: _graded, the one
+grader, splits an operand into grade buckets.  Outside the solve
 below, every sum of products of (den, nums) buckets, multiply included,
 is _products: one convolution per pair over the pairs' common
 denominator.  Every plain sum of buckets is _summed: the numerators of
@@ -455,21 +456,20 @@ def _powered(n: int, m: int, parts: list, f: ClassSeries, trunc: int | None = No
     read, bound = [], 0
     for op, e in parts:
         home, _, nums = op
-        cols = grades = None
+        cols = None
         reach = max(e, 0)
         if trunc is not None and e <= 0:
             cols = home.columns(nums)
             grades = _grades(cols[m + 1:], unit[1], len(nums))
             reach = trunc - min((l for l in grades if l <= trunc), default=trunc) + 1
         bound = max(bound, home.bound + reach * step)
-        read.append((op, e, cols, grades))
+        read.append((op, e, cols))
     packer = _Packer(n, m, bound)
     u_by_grade = None if unit is None else _graded(*unit, packer)
     buckets, powers = [], []
-    for op, e, cols, grades in read:
-        if grades is not None:
-            home, den, nums = op
-            quot = _bucketed(den, _keys_on(packer, home, nums, cols), nums.values(), grades, trunc)
+    for op, e, cols in read:
+        if cols is not None:
+            quot = _graded(op, unit[1], packer, trunc, cols)
             for _ in range(-e):
                 quot = _graded_solve(quot, u_by_grade, trunc, lambda j, l: (-1, 1))
             buckets += quot.values()
@@ -758,26 +758,19 @@ def _grades(gamma: list[list[int]], sigma: tuple[int, ...], size: int) -> list[i
     return grades
 
 
-def _graded(op: _Operand, sigma: tuple[int, ...], packer: _Packer, trunc: int | None = None):
+def _graded(op: _Operand, sigma: tuple[int, ...], packer: _Packer, trunc: int | None = None,
+            cols: list[list[int]] | None = None):
     # an operand's terms of grade <= trunc (all of them without a trunc)
-    # as {grade: (den, nums)} keyed on packer, read off its digit columns
+    # as {grade: (den, nums)} keyed on packer, each bucket over its reduced
+    # denominator, read off its digit columns: cols when the caller has
+    # decoded them, else decoded here; keys move digit by digit only if
+    # the widths differ
     home, den, nums = op
-    cols = home.columns(nums)
-    grades = _grades(cols[home.m + 1:], sigma, len(nums))
-    return _bucketed(den, _keys_on(packer, home, nums, cols), nums.values(), grades, trunc)
-
-
-def _keys_on(packer: _Packer, home: _Packer, nums: dict[int, int], cols: list[list[int]]):
-    # the keys of nums, whose digit columns are cols, moved from home to
-    # packer digit by digit only if the widths differ
-    return nums if packer.w == home.w else packer.keys(cols)
-
-
-def _bucketed(den: int, keys: Iterable[int], nums: Iterable[int], grades: Iterable[int], trunc):
-    # the terms (key, num) of grade <= trunc (all of them without a trunc)
-    # as {grade: (den, nums)}, each bucket over its reduced denominator
+    if cols is None:
+        cols = home.columns(nums)
+    keys = nums if packer.w == home.w else packer.keys(cols)
     by_grade: dict[int, dict[int, int]] = {}
-    for key, v, l in zip(keys, nums, grades):
+    for key, v, l in zip(keys, nums.values(), _grades(cols[home.m + 1:], sigma, len(nums))):
         if trunc is None or l <= trunc:
             by_grade.setdefault(l, {})[key] = v
     if den == 1:
@@ -967,6 +960,7 @@ def _orthant(u: _Operand, what: str) -> tuple[int, ...]:
 # canonical serialization
 
 def to_records(f: ClassSeries) -> list[dict]:
+    _require_series(f)
     return [
         {
             "b": c.b,

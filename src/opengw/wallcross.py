@@ -109,10 +109,7 @@ class Superpotential(_Value):
         _require_series(series)
         _require(chamber, Chart, "superpotential chamber")
         _require(ambient, Ambient, "superpotential ambient")
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "chamber", chamber)
-        object.__setattr__(self, "ambient", ambient)
+        _Value.__init__(self, fan, series, chamber, ambient)
 
 
 class GluingData(_Value):
@@ -129,19 +126,14 @@ class GluingData(_Value):
     def __init__(self, factor: ClassSeries, direction: Direction, trunc: int):
         _require_series(factor)
         _require(direction, Direction, "gluing direction")
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "trunc", _trunc_bound(trunc))
+        _Value.__init__(self, factor, direction, _trunc_bound(trunc))
 
 
 class InvariantRow(_Value):
     __slots__ = ("cls", "maslov", "value", "name")
 
     def __init__(self, cls: RelClass, maslov: int, value: Fraction, name: str):
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "maslov", maslov)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "name", name)
+        _Value.__init__(self, cls, maslov, value, name)
 
 
 class InvariantTable:

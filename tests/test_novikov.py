@@ -667,10 +667,10 @@ def fans_with_energies(draw, allow_no_h=False):
     return novikov.assign_energies(spec, {"beta_hat": beta, "gamma": gamma, "H": h})
 
 
-def class_series_for(spec, max_terms=6):
+def class_series_for(spec, max_terms=6, b_min=-2):
     classes = st.builds(
         RelClass,
-        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=b_min, max_value=2),
         st.tuples(*[st.integers(min_value=-2, max_value=2)] * (spec.n - 1)),
         st.tuples(*[st.integers(min_value=0, max_value=2)] * spec.m),
     )
@@ -993,6 +993,69 @@ def test_evaluate_chekanov_type_hints_resolve():
     assert (hints["ea"], hints["return"]) == (novikov.EnergyAssignment, NovikovScalar)
 
 
+GLUED_FANS = [fan.builtin_fan("cpn", n=2), fan.builtin_fan("cpn", n=3),
+              fan.builtin_fan("hirzebruch_f1"), fan.builtin_fan("cp_product", n=3, r=1)]
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_evaluate_commutes_with_exact_gluing(data):
+    # the e >= 0 half of evaluation against gluing: MINUS_TO_PLUS sends
+    # z^c to z^c f^(c.b), exactly and untruncated when every b >= 0, and at
+    # a monomial point evaluation is multiplicative on classes, so
+    # ev(glued s) = sum_c ev(s_c z^c) ev(f)^(c.b)
+    spec = data.draw(st.sampled_from(GLUED_FANS), label="spec")
+    energies = data.draw(energies_for(spec), label="energies")
+    ea = novikov.assign_energies(spec, energies)
+    point = data.draw(monomial_points(spec, energies), label="point")
+    s = data.draw(class_series_for(spec, b_min=0), label="s")
+    gd = wallcross.wall_crossing_factor(spec, wallcross.Direction.MINUS_TO_PLUS)
+    ev_f = novikov.evaluate(gd.factor, ea, point)
+    want = novikov.ZERO
+    for c, coeff in s.items():
+        term = novikov.evaluate(series.monomial(spec.n, spec.m, c, coeff), ea, point)
+        want = want + term * novikov.scalar_pow(ev_f, c.b)
+    got = novikov.evaluate(wallcross.apply_gluing(spec, s, gd), ea, point)
+    assert (got.cutoff, want.cutoff) == (None, None)
+    assert got == want
+
+
+TORIC_FANS = GLUED_FANS + [fan.builtin_fan("cp_product", n=2, r=1)]
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_toric_superpotential_is_clifford_through_boundaries(data):
+    # with l_r(q) = <v_r, q> - c_r over the rays v_r of the fan, the areas
+    # E(beta_hat) = l_n, E(gamma_k) = l_k - l_n and E(H_a) = l_(n+a) +
+    # p_a E(beta_hat) + sum_k v_ak E(gamma_k) give each compact Clifford
+    # class c the area l_r(q) of the ray v_r = d(c), so its monomials
+    # T^E(c) Y^d(c) are the toric superpotential's
+    spec = data.draw(st.sampled_from(TORIC_FANS), label="spec")
+    n = spec.n
+    q = data.draw(st.lists(fractions_over([1, 2, 3], -2, 2), min_size=n, max_size=n), label="q")
+    pos = fractions_over([1, 2, 3, 5], 0, 3).filter(bool)
+    # every l_r > 0, and l_k > l_n so that every E(gamma_k) > 0
+    l_n = data.draw(pos, label="l_n")
+    ells = [l_n + data.draw(pos) for _ in range(n - 1)] + [l_n]
+    ells += [data.draw(pos) for _ in range(spec.m)]
+    constants = [sum(x * y for x, y in zip(v, q)) - ell for v, ell in zip(spec.rays, ells)]
+    gamma = [ell - l_n for ell in ells[:n - 1]]
+    h = []
+    for a in range(1, spec.m + 1):
+        v, p = fan.ray_decomposition(spec, a)
+        h.append(ells[n + a - 1] + p * l_n + sum(x * y for x, y in zip(v, gamma)))
+    ea = novikov.assign_energies(spec, {"beta_hat": l_n, "gamma": gamma, "H": h})
+    clifford = wallcross.clifford_superpotential(spec, wallcross.Ambient.COMPACT).series
+    terms = {}
+    for c, coeff in clifford.items():
+        nu = fan.class_boundary(spec, c)
+        x = t_monomial(ea.energy_of(c), coeff)
+        terms[nu] = terms[nu] + x if nu in terms else x
+    got = novikov.NovikovLaurent(n, terms)
+    assert got == novikov.toric_superpotential(spec.rays, constants, q)
+
+
 NEG_P = {"n": 2, "extra_rays": [[-1, -2]], "energies": {"beta_hat": "1", "gamma": ["1"], "H": ["1"]}}
 
 
@@ -1062,7 +1125,7 @@ def test_factored_eval_work_count(monkeypatch, tmp_path):
     w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
     want = novikov.evaluate(w, ea, [cli.parse_scalar_literal(t) for t in lits])
     assert got == (0, cli.render_scalar(want, "json"), "")
-    # the scalar is rendered from its int columns: the op builds 144
+    # the scalar is rendered from its int columns: the op builds 66
     # Fractions in every format, none per output term (1,088 when the
     # solve's ints became two Fractions per term)
     new = Fraction.__new__

@@ -24,7 +24,11 @@ evaluate_chekanov.  A class is valued at a torus point by one pass,
 novikov._evaluated, for evaluate and evaluate_chekanov alike, and
 monomial_character, a second one, is gone.  Likewise the int buckets of series and novikov are
 summed by one function, series._summed, and convolved by one,
-series._products.  The modules import one another in one direction
+series._products; an operand is split into grade buckets by one,
+series._graded; and assign_energies checks the area of each beta'_a
+through EnergyAssignment.energy_of.  Every value type stores its fields
+through _Value.__init__, and only RelClass spells out its own == and
+hash.  The modules import one another in one direction
 only, errors, fan, chambers, series, wallcross, novikov, cli: so
 wallcross imports nothing from novikov.
 
@@ -343,6 +347,46 @@ def test_one_class_evaluation_pass():
     powers = sorted((name, scope) for name, tree in modules.items()
                     for scope in _callers(tree, "_monomial_power"))
     assert powers == [("novikov.py", ("_evaluated",)), ("novikov.py", ("_power",))]
+
+
+def test_one_field_store_for_the_value_types():
+    # every value type stores its fields through _Value.__init__, the one
+    # object.__setattr__ call; NovikovLaurent's __setattr__ is an alias of
+    # it, not a call
+    stores = sorted((name, scope) for name, tree in _modules().items()
+                    for scope in _callers(tree, "object.__setattr__"))
+    assert stores == [("fan.py", ("_Value", "__init__"))]
+
+
+def test_only_relclass_spells_out_eq_and_hash():
+    # RelClass, built per term whenever a series is read, keeps its faster
+    # == and hash; every other value type keeps _Value's (NovikovLaurent's
+    # __hash__ = None makes it unhashable and defines none)
+    own = sorted(
+        node.name
+        for tree in _modules().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and "_Value" in map(ast.unparse, node.bases)
+        and {"__eq__", "__hash__"} & {stmt.name for stmt in node.body
+                                      if isinstance(stmt, ast.FunctionDef)}
+    )
+    assert own == ["RelClass"]
+
+
+def test_one_grader():
+    # series splits every operand into grade buckets through _graded
+    defined = {node.name for node in ast.walk(_modules()["series.py"])
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_bucketed", "_keys_on"}, defined & {"_bucketed", "_keys_on"}
+
+
+def test_assign_energies_uses_the_area_rule():
+    # each E(beta'_a) is EnergyAssignment.energy_of's, not a sum by hand
+    assign = next(node for node in _modules()["novikov.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "assign_energies")
+    calls = [node for node in ast.walk(assign) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "energy_of"]
+    assert calls, "assign_energies does not call energy_of"
 
 
 # the package's modules in import order: each imports only earlier ones

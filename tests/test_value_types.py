@@ -249,10 +249,27 @@ def test_constructors_normalize():
     lambda: wallcross.closed_form_invariant("cpn", 5),
     lambda: series.from_records(2, 1, 5),
     lambda: series.ClassSeries(2, 1, [1]),
+    lambda: fan.zero_class("x"),
+    lambda: fan.beta_hat_class("x"),
+    lambda: fan.gamma_class("x", 1),
+    lambda: fan.gamma_class(CP2, "1"),
+    lambda: fan.sphere_class("x", 1),
+    lambda: fan.sphere_class(CP2, "1"),
+    lambda: fan.beta_class("x", 1),
+    lambda: fan.beta_class(CP2, "1"),
+    lambda: fan.class_boundary("x", BETA_HAT),
+    lambda: fan.class_boundary(CP2, "x"),
+    lambda: fan.class_maslov("x", BETA_HAT),
+    lambda: fan.class_maslov(CP2, "x"),
+    lambda: series.to_records("x"),
 ], ids=["classify-point", "monodromy-rays", "monodromy-i", "monodromy-j", "tropical-rays",
         "cn-rays-str", "cn-rays-float", "validate-fan", "ray-decomposition-spec",
         "ray-decomposition-index", "clifford", "chekanov", "wall-crossing-factor",
-        "wall-cross-identity", "closed-form-params", "from-records", "series-terms"])
+        "wall-cross-identity", "closed-form-params", "from-records", "series-terms",
+        "zero-class", "beta-hat-class", "gamma-class-spec", "gamma-class-index",
+        "sphere-class-spec", "sphere-class-index", "beta-class-spec", "beta-class-index",
+        "class-boundary-spec", "class-boundary-class", "class-maslov-spec",
+        "class-maslov-class", "to-records"])
 def test_wrong_typed_arguments_are_bad_params(call):
     # each used to end in a raw AttributeError or TypeError
     with pytest.raises(BadParams, match="must be"):

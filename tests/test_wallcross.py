@@ -824,6 +824,29 @@ def test_gluing_prepares_factor_once(monkeypatch):
     assert glued == clifford_superpotential(spec, Ambient.COMPACT).series
 
 
+def test_gluing_decodes_each_part_once(monkeypatch):
+    # the same heavy op splits the source by its b column (1 decode), then
+    # decodes each of its three e-groups once: the two e < 0 groups for
+    # their grades and their keys on the shared packer, the e = 1 group to
+    # move it there (3).  The factor's unit tail is decoded for its orthant
+    # and its grades (2), and the glued result for truncate_gamma (1)
+    spec = builtin_fan("cp_product", n=5, r=2)
+    w = chekanov_superpotential(spec, Ambient.COMPACT).series
+    gd = wall_crossing_factor(spec, Direction.MINUS_TO_PLUS, 16)
+    columns = series._Packer.columns
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return columns(*args, **kwargs)
+
+    monkeypatch.setattr(series._Packer, "columns", counted)
+    glued = apply_gluing(spec, w, gd)
+    monkeypatch.undo()
+    assert calls["n"] == 7
+    assert glued == clifford_superpotential(spec, Ambient.COMPACT).series
+
+
 @pytest.mark.parametrize("spec, products, classes", [
     (builtin_fan("cpn", n=8), 30459, 2),
     (builtin_fan("hirzebruch_f1"), 8, 3),
