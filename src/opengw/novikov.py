@@ -479,12 +479,23 @@ def toric_superpotential(normals, constants, q, corrections=None) -> NovikovLaur
 
 
 class EnergyAssignment(_Value):
-    """Validated areas for the generator classes of a fan."""
+    """Areas for the generator classes of a fan: every area exact, one per
+    gamma_k and, when h is given, one per sphere class.  assign_energies
+    also checks that they are positive."""
 
     __slots__ = ("fan", "beta_hat", "gamma", "h")
 
     def __init__(self, fan: FanSpec, beta_hat: Fraction, gamma: tuple[Fraction, ...],
                  h: tuple[Fraction, ...] | None):
+        _require(fan, FanSpec, "fan spec")
+        beta_hat = require_rational(beta_hat, "E(beta_hat)")
+        gamma = _require_rationals(gamma, "gamma energies")
+        if len(gamma) != fan.n - 1:
+            raise DimensionMismatch(f"need {fan.n - 1} gamma energies, got {len(gamma)}")
+        if h is not None:
+            h = _require_rationals(h, "sphere energies")
+            if len(h) != fan.m:
+                raise DimensionMismatch(f"need {fan.m} sphere energies, got {len(h)}")
         _Value.__init__(self, fan, beta_hat, gamma, h)
 
     def energy_of(self, cls) -> Fraction:
@@ -533,10 +544,9 @@ def assign_energies(spec: FanSpec, values=None) -> EnergyAssignment:
     for k, e in enumerate(values.gamma, start=1):
         if e <= 0:
             raise EnergyViolation(f"E(gamma_{k}) = {e} must be positive")
+    # the constructor checks the number of sphere energies
     ea = EnergyAssignment(spec, values.beta_hat, values.gamma, values.h)
     if values.h is not None:
-        if len(values.h) != spec.m:
-            raise DimensionMismatch(f"need {spec.m} sphere energies, got {len(values.h)}")
         for a in range(1, spec.m + 1):
             e_prime = ea.energy_of(beta_prime_class(spec, a))
             if e_prime <= 0:

@@ -40,8 +40,10 @@ reduced by their gcd.  For f = 1 + u the callers supply
     series_exp        R = 1            weight (j, l)
     series_log        R = u            weight (j - l, l)
 
-Every sum p f**e over integer e is one engine, _powered, which prepares
-f once per call on one packer: times_powers (the Chekanov superpotential
+Every graded solve on f = 1 + u, but series_exp's on f itself, takes u
+and its orthant signs from one prelude, _unit.  Every sum p f**e over
+integer e is one engine, _powered, which prepares f once per call on
+one packer: times_powers (the Chekanov superpotential
 beta_hat f**0 + sum_a beta'_a f**p_a), divide_by_power (the one part
 (p, -k)) and the gluing map z^c -> z^c f^(-+c.b) (_glued).
 novikov calls its Miller solve, _times_powers, on T-exponent keys, for
@@ -79,17 +81,21 @@ for one, measured slower on rows.
 
 Every ClassSeries is one packed operand, set when it is made and never
 changed: a packer, one common denominator and a nonzero int numerator
-per key.  The constructor packs its terms once; every kernel result and
-parsed series (from_records) goes through _unpacked, which takes one
-(den, nums) bucket and drops cancelled terms.  len and
-bool read the numerators; +, - and truncate_gamma are _packed_sum, which
+per key.  Digit rows are the one way in: the constructor and
+from_records hand _encoded the rows [*h, b, *g] of their classes or
+records, which it packs on one packer sized from the largest
+|coordinate|, over the lcm of the denominators, duplicate keys summed.
+Every kernel result and parsed series goes through _unpacked, which
+takes one (den, nums) bucket and drops cancelled terms.  len and bool
+read the numerators; +, - and truncate_gamma are _packed_sum, which
 adds packed parts with _summed on the widest of their packers and drops
-terms above a gamma-degree off their gamma columns; scaled scales the numerators
-and the denominator; coeff packs the one class asked about.  None of
-them reduces by the gcd, so == and hash read ClassSeries.columns: it
-sorts the int keys and splits their digits into one int column per
-coordinate (_Packer.columns, the only decoder of keys), with the
-numerators over their reduced common denominator.  Invariant tables and
+terms above a gamma-degree off their gamma columns; scaled scales the
+numerators and the denominator; coeff encodes the one class asked about
+with _Packer.keys.  None of them reduces by the gcd, so == and hash
+read ClassSeries.columns: it sorts the int keys and splits their digits
+into one int column per coordinate (_Packer.columns, the only decoder
+of keys, and digit columns the one way out), with the numerators over
+their reduced common denominator.  Invariant tables and
 rendered series are read that way.  Gluing never leaves the keys
 either: _glued splits the source by its b column alone and is one
 _powered call, cut by truncate_gamma when a power is negative.  items()
@@ -102,7 +108,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, compress
 from operator import add, attrgetter, countOf, itemgetter, sub
@@ -131,7 +137,7 @@ class ClassSeries:
 
     def __init__(self, n: int, m: int, terms: Mapping[RelClass, Fraction] | None = None):
         self.n, self.m = _shape(n, m)
-        clean: dict[RelClass, Fraction] = {}
+        clean = []
         if terms is not None:
             _require(terms, Mapping, "series terms")
             for cls, coeff in terms.items():
@@ -140,9 +146,8 @@ class ClassSeries:
                     raise DimensionMismatch(f"class {cls} does not fit shape ({n}, {m})")
                 q = require_rational(coeff, "series coefficient")
                 if q:
-                    clean[cls] = q
-        packer = _Packer(n, m, _coord_bound(clean))
-        self._packed = _Operand(packer, *_ints(clean, packer.pack))
+                    clean.append(([*cls.h, cls.b, *cls.g], q.numerator, q.denominator))
+        self._packed = _encoded(n, m, clean)
 
     def items(self) -> list[tuple[RelClass, Fraction]]:
         """Terms in canonical order: lexicographic on (h, b, g)."""
@@ -173,10 +178,12 @@ class ClassSeries:
         # packer's bound, has no key on it and is not a term
         _require(cls, RelClass, "series key")
         packer, den, nums = self._packed
+        row = [*cls.h, cls.b, *cls.g]
         if (len(cls.g) != self.n - 1 or len(cls.h) != self.m
-                or _coord_bound([cls]) > packer.bound):
+                or max(map(abs, row)) > packer.bound):
             return Fraction(0)
-        return Fraction(nums.get(packer.pack(cls), 0), den)
+        key, = packer.keys([[x] for x in row])
+        return Fraction(nums.get(key, 0), den)
 
     def __len__(self) -> int:
         return len(self._packed.nums)
@@ -246,9 +253,6 @@ def _shape(n, m) -> tuple[int, int]:
     if n < 1 or m < 0:
         raise BadParams(f"series shape needs n >= 1 and m >= 0, got ({n}, {m})")
     return n, m
-
-
-_B, _G, _H = attrgetter("b"), attrgetter("g"), attrgetter("h")
 
 
 def zero(n: int, m: int) -> ClassSeries:
@@ -355,10 +359,12 @@ def series_exp(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
     trunc = _trunc_bound(trunc)
     _require_series(f)
     u = f._packed
-    sigma, packer, f_by_grade = _graded_tail(f, u, "exp", trunc)
+    sigma = _orthant(u, "exp")
+    # a term of grade <= trunc is a sum of at most trunc terms of u
+    packer = _Packer(f.n, f.m, (trunc + 1) * u.packer.bound)
     rows = _Rows(packer, sigma, u)
-    sol = _graded_solve(rows.enter({0: (1, {0: 1})}), rows.enter(f_by_grade), trunc,
-                        lambda j, l: (j, l), rows)
+    sol = _graded_solve(rows.enter({0: (1, {0: 1})}), rows.enter(_graded(u, sigma, packer, trunc)),
+                        trunc, lambda j, l: (j, l), rows)
     return _unpacked(f.n, f.m, packer, *rows.leave(sol))
 
 
@@ -372,7 +378,9 @@ def series_log(f: ClassSeries, trunc: int = DEFAULT_TRUNC) -> ClassSeries:
     """
     trunc = _trunc_bound(trunc)
     _require_series(f)
-    _, packer, u = _graded_tail(f, _unit_tail(f, "log"), "log", trunc)
+    u, sigma = _unit(f, "log")
+    packer = _Packer(f.n, f.m, (trunc + 1) * u.packer.bound)
+    u = _graded(u, sigma, packer, trunc)
     log_f = _graded_solve(u, u, trunc, lambda j, l: (j - l, l))
     return _unpacked(f.n, f.m, packer, *_summed(list(log_f.values())))
 
@@ -390,7 +398,7 @@ def _times_exp_neg_log(p: ClassSeries, f: ClassSeries, trunc: int) -> ClassSerie
     """
     trunc = _trunc_bound(trunc)
     _check_context(p, f)
-    tail, sigma = _graded_unit(f, "log")
+    tail, sigma = _unit(f, "log")
     p_op = p._packed
     # a term of L or E of grade l <= trunc is a sum of terms of u whose
     # grades, each >= 1, add up to l, so its coordinates are at most
@@ -448,28 +456,33 @@ def _powered(n: int, m: int, parts: list, f: ClassSeries, trunc: int | None = No
     # is neither checked nor graded
     unit = None
     if trunc is not None or any(e for _, e in parts):
-        unit = _graded_unit(f, "negative power", required=trunc is not None)
+        try:
+            unit = _unit(f, "negative power")
+        except (NotInvertible, NotFiltered):
+            if trunc is not None:
+                raise
     step = f._packed.packer.bound
     # a term of p f**e, e > 0, is a term of p plus e terms of f; a term of
     # p / f**|e| of grade <= trunc is one of p plus at most trunc - lo
     # terms of u, each of grade >= 1, lo the lowest grade of p up to trunc
-    read, bound = [], 0
+    staged, bound = [], 0
     for op, e in parts:
         home, _, nums = op
-        cols = None
+        read = None
         reach = max(e, 0)
         if trunc is not None and e <= 0:
             cols = home.columns(nums)
             grades = _grades(cols[m + 1:], unit[1], len(nums))
             reach = trunc - min((l for l in grades if l <= trunc), default=trunc) + 1
+            read = cols, grades
         bound = max(bound, home.bound + reach * step)
-        read.append((op, e, cols))
+        staged.append((op, e, read))
     packer = _Packer(n, m, bound)
     u_by_grade = None if unit is None else _graded(*unit, packer)
     buckets, powers = [], []
-    for op, e, cols in read:
-        if cols is not None:
-            quot = _graded(op, unit[1], packer, trunc, cols)
+    for op, e, read in staged:
+        if read is not None:
+            quot = _graded(op, unit[1], packer, trunc, read)
             for _ in range(-e):
                 quot = _graded_solve(quot, u_by_grade, trunc, lambda j, l: (-1, 1))
             buckets += quot.values()
@@ -486,26 +499,15 @@ def _powered(n: int, m: int, parts: list, f: ClassSeries, trunc: int | None = No
     return _unpacked(n, m, packer, *_summed(buckets))
 
 
-def _unit_tail(f: ClassSeries, what: str) -> _Operand:
-    # u of f = 1 + u, after checking the constant term: the zero class is
-    # key 0 on every packer
+def _unit(f: ClassSeries, what: str) -> tuple[_Operand, tuple[int, ...]]:
+    # (u, sigma) of f = 1 + u, the prelude of every graded solve on u: f's
+    # constant term must be exactly 1 (key 0 on every packer) and u sit in
+    # one closed gamma orthant sigma, free of gamma-degree 0
     packer, den, nums = f._packed
     if nums.get(0) != den:
         raise NotInvertible(f"{what} needs constant term exactly 1")
-    return _Operand(packer, den, {key: v for key, v in nums.items() if key})
-
-
-def _graded_unit(f: ClassSeries, what: str, required: bool = True):
-    # (u, sigma) of f = 1 + u with u in one closed gamma orthant sigma and
-    # free of gamma-degree 0, which every graded solve on u needs; an f
-    # without such a tail raises, or gives None when it is not required
-    try:
-        tail = _unit_tail(f, what)
-        return tail, _orthant(tail, what)
-    except (NotInvertible, NotFiltered):
-        if required:
-            raise
-        return None
+    u = _Operand(packer, den, {key: v for key, v in nums.items() if key})
+    return u, _orthant(u, what)
 
 
 def _trunc_bound(trunc) -> int:
@@ -514,15 +516,6 @@ def _trunc_bound(trunc) -> int:
     if trunc < 0:
         raise BadParams(f"truncation bound must be >= 0, got {trunc}")
     return trunc
-
-
-def _graded_tail(f: ClassSeries, u: _Operand, what: str, trunc: int):
-    # the prelude of a solve from grade 0 up to trunc: u's orthant signs,
-    # a packer for every term of grade <= trunc, a sum of at most trunc
-    # terms of u, and u's grade buckets up to trunc
-    sigma = _orthant(u, what)
-    packer = _Packer(f.n, f.m, (trunc + 1) * u.packer.bound)
-    return sigma, packer, _graded(u, sigma, packer, trunc)
 
 
 # the packed kernel
@@ -552,12 +545,6 @@ class _Packer:
         self.shifts = tuple(range(self.w * (n + m - 1), -1, -self.w))
         # half in every digit, which makes them all nonnegative
         self.bias = self.half * ((1 << self.w * (n + m)) - 1) // self.mask
-
-    def pack(self, c: RelClass) -> int:
-        key, w = 0, self.w
-        for x in (*c.h, c.b, *c.g):
-            key = (key << w) + x
-        return key
 
     def keys(self, columns: list[list[int]]) -> list[int]:
         # the keys of digit columns in canonical order
@@ -707,24 +694,24 @@ def _slots(r: int, width: int) -> list[int]:
     return out
 
 
-def _coord_bound(terms: Collection[RelClass]) -> int:
-    # the largest |coordinate|, read attribute by attribute at C speed
-    xs = list(map(_B, terms))
-    xs += chain.from_iterable(map(_G, terms))
-    xs += chain.from_iterable(map(_H, terms))
-    return max(map(abs, xs), default=0)
-
-
-def _ints(terms: Mapping[RelClass, Fraction], pack) -> tuple[int, dict[int, int]]:
-    # packed keys with int numerators over one common denominator
-    den = math.lcm(*(q.denominator for q in terms.values()))
-    if den == 1:
-        return den, {pack(c): q.numerator for c, q in terms.items()}
-    return den, {pack(c): q.numerator * (den // q.denominator) for c, q in terms.items()}
-
-
 # terms as packed keys with int numerators over one common denominator
 _Operand = namedtuple("_Operand", "packer den nums")
+
+
+def _encoded(n: int, m: int, terms: list) -> _Operand:
+    # terms (row, num, den), row the digits [*h, b, *g] of a class, as one
+    # operand: one packer sized from the largest |coordinate|, numerators
+    # over the lcm of the denominators, duplicate keys summed
+    if not terms:
+        return _Operand(_Packer(n, m, 0), 1, {})
+    rows, nums, dens = zip(*terms)
+    packer = _Packer(n, m, max(map(abs, chain.from_iterable(rows))))
+    lcm = math.lcm(*dens)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for key, num, den in zip(packer.keys(list(zip(*rows))), nums, dens):
+        acc[key] = get(key, 0) + num * (lcm // den)
+    return _Operand(packer, lcm, acc)
 
 
 def _moved(op: _Operand, packer: _Packer) -> tuple[int, dict[int, int]]:
@@ -759,18 +746,20 @@ def _grades(gamma: list[list[int]], sigma: tuple[int, ...], size: int) -> list[i
 
 
 def _graded(op: _Operand, sigma: tuple[int, ...], packer: _Packer, trunc: int | None = None,
-            cols: list[list[int]] | None = None):
+            read: tuple | None = None):
     # an operand's terms of grade <= trunc (all of them without a trunc)
     # as {grade: (den, nums)} keyed on packer, each bucket over its reduced
-    # denominator, read off its digit columns: cols when the caller has
-    # decoded them, else decoded here; keys move digit by digit only if
-    # the widths differ
+    # denominator, read off its digit columns and their grades: read, the
+    # (cols, grades) pair when the caller has them, else read here; keys
+    # move digit by digit only if the widths differ
     home, den, nums = op
-    if cols is None:
+    if read is None:
         cols = home.columns(nums)
+        read = cols, _grades(cols[home.m + 1:], sigma, len(nums))
+    cols, grades = read
     keys = nums if packer.w == home.w else packer.keys(cols)
     by_grade: dict[int, dict[int, int]] = {}
-    for key, v, l in zip(keys, nums.values(), _grades(cols[home.m + 1:], sigma, len(nums))):
+    for key, v, l in zip(keys, nums.values(), grades):
         if trunc is None or l <= trunc:
             by_grade.setdefault(l, {})[key] = v
     if den == 1:
@@ -991,17 +980,7 @@ def from_records(n: int, m: int, records: Iterable[Mapping]) -> ClassSeries:
     """
     n, m = _shape(n, m)
     _require(records, Iterable, "series records")
-    parsed = [_record(rec, n, m) for rec in records]
-    if not parsed:
-        return _unpacked(n, m, _Packer(n, m, 0), 1, {})
-    rows, nums, dens = zip(*parsed)
-    packer = _Packer(n, m, max(map(abs, chain.from_iterable(rows))))
-    lcm = math.lcm(*dens)
-    acc: dict[int, int] = {}
-    get = acc.get
-    for key, num, den in zip(packer.keys(list(zip(*rows))), nums, dens):
-        acc[key] = get(key, 0) + num * (lcm // den)
-    return _unpacked(n, m, packer, lcm, acc)
+    return _unpacked(n, m, *_encoded(n, m, [_record(rec, n, m) for rec in records]))
 
 
 def _record(rec, n: int, m: int) -> tuple[list[int], int, int]:

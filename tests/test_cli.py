@@ -453,15 +453,15 @@ def test_glue_work_count(tmp_path, capsys, monkeypatch):
     # wall: the 51 records are parsed straight into packed keys, grouped,
     # graded and summed on keys, and the sum is rendered from its keys, so
     # no class is read back from a key.  The gluing factor is built on its
-    # packer's keys too, so the op builds no class, Fraction or pack at all
-    # (59, 161 and 63 when the records were parsed into objects; 5, 10 and
-    # 5, all the factor's, when the factor went through the constructor)
+    # packer's keys too, so the op builds no class or Fraction at all (59
+    # and 161 when the records were parsed into objects; 5 and 10, all the
+    # factor's, when the factor went through the constructor)
     spec = builtin_fan("cp_product", n=5, r=2)
     fan_path, src = tmp_path / "fan.json", tmp_path / "chekanov.json"
     fan_path.write_text(json.dumps({"n": 5, "extra_rays": [list(r) for r in spec.extra_rays]}))
     w = chekanov_superpotential(spec, Ambient.COMPACT).series
     src.write_text(cli.render_series(w, "json"))
-    calls = {"pack": 0, "RelClass": 0, "Fraction": 0}
+    calls = {"RelClass": 0, "Fraction": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -469,13 +469,12 @@ def test_glue_work_count(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(series._Packer, "pack", counted("pack", series._Packer.pack))
     monkeypatch.setattr(RelClass, "__init__", counted("RelClass", RelClass.__init__))
     monkeypatch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
     code, out, err = run(capsys, "glue", str(fan_path), "--input", str(src),
                          "--direction", "minus-to-plus", "--truncate", "16", "--format", "json")
     monkeypatch.undo()
-    assert (code, err) == (0, "") and calls == {"pack": 0, "RelClass": 0, "Fraction": 0}, calls
+    assert (code, err) == (0, "") and calls == {"RelClass": 0, "Fraction": 0}, calls
     want = clifford_superpotential(spec, Ambient.COMPACT).series
     assert out == _series_reference(want)
 

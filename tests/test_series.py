@@ -1111,18 +1111,26 @@ def packed_terms(draw):
     return n, m, bound, terms
 
 
+def _key(packer, c):
+    # the key of one class: its digit row as one-entry columns
+    key, = packer.keys([[x] for x in (*c.h, c.b, *c.g)])
+    return key
+
+
 def _packed_series(n, m, bound, terms):
     # terms as a kernel result: two buckets over their own denominators,
     # with a cancelled (zero) numerator in one of them
     packer = series._Packer(n, m, bound)
     classes = list(terms)
     half = len(classes) // 2
-    low = series._ints({c: terms[c] for c in classes[:half]}, packer.pack)
-    high = series._ints({c: terms[c] for c in classes[half:]}, packer.pack)
+    buckets = []
+    for part in (classes[:half], classes[half:]):
+        den = math.lcm(*(terms[c].denominator for c in part))
+        buckets.append((den, {_key(packer, c): int(terms[c] * den) for c in part}))
     zero = RelClass(-bound, (bound,) * (n - 1), (bound,) * m)
     if zero not in terms:
-        low[1][packer.pack(zero)] = 0
-    return series._unpacked(n, m, packer, *series._summed([low, high]))
+        buckets[0][1][_key(packer, zero)] = 0
+    return series._unpacked(n, m, packer, *series._summed(buckets))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1131,8 +1139,11 @@ def test_packed_keys_sort_canonically(case):
     n, m, bound, terms = case
     packer = series._Packer(n, m, bound)
     classes = list(terms)
-    assert sorted(classes, key=packer.pack) == sorted(classes, key=lambda c: c.sort_key)
-    cols = packer.columns(sorted(map(packer.pack, classes)))
+    def key(c):
+        return _key(packer, c)
+
+    assert sorted(classes, key=key) == sorted(classes, key=lambda c: c.sort_key)
+    cols = packer.columns(sorted(map(key, classes)))
     rows = sorted(classes, key=lambda c: c.sort_key)
     assert [list(col) for col in zip(*cols)] == [[*c.h, c.b, *c.g] for c in rows]
     # the digit columns read back as the classes packed, in canonical order

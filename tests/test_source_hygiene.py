@@ -11,16 +11,19 @@ an InvariantTable is its columns (_columns), which only InvariantTable
 sets; a NovikovScalar is its int columns (_ints), which only novikov reads
 and only NovikovScalar's constructors set; other modules read them
 through columns().  No slot holds a second copy (the read-only items()
-cache _items is gone, and a scalar keeps no Fraction terms), and digit
-columns are the one way back from keys to classes, so no .unpack( is
-left.
+cache _items is gone, and a scalar keeps no Fraction terms).  Digit rows
+are the one way into keys: ClassSeries.__init__ and from_records both
+hand series._encoded their classes' rows [*h, b, *g], and no class is
+packed on its own (_Packer.pack is gone).  Digit columns are the one way
+back from keys to classes, so no .unpack( is left.
 
 The sums sum p f**e over integer e, times_powers, divide_by_power and the
 gluing map, are one engine, series._powered: it alone prepares f and
 calls Miller's solve, so a second prelude cannot come back unnoticed;
-outside series only novikov calls it, for every Novikov power and
-inverse (novikov._power, with no loop of its own) and for
-evaluate_chekanov.  A class is valued at a torus point by one pass,
+every graded solve on f = 1 + u takes u and its orthant from one
+prelude, series._unit.  Outside series only novikov calls Miller's
+solve, for every Novikov power and inverse (novikov._power, with no
+loop of its own) and for evaluate_chekanov.  A class is valued at a torus point by one pass,
 novikov._evaluated, for evaluate and evaluate_chekanov alike, and
 monomial_character, a second one, is gone.  Likewise the int buckets of series and novikov are
 summed by one function, series._summed, and convolved by one,
@@ -371,6 +374,19 @@ def test_only_relclass_spells_out_eq_and_hash():
                                       if isinstance(stmt, ast.FunctionDef)}
     )
     assert own == ["RelClass"]
+
+
+def test_one_way_into_the_kernel():
+    # classes and records enter a series as digit rows through one encoder,
+    # and every graded solve on f = 1 + u starts from one prelude
+    series = _modules()["series.py"]
+    defined = {node.name for node in ast.walk(series) if isinstance(node, ast.FunctionDef)}
+    gone = {"pack", "_coord_bound", "_ints", "_unit_tail", "_graded_unit", "_graded_tail"}
+    assert not defined & gone, defined & gone
+    assert sorted(_callers(series, "_encoded")) == [("ClassSeries", "__init__"),
+                                                    ("from_records",)]
+    assert sorted(_callers(series, "_unit")) == [("_powered",), ("_times_exp_neg_log",),
+                                                 ("series_log",)]
 
 
 def test_one_grader():

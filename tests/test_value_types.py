@@ -16,12 +16,13 @@ from fractions import Fraction
 import pytest
 
 from opengw import chambers, fan, novikov, series, wallcross
-from opengw.errors import BadParams, DimensionMismatch, IndexOutOfRange
+from opengw.errors import BadParams, DimensionMismatch, DomainError, IndexOutOfRange
 
 F = Fraction
 CP2 = fan.builtin_fan("cpn", n=2)
 EV = fan.EnergyValues(F(1, 2), (F(1, 3),), (F(2),))
 BETA_HAT = fan.RelClass(1, (0,), (0,))
+POINT = (novikov.ONE, novikov.ONE)
 
 
 def _series():
@@ -262,6 +263,9 @@ def test_constructors_normalize():
     lambda: fan.class_maslov("x", BETA_HAT),
     lambda: fan.class_maslov(CP2, "x"),
     lambda: series.to_records("x"),
+    lambda: novikov.evaluate(_series(), novikov.EnergyAssignment("x", 1, (), None), POINT),
+    lambda: novikov.evaluate(_series(), novikov.EnergyAssignment(CP2, 0.5, (0.25,), None), POINT),
+    lambda: novikov.EnergyAssignment(CP2, 1, (1,), "ab"),
 ], ids=["classify-point", "monodromy-rays", "monodromy-i", "monodromy-j", "tropical-rays",
         "cn-rays-str", "cn-rays-float", "validate-fan", "ray-decomposition-spec",
         "ray-decomposition-index", "clifford", "chekanov", "wall-crossing-factor",
@@ -269,8 +273,79 @@ def test_constructors_normalize():
         "zero-class", "beta-hat-class", "gamma-class-spec", "gamma-class-index",
         "sphere-class-spec", "sphere-class-index", "beta-class-spec", "beta-class-index",
         "class-boundary-spec", "class-boundary-class", "class-maslov-spec",
-        "class-maslov-class", "to-records"])
+        "class-maslov-class", "to-records", "energy-assignment-fan",
+        "energy-assignment-area", "energy-assignment-h"])
 def test_wrong_typed_arguments_are_bad_params(call):
     # each used to end in a raw AttributeError or TypeError
     with pytest.raises(BadParams, match="must be"):
         call()
+
+
+# two disjoint cycles of cones, each once round the origin: every facet
+# lies in two cones on opposite sides, yet no cone meets the other cycle
+TWO_CYCLES = fan.FanSpec(2, [(1, 1), (1, 0), (0, 1), (-1, -1)],
+                         [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+ZERO_RAY = fan.FanSpec(2, [(0, 0)], [(0, 1), (1, 2), (2, 0)])
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: series.ClassSeries(2, 1, {fan.RelClass(1, (0, 0), (0,)): 1}),
+     (DimensionMismatch, "class RelClass(b=1, g=(0, 0), h=(0,)) does not fit shape (2, 1)")),
+    (lambda: _series() * 0.5,
+     (BadParams, "scale factor must be an integer, a Fraction or a 'p/q' string, got 0.5")),
+    (lambda: 0.5 * _series(),
+     (BadParams, "scale factor must be an integer, a Fraction or a 'p/q' string, got 0.5")),
+    (lambda: BETA_HAT + fan.RelClass(1, (0, 0), ()),
+     (DimensionMismatch, "cannot add classes of different shapes")),
+    (lambda: CP2.ray(3), (IndexOutOfRange, "ray index 3 not in 0..2")),
+    (lambda: fan.gamma_class(CP2, 2), (IndexOutOfRange, "gamma index 2 not in 1..1")),
+    (lambda: fan.sphere_class(CP2, 2), (IndexOutOfRange, "sphere index 2 not in 1..1")),
+    (lambda: fan.beta_class(CP2, 3), (IndexOutOfRange, "disk index 3 not in 1..2")),
+    (lambda: fan.ray_decomposition(CP2, 0), (IndexOutOfRange, "extra ray index 0 not in 1..1")),
+    (lambda: fan.validate_fan(ZERO_RAY).diagnostics[0], "extra ray 1 is zero"),
+    (lambda: fan.validate_fan(TWO_CYCLES).diagnostics,
+     ("cone adjacency graph is disconnected",
+      "Fano criterion not evaluated: fan is not smooth and complete")),
+    (lambda: novikov.t_monomial(1).coeff(2), 0),
+    (lambda: novikov.t_monomial(1).coeff(F(1, 3)), 0),
+    (lambda: novikov.laurent_mul(novikov.NovikovLaurent(1, {}), novikov.NovikovLaurent(2, {})),
+     (DimensionMismatch, "cannot multiply Laurent series in different dimensions")),
+    (lambda: novikov.gauss_valuation(novikov.NovikovLaurent(2, {(1, 0): novikov.ONE}), [(0,)]),
+     (DimensionMismatch, "vertex and exponent dimensions differ")),
+    (lambda: novikov.toric_superpotential([(1, 0)], [0, 0], [1, 1]),
+     (DimensionMismatch, "need one constant per facet normal")),
+    (lambda: novikov.toric_superpotential([(1, 0)], [0], [1]),
+     (DimensionMismatch, "facet normals and base point dimensions differ")),
+    (lambda: novikov.toric_superpotential([(1, 0)], [0], [1, 1], [novikov.ONE] * 2),
+     (DimensionMismatch, "need one correction per facet")),
+    (lambda: novikov.assign_energies(CP2),
+     (BadParams, "no energy values given and the fan spec carries none")),
+    (lambda: novikov.assign_energies(CP2, {"beta_hat": 1, "gamma": [1], "H": [5, 6]}),
+     (DimensionMismatch, "need 1 sphere energies, got 2")),
+    (lambda: novikov.EnergyAssignment(CP2, 1, (), None),
+     (DimensionMismatch, "need 1 gamma energies, got 0")),
+    (lambda: novikov.EnergyAssignment(CP2, 1, (1,), (1, 2)),
+     (DimensionMismatch, "need 1 sphere energies, got 2")),
+    (lambda: wallcross.apply_gluing(CP2, _series(), wallcross.GluingData(
+        series.one(3, 0), wallcross.Direction.PLUS_TO_MINUS, 4)),
+     (DimensionMismatch, "gluing factor does not match the fan")),
+    (lambda: wallcross.closed_form_invariant(
+        "cp_product", {"n": 3, "r": 1, "branch": "H3", "k": [0, 0]}),
+     (BadParams, "branch must be 'H1' or 'H2', got 'H3'")),
+    (lambda: wallcross.closed_form_invariant("f1", {"k": 0}),
+     (BadParams, "branch must be 'H1' or 'H2', got None")),
+], ids=["series-class-shape", "series-mul", "series-rmul", "class-add-shape", "fan-ray",
+        "gamma-index", "sphere-index", "beta-index", "ray-decomposition-index", "zero-ray",
+        "disconnected-cones", "coeff-absent", "coeff-off-grid", "laurent-mul-dims",
+        "gauss-valuation-dims", "toric-constants", "toric-dims", "toric-corrections",
+        "energies-missing", "energies-sphere-count", "energy-assignment-gamma",
+        "energy-assignment-h", "gluing-factor-shape", "closed-form-product-branch",
+        "closed-form-f1-branch"])
+def test_seldom_reached_checks(call, want):
+    # each check here is one that no workflow test reaches: its exact error
+    # type and message, or the value of the branch
+    try:
+        got = call()
+    except DomainError as exc:
+        got = type(exc), str(exc)
+    assert got == want

@@ -847,6 +847,27 @@ def test_gluing_decodes_each_part_once(monkeypatch):
     assert glued == clifford_superpotential(spec, Ambient.COMPACT).series
 
 
+def test_gluing_grades_each_part_once(monkeypatch):
+    # the same heavy op grades the factor's unit tail once and each of the
+    # two e < 0 groups once, for its reach and its grade buckets alike (3;
+    # 5 when _graded graded those groups a second time)
+    spec = builtin_fan("cp_product", n=5, r=2)
+    w = chekanov_superpotential(spec, Ambient.COMPACT).series
+    gd = wall_crossing_factor(spec, Direction.MINUS_TO_PLUS, 16)
+    grades = series._grades
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return grades(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_grades", counted)
+    glued = apply_gluing(spec, w, gd)
+    monkeypatch.undo()
+    assert calls["n"] == 3
+    assert glued == clifford_superpotential(spec, Ambient.COMPACT).series
+
+
 @pytest.mark.parametrize("spec, products, classes", [
     (builtin_fan("cpn", n=8), 30459, 2),
     (builtin_fan("hirzebruch_f1"), 8, 3),
