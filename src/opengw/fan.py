@@ -136,9 +136,11 @@ class _Value:
     stores fields past that.  RelClass is built per term whenever a series
     is read, so it sets its fields through the slots' own setters and
     spells out its own == and hash, which a field tuple built inline makes
-    about twice as fast as the shared ones.  NovikovLaurent keeps the
-    reassignable fields it has always had, so it is unhashable and its
-    __init__ sets them by plain assignment.
+    about twice as fast as the shared ones.  wallcross.InvariantRow, built
+    per row whenever a table's rows are read, sets its fields through the
+    slots' own setters too, and keeps the shared == and hash.
+    NovikovLaurent keeps the reassignable fields it has always had, so it
+    is unhashable and its __init__ sets them by plain assignment.
     """
 
     __slots__ = ()

@@ -26,9 +26,11 @@ below, every sum of products of (den, nums) buckets, multiply included,
 is _products: one convolution per pair over the pairs' common
 denominator.  Every plain sum of buckets is _summed: the numerators of
 shared keys added over the buckets' lcm, a lone bucket passed through
-uncopied.  novikov uses both on T-exponent keys.  Division, series_exp,
-series_log and Miller's powers are one weighted triangular solve,
-graded by the linear form L of the gamma orthant,
+uncopied and more of them added into a copy of the largest, made at C
+speed, with no bucket given changed.  novikov uses both on T-exponent
+keys.  Division, series_exp, series_log and Miller's powers are one
+weighted triangular solve, graded by the linear form L of the gamma
+orthant,
 
     X_l = R_l + sum_j (p/q) A_j X_{l-j},   (p, q) = weight(j, l),
 
@@ -86,8 +88,13 @@ from_records hand _encoded the rows [*h, b, *g] of their classes or
 records, which it packs on one packer sized from the largest
 |coordinate|, over the lcm of the denominators, duplicate keys summed.
 Every kernel result and parsed series goes through _unpacked, which
-takes one (den, nums) bucket and drops cancelled terms.  len and bool
-read the numerators; +, - and truncate_gamma are _packed_sum, which
+takes one (den, nums) bucket and drops cancelled terms.  Results are
+handed on, not copied: _unpacked keeps the dict it is given, and
+_reduced the accumulator of its grade, each rebuilt only when a term
+cancelled (or, in _reduced, to divide by a gcd above 1).  So a series
+can share its dict with another, or with a part it was summed from;
+that is safe because a ClassSeries never changes once made.  len and
+bool read the numerators; +, - and truncate_gamma are _packed_sum, which
 adds packed parts with _summed on the widest of their packers and drops
 terms above a gamma-degree off their gamma columns; scaled scales the
 numerators and the denominator; coeff encodes the one class asked about
@@ -110,8 +117,8 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import chain, compress
-from operator import add, attrgetter, countOf, itemgetter, sub
+from itertools import chain, compress, repeat
+from operator import add, attrgetter, countOf, floordiv, itemgetter, mul, sub
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
 from .fan import RelClass, _classes, _require, require_int, require_ints, require_rational
@@ -770,13 +777,19 @@ def _graded(op: _Operand, sigma: tuple[int, ...], packer: _Packer, trunc: int | 
 def _summed(buckets: list) -> tuple[int, dict[int, int]]:
     # (den, nums) of the sum of the (den, nums) buckets, the numerators of
     # shared keys added over the buckets' lcm; a lone bucket is returned
-    # as it is, not copied
-    if len(buckets) == 1:
-        return buckets[0]
+    # as it is, not copied, and no bucket sums to (1, {}).  Otherwise the
+    # sum starts from a copy of the largest bucket, made at C speed, and
+    # the others are added into it: neither the list nor a bucket given
+    # is changed
+    if len(buckets) < 2:
+        return buckets[0] if buckets else (1, {})
     den = math.lcm(*(d for d, _ in buckets))
-    acc: dict[int, int] = {}
+    big = max(range(len(buckets)), key=lambda i: len(buckets[i][1]))
+    d, nums = buckets[big]
+    scale = den // d
+    acc = dict(nums) if scale == 1 else dict(zip(nums, map(mul, nums.values(), repeat(scale))))
     get = acc.get
-    for d, nums in buckets:
+    for d, nums in buckets[:big] + buckets[big + 1:]:
         scale = den // d
         for key, v in nums.items():
             acc[key] = get(key, 0) + v * scale
@@ -836,10 +849,16 @@ def _times_powers(parts: list, u_by_grade: dict,
 
 
 def _convolve(acc: dict[int, int], a: dict[int, int], b: dict[int, int], scale: int):
-    # acc += scale * a * b on packed keys
+    # acc += scale * a * b on packed keys.  Into an empty acc the products
+    # of a's first term meet no key already there, so they are written at
+    # C speed
+    terms = iter(a.items())
+    if not acc and a:
+        k1, n1 = next(terms)
+        acc.update(zip(map(add, b, repeat(k1)), map(mul, b.values(), repeat(n1 * scale))))
     get = acc.get
     b_items = list(b.items())
-    for k1, n1 in a.items():
+    for k1, n1 in terms:
         n1 *= scale
         for k2, n2 in b_items:
             key = k1 + k2
@@ -882,22 +901,26 @@ def _graded_solve(rhs: dict, coef: dict, trunc: int, weight, rows: _Rows | None 
 
 def _reduced(den: int, acc: dict[int, int]):
     # (den, nums) of a bucket without its zero terms, over its reduced
-    # denominator; None when every term cancelled
-    nums = {key: v for key, v in acc.items() if v}
-    if not nums:
+    # denominator; None when every term cancelled.  acc itself is handed
+    # on when no term cancelled and the gcd is 1
+    if 0 in acc.values():
+        acc = {key: v for key, v in acc.items() if v}
+    if not acc:
         return None
-    g = math.gcd(den, *nums.values())
+    g = math.gcd(den, *acc.values())
     if g > 1:
         den //= g
-        nums = {key: v // g for key, v in nums.items()}
-    return den, nums
+        acc = dict(zip(acc, map(floordiv, acc.values(), repeat(g))))
+    return den, acc
 
 
 def _unpacked(n: int, m: int, packer: _Packer, den: int, nums: dict[int, int]) -> ClassSeries:
     # a kernel result, one (den, nums) bucket, as a ClassSeries on its
-    # packer, cancelled terms dropped
+    # packer, cancelled terms dropped: nums itself is kept unless one did
+    if 0 in nums.values():
+        nums = {key: v for key, v in nums.items() if v}
     s = ClassSeries.__new__(ClassSeries)
-    s.n, s.m, s._packed = n, m, _Operand(packer, den, {key: v for key, v in nums.items() if v})
+    s.n, s.m, s._packed = n, m, _Operand(packer, den, nums)
     return s
 
 

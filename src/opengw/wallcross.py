@@ -133,7 +133,15 @@ class InvariantRow(_Value):
     __slots__ = ("cls", "maslov", "value", "name")
 
     def __init__(self, cls: RelClass, maslov: int, value: Fraction, name: str):
-        _Value.__init__(self, cls, maslov, value, name)
+        # the slots' own setters, bound below, skip the frozen __setattr__
+        _set_cls(self, cls)
+        _set_maslov(self, maslov)
+        _set_value(self, value)
+        _set_name(self, name)
+
+
+_set_cls, _set_maslov, _set_value, _set_name = (
+    InvariantRow.__dict__[f].__set__ for f in InvariantRow.__slots__)
 
 
 class InvariantTable:

@@ -1198,3 +1198,84 @@ def test_packed_series_reads_like_its_dict(case, q):
     table = cli._table_text(["class", "coeff"], [[fan.class_name(c), str(q)] for c, q in want])
     assert cli.render_series(fresh(), "table") == cli.render_series(held, "table") == table
     assert cli.render_series(fresh(), "csv") == cli.render_series(held, "csv")
+
+
+class TestHandoff:
+    # kernel results are handed on, not copied (series module docstring);
+    # sharing a dict is safe because a series never changes once made
+
+    def test_reduced_hands_on_its_accumulator(self):
+        acc = {1: 3, 5: -2}
+        den, nums = series._reduced(7, acc)
+        assert den == 7 and nums is acc and acc == {1: 3, 5: -2}
+        # a cancelled term or a gcd above 1 rebuilds the dict, acc untouched
+        for acc, want in [({1: 3, 5: 0}, (7, {1: 3})), ({1: 14, 5: -7}, (1, {1: 2, 5: -1}))]:
+            before = dict(acc)
+            got = series._reduced(7, acc)
+            assert got == want and got[1] is not acc and acc == before
+        assert series._reduced(3, {1: 0, 2: 0}) is None
+
+    def test_unpacked_stores_the_dict_it_is_given(self):
+        packer = series._Packer(2, 0, 3)
+        nums = {0: 1, 5: -2}
+        assert series._unpacked(2, 0, packer, 3, nums)._packed.nums is nums
+        # a cancelled term is dropped from a new dict, the one given untouched
+        nums = {0: 1, 5: 0}
+        s = series._unpacked(2, 0, packer, 3, nums)
+        assert s._packed.nums == {0: 1} and nums == {0: 1, 5: 0} and len(s) == 1
+
+    @pytest.mark.parametrize("buckets, want", [
+        # the largest bucket's scale is 2, then 1; shared keys add up
+        ([(2, {1: 1, 2: 3}), (3, {2: 1, 4: 5, 6: -1}), (6, {1: -3})],
+         (6, {1: 0, 2: 11, 4: 10, 6: -2})),
+        ([(1, {1: 1}), (2, {1: 1, 2: 1, 3: 1})], (2, {1: 3, 2: 1, 3: 1})),
+    ])
+    def test_summed_leaves_its_inputs(self, buckets, want):
+        given = list(buckets)
+        copies = [(d, dict(nums)) for d, nums in buckets]
+        den, nums = series._summed(buckets)
+        assert (den, nums) == want
+        assert buckets == copies and all(a is b for a, b in zip(buckets, given))
+        assert all(nums is not bucket for _, bucket in buckets)
+        lone = (5, {3: 1})
+        assert series._summed([lone]) is lone and series._summed([]) == (1, {})
+
+    def test_cancelled_terms_are_dropped(self):
+        n, m = 3, 0
+        x, y = gamma_mono(n, m, 1), gamma_mono(n, m, 2)
+        f = series.one(n, m) + x + y.scaled(Fraction(2, 3))
+        for zero in (f - f, series.times_powers([(f, 1), (-f, 1)], f)):
+            assert len(zero) == 0 and not zero and zero == series.zero(n, m)
+        # (1 + x)(1 - x) = 1 - x^2: the x terms cancel in the product
+        prod = series.multiply(series.one(n, m) + x, series.one(n, m) - x)
+        assert prod == series.one(n, m) - series.multiply(x, x) and len(prod) == 2
+        # log((1 + x)(1 + y)) = log(1 + x) + log(1 + y): every mixed term
+        # cancels inside its grade of the solve, the pure ones stay
+        trunc = 5
+        log_xy = series.series_log(series.multiply(series.one(n, m) + x, series.one(n, m) + y),
+                                   trunc)
+        want = series.series_log(series.one(n, m) + x, trunc) \
+            + series.series_log(series.one(n, m) + y, trunc)
+        assert log_xy == want and len(log_xy) == 2 * trunc
+        # log(exp(x)) = x: every grade above 1 cancels whole
+        assert series.series_log(series.series_exp(x, trunc), trunc) == x
+        for s in (prod, log_xy, want):
+            assert 0 not in s._packed.nums.values()
+
+    def test_a_shared_dict_stays_equal(self):
+        n, m = 3, 1
+        f = series.ClassSeries(n, m, {
+            RelClass(1, (0, 0), (0,)): Fraction(1),
+            RelClass(1, (1, 0), (0,)): Fraction(-2, 3),
+            RelClass(0, (1, 2), (1,)): Fraction(5),
+        })
+        before = dict(f._packed.nums)
+        shared = [series.truncate_gamma(f, 10), series.times_powers([(f, 0)], f),
+                  f + series.zero(n, m)]
+        assert shared[0]._packed.nums is f._packed.nums
+        assert shared[1]._packed.nums is f._packed.nums
+        for g in shared:
+            results = [g + f, f - g, g.scaled(3), series.multiply(g, f), series.power(f, 3),
+                       series.power(g, 2), series.truncate_gamma(g + g, 2), f * Fraction(1, 7)]
+            assert g == f and hash(g) == hash(f) and f._packed.nums == before
+            assert results[0] == f.scaled(2) and not results[1]

@@ -30,8 +30,11 @@ summed by one function, series._summed, and convolved by one,
 series._products; an operand is split into grade buckets by one,
 series._graded; and assign_energies checks the area of each beta'_a
 through EnergyAssignment.energy_of.  Every value type stores its fields
-through _Value.__init__, and only RelClass spells out its own == and
-hash.  The modules import one another in one direction
+through _Value.__init__, but RelClass and InvariantRow, built per term
+and per row, set theirs through the slots' own setters; only RelClass
+spells out its own == and hash.  Kernel results are handed on, not
+copied: series._unpacked and series._reduced rebuild a dict only when a
+term cancelled.  The modules import one another in one direction
 only, errors, fan, chambers, series, wallcross, novikov, cli: so
 wallcross imports nothing from novikov.
 
@@ -387,6 +390,36 @@ def test_one_way_into_the_kernel():
                                                     ("from_records",)]
     assert sorted(_callers(series, "_unit")) == [("_powered",), ("_times_exp_neg_log",),
                                                  ("series_log",)]
+
+
+def _dicts_built(func):
+    # the tests of the ifs whose bodies enclose each dict a function
+    # builds (a display, a comprehension or a dict(...) call), innermost last
+    found = []
+
+    def visit(node, tests):
+        if isinstance(node, (ast.Dict, ast.DictComp)) or (
+                isinstance(node, ast.Call) and ast.unparse(node.func) == "dict"):
+            found.append(tests)
+        for field, value in ast.iter_fields(node):
+            inner = tests + (ast.unparse(node.test),) if (
+                isinstance(node, ast.If) and field == "body") else tests
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, inner)
+
+    visit(func, ())
+    return found
+
+
+def test_results_are_handed_on():
+    # _unpacked keeps the dict it is given, and _reduced its accumulator:
+    # each drops cancelled terms into a new dict only under a 0 in
+    # ....values() test, and _reduced divides by a gcd above 1 into one
+    series = _modules()["series.py"]
+    funcs = {node.name: node for node in series.body if isinstance(node, ast.FunctionDef)}
+    assert _dicts_built(funcs["_unpacked"]) == [("0 in nums.values()",)]
+    assert _dicts_built(funcs["_reduced"]) == [("0 in acc.values()",), ("g > 1",)]
 
 
 def test_one_grader():

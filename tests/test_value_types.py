@@ -169,6 +169,27 @@ def test_frozen(name):
     assert repr(x) == before
 
 
+def test_table_rows_compare_equal_and_stay_frozen():
+    # InvariantRow, built per row whenever a table's rows are read, sets
+    # its fields through the slots' own setters and keeps _Value's == and
+    # hash: rows read twice are new objects that compare and hash equal
+    assert wallcross.InvariantRow.__eq__ is fan._Value.__eq__
+    assert wallcross.InvariantRow.__hash__ is fan._Value.__hash__
+    w = wallcross.chekanov_superpotential(fan.builtin_fan("cpn", n=3), wallcross.Ambient.COMPACT)
+    table = wallcross.invariant_table(w)
+    rows, again = table.rows, table.rows
+    assert rows == again and hash(rows) == hash(again)
+    assert all(a is not b for a, b in zip(rows, again))
+    for row in rows:
+        assert row == wallcross.InvariantRow(row.cls, row.maslov, row.value, row.name)
+        for attr in ("cls", "maslov", "value", "name"):
+            with pytest.raises(AttributeError):
+                setattr(row, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(row, attr)
+    assert wallcross.InvariantTable(rows).rows == rows
+
+
 def test_novikov_laurent_fields_can_be_reassigned():
     f = _make("NovikovLaurent")
     f.terms = {}
