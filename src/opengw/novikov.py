@@ -22,8 +22,10 @@ Gauss valuations over a polytope.  evaluate() sends the
 symbolic class series of the wallcross module to actual scalars once
 energies and a torus point are chosen.  It checks the series shape once
 per call, and then one pass (_evaluated) values each class at the point
-on integer T-exponents over one common denominator, taking each term's
-boundary unchecked.  A power of a coordinate that is one exact term c*T^e
+on integer T-exponents over one common denominator, read off the
+energies and the point before the pass, taking each term's boundary
+unchecked.  Each distinct coordinate power is made once, when a term
+first needs it.  A power of a coordinate that is one exact term c*T^e
 shifts a term's int exponent by its exponent and scales its int
 numerator and denominator by its coefficient's (_monomial_power); every
 other power is folded through NovikovScalar's product rule.  Each term is
@@ -74,7 +76,7 @@ from .fan import (
     require_ints,
     require_rational,
 )
-from .series import _products, _require_series, _summed, _times_powers
+from .series import _lowest_terms, _products, _require_series, _summed, _times_powers
 from .wallcross import Ambient, _chekanov_parts, chekanov_superpotential
 
 INF = math.inf
@@ -134,14 +136,8 @@ class NovikovScalar:
     def _of(cls, d: int, exps, den: int, nums, cutoff=None) -> "NovikovScalar":
         # a scalar straight from int columns: exps strictly increasing over
         # d > 0, nums nonzero over den > 0; both are reduced here
-        g = math.gcd(d, *exps)
-        if g > 1:
-            d //= g
-            exps = [e // g for e in exps]
-        g = math.gcd(den, *nums)
-        if g > 1:
-            den //= g
-            nums = [v // g for v in nums]
+        d, exps = _lowest_terms(d, exps)
+        den, nums = _lowest_terms(den, nums)
         x = cls.__new__(cls)
         x._ints = (d, tuple(exps), den, tuple(nums))
         x.cutoff = cutoff
@@ -610,71 +606,60 @@ def _evaluated(ea: EnergyAssignment, point: Sequence[NovikovScalar], items) -> t
     coefficient) item, the item's value at the checked point being the
     product of the two, every T-exponent an int over the one denominator
     d, and cut the cutoff of their sum, or None.  Classes of the fan's
-    shape only; each is checked for its sphere energies."""
-    # first pass, term by term: the checks and each distinct power x_i^w of
-    # a coordinate that is not one exact term, computed once, so errors
-    # come in the per-term order
-    exact = [_exact_term(x) for x in point]
-    powers: dict[tuple[int, int], NovikovScalar | None] = {}
-    rows = []
-    for cls, coeff in items:
-        if any(cls.h):
-            ea._require_h(cls)
-        w = _boundary(cls)
-        for i, wi in enumerate(w):
-            if wi and (i, wi) not in powers:
-                powers[(i, wi)] = None if exact[i] else scalar_pow(point[i], wi)
-        rows.append(((cls.b, *cls.g, *cls.h), coeff, w))
-    # every T-exponent below is an int numerator over one denominator d
+    shape only.  d is read off the energies and the point, then one pass
+    checks each term's sphere energies, makes its powers and forms its
+    pair, so errors come in the per-term order."""
+    # _power keeps the exponents of x_i**w over x_i's denominator d_i and
+    # its cutoff over lcm(d_i, den C_i), so d covers every power made below
     areas = (ea.beta_hat, *ea.gamma, *(ea.h or ()))
-    dens = {q.denominator for q in areas}
-    dens.update(t[0] for t in exact if t)
-    for x in powers.values():
-        if x is not None:
-            dens.add(x.columns()[0])
-            if x.cutoff is not None:
-                dens.add(x.cutoff.denominator)
-    d = math.lcm(*dens)
-
+    d = math.lcm(*(q.denominator for q in areas), *(x.columns()[0] for x in point),
+                 *(x.cutoff.denominator for x in point if x.cutoff is not None))
     # without H energies every class here has h = 0, so the dot product
     # may stop after the gamma coordinates
     energies = [q.numerator * (d // q.denominator) for q in areas]
-    # a power of a one-exact-term coordinate is the product rule's own
+    exact = [_exact_term(x) for x in point]
+    # each distinct power x_i^w is made once, when a term first needs it.
+    # A power of a one-exact-term coordinate is the product rule's own
     # case of an exact monomial factor: it shifts the other factor's terms
     # and cutoff by its floor, scales its coefficients and drops nothing.
-    # So it goes into the term's int exponent, numerator and denominator
-    # (_monomial_power); every other power is folded through _product
-    # from 1, with its coefficient denominator.  A _products call on the
-    # pairs shifts and scales every fold by its term and sums them.  The
-    # cutoff is the min over the terms' cutoffs, so dropping at or above
-    # it once keeps exactly what dropping after every addition would
-    monomials: dict[tuple[int, int], tuple[int, int, int]] = {}
-    folded: dict[tuple[int, int], tuple] = {}
-    for key, x in powers.items():
-        if x is None:
-            monomials[key] = _monomial_power(exact[key[0]], key[1], d)
-        else:
-            xd, exps, den, nums = x.columns()
-            folded[key] = (dict(zip([e * (d // xd) for e in exps], nums)),
-                           _int_cut(x.cutoff, d), den)
+    # So it is kept as _monomial_power's triple and goes into the term's
+    # int exponent, numerator and denominator; every other power is kept
+    # as its terms over d, int cutoff and coefficient denominator, and
+    # folded through _product from 1.  A _products call on the pairs
+    # shifts and scales every fold by its term and sums them.  The cutoff
+    # is the min over the terms' cutoffs, so dropping at or above it once
+    # keeps exactly what dropping after every addition would
+    powers: dict[tuple[int, int], tuple] = {}
     pairs = []
     cut = None
     unit = {0: 1}
-    for coords, coeff, w in rows:
-        e = sum(map(operator.mul, coords, energies))
+    for cls, coeff in items:
+        if any(cls.h):
+            ea._require_h(cls)
+        e = sum(map(operator.mul, (cls.b, *cls.g, *cls.h), energies))
         num, den = coeff.numerator, coeff.denominator
         fold, fold_cut, fold_den = unit, None, 1
-        for key in enumerate(w):
-            if key[1]:
-                if key in monomials:
-                    pe, pn, pd = monomials[key]
-                    e += pe
-                    num *= pn
-                    den *= pd
-                else:
-                    fterms, fcut, fden = folded[key]
-                    fold, fold_cut = _product(fold, fold_cut, fterms, fcut)
-                    fold_den *= fden
+        for key in enumerate(_boundary(cls)):
+            i, w = key
+            if not w:
+                continue
+            power = powers.get(key)
+            if exact[i]:
+                if power is None:
+                    power = powers[key] = _monomial_power(exact[i], w, d)
+                pe, pn, pd = power
+                e += pe
+                num *= pn
+                den *= pd
+            else:
+                if power is None:
+                    x = scalar_pow(point[i], w)
+                    xd, exps, xden, nums = x.columns()
+                    power = powers[key] = (dict(zip([k * (d // xd) for k in exps], nums)),
+                                           _int_cut(x.cutoff, d), xden)
+                fterms, fcut, fden = power
+                fold, fold_cut = _product(fold, fold_cut, fterms, fcut)
+                fold_den *= fden
         pairs.append(((den, {e: num}), (fold_den, fold)))
         if fold_cut is not None:
             cut = _min_cut(cut, fold_cut + e)

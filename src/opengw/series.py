@@ -95,14 +95,16 @@ cancelled (or, in _reduced, to divide by a gcd above 1).  So a series
 can share its dict with another, or with a part it was summed from;
 that is safe because a ClassSeries never changes once made.  len and
 bool read the numerators; +, - and truncate_gamma are _packed_sum, which
-adds packed parts with _summed on the widest of their packers and drops
-terms above a gamma-degree off their gamma columns; scaled scales the
+adds packed parts with _summed on the widest of their packers, a
+subtracted part's sign on its bucket's denominator, and drops terms
+above a gamma-degree off their gamma columns; scaled scales the
 numerators and the denominator; coeff encodes the one class asked about
 with _Packer.keys.  None of them reduces by the gcd, so == and hash
 read ClassSeries.columns: it sorts the int keys and splits their digits
 into one int column per coordinate (_Packer.columns, the only decoder
 of keys, and digit columns the one way out), with the numerators over
-their reduced common denominator.  Invariant tables and
+their reduced common denominator (_lowest_terms, which novikov's
+scalars use too).  Invariant tables and
 rendered series are read that way.  Gluing never leaves the keys
 either: _glued splits the source by its b column alone and is one
 _powered call, cut by truncate_gamma when a power is negative.  items()
@@ -174,10 +176,7 @@ class ClassSeries:
         """
         packer, den, nums = self._packed
         keys, nums = _sorted(nums)
-        g = math.gcd(den, *nums)
-        if g > 1:
-            den //= g
-            nums = [v // g for v in nums]
+        den, nums = _lowest_terms(den, nums)
         return packer.columns(keys), den, nums
 
     def coeff(self, cls: RelClass) -> Fraction:
@@ -212,14 +211,14 @@ class ClassSeries:
 
     def __add__(self, other: "ClassSeries") -> "ClassSeries":
         _check_context(self, other)
-        return _packed_sum(self.n, self.m, [self, other])
+        return _packed_sum(self.n, self.m, [(1, self), (1, other)])
 
     def __neg__(self) -> "ClassSeries":
         return self.scaled(-1)
 
     def __sub__(self, other: "ClassSeries") -> "ClassSeries":
         _check_context(self, other)
-        return _packed_sum(self.n, self.m, [self, -other])
+        return _packed_sum(self.n, self.m, [(1, self), (-1, other)])
 
     def __mul__(self, other):
         if isinstance(other, ClassSeries):
@@ -294,7 +293,7 @@ def truncate_gamma(f: ClassSeries, degree: int) -> ClassSeries:
     """Drop every term of gamma-degree above the given bound."""
     degree = require_int(degree, "gamma-degree bound")
     _require_series(f)
-    return _packed_sum(f.n, f.m, [f], degree)
+    return _packed_sum(f.n, f.m, [(1, f)], degree)
 
 
 def power(f: ClassSeries, k: int) -> ClassSeries:
@@ -777,10 +776,10 @@ def _graded(op: _Operand, sigma: tuple[int, ...], packer: _Packer, trunc: int | 
 def _summed(buckets: list) -> tuple[int, dict[int, int]]:
     # (den, nums) of the sum of the (den, nums) buckets, the numerators of
     # shared keys added over the buckets' lcm; a lone bucket is returned
-    # as it is, not copied, and no bucket sums to (1, {}).  Otherwise the
-    # sum starts from a copy of the largest bucket, made at C speed, and
-    # the others are added into it: neither the list nor a bucket given
-    # is changed
+    # as it is, not copied, and no bucket sums to (1, {}).  Otherwise a
+    # bucket with den < 0 is subtracted, and the sum starts from a copy of
+    # the largest bucket, made at C speed, and the others are added into
+    # it: neither the list nor a bucket given is changed
     if len(buckets) < 2:
         return buckets[0] if buckets else (1, {})
     den = math.lcm(*(d for d, _ in buckets))
@@ -899,6 +898,15 @@ def _graded_solve(rhs: dict, coef: dict, trunc: int, weight, rows: _Rows | None 
     return sol
 
 
+def _lowest_terms(den: int, nums) -> tuple:
+    # (den, nums), a list or tuple of ints, over their gcd, as they are
+    # when it is 1: the canonical form of an int column over den
+    g = math.gcd(den, *nums)
+    if g > 1:
+        return den // g, [v // g for v in nums]
+    return den, nums
+
+
 def _reduced(den: int, acc: dict[int, int]):
     # (den, nums) of a bucket without its zero terms, over its reduced
     # denominator; None when every term cancelled.  acc itself is handed
@@ -924,14 +932,16 @@ def _unpacked(n: int, m: int, packer: _Packer, den: int, nums: dict[int, int]) -
     return s
 
 
-def _packed_sum(n: int, m: int, parts: list[ClassSeries], degree: int | None = None):
-    # the sum of the parts on the widest of their packers, held packed;
-    # with a degree, only its terms of gamma-degree <= degree.  A part's
-    # keys are moved digit by digit only if its packer is narrower
-    read = [part._packed for part in parts]
-    packer = max((home for home, _, _ in read), key=attrgetter("bound"))
+def _packed_sum(n: int, m: int, parts: list[tuple[int, ClassSeries]],
+                degree: int | None = None):
+    # the sum of the parts (sign, series), sign 1 or -1, on the widest of
+    # their packers, held packed; with a degree, only its terms of
+    # gamma-degree <= degree.  A part's keys are moved digit by digit only
+    # if its packer is narrower; its sign goes on its bucket's den
+    read = [(sign, part._packed) for sign, part in parts]
+    packer = max((home for _, (home, _, _) in read), key=attrgetter("bound"))
     buckets = []
-    for home, d, nums in read:
+    for sign, (home, d, nums) in read:
         keys, vals = nums, nums.values()
         if degree is not None or home.w != packer.w:
             cols = home.columns(nums)
@@ -942,7 +952,7 @@ def _packed_sum(n: int, m: int, parts: list[ClassSeries], degree: int | None = N
                 cols = [list(compress(col, keep)) for col in cols]
             if home.w != packer.w:
                 keys = packer.keys(cols)
-        buckets.append((d, nums if keys is nums else dict(zip(keys, vals))))
+        buckets.append((sign * d, nums if keys is nums else dict(zip(keys, vals))))
     return _unpacked(n, m, packer, *_summed(buckets))
 
 

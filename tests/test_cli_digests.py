@@ -7,6 +7,11 @@ in order, in a scratch directory holding the documents; a run with "save"
 writes its stdout there under that name, for the later runs that read it
 (glue reads the superpotential series it saves).
 
+The table runs in this process, and again in two fresh ones under
+PYTHONHASHSEED 0 and 1, so no output may follow the hash order of str
+keys.  Every subcommand of cli.COMMANDS and every --format choice has at
+least one run, so a new command or format needs a digest before it ships.
+
 A change that alters a digest on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_cli_digests.py > tests/cli_digests.json
@@ -18,9 +23,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 from opengw import cli
 
@@ -56,6 +65,36 @@ def test_cli_output_digests(tmp_path):
     got = _outcomes(table, tmp_path)
     changed = [run["argv"] for run, want in zip(got, table["runs"]) if run != want]
     assert not changed, f"output changed for {changed}"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_digests_hold_under_each_hash_seed(seed):
+    # the table rerun by this module's __main__ in a fresh process
+    table = json.loads(TABLE.read_text())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve())], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)["runs"]
+    changed = [run["argv"] for run, want in zip(got, table["runs"]) if run != want]
+    assert not changed and len(got) == len(table["runs"]), f"output changed for {changed}"
+
+
+def test_every_command_and_format_is_pinned():
+    # each subcommand and each --format choice appears in a run
+    argvs = [run["argv"] for run in json.loads(TABLE.read_text())["runs"]]
+    commands = {argv[0] for argv in argvs}
+    formats = {value for argv in argvs for flag, value in zip(argv, argv[1:])
+               if flag == "--format"}
+    formats |= {arg.partition("=")[2] for argv in argvs for arg in argv
+                if arg.startswith("--format=")}
+    choices = {choice for _, _, _, flags in cli.COMMANDS.values() if "--format" in flags
+               for choice in flags["--format"][2]}
+    assert not set(cli.COMMANDS) - commands, f"no digest runs {set(cli.COMMANDS) - commands}"
+    assert not choices - formats, f"no digest runs --format {choices - formats}"
 
 
 if __name__ == "__main__":

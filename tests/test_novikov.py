@@ -826,6 +826,43 @@ def test_evaluate_mixes_monomial_and_folded_powers(spec, sign, slot):
     assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
 
 
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_each_power_is_made_once(monkeypatch, slot):
+    # one pass over the terms makes each distinct power x_i^w once, when a
+    # term first needs it: scalar_pow for the multi-term coordinate with a
+    # cutoff, _monomial_power for each one-term coordinate (and once inside
+    # each scalar_pow, for the leading term)
+    spec = fan.builtin_fan("cpn", n=3)
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    w = wallcross.chekanov_superpotential(spec, wallcross.Ambient.COMPACT).series
+    point = [t_monomial(F(1, 3), F(-2, 5)), t_monomial(F(2, 5), F(3, 2))]
+    point.insert(slot, NovikovScalar.from_terms([(F(1, 2), 1), (F(9, 14), -3)], F(7, 4)))
+    wanted = {(i, wi) for cls, _ in w.items()
+              for i, wi in enumerate(fan.class_boundary(spec, cls)) if wi}
+    pows = _count_calls(monkeypatch, novikov.scalar_pow)
+    monomials = _count_calls(monkeypatch, novikov._monomial_power)
+    got = novikov.evaluate(w, ea, point)
+    monkeypatch.undo()
+    assert pows["n"] == len({key for key in wanted if key[0] == slot})
+    assert monomials["n"] == len({key for key in wanted if key[0] != slot}) + pows["n"]
+    want = reference_evaluate(w, ea, point)
+    assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
+
+
+def test_unused_coordinates_set_no_term():
+    # the common denominator is read off the energies and every
+    # coordinate, used or not; an unused multi-term coordinate with a
+    # cutoff changes neither the value nor its cutoff
+    spec = fan.builtin_fan("hirzebruch_f1")
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    s = series.ClassSeries(spec.n, spec.m, {RelClass(1, (0,), (0, 0)): F(3, 4)})
+    x = t_monomial(F(-2, 3), F(5, 7))
+    for unused in (t_monomial(F(1, 11), 2),
+                   NovikovScalar.from_terms([(F(1, 13), 1), (F(1, 2), 4)], F(19, 17))):
+        got = novikov.evaluate(s, ea, [unused, x])
+        assert got == reference_evaluate(s, ea, [unused, x]) and got.cutoff is None
+
+
 class TestSeriesShape:
     # evaluate checks the series shape once per call, not once per term
     CP2 = fan.builtin_fan("cpn", n=2)

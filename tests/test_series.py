@@ -1240,6 +1240,26 @@ class TestHandoff:
         lone = (5, {3: 1})
         assert series._summed([lone]) is lone and series._summed([]) == (1, {})
 
+    def test_summed_subtracts_a_bucket_with_negative_den(self):
+        # a den below 0 subtracts its bucket from the others, with no
+        # negated copy given, whether or not it is the largest
+        for buckets, want in [([(2, {1: 1, 2: 3}), (-3, {2: 1, 4: 5})], (6, {1: 3, 2: 7, 4: -10})),
+                              ([(2, {1: 1}), (-3, {1: 1, 4: 5})], (6, {1: 1, 4: -10}))]:
+            copies = [(d, dict(nums)) for d, nums in buckets]
+            assert series._summed(buckets) == want and buckets == copies
+
+    def test_difference_is_the_sum_of_the_negation(self):
+        n, m = 3, 1
+        f = series.ClassSeries(n, m, {RelClass(1, (0, 0), (0,)): 1,
+                                      RelClass(0, (1, 2), (1,)): Fraction(-2, 3)})
+        g = series.ClassSeries(n, m, {RelClass(1, (0, 0), (0,)): Fraction(1, 2),
+                                      RelClass(0, (300, 0), (0,)): 5})
+        for a, b in [(f, g), (g, f), (f, f), (f, series.zero(n, m))]:
+            before = (dict(a._packed.nums), dict(b._packed.nums))
+            assert a - b == a + (-b) == a + b.scaled(-1)
+            assert (a._packed.nums, b._packed.nums) == before
+        assert f - g == -(g - f) and len(f - f) == 0
+
     def test_cancelled_terms_are_dropped(self):
         n, m = 3, 0
         x, y = gamma_mono(n, m, 1), gamma_mono(n, m, 2)

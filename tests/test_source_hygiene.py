@@ -25,7 +25,10 @@ prelude, series._unit.  Outside series only novikov calls Miller's
 solve, for every Novikov power and inverse (novikov._power, with no
 loop of its own) and for evaluate_chekanov.  A class is valued at a torus point by one pass,
 novikov._evaluated, for evaluate and evaluate_chekanov alike, and
-monomial_character, a second one, is gone.  Likewise the int buckets of series and novikov are
+monomial_character, a second one, is gone; it fixes its denominator
+first and then loops over the terms once.  Int columns are brought over
+their gcd by one helper, series._lowest_terms, and a ClassSeries
+difference is one signed sum, with no negated copy of its right operand.  Likewise the int buckets of series and novikov are
 summed by one function, series._summed, and convolved by one,
 series._products; an operand is split into grade buckets by one,
 series._graded; and assign_energies checks the area of each beta'_a
@@ -353,6 +356,50 @@ def test_one_class_evaluation_pass():
     powers = sorted((name, scope) for name, tree in modules.items()
                     for scope in _callers(tree, "_monomial_power"))
     assert powers == [("novikov.py", ("_evaluated",)), ("novikov.py", ("_power",))]
+
+
+def test_one_pass_over_the_terms():
+    # _evaluated fixes its denominator before it loops over its items
+    # once, making each power when a term first needs it: no rows are
+    # saved for a second loop
+    evaluated = next(node for node in _modules()["novikov.py"].body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_evaluated")
+    loops = [node for node in ast.walk(evaluated) if isinstance(node, (ast.For, ast.comprehension))
+             and ast.unparse(node.iter) == "items"]
+    assert len(loops) == 1
+    names = {node.id for node in ast.walk(evaluated) if isinstance(node, ast.Name)}
+    assert not names & {"rows", "monomials", "folded"}, names & {"rows", "monomials", "folded"}
+    fixed = next(i for i, node in enumerate(evaluated.body) if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["d"])
+    assert fixed < evaluated.body.index(loops[0])
+
+
+def test_one_column_reducer():
+    # int columns are brought over their gcd by series._lowest_terms alone:
+    # ClassSeries.columns and both halves of NovikovScalar._of call it
+    modules = _modules()
+    reducers = sorted((name, scope) for name, tree in modules.items()
+                      for scope in _callers(tree, "_lowest_terms"))
+    assert reducers == [("novikov.py", ("NovikovScalar", "_of"))] * 2 + [
+        ("series.py", ("ClassSeries", "columns"))]
+    gcds = {(name, scope) for name, tree in modules.items()
+            for scope in _callers(tree, "math.gcd")}
+    assert not gcds & {("novikov.py", ("NovikovScalar", "_of")),
+                       ("series.py", ("ClassSeries", "columns"))}
+
+
+def test_subtraction_makes_no_negated_copy():
+    # ClassSeries.__sub__ hands _packed_sum the sign of each part and
+    # neither negates nor scales its right operand first
+    series = _modules()["series.py"]
+    cls = next(node for node in series.body
+               if isinstance(node, ast.ClassDef) and node.name == "ClassSeries")
+    sub = next(node for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "__sub__")
+    assert not [node for node in ast.walk(sub) if isinstance(node, ast.UnaryOp)
+                and isinstance(node.op, ast.USub) and not isinstance(node.operand, ast.Constant)]
+    assert not list(_callers(sub, "other.scaled"))
+    assert list(_callers(sub, "_packed_sum"))
 
 
 def test_one_field_store_for_the_value_types():
