@@ -33,7 +33,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring
+from itertools import chain, repeat
+from json.encoder import ESCAPE, encode_basestring
 from types import SimpleNamespace
 
 from .errors import (
@@ -224,6 +225,25 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+# a document of fewer records is one %-format, of more one join of cached
+# per-column text: the first costs less while few values repeat, and the
+# two cost about the same near this count
+_FEW_RECORDS = 48
+
+
+class _Texts(dict):
+    # int v -> prefix + its text, each made on first use
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = f"{self.prefix}{v}"
+        return text
+
+
 def _json_records(columns: list[tuple[str, list | tuple]], depth: int,
                   head: str = "", tail: str = "") -> str:
     """A list of flat records, given column by column as (key, values),
@@ -232,33 +252,61 @@ def _json_records(columns: list[tuple[str, list | tuple]], depth: int,
 
     A list of values holds one str or int per record; a tuple holds the
     int columns of an array field, one per entry, () for an empty array.
-    The first column is a list.  The %-template of one record has a field
-    per str or int and per entry of an array; a str goes through
-    encode_basestring and an int is formatted by %d.  Only the template's
-    own text is %-escaped: the values are arguments, never parsed.  head and
-    tail join the first and last records: the one whole-text copy is the join.
+    The first column is a list.  Every value follows a gap, the constant
+    text since the value before it.  A str column enters as it is, inside
+    quote gaps, unless one json.encoder.ESCAPE search over the joined
+    column finds a character to escape; then every value goes through
+    encode_basestring, as every key does.  Below _FEW_RECORDS records the
+    document is one %-format of the gaps, repeated per record, with the
+    values and head and tail as its arguments, never parsed.  Otherwise
+    it is one join over a flat stream of pieces, no string made per
+    record: an int column's piece is its gap and the value's text, made
+    once per distinct value by a _Texts map; a str column's gap and value
+    are two pieces.
     """
-    if not columns[0][1]:
+    rows = len(columns[0][1])
+    if not rows:
         return f"{head}[]{tail}"
-    end_pad, rec_pad, field_pad, item_pad = ("\n" + "  " * (depth + i) for i in range(4))
-    fields, args = [], []
+    few = rows < _FEW_RECORDS
+    end_pad = "\n" + "  " * depth
+    rec_pad, field_pad, item_pad = end_pad + "  ", end_pad + "    ", end_pad + "      "
+    gaps, cols, lead = [], [], rec_pad + "{"
     for key, values in columns:
-        name = f"{field_pad}{encode_basestring(key)}: ".replace("%", "%%")
+        # a %-format's gaps are its own text: a key's % is escaped there
+        key = encode_basestring(key)
+        name = f"{lead}{field_pad}{key.replace('%', '%%') if few else key}: "
         if isinstance(values, tuple):
-            entries = ("," + item_pad).join(["%d"] * len(values))
-            fields.append(f"{name}[{item_pad}{entries}{field_pad}]" if values else name + "[]")
-            args += values
+            if not values:
+                lead = name + "[],"
+                continue
+            gaps += [name + "[" + item_pad, *repeat("," + item_pad, len(values) - 1)]
+            cols += values
+            lead = field_pad + "],"
         elif isinstance(values[0], str):
-            fields.append(name + "%s")
-            args.append(map(encode_basestring, values))
+            if ESCAPE.search("".join(values)):
+                gaps.append(name)
+                cols.append(list(map(encode_basestring, values)))
+                lead = ","
+            else:
+                gaps.append(name + '"')
+                cols.append(values)
+                lead = '",'
         else:
-            fields.append(name + "%d")
-            args.append(values)
-    template = rec_pad + "{" + ",".join(fields) + rec_pad + "}"
-    records = list(map(template.__mod__, zip(*args)))
-    records[0] = f"{head}[{records[0]}"
-    records[-1] = f"{records[-1]}{end_pad}]{tail}"
-    return ",".join(records)
+            gaps.append(name)
+            cols.append(values)
+            lead = ","
+    close = lead[:-1] + rec_pad + "}"
+    if few:
+        record = "%s".join([*gaps, close])
+        document = "".join(["%s[", *repeat(record + ",", rows - 1), record, "%s"])
+        return document % (head, *chain.from_iterable(zip(*cols)), end_pad + "]" + tail)
+    stream = [chain((head + "[",), repeat(close + ",", rows - 1))]
+    for gap, col in zip(gaps, cols):
+        if isinstance(col[0], str):
+            stream += repeat(gap), col
+        else:
+            stream.append(map(_Texts(gap).__getitem__, col))
+    return "".join(chain(chain.from_iterable(zip(*stream)), (f"{close}{end_pad}]{tail}",)))
 
 
 def _csv_text(header, rows) -> str:
@@ -269,11 +317,12 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _table_text(header, rows) -> str:
-    cells = [[str(c) for c in row] for row in [list(header)] + [list(r) for r in rows]]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
-                   for row in cells)
+def _table_text(header, columns) -> str:
+    """Left-aligned columns under their header, two spaces apart, each
+    line without trailing blanks; given column by column."""
+    cells = [[name, *map(str, col)] for name, col in zip(header, columns)]
+    padded = [map(str.ljust, col, repeat(max(map(len, col)))) for col in cells]
+    return "\n".join(chain(map(str.rstrip, map("  ".join, zip(*padded))), ("",)))
 
 
 def _series_columns(n: int, m: int) -> list[str]:
@@ -300,7 +349,7 @@ def render_series(s: ClassSeries, fmt: str) -> str:
     if fmt == "csv":
         header = _series_columns(s.n, s.m) + ["coeff"]
         return _csv_text(header, zip(b, *g, *h, coeffs))
-    return _table_text(["class", "coeff"], zip(_class_names(s.m, s.n - 1, cols), coeffs))
+    return _table_text(["class", "coeff"], (_class_names(s.m, s.n - 1, cols), coeffs))
 
 
 def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
@@ -317,7 +366,7 @@ def render_invariants(table: InvariantTable, spec: FanSpec, fmt: str) -> str:
     if fmt == "csv":
         header = _series_columns(spec.n, spec.m) + ["maslov", "n_beta"]
         return _csv_text(header, zip(b, *g, *h, maslov, n_beta))
-    return _table_text(["class", "maslov", "n_beta"], zip(names, maslov, n_beta))
+    return _table_text(["class", "maslov", "n_beta"], (names, maslov, n_beta))
 
 
 def render_validation(report, fmt: str) -> str:
@@ -327,10 +376,12 @@ def render_validation(report, fmt: str) -> str:
     if fmt == "json":
         doc = {f"{name}_ok": ok for name, ok in zip(names, oks)}
         return _json_text({**doc, "diagnostics": list(notes)})
-    rows = [[name, "ok" if ok else "fail"] for name, ok in zip(names[:4] + ("overall",), oks)]
+    shown, results = names[:4] + ("overall",), ["ok" if ok else "fail" for ok in oks]
     if fmt == "csv":
-        return _csv_text(["check", "result"], rows + [["diagnostic", d] for d in notes])
-    return _table_text(["check", "result"], rows) + "".join(f"  - {d}\n" for d in notes)
+        rows = [*zip(shown, results), *(("diagnostic", d) for d in notes)]
+        return _csv_text(["check", "result"], rows)
+    return (_table_text(["check", "result"], (shown, results))
+            + "".join(f"  - {d}\n" for d in notes))
 
 
 def render_matrix(mat, fmt: str) -> str:
@@ -587,13 +638,14 @@ def _help(command) -> str:
     if command is None:
         about = "Superpotentials and open Gromov-Witten invariants of toric Fano " \
                 "compactifications of C^n."
-        header, rows = ["command", "does"], [(name, spec[1]) for name, spec in COMMANDS.items()]
+        header = ["command", "does"]
+        columns = list(COMMANDS), [spec[1] for spec in COMMANDS.values()]
     else:
         _, about, positionals, flags = COMMANDS[command]
         header = ["argument", "meaning"]
-        rows = [(_shown(spec), spec[5]) for spec in positionals]
-        rows += [(_shown(spec, name), spec[5]) for name, spec in flags.items()]
-    return f"{_usage(command)}\n{about}\n\n{_table_text(header, rows)}"
+        shown = [*map(_shown, positionals), *map(_shown, flags.values(), flags)]
+        columns = shown, [spec[5] for spec in (*positionals, *flags.values())]
+    return f"{_usage(command)}\n{about}\n\n{_table_text(header, columns)}"
 
 
 def main(argv=None) -> int:

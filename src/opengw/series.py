@@ -99,8 +99,10 @@ adds packed parts with _summed on the widest of their packers, a
 subtracted part's sign on its bucket's denominator, and drops terms
 above a gamma-degree off their gamma columns; scaled scales the
 numerators and the denominator; coeff encodes the one class asked about
-with _Packer.keys.  None of them reduces by the gcd, so == and hash
-read ClassSeries.columns: it sorts the int keys and splits their digits
+with _Packer.keys.  None of them reduces by the gcd, so == on one
+packer width compares the keys and the numerators, cross-multiplied by
+the other denominator when the two differ, and == across widths and
+hash read ClassSeries.columns: it sorts the int keys and splits their digits
 into one int column per coordinate (_Packer.columns, the only decoder
 of keys, and digit columns the one way out), with the numerators over
 their reduced common denominator (_lowest_terms, which novikov's
@@ -120,7 +122,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, countOf, floordiv, itemgetter, mul, sub
+from operator import add, attrgetter, countOf, eq, floordiv, itemgetter, mul, sub
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
 from .fan import RelClass, _classes, _require, require_int, require_ints, require_rational
@@ -198,12 +200,18 @@ class ClassSeries:
         return bool(self._packed.nums)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ClassSeries)
-            and self.n == other.n
-            and self.m == other.m
-            and self.columns() == other.columns()
-        )
+        if not (isinstance(other, ClassSeries) and self.n == other.n and self.m == other.m):
+            return False
+        (packer, den, nums), (other_packer, other_den, other_nums) = self._packed, other._packed
+        if packer.w != other_packer.w:
+            return self.columns() == other.columns()
+        # one width, one key per class: the same keys, and the numerators
+        # equal over one denominator, cross-multiplied over two
+        if den == other_den:
+            return nums == other_nums
+        return nums.keys() == other_nums.keys() and all(map(
+            eq, map(mul, nums.values(), repeat(other_den)),
+            map(mul, map(other_nums.__getitem__, nums), repeat(den))))
 
     def __hash__(self):
         cols, den, nums = self.columns()

@@ -402,6 +402,119 @@ class TestJsonRender:
         assert cli.render_scalar(x, "json") == _json_reference(want)
 
 
+# the layouts of _json_records: rows below _FEW_RECORDS take the %-format,
+# the others the joined stream, so both sides are drawn
+_ROWS = st.integers(0, 2 * cli._FEW_RECORDS)
+_KEYS = st.text(st.sampled_from('ab%"\\{}é\x01 '), max_size=4)
+_INTS = st.integers(-3, 3) | st.integers(-(2 ** 80), 2 ** 80)
+# a column of plain text enters the stream as it is; one of quotes,
+# backslashes or control characters goes through encode_basestring
+_PLAIN = "ab %{}é–γβ̂\x7f"
+_ESCAPED = _PLAIN + '"\\\t\n\x00\x1f'
+
+
+@st.composite
+def _record_columns(draw):
+    # (columns, records) of _json_records and the records json.dumps reads
+    rows = draw(_ROWS)
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True))
+
+    def ints():
+        if draw(st.booleans()):
+            pool = draw(st.lists(_INTS, min_size=1, max_size=3))
+            return draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+        return draw(st.lists(_INTS, min_size=rows, max_size=rows))
+
+    columns = []
+    for i, key in enumerate(keys):
+        kind = draw(st.sampled_from(["int", "str"] if i == 0 else ["int", "str", "array"]))
+        if kind == "array":
+            columns.append((key, tuple(ints() for _ in range(draw(st.integers(0, 3))))))
+        elif kind == "str":
+            text = st.text(st.sampled_from(draw(st.sampled_from([_PLAIN, _ESCAPED]))), max_size=5)
+            columns.append((key, draw(st.lists(text, min_size=rows, max_size=rows))))
+        else:
+            columns.append((key, ints()))
+    records = [
+        {key: [list(entry)[i] for entry in values] if isinstance(values, tuple) else values[i]
+         for key, values in columns}
+        for i in range(rows)
+    ]
+    return columns, records
+
+
+@given(drawn=_record_columns(), depth=st.integers(0, 2),
+       head=st.text(st.sampled_from('a%"{[\n'), max_size=4),
+       tail=st.text(st.sampled_from('a%"}]\n'), max_size=4))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_json_records_match_json_dumps(drawn, depth, head, tail):
+    # byte for byte json.dumps(..., indent=2, ensure_ascii=False) laid out
+    # depth levels deep, in both layouts
+    columns, records = drawn
+    text = json.dumps(records, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
+    assert cli._json_records(columns, depth, head, tail) == head + text + tail
+
+
+def _row_table(header, rows):
+    # the row-wise rule _table_text replaced: every cell padded to its
+    # column's width, two spaces apart, each line right-stripped
+    cells = [[str(c) for c in row] for row in [list(header)] + [list(r) for r in rows]]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in cells)
+
+
+_CELLS = st.text(st.sampled_from("ab é γ\t-"), max_size=6) | st.integers(-(2 ** 70), 2 ** 70)
+
+
+@given(data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_table_text_matches_the_row_rule(data):
+    header = data.draw(st.lists(_CELLS.filter(lambda c: isinstance(c, str)), min_size=1,
+                                max_size=4))
+    rows = data.draw(st.lists(st.lists(_CELLS, min_size=len(header), max_size=len(header)),
+                              max_size=12))
+    columns = [[row[i] for row in rows] for i in range(len(header))]
+    assert cli._table_text(header, columns) == _row_table(header, rows)
+
+
+def _lines_run(f, *args):
+    # the Python lines f runs in cli, its maps' methods included
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename == cli.__file__:
+            count += event == "line"
+            return trace
+        return None
+
+    sys.settrace(trace)
+    try:
+        f(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_rendering_runs_no_python_per_record():
+    # more records over the same values run the same Python lines: no
+    # string is made per record, and each int text once per value
+    def columns(rows):
+        names = ["β̂", "H_1 - γ_2"] * (rows // 2)
+        ints = [-1, 0, 2, 5] * (rows // 4)
+        return [("name", names), ("b", ints), ("g", (ints[::-1], ints)), ("n_beta", ints)]
+
+    for few, many in [(4, 40), (4 * cli._FEW_RECORDS, 40 * cli._FEW_RECORDS)]:
+        for depth in (0, 2):
+            assert _lines_run(cli._json_records, columns(few), depth) \
+                == _lines_run(cli._json_records, columns(many), depth)
+        header, kept = ["name", "b", "n_beta"], [0, 1, 3]
+        table, wide = ([columns(rows)[i][1] for i in kept] for rows in (few, many))
+        assert _lines_run(cli._table_text, header, table) \
+            == _lines_run(cli._table_text, header, wide)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_cp8_invariants_are_deterministic_across_processes(tmp_path, monkeypatch, fmt):
     # rows come from packed buckets and per-call name pieces; two fresh

@@ -1195,9 +1195,66 @@ def test_packed_series_reads_like_its_dict(case, q):
     reference = json.dumps(
         {"n": n, "m": m, "terms": series.to_records(held)}, indent=2, ensure_ascii=False) + "\n"
     assert cli.render_series(fresh(), "json") == cli.render_series(held, "json") == reference
-    table = cli._table_text(["class", "coeff"], [[fan.class_name(c), str(q)] for c, q in want])
+    table = cli._table_text(["class", "coeff"], ([fan.class_name(c) for c, _ in want],
+                                                 [str(q) for _, q in want]))
     assert cli.render_series(fresh(), "table") == cli.render_series(held, "table") == table
     assert cli.render_series(fresh(), "csv") == cli.render_series(held, "csv")
+
+
+def _widened(s):
+    # s again, on a wider packer: a far term added and taken away
+    far = series.monomial(s.n, s.m, RelClass(1000, (0,) * (s.n - 1), (0,) * s.m))
+    return (s + far) - far
+
+
+class TestEquality:
+    # == on one packer width compares the keys and the numerators,
+    # cross-multiplied when the denominators differ; across widths it
+    # reads columns, and so does hash, so equal series hash equal
+
+    def _f(self):
+        return series.ClassSeries(3, 1, {
+            RelClass(1, (0, 0), (0,)): Fraction(1),
+            RelClass(1, (1, 0), (0,)): Fraction(-2, 3),
+            RelClass(0, (1, 2), (1,)): Fraction(5),
+        })
+
+    def test_equal_series_on_two_widths_and_denominators(self):
+        f = self._f()
+        wide, over = _widened(f), f.scaled(3).scaled(Fraction(1, 3))
+        assert wide._packed.packer.w > f._packed.packer.w
+        assert over._packed.packer.w == f._packed.packer.w
+        assert over._packed.den != f._packed.den
+        for a, b in [(f, wide), (f, over), (wide, over), (wide, _widened(over))]:
+            assert a == b and b == a and hash(a) == hash(b)
+
+    def test_unequal_series_on_two_widths_and_denominators(self):
+        f = self._f()
+        first = RelClass(1, (0, 0), (0,))
+        unequal = [
+            f + series.monomial(3, 1, first, Fraction(1, 3)),
+            f - series.monomial(3, 1, first),
+            f + series.monomial(3, 1, RelClass(0, (0, 1), (0,))),
+            f.scaled(2),
+            f.scaled(Fraction(2, 3)),
+            series.zero(3, 1),
+        ]
+        for g in unequal:
+            for a, b in [(g, f), (_widened(g), f), (g, _widened(f)),
+                         (g.scaled(7).scaled(Fraction(1, 7)), f)]:
+                assert a != b and b != a
+        assert f != series.ClassSeries(3, 2) and f != f.items()
+
+    def test_one_width_decodes_no_key(self, monkeypatch):
+        f = series._one_plus_gammas(4, 1)
+        w, v = series.power(f, 4), series.times_powers([(series.one(4, 1), 4)], f)
+        assert w._packed.packer.w == v._packed.packer.w and w._packed.nums is not v._packed.nums
+
+        def decoded(*args):
+            raise AssertionError("== decoded keys")
+
+        monkeypatch.setattr(series._Packer, "columns", decoded)
+        assert w == v and v == w.scaled(5).scaled(Fraction(1, 5)) and w != w.scaled(2)
 
 
 class TestHandoff:

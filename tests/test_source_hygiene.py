@@ -49,6 +49,12 @@ opengw.cli loads neither argparse nor gettext.  No superpotential, gluing,
 table or identity runs novikov or chambers, so importing opengw loads
 neither; their names load them on first use, through the package's module
 __getattr__, and reach the same objects as before.
+
+Output is rendered column by column.  cli fills no %-template per record:
+its one % formats a whole small document, outside any loop.
+encode_basestring runs on keys, on a scalar's cutoff and on the str
+columns that one json.encoder.ESCAPE search flags, and on nothing else;
+_table_text loops over its columns, never over rows.
 """
 
 import ast
@@ -483,6 +489,55 @@ def test_assign_energies_uses_the_area_rule():
     calls = [node for node in ast.walk(assign) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute) and node.func.attr == "energy_of"]
     assert calls, "assign_energies does not call energy_of"
+
+
+def _enclosing(tree):
+    # each node of tree with the function name and the nodes around it
+    def visit(node, func, outer):
+        yield node, func, outer
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func, outer + (node,))
+
+    yield from visit(tree, None, ())
+
+
+LOOPS = (ast.For, ast.While, ast.comprehension, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp, ast.Lambda)
+
+
+def test_renderers_work_column_by_column():
+    # cli fills no %-template per record: its one % formats a whole
+    # document, outside any loop, and no __mod__ is mapped.
+    # encode_basestring runs on keys, on a scalar's cutoff and on the str
+    # columns a json.encoder.ESCAPE search flags, no others.  _table_text
+    # loops over its columns alone
+    nodes = list(_enclosing(_modules()["cli.py"]))
+    assert not [node for node, _, _ in nodes
+                if isinstance(node, ast.Attribute) and node.attr == "__mod__"]
+    mods = [(func, outer) for node, func, outer in nodes
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+    assert [func for func, _ in mods] == ["_json_records"]
+    assert not [node for _, outer in mods for node in outer if isinstance(node, LOOPS)]
+    encoded = []
+    for node, func, outer in nodes:
+        if isinstance(node, ast.Name) and node.id == "encode_basestring":
+            call = outer[-1]
+            if ast.unparse(call.func) == "map":
+                flagged = [ast.unparse(n.test) for n in outer if isinstance(n, ast.If)]
+                column = ast.unparse(call.args[1])
+                assert f"ESCAPE.search(''.join({column}))" in flagged, flagged
+                encoded.append((func, f"map: {column}"))
+            else:
+                encoded.append((func, ast.unparse(call.args[0])))
+    assert sorted(encoded) == [("_json_records", "key"), ("_json_records", "map: values"),
+                               ("render_scalar", "str(x.cutoff)")]
+    table = [(node, outer) for node, func, outer in nodes if func == "_table_text"]
+    assert not [node for node, _ in table if isinstance(node, (ast.For, ast.While,
+                                                                ast.GeneratorExp))]
+    loops = {ast.unparse(node.iter) for node, _ in table if isinstance(node, ast.comprehension)}
+    assert loops == {"zip(header, columns)", "cells"}, loops
 
 
 # the package's modules in import order: each imports only earlier ones
