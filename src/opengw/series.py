@@ -100,9 +100,9 @@ subtracted part's sign on its bucket's denominator, and drops terms
 above a gamma-degree off their gamma columns; scaled scales the
 numerators and the denominator; coeff encodes the one class asked about
 with _Packer.keys.  None of them reduces by the gcd, so == on one
-packer width compares the keys and the numerators, cross-multiplied by
-the other denominator when the two differ, and == across widths and
-hash read ClassSeries.columns: it sorts the int keys and splits their digits
+packer width compares the keys and the numerators cross-multiplied by
+the other denominator, and == across widths and hash read
+ClassSeries.columns: it sorts the int keys and splits their digits
 into one int column per coordinate (_Packer.columns, the only decoder
 of keys, and digit columns the one way out), with the numerators over
 their reduced common denominator (_lowest_terms, which novikov's
@@ -206,9 +206,7 @@ class ClassSeries:
         if packer.w != other_packer.w:
             return self.columns() == other.columns()
         # one width, one key per class: the same keys, and the numerators
-        # equal over one denominator, cross-multiplied over two
-        if den == other_den:
-            return nums == other_nums
+        # equal cross-multiplied by the other denominator
         return nums.keys() == other_nums.keys() and all(map(
             eq, map(mul, nums.values(), repeat(other_den)),
             map(mul, map(other_nums.__getitem__, nums), repeat(den))))

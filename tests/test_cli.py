@@ -489,11 +489,12 @@ def _lines_run(f, *args):
             return trace
         return None
 
+    previous = sys.gettrace()
     sys.settrace(trace)
     try:
         f(*args)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return count
 
 

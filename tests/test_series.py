@@ -1208,8 +1208,8 @@ def _widened(s):
 
 
 class TestEquality:
-    # == on one packer width compares the keys and the numerators,
-    # cross-multiplied when the denominators differ; across widths it
+    # == on one packer width compares the keys and the numerators
+    # cross-multiplied by the other denominator; across widths it
     # reads columns, and so does hash, so equal series hash equal
 
     def _f(self):
