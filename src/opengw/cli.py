@@ -5,6 +5,9 @@ monodromy, eval, oracle.  Input fans are JSON documents; all rationals in
 files and flags are exact, written as integers or "p/q" strings, never
 floats.  Output (table, csv, or json) is byte-deterministic for identical
 inputs.  Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+A --point coordinate is a sum of terms c, c*T^e, cT^e and T^e, each after
+the first opening with + or -, with c and e rationals that keep their own
+optional sign ('+-1/3*T^2'), all read by one term pattern.
 
 argv is read against one table, COMMANDS, which renders the usage and
 -h/--help texts too.  A value flag takes the next token as it stands
@@ -31,6 +34,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
@@ -159,46 +163,35 @@ def _theorem_fan(source: str) -> FanSpec:
     return spec
 
 
+# a term of a scalar literal: sign, coefficient, *, T, exponent
+_TERM = re.compile(r"([+-]?)([+-]?[^-+*T^]*)(\*?)(?:(T)(?:\^([+-]?[^-+*T^]*))?)?")
+
+
 def parse_scalar_literal(text: str) -> NovikovScalar:
-    """Parse scalar literals like '2', 'T^1/2', '1 - T + 2*T^3/2', 'T^-1'."""
+    """Parse scalar literals like '2', 'T^1/2', '1 - T + 2*T^3/2', 'T^-1'.
+
+    Spaces dropped, a literal is terms [s]c, [s][c]T[^e] or [s]c*T[^e],
+    each after the first opening with its sign s.  c (default 1) and e
+    (default 1; 0 without T) are read by require_rational and keep their
+    own sign, so '+-2' is -2 and '--1' is 1.  Anything else: ParseError.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty scalar literal")
-    parts = []
-    start = 0
-    for i in range(1, len(s)):
-        # a sign after ^, *, / or another sign belongs to the number
-        if s[i] in "+-" and s[i - 1] not in "^*/+-":
-            parts.append(s[start:i])
-            start = i
-    parts.append(s[start:])
+    what = f"scalar literal {text!r}"
     pairs = []
-    for part in parts:
-        sign = Fraction(1)
-        if part and part[0] in "+-":
-            if part[0] == "-":
-                sign = -sign
-            part = part[1:]
-        try:
-            if "T" in part:
-                coeff_txt, _, exp_txt = part.partition("T")
-                if coeff_txt.endswith("*"):
-                    coeff_txt = coeff_txt[:-1]
-                    if not coeff_txt:
-                        raise ValueError("no coefficient before *")
-                coeff = Fraction(coeff_txt) if coeff_txt else Fraction(1)
-                if exp_txt == "":
-                    e = Fraction(1)
-                elif exp_txt.startswith("^"):
-                    e = Fraction(exp_txt[1:])
-                else:
-                    raise ValueError(f"expected ^ after T, got {exp_txt!r}")
-            else:
-                coeff = Fraction(part)
-                e = Fraction(0)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad scalar literal {text!r}: {exc}") from exc
-        pairs.append((e, sign * coeff))
+    pos = 0
+    while pos < len(s):
+        term = _TERM.match(s, pos)
+        sign, coeff, star, t, e = term.groups()
+        if term.end() == pos or (pos and not sign):
+            raise ParseError(f"bad {what}: unexpected {s[pos:]!r}")
+        if star and not (coeff and t):
+            raise ParseError(f"bad {what}: " + ("no coefficient before *" if t else "no T after *"))
+        c = require_rational(coeff, what, ParseError) if coeff or not t else 1
+        e = require_rational(e, what, ParseError) if e is not None else 1 if t else 0
+        pairs.append((e, -c if sign == "-" else c))
+        pos = term.end()
     return NovikovScalar.from_terms(pairs)
 
 

@@ -471,13 +471,21 @@ def _classes(m: int, columns: Sequence[Sequence[int]]) -> list[RelClass]:
 
 def class_name(c: RelClass) -> str:
     """Readable name like 'H_1 - 2β̂ + γ_1'."""
+    _require(c, RelClass, "class")
     return _class_names(len(c.h), len(c.g), [[x] for x in (*c.h, c.b, *c.g)])[0]
 
 
 # exact integer linear algebra, small n
 
 def det_int(mat) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
+    """Determinant of a square integer matrix by fraction-free elimination;
+    a matrix that is not one raises BadParams."""
+    k = len(_require_seq(mat, "matrix"))
+    return _det([require_ints(row, "matrix row", k) for row in mat])
+
+
+def _det(mat) -> int:
+    # det_int of rows already known to be k int sequences of length k
     a = [list(row) for row in mat]
     k = len(a)
     if k == 0:
@@ -504,7 +512,7 @@ def det_int(mat) -> int:
 def _facet_normal(rows: list[IntVec], n: int) -> IntVec:
     # generalized cross product: signed maximal minors of the (n-1) x n matrix
     return tuple(
-        (-1) ** i * det_int([[row[c] for c in range(n) if c != i] for row in rows])
+        (-1) ** i * _det([[row[c] for c in range(n) if c != i] for row in rows])
         for i in range(n)
     )
 
@@ -545,7 +553,7 @@ def validate_fan(spec: FanSpec) -> ValidationReport:
 
     smooth_ok = True
     for ci, cone in enumerate(spec.max_cones):
-        d = det_int([spec.ray(i) for i in cone])
+        d = _det([spec.ray(i) for i in cone])
         if abs(d) != 1:
             smooth_ok = False
             diagnostics.append(f"cone {ci} {cone}: ray determinant {d}")
@@ -602,9 +610,9 @@ def validate_fan(spec: FanSpec) -> ValidationReport:
             # the support point m with <ray_i, m> = 1 on the cone, by Cramer's
             # rule: the cone is unimodular, so 1/det = det and m is integral
             rows = [spec.ray(i) for i in cone]
-            d = det_int(rows)
+            d = _det(rows)
             msig = [
-                d * det_int([row[:k] + (1,) + row[k + 1:] for row in rows])
+                d * _det([row[:k] + (1,) + row[k + 1:] for row in rows])
                 for k in range(spec.n)
             ]
             for j in range(spec.n + spec.m):

@@ -134,8 +134,8 @@ class ClassSeries:
     """Finitely supported map RelClass -> Fraction with ambient shape (n, m).
 
     n >= 1 and m >= 0 must be genuine integers, every key a RelClass of the
-    shape and every coefficient pass fan.require_rational, so a float is
-    rejected, never rounded.
+    shape with int coordinates and every coefficient pass
+    fan.require_rational, so a float is rejected, never rounded.
 
     A series is one packed operand, set when it is made and never changed
     (module docstring): its packer, a common denominator and int
@@ -153,11 +153,17 @@ class ClassSeries:
             _require(terms, Mapping, "series terms")
             for cls, coeff in terms.items():
                 _require(cls, RelClass, "series key")
+                _require(cls.g, tuple, "series key g")
+                _require(cls.h, tuple, "series key h")
                 if len(cls.g) != n - 1 or len(cls.h) != m:
                     raise DimensionMismatch(f"class {cls} does not fit shape ({n}, {m})")
+                # every coordinate an int, as _record reads them
+                xs = [*cls.h, cls.b, *cls.g]
+                if countOf(map(type, xs), int) != len(xs):
+                    raise BadParams(f"series key coordinates must be integers, got {cls}")
                 q = require_rational(coeff, "series coefficient")
                 if q:
-                    clean.append(([*cls.h, cls.b, *cls.g], q.numerator, q.denominator))
+                    clean.append((xs, q.numerator, q.denominator))
         self._packed = _encoded(n, m, clean)
 
     def items(self) -> list[tuple[RelClass, Fraction]]:

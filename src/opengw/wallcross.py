@@ -51,6 +51,7 @@ from .fan import (
     _maslov_weights,
     _require,
     _require_int_param,
+    _require_seq,
     _Value,
     beta_class,
     beta_hat_class,
@@ -152,7 +153,8 @@ class InvariantTable:
     invariant_table builds a table from a series' columns.
     InvariantTable(rows) turns its rows into columns once, refusing a value
     that is not an integer as invariant_table does, and rows whose classes
-    differ in shape.  rows and iteration build the InvariantRows from the
+    differ in shape; a row that is not an InvariantRow of a RelClass
+    raises BadParams.  rows and iteration build the InvariantRows from the
     columns on each call (fan._classes); value_of matches a class against
     the digit columns and builds none.
     """
@@ -160,8 +162,11 @@ class InvariantTable:
     __slots__ = ("_columns",)
 
     def __init__(self, rows: Iterable[InvariantRow] = ()):
+        _require(rows, Iterable, "invariant rows")
         rows = tuple(rows)
         for row in rows:
+            _require(row, InvariantRow, "invariant row")
+            _require(row.cls, RelClass, "invariant row class")
             if row.value.denominator != 1:
                 raise NonIntegerInvariant(f"count for {row.name} is {row.value}, not an integer")
         classes = [row.cls for row in rows]
@@ -478,7 +483,7 @@ def wall_cross_rhs(
     _require(spec, FanSpec, "fan spec")
     if n_factors is None:
         n_factors = [one(spec.n, spec.m)] * spec.n
-    if len(n_factors) != spec.n:
+    if len(_require_seq(n_factors, "sphere corrections")) != spec.n:
         raise BadParams(f"need {spec.n} sphere-correction series")
     f = wall_crossing_factor(spec).factor
     # a bad bound is reported before a bad correction shape

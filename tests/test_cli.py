@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -126,6 +127,94 @@ class TestParsing:
     ])
     def test_coefficient_forms_kept(self, text, want):
         assert cli.parse_scalar_literal(text) == want
+
+
+def _tokenized_literal(text):
+    # the hand-written tokenizer parse_scalar_literal replaced, kept as the
+    # reference for its grammar
+    s = text.replace(" ", "")
+    if not s:
+        raise cli.ParseError("empty scalar literal")
+    parts = []
+    start = 0
+    for i in range(1, len(s)):
+        # a sign after ^, *, / or another sign belongs to the number
+        if s[i] in "+-" and s[i - 1] not in "^*/+-":
+            parts.append(s[start:i])
+            start = i
+    parts.append(s[start:])
+    pairs = []
+    for part in parts:
+        sign = Fraction(1)
+        if part and part[0] in "+-":
+            if part[0] == "-":
+                sign = -sign
+            part = part[1:]
+        try:
+            if "T" in part:
+                coeff_txt, _, exp_txt = part.partition("T")
+                if coeff_txt.endswith("*"):
+                    coeff_txt = coeff_txt[:-1]
+                    if not coeff_txt:
+                        raise ValueError("no coefficient before *")
+                coeff = Fraction(coeff_txt) if coeff_txt else Fraction(1)
+                if exp_txt == "":
+                    e = Fraction(1)
+                elif exp_txt.startswith("^"):
+                    e = Fraction(exp_txt[1:])
+                else:
+                    raise ValueError(f"expected ^ after T, got {exp_txt!r}")
+            else:
+                coeff = Fraction(part)
+                e = Fraction(0)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise cli.ParseError(f"bad scalar literal {text!r}: {exc}") from exc
+        pairs.append((e, sign * coeff))
+    return novikov.NovikovScalar.from_terms(pairs)
+
+
+def _literal_outcome(parse, text):
+    try:
+        return parse(text)
+    except cli.ParseError:
+        return cli.ParseError
+
+
+def _random_literals(rng, count):
+    # count texts over the alphabet of the literals and count of the eval
+    # workload's multi-term shape c*T^e+c'*T^e', written "+-" when c' < 0
+    def frac():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+
+    for _ in range(count):
+        yield "".join(rng.choice("0123/5T^*-+.e_ ") for _ in range(rng.randint(0, 12)))
+        yield f"{frac()}*T^{rng.randint(-3, 3)}+{frac()}*T^{rng.randint(-3, 6)}"
+
+
+def test_literal_grammar_matches_the_tokenizer():
+    # the same scalar, or ParseError from both
+    for text in _random_literals(random.Random(34), 10000):
+        assert _literal_outcome(cli.parse_scalar_literal, text) == _literal_outcome(
+            _tokenized_literal, text), text
+
+
+@pytest.mark.parametrize("text", ["2T", "+-1/3*T^2", "--5", "T^+2", "0.5*T", "1/2*T^-1/3",
+                                  "1e2*T", "1_0", "T^2T", "2T3", "2*", "2*-T", "+-T", "1+",
+                                  "^2", "1/-2", "1e-5", "T^2^3", "T*2", "\t2*T"])
+def test_literal_forms_match_the_tokenizer(text):
+    assert _literal_outcome(cli.parse_scalar_literal, text) == _literal_outcome(
+        _tokenized_literal, text)
+
+
+_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(pairs=st.lists(st.tuples(_FRACTIONS, _FRACTIONS), max_size=5))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_literal_reads_back_a_printed_scalar(pairs):
+    # every cutoff-free scalar, as str prints it
+    x = novikov.NovikovScalar.from_terms(pairs)
+    assert cli.parse_scalar_literal(str(x)) == x
 
 
 class TestValidate:

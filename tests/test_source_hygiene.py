@@ -55,6 +55,11 @@ its one % formats a whole small document, outside any loop.
 encode_basestring runs on keys, on a scalar's cutoff and on the str
 columns that one json.encoder.ESCAPE search flags, and on nothing else;
 _table_text loops over its columns, never over rows.
+
+Every rational the command line reads goes through fan.require_rational:
+cli calls no Fraction( of its own, and parse_scalar_literal reads a
+--point literal one term pattern match at a time, with no try and no
+loop over characters.
 """
 
 import ast
@@ -538,6 +543,23 @@ def test_renderers_work_column_by_column():
                                                                 ast.GeneratorExp))]
     loops = {ast.unparse(node.iter) for node, _ in table if isinstance(node, ast.comprehension)}
     assert loops == {"zip(header, columns)", "cells"}, loops
+
+
+def test_literals_go_through_the_shared_rational_reader():
+    # no Fraction( in cli; parse_scalar_literal catches nothing, loops
+    # once per term match, and reads its numbers with require_rational
+    cli = _modules()["cli.py"]
+    assert not [node.lineno for node in ast.walk(cli)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "Fraction"]
+    parse = next(node for node in cli.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "parse_scalar_literal")
+    nodes = list(ast.walk(parse))
+    assert not [node for node in nodes if isinstance(node, ast.Try)]
+    loops = [node for node in nodes if isinstance(node, LOOPS)]
+    assert [ast.unparse(node.test) for node in loops if isinstance(node, ast.While)] == [
+        "pos < len(s)"] and len(loops) == 1
+    calls = {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)}
+    assert {"_TERM.match", "require_rational"} <= calls
 
 
 # the package's modules in import order: each imports only earlier ones

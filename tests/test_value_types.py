@@ -287,6 +287,18 @@ def test_constructors_normalize():
     lambda: novikov.evaluate(_series(), novikov.EnergyAssignment("x", 1, (), None), POINT),
     lambda: novikov.evaluate(_series(), novikov.EnergyAssignment(CP2, 0.5, (0.25,), None), POINT),
     lambda: novikov.EnergyAssignment(CP2, 1, (1,), "ab"),
+    lambda: wallcross.wall_cross_rhs(fan.FanSpec(2, ()), 4, 5),
+    lambda: wallcross.verify_wall_cross_identity(fan.FanSpec(2, ()), 4,
+                                                 iter([series.one(2, 0)] * 2)),
+    lambda: wallcross.InvariantTable([5]),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(5, 2, F(1), "x")]),
+    lambda: wallcross.InvariantTable(5),
+    lambda: fan.class_name(5),
+    lambda: series.ClassSeries(2, 0, {fan.RelClass("a", (0,), ()): 1}),
+    lambda: series.ClassSeries(2, 0, {fan.RelClass(1, (2.0,), ()): 1}),
+    lambda: series.ClassSeries(2, 0, {fan.RelClass(1, (0.5,), ()): 1}),
+    lambda: series.ClassSeries(2, 0, {fan.RelClass(1, (True,), ()): 1}),
+    lambda: series.ClassSeries(2, 0, {fan.RelClass(1, 5, ()): 1}),
 ], ids=["classify-point", "monodromy-rays", "monodromy-i", "monodromy-j", "tropical-rays",
         "cn-rays-str", "cn-rays-float", "validate-fan", "ray-decomposition-spec",
         "ray-decomposition-index", "clifford", "chekanov", "wall-crossing-factor",
@@ -295,7 +307,10 @@ def test_constructors_normalize():
         "sphere-class-spec", "sphere-class-index", "beta-class-spec", "beta-class-index",
         "class-boundary-spec", "class-boundary-class", "class-maslov-spec",
         "class-maslov-class", "to-records", "energy-assignment-fan",
-        "energy-assignment-area", "energy-assignment-h"])
+        "energy-assignment-area", "energy-assignment-h", "wall-cross-rhs-corrections",
+        "wall-cross-identity-corrections", "invariant-table-row", "invariant-table-row-class",
+        "invariant-table-rows", "class-name", "series-key-str-b", "series-key-float-g",
+        "series-key-half-g", "series-key-bool-g", "series-key-int-g"])
 def test_wrong_typed_arguments_are_bad_params(call):
     # each used to end in a raw AttributeError or TypeError
     with pytest.raises(BadParams, match="must be"):
@@ -307,6 +322,9 @@ def test_wrong_typed_arguments_are_bad_params(call):
 TWO_CYCLES = fan.FanSpec(2, [(1, 1), (1, 0), (0, 1), (-1, -1)],
                          [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 ZERO_RAY = fan.FanSpec(2, [(0, 0)], [(0, 1), (1, 2), (2, 0)])
+# three cones about the rays -e_2, (1, 1) and (1, 0): two of their facets
+# have both cones on one side
+SAME_SIDE = fan.FanSpec(2, ((1, 1), (1, 0)), max_cones=((1, 2), (1, 3), (2, 3)))
 
 
 @pytest.mark.parametrize("call, want", [
@@ -324,6 +342,10 @@ ZERO_RAY = fan.FanSpec(2, [(0, 0)], [(0, 1), (1, 2), (2, 0)])
     (lambda: fan.beta_class(CP2, 3), (IndexOutOfRange, "disk index 3 not in 1..2")),
     (lambda: fan.ray_decomposition(CP2, 0), (IndexOutOfRange, "extra ray index 0 not in 1..1")),
     (lambda: fan.validate_fan(ZERO_RAY).diagnostics[0], "extra ray 1 is zero"),
+    (lambda: fan.validate_fan(SAME_SIDE).diagnostics,
+     ("facet (1,): cones 0 and 1 are not on strictly opposite sides",
+      "facet (2,): cones 0 and 2 are not on strictly opposite sides",
+      "Fano criterion not evaluated: fan is not smooth and complete")),
     (lambda: fan.validate_fan(TWO_CYCLES).diagnostics,
      ("cone adjacency graph is disconnected",
       "Fano criterion not evaluated: fan is not smooth and complete")),
@@ -355,13 +377,27 @@ ZERO_RAY = fan.FanSpec(2, [(0, 0)], [(0, 1), (1, 2), (2, 0)])
      (BadParams, "branch must be 'H1' or 'H2', got 'H3'")),
     (lambda: wallcross.closed_form_invariant("f1", {"k": 0}),
      (BadParams, "branch must be 'H1' or 'H2', got None")),
+    (lambda: wallcross.closed_form_invariant("cp_product", {"n": 3, "r": 1, "beta_hat": True}),
+     F(1)),
+    (lambda: fan.builtin_fan("hirzebruch_f1", n=2),
+     (BadParams, "hirzebruch_f1 takes no parameters, got {'n': 2}")),
+    (lambda: fan.builtin_fan("f2_nonfano", k=1),
+     (BadParams, "f2_nonfano takes no parameters, got {'k': 1}")),
+    (lambda: fan.det_int([[F(1, 2), 1], [1, 1]]),
+     (BadParams, "matrix row entry must be an integer, got Fraction(1, 2)")),
+    (lambda: fan.det_int([[0.5, 1], [1, 1]]),
+     (BadParams, "matrix row entry must be an integer, got 0.5")),
+    (lambda: fan.det_int([[1, 2, 3], [4, 5, 6]]),
+     (BadParams, "matrix row must have length 2, got [1, 2, 3]")),
+    (lambda: fan.det_int([[1, 2], [3]]), (BadParams, "matrix row must have length 2, got [3]")),
 ], ids=["series-class-shape", "series-mul", "series-rmul", "class-add-shape", "fan-ray",
         "gamma-index", "sphere-index", "beta-index", "ray-decomposition-index", "zero-ray",
-        "disconnected-cones", "coeff-absent", "coeff-off-grid", "laurent-mul-dims",
+        "same-side-cones", "disconnected-cones", "coeff-absent", "coeff-off-grid", "laurent-mul-dims",
         "gauss-valuation-dims", "toric-constants", "toric-dims", "toric-corrections",
         "energies-missing", "energies-sphere-count", "energy-assignment-gamma",
         "energy-assignment-h", "gluing-factor-shape", "closed-form-product-branch",
-        "closed-form-f1-branch"])
+        "closed-form-f1-branch", "closed-form-product-beta-hat", "f1-params", "f2-params",
+        "det-int-fraction", "det-int-float", "det-int-not-square", "det-int-ragged"])
 def test_seldom_reached_checks(call, want):
     # each check here is one that no workflow test reaches: its exact error
     # type and message, or the value of the branch
