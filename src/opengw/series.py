@@ -73,8 +73,15 @@ S starts at 64 and widens, repacking the rows, whenever a grade's bound
     sum |R| den / r_den + sum_j |scale_j| sum |A_j| sum |X_{l-j}|
 
 reaches 2^(S-2), so no slot overflows whatever the signs, and before
-p's rows are convolved into E's.  Slots are read back only for each
-grade's gcd and on output.  The callers enter and leave the rows once:
+p's rows are convolved into E's.  A grade's gcd is found with no slot
+read: g = gcd(den, row ints) is a multiple of the slots' gcd, and one
+masked test per row on r // g certifies the two equal (_certified); the
+bucket is divided by g and keeps the bound over g as its norm, an upper
+bound.  Slots are read back only on output, when a certificate fails
+(the gcd and the exact norm are then read slot by slot), and before a
+widen whose bound rests on such a norm: it is made exact first, so S
+widens only where exact norms call for it.  The callers enter and leave
+the rows once:
 series_exp enters f and 1 and leaves E, _times_exp_neg_log enters u, 1
 and p and leaves only the product.  series_log on its own and the
 power, division and Chekanov-evaluation solves keep one term per key:
@@ -122,7 +129,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, countOf, eq, floordiv, itemgetter, mul, sub
+from operator import add, and_, attrgetter, countOf, eq, floordiv, itemgetter, mul, or_, sub
 
 from .errors import BadParams, DimensionMismatch, NotFiltered, NotInvertible, SchemaError
 from .fan import RelClass, _classes, _require, require_int, require_ints, require_rational
@@ -580,8 +587,9 @@ class _Packer:
 
 
 class _RowBucket(dict):
-    # the rows of one grade bucket; norm is the sum of |slot| over them
-    __slots__ = ("norm",)
+    # the rows of one grade bucket; norm is a bound on the sum of |slot|
+    # over them, exact when exact is set
+    __slots__ = ("norm", "exact")
 
 
 class _Rows:
@@ -598,8 +606,14 @@ class _Rows:
     that it forms, so outer is the key of a class, outer keys add like
     classes and rows multiply like polynomials in 2^S.  n <= 2 has no
     digit c, so every row has the one slot t = 0.  Every row bucket made
-    is kept in buckets, with its norm, the sum of |slot|, so that _widen
-    can repack them all.
+    is kept in buckets, with its norm, so that _widen can repack them all.
+
+    A bucket that reduced certifies (_certified) keeps the bound on the
+    sum of |slot| that fit gave it, over its gcd, as its norm: an upper
+    bound, read off no slot.  Slots are read only on output (leave), when
+    a certificate fails, and before a widen that rests on such a norm:
+    _fitted then makes the norms exact first, so S only widens where the
+    exact sums call for it.
     """
 
     __slots__ = ("packer", "c", "step", "width", "buckets")
@@ -635,43 +649,48 @@ class _Rows:
                     t = 0
                 outer = key - t * step
                 rows[outer] = rows.get(outer, 0) + (v << width * t)
-            rows.norm = norms[l]
+            rows.norm, rows.exact = norms[l], True
             self.buckets.append(rows)
             out[l] = (den, rows)
         return out
 
-    def fit(self, r_scale: int, r: dict, terms: list):
-        # widen S for acc = r_scale R + sum scale A X
-        bound = r.norm * r_scale if r else 0
-        for scale, a, x in terms:
-            bound += abs(scale) * a.norm * x.norm
-        self._widen(bound)
+    def fit(self, r_scale: int, r: dict, terms: list) -> int:
+        # widen S for acc = r_scale R + sum scale A X; returns the bound on
+        # the sum of |slot| of acc that S holds
+        def bound():
+            total = r.norm * r_scale if r else 0
+            for scale, a, x in terms:
+                total += abs(scale) * a.norm * x.norm
+            return total
+        return self._fitted(bound, [r, *chain.from_iterable((a, x) for _, a, x in terms)])
 
-    def reduced(self, den: int, acc: dict[int, int]):
-        # _reduced on rows: the gcd and the norm read every slot once
-        rows = _RowBucket()
-        g, norm = den, 0
-        for key, r in acc.items():
-            if r:
-                vs = _slots(r, self.width)
-                norm += sum(map(abs, vs))
-                g = math.gcd(g, *vs)
-                rows[key] = r
+    def reduced(self, den: int, acc: dict[int, int], bound: int):
+        # _reduced on rows, bound >= the sum of |slot| of acc (fit): over
+        # g = gcd(den, row ints) with norm bound // g when _certified proves g
+        # the slots' gcd, else over the gcd and exact norm read from each slot
+        rows = {key: r for key, r in acc.items() if r} if 0 in acc.values() else acc
         if not rows:
             return None
-        if g > 1:
-            den //= g
-            norm //= g
-            for key, r in rows.items():
-                rows[key] = r // g
-        rows.norm = norm
-        self.buckets.append(rows)
-        return den, rows
+        g = math.gcd(den, *rows.values())
+        quotients = _certified(rows, g, bound, self.width)
+        exact = quotients is None
+        if exact:
+            g, bound = den, 0
+            for r in rows.values():
+                vs = _slots(r, self.width)
+                bound += sum(map(abs, vs))
+                g = math.gcd(g, *vs)
+            quotients = map(floordiv, rows.values(), repeat(g))
+        bucket = _RowBucket(zip(rows, quotients))
+        bucket.norm, bucket.exact = bound // g, exact
+        self.buckets.append(bucket)
+        return den // g, bucket
 
     def products(self, pairs: list) -> tuple[int, dict[int, int]]:
         # _products on row buckets, S first widened for the sum, as in fit
         den = math.lcm(*(da * db for (da, _), (db, _) in pairs))
-        self._widen(sum(den // (da * db) * a.norm * b.norm for (da, a), (db, b) in pairs))
+        self._fitted(lambda: sum(den // (da * db) * a.norm * b.norm for (da, a), (db, b) in pairs),
+                     [rows for pair in pairs for _, rows in pair])
         return _products(pairs)
 
     def leave(self, buckets: dict) -> tuple[int, dict[int, int]]:
@@ -690,6 +709,23 @@ class _Rows:
         self.buckets.clear()
         return den, nums
 
+    def _fitted(self, bound, buckets: list) -> int:
+        # widen S for bound(), a sum over the buckets' norms, and return it;
+        # a widen first makes their upper-bound norms exact, so S is what
+        # exact norms give
+        total = bound()
+        if total.bit_length() + 2 > self.width:
+            loose = [rows for rows in buckets if rows and not rows.exact]
+            for rows in loose:
+                # a bucket can be listed twice
+                if not rows.exact:
+                    rows.norm = sum(sum(map(abs, _slots(r, self.width))) for r in rows.values())
+                    rows.exact = True
+            if loose:
+                total = bound()
+            self._widen(total)
+        return total
+
     def _widen(self, bound: int):
         # the smallest multiple of 64 with bound < 2^(S-2), rows repacked
         need = bound.bit_length() + 2
@@ -699,6 +735,42 @@ class _Rows:
         for rows in self.buckets:
             for key, r in rows.items():
                 rows[key] = sum(v << self.width * t for t, v in enumerate(_slots(r, old)))
+
+
+def _certified(rows: dict[int, int], g: int, bound: int, width: int):
+    """The quotients r // g of the row ints when g divides every width-bit
+    slot of every row, else None, read with one masked test per row and
+    no slot decoded.
+
+    g divides den and each r, so it is a multiple of the slots' gcd, and
+    1 certifies itself.  With 0 <= bound < 2^(width-2) and every slot's
+    |v| summed to at most bound, g divides every slot exactly when
+    g <= bound and every balanced width-bit digit of each q = r // g lies
+    in [-c, c), c = bound // g + 1: then g c <= 2 bound < 2^(width-1), so
+    g times q's digits are r's own balanced digits.  That is sound for any
+    such bound, even one below the sum, which only costs certificates.
+    With ONES a 1 in each of k slots, k covering r, the digits lie in
+    [-c, c) when x = q + c ONES has 0 <= x < 2^(k width), no bit >= b set
+    in any slot, and none set in x + (2^b - 2c) ONES either, b being the
+    bit length of 2c - 1: a slot below 2^b is below 2c exactly when adding
+    2^b - 2c to it leaves it below 2^b.  The range test and the two masks
+    are one AND, mask holding every bit from k width up, as a negative int.
+    """
+    if g == 1:
+        return rows.values()
+    if g > bound:
+        return None
+    c = bound // g + 1
+    b = (2 * c - 1).bit_length()
+    k = max(map(int.bit_length, rows.values())) // width + 1
+    ones = ((1 << k * width) - 1) // ((1 << width) - 1)
+    mask = ((1 << width) - (1 << b)) * ones | -1 << k * width
+    quotients = list(map(floordiv, rows.values(), repeat(g)))
+    lifted = list(map(add, quotients, repeat(c * ones)))
+    if any(map(and_, map(or_, lifted, map(add, lifted, repeat(((1 << b) - 2 * c) * ones))),
+               repeat(mask))):
+        return None
+    return quotients
 
 
 def _slots(r: int, width: int) -> list[int]:
@@ -888,7 +960,6 @@ def _graded_solve(rhs: dict, coef: dict, trunc: int, weight, rows: _Rows | None 
     """
     if not rhs:
         return {}
-    reduced = _reduced if rows is None else rows.reduced
     reach = max(coef, default=0)
     top = max(rhs)
     sol: dict[int, tuple[int, dict[int, int]]] = {}
@@ -900,11 +971,11 @@ def _graded_solve(rhs: dict, coef: dict, trunc: int, weight, rows: _Rows | None 
         den = math.lcm(r_den, *(q * da * dx for (_, q), (da, _), (dx, _) in parts))
         terms = [(p * (den // (q * da * dx)), a, x) for (p, q), (da, a), (dx, x) in parts]
         if rows is not None:
-            rows.fit(den // r_den, r, terms)
+            bound = rows.fit(den // r_den, r, terms)
         acc = {key: v * (den // r_den) for key, v in r.items()}
         for scale, a, x in terms:
             _convolve(acc, a, x, scale)
-        bucket = reduced(den, acc)
+        bucket = _reduced(den, acc) if rows is None else rows.reduced(den, acc, bound)
         if bucket:
             sol[l] = bucket
     return sol

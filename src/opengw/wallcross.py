@@ -58,6 +58,7 @@ from .fan import (
     beta_prime_class,
     gamma_class,
     ray_decomposition,
+    require_int,
     require_ints,
 )
 from .series import (
@@ -153,10 +154,12 @@ class InvariantTable:
     invariant_table builds a table from a series' columns.
     InvariantTable(rows) turns its rows into columns once, refusing a value
     that is not an integer as invariant_table does, and rows whose classes
-    differ in shape; a row that is not an InvariantRow of a RelClass
-    raises BadParams.  rows and iteration build the InvariantRows from the
-    columns on each call (fan._classes); value_of matches a class against
-    the digit columns and builds none.
+    differ in shape.  A row that is not an InvariantRow raises BadParams,
+    and so does one whose class is not a RelClass with int b and int
+    tuples g and h, whose maslov is not an int, whose value is neither an
+    int nor a Fraction, or whose name is not a str.  rows and iteration
+    build the InvariantRows from the columns on each call (fan._classes);
+    value_of matches a class against the digit columns and builds none.
     """
 
     __slots__ = ("_columns",)
@@ -165,8 +168,18 @@ class InvariantTable:
         _require(rows, Iterable, "invariant rows")
         rows = tuple(rows)
         for row in rows:
+            # every field of the row, as InvariantRow itself checks none
             _require(row, InvariantRow, "invariant row")
-            _require(row.cls, RelClass, "invariant row class")
+            cls = row.cls
+            _require(cls, RelClass, "invariant row class")
+            _require(cls.g, tuple, "invariant row class g")
+            _require(cls.h, tuple, "invariant row class h")
+            require_ints((cls.b, *cls.g, *cls.h), f"invariant row class {cls}")
+            require_int(row.maslov, "invariant row maslov")
+            if isinstance(row.value, bool) or not isinstance(row.value, (int, Fraction)):
+                raise BadParams(f"invariant row value must be an int or a Fraction, "
+                                f"got {row.value!r}")
+            _require(row.name, str, "invariant row name")
             if row.value.denominator != 1:
                 raise NonIntegerInvariant(f"count for {row.name} is {row.value}, not an integer")
         classes = [row.cls for row in rows]

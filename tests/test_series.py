@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opengw import cli, errors, fan, series
+from opengw import cli, errors, fan, series, wallcross
 from opengw.fan import RelClass
 
 
@@ -1090,6 +1090,227 @@ def test_exp_rows_at_the_grade_bound(sign):
     })
     unfused = series.multiply(p, series.series_exp(-series.series_log(f, trunc), trunc))
     assert series._times_exp_neg_log(p, f, trunc) == series.truncate_gamma(unfused, trunc)
+
+
+# a grade bucket's gcd is certified without reading its slots: g = gcd(den,
+# row ints) is a multiple of the slots' gcd, and one masked test per row
+# shows the two equal (series._certified); a failed test reads the slots
+
+
+def _balanced_digits(r, width):
+    # the signed width-bit slots of a row, lowest first, read one by one
+    out = []
+    while r:
+        v = r % (1 << width)
+        if v >= 1 << (width - 1):
+            v -= 1 << width
+        out.append(v)
+        r = (r - v) >> width
+    return out
+
+
+def _bare_rows(width):
+    # a row layout with S = width and no bucket yet: all reduced reads
+    rows = series._Rows.__new__(series._Rows)
+    rows.width, rows.buckets = width, []
+    return rows
+
+
+def _row(slots, width):
+    return sum(v << width * t for t, v in enumerate(slots))
+
+
+def _scan_reduced(den, acc, width):
+    # the reference: every slot read for the gcd, zero rows dropped
+    rows = {key: r for key, r in acc.items() if r}
+    if not rows:
+        return None
+    g = math.gcd(den, *(v for r in rows.values() for v in _balanced_digits(r, width)))
+    return den // g, {key: r // g for key, r in rows.items()}
+
+
+def _slot_sum(acc, width):
+    return sum(abs(v) for r in acc.values() for v in _balanced_digits(r, width))
+
+
+def _seeded_buckets(seed):
+    # (width, den, acc, bound) with signed slots, zero slots and zero rows,
+    # g = 1 and g > 1, and bounds at, above and below the slot sum
+    rng = random.Random(seed)
+    for width in (64, 128, 192):
+        for _ in range(60):
+            g = rng.choice([1, 1, 2, 3, 6, 7 * 11, 2**13, 3**20, rng.randrange(1, 2**30)])
+            top = rng.choice([3, 1000, 2 ** (width // 3)])
+            acc = {}
+            for key in rng.sample(range(-50, 50), rng.randint(1, 5)):
+                slots = [g * rng.randint(-top, top) * rng.randint(0, 1)
+                         for _ in range(rng.randint(1, 6))]
+                acc[key] = _row(slots, width)
+            den = rng.choice([g, g * rng.randint(1, 40), rng.randint(1, 10**6)])
+            total, limit = _slot_sum(acc, width), (1 << (width - 2)) - 1
+            if total <= limit:
+                for bound in {total, min(limit, total + rng.randint(1, 3 * g)),
+                              min(limit, total * rng.randint(2, 2**20)), total // 2, 0}:
+                    yield width, den, acc, bound
+
+
+# gcd(den, rows) above the slots' gcd; g above the bound; a digit past
+# 2c after the first mask; one slot equal to the bound
+_ADVERSARIAL = [
+    # 2^64 = 1 mod 3, so 3 divides 1 + 2 2^64 but not its slots (1, 2)
+    (64, 3, {0: _row([1, 2], 64)}, 3),
+    (64, 3, {0: _row([1, 2], 64)}, 2**62 - 1),
+    (128, 5, {7: _row([1, 4], 128), -7: _row([3, 2], 128)}, 10),
+    # den and row share 2^64 - 1 > bound, the row's slots (1, -1) share 1
+    (64, 2**64 - 1, {0: (1 - 2**64) << 64}, 2),
+    (64, 3 * (2**64 - 1), {1: 3 * (1 - 2**64)}, 6),
+    # q = 3 2^60 - 2 passes the first mask, c = 2^60 + 1, and its slot
+    # 2^62 - 1 of x is at least 2c: only the second mask refuses it; the
+    # bound lies below the slot sum, which costs certificates, never a gcd
+    (64, 3, {0: 3 * (3 * 2**60 - 2)}, 3 * 2**60 + 2),
+    # a slot equal to the bound: its digit is c - 1
+    (64, 5, {0: _row([0, 5 * 7], 64)}, 35),
+    (192, 2**70, {0: _row([2**70 * 9, 0, -(2**70) * 3], 192)}, 2**70 * 12),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_matches_the_scan(seed, monkeypatch):
+    # reduced returns the scan's (den, rows) on every bucket; under the
+    # contract (sum |slot| <= bound < 2^(S-2)) its norm bounds the slot sum
+    # of its rows, and a candidate gcd equal to the slots' reads no slot
+    reads = []
+
+    def counted(r, width):
+        reads.append(r)
+        return slots(r, width)
+
+    slots = series._slots
+    monkeypatch.setattr(series, "_slots", counted)
+    cases = list(_seeded_buckets(seed)) + (_ADVERSARIAL if seed == 0 else [])
+    certified = 0
+    for width, den, acc, bound in cases:
+        rows = _bare_rows(width)
+        reads.clear()
+        got = rows.reduced(den, dict(acc), bound)
+        want = _scan_reduced(den, acc, width)
+        assert (got and (got[0], dict(got[1]))) == want, (width, den, acc, bound)
+        if want is None:
+            continue
+        total = _slot_sum(acc, width)
+        if bound >= total:
+            assert got[1].norm >= _slot_sum(got[1], width)
+            candidate = math.gcd(den, *acc.values())
+            if candidate == den // want[0]:
+                assert not reads, (width, den, acc, bound)
+                certified += 1
+    assert certified > 50
+
+
+def test_certificate_refuses_a_false_gcd(monkeypatch):
+    # each adversarial bucket whose candidate gcd is not the slots' is
+    # refused by _certified itself and settled by the scan
+    for width, den, acc, bound in _ADVERSARIAL:
+        rows = {key: r for key, r in acc.items() if r}
+        candidate = math.gcd(den, *rows.values())
+        want = _scan_reduced(den, acc, width)
+        if candidate != den // want[0]:
+            assert series._certified(rows, candidate, bound, width) is None
+
+
+def _leave_widths(monkeypatch):
+    # the S of every leave, in call order
+    widths = []
+    leave = series._Rows.leave
+
+    def spy(self, buckets):
+        widths.append(self.width)
+        return leave(self, buckets)
+
+    monkeypatch.setattr(series._Rows, "leave", spy)
+    return widths
+
+
+def _random_orthant_series(rng, n, m, sign, terms, top, dens):
+    out = {}
+    while len(out) < terms:
+        g = tuple(s * rng.randint(0, 2) for s in sign)
+        q = Fraction(rng.randint(-top, top), rng.choice(dens))
+        if any(g) and q:
+            out[RelClass(rng.randint(-2, 2), g, tuple(rng.randint(0, 1) for _ in range(m)))] = q
+    return series.ClassSeries(n, m, out)
+
+
+def _scan_path_inputs():
+    # (name, call) pairs on seeded exp, log and identity-chain inputs
+    # (the bracket product included), with trunc 16, rational
+    # coefficients and a term that cancels in exp
+    for seed in range(12):
+        rng = random.Random(seed)
+        n, m = rng.choice([(3, 1), (4, 1), (4, 2), (5, 0)])
+        sign = tuple(rng.choice((1, -1)) for _ in range(n - 1))
+        trunc = rng.choice([8, 12, 16])
+        dens = rng.choice([(1, 2, 3), (7, 11, 13), (97, 89, 83), (1, 2**20 + 7)])
+        top = rng.choice([6, 1000, 2**40])
+        u = _random_orthant_series(rng, n, m, sign, rng.randint(2, 4), top, dens)
+        (a, qa), (b, qb) = u.items()[:2]
+        cancelling = u + series.monomial(n, m, a + b, -qa * qb)
+        f = series.one(n, m) + u
+        p = series.one(n, m) + _random_orthant_series(
+            rng, n, m, tuple(rng.choice((1, -1)) for _ in range(n - 1)), 2, top, dens)
+        yield f"exp{seed}", lambda u=u, t=trunc: series.series_exp(u, t)
+        yield f"cancel{seed}", lambda u=cancelling, t=trunc: series.series_exp(u, t)
+        yield f"explog{seed}", lambda f=f, t=trunc: series.series_exp(series.series_log(f, t), t)
+        yield f"bracket{seed}", lambda p=p, f=f, t=trunc: series._times_exp_neg_log(p, f, t)
+    for n in (3, 5):
+        yield f"rhs{n}", lambda n=n: wallcross.wall_cross_rhs(fan.FanSpec(n, ()), 16)
+    # exp(log f) on this f: the norms bounded from fit's sums alone would
+    # widen S to 128 where the exact ones keep it at 64
+    f = series.one(4, 2) + series.ClassSeries(4, 2, {
+        RelClass(2, (-2, 0, -2), (0, 0)): Fraction(-382, 97),
+        RelClass(-1, (-2, 0, -1), (0, 1)): Fraction(278, 83),
+        RelClass(-1, (0, 0, -2), (0, 1)): Fraction(-905, 97),
+        RelClass(0, (0, 2, 0), (0, 1)): Fraction(-865, 97),
+    })
+    yield "refined", lambda: series.series_exp(series.series_log(f, 8), 8)
+
+
+@pytest.mark.parametrize("name, call", [pytest.param(*case, id=case[0]) for case in _scan_path_inputs()])
+def test_certified_widths_and_outputs_match_the_scan(name, call, monkeypatch):
+    # with every certificate failing, reduced runs the slot scan alone and
+    # every norm is exact: the same S at every leave and the same result
+    widths = _leave_widths(monkeypatch)
+    got = call().columns()
+    got_widths = list(widths)
+    widths.clear()
+    monkeypatch.setattr(series, "_certified", lambda *args: None)
+    assert call().columns() == got
+    assert widths == got_widths
+    if name == "refined":
+        assert widths == [64]
+
+
+def test_identity_reduces_without_reading_slots(monkeypatch):
+    # C^6 at trunc 12: every grade's gcd is certified, so reduced decodes
+    # no row (3,639 before the certificate); leave still reads its rows
+    reads, inside = [], []
+    slots, reduced = series._slots, series._Rows.reduced
+
+    def counted_slots(r, width):
+        reads.append(bool(inside))
+        return slots(r, width)
+
+    def counted_reduced(self, *args):
+        inside.append(1)
+        try:
+            return reduced(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(series, "_slots", counted_slots)
+    monkeypatch.setattr(series._Rows, "reduced", counted_reduced)
+    assert wallcross.verify_wall_cross_identity(fan.FanSpec(6, ()), 12)
+    assert reads.count(True) == 0 and reads.count(False) == 1820
 
 
 # packed keys in canonical order: h_1 is the most significant digit, then

@@ -293,6 +293,14 @@ def test_constructors_normalize():
     lambda: wallcross.InvariantTable([5]),
     lambda: wallcross.InvariantTable([wallcross.InvariantRow(5, 2, F(1), "x")]),
     lambda: wallcross.InvariantTable(5),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(BETA_HAT, 2, 1.0, "x")]),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(fan.RelClass(1, 5, (0,)), 2, F(1), "x")]),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(fan.RelClass(1, (0,), [0]), 2, F(1), "x")]),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(fan.RelClass(1.0, (0,), (0,)), 2, F(1), "x")]),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(fan.RelClass(1, (0.5,), (0,)), 2, F(1), "x")]),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(BETA_HAT, 2.0, F(1), "x")]),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(BETA_HAT, 2, "1", "x")]),
+    lambda: wallcross.InvariantTable([wallcross.InvariantRow(BETA_HAT, 2, F(1), 5)]),
     lambda: fan.class_name(5),
     lambda: series.ClassSeries(2, 0, {fan.RelClass("a", (0,), ()): 1}),
     lambda: series.ClassSeries(2, 0, {fan.RelClass(1, (2.0,), ()): 1}),
@@ -309,7 +317,10 @@ def test_constructors_normalize():
         "class-maslov-class", "to-records", "energy-assignment-fan",
         "energy-assignment-area", "energy-assignment-h", "wall-cross-rhs-corrections",
         "wall-cross-identity-corrections", "invariant-table-row", "invariant-table-row-class",
-        "invariant-table-rows", "class-name", "series-key-str-b", "series-key-float-g",
+        "invariant-table-rows", "invariant-table-float-value", "invariant-table-int-g",
+        "invariant-table-list-h", "invariant-table-float-b", "invariant-table-half-g",
+        "invariant-table-float-maslov", "invariant-table-str-value", "invariant-table-int-name",
+        "class-name", "series-key-str-b", "series-key-float-g",
         "series-key-half-g", "series-key-bool-g", "series-key-int-g"])
 def test_wrong_typed_arguments_are_bad_params(call):
     # each used to end in a raw AttributeError or TypeError
