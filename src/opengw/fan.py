@@ -65,7 +65,10 @@ def require_ints(
 def require_rational(v, what: str, error: type[Exception] = BadParams) -> Fraction:
     """v as an exact Fraction: an int (not bool), a Fraction, or a string
     that Fraction parses exactly, like "1/2" or "0.1".  A float, bool, None
-    or anything else raises error."""
+    or anything else raises error.  A Fraction comes back as it is, since
+    it is immutable; an int or a Fraction subclass as a new Fraction."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
         return Fraction(v)
     if not isinstance(v, str):

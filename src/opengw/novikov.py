@@ -40,7 +40,9 @@ factored form without expanding it, on a fan with every p_a >= 0 and
 sphere energies; evaluate on the expanded series is that path's oracle.
 Every other point stays on evaluate: the factored form needs x_k**-1 for
 each ev(gamma_k) even where no expanded term does, and a cutoff would
-spread through ev(f)**p_a differently from the per-term cutoffs.
+spread through ev(f)**p_a differently from the per-term cutoffs.  The
+expanded series' first term, beta_hat, is valued alone before it is
+built, so a point whose x_n cannot be inverted is refused without it.
 """
 
 from __future__ import annotations
@@ -692,19 +694,28 @@ def evaluate_chekanov(ea: EnergyAssignment, point: Sequence[NovikovScalar]) -> N
     its cutoff through ev(f)**p_a differently from the expanded terms.
     The parts come first, so no ray at infinity and a negative p_a raise
     as the expansion does; past them the expansion cannot fail, so
-    evaluate's point checks run before it is built.
+    evaluate's point checks run before it is built, and then beta_hat is
+    valued alone.  beta_hat is the expanded series' first term (h = 0,
+    where every other term has h = e_a), needs no sphere energy and has
+    boundary (0, ..., 0, -1), so valuing it raises what the expanded path
+    raises first, x_n**-1 of an exact multi-term x_n among them, and a
+    point past it is expanded and evaluated as before.
     """
     _require(ea, EnergyAssignment, "energy assignment")
     spec = ea.fan
     parts = _chekanov_parts(spec)
     exact = [_exact_term(x) for x in _require_seq(point, "point")]
-    if ea.h is None or len(exact) != spec.n or None in exact:
+    factored = ea.h is not None and len(exact) == spec.n and None not in exact
+    if factored:
+        # ev(f) = 1 + u, u = sum_k ev(gamma_k) of grade 1 in a formal
+        # grading; W = beta_hat * f**0 + sum_a beta'_a * f**p_a
+        items = [(c, 1) for c, _ in parts] + [(gamma_class(spec, k), 1) for k in range(1, spec.n)]
+    else:
         _check_point(spec, point)
+        items = [(parts[0][0], 1)]
+    d, pairs, _ = _evaluated(ea, point, items)
+    if not factored:
         return evaluate(chekanov_superpotential(spec, Ambient.COMPACT).series, ea, point)
-    # ev(f) = 1 + u, u = sum_k ev(gamma_k) of grade 1 in a formal grading;
-    # W = beta_hat * f**0 + sum_a beta'_a * f**p_a
-    gammas = [(gamma_class(spec, k), 1) for k in range(1, spec.n)]
-    d, pairs, _ = _evaluated(ea, point, [(c, 1) for c, _ in parts] + gammas)
     u = _products(pairs[len(parts):])
     terms = [(term, p) for (term, _), (_, p) in zip(pairs, parts)]
     return _merged(d, [_times_powers(terms, {1: u})], None)

@@ -695,13 +695,16 @@ class _Rows:
 
     def leave(self, buckets: dict) -> tuple[int, dict[int, int]]:
         # row buckets as one per-key (den, nums) over their lcm, key = outer
-        # + t step; a key may sit in several rows, so its slots are summed
+        # + t step; a key may sit in several rows, so its slots are summed.
+        # A cancelled row stays as a 0 entry and is skipped unread
         den = math.lcm(*(d for d, _ in buckets.values()))
         step, width, nums = self.step, self.width, {}
         get = nums.get
         for d, rows in buckets.values():
             scale = den // d
             for outer, r in rows.items():
+                if not r:
+                    continue
                 for t, v in enumerate(_slots(r, width)):
                     if v:
                         key = outer + t * step

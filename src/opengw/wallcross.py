@@ -235,9 +235,11 @@ class InvariantTable:
 
     def value_of(self, cls: RelClass) -> Fraction:
         # the first row whose digits are the class's, narrowed column by
-        # column; 0 for a class of another shape or anything not a class
+        # column; 0 for a class of another shape, BadParams for anything
+        # not a class, as in ClassSeries.coeff
+        _require(cls, RelClass, "table key")
         _, h, b, g, _, n_beta = self._columns
-        if not isinstance(cls, RelClass) or (len(cls.h), len(cls.g)) != (len(h), len(g)):
+        if (len(cls.h), len(cls.g)) != (len(h), len(g)):
             return Fraction(0)
         found = range(len(b))
         for col, x in zip([*h, b, *g], [*cls.h, cls.b, *cls.g]):

@@ -176,6 +176,21 @@ class TestValidation:
         with pytest.raises(errors.ParseError):
             fan.require_rational(bad, "x", errors.ParseError)
 
+    def test_require_rational_keeps_a_fraction(self):
+        # a Fraction is immutable, so it comes back as the same object; a
+        # subclass still comes back as a plain Fraction, and a float, bool
+        # or None still raises the caller's error class
+        class Sub(Fraction):
+            pass
+
+        q = Fraction(-7, 3)
+        assert fan.require_rational(q, "x") is q
+        got = fan.require_rational(Sub(1, 3), "x")
+        assert type(got) is Fraction and got == Fraction(1, 3)
+        for bad in (0.5, False, None):
+            with pytest.raises(errors.SchemaError):
+                fan.require_rational(bad, "x", errors.SchemaError)
+
     def test_parse_energies(self):
         got = fan.parse_energies({"beta_hat": "1/2", "gamma": [1, "0.1"], "H": None})
         assert got == fan.EnergyValues(Fraction(1, 2), (Fraction(1), Fraction(1, 10)), None)

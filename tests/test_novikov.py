@@ -1226,14 +1226,22 @@ def _value_or_error(call):
     [1, t_monomial(1)],
     [constant(1) + t_monomial(1), t_monomial(1)],
     [t_monomial(1, 2), t_monomial(1).truncated(3)],
+    [t_monomial(1, 2), constant(1) + t_monomial(1)],
+    [t_monomial(1, 2), (constant(1) + t_monomial(1)).truncated(3)],
+    [t_monomial(1, 2), NovikovScalar([(2, 1)], 2)],
     None,
     5,
     "T,T",
 ], ids=["monomial", "zero", "too-few", "too-many", "not-a-scalar", "multi-term", "cutoff",
-        "none", "int", "str"])
+        "last-multi-term", "last-multi-term-cutoff", "last-cutoff-at-lead", "none", "int", "str"])
 def test_chekanov_errors_match_expanded_path(spec, with_h, point):
     # every fan, energy and point combination: the same value, or the same
-    # exception type and message, as evaluating the expanded series
+    # exception type and message, as evaluating the expanded series.  The
+    # last coordinate is inverted by beta_hat, the expanded series' first
+    # term, which evaluate_chekanov values before any expansion: an exact
+    # two-term x_n raises ValueError and a one-term x_n with no term below
+    # its cutoff DivisionByZero, with or without H; a two-term x_n with a
+    # cutoff passes and is expanded
     values = {"beta_hat": 1, "gamma": [1]}
     if with_h:
         values["H"] = [5] * spec.m
@@ -1251,19 +1259,39 @@ def test_chekanov_errors_match_expanded_path(spec, with_h, point):
         assert issubclass(got[0], errors.DomainError), got
 
 
-@pytest.mark.parametrize("bad, error", [
-    (novikov.ZERO, errors.ZeroCoordinate), (None, errors.DimensionMismatch),
-], ids=["zero", "too-few"])
-def test_bad_point_is_refused_before_the_expansion(monkeypatch, bad, error):
+@pytest.mark.parametrize("bad, error, message", [
+    (novikov.ZERO, errors.ZeroCoordinate, "coordinate 5 is zero"),
+    (None, errors.DimensionMismatch, "point must have 6 coordinates"),
+    (constant(1) + t_monomial(1), ValueError, "inverse of an exact multi-term scalar needs a cutoff"),
+], ids=["zero", "too-few", "last-multi-term"])
+def test_bad_point_is_refused_before_the_expansion(monkeypatch, bad, error, message):
     # on CP^6 a bad point used to build the 463-term series before evaluate
-    # looked at the point
+    # looked at the point; an exact two-term last coordinate, which
+    # beta_hat's x_6**-1 cannot invert, used to build it before its first
+    # term raised
     spec = fan.builtin_fan("cpn", n=6)
     ea = novikov.assign_energies(spec, _stock_energies(spec))
     point = [t_monomial(1)] * 5 + ([bad] if bad is not None else [])
     solves = _count_calls(monkeypatch, series._times_powers)
-    with pytest.raises(error):
+    builds = _count_calls(monkeypatch, wallcross.chekanov_superpotential)
+    with pytest.raises(error) as got:
         novikov.evaluate_chekanov(ea, point)
-    assert solves["n"] == 0
+    assert str(got.value) == message
+    assert (solves["n"], builds["n"]) == (0, 0)
+
+
+def test_multi_term_first_coordinate_still_expands(monkeypatch):
+    # only the last coordinate is checked before the expansion: beta_hat
+    # does not invert x_1, so "1+T,T" on CP^2 builds the series and raises
+    # at its first term that needs x_1**-1, as it did before
+    spec = fan.builtin_fan("cpn", n=2)
+    ea = novikov.assign_energies(spec, _stock_energies(spec))
+    point = [cli.parse_scalar_literal(t) for t in ("1+T", "T")]
+    solves = _count_calls(monkeypatch, series._times_powers)
+    builds = _count_calls(monkeypatch, wallcross.chekanov_superpotential)
+    with pytest.raises(ValueError, match="^inverse of an exact multi-term scalar needs a cutoff$"):
+        novikov.evaluate_chekanov(ea, point)
+    assert builds["n"] == 1 and solves["n"] >= 1
 
 
 # a scalar is int columns: rendered and compared without a Fraction per term

@@ -710,12 +710,19 @@ def test_value_of_reads_the_columns(monkeypatch):
     counts = {"rows": 0}
     _count_inits(monkeypatch, wallcross.InvariantRow, counts, "rows")
     got = [table.value_of(c) for c in on + off]
-    other = [table.value_of(RelClass(1, (0,) * 6, (0,))), table.value_of("β̂")]
+    other = [table.value_of(RelClass(1, (0,) * 6, (0,)))]
     monkeypatch.undo()
     assert counts["rows"] == 0
     assert got == [s.coeff(c) for c in on + off]
     assert all(got[:len(on)]) and got[len(on):] == [0] * len(off)
-    assert other == [0, 0] and all(type(v) is Fraction for v in got + other)
+    assert other == [0] and all(type(v) is Fraction for v in got + other)
+    # a key that is not a class is refused, as by ClassSeries.coeff (it
+    # read 0 before)
+    for key in ("β̂", 5, None, (1, (0,) * 7, (0,))):
+        with pytest.raises(errors.BadParams):
+            table.value_of(key)
+        with pytest.raises(errors.BadParams):
+            s.coeff(key)
 
 
 def test_table_equality_reads_the_columns(monkeypatch):
