@@ -428,18 +428,19 @@ def _class_symbols(m: int, g: int) -> tuple[str, ...]:
 
 class _Pieces(dict):
     # value q -> the piece " + q sym" / " - |q| sym" of one coordinate, "" for
-    # q = 0, each formatted on first use
-    __slots__ = ("sym",)
+    # q = 0, each formatted on first use; a lead map formats "q sym" / "-|q| sym"
+    __slots__ = ("sym", "plus", "minus")
 
-    def __init__(self, sym: str):
+    def __init__(self, sym: str, lead: bool = False):
         super().__init__()
         self.sym = sym
+        self.plus, self.minus = ("", "-") if lead else (" + ", " - ")
 
     def __missing__(self, q: int) -> str:
         if q > 0:
-            piece = f" + {self.sym}" if q == 1 else f" + {q}{self.sym}"
+            piece = f"{self.plus}{self.sym}" if q == 1 else f"{self.plus}{q}{self.sym}"
         elif q:
-            piece = f" - {self.sym}" if q == -1 else f" - {-q}{self.sym}"
+            piece = f"{self.minus}{self.sym}" if q == -1 else f"{self.minus}{-q}{self.sym}"
         else:
             piece = ""
         self[q] = piece
@@ -450,15 +451,23 @@ def _class_names(m: int, g: int, columns: Sequence[Sequence[int]]) -> list[str]:
     """class_name of every row of digit columns in canonical order, one
     column per coordinate h_1 .. h_m, b, gamma_1 .. gamma_g.
 
-    One _Pieces map per column formats each of its values once, and every
-    row is one join of its pieces.
+    One _Pieces map per column formats each of its values once, the first
+    column's as lead pieces ("H_1", "-2β̂"), and every row is one join of
+    its pieces.  Only a row whose first coordinate is 0 (picked with
+    compress) starts with a " + " or " - " piece, or is empty, and is
+    fixed up after the join.
     """
-    pieces = [map(_Pieces(sym).__getitem__, col) for sym, col in zip(_class_symbols(m, g), columns)]
-    # the first piece's sign becomes a bare leading minus or is dropped
-    return [
-        (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
-        for text in map("".join, zip(*pieces))
-    ]
+    lead, *rest = columns
+    symbols = _class_symbols(m, g)
+    pieces = [map(_Pieces(symbols[0], True).__getitem__, lead)]
+    pieces += [map(_Pieces(sym).__getitem__, col) for sym, col in zip(symbols[1:], rest)]
+    names = list(map("".join, zip(*pieces)))
+    # a row whose first coordinate is 0: its first piece's sign becomes a
+    # bare leading minus or is dropped, and an empty row is 0
+    for i in itertools.compress(range(len(names)), map(operator.not_, lead)):
+        text = names[i]
+        names[i] = (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
+    return names
 
 
 def _classes(m: int, columns: Sequence[Sequence[int]]) -> list[RelClass]:

@@ -113,7 +113,10 @@ ClassSeries.columns: it sorts the int keys and splits their digits
 into one int column per coordinate (_Packer.columns, the only decoder
 of keys, and digit columns the one way out), with the numerators over
 their reduced common denominator (_lowest_terms, which novikov's
-scalars use too).  Invariant tables and
+scalars use too).  _Packer.columns reads 64 or more keys of at most 64
+bits each in bulk: it packs them into one int, a 64-bit slot per key,
+and reads each column off it with one shift and one mask, at C speed;
+a smaller or wider key set is read key by key.  Invariant tables and
 rendered series are read that way.  Gluing never leaves the keys
 either: _glued splits the source by its b column alone and is one
 _powered call, cut by truncate_gamma when a power is negative.  items()
@@ -125,6 +128,8 @@ numerators sharing one Fraction.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -582,8 +587,20 @@ class _Packer:
         # the digits of keys, one column per coordinate in canonical order,
         # coordinates first .. stop - 1 only (m + 1 on: the gamma columns)
         us = [key + self.bias for key in keys]
-        mask, half = self.mask, self.half
-        return [[(u >> s & mask) - half for u in us] for s in self.shifts[first:stop]]
+        mask, half, shifts, size = self.mask, self.half, self.shifts[first:stop], len(us)
+        if size < 64 or self.shifts[0] + self.w > 64:
+            return [[(u >> s & mask) - half for u in us] for s in shifts]
+        # 64 or more keys of at most 64 bits each: every biased key is one
+        # 64-bit slot of one int, so a column is one shift and one mask of
+        # it (ones has a 1 in every slot).  Lifting each slot by 2^63 - half
+        # and flipping its bit 63 makes it the signed digit, with no carry
+        # between slots, read back as signed 64-bit ints
+        order, nbytes = sys.byteorder, 8 * size
+        ones = int.from_bytes(array("Q", [1]) * size, order)
+        packed = int.from_bytes(array("Q", us), order)
+        digit, lift, sign = mask * ones, ((1 << 63) - half) * ones, ones << 63
+        return [array("q", (((packed >> s & digit) + lift) ^ sign).to_bytes(nbytes, order)).tolist()
+                for s in shifts]
 
 
 class _RowBucket(dict):

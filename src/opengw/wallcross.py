@@ -15,9 +15,10 @@ series.times_powers over the parts beta_hat f^0 and beta'_a f^{p_a}
 are one-pointed open Gromov-Witten invariants; invariant_table reads them
 off the series' digit columns (ClassSeries.columns) without a RelClass or
 an InvariantRow per row: the series shape is checked once per table, the
-Maslov index is the column sum 2b + sum_a 2(1 + p_a) h_a, integrality is
-den | numerator, and the names come from one piece map per coordinate
-column (fan._class_names).  An InvariantTable is those columns and
+Maslov index is the column sum 2b + sum_a 2(1 + p_a) h_a, summed column
+by column with no Python loop per row, integrality is den | numerator,
+and the names come from one piece map per coordinate column
+(fan._class_names).  An InvariantTable is those columns and
 nothing else; its rows are built from them when read (fan._classes, the
 one way back from digit columns to classes), and value_of matches a class
 against them.  novikov.evaluate_chekanov evaluates it at a torus point
@@ -33,6 +34,8 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .errors import (
     BadParams,
@@ -367,10 +370,13 @@ def invariant_table(w: Superpotential) -> InvariantTable:
     Every class must have Maslov index 2 and an integer coefficient;
     violations abort, they are never rounded away, and the first faulty
     row in canonical order is reported, its Maslov index first.  The
-    table is read from the series' digit columns (ClassSeries.columns):
-    the shape is checked once, the Maslov index is the column sum
-    2b + sum_a 2(1 + p_a) h_a, a count is an integer when den divides its
-    numerator, and the names are one join per row of per-column pieces.
+    table is read from the series' digit columns (ClassSeries.columns,
+    decoded in bulk): the shape is checked once, the Maslov index is the
+    column sum 2b + sum_a 2(1 + p_a) h_a, summed with map over whole
+    columns, a count is an integer when den divides its numerator, and
+    the names are one join per row of per-column pieces, the first
+    column's lead pieces, with only the rows whose first coordinate is 0
+    fixed up.
     """
     _require(w, Superpotential, "invariant table source")
     spec, s = w.fan, w.series
@@ -378,9 +384,10 @@ def invariant_table(w: Superpotential) -> InvariantTable:
         _check_shape(spec, s.n - 1, s.m)
     cols, den, nums = s.columns()
     m = s.m
-    maslov = [2 * b for b in cols[m]]
+    maslov = map(mul, cols[m], repeat(2))
     for weight, h in zip(_maslov_weights(spec), cols[:m]):
-        maslov = [mu + weight * x for mu, x in zip(maslov, h)]
+        maslov = map(add, maslov, map(mul, h, repeat(weight)))
+    maslov = list(maslov)
     # the first row failing each check, len(nums) when none does
     size = len(nums)
     bad_mu = size if maslov.count(2) == size else next(i for i, x in enumerate(maslov) if x != 2)

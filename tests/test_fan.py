@@ -1,6 +1,7 @@
 """Fan validation, disk classes, boundaries, Maslov indices."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,33 @@ def test_class_name_matches_two_pass_names(n, m):
     for coords in itertools.product(range(-3, 4), repeat=n + m):
         c = fan.RelClass(coords[0], coords[1:n], coords[n:])
         assert fan.class_name(c) == two_pass_class_name(c), coords
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_class_names_match_row_by_row(seed):
+    # random tables, their leading coordinate often 0 or negative, an
+    # all-zero row in each; m = 0 puts b first and g = 0 leaves no gamma
+    rng = random.Random(seed)
+    for _ in range(40):
+        m, g = rng.randint(0, 3), rng.randint(0, 4)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-12, 12))) for _ in range(m + 1 + g)]
+                for _ in range(rng.randint(0, 150))]
+        rows.insert(rng.randint(0, len(rows)), [0] * (m + 1 + g))
+        columns = [list(col) for col in zip(*rows)]
+        classes = fan._classes(m, columns)
+        names = fan._class_names(m, g, columns)
+        assert names == list(map(fan.class_name, classes))
+        assert names == list(map(two_pass_class_name, classes))
+        assert names[rows.index([0] * (m + 1 + g))] == "0"
+
+
+@pytest.mark.parametrize("m, g, rows, names", [
+    (0, 0, [[0], [3], [-1], [1]], ["0", "3β̂", "-β̂", "β̂"]),
+    (1, 1, [[0, -2, 1], [-2, 0, 0], [0, 0, -1], [0, 0, 0]], ["-2β̂ + γ_1", "-2H_1", "-γ_1", "0"]),
+    (2, 0, [[0, 0, 5], [0, -1, -1], [-1, 1, 0]], ["5β̂", "-H_2 - β̂", "-H_1 + H_2"]),
+])
+def test_class_names_leading_pieces(m, g, rows, names):
+    assert fan._class_names(m, g, [list(col) for col in zip(*rows)]) == names
 
 
 def rel_classes(n, m):

@@ -1424,6 +1424,89 @@ def test_packed_series_reads_like_its_dict(case, q):
     assert cli.render_series(fresh(), "csv") == cli.render_series(held, "csv")
 
 
+def _per_key_columns(packer, keys, first=0, stop=None):
+    # the reference decoder: one shift and one mask per digit of each key
+    us = [key + packer.bias for key in keys]
+    return [[(u >> s & packer.mask) - packer.half for u in us] for s in packer.shifts[first:stop]]
+
+
+def _digit_keys(rng, packer, digits, count):
+    # count keys whose digits range over the whole digit, -half and
+    # half - 1 included, and the digit columns they were packed from
+    lo, hi = -packer.half, packer.half - 1
+    cols = [[rng.choice((lo, hi, 0, rng.randint(lo, hi))) for _ in range(count)]
+            for _ in range(digits)]
+    return packer.keys(cols), cols
+
+
+class TestBulkDecoder:
+    # _Packer.columns reads 64 or more keys that fit 64 bits each from one
+    # packed int, and every other key set key by key; both read the same
+
+    @pytest.fixture
+    def arrays(self, monkeypatch):
+        # the typecodes of the arrays _Packer.columns makes, one list per call
+        made = []
+        real = series.array
+
+        def spy(code, *args):
+            made.append(code)
+            return real(code, *args)
+
+        monkeypatch.setattr(series, "array", spy)
+        return made
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_per_key_decoder(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            n, m, bound = rng.randint(1, 9), rng.randint(0, 3), rng.randint(0, 60)
+            packer = series._Packer(n, m, bound)
+            count = rng.choice((1, 63, 64, 65, 300))
+            keys, cols = _digit_keys(rng, packer, n + m, count)
+            first = rng.randint(0, n + m)
+            stop = rng.choice((None, rng.randint(0, n + m)))
+            got = packer.columns(keys, first, stop)
+            assert got == _per_key_columns(packer, keys, first, stop) == cols[first:stop]
+            assert packer.columns(keys) == cols
+            # a dict of keys, as the kernel passes its numerators, reads alike
+            nums = dict.fromkeys(keys, 1)
+            assert packer.columns(nums, first, stop) == _per_key_columns(packer, nums, first, stop)
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 300])
+    def test_bulk_only_from_64_keys(self, count, arrays):
+        rng = random.Random(count)
+        packer = series._Packer(8, 1, 40)
+        keys, cols = _digit_keys(rng, packer, 9, count)
+        assert packer.columns(keys) == cols
+        assert arrays == ([] if count < 64 else ["Q", "Q"] + ["q"] * 9)
+
+    @pytest.mark.parametrize("digits, bound, bulk", [
+        (8, 127, True),          # 8 digits of 8 bits: 64 bits, the widest bulk key
+        (9, 127, False),         # 9 digits of 8 bits: 72 bits
+        (1, 1 << 62, True),      # one digit of 64 bits, half = 2^63
+        (1, 1 << 63, False),     # one digit of 65 bits
+        (12, 60, False),         # 9 + 3 digits of 7 bits: 84 bits
+    ])
+    def test_widest_keys(self, digits, bound, bulk, arrays):
+        rng = random.Random(digits)
+        n = min(digits, 9)
+        packer = series._Packer(n, digits - n, bound)
+        assert (packer.shifts[0] + packer.w <= 64) == bulk
+        keys, cols = _digit_keys(rng, packer, digits, 300)
+        assert packer.columns(keys) == _per_key_columns(packer, keys) == cols
+        for first in range(digits + 1):
+            assert packer.columns(keys, first) == cols[first:]
+        assert bool(arrays) == bulk
+
+    def test_extreme_digits_in_every_slot(self):
+        # every key all -half or all half - 1: no carry crosses a slot
+        packer = series._Packer(4, 2, 9)
+        lo, hi = -packer.half, packer.half - 1
+        cols = [[lo, hi] * 50 for _ in range(6)]
+        assert packer.columns(packer.keys(cols)) == cols
+
+
 def _widened(s):
     # s again, on a wider packer: a far term added and taken away
     far = series.monomial(s.n, s.m, RelClass(1000, (0,) * (s.n - 1), (0,) * s.m))

@@ -15,7 +15,8 @@ cache _items is gone, and a scalar keeps no Fraction terms).  Digit rows
 are the one way into keys: ClassSeries.__init__ and from_records both
 hand series._encoded their classes' rows [*h, b, *g], and no class is
 packed on its own (_Packer.pack is gone).  Digit columns are the one way
-back from keys to classes, so no .unpack( is left.
+back from keys to classes, so no .unpack( is left, and _Packer.columns
+alone reads keys through bytes (int.from_bytes, to_bytes).
 
 The sums sum p f**e over integer e, times_powers, divide_by_power and the
 gluing map, are one engine, series._powered: it alone prepares f and
@@ -292,6 +293,22 @@ def test_one_stored_form_and_one_reader():
         and node.func.attr == "unpack"
     ]
     assert not calls, f".unpack( calls: {calls}"
+    # only _Packer.columns reads keys through bytes, in bulk
+    through_bytes = {(name, scope) for name in ("series.py", "fan.py", "wallcross.py")
+                     for attr in ("from_bytes", "to_bytes")
+                     for scope in _attribute_callers(modules[name], attr)}
+    assert through_bytes == {("series.py", ("_Packer", "columns"))}, through_bytes
+
+
+def _attribute_callers(node, attr, scope=()):
+    # the enclosing class and function names of every call of a method attr
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope += (node.name,)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_callers(child, attr, scope)
 
 
 def _callers(node, name, scope=()):

@@ -676,6 +676,18 @@ def test_table_matches_per_row_reading(spec, make, ambient):
     assert built == got and built.columns() == got.columns()
 
 
+def test_cp8_names_and_maslov_column():
+    # every CP^8 name is class_name of its class, the beta_hat row's too (the
+    # one row whose first coordinate h_1 is 0), and the Maslov column summed
+    # column by column is class_maslov row by row
+    spec = builtin_fan("cpn", n=8)
+    rows = invariant_table(chekanov_superpotential(spec, Ambient.COMPACT)).rows
+    assert len(rows) == 6436
+    assert [row.name for row in rows] == [class_name(row.cls) for row in rows]
+    assert [row.maslov for row in rows] == [class_maslov(spec, row.cls) for row in rows]
+    assert [row.name for row in rows if row.cls.h[0] == 0] == ["β̂"]
+
+
 def test_table_rows_need_one_shape():
     # a table is one int column per coordinate, so rows of two class
     # shapes are refused; zip cut the longer class short, and the row of
