@@ -113,7 +113,7 @@ ClassSeries.columns: it sorts the int keys and splits their digits
 into one int column per coordinate (_Packer.columns, the only decoder
 of keys, and digit columns the one way out), with the numerators over
 their reduced common denominator (_lowest_terms, which novikov's
-scalars use too).  _Packer.columns reads 64 or more keys of at most 64
+scalars use too).  _Packer.columns reads 32 or more keys of at most 64
 bits each in bulk: it packs them into one int, a 64-bit slot per key,
 and reads each column off it with one shift and one mask, at C speed;
 a smaller or wider key set is read key by key.  Invariant tables and
@@ -588,9 +588,12 @@ class _Packer:
         # coordinates first .. stop - 1 only (m + 1 on: the gamma columns)
         us = [key + self.bias for key in keys]
         mask, half, shifts, size = self.mask, self.half, self.shifts[first:stop], len(us)
-        if size < 64 or self.shifts[0] + self.w > 64:
+        # the bulk read has a fixed cost of a few microseconds a call and
+        # wins from about 12 to 36 keys (9 to 3 columns); most of the
+        # kernel's calls have fewer keys and read faster key by key
+        if size < 32 or self.shifts[0] + self.w > 64:
             return [[(u >> s & mask) - half for u in us] for s in shifts]
-        # 64 or more keys of at most 64 bits each: every biased key is one
+        # 32 or more keys of at most 64 bits each: every biased key is one
         # 64-bit slot of one int, so a column is one shift and one mask of
         # it (ones has a 1 in every slot).  Lifting each slot by 2^63 - half
         # and flipping its bit 63 makes it the signed digit, with no carry

@@ -1440,7 +1440,7 @@ def _digit_keys(rng, packer, digits, count):
 
 
 class TestBulkDecoder:
-    # _Packer.columns reads 64 or more keys that fit 64 bits each from one
+    # _Packer.columns reads 32 or more keys that fit 64 bits each from one
     # packed int, and every other key set key by key; both read the same
 
     @pytest.fixture
@@ -1462,7 +1462,7 @@ class TestBulkDecoder:
         for _ in range(50):
             n, m, bound = rng.randint(1, 9), rng.randint(0, 3), rng.randint(0, 60)
             packer = series._Packer(n, m, bound)
-            count = rng.choice((1, 63, 64, 65, 300))
+            count = rng.choice((1, 31, 32, 33, 63, 64, 65, 300))
             keys, cols = _digit_keys(rng, packer, n + m, count)
             first = rng.randint(0, n + m)
             stop = rng.choice((None, rng.randint(0, n + m)))
@@ -1473,13 +1473,13 @@ class TestBulkDecoder:
             nums = dict.fromkeys(keys, 1)
             assert packer.columns(nums, first, stop) == _per_key_columns(packer, nums, first, stop)
 
-    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 300])
-    def test_bulk_only_from_64_keys(self, count, arrays):
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 63, 64, 65, 300])
+    def test_bulk_only_from_32_keys(self, count, arrays):
         rng = random.Random(count)
         packer = series._Packer(8, 1, 40)
         keys, cols = _digit_keys(rng, packer, 9, count)
         assert packer.columns(keys) == cols
-        assert arrays == ([] if count < 64 else ["Q", "Q"] + ["q"] * 9)
+        assert arrays == ([] if count < 32 else ["Q", "Q"] + ["q"] * 9)
 
     @pytest.mark.parametrize("digits, bound, bulk", [
         (8, 127, True),          # 8 digits of 8 bits: 64 bits, the widest bulk key

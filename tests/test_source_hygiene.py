@@ -295,28 +295,20 @@ def test_one_stored_form_and_one_reader():
     assert not calls, f".unpack( calls: {calls}"
     # only _Packer.columns reads keys through bytes, in bulk
     through_bytes = {(name, scope) for name in ("series.py", "fan.py", "wallcross.py")
-                     for attr in ("from_bytes", "to_bytes")
-                     for scope in _attribute_callers(modules[name], attr)}
+                     for attr in (".from_bytes", ".to_bytes")
+                     for scope in _callers(modules[name], attr)}
     assert through_bytes == {("series.py", ("_Packer", "columns"))}, through_bytes
-
-
-def _attribute_callers(node, attr, scope=()):
-    # the enclosing class and function names of every call of a method attr
-    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-        scope += (node.name,)
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == attr):
-        yield scope
-    for child in ast.iter_child_nodes(node):
-        yield from _attribute_callers(child, attr, scope)
 
 
 def _callers(node, name, scope=()):
     # the enclosing class and function names of every call of name, a
-    # plain or a dotted name such as NovikovScalar._of
+    # plain or a dotted name such as NovikovScalar._of, or .attr for a
+    # method attr of any object
     if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
         scope += (node.name,)
-    if isinstance(node, ast.Call) and ast.unparse(node.func) == name:
+    if isinstance(node, ast.Call) and (
+            ast.unparse(node.func) == name
+            or isinstance(node.func, ast.Attribute) and name == "." + node.func.attr):
         yield scope
     for child in ast.iter_child_nodes(node):
         yield from _callers(child, name, scope)
